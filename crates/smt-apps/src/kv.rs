@@ -132,7 +132,9 @@ impl KvResponse {
             2 => {
                 let n = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?) as usize;
                 rest = &rest[4..];
-                let mut vs = Vec::with_capacity(n);
+                // `n` is wire data: every element needs at least its 4-byte
+                // length prefix, so the remaining input bounds the reservation.
+                let mut vs = Vec::with_capacity(n.min(rest.len() / 4));
                 for _ in 0..n {
                     vs.push(take_bytes(&mut rest)?);
                 }
@@ -315,6 +317,14 @@ mod tests {
         let mut store = KvStore::new();
         let resp = store.handle_wire(&[0xff, 1, 2]);
         assert_eq!(KvResponse::decode(&resp).unwrap(), KvResponse::NotFound);
+    }
+
+    #[test]
+    fn oversized_element_count_is_rejected_without_reserving_for_it() {
+        // A Values response declaring u32::MAX elements with no bytes behind
+        // it: the count must not size an allocation (a 96 GB reservation
+        // aborts the process on a memory-limited host).
+        assert_eq!(KvResponse::decode(&[2, 0xff, 0xff, 0xff, 0xff]), None);
     }
 
     #[test]

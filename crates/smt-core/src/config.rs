@@ -56,8 +56,8 @@ pub struct SmtConfig {
     /// sender retransmission timeout (the paper's testbed RTT is a few µs).
     pub base_rtt_ns: u64,
     /// Sender retransmission timeout as a multiple of `base_rtt_ns` (the
-    /// HomaEndpoint unscheduled-prefix retransmit and the StreamEndpoint
-    /// go-back-N timer both fire after [`SmtConfig::rto_ns`]).
+    /// message engine's unscheduled-prefix retransmit and the stream engine's
+    /// rewind to the cumulative ACK both fire after [`SmtConfig::rto_ns`]).
     pub rto_rtt_multiple: u32,
 }
 

@@ -4,7 +4,8 @@
 //! [`EndpointBuilder::connect`](super::EndpointBuilder::connect) and
 //! [`EndpointBuilder::accept`](super::EndpointBuilder::accept) build endpoints
 //! that establish their own keys on the wire instead of receiving them out of
-//! band.  Both backends share the machinery in this module:
+//! band.  The connection shell drives the machinery in this module for every
+//! stack:
 //!
 //! * **Flight carrier.** A handshake flight (the byte strings produced by
 //!   `smt_crypto::handshake::machine`) is fragmented into
@@ -39,6 +40,7 @@
 //! evicted the secret (bounded map, restart), the driver transparently falls
 //! back to the full handshake on the same connection.
 
+use super::EndpointStats;
 use crate::stack::StackKind;
 use bytes::Bytes;
 use smt_core::segment::PathInfo;
@@ -452,8 +454,9 @@ impl FlightRx {
 }
 
 /// The per-endpoint in-band handshake driver: owns the state machine, the
-/// flight carrier and the retransmission timer.  The endpoint backends route
-/// CONTROL packets here and merge the driver's counters into their stats.
+/// flight carrier and the retransmission timer.  The connection shell routes
+/// CONTROL packets here; the driver counts what it does straight into the
+/// connection's [`EndpointStats`], passed in by the shell.
 pub(crate) struct HandshakeDriver {
     role: Role,
     path: PathInfo,
@@ -470,14 +473,6 @@ pub(crate) struct HandshakeDriver {
     complete: bool,
     failed: bool,
     early_sent: bool,
-    // Counters merged into the owning endpoint's EndpointStats.
-    pub retransmissions: u64,
-    pub timeouts_fired: u64,
-    pub wire_bytes_sent: u64,
-    pub wire_bytes_received: u64,
-    pub datagrams_dropped: u64,
-    pub malformed_rejected: u64,
-    pub peak_tracked_bytes: u64,
 }
 
 impl std::fmt::Debug for HandshakeDriver {
@@ -573,13 +568,6 @@ impl HandshakeDriver {
             complete: false,
             failed: false,
             early_sent: false,
-            retransmissions: 0,
-            timeouts_fired: 0,
-            wire_bytes_sent: 0,
-            wire_bytes_received: 0,
-            datagrams_dropped: 0,
-            malformed_rejected: 0,
-            peak_tracked_bytes: 0,
         }
     }
 
@@ -716,14 +704,19 @@ impl HandshakeDriver {
     }
 
     /// Handles one CONTROL packet at virtual time `now`.
-    pub fn handle_control(&mut self, packet: &Packet, now: Nanos) -> DriverOutcome {
+    pub fn handle_control(
+        &mut self,
+        packet: &Packet,
+        now: Nanos,
+        stats: &mut EndpointStats,
+    ) -> DriverOutcome {
         let mut outcome = DriverOutcome::default();
         let Some(data) = packet.payload.as_data() else {
             return outcome;
         };
-        self.wire_bytes_received += data.len() as u64;
+        stats.wire_bytes_received += data.len() as u64;
         if self.failed {
-            self.datagrams_dropped += 1;
+            stats.datagrams_dropped += 1;
             return outcome;
         }
         let seq = packet.overlay.options.message_id;
@@ -737,20 +730,20 @@ impl HandshakeDriver {
             // final flight are absorbed silently so duplication faults cannot
             // ping-pong forever.
             if seq + 1 == self.last_flight_seq && !self.last_flight.is_empty() && offset == 0 {
-                self.retransmissions += self.last_flight.len() as u64;
+                stats.retransmissions += self.last_flight.len() as u64;
                 self.outbox.extend(self.last_flight.iter().cloned());
             }
             return outcome;
         }
         if seq != self.rx_expected || total == 0 {
             // A flight from the future (or malformed): unusable.
-            self.datagrams_dropped += 1;
+            stats.datagrams_dropped += 1;
             return outcome;
         }
         if total > MAX_FLIGHT_BYTES {
             // Attacker-declared flight length: reject before buffering.
-            self.malformed_rejected += 1;
-            self.datagrams_dropped += 1;
+            stats.malformed_rejected += 1;
+            stats.datagrams_dropped += 1;
             return outcome;
         }
         let rx = self.rx.get_or_insert_with(|| FlightRx::new(total));
@@ -759,11 +752,11 @@ impl HandshakeDriver {
             // conflicting copy of an already-buffered fragment: a forged or
             // corrupted packet.  Keep what we have — the authentic sender
             // retransmits on its RTO if the flight cannot complete.
-            self.malformed_rejected += 1;
-            self.datagrams_dropped += 1;
+            stats.malformed_rejected += 1;
+            stats.datagrams_dropped += 1;
             return outcome;
         }
-        self.peak_tracked_bytes = self.peak_tracked_bytes.max(rx.tracked_bytes() as u64);
+        stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(rx.tracked_bytes() as u64);
         let Some(flight) = rx.try_assemble() else {
             return outcome;
         };
@@ -852,7 +845,7 @@ impl HandshakeDriver {
                     }
                 } else {
                     let Some(machine) = machine.as_mut() else {
-                        self.datagrams_dropped += 1;
+                        stats.datagrams_dropped += 1;
                         return outcome;
                     };
                     match machine.on_server_flight(&flight) {
@@ -1001,10 +994,10 @@ impl HandshakeDriver {
     }
 
     /// Appends every queued handshake packet to `out`.
-    pub fn poll_transmit(&mut self, out: &mut Vec<Packet>) -> usize {
+    pub fn poll_transmit(&mut self, out: &mut Vec<Packet>, stats: &mut EndpointStats) -> usize {
         let n = self.outbox.len();
         for p in self.outbox.drain(..) {
-            self.wire_bytes_sent += p.payload.wire_len() as u64;
+            stats.wire_bytes_sent += p.payload.wire_len() as u64;
             out.push(p);
         }
         n
@@ -1020,7 +1013,7 @@ impl HandshakeDriver {
     }
 
     /// Fires the retransmission timer: re-queues the current flight.
-    pub fn on_timeout(&mut self, now: Nanos) {
+    pub fn on_timeout(&mut self, now: Nanos, stats: &mut EndpointStats) {
         if !self.in_progress() {
             return;
         }
@@ -1030,8 +1023,8 @@ impl HandshakeDriver {
         if now < deadline || self.last_flight.is_empty() {
             return;
         }
-        self.timeouts_fired += 1;
-        self.retransmissions += self.last_flight.len() as u64;
+        stats.timeouts_fired += 1;
+        stats.retransmissions += self.last_flight.len() as u64;
         self.outbox.extend(self.last_flight.iter().cloned());
         self.deadline = Some(now + self.rto_ns);
     }

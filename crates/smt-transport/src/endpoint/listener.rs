@@ -294,24 +294,7 @@ impl Listener {
     pub fn stats(&self) -> EndpointStats {
         let mut total = EndpointStats::default();
         for ep in self.conns.values() {
-            let s = ep.stats();
-            total.messages_sent += s.messages_sent;
-            total.bytes_sent += s.bytes_sent;
-            total.wire_bytes_sent += s.wire_bytes_sent;
-            total.messages_delivered += s.messages_delivered;
-            total.bytes_delivered += s.bytes_delivered;
-            total.wire_bytes_received += s.wire_bytes_received;
-            total.replays_rejected += s.replays_rejected;
-            total.retransmissions += s.retransmissions;
-            total.timeouts_fired += s.timeouts_fired;
-            total.datagrams_dropped += s.datagrams_dropped;
-            total.records_sealed += s.records_sealed;
-            total.malformed_rejected += s.malformed_rejected;
-            total.auth_failures += s.auth_failures;
-            total.state_evictions += s.state_evictions;
-            total.peak_tracked_bytes = total.peak_tracked_bytes.max(s.peak_tracked_bytes);
-            total.op_latency_p50_ns = total.op_latency_p50_ns.max(s.op_latency_p50_ns);
-            total.op_latency_p99_ns = total.op_latency_p99_ns.max(s.op_latency_p99_ns);
+            total.absorb(&ep.stats());
         }
         total.state_evictions += self.evictions;
         total.datagrams_dropped += self.dropped;

@@ -1,629 +1,183 @@
-//! The message-based endpoint backend: Homa, SMT-sw and SMT-hw.
+//! The message reliability engine: Homa, SMT-sw and SMT-hw.
 //!
-//! A thin event adapter over [`HomaEndpoint`], which already runs the real SMT
-//! engine (encryption, segmentation, reassembly, replay rejection) over the
-//! simulated NIC and the receiver-driven Homa mechanisms (unscheduled data,
-//! GRANTs, RESENDs, ACKs).  This wrapper owns the control-packet outbox, the
-//! retransmission timer (an RTT multiple from `smt_core::SmtConfig`, armed in
-//! virtual time whenever sends are unacknowledged or receives incomplete) and
-//! converts deliveries/acks into [`Event`]s so the stack can be driven through
-//! the uniform [`SecureEndpoint`] contract.
+//! A thin adapter between the connection [`Shell`] and [`HomaEndpoint`],
+//! which already runs the real SMT engine (encryption, segmentation,
+//! reassembly, replay rejection) over the simulated NIC and the
+//! receiver-driven Homa mechanisms (unscheduled data, GRANTs, RESENDs, ACKs).
+//! This engine owns what is specific to that transport: the control-packet
+//! outbox, NIC-queue spreading, batch-crypto staging of whole messages, the
+//! Karn-filtered RTT probe per message, and the timer *policy* — armed
+//! whenever sends are unacknowledged or receives incomplete, never extended
+//! by an arrival.
 //!
-//! Endpoints built via [`super::EndpointBuilder::connect`] /
-//! [`super::EndpointBuilder::accept`] start **unkeyed**: a
-//! [`HandshakeDriver`] runs the in-band handshake in CONTROL packets while
-//! application sends queue.  When the client resumes with an SMT-ticket, the
-//! first queued message piggybacks on the ClientHello flight as 0-RTT early
-//! data — the paper's first-RTT-data property (§4.5.2) — and is delivered at
-//! the server before the handshake even completes.  On completion the
-//! negotiated keys build the [`HomaEndpoint`], queued messages flush through
-//! it, and a real [`Event::HandshakeComplete`] (measured `rtt_ns`, `resumed`
-//! flag) is emitted.  Because the underlying session numbers its messages
-//! from zero, the endpoint tracks a small send/receive ID offset so the
-//! early-data message and the flushed queue keep the IDs the application was
-//! promised.
+//! The underlying session numbers its messages from zero, while a 0-RTT
+//! early-data message consumed public ID 0 without ever entering the
+//! session.  The engine therefore keeps a send/receive ID offset (1 after
+//! early data, else 0) — private here, since only this translation needs it —
+//! so the flushed queue and every later message keep the IDs the shell
+//! promised the application.
 
-use super::handshake::{control_proto, HandshakeDriver, MAX_QUEUED_BYTES};
-use super::{
-    missing_keys, EndpointError, EndpointResult, EndpointStats, Event, MessageId, SecureEndpoint,
-};
-use crate::cc::{CcConfig, RttEstimator};
+use super::shell::Shell;
+use super::{EndpointError, EndpointResult, EndpointStats, Event, MessageId};
+use crate::cc::CcConfig;
 use crate::homa::{HomaConfig, HomaEndpoint};
 use crate::stack::StackKind;
+use smt_core::config::CryptoMode;
 use smt_core::segment::{PathInfo, StagedMessage};
-use smt_core::SmtSession;
 use smt_crypto::handshake::SessionKeys;
-use smt_crypto::{CryptoEngineHandle, EngineConn};
+use smt_crypto::RecordSealer;
 use smt_sim::Nanos;
 use smt_wire::{Packet, PacketType};
 use std::collections::{BTreeMap, VecDeque};
 
-/// A [`SecureEndpoint`] over the receiver-driven message transport.
-pub struct MessageEndpoint {
-    stack: StackKind,
-    /// The keyed transport; `None` while the in-band handshake is running.
+/// The receiver-driven message transport under the connection shell.
+pub(crate) struct MessageEngine {
+    config: HomaConfig,
+    /// Congestion-control tuning pushed into the keyed transport (SRPT
+    /// grants, DESIGN.md §10).
+    cc: CcConfig,
+    /// The keyed transport; `None` until the in-band handshake installs keys.
     inner: Option<HomaEndpoint>,
-    /// The in-band handshake driver; `None` on key-injected endpoints.
-    hs: Option<HandshakeDriver>,
-    /// Sends queued while the handshake runs, keyed by their public ID.
-    queued: VecDeque<(u64, Vec<u8>)>,
-    /// Bytes held in `queued` (bounded by [`MAX_QUEUED_BYTES`]).
-    queued_bytes: usize,
-    next_public_id: u64,
     /// Public ID = session ID + offset, on the send side (1 after 0-RTT
     /// early data consumed the first public ID without entering the session).
     tx_id_offset: u64,
     /// Same offset on the receive side (1 after early data was accepted).
     rx_id_offset: u64,
-    config: HomaConfig,
-    path: PathInfo,
     outbox: VecDeque<Packet>,
-    events: VecDeque<Event>,
     nic_queues: usize,
     next_queue: usize,
-    /// Fixed retransmission timeout (RESEND / unscheduled-prefix retransmit
-    /// timer) used while the adaptive RTO is off or unsampled.
-    rto_ns: Nanos,
-    /// Absolute deadline of the armed timer, if work is outstanding.
-    rto_deadline: Option<Nanos>,
-    /// Timers that fired and queued recovery traffic.
-    timeouts_fired: u64,
-    /// Congestion-control tuning, installed into the inner [`HomaEndpoint`]
-    /// (SRPT grants) and driving the timer discipline here (DESIGN.md §10).
-    cc: CcConfig,
-    /// RFC 6298 estimator feeding the adaptive RTO; sampled on message acks
-    /// under Karn's rule (no retransmission between send and ack).
-    rtt: RttEstimator,
-    /// Exponential backoff shift applied to the adaptive RTO: doubled on
-    /// every fire, cleared on acknowledgement or delivery progress (as Linux
-    /// clears it on a cumulative advance) — repeated fires with no progress
-    /// mean the estimate is stale, while a recovering incast round makes
-    /// progress every RTO and keeps the baseline cadence.
-    rto_backoff: u32,
-    /// Session-ID → (send time, retransmit counter at send) for RTT
+    /// Session-ID → (wire send time, retransmit counter at send) for RTT
     /// sampling; entries leave on ack, bounded for abandoned sends.
     send_times: BTreeMap<u64, (Nanos, u64)>,
-    /// Send→ack latency histogram over completed messages, feeding the
-    /// per-op latency percentiles in [`EndpointStats`].
-    op_latency: super::OpLatencyHistogram,
-    /// Timing breakdown of the completed in-band handshake (Table 2), kept
-    /// from the negotiated keys at completion.
-    hs_timings: Option<smt_crypto::handshake::HandshakeTimings>,
-    /// Shared per-host batch crypto engine, when configured on the builder.
-    engine: Option<CryptoEngineHandle>,
-    /// This session's registration with the engine (software crypto only).
-    engine_conn: Option<EngineConn>,
-    /// Messages staged with the engine, awaiting the next poll's fused flush.
+    /// Messages staged with the batch engine, awaiting the next poll's
+    /// fused flush.
     staged: Vec<StagedMessage>,
-    /// Counters for traffic the session never sees (early data, unkeyed
-    /// drops), merged into [`EndpointStats`].
-    extra: EndpointStats,
-    /// Set after a fatal handshake failure; all traffic is dropped.
-    dead: bool,
-    /// Connection ID stamped into the option area of every egress packet so
-    /// a [`super::Listener`] can demux many connections over one socket.
-    /// Zero (the default) means "not multiplexed" and stamps nothing.
-    connection_id: u32,
 }
 
-impl std::fmt::Debug for MessageEndpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MessageEndpoint")
-            .field("stack", &self.stack)
-            .field("established", &self.inner.is_some())
-            .field("outbox", &self.outbox.len())
-            .field("events", &self.events.len())
-            .field("rto_deadline", &self.rto_deadline)
-            .finish_non_exhaustive()
-    }
-}
-
-impl MessageEndpoint {
-    /// Builds the backend for one of the message-based stacks from
-    /// out-of-band handshake keys (the key-injection fast path).
-    pub(crate) fn new(
-        stack: StackKind,
-        keys: Option<&SessionKeys>,
-        config: HomaConfig,
-        path: PathInfo,
-        rto_ns: Nanos,
-        cc: CcConfig,
-        engine: Option<CryptoEngineHandle>,
-    ) -> EndpointResult<Self> {
+impl MessageEngine {
+    pub(crate) fn new(stack: StackKind, config: HomaConfig, path: PathInfo, cc: CcConfig) -> Self {
         debug_assert!(stack.is_message_based());
-        let (inner, handshake) = match (stack, keys) {
-            (StackKind::Homa, _) => (HomaEndpoint::plaintext(config, path), None),
-            (_, Some(keys)) => (
-                HomaEndpoint::new(keys, stack, config, path)?,
-                Some(Event::HandshakeComplete {
-                    peer_identity: keys.peer_identity.clone(),
-                    forward_secret: keys.forward_secret,
-                    rtt_ns: 0,
-                    resumed: keys.resumed,
-                }),
-            ),
-            (_, None) => return Err(missing_keys(stack)),
-        };
-        let mut ep = Self::unkeyed(stack, config, path, rto_ns, cc, engine);
-        ep.install_inner(inner);
-        ep.register_engine();
-        ep.events = handshake.into_iter().collect();
-        Ok(ep)
-    }
-
-    /// Builds an endpoint that runs the in-band handshake as the client.
-    pub(crate) fn connect(
-        stack: StackKind,
-        config: super::ConnectConfig,
-        homa: HomaConfig,
-        path: PathInfo,
-        rto_ns: Nanos,
-        cc: CcConfig,
-        engine: Option<CryptoEngineHandle>,
-    ) -> EndpointResult<Self> {
-        debug_assert!(stack.is_message_based());
-        let mut ep = Self::unkeyed(stack, homa, path, rto_ns, cc, engine);
-        if stack.is_encrypted() {
-            ep.hs = Some(HandshakeDriver::client(
-                config,
-                path,
-                homa.mtu,
-                control_proto(stack),
-                rto_ns,
-            ));
-        } else {
-            ep.install_inner(HomaEndpoint::plaintext(homa, path));
-        }
-        Ok(ep)
-    }
-
-    /// Builds an endpoint that runs the in-band handshake as the server.
-    pub(crate) fn accept(
-        stack: StackKind,
-        config: super::AcceptConfig,
-        homa: HomaConfig,
-        path: PathInfo,
-        rto_ns: Nanos,
-        cc: CcConfig,
-        engine: Option<CryptoEngineHandle>,
-    ) -> EndpointResult<Self> {
-        debug_assert!(stack.is_message_based());
-        let mut ep = Self::unkeyed(stack, homa, path, rto_ns, cc, engine);
-        if stack.is_encrypted() {
-            ep.hs = Some(HandshakeDriver::server(
-                config,
-                path,
-                homa.mtu,
-                control_proto(stack),
-                rto_ns,
-            ));
-        } else {
-            ep.install_inner(HomaEndpoint::plaintext(homa, path));
-        }
-        Ok(ep)
-    }
-
-    fn unkeyed(
-        stack: StackKind,
-        config: HomaConfig,
-        path: PathInfo,
-        rto_ns: Nanos,
-        cc: CcConfig,
-        engine: Option<CryptoEngineHandle>,
-    ) -> Self {
-        // The session configuration HomaEndpoint will build with, so the NIC
-        // queue count is known before the keys are.
-        let smt_config = crate::homa::base_smt_config(stack);
-        // Seed the estimator's pre-sample RTO with the configured fixed RTO
-        // so the first armed deadline is identical either way.
-        let est_config = CcConfig {
-            initial_rto_ns: rto_ns.max(1),
-            ..cc
-        };
-        Self {
-            stack,
+        let mut engine = Self {
+            config,
+            cc,
             inner: None,
-            hs: None,
-            engine,
-            engine_conn: None,
-            staged: Vec::new(),
-            queued: VecDeque::new(),
-            queued_bytes: 0,
-            next_public_id: 0,
             tx_id_offset: 0,
             rx_id_offset: 0,
-            config,
-            path,
             outbox: VecDeque::new(),
-            events: VecDeque::new(),
-            nic_queues: smt_config.nic_queues.max(1),
+            // The session configuration HomaEndpoint will build with, so the
+            // NIC queue count is known before the keys are.
+            nic_queues: crate::homa::base_smt_config(stack).nic_queues.max(1),
             next_queue: 0,
-            rto_ns: rto_ns.max(1),
-            rto_deadline: None,
-            timeouts_fired: 0,
-            cc,
-            rtt: RttEstimator::new(&est_config),
-            rto_backoff: 0,
             send_times: BTreeMap::new(),
-            op_latency: super::OpLatencyHistogram::default(),
-            hs_timings: None,
-            extra: EndpointStats::default(),
-            dead: false,
-            connection_id: 0,
+            staged: Vec::new(),
+        };
+        if !stack.is_encrypted() {
+            engine.install(HomaEndpoint::plaintext(config, path));
         }
+        engine
     }
 
     /// Installs a keyed transport, pushing the congestion-control tuning
     /// down so its grant machinery matches the builder's configuration.
-    fn install_inner(&mut self, mut inner: HomaEndpoint) {
+    fn install(&mut self, mut inner: HomaEndpoint) {
         inner.set_cc(self.cc);
         self.inner = Some(inner);
     }
 
-    /// The armed retransmission period: the RTT-estimated RTO when adaptive
-    /// timers are on, the fixed configured period otherwise.
-    fn rto(&self) -> Nanos {
-        if self.cc.enabled && self.cc.adaptive_rto {
-            let factor = 1u64 << self.rto_backoff.min(16);
-            self.rtt
-                .rto_ns()
-                .saturating_mul(factor)
-                .min(self.cc.max_rto_ns.max(1))
-        } else {
-            self.rto_ns
+    pub(crate) fn install_keys(
+        &mut self,
+        shell: &Shell,
+        keys: &SessionKeys,
+    ) -> Result<(), smt_core::SmtError> {
+        self.install(HomaEndpoint::new(
+            keys,
+            shell.stack,
+            self.config,
+            shell.path,
+        )?);
+        Ok(())
+    }
+
+    /// The session's seal half when it seals in software (SMT-hw seals in
+    /// the NIC, so there is nothing to batch).
+    pub(crate) fn sealer(&self) -> Option<RecordSealer> {
+        let session = self.inner.as_ref()?.session();
+        if session.config().crypto_mode != CryptoMode::Software {
+            return None;
         }
+        session.sender_sealer()
     }
 
-    /// Sets the connection ID stamped into every egress packet (zero stamps
-    /// nothing); ingress demux is the [`super::Listener`]'s job.
-    pub(crate) fn set_connection_id(&mut self, id: u32) {
-        self.connection_id = id;
+    /// The first public ID was delivered from 0-RTT early data.
+    pub(crate) fn early_data_delivered(&mut self) {
+        self.rx_id_offset = 1;
     }
 
-    /// The underlying SMT session (replay checks, flow contexts, raw stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics while an in-band handshake is still establishing the session;
-    /// gate on [`MessageEndpoint::is_established`] first.
-    pub fn session(&self) -> &SmtSession {
-        self.inner
-            .as_ref()
-            .expect("session not established yet (in-band handshake in progress)")
-            .session()
+    /// The first public ID was sent, and acknowledged, as 0-RTT early data.
+    pub(crate) fn early_data_acked(&mut self) {
+        self.tx_id_offset = 1;
     }
 
-    /// True once the session keys are installed and the transport is live.
-    pub fn is_established(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Registers this session's sender with the shared batch crypto engine,
-    /// if one was configured on the builder and the session seals in software
-    /// (plaintext Homa has nothing to seal; SMT-hw seals in the NIC).
-    fn register_engine(&mut self) {
-        let Some(engine) = &self.engine else { return };
-        let Some(inner) = &self.inner else { return };
-        if inner.session().config().crypto_mode != smt_core::config::CryptoMode::Software {
-            return;
-        }
-        if let Some(sealer) = inner.session().sender_sealer() {
-            self.engine_conn = Some(engine.register(sealer));
-        }
-    }
-
-    /// NIC model statistics (TSO expansion, offload records, resyncs).
-    pub fn nic_stats(&self) -> smt_sim::nic::NicStats {
+    pub(crate) fn nic_stats(&self) -> smt_sim::nic::NicStats {
         self.inner
             .as_ref()
             .map(|i| i.nic_stats())
             .unwrap_or_default()
     }
 
-    /// Messages with unacknowledged send state.
-    pub fn pending_sends(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.pending_sends())
-    }
-
     /// True while sends are unacknowledged, receives incomplete, or messages
     /// are staged with the batch engine awaiting the next poll's flush.
-    fn work_outstanding(&self) -> bool {
+    pub(crate) fn work_outstanding(&self) -> bool {
         !self.staged.is_empty()
             || self
                 .inner
                 .as_ref()
-                .is_some_and(|i| i.pending_sends() > 0 || i.incomplete_recvs() > 0)
+                .is_some_and(|i| i.incomplete_recvs() > 0 || i.pending_sends() > 0)
     }
 
-    /// Re-evaluates the timer after an arrival at time `now`.  Arrivals never
-    /// *extend* an armed deadline — on a busy session, traffic for other
-    /// messages would otherwise starve the only recovery path of a fully-lost
-    /// message (the sender timeout) indefinitely.  They only arm a missing
-    /// timer or disarm a no-longer-needed one.
-    fn rearm_after_arrival(&mut self, now: Nanos) {
-        if !self.work_outstanding() {
-            self.rto_deadline = None;
-        } else if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto());
-        }
-    }
-
-    fn pump(&mut self, now: Nanos) {
-        let Some(inner) = &mut self.inner else {
-            return;
-        };
-        let mut progressed = false;
-        for m in inner.take_delivered() {
-            progressed = true;
-            self.events.push_back(Event::MessageDelivered {
-                id: MessageId(m.message_id + self.rx_id_offset),
-                data: m.data,
-            });
-        }
-        let retx_now = inner.retransmitted_packets();
-        for id in inner.take_acked() {
-            progressed = true;
-            if let Some((sent_at, retx_at_send)) = self.send_times.remove(&id) {
-                self.op_latency.record(now.saturating_sub(sent_at));
-                // Karn's rule, conservatively: any retransmission between
-                // this message's send and its ack disqualifies the sample.
-                if self.cc.enabled && self.cc.adaptive_rto && retx_now == retx_at_send {
-                    self.rtt.on_sample(now.saturating_sub(sent_at).max(1));
-                    self.rto_backoff = 0;
-                }
-            }
-            self.events
-                .push_back(Event::MessageAcked(MessageId(id + self.tx_id_offset)));
-        }
-        if progressed {
-            self.rto_backoff = 0;
-        }
-    }
-
-    fn fail(&mut self, msg: String) {
-        self.dead = true;
-        self.events.push_back(Event::Error(msg));
-    }
-
-    /// Takes the first queued message as 0-RTT early data, if it fits in one
-    /// record.
-    fn take_early_candidate(&mut self) -> Option<Vec<u8>> {
-        let eligible = matches!(
-            self.queued.front(),
-            Some((0, data)) if data.len() <= super::handshake::EARLY_DATA_MAX
-        );
-        if !eligible {
-            return None;
-        }
-        let (_, data) = self.queued.pop_front()?;
-        self.queued_bytes = self.queued_bytes.saturating_sub(data.len());
-        self.extra.messages_sent += 1;
-        self.extra.bytes_sent += data.len() as u64;
-        Some(data)
-    }
-
-    /// Applies the effects of one handled handshake CONTROL packet.
-    fn apply_hs_outcome(&mut self, outcome: super::handshake::DriverOutcome, now: Nanos) {
-        if let Some(data) = outcome.requeue_early {
-            // A rejected derived attempt collapsed to a full handshake, which
-            // cannot carry early data: message 0 goes back to the front of
-            // the queue (its send counters were bumped when it was taken) and
-            // flushes normally on completion.
-            self.extra.messages_sent = self.extra.messages_sent.saturating_sub(1);
-            self.extra.bytes_sent = self.extra.bytes_sent.saturating_sub(data.len() as u64);
-            self.queued_bytes += data.len();
-            self.queued.push_front((0, data));
-        }
-        if let Some(early) = outcome.early_data {
-            self.rx_id_offset = 1;
-            self.extra.messages_delivered += 1;
-            self.extra.bytes_delivered += early.len() as u64;
-            self.events.push_back(Event::MessageDelivered {
-                id: MessageId(0),
-                data: early,
-            });
-        }
-        if let Some(err) = outcome.error {
-            self.fail(err);
-            return;
-        }
-        let Some(result) = outcome.complete else {
-            return;
-        };
-        self.hs_timings = Some(result.keys.timings.clone());
-        let inner = match HomaEndpoint::new(&result.keys, self.stack, self.config, self.path) {
-            Ok(mut inner) => {
-                inner.set_cc(self.cc);
-                inner
-            }
-            Err(e) => {
-                self.fail(format!("installing negotiated keys failed: {e}"));
-                return;
-            }
-        };
-        self.events.push_back(Event::HandshakeComplete {
-            peer_identity: result.keys.peer_identity.clone(),
-            forward_secret: result.keys.forward_secret,
-            rtt_ns: result.rtt_ns,
-            resumed: result.resumed,
-        });
-        if let Some(ticket) = result.ticket {
-            self.events
-                .push_back(Event::TicketReceived(Box::new(ticket)));
-        }
-        if result.early_data_sent {
-            // The server flight proves the 0-RTT record was accepted and
-            // decrypted; the piggybacked message is done end to end.
-            self.tx_id_offset = 1;
-            self.events.push_back(Event::MessageAcked(MessageId(0)));
-        }
-        self.inner = Some(inner);
-        self.register_engine();
-        // Flush the sends that queued during the handshake.
-        self.queued_bytes = 0;
-        for (public_id, data) in std::mem::take(&mut self.queued) {
-            match self.inner_send(&data, now) {
-                Ok(id) => debug_assert_eq!(id, public_id, "flushed send kept its public ID"),
-                Err(e) => {
-                    self.fail(format!("flushing queued send failed: {e}"));
-                    return;
-                }
-            }
-        }
-        if self.work_outstanding() && self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto());
-        }
-    }
-
-    /// Sends through the established session, returning the public ID.
-    fn inner_send(&mut self, data: &[u8], now: Nanos) -> EndpointResult<u64> {
+    /// Sends `data` through the keyed session as public message `id`.
+    pub(crate) fn send(
+        &mut self,
+        shell: &mut Shell,
+        id: u64,
+        data: &[u8],
+        now: Nanos,
+    ) -> EndpointResult<()> {
         // Spread messages across the NIC TX queues round-robin, one queue per
         // message (§4.4.2: all segments of a message share a queue).
         let queue = self.next_queue;
         self.next_queue = (self.next_queue + 1) % self.nic_queues;
-        let inner = self.inner.as_mut().expect("established");
+        let inner = self.inner.as_mut().expect("the shell sends once keyed");
         let retx_at_send = inner.retransmitted_packets();
-        let id = if let (Some(engine), Some(conn)) = (&self.engine, self.engine_conn) {
+        let session_id = if let Some((batch, conn)) = shell.batch() {
             // Stage the record seal work with the shared batch engine; the
             // ciphertext is produced at the next poll's fused flush. The plan
             // (IDs, segment boundaries, exact wire sizes) is final now.
-            let staged = inner.stage_message(data, queue, engine, conn)?;
-            let id = staged.message_id;
+            let staged = inner.stage_message(data, queue, batch, conn)?;
+            let session_id = staged.message_id;
             self.staged.push(staged);
-            id
+            session_id
         } else {
             inner.send_message(data, queue)?
         };
+        debug_assert_eq!(
+            session_id + self.tx_id_offset,
+            id,
+            "send kept its public ID"
+        );
         // RTT probe for the adaptive RTO (bounded: abandoned sends must not
         // grow the map forever).
-        if self.send_times.len() < 1024 {
-            self.send_times.insert(id, (now, retx_at_send));
+        if shell.rto.is_adaptive() && self.send_times.len() < 1024 {
+            self.send_times.insert(session_id, (now, retx_at_send));
         }
-        Ok(id + self.tx_id_offset)
+        Ok(())
     }
 
-    /// The per-operation timing breakdown recorded by this endpoint's
-    /// completed in-band handshake (paper Table 2); `None` before completion
-    /// and for key-injected endpoints.
-    pub fn handshake_timings(&self) -> Option<&smt_crypto::handshake::HandshakeTimings> {
-        self.hs_timings.as_ref()
-    }
-
-    /// Ratchets the send keys one epoch forward (the SMT key-update: the new
-    /// epoch rides in every subsequent segment's overlay option area, and the
-    /// peer keeps the old keys for a one-epoch drain window).  Records staged
-    /// with the shared batch engine under the old key are flushed first, and
-    /// the engine registration is refreshed so later staged records seal
-    /// under the new key.  Fails before handshake completion and on the
-    /// plaintext stack.
-    pub fn rekey(&mut self, _now: Nanos) -> EndpointResult<u16> {
-        if self.dead {
-            return Err(EndpointError::Config(
-                "endpoint is dead (handshake failed)".into(),
-            ));
-        }
-        self.flush_staged();
-        if self.dead {
-            return Err(EndpointError::Config(
-                "flushing staged records before rekey failed".into(),
-            ));
-        }
-        let Some(inner) = &mut self.inner else {
-            return Err(EndpointError::Config(
-                "cannot rekey before handshake completion".into(),
-            ));
-        };
-        let epoch = inner.rekey()?;
-        self.register_engine();
-        Ok(epoch)
-    }
-
-    /// Materialises engine-staged messages: runs the shared fused flush (the
-    /// first endpoint on the host to poll seals *every* registered
-    /// connection's staged records in one pass), drains this connection's
-    /// ciphertext and hands the finished messages to the transport.
-    fn flush_staged(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let engine = self.engine.as_ref().expect("staged implies an engine");
-        let conn = self.engine_conn.expect("staged implies registration");
-        engine.flush();
-        let mut sealed = engine.drain(conn);
-        let inner = self.inner.as_mut().expect("staged implies established");
-        let mut error = None;
-        for staged in std::mem::take(&mut self.staged) {
-            match staged.finish(&mut sealed) {
-                Ok(out) => {
-                    inner.send_prepared(out);
-                }
-                Err(e) => {
-                    error = Some(format!("finishing staged message failed: {e}"));
-                    break;
-                }
-            }
-        }
-        debug_assert!(sealed.is_empty(), "drained ciphertext fully consumed");
-        if let Some(msg) = error {
-            self.fail(msg);
-        }
-    }
-}
-
-impl SecureEndpoint for MessageEndpoint {
-    fn stack(&self) -> StackKind {
-        self.stack
-    }
-
-    fn send(&mut self, data: &[u8], now: Nanos) -> EndpointResult<MessageId> {
-        if self.dead {
-            return Err(EndpointError::Config(
-                "endpoint is dead (handshake failed)".into(),
-            ));
-        }
-        if self.inner.is_some() {
-            let id = self.inner_send(data, now)?;
-            self.next_public_id = self.next_public_id.max(id + 1);
-            if self.rto_deadline.is_none() {
-                self.rto_deadline = Some(now + self.rto());
-            }
-            return Ok(MessageId(id));
-        }
-        // Handshake still running: queue; the first queued message may ride
-        // the ClientHello flight as 0-RTT early data.
-        if self.queued_bytes + data.len() > MAX_QUEUED_BYTES {
-            return Err(EndpointError::Config(format!(
-                "handshake send queue full ({MAX_QUEUED_BYTES} bytes); retry after \
-                 HandshakeComplete"
-            )));
-        }
-        let id = self.next_public_id;
-        self.next_public_id += 1;
-        self.queued.push_back((id, data.to_vec()));
-        self.queued_bytes += data.len();
-        self.extra.peak_tracked_bytes = self.extra.peak_tracked_bytes.max(self.queued_bytes as u64);
-        Ok(MessageId(id))
-    }
-
-    fn handle_datagram(&mut self, datagram: &Packet, now: Nanos) -> EndpointResult<()> {
-        if datagram.overlay.tcp.packet_type == PacketType::Control {
-            if let Some(mut hs) = self.hs.take() {
-                let outcome = hs.handle_control(datagram, now);
-                self.hs = Some(hs);
-                self.apply_hs_outcome(outcome, now);
-            }
-            return Ok(());
-        }
-        if self.dead {
-            self.extra.datagrams_dropped += 1;
-            return Ok(());
-        }
-        let Some(inner) = &mut self.inner else {
-            // Data raced ahead of the handshake (reordering): the sender's
-            // retransmission machinery recovers it once keys are installed.
-            self.extra.datagrams_dropped += 1;
-            return Ok(());
-        };
+    pub(crate) fn handle_datagram(&mut self, shell: &mut Shell, datagram: &Packet, now: Nanos) {
+        let inner = self
+            .inner
+            .as_mut()
+            .expect("the shell routes data once keyed");
         let errors_before = inner.recv_errors();
         let responses = inner.handle_packet(datagram);
         self.outbox.extend(responses);
@@ -636,118 +190,125 @@ impl SecureEndpoint for MessageEndpoint {
         if datagram.overlay.tcp.packet_type == PacketType::Data
             && inner.recv_errors() == errors_before
         {
-            self.rto_backoff = 0;
+            shell.rto.progress();
         }
-        self.pump(now);
-        self.rearm_after_arrival(now);
-        Ok(())
-    }
-
-    fn poll_transmit(&mut self, now: Nanos, out: &mut Vec<Packet>) -> usize {
-        let before = out.len();
-        if let Some(mut hs) = self.hs.take() {
-            if hs.needs_start() && !self.dead {
-                let early = if hs.wants_early_data() {
-                    self.take_early_candidate()
-                } else {
-                    None
-                };
-                if let Err(e) = hs.start_client(now, early) {
-                    self.fail(e);
+        // Surface deliveries and acks.
+        let mut progressed = false;
+        for m in inner.take_delivered() {
+            progressed = true;
+            shell.events.push_back(Event::MessageDelivered {
+                id: MessageId(m.message_id + self.rx_id_offset),
+                data: m.data,
+            });
+        }
+        let retx_now = inner.retransmitted_packets();
+        for session_id in inner.take_acked() {
+            progressed = true;
+            // Karn's rule, conservatively: any retransmission between this
+            // message's send and its ack disqualifies the sample.
+            if let Some((sent_at, retx_at_send)) = self.send_times.remove(&session_id) {
+                if retx_now == retx_at_send {
+                    shell.rto.sample(now.saturating_sub(sent_at));
                 }
             }
-            hs.poll_transmit(out);
-            self.hs = Some(hs);
+            shell.acked(session_id + self.tx_id_offset, now);
         }
-        self.flush_staged();
+        if progressed {
+            shell.rto.progress();
+        }
+        // Arrivals never *extend* an armed deadline — on a busy session,
+        // traffic for other messages would otherwise starve the only recovery
+        // path of a fully-lost message (the sender timeout) indefinitely.
+        // They only arm a missing timer or disarm a no-longer-needed one.
+        if self.work_outstanding() {
+            shell.rto.arm_if_idle(now);
+        } else {
+            shell.rto.disarm();
+        }
+    }
+
+    pub(crate) fn poll_transmit(&mut self, shell: &mut Shell, out: &mut Vec<Packet>) {
+        // A failed flush kills the connection; this poll still drains what
+        // was already committed to the wire.
+        let _ = self.flush_staged(shell);
         if let Some(inner) = &mut self.inner {
             out.extend(self.outbox.drain(..));
             out.extend(inner.poll_transmit());
         }
-        if self.connection_id != 0 {
-            for p in &mut out[before..] {
-                p.overlay.options.connection_id = self.connection_id;
-            }
-        }
-        out.len() - before
     }
 
-    fn poll_event(&mut self) -> Option<Event> {
-        self.events.pop_front()
-    }
-
-    fn next_timeout(&self) -> Option<Nanos> {
-        let hs = self.hs.as_ref().and_then(|h| h.next_timeout());
-        [hs, self.rto_deadline].into_iter().flatten().min()
-    }
-
-    fn on_timeout(&mut self, now: Nanos) {
-        if let Some(hs) = &mut self.hs {
-            hs.on_timeout(now);
-        }
-        let Some(deadline) = self.rto_deadline else {
-            return;
-        };
-        if now < deadline {
-            return; // Early tick: not due yet.
-        }
-        if !self.work_outstanding() {
-            self.rto_deadline = None;
-            return;
-        }
-        self.timeouts_fired += 1;
-        self.rto_backoff = (self.rto_backoff + 1).min(16);
-        // Receiver side: request RESENDs for incomplete messages.  Sender
-        // side: retransmit the unscheduled prefix of unacknowledged sends
-        // (recovers fully-lost messages and lost ACKs).
-        let inner = self.inner.as_mut().expect("work_outstanding implies inner");
+    /// The timer fired with work outstanding.  Receiver side: request
+    /// RESENDs for incomplete messages.  Sender side: retransmit the
+    /// unscheduled prefix of unacknowledged sends (recovers fully-lost
+    /// messages and lost ACKs).
+    pub(crate) fn recover(&mut self) {
+        let Some(inner) = &mut self.inner else { return };
         let resends = inner.poll_resend();
         self.outbox.extend(resends);
         let retx = inner.poll_retransmit_unacked();
         self.outbox.extend(retx);
-        // A fired timer always re-arms one full period out (work is still
-        // outstanding here).
-        self.rto_deadline = Some(now + self.rto());
     }
 
-    fn stats(&self) -> EndpointStats {
-        let mut stats = self.extra;
-        if let Some(inner) = &self.inner {
-            let session = inner.session().stats();
-            let receiver = inner.session().receiver_stats();
-            stats.messages_sent += session.messages_sent;
-            stats.bytes_sent += session.bytes_sent;
-            stats.wire_bytes_sent += session.wire_bytes_sent;
-            stats.messages_delivered += session.messages_received;
-            stats.bytes_delivered += session.bytes_received;
-            stats.wire_bytes_received += session.wire_bytes_received;
-            stats.replays_rejected += receiver.packets_replayed + receiver.packets_duplicate;
-            stats.retransmissions += inner.retransmitted_packets();
-            stats.datagrams_dropped += inner.recv_errors() + receiver.epoch_rejected;
-            stats.records_sealed += session.records_sealed;
-            stats.auth_failures += receiver.auth_failures;
-            // Typed-error rejections that were not authentication failures
-            // were malformed wire input.
-            stats.malformed_rejected += inner.recv_errors().saturating_sub(receiver.auth_failures);
-            stats.state_evictions += receiver.state_evictions + inner.recv_state_evictions();
-            stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(receiver.peak_tracked_bytes);
+    /// The SMT key-update: the new epoch rides in every subsequent segment's
+    /// overlay option area, and the peer keeps the old keys for a one-epoch
+    /// drain window.
+    pub(crate) fn rekey(&mut self, shell: &mut Shell) -> EndpointResult<u16> {
+        // Records staged under the old key must be sealed under it.
+        self.flush_staged(shell)?;
+        let inner = self.inner.as_mut().expect("the shell rekeys once keyed");
+        Ok(inner.rekey()?)
+    }
+
+    /// Adds the counters the session and the transport keep themselves.
+    pub(crate) fn read_stats(&self, stats: &mut EndpointStats) {
+        let Some(inner) = &self.inner else { return };
+        let session = inner.session().stats();
+        let receiver = inner.session().receiver_stats();
+        stats.messages_sent += session.messages_sent;
+        stats.bytes_sent += session.bytes_sent;
+        stats.wire_bytes_sent += session.wire_bytes_sent;
+        stats.messages_delivered += session.messages_received;
+        stats.bytes_delivered += session.bytes_received;
+        stats.wire_bytes_received += session.wire_bytes_received;
+        stats.replays_rejected += receiver.packets_replayed + receiver.packets_duplicate;
+        stats.retransmissions += inner.retransmitted_packets();
+        stats.datagrams_dropped += inner.recv_errors() + receiver.epoch_rejected;
+        stats.records_sealed += session.records_sealed;
+        stats.auth_failures += receiver.auth_failures;
+        // Typed-error rejections that were not authentication failures
+        // were malformed wire input.
+        stats.malformed_rejected += inner.recv_errors().saturating_sub(receiver.auth_failures);
+        stats.state_evictions += receiver.state_evictions + inner.recv_state_evictions();
+        stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(receiver.peak_tracked_bytes);
+        stats.grants_outstanding = inner.grants_outstanding();
+    }
+
+    /// Materialises engine-staged messages: runs the shared fused flush (the
+    /// first endpoint on the host to poll seals *every* registered
+    /// connection's staged records in one pass), drains this connection's
+    /// ciphertext and hands the finished messages to the transport.  A
+    /// failure is fatal to the connection.
+    fn flush_staged(&mut self, shell: &mut Shell) -> EndpointResult<()> {
+        if self.staged.is_empty() {
+            return Ok(());
         }
-        stats.timeouts_fired += self.timeouts_fired;
-        if let Some(inner) = &self.inner {
-            stats.grants_outstanding = inner.grants_outstanding();
+        let (batch, conn) = shell.batch().expect("staged implies registration");
+        batch.flush();
+        let mut sealed = batch.drain(conn);
+        let inner = self.inner.as_mut().expect("staged implies keyed");
+        for staged in std::mem::take(&mut self.staged) {
+            match staged.finish(&mut sealed) {
+                Ok(out) => {
+                    inner.send_prepared(out);
+                }
+                Err(e) => {
+                    let msg = format!("finishing staged message failed: {e}");
+                    shell.fail(msg.clone());
+                    return Err(EndpointError::Config(msg));
+                }
+            }
         }
-        stats.srtt_ns = self.rtt.srtt_ns();
-        stats.op_latency_p50_ns = self.op_latency.quantile(0.50);
-        stats.op_latency_p99_ns = self.op_latency.quantile(0.99);
-        if let Some(hs) = &self.hs {
-            stats.wire_bytes_sent += hs.wire_bytes_sent;
-            stats.wire_bytes_received += hs.wire_bytes_received;
-            stats.retransmissions += hs.retransmissions;
-            stats.timeouts_fired += hs.timeouts_fired;
-            stats.datagrams_dropped += hs.datagrams_dropped;
-            stats.malformed_rejected += hs.malformed_rejected;
-            stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(hs.peak_tracked_bytes);
-        }
-        stats
+        debug_assert!(sealed.is_empty(), "drained ciphertext fully consumed");
+        Ok(())
     }
 }

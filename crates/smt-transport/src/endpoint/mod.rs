@@ -16,14 +16,32 @@
 //! * [`SecureEndpoint::poll_event`] — observe what happened ([`Event`]:
 //!   handshake completion, message delivery, message acknowledgement, errors).
 //!
-//! [`Endpoint::builder`] maps every [`StackKind`] onto an implementation backed
-//! by the existing machinery: the message-based stacks (Homa, SMT-sw, SMT-hw)
-//! wrap the receiver-driven [`crate::homa::HomaEndpoint`], and the stream-based
-//! stacks (TCP, TLS, kTLS-sw, kTLS-hw, TCPLS) run a TCP-like reliable
-//! bytestream (cumulative ACKs, go-back-N retransmission, out-of-order segment
-//! reassembly) carrying the kTLS record layer from `smt-core`.  Both backends
-//! emit packets through the simulated NIC substrate, so every stack pays its
-//! structural costs (TSO expansion, offload descriptors) in the same place.
+//! [`Endpoint`] is one struct for all eight stacks: a **connection shell**
+//! around one of two **reliability engines** — the paper's design point (SMT
+//! reuses the handshake, record layer and NIC offload of TLS/TCP and differs
+//! only in the reliability engine underneath) stated in the type.
+//! [`Endpoint::builder`] picks the engine for a [`StackKind`]: the
+//! message-based stacks (Homa, SMT-sw, SMT-hw) run the receiver-driven
+//! [`crate::homa::HomaEndpoint`]; the stream-based stacks (TCP, TLS, kTLS-sw,
+//! kTLS-hw, TCPLS) run a TCP-like reliable bytestream (SACK selective
+//! retransmit inside a DCTCP window by default, go-back-N as the cc-off
+//! baseline, out-of-order segment reassembly) carrying the kTLS record layer
+//! from `smt-core`.  Both engines emit packets through the simulated NIC
+//! substrate, so every stack pays its structural costs (TSO expansion,
+//! offload descriptors) in the same place.
+//!
+//! Decisions owned once, by the shell (`shell.rs`), for every stack:
+//!
+//! * the handshake-to-data transition — in-band handshake driver, the bounded
+//!   pre-handshake send queue, 0-RTT early-data selection and re-queue, event
+//!   order at completion, flush of queued sends under their promised IDs;
+//! * the retransmission-timer *period* (pinned or RTT-estimated, backoff,
+//!   clamp) and deadline — when to arm stays engine policy;
+//! * the connection's [`EndpointStats`], incremented where events happen
+//!   ([`EndpointStats::absorb`] is the one aggregation rule);
+//! * the per-op latency clock, started at [`SecureEndpoint::send`];
+//! * the `dead` gate after a fatal error, and the queue-full refusal;
+//! * batch-crypto registration, connection-ID stamping, the event queue.
 //!
 //! The driving contract is sans-IO **and clocked**: endpoints never touch a
 //! socket or a wall clock, but every driving call carries the caller's virtual
@@ -39,6 +57,7 @@
 mod handshake;
 mod listener;
 mod message;
+mod shell;
 mod sim;
 mod stream;
 
@@ -46,17 +65,17 @@ pub use handshake::{
     AcceptConfig, ConnectConfig, SharedPathSecrets, ZeroRttAcceptor, EARLY_DATA_MAX,
 };
 pub use listener::{Listener, ListenerFabric};
-pub use message::MessageEndpoint;
+pub use shell::Endpoint;
 pub use sim::{handshake_scenario_endpoints, scenario_endpoints, scenario_endpoints_cc};
-pub use stream::StreamEndpoint;
 
 use crate::cc::CcConfig;
 use crate::homa::HomaConfig;
 use crate::stack::StackKind;
 use serde::{Deserialize, Serialize};
+use shell::Keying;
 use smt_core::segment::PathInfo;
 use smt_core::SmtConfig;
-use smt_crypto::handshake::{HandshakeTimings, SessionKeys, SmtTicket};
+use smt_crypto::handshake::{SessionKeys, SmtTicket};
 use smt_sim::net::{Fabric, FabricStats, FaultConfig, LinkConfig};
 use smt_sim::Nanos;
 use smt_wire::Packet;
@@ -181,7 +200,7 @@ pub struct EndpointStats {
     /// first Karn-clean sample).
     #[serde(default)]
     pub srtt_ns: u64,
-    /// Granted-but-unreceived packets the message-backend receiver has
+    /// Granted-but-unreceived packets the message-engine receiver has
     /// invited (the SRPT scheduler's bounded backlog).  Zero on stream
     /// stacks and with cc disabled.
     #[serde(default)]
@@ -194,6 +213,37 @@ pub struct EndpointStats {
     /// 99th-percentile send→ack latency in nanoseconds (same histogram).
     #[serde(default)]
     pub op_latency_p99_ns: u64,
+}
+
+impl EndpointStats {
+    /// Folds another connection's statistics into this aggregate: event
+    /// counters (and the instantaneous grant backlog, which adds across
+    /// connections) are summed; per-connection gauges — the high-water mark,
+    /// the window, the RTT estimate and the latency percentiles — keep the
+    /// largest value seen.
+    pub fn absorb(&mut self, other: &EndpointStats) {
+        self.messages_sent += other.messages_sent;
+        self.bytes_sent += other.bytes_sent;
+        self.wire_bytes_sent += other.wire_bytes_sent;
+        self.messages_delivered += other.messages_delivered;
+        self.bytes_delivered += other.bytes_delivered;
+        self.wire_bytes_received += other.wire_bytes_received;
+        self.replays_rejected += other.replays_rejected;
+        self.retransmissions += other.retransmissions;
+        self.timeouts_fired += other.timeouts_fired;
+        self.datagrams_dropped += other.datagrams_dropped;
+        self.records_sealed += other.records_sealed;
+        self.malformed_rejected += other.malformed_rejected;
+        self.auth_failures += other.auth_failures;
+        self.state_evictions += other.state_evictions;
+        self.ecn_marks_seen += other.ecn_marks_seen;
+        self.grants_outstanding += other.grants_outstanding;
+        self.peak_tracked_bytes = self.peak_tracked_bytes.max(other.peak_tracked_bytes);
+        self.cwnd_bytes = self.cwnd_bytes.max(other.cwnd_bytes);
+        self.srtt_ns = self.srtt_ns.max(other.srtt_ns);
+        self.op_latency_p50_ns = self.op_latency_p50_ns.max(other.op_latency_p50_ns);
+        self.op_latency_p99_ns = self.op_latency_p99_ns.max(other.op_latency_p99_ns);
+    }
 }
 
 /// Constant-space log-scale latency histogram backing the per-op latency
@@ -264,13 +314,17 @@ impl OpLatencyHistogram {
 /// Errors from endpoint construction and driving.
 #[derive(Debug, Error)]
 pub enum EndpointError {
-    /// The builder was asked for an impossible configuration.
+    /// The builder was asked for an impossible configuration, or the call
+    /// is not valid in the endpoint's current state: the endpoint is dead,
+    /// the pre-handshake send queue is full, or a rekey was asked for before
+    /// the handshake completed or on a plaintext stack.
     #[error("endpoint configuration: {0}")]
     Config(String),
     /// The underlying SMT engine failed.
     #[error(transparent)]
     Core(#[from] smt_core::SmtError),
-    /// The stream transport failed (cipher desync, malformed stream packet).
+    /// The in-order stream failed fatally while receiving (record-layer
+    /// authentication or desync, corrupted framing).
     #[error("stream transport: {0}")]
     Stream(String),
 }
@@ -320,7 +374,8 @@ pub trait SecureEndpoint {
     /// surface as [`Event`]s.  Recoverable conditions (loss-damaged, replayed
     /// or unauthenticated packets on message stacks) are absorbed; a fatal
     /// error (stream cipher desync) is returned *and* emitted as
-    /// [`Event::Error`].
+    /// [`Event::Error`], after which the endpoint is dead: it drops all
+    /// ingress, emits nothing and reports no timer.
     fn handle_datagram(&mut self, datagram: &Packet, now: Nanos) -> EndpointResult<()>;
 
     /// Appends every packet the endpoint currently wants on the wire to `out`,
@@ -337,7 +392,8 @@ pub trait SecureEndpoint {
 
     /// Fires the retransmission timer at virtual time `now`: the endpoint
     /// queues whatever recovery traffic it needs — Homa RESENDs and
-    /// unscheduled-prefix retransmissions, TCP go-back-N — and re-arms
+    /// unscheduled-prefix retransmissions, a stream rewind to the cumulative
+    /// ACK (selective under SACK, go-back-N with cc off) — and re-arms
     /// [`next_timeout`](Self::next_timeout).  A call before the deadline is a
     /// no-op.
     fn on_timeout(&mut self, now: Nanos);
@@ -626,41 +682,7 @@ impl EndpointBuilder {
     /// handshake keys.  Production-shaped consumers establish keys in-band
     /// with [`connect`](Self::connect) / [`accept`](Self::accept) instead.
     pub fn build(self, keys: Option<&SessionKeys>) -> EndpointResult<Endpoint> {
-        let path = self.path.ok_or_else(|| {
-            EndpointError::Config("endpoint path not set (builder.path(..))".into())
-        })?;
-        if self.stack.is_encrypted() && keys.is_none() {
-            return Err(missing_keys(self.stack));
-        }
-        let mut homa = self.homa;
-        homa.mtu = self.mtu;
-        homa.tso = self.tso;
-        if self.stack.is_message_based() {
-            let mut ep = MessageEndpoint::new(
-                self.stack,
-                keys,
-                homa,
-                path,
-                self.rto_ns,
-                self.cc,
-                self.engine,
-            )?;
-            ep.set_connection_id(self.connection_id);
-            Ok(Endpoint::Message(Box::new(ep)))
-        } else {
-            let mut ep = StreamEndpoint::new(
-                self.stack,
-                keys,
-                self.mtu,
-                self.tso,
-                path,
-                self.rto_ns,
-                self.cc,
-                self.engine,
-            )?;
-            ep.set_connection_id(self.connection_id);
-            Ok(Endpoint::Stream(Box::new(ep)))
-        }
+        Endpoint::new(self, Keying::Injected(keys))
     }
 
     /// Builds a client endpoint that establishes its session **in-band**: the
@@ -675,38 +697,7 @@ impl EndpointBuilder {
     /// For the unencrypted stacks (TCP, Homa) this simply builds a plaintext
     /// endpoint — there is nothing to negotiate.
     pub fn connect(self, config: ConnectConfig) -> EndpointResult<Endpoint> {
-        let path = self.path.ok_or_else(|| {
-            EndpointError::Config("endpoint path not set (builder.path(..))".into())
-        })?;
-        let mut homa = self.homa;
-        homa.mtu = self.mtu;
-        homa.tso = self.tso;
-        if self.stack.is_message_based() {
-            let mut ep = MessageEndpoint::connect(
-                self.stack,
-                config,
-                homa,
-                path,
-                self.rto_ns,
-                self.cc,
-                self.engine,
-            )?;
-            ep.set_connection_id(self.connection_id);
-            Ok(Endpoint::Message(Box::new(ep)))
-        } else {
-            let mut ep = StreamEndpoint::connect(
-                self.stack,
-                config,
-                self.mtu,
-                self.tso,
-                path,
-                self.rto_ns,
-                self.cc,
-                self.engine,
-            )?;
-            ep.set_connection_id(self.connection_id);
-            Ok(Endpoint::Stream(Box::new(ep)))
-        }
+        Endpoint::new(self, Keying::Connect(config))
     }
 
     /// Builds a server endpoint that accepts one in-band handshake (the
@@ -716,38 +707,7 @@ impl EndpointBuilder {
     /// to mint in-band tickets — its shared anti-replay cache is what makes a
     /// replayed 0-RTT first flight fail no matter which endpoint it hits.
     pub fn accept(self, config: AcceptConfig) -> EndpointResult<Endpoint> {
-        let path = self.path.ok_or_else(|| {
-            EndpointError::Config("endpoint path not set (builder.path(..))".into())
-        })?;
-        let mut homa = self.homa;
-        homa.mtu = self.mtu;
-        homa.tso = self.tso;
-        if self.stack.is_message_based() {
-            let mut ep = MessageEndpoint::accept(
-                self.stack,
-                config,
-                homa,
-                path,
-                self.rto_ns,
-                self.cc,
-                self.engine,
-            )?;
-            ep.set_connection_id(self.connection_id);
-            Ok(Endpoint::Message(Box::new(ep)))
-        } else {
-            let mut ep = StreamEndpoint::accept(
-                self.stack,
-                config,
-                self.mtu,
-                self.tso,
-                path,
-                self.rto_ns,
-                self.cc,
-                self.engine,
-            )?;
-            ep.set_connection_id(self.connection_id);
-            Ok(Endpoint::Stream(Box::new(ep)))
-        }
+        Endpoint::new(self, Keying::Accept(config))
     }
 
     /// Builds a connected client/server pair that performs the handshake
@@ -824,128 +784,6 @@ impl EndpointBuilder {
             self.clone().path(client_path).build(None)?,
             self.path(server_path).build(None)?,
         ))
-    }
-}
-
-/// One endpoint of any evaluated stack, built by [`Endpoint::builder`].
-///
-/// Dispatches [`SecureEndpoint`] to the message backend (Homa, SMT-sw,
-/// SMT-hw) or the stream backend (TCP, TLS, kTLS-sw, kTLS-hw, TCPLS).
-#[derive(Debug)]
-pub enum Endpoint {
-    /// A message-based (Homa-derived) stack.
-    Message(Box<MessageEndpoint>),
-    /// A stream-based (TCP-derived) stack.
-    Stream(Box<StreamEndpoint>),
-}
-
-impl Endpoint {
-    /// Starts building an endpoint.
-    pub fn builder() -> EndpointBuilder {
-        EndpointBuilder::default()
-    }
-
-    /// The message backend, when this endpoint is message-based (for
-    /// stack-specific observability: NIC stats, flow contexts, session).
-    pub fn as_message(&self) -> Option<&MessageEndpoint> {
-        match self {
-            Endpoint::Message(m) => Some(m),
-            Endpoint::Stream(_) => None,
-        }
-    }
-
-    /// The stream backend, when this endpoint is stream-based.
-    pub fn as_stream(&self) -> Option<&StreamEndpoint> {
-        match self {
-            Endpoint::Stream(s) => Some(s),
-            Endpoint::Message(_) => None,
-        }
-    }
-
-    /// Ratchets this endpoint's send keys one epoch forward — the key-update
-    /// that keeps long-lived connections from ever exhausting a key's safe
-    /// data volume or sequence space.  Message stacks stamp the new epoch in
-    /// the segment overlay (the peer keeps the old keys for a one-epoch drain
-    /// window); stream stacks append an in-band TLS KeyUpdate record and
-    /// reset the record sequence number.  Returns the new send epoch.  Fails
-    /// on the plaintext stacks (TCP, Homa) and before handshake completion.
-    /// Each direction rekeys independently — the peer's send keys are
-    /// untouched until it calls its own `rekey`.
-    pub fn rekey(&mut self, now: Nanos) -> EndpointResult<u16> {
-        match self {
-            Endpoint::Message(m) => m.rekey(now),
-            Endpoint::Stream(s) => s.rekey(now),
-        }
-    }
-
-    /// The per-operation timing breakdown (paper Table 2) measured by this
-    /// endpoint's completed **in-band** handshake: wall-clock durations of
-    /// each crypto phase on this side, recorded by the handshake machines as
-    /// they ran.  `None` before completion and for key-injected endpoints
-    /// (which never handshake).
-    pub fn handshake_timings(&self) -> Option<&HandshakeTimings> {
-        match self {
-            Endpoint::Message(m) => m.handshake_timings(),
-            Endpoint::Stream(s) => s.handshake_timings(),
-        }
-    }
-}
-
-impl SecureEndpoint for Endpoint {
-    fn stack(&self) -> StackKind {
-        match self {
-            Endpoint::Message(m) => m.stack(),
-            Endpoint::Stream(s) => s.stack(),
-        }
-    }
-
-    fn send(&mut self, data: &[u8], now: Nanos) -> EndpointResult<MessageId> {
-        match self {
-            Endpoint::Message(m) => m.send(data, now),
-            Endpoint::Stream(s) => s.send(data, now),
-        }
-    }
-
-    fn handle_datagram(&mut self, datagram: &Packet, now: Nanos) -> EndpointResult<()> {
-        match self {
-            Endpoint::Message(m) => m.handle_datagram(datagram, now),
-            Endpoint::Stream(s) => s.handle_datagram(datagram, now),
-        }
-    }
-
-    fn poll_transmit(&mut self, now: Nanos, out: &mut Vec<Packet>) -> usize {
-        match self {
-            Endpoint::Message(m) => m.poll_transmit(now, out),
-            Endpoint::Stream(s) => s.poll_transmit(now, out),
-        }
-    }
-
-    fn poll_event(&mut self) -> Option<Event> {
-        match self {
-            Endpoint::Message(m) => m.poll_event(),
-            Endpoint::Stream(s) => s.poll_event(),
-        }
-    }
-
-    fn next_timeout(&self) -> Option<Nanos> {
-        match self {
-            Endpoint::Message(m) => m.next_timeout(),
-            Endpoint::Stream(s) => s.next_timeout(),
-        }
-    }
-
-    fn on_timeout(&mut self, now: Nanos) {
-        match self {
-            Endpoint::Message(m) => m.on_timeout(now),
-            Endpoint::Stream(s) => s.on_timeout(now),
-        }
-    }
-
-    fn stats(&self) -> EndpointStats {
-        match self {
-            Endpoint::Message(m) => m.stats(),
-            Endpoint::Stream(s) => s.stats(),
-        }
     }
 }
 
@@ -1362,6 +1200,138 @@ mod tests {
             derived_ttfb < full_ttfb,
             "derived ttfb {derived_ttfb} must beat full ttfb {full_ttfb}"
         );
+    }
+
+    #[test]
+    fn op_latency_of_a_queued_send_is_clocked_from_send_on_every_stack() {
+        // A 1 Gb/s link makes the certificate-bearing handshake flights the
+        // slow part, so a clock started only at the post-handshake flush
+        // would report far less than the handshake itself took.
+        let slow = LinkConfig {
+            gbps: 1.0,
+            ..LinkConfig::default()
+        };
+        for stack in StackKind::all().into_iter().filter(|s| s.is_encrypted()) {
+            let ca = CertificateAuthority::new("op-clock-ca");
+            let id = ca.issue_identity("server.dc.local");
+            let (mut c, mut s) = Endpoint::builder()
+                .stack(stack)
+                .handshake_pair(
+                    ConnectConfig::new(ca.verifying_key(), "server.dc.local"),
+                    AcceptConfig::new(id, ca.verifying_key()),
+                    4000,
+                    5201,
+                )
+                .unwrap();
+            c.send(b"queued behind the handshake", 0).unwrap();
+            let mut link = PairFabric::with_config(slow, FaultConfig::none());
+            drive_pair(&mut c, &mut s, &mut link, 1_000_000);
+            let mut hs_rtt = None;
+            while let Some(ev) = c.poll_event() {
+                if let Event::HandshakeComplete { rtt_ns, .. } = ev {
+                    hs_rtt = Some(rtt_ns);
+                }
+            }
+            let hs_rtt = hs_rtt.unwrap_or_else(|| panic!("stack {}: no handshake", stack.label()));
+            let stats = c.stats();
+            assert!(
+                stats.op_latency_p50_ns >= hs_rtt,
+                "stack {}: op latency {} ns must include the {hs_rtt} ns handshake it waited for",
+                stack.label(),
+                stats.op_latency_p50_ns
+            );
+        }
+    }
+
+    #[test]
+    fn a_dead_endpoint_is_inert_and_says_so_the_same_way_on_both_engines() {
+        let mut errors = Vec::new();
+        for stack in [StackKind::SmtSw, StackKind::KtlsSw] {
+            // The client trusts a different CA, so the server's certificate
+            // fails verification: a fatal handshake error on the client.
+            let ca = CertificateAuthority::new("real-ca");
+            let rogue = CertificateAuthority::new("rogue-ca");
+            let id = ca.issue_identity("server.dc.local");
+            let connect = || ConnectConfig::new(rogue.verifying_key(), "server.dc.local");
+            let (mut c, mut s) = Endpoint::builder()
+                .stack(stack)
+                .handshake_pair(
+                    connect(),
+                    AcceptConfig::new(id, ca.verifying_key()),
+                    4000,
+                    5201,
+                )
+                .unwrap();
+            c.send(b"never delivered", 0).unwrap();
+            let mut link = PairFabric::reliable();
+            // The abandoned server keeps retransmitting its flight; bound it.
+            drive_pair(&mut c, &mut s, &mut link, 200);
+            let mut died = false;
+            while let Some(ev) = c.poll_event() {
+                died |= matches!(ev, Event::Error(_));
+            }
+            assert!(died, "stack {}: handshake must fail", stack.label());
+
+            let now = link.now();
+            let send_err = c.send(b"x", now).unwrap_err();
+            let rekey_err = c.rekey(now).unwrap_err();
+            assert!(matches!(send_err, EndpointError::Config(_)), "{send_err}");
+            assert_eq!(send_err.to_string(), rekey_err.to_string());
+
+            // All ingress is dropped — handshake CONTROL packets included.
+            let mut first_flight = Vec::new();
+            Endpoint::builder()
+                .stack(stack)
+                .path(PathInfo::pair(4000, 5201).1)
+                .connect(connect())
+                .unwrap()
+                .poll_transmit(now, &mut first_flight);
+            assert_eq!(
+                first_flight[0].overlay.tcp.packet_type,
+                smt_wire::PacketType::Control
+            );
+            let before = c.stats();
+            c.handle_datagram(&first_flight[0], now).unwrap();
+            let after = c.stats();
+            assert_eq!(after.datagrams_dropped, before.datagrams_dropped + 1);
+            assert_eq!(after.wire_bytes_received, before.wire_bytes_received);
+            assert_eq!(c.poll_event(), None, "stack {}", stack.label());
+            assert_eq!(c.poll_transmit(now, &mut Vec::new()), 0);
+            assert_eq!(c.next_timeout(), None, "stack {}", stack.label());
+            errors.push(send_err.to_string());
+        }
+        assert_eq!(errors[0], errors[1], "one error for a dead endpoint");
+    }
+
+    #[test]
+    fn a_full_handshake_queue_refuses_the_send_without_consuming_its_id() {
+        let mut errors = Vec::new();
+        for stack in [StackKind::SmtSw, StackKind::KtlsSw] {
+            let ca = CertificateAuthority::new("queue-ca");
+            let mut c = Endpoint::builder()
+                .stack(stack)
+                .path(PathInfo::pair(4000, 5201).0)
+                .connect(ConnectConfig::new(ca.verifying_key(), "server.dc.local"))
+                .unwrap();
+            // Fill the 16 MiB pre-handshake queue exactly.
+            let chunk = vec![0u8; 4 << 20];
+            for want in 0..4 {
+                assert_eq!(c.send(&chunk, 0).unwrap(), MessageId(want));
+            }
+            let err = c.send(b"one byte too many", 0).unwrap_err();
+            assert!(matches!(err, EndpointError::Config(_)), "{err}");
+            // The refused send consumed nothing: the next accepted one (an
+            // empty message still fits) gets the next ID.
+            assert_eq!(
+                c.send(b"", 0).unwrap(),
+                MessageId(4),
+                "stack {}",
+                stack.label()
+            );
+            assert_eq!(c.stats().peak_tracked_bytes, 16 << 20);
+            errors.push(err.to_string());
+        }
+        assert_eq!(errors[0], errors[1], "one error for a full queue");
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! The stream-based endpoint backend: TCP, user-space TLS, kTLS-sw, kTLS-hw
-//! and TCPLS.
+//! The stream reliability engine: TCP, user-space TLS, kTLS-sw, kTLS-hw and
+//! TCPLS.
 //!
 //! These stacks share one shape (paper §2.1): a reliable in-order bytestream
 //! with the TLS record layer — or nothing, for plain TCP — layered on top, and
-//! the application's own message framing above that.  This backend implements
-//! that shape behind the [`SecureEndpoint`] contract:
+//! the application's own message framing above that.  This engine implements
+//! that shape under the connection [`Shell`]:
 //!
-//! * **Framing.**  Each [`send`](SecureEndpoint::send) writes a 12-byte frame
-//!   header (message ID + length) plus the payload onto the stream — the
-//!   delimiting work TCP applications must do themselves, which SMT gets for
-//!   free from message boundaries.
+//! * **Framing.**  Each send writes a 12-byte frame header (message ID +
+//!   length) plus the payload onto the stream — the delimiting work TCP
+//!   applications must do themselves, which SMT gets for free from message
+//!   boundaries.
 //! * **Record layer.**  Encrypted stacks run the framed bytes through the
 //!   shared kTLS machinery ([`KtlsSender`]/[`KtlsReceiver`] from `smt-core`),
 //!   so the crypto datapath is byte-identical to the kernel TLS baseline.
@@ -18,42 +18,36 @@
 //! * **Reliable delivery.**  The wire bytes are carried in TSO segments
 //!   through the simulated NIC, with the stream offset in the overlay option
 //!   area.  The receiver reassembles out-of-order segments, drops duplicates
-//!   (counting them as replays), and acknowledges with a cumulative offset;
-//!   the sender retransmits go-back-N from the highest cumulative ACK when
-//!   its retransmission timer — an RTT multiple from `smt_core::SmtConfig`,
-//!   armed in virtual time and exposed via
-//!   [`next_timeout`](SecureEndpoint::next_timeout) — expires
-//!   ([`on_timeout`](SecureEndpoint::on_timeout)).
-//!   This is the minimal TCP: enough to recover from loss, reordering and
-//!   duplication on the simulated link, while keeping the defining limitation
-//!   that bytes — and therefore records — can only be *consumed* in order.
+//!   (counting them as replays) and acknowledges.  With congestion control
+//!   on (the default) the acknowledgement is a SACK frame — cumulative
+//!   offset, reorder-buffer ranges, DCTCP ECN echo — and the sender recovers
+//!   by **selective retransmit** inside a DCTCP window: the third duplicate
+//!   SACK or the shell's retransmission timer rewinds to the cumulative
+//!   offset and resends only the holes the scoreboard shows.  Plain
+//!   go-back-N from the cumulative ACK is the fallback, not the default: it
+//!   runs with `CcConfig::disabled()` (the pre-cc baseline) and after two
+//!   timer fires without progress, when the scoreboard is distrusted.
+//!   Either way the defining limitation stays: bytes — and therefore
+//!   records — can only be *consumed* in order.
 //!
 //! The 64-bit stream offset is carried in the overlay option area: the low
 //! 32 bits in `tso_offset` and the high 32 bits in the reserved word, so the
 //! stream never wraps.
 //!
-//! Endpoints built via [`super::EndpointBuilder::connect`] /
-//! [`super::EndpointBuilder::accept`] run a **TLS-style pre-data exchange**:
-//! the [`HandshakeDriver`] carries the flights in CONTROL packets before any
-//! stream bytes flow, application sends queue meanwhile, and on completion
-//! the negotiated keys build the record layer and the queue flushes onto the
-//! stream with the message IDs the application was already given.  A client
-//! resuming with an SMT-ticket still piggybacks its first queued message as
-//! 0-RTT early data in the first flight (TLS 1.3 semantics), delivered at
-//! the server ahead of handshake completion.
+//! In-band connection setup (the TLS-style pre-data exchange, 0-RTT early
+//! data, the queue of sends waiting for keys) is the shell's; the engine
+//! sees `install_keys` once and then `send`s that already carry their IDs.
 
-use super::handshake::{control_proto, HandshakeDriver};
-use super::{
-    missing_keys, EndpointError, EndpointResult, EndpointStats, Event, MessageId, SecureEndpoint,
-};
-use crate::cc::{CcConfig, CongestionController, DctcpWindow, RttEstimator};
+use super::shell::Shell;
+use super::{EndpointError, EndpointResult, EndpointStats, Event, MessageId};
+use crate::cc::{CcConfig, CongestionController, DctcpWindow};
 use crate::stack::StackKind;
 use bytes::{Bytes, BytesMut};
 use smt_core::config::CryptoMode;
 use smt_core::ktls::{KtlsReceiver, KtlsSender, KtlsSession};
 use smt_core::segment::PathInfo;
 use smt_crypto::handshake::SessionKeys;
-use smt_crypto::{CryptoEngineHandle, EngineConn};
+use smt_crypto::RecordSealer;
 use smt_sim::nic::NicModel;
 use smt_sim::Nanos;
 use smt_wire::{
@@ -68,7 +62,7 @@ const FRAME_HEADER: usize = 12;
 
 /// Cap on bytes parked in the out-of-order reorder buffer.  Everything in it
 /// is attacker-influenceable wire data; beyond the cap the furthest-ahead
-/// segment is evicted (go-back-N resends it) — DESIGN.md §8.
+/// segment is evicted (the sender's loss recovery resends it) — DESIGN.md §8.
 const MAX_OOO_BYTES: usize = 4 << 20;
 
 /// Largest length a stream frame header may declare.  A larger value means
@@ -77,12 +71,8 @@ const MAX_OOO_BYTES: usize = 4 << 20;
 /// 4 GiB frame that never completes.
 const MAX_FRAME_LEN: usize = 16 << 20;
 
-use super::handshake::MAX_QUEUED_BYTES;
-
-/// A [`SecureEndpoint`] over a TCP-like reliable bytestream.
-pub struct StreamEndpoint {
-    stack: StackKind,
-    path: PathInfo,
+/// The TCP-like reliable bytestream under the connection shell.
+pub(crate) struct StreamEngine {
     mtu: usize,
     tso: bool,
     nic: NicModel,
@@ -90,21 +80,11 @@ pub struct StreamEndpoint {
     /// installs the negotiated keys).
     tls_tx: Option<KtlsSender>,
     tls_rx: Option<KtlsReceiver>,
-    /// Record crypto mode of this stack, kept so the in-band handshake can
-    /// build the record layer on completion.
+    /// Record crypto mode of this stack (`None` for plain TCP).
     crypto_mode: Option<CryptoMode>,
-    /// The in-band handshake driver; `None` on key-injected endpoints.
-    hs: Option<HandshakeDriver>,
-    /// Shared per-host batch crypto engine, when configured on the builder.
-    engine: Option<CryptoEngineHandle>,
-    /// This sender's registration with the engine (software crypto only).
-    engine_conn: Option<EngineConn>,
-    /// Wire bytes staged with the engine but not yet flushed into `wire`.
+    /// Wire bytes staged with the batch engine but not yet flushed into
+    /// `wire`.
     staged_wire: usize,
-    /// Sends queued while the handshake runs, with their assigned IDs.
-    queued: VecDeque<(MessageId, Vec<u8>)>,
-    /// Bytes held in `queued` (bounded by [`MAX_QUEUED_BYTES`]).
-    queued_bytes: usize,
 
     // Transmit side.
     /// Unacknowledged wire bytes; `wire[0]` is stream offset `wire_base`.
@@ -116,8 +96,10 @@ pub struct StreamEndpoint {
     /// Highest cumulative ACK received.
     acked: u64,
     /// Outstanding messages: (id, wire offset at which the message ends).
-    inflight: VecDeque<(MessageId, u64)>,
-    next_msg_id: u64,
+    inflight: VecDeque<(u64, u64)>,
+    /// Highest stream offset ever handed to the NIC; emitting below this
+    /// marks packets as retransmissions.
+    sent_high: u64,
 
     // Receive side.
     /// Next in-order stream offset expected.
@@ -131,38 +113,18 @@ pub struct StreamEndpoint {
     /// A cumulative ACK should be emitted on the next poll.
     ack_pending: bool,
 
-    /// Retransmission timeout (go-back-N timer period) when the RTO is
-    /// pinned; the adaptive path asks [`RttEstimator::rto_ns`] instead.
-    rto_ns: Nanos,
-    /// Absolute deadline of the armed retransmission timer, if any.
-    rto_deadline: Option<Nanos>,
-    /// Highest stream offset ever handed to the NIC; emitting below this
-    /// marks packets as retransmissions.
-    sent_high: u64,
-
     // Congestion control (DESIGN.md §10).
-    /// Tuning shared with the timers; `cc.enabled == false` reproduces the
-    /// pre-cc fixed-RTO go-back-N baseline.
+    /// `cc.enabled == false` reproduces the pre-cc fixed-RTO go-back-N
+    /// baseline.
     cc: CcConfig,
     /// DCTCP window machine; `None` when cc is disabled.
     cwnd: Option<DctcpWindow>,
-    /// RFC 6298 SRTT/RTTVAR estimator driving the adaptive RTO.
-    rtt: RttEstimator,
     /// Peer-SACKed byte ranges above `acked` (start → end, disjoint): data
     /// the receiver already holds, which selective retransmit skips.
     sacked: BTreeMap<u64, u64>,
     /// `(chunk end offset, send time)` of never-retransmitted chunks, for
     /// Karn-safe RTT sampling; cleared whenever anything is retransmitted.
     timed: VecDeque<(u64, Nanos)>,
-    /// Message-ID → send time for per-op latency (unlike `timed`, survives
-    /// retransmission: it measures the app-visible completion time).
-    op_sent: BTreeMap<u64, Nanos>,
-    /// Send→ack latency histogram over completed messages, feeding the
-    /// per-op latency percentiles in [`EndpointStats`].
-    op_latency: super::OpLatencyHistogram,
-    /// Timing breakdown of the completed in-band handshake (Table 2), kept
-    /// from the negotiated keys at completion.
-    hs_timings: Option<smt_crypto::handshake::HandshakeTimings>,
     /// CE-marked / total data packets received since the last SACK went out
     /// (the receiver's DCTCP ECN echo).
     ecn_ce_pending: u64,
@@ -170,35 +132,9 @@ pub struct StreamEndpoint {
     /// RTO fires without cumulative progress; at two in a row the sender
     /// distrusts its SACK scoreboard (possibly forged) and goes back-N.
     consecutive_timeouts: u32,
-    /// Exponential backoff shift applied to the adaptive RTO: doubled on
-    /// every fire, cleared on cumulative progress (as Linux does) — repeated
-    /// fires with *no* progress mean the estimate is stale or the path is
-    /// gone, while a recovering incast round makes progress every RTO and
-    /// keeps the baseline cadence.
-    rto_backoff: u32,
     /// Duplicate SACKs (no cumulative progress, ranges present) since the
     /// last advance; the third triggers fast retransmit of the holes.
     dup_sacks: u32,
-
-    events: VecDeque<Event>,
-    stats: EndpointStats,
-    /// Set after a fatal stream error; all further traffic is dropped.
-    dead: bool,
-    /// Connection ID stamped into the option area of every egress packet so
-    /// a [`super::Listener`] can demux many connections over one socket.
-    /// Zero (the default) means "not multiplexed" and stamps nothing.
-    connection_id: u32,
-}
-
-impl std::fmt::Debug for StreamEndpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamEndpoint")
-            .field("stack", &self.stack)
-            .field("acked", &self.acked)
-            .field("recv_next", &self.recv_next)
-            .field("dead", &self.dead)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Record crypto mode of one of the stream-based stacks.
@@ -214,204 +150,65 @@ fn stack_crypto_mode(stack: StackKind) -> Option<CryptoMode> {
     }
 }
 
-impl StreamEndpoint {
+impl StreamEngine {
     /// Disjoint SACKed ranges tracked at most; beyond this new ranges are
     /// dropped (the RTO still recovers them), so forged SACKs cannot grow
     /// sender state without bound.
     const MAX_SACK_SCOREBOARD: usize = 64;
 
-    /// Builds the backend for one of the stream-based stacks from out-of-band
-    /// handshake keys (the key-injection fast path).
-    #[allow(clippy::too_many_arguments)] // internal builder plumbing
-    pub(crate) fn new(
-        stack: StackKind,
-        keys: Option<&SessionKeys>,
-        mtu: usize,
-        tso: bool,
-        path: PathInfo,
-        rto_ns: Nanos,
-        cc: CcConfig,
-        engine: Option<CryptoEngineHandle>,
-    ) -> EndpointResult<Self> {
-        let mut ep = Self::unkeyed(stack, mtu, tso, path, rto_ns, cc, engine);
-        if let Some(mode) = ep.crypto_mode {
-            let keys = keys.ok_or_else(|| missing_keys(stack))?;
-            let session = KtlsSession::new(keys, mode)?;
-            ep.tls_tx = Some(session.sender);
-            ep.tls_rx = Some(session.receiver);
-            ep.register_engine();
-            ep.events.push_back(Event::HandshakeComplete {
-                peer_identity: keys.peer_identity.clone(),
-                forward_secret: keys.forward_secret,
-                rtt_ns: 0,
-                resumed: keys.resumed,
-            });
-        }
-        Ok(ep)
-    }
-
-    /// Builds an endpoint that runs the in-band handshake as the client
-    /// (a TLS-style pre-data exchange before any stream bytes flow).
-    #[allow(clippy::too_many_arguments)] // internal builder plumbing
-    pub(crate) fn connect(
-        stack: StackKind,
-        config: super::ConnectConfig,
-        mtu: usize,
-        tso: bool,
-        path: PathInfo,
-        rto_ns: Nanos,
-        cc: CcConfig,
-        engine: Option<CryptoEngineHandle>,
-    ) -> EndpointResult<Self> {
-        let mut ep = Self::unkeyed(stack, mtu, tso, path, rto_ns, cc, engine);
-        if ep.crypto_mode.is_some() {
-            ep.hs = Some(HandshakeDriver::client(
-                config,
-                path,
-                mtu,
-                control_proto(stack),
-                rto_ns,
-            ));
-        }
-        Ok(ep)
-    }
-
-    /// Builds an endpoint that runs the in-band handshake as the server.
-    #[allow(clippy::too_many_arguments)] // internal builder plumbing
-    pub(crate) fn accept(
-        stack: StackKind,
-        config: super::AcceptConfig,
-        mtu: usize,
-        tso: bool,
-        path: PathInfo,
-        rto_ns: Nanos,
-        cc: CcConfig,
-        engine: Option<CryptoEngineHandle>,
-    ) -> EndpointResult<Self> {
-        let mut ep = Self::unkeyed(stack, mtu, tso, path, rto_ns, cc, engine);
-        if ep.crypto_mode.is_some() {
-            ep.hs = Some(HandshakeDriver::server(
-                config,
-                path,
-                mtu,
-                control_proto(stack),
-                rto_ns,
-            ));
-        }
-        Ok(ep)
-    }
-
-    fn unkeyed(
-        stack: StackKind,
-        mtu: usize,
-        tso: bool,
-        path: PathInfo,
-        rto_ns: Nanos,
-        cc: CcConfig,
-        engine: Option<CryptoEngineHandle>,
-    ) -> Self {
+    pub(crate) fn new(stack: StackKind, mtu: usize, tso: bool, cc: CcConfig) -> Self {
         debug_assert!(!stack.is_message_based());
-        // The estimator opens at the builder's RTO so the first deadline is
-        // identical whether the adaptive path is on or pinned.
-        let est_config = CcConfig {
-            initial_rto_ns: rto_ns.max(1),
-            ..cc
-        };
         Self {
-            stack,
-            path,
             mtu,
             tso,
             nic: NicModel::new(mtu, tso),
             tls_tx: None,
             tls_rx: None,
             crypto_mode: stack_crypto_mode(stack),
-            hs: None,
-            engine,
-            engine_conn: None,
             staged_wire: 0,
-            queued: VecDeque::new(),
-            queued_bytes: 0,
             wire: BytesMut::new(),
             wire_base: 0,
             next_send: 0,
             acked: 0,
             inflight: VecDeque::new(),
-            next_msg_id: 0,
+            sent_high: 0,
             recv_next: 0,
             ooo: BTreeMap::new(),
             ooo_bytes: 0,
             frame_buf: BytesMut::new(),
             ack_pending: false,
-            rto_ns: rto_ns.max(1),
-            rto_deadline: None,
-            sent_high: 0,
             cc,
             cwnd: cc.enabled.then(|| DctcpWindow::new(cc)),
-            rtt: RttEstimator::new(&est_config),
             sacked: BTreeMap::new(),
             timed: VecDeque::new(),
-            op_sent: BTreeMap::new(),
-            op_latency: super::OpLatencyHistogram::default(),
-            hs_timings: None,
             ecn_ce_pending: 0,
             ecn_total_pending: 0,
             consecutive_timeouts: 0,
-            rto_backoff: 0,
             dup_sacks: 0,
-            events: VecDeque::new(),
-            stats: EndpointStats::default(),
-            dead: false,
-            connection_id: 0,
         }
     }
 
-    /// Sets the connection ID stamped into every egress packet (zero stamps
-    /// nothing); ingress demux is the [`super::Listener`]'s job.
-    pub(crate) fn set_connection_id(&mut self, id: u32) {
-        self.connection_id = id;
+    /// Builds the record layer from handshake keys (kTLS-hw registers its
+    /// offload key with the NIC here, mirroring `setsockopt(SOL_TLS)`).
+    pub(crate) fn install_keys(&mut self, keys: &SessionKeys) -> Result<(), smt_core::SmtError> {
+        let mode = self
+            .crypto_mode
+            .expect("only encrypted stacks install keys");
+        let session = KtlsSession::new(keys, mode)?;
+        self.tls_tx = Some(session.sender);
+        self.tls_rx = Some(session.receiver);
+        Ok(())
     }
 
-    /// Stamps the configured connection ID onto freshly appended packets.
-    fn stamp_connection_id(&self, out: &mut [Packet]) {
-        if self.connection_id != 0 {
-            for p in out {
-                p.overlay.options.connection_id = self.connection_id;
-            }
-        }
-    }
-
-    /// Registers this sender with the shared batch crypto engine, if one was
-    /// configured on the builder and the stack runs *software* record crypto
+    /// The sender's seal half when the stack runs *software* record crypto
     /// (hardware offload seals in the NIC, so there is nothing to batch).
-    fn register_engine(&mut self) {
-        let Some(engine) = &self.engine else { return };
-        let Some(tx) = &self.tls_tx else { return };
-        if self.crypto_mode == Some(CryptoMode::Software) {
-            self.engine_conn = Some(engine.register(tx.sealer()));
-        }
-    }
-
-    /// True while the in-band handshake is still running (sends must queue).
-    fn handshaking(&self) -> bool {
-        self.hs.as_ref().is_some_and(|h| h.in_progress())
-    }
-
-    /// True once the record layer (or the plain-TCP bytestream) is live.
-    pub fn is_established(&self) -> bool {
-        !self.handshaking() && !self.dead
-    }
-
-    /// The key material registered with the NIC for kTLS-hw, mirroring the
-    /// kernel TLS offload interface.
-    pub fn offload_key(
-        &self,
-    ) -> Option<(smt_crypto::CipherSuite, &smt_crypto::key_schedule::Secret)> {
-        self.tls_tx.as_ref().and_then(|tx| tx.offload_key())
+    pub(crate) fn sealer(&self) -> Option<RecordSealer> {
+        let tx = self.tls_tx.as_ref()?;
+        (self.crypto_mode == Some(CryptoMode::Software)).then(|| tx.sealer())
     }
 
     /// NIC model statistics (TSO expansion of the stream).
-    pub fn nic_stats(&self) -> smt_sim::nic::NicStats {
+    pub(crate) fn nic_stats(&self) -> smt_sim::nic::NicStats {
         self.nic.stats
     }
 
@@ -420,45 +217,37 @@ impl StreamEndpoint {
         self.wire_base + self.wire.len() as u64
     }
 
-    /// The retransmission timer period: the RTT-estimated RTO when cc runs
-    /// adaptively, the builder's fixed override otherwise.
-    fn rto(&self) -> Nanos {
-        if self.cc.enabled && self.cc.adaptive_rto {
-            let factor = 1u64 << self.rto_backoff.min(16);
-            self.rtt
-                .rto_ns()
-                .saturating_mul(factor)
-                .min(self.cc.max_rto_ns.max(1))
-        } else {
-            self.rto_ns
-        }
+    /// True while produced (or batch-staged) stream bytes are unacknowledged.
+    pub(crate) fn work_outstanding(&self) -> bool {
+        self.produced() + self.staged_wire as u64 > self.acked
     }
 
-    fn fatal(&mut self, msg: String) -> EndpointError {
-        self.dead = true;
-        // The datagram whose bytes failed the record layer is discarded.
-        self.stats.datagrams_dropped += 1;
-        self.events.push_back(Event::Error(msg.clone()));
+    /// A fatal record-layer or framing failure: the in-order stream can
+    /// never resynchronise, so the connection dies with it.
+    fn fatal(shell: &mut Shell, msg: String) -> EndpointError {
+        // The datagram whose bytes failed is discarded.
+        shell.stats.datagrams_dropped += 1;
+        shell.fail(msg.clone());
         EndpointError::Stream(msg)
     }
 
     /// Records the current high-water mark of attacker-growable buffers.
-    fn note_tracked_bytes(&mut self) {
-        let tracked = (self.ooo_bytes + self.frame_buf.len() + self.queued_bytes) as u64;
-        self.stats.peak_tracked_bytes = self.stats.peak_tracked_bytes.max(tracked);
+    fn note_tracked_bytes(&self, stats: &mut EndpointStats) {
+        let tracked = (self.ooo_bytes + self.frame_buf.len()) as u64;
+        stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(tracked);
     }
 
-    fn ack_packet(&self) -> Packet {
+    fn ack_packet(&self, path: &PathInfo) -> Packet {
         let overlay = SmtOverlayHeader {
-            tcp: OverlayTcpHeader::new(self.path.src_port, self.path.dst_port, PacketType::Ack),
+            tcp: OverlayTcpHeader::new(path.src_port, path.dst_port, PacketType::Ack),
             // The cumulative stream offset rides in the ACK body's message-id
             // field; the option area is unused on a pure-ACK packet.
             options: SmtOptionArea::new(0, 0),
         };
         Packet {
             ip: smt_wire::IpHeader::V4(smt_wire::Ipv4Header::new(
-                self.path.src,
-                self.path.dst,
+                path.src,
+                path.dst,
                 IPPROTO_TCP,
                 (smt_wire::IPV4_HEADER_LEN + smt_wire::SMT_OVERLAY_LEN + HomaAck::LEN) as u16,
             )),
@@ -475,9 +264,9 @@ impl StreamEndpoint {
     /// [`SmtSack::MAX_RANGES`] reorder-buffer ranges (the sender's selective
     /// retransmit scoreboard) and the DCTCP ECN echo; with cc disabled, the
     /// legacy bare cumulative ACK.
-    fn recv_report(&mut self) -> Packet {
+    fn recv_report(&mut self, path: &PathInfo) -> Packet {
         if !self.cc.enabled {
-            return self.ack_packet();
+            return self.ack_packet(path);
         }
         // Coalesce the reorder buffer into disjoint, ascending ranges.  Keys
         // are strictly above `recv_next` (the in-order prefix was drained),
@@ -506,13 +295,13 @@ impl StreamEndpoint {
             ranges,
         };
         let overlay = SmtOverlayHeader {
-            tcp: OverlayTcpHeader::new(self.path.src_port, self.path.dst_port, PacketType::Sack),
+            tcp: OverlayTcpHeader::new(path.src_port, path.dst_port, PacketType::Sack),
             options: SmtOptionArea::new(0, 0),
         };
         Packet {
             ip: smt_wire::IpHeader::V4(smt_wire::Ipv4Header::new(
-                self.path.src,
-                self.path.dst,
+                path.src,
+                path.dst,
                 IPPROTO_TCP,
                 (smt_wire::IPV4_HEADER_LEN + smt_wire::SMT_OVERLAY_LEN + sack.wire_len()) as u16,
             )),
@@ -524,7 +313,7 @@ impl StreamEndpoint {
 
     /// Consumes newly in-order wire bytes: record-layer decryption (when
     /// encrypted), then frame delimiting into delivered messages.
-    fn deliver_in_order(&mut self, bytes: &[u8]) -> EndpointResult<()> {
+    fn deliver_in_order(&mut self, shell: &mut Shell, bytes: &[u8]) -> EndpointResult<()> {
         let plaintext = match &mut self.tls_rx {
             Some(rx) => match rx.on_bytes(bytes) {
                 Ok(p) => p,
@@ -533,15 +322,18 @@ impl StreamEndpoint {
                         e,
                         smt_core::SmtError::Crypto(smt_crypto::CryptoError::AuthenticationFailed)
                     ) {
-                        self.stats.auth_failures += 1;
+                        shell.stats.auth_failures += 1;
                     }
-                    return Err(self.fatal(format!("record layer failed on in-order stream: {e}")));
+                    return Err(Self::fatal(
+                        shell,
+                        format!("record layer failed on in-order stream: {e}"),
+                    ));
                 }
             },
             None => bytes.to_vec(),
         };
         self.frame_buf.extend_from_slice(&plaintext);
-        self.note_tracked_bytes();
+        self.note_tracked_bytes(&mut shell.stats);
         while self.frame_buf.len() >= FRAME_HEADER {
             let header: &[u8] = &self.frame_buf;
             let Some(id_bytes) = header.get(..8).and_then(|s| <[u8; 8]>::try_from(s).ok()) else {
@@ -557,19 +349,23 @@ impl StreamEndpoint {
                 // A corrupted (or, on plain TCP, injected) frame header: the
                 // stream can never resynchronise, and waiting for the declared
                 // bytes would grow the frame buffer without bound.
-                self.stats.malformed_rejected += 1;
-                return Err(self.fatal(format!(
-                    "stream framing corrupted: declared frame of {len} bytes exceeds {MAX_FRAME_LEN}"
-                )));
+                shell.stats.malformed_rejected += 1;
+                return Err(Self::fatal(
+                    shell,
+                    format!(
+                        "stream framing corrupted: declared frame of {len} bytes exceeds \
+                         {MAX_FRAME_LEN}"
+                    ),
+                ));
             }
             if self.frame_buf.len() < FRAME_HEADER + len {
                 break;
             }
             let _ = self.frame_buf.split_to(FRAME_HEADER);
             let data = self.frame_buf.split_to(len)[..].to_vec();
-            self.stats.messages_delivered += 1;
-            self.stats.bytes_delivered += data.len() as u64;
-            self.events.push_back(Event::MessageDelivered {
+            shell.stats.messages_delivered += 1;
+            shell.stats.bytes_delivered += data.len() as u64;
+            shell.events.push_back(Event::MessageDelivered {
                 id: MessageId(id),
                 data,
             });
@@ -577,14 +373,14 @@ impl StreamEndpoint {
         Ok(())
     }
 
-    fn handle_data(&mut self, datagram: &Packet) -> EndpointResult<()> {
+    fn handle_data(&mut self, shell: &mut Shell, datagram: &Packet) -> EndpointResult<()> {
         let Some(bytes) = datagram.payload.as_data() else {
             return Ok(());
         };
         if bytes.is_empty() {
             return Ok(());
         }
-        self.stats.wire_bytes_received += bytes.len() as u64;
+        shell.stats.wire_bytes_received += bytes.len() as u64;
         if self.cc.enabled {
             // DCTCP ECN echo: count every data packet and the CE-marked
             // subset since the last SACK went out.
@@ -610,14 +406,14 @@ impl StreamEndpoint {
         if end <= self.recv_next {
             // Entirely old data: a network duplicate or a spurious
             // retransmission. Re-ACK so the sender advances.
-            self.stats.replays_rejected += 1;
+            shell.stats.replays_rejected += 1;
             self.ack_pending = true;
             return Ok(());
         }
         match self.ooo.get(&offset) {
             Some(existing) if existing.len() >= bytes.len() => {
                 // Byte-identical duplicate still waiting in the reorder buffer.
-                self.stats.replays_rejected += 1;
+                shell.stats.replays_rejected += 1;
                 self.ack_pending = true;
                 return Ok(());
             }
@@ -629,7 +425,7 @@ impl StreamEndpoint {
             }
         }
         // Bounded reorder buffer: evict the furthest-ahead segment (the
-        // sender's go-back-N covers it again) until back under the cap.
+        // sender's loss recovery covers it again) until back under the cap.
         while self.ooo_bytes > MAX_OOO_BYTES {
             let Some((&far, _)) = self.ooo.iter().next_back() else {
                 self.ooo_bytes = 0;
@@ -638,9 +434,9 @@ impl StreamEndpoint {
             if let Some(evicted) = self.ooo.remove(&far) {
                 self.ooo_bytes = self.ooo_bytes.saturating_sub(evicted.len());
             }
-            self.stats.state_evictions += 1;
+            shell.stats.state_evictions += 1;
         }
-        self.note_tracked_bytes();
+        self.note_tracked_bytes(&mut shell.stats);
 
         // Advance the in-order prefix through the reorder buffer.
         let mut in_order = Vec::new();
@@ -664,25 +460,26 @@ impl StreamEndpoint {
         if in_order.is_empty() {
             return Ok(());
         }
-        self.deliver_in_order(&in_order)
+        self.deliver_in_order(shell, &in_order)
     }
 
     /// Frames `data` as message `id` and appends it to the reliable stream
-    /// (through the record layer when encrypted), returning the wire bytes
-    /// produced.
-    fn enqueue_framed(&mut self, id: MessageId, data: &[u8]) -> EndpointResult<usize> {
+    /// (through the record layer when encrypted).
+    pub(crate) fn send(&mut self, shell: &mut Shell, id: u64, data: &[u8]) -> EndpointResult<()> {
+        shell.stats.messages_sent += 1;
+        shell.stats.bytes_sent += data.len() as u64;
         let mut framed = Vec::with_capacity(FRAME_HEADER + data.len());
-        framed.extend_from_slice(&id.0.to_be_bytes());
+        framed.extend_from_slice(&id.to_be_bytes());
         framed.extend_from_slice(&(data.len() as u32).to_be_bytes());
         framed.extend_from_slice(data);
         let appended = match &mut self.tls_tx {
             Some(tx) => {
-                if let (Some(engine), Some(conn)) = (&self.engine, self.engine_conn) {
+                if let Some((batch, conn)) = shell.batch() {
                     // Stage the records with the shared batch engine instead
                     // of sealing inline; the ciphertext lands in `wire` at the
                     // next poll's fused flush. The staged size is exact, so
                     // stream offsets can be assigned now.
-                    let n = tx.stage_into(&framed, engine, conn)?;
+                    let n = tx.stage_into(&framed, batch, conn)?;
                     self.staged_wire += n;
                     n
                 } else {
@@ -696,178 +493,68 @@ impl StreamEndpoint {
         };
         self.inflight
             .push_back((id, self.produced() + self.staged_wire as u64));
-        self.stats.wire_bytes_sent += appended as u64;
-        Ok(appended)
+        shell.stats.wire_bytes_sent += appended as u64;
+        Ok(())
     }
 
-    /// Takes the first queued message as 0-RTT early data, if it fits in one
-    /// record.
-    fn take_early_candidate(&mut self) -> Option<Vec<u8>> {
-        let eligible = matches!(
-            self.queued.front(),
-            Some((MessageId(0), data)) if data.len() <= super::handshake::EARLY_DATA_MAX
-        );
-        if !eligible {
-            return None;
-        }
-        let (_, data) = self.queued.pop_front()?;
-        self.queued_bytes = self.queued_bytes.saturating_sub(data.len());
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        Some(data)
-    }
-
-    /// Applies the effects of one handled handshake CONTROL packet.
-    fn apply_hs_outcome(&mut self, outcome: super::handshake::DriverOutcome, now: Nanos) {
-        if let Some(data) = outcome.requeue_early {
-            // A rejected derived attempt collapsed to a full handshake, which
-            // cannot carry early data: message 0 goes back to the front of
-            // the queue (its send counters were bumped when it was taken) and
-            // flushes normally on completion.
-            self.stats.messages_sent = self.stats.messages_sent.saturating_sub(1);
-            self.stats.bytes_sent = self.stats.bytes_sent.saturating_sub(data.len() as u64);
-            self.queued_bytes += data.len();
-            self.queued.push_front((MessageId(0), data));
-            self.note_tracked_bytes();
-        }
-        if let Some(early) = outcome.early_data {
-            self.stats.messages_delivered += 1;
-            self.stats.bytes_delivered += early.len() as u64;
-            self.events.push_back(Event::MessageDelivered {
-                id: MessageId(0),
-                data: early,
-            });
-        }
-        if let Some(err) = outcome.error {
-            self.dead = true;
-            self.events.push_back(Event::Error(err));
+    /// Lands ciphertext staged with the shared batch engine on the stream:
+    /// the first endpoint on the host to get here runs one fused pass over
+    /// every registered connection's staged records; each connection then
+    /// drains its own bytes.
+    fn flush_staged(&mut self, shell: &Shell) {
+        if self.staged_wire == 0 {
             return;
         }
-        let Some(result) = outcome.complete else {
-            return;
-        };
-        self.hs_timings = Some(result.keys.timings.clone());
-        if let Some(mode) = self.crypto_mode {
-            match KtlsSession::new(&result.keys, mode) {
-                Ok(session) => {
-                    self.tls_tx = Some(session.sender);
-                    self.tls_rx = Some(session.receiver);
-                    self.register_engine();
-                }
-                Err(e) => {
-                    self.dead = true;
-                    self.events.push_back(Event::Error(format!(
-                        "installing negotiated keys failed: {e}"
-                    )));
-                    return;
-                }
-            }
-        }
-        self.events.push_back(Event::HandshakeComplete {
-            peer_identity: result.keys.peer_identity.clone(),
-            forward_secret: result.keys.forward_secret,
-            rtt_ns: result.rtt_ns,
-            resumed: result.resumed,
-        });
-        if let Some(ticket) = result.ticket {
-            self.events
-                .push_back(Event::TicketReceived(Box::new(ticket)));
-        }
-        if result.early_data_sent {
-            // The server flight proves the 0-RTT record was accepted; the
-            // piggybacked message is done end to end.
-            if let Some(sent_at) = self.op_sent.remove(&0) {
-                self.op_latency.record(now.saturating_sub(sent_at));
-            }
-            self.events.push_back(Event::MessageAcked(MessageId(0)));
-        }
-        // Flush the sends that queued during the handshake onto the stream.
-        self.queued_bytes = 0;
-        for (id, data) in std::mem::take(&mut self.queued) {
-            self.stats.messages_sent += 1;
-            self.stats.bytes_sent += data.len() as u64;
-            if let Err(e) = self.enqueue_framed(id, &data) {
-                self.dead = true;
-                self.events
-                    .push_back(Event::Error(format!("flushing queued send failed: {e}")));
-                return;
-            }
-        }
-        if self.produced() + self.staged_wire as u64 > self.acked && self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto());
-        }
+        let (batch, conn) = shell.batch().expect("staged bytes imply registration");
+        batch.flush();
+        let sealed = batch.drain(conn);
+        debug_assert_eq!(sealed.len(), self.staged_wire);
+        self.wire.extend_from_slice(&sealed);
+        self.staged_wire = 0;
     }
 
     /// Ratchets the send keys one epoch forward by appending an in-band TLS
-    /// The per-operation timing breakdown recorded by this endpoint's
-    /// completed in-band handshake (paper Table 2); `None` before completion
-    /// and for key-injected endpoints.
-    pub fn handshake_timings(&self) -> Option<&smt_crypto::handshake::HandshakeTimings> {
-        self.hs_timings.as_ref()
-    }
-
     /// KeyUpdate record to the reliable stream (RFC 8446 §4.6.3): ciphertext
     /// staged with the shared batch engine under the old key is materialised
     /// first so stream ordering is preserved, the KeyUpdate is sealed under
     /// the *current* keys, and every later record seals under the ratcheted
-    /// secret with its sequence number reset.  The engine registration is
-    /// refreshed so later staged records use the new key.  Fails before
-    /// handshake completion and on plain TCP.
-    pub fn rekey(&mut self, now: Nanos) -> EndpointResult<u16> {
-        if self.dead {
-            return Err(EndpointError::Stream("endpoint is dead".into()));
-        }
-        if self.handshaking() {
-            return Err(EndpointError::Stream(
-                "cannot rekey before handshake completion".into(),
-            ));
-        }
+    /// secret with its sequence number reset.  Fails on plain TCP.
+    pub(crate) fn rekey(&mut self, shell: &mut Shell, now: Nanos) -> EndpointResult<u16> {
         if self.tls_tx.is_none() {
-            return Err(EndpointError::Stream(
+            return Err(EndpointError::Config(
                 "plain TCP has no record keys to rekey".into(),
             ));
         }
         // Old-key ciphertext staged with the engine must land on the stream
         // before the KeyUpdate record.
-        if self.staged_wire > 0 {
-            let engine = self.engine.as_ref().expect("staged bytes imply an engine");
-            let conn = self.engine_conn.expect("staged bytes imply registration");
-            engine.flush();
-            let sealed = engine.drain(conn);
-            debug_assert_eq!(sealed.len(), self.staged_wire);
-            self.wire.extend_from_slice(&sealed);
-            self.staged_wire = 0;
-        }
+        self.flush_staged(shell);
         let tx = self.tls_tx.as_mut().expect("checked above");
         let ku = tx.key_update()?;
         let epoch = tx.epoch();
-        self.stats.wire_bytes_sent += ku.len() as u64;
+        shell.stats.wire_bytes_sent += ku.len() as u64;
         self.wire.extend_from_slice(&ku);
-        self.register_engine();
         // The KeyUpdate record itself needs reliable delivery: arm the
         // retransmission timer if it was idle.
-        if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto());
-        }
+        shell.rto.arm_if_idle(now);
         Ok(epoch)
     }
 
-    fn handle_ack(&mut self, offset: u64, now: Nanos) {
+    fn handle_ack(&mut self, shell: &mut Shell, offset: u64, now: Nanos) {
         let offset = offset.min(self.produced());
         if offset <= self.acked {
             return;
         }
         self.acked = offset;
         self.consecutive_timeouts = 0;
-        self.rto_backoff = 0;
         self.dup_sacks = 0;
         // Progress restarts the retransmission timer; full acknowledgement
         // disarms it.
-        self.rto_deadline = if offset < self.produced() {
-            Some(now + self.rto())
+        shell.rto.progress();
+        if offset < self.produced() {
+            shell.rto.arm(now);
         } else {
-            None
-        };
+            shell.rto.disarm();
+        }
         if self.next_send < offset {
             self.next_send = offset;
         }
@@ -893,18 +580,14 @@ impl StreamEndpoint {
                 break;
             }
             self.timed.pop_front();
-            self.rtt.on_sample(now.saturating_sub(sent_at));
-            self.rto_backoff = 0;
+            shell.rto.sample(now.saturating_sub(sent_at));
         }
         while let Some(&(id, end)) = self.inflight.front() {
             if end > offset {
                 break;
             }
             self.inflight.pop_front();
-            if let Some(sent_at) = self.op_sent.remove(&id.0) {
-                self.op_latency.record(now.saturating_sub(sent_at));
-            }
-            self.events.push_back(Event::MessageAcked(id));
+            shell.acked(id, now);
         }
     }
 
@@ -931,7 +614,7 @@ impl StreamEndpoint {
 
     /// Processes one SACK frame: cumulative progress, the DCTCP ECN echo,
     /// scoreboard updates, and duplicate-SACK fast retransmit.
-    fn handle_sack(&mut self, sack: &SmtSack, now: Nanos) {
+    fn handle_sack(&mut self, shell: &mut Shell, sack: &SmtSack, now: Nanos) {
         let produced = self.produced();
         let prev_acked = self.acked;
         let newly = sack.ack_offset.min(produced).saturating_sub(prev_acked);
@@ -939,7 +622,7 @@ impl StreamEndpoint {
             let total = u64::from(sack.ecn_total).max(u64::from(sack.ecn_ce));
             w.on_ack(newly, u64::from(sack.ecn_ce), total, now);
         }
-        self.handle_ack(sack.ack_offset, now);
+        self.handle_ack(shell, sack.ack_offset, now);
         for r in &sack.ranges {
             // Clamp to reality: a forged range cannot mark bytes that were
             // never produced, or rewrite already-acknowledged history.
@@ -964,79 +647,22 @@ impl StreamEndpoint {
                 }
                 self.timed.clear();
                 self.next_send = self.acked;
-                self.rto_deadline = Some(now + self.rto());
+                shell.rto.arm(now);
             }
         }
     }
-}
 
-impl SecureEndpoint for StreamEndpoint {
-    fn stack(&self) -> StackKind {
-        self.stack
-    }
-
-    fn send(&mut self, data: &[u8], now: Nanos) -> EndpointResult<MessageId> {
-        if self.dead {
-            return Err(EndpointError::Stream("endpoint is dead".into()));
-        }
-        let id = MessageId(self.next_msg_id);
-        self.next_msg_id += 1;
-        if self.handshaking() {
-            // Pre-data exchange still running: queue; the first queued
-            // message may ride the ClientHello flight as 0-RTT early data.
-            // Send counters are bumped when the bytes actually leave (flush
-            // or early-data piggyback), like the message backend.
-            if self.queued_bytes + data.len() > MAX_QUEUED_BYTES {
-                self.next_msg_id -= 1;
-                return Err(EndpointError::Stream(format!(
-                    "handshake send queue full ({MAX_QUEUED_BYTES} bytes); retry after \
-                     HandshakeComplete"
-                )));
-            }
-            self.queued.push_back((id, data.to_vec()));
-            self.queued_bytes += data.len();
-            self.note_tracked_bytes();
-            if self.op_sent.len() < 1024 {
-                self.op_sent.insert(id.0, now);
-            }
-            return Ok(id);
-        }
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        self.enqueue_framed(id, data)?;
-        if self.op_sent.len() < 1024 {
-            self.op_sent.insert(id.0, now);
-        }
-        if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto());
-        }
-        Ok(id)
-    }
-
-    fn handle_datagram(&mut self, datagram: &Packet, now: Nanos) -> EndpointResult<()> {
-        if self.dead {
-            self.stats.datagrams_dropped += 1;
-            return Ok(());
-        }
-        if datagram.overlay.tcp.packet_type == PacketType::Control {
-            if let Some(mut hs) = self.hs.take() {
-                let outcome = hs.handle_control(datagram, now);
-                self.hs = Some(hs);
-                self.apply_hs_outcome(outcome, now);
-            }
-            return Ok(());
-        }
-        if self.handshaking() {
-            // Stream bytes raced ahead of the pre-data exchange (reordering):
-            // the sender's go-back-N timer recovers them once keys exist.
-            self.stats.datagrams_dropped += 1;
-            return Ok(());
-        }
+    pub(crate) fn handle_datagram(
+        &mut self,
+        shell: &mut Shell,
+        datagram: &Packet,
+        now: Nanos,
+    ) -> EndpointResult<()> {
         match datagram.overlay.tcp.packet_type {
-            PacketType::Data => self.handle_data(datagram),
+            PacketType::Data => self.handle_data(shell, datagram),
             PacketType::Ack => {
                 if let PacketPayload::Ack(a) = &datagram.payload {
-                    self.handle_ack(a.message_id, now);
+                    self.handle_ack(shell, a.message_id, now);
                 }
                 Ok(())
             }
@@ -1044,7 +670,7 @@ impl SecureEndpoint for StreamEndpoint {
             // cc-enabled receiver still acknowledges to a baseline sender.
             PacketType::Sack => {
                 if let PacketPayload::Sack(sack) = &datagram.payload {
-                    self.handle_sack(sack, now);
+                    self.handle_sack(shell, sack, now);
                 }
                 Ok(())
             }
@@ -1052,51 +678,14 @@ impl SecureEndpoint for StreamEndpoint {
         }
     }
 
-    fn poll_transmit(&mut self, now: Nanos, out: &mut Vec<Packet>) -> usize {
-        // A dead endpoint emits nothing — in particular not a pending ACK
-        // covering bytes the record layer rejected, which would make the
-        // sender release (and report as acknowledged) an undelivered message.
-        if self.dead {
-            return 0;
-        }
-        let before = out.len();
-        if let Some(mut hs) = self.hs.take() {
-            if hs.needs_start() {
-                let early = if hs.wants_early_data() {
-                    self.take_early_candidate()
-                } else {
-                    None
-                };
-                if let Err(e) = hs.start_client(now, early) {
-                    self.dead = true;
-                    self.events.push_back(Event::Error(e));
-                }
-            }
-            hs.poll_transmit(out);
-            self.hs = Some(hs);
-            if self.dead {
-                self.stamp_connection_id(&mut out[before..]);
-                return out.len() - before;
-            }
-        }
+    pub(crate) fn poll_transmit(&mut self, shell: &mut Shell, now: Nanos, out: &mut Vec<Packet>) {
+        let path = shell.path;
         if self.ack_pending {
             self.ack_pending = false;
-            let report = self.recv_report();
+            let report = self.recv_report(&path);
             out.push(report);
         }
-        // Materialise ciphertext staged with the shared batch engine: the
-        // first endpoint to poll runs one fused pass over every registered
-        // connection's staged records; each connection then drains its own
-        // bytes (here, or on its own next poll).
-        if self.staged_wire > 0 {
-            let engine = self.engine.as_ref().expect("staged bytes imply an engine");
-            let conn = self.engine_conn.expect("staged bytes imply registration");
-            engine.flush();
-            let sealed = engine.drain(conn);
-            debug_assert_eq!(sealed.len(), self.staged_wire);
-            self.wire.extend_from_slice(&sealed);
-            self.staged_wire = 0;
-        }
+        self.flush_staged(shell);
         // Hand the unsent stream suffix to the NIC in TSO segments (one MTU
         // payload per segment when TSO is off, like the real no-TSO path).
         let seg_max = if self.tso {
@@ -1136,11 +725,7 @@ impl SecureEndpoint for StreamEndpoint {
             }
             let chunk = Bytes::copy_from_slice(&self.wire[start..start + take]);
             let mut overlay = SmtOverlayHeader {
-                tcp: OverlayTcpHeader::new(
-                    self.path.src_port,
-                    self.path.dst_port,
-                    PacketType::Data,
-                ),
+                tcp: OverlayTcpHeader::new(path.src_port, path.dst_port, PacketType::Data),
                 options: SmtOptionArea::new(0, take as u32),
             };
             overlay.options.tso_offset = self.next_send as u32;
@@ -1152,8 +737,7 @@ impl SecureEndpoint for StreamEndpoint {
             // cannot desync.
             overlay.options.resend_packet_offset =
                 max_payload_per_packet(self.mtu).min(u16::MAX as usize) as u16;
-            let segment =
-                TsoSegment::new(self.path.src, self.path.dst, IPPROTO_TCP, overlay, chunk);
+            let segment = TsoSegment::new(path.src, path.dst, IPPROTO_TCP, overlay, chunk);
             let (mut packets, _nic_ns) = self.nic.transmit(0, &segment);
             if self.cc.enabled {
                 // Egress data is ECN-capable: fabric queues past their
@@ -1169,7 +753,8 @@ impl SecureEndpoint for StreamEndpoint {
                 // past it carry fresh bytes and are not retransmissions.
                 let retx_bytes = (self.sent_high - self.next_send).min(take as u64);
                 let stride = max_payload_per_packet(self.mtu).max(1) as u64;
-                self.stats.retransmissions += retx_bytes.div_ceil(stride).min(packets.len() as u64);
+                shell.stats.retransmissions +=
+                    retx_bytes.div_ceil(stride).min(packets.len() as u64);
             } else if self.timed.len() < 1024 {
                 // An entirely-fresh chunk is a clean RTT probe (Karn's rule:
                 // retransmitted ranges are never sampled).
@@ -1179,84 +764,40 @@ impl SecureEndpoint for StreamEndpoint {
             self.next_send += take as u64;
             self.sent_high = self.sent_high.max(self.next_send);
         }
-        self.stamp_connection_id(&mut out[before..]);
-        out.len() - before
     }
 
-    fn poll_event(&mut self) -> Option<Event> {
-        self.events.pop_front()
-    }
-
-    fn next_timeout(&self) -> Option<Nanos> {
-        if self.dead {
-            return None;
-        }
-        let hs = self.hs.as_ref().and_then(|h| h.next_timeout());
-        [hs, self.rto_deadline].into_iter().flatten().min()
-    }
-
-    fn on_timeout(&mut self, now: Nanos) {
-        // Expired timer with unacknowledged data: go-back-N from the
-        // cumulative ACK (the TCP retransmission timer).
-        if self.dead {
-            return;
-        }
-        if let Some(hs) = &mut self.hs {
-            hs.on_timeout(now);
-        }
-        let Some(deadline) = self.rto_deadline else {
-            return;
-        };
-        if now < deadline {
-            return; // Early tick: not due yet.
-        }
-        if self.acked < self.produced() {
-            self.stats.timeouts_fired += 1;
-            self.rto_backoff = (self.rto_backoff + 1).min(16);
-            if self.cc.enabled {
-                self.consecutive_timeouts += 1;
-                if let Some(w) = &mut self.cwnd {
-                    w.on_loss(now);
-                }
-                self.timed.clear();
-                if self.consecutive_timeouts >= 2 {
-                    // The scoreboard failed to produce progress — stale or
-                    // forged SACKs.  Distrust it: plain go-back-N recovers
-                    // whatever the peer actually holds.
-                    self.sacked.clear();
-                }
+    /// The retransmission timer fired with unacknowledged data: rewind to the
+    /// cumulative ACK.  With cc on the scoreboard makes the resend selective
+    /// (and two fires in a row without progress discard it); with cc off
+    /// this is plain go-back-N.
+    pub(crate) fn recover(&mut self, now: Nanos) {
+        if self.cc.enabled {
+            self.consecutive_timeouts += 1;
+            if let Some(w) = &mut self.cwnd {
+                w.on_loss(now);
             }
-            self.next_send = self.acked;
-            self.rto_deadline = Some(now + self.rto());
-        } else {
-            self.rto_deadline = None;
+            self.timed.clear();
+            if self.consecutive_timeouts >= 2 {
+                // The scoreboard failed to produce progress — stale or
+                // forged SACKs.  Distrust it: plain go-back-N recovers
+                // whatever the peer actually holds.
+                self.sacked.clear();
+            }
         }
+        self.next_send = self.acked;
     }
 
-    fn stats(&self) -> EndpointStats {
-        let mut stats = self.stats;
+    /// Adds the gauges the window machine and the record layer keep.
+    pub(crate) fn read_stats(&self, stats: &mut EndpointStats) {
         if let Some(w) = &self.cwnd {
             let snap = w.snapshot();
             stats.ecn_marks_seen = snap.ecn_marks_seen;
             stats.cwnd_bytes = snap.cwnd_bytes;
         }
-        stats.srtt_ns = self.rtt.srtt_ns();
-        stats.op_latency_p50_ns = self.op_latency.quantile(0.50);
-        stats.op_latency_p99_ns = self.op_latency.quantile(0.99);
         if let Some(tx) = &self.tls_tx {
             if tx.crypto_mode() == CryptoMode::Software {
                 stats.records_sealed += tx.records_sent;
             }
         }
-        if let Some(hs) = &self.hs {
-            stats.wire_bytes_sent += hs.wire_bytes_sent;
-            stats.wire_bytes_received += hs.wire_bytes_received;
-            stats.retransmissions += hs.retransmissions;
-            stats.timeouts_fired += hs.timeouts_fired;
-            stats.datagrams_dropped += hs.datagrams_dropped;
-            stats.malformed_rejected += hs.malformed_rejected;
-            stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(hs.peak_tracked_bytes);
-        }
-        stats
     }
 }

@@ -9,7 +9,10 @@
 //! * **GRANTs** — the receiver paces the remainder of large messages;
 //! * **RESENDs** — the receiver requests retransmission of missing data; the
 //!   sender marks retransmitted packets with the resend packet offset (§4.3);
-//! * **ACKs** — completed messages release sender state;
+//! * **ACKs** — a completed message is flagged acknowledged at the sender,
+//!   which stops retransmitting it; the send state itself (including the
+//!   sent packets) is kept, not released, as is completed receive state —
+//!   per-connection state grows with every message (ROADMAP, "Fix first");
 //! * encryption, reassembly and replay rejection come from the SMT session.
 //!
 //! Simplifications relative to Homa/Linux, documented here and in DESIGN.md: the

@@ -1,13 +1,15 @@
 //! # smt-transport — transports over the simulated substrate
 //!
-//! Three layers live here:
+//! Four layers live here:
 //!
 //! * [`endpoint`] — the **unified event-driven endpoint API**: a
 //!   [`SecureEndpoint`] trait (send / handle_datagram / poll_transmit /
-//!   poll_event) plus an [`Endpoint::builder`] that maps every evaluated
-//!   [`StackKind`] onto a concrete implementation.  This is the only surface
-//!   applications, examples, benches and integration tests drive stacks
-//!   through.
+//!   poll_event) and one [`Endpoint`] type for every evaluated
+//!   [`StackKind`] — a connection shell (in-band handshake, pre-handshake
+//!   send queue, retransmission timer, statistics, event queue) around one
+//!   of two reliability engines, message-based or stream-based.  This is the
+//!   only surface applications, examples, benches and integration tests
+//!   drive stacks through.
 //!
 //! * [`stack`] / [`profile`] — the **stack profiles** used by the evaluation
 //!   harness: for each transport the paper compares (TCP, kTLS-sw, kTLS-hw,
@@ -20,10 +22,10 @@
 //!
 //! * [`homa`] — a packet-level, receiver-driven message transport (unscheduled
 //!   data + GRANTs + RESENDs, paper §2.2) running the real SMT engine over the
-//!   NIC model.  It backs the message-based endpoints; consumers reach it
-//!   through the [`endpoint`] layer.
+//!   NIC model.  It is the message reliability engine of [`Endpoint`];
+//!   consumers reach it through the [`endpoint`] layer.
 //!
-//! * [`cc`] — the **congestion-control subsystem** both endpoint backends
+//! * [`cc`] — the **congestion-control subsystem** both reliability engines
 //!   share: receiver-driven SRPT grant scheduling for the message stacks,
 //!   DCTCP-style ECN windowing with SACK-based selective retransmit for the
 //!   stream stacks, and the RFC 6298 RTT estimator that disciplines every
@@ -42,8 +44,8 @@ pub use cc::{CcConfig, CcSnapshot, CongestionController, DctcpWindow, RttEstimat
 pub use endpoint::{
     drive_pair, handshake_scenario_endpoints, scenario_endpoints, scenario_endpoints_cc,
     take_delivered, AcceptConfig, ConnectConfig, Endpoint, EndpointBuilder, EndpointError,
-    EndpointResult, EndpointStats, Event, Listener, ListenerFabric, MessageEndpoint, MessageId,
-    PairFabric, SecureEndpoint, SharedPathSecrets, StreamEndpoint, ZeroRttAcceptor,
+    EndpointResult, EndpointStats, Event, Listener, ListenerFabric, MessageId, PairFabric,
+    SecureEndpoint, SharedPathSecrets, ZeroRttAcceptor,
 };
 pub use homa::{HomaConfig, HomaEndpoint};
 pub use profile::{RpcWorkload, StackProfile};

@@ -70,13 +70,6 @@ impl StackKind {
         matches!(self, StackKind::KtlsHw | StackKind::SmtHw)
     }
 
-    /// True for stacks that can use TSO.
-    pub fn uses_tso(self) -> bool {
-        // All evaluated stacks use TSO; the no-TSO ablation (Fig. 11) is a
-        // configuration toggle, not a separate stack.
-        true
-    }
-
     /// The stacks plotted in Fig. 6 / Fig. 7, in legend order.
     pub fn figure6_set() -> Vec<StackKind> {
         vec![

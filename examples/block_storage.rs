@@ -44,10 +44,7 @@ fn main() {
         drive_pair(&mut client, &mut server, &mut link, 1_000_000);
         take_delivered(&mut client).pop().expect("block");
     }
-    let offload = server
-        .as_message()
-        .map(|m| m.nic_stats().offload_records)
-        .unwrap_or(0);
+    let offload = server.nic_stats().offload_records;
     println!(
         "served {} block reads over SMT-hw ({offload} records NIC-encrypted on the response path)",
         store.reads,

@@ -1,0 +1,139 @@
+//! Golden determinism table: every evaluated stack, with congestion control
+//! on and off, over one lossless and one faulty incast, pinned to the exact
+//! event trace and recovery counters of the commit that captured the table.
+//!
+//! The scenario harness is bit-deterministic per seed and key-injected traces
+//! are key-independent (packet sizes and timings do not depend on key bytes),
+//! so a refactor of the endpoint layer that only moves code leaves every row
+//! unchanged — and a row that does change names the stack, the cc mode and
+//! the counter that moved.  To re-capture after an *intended* behaviour
+//! change, run
+//! `cargo test --test golden_traces -- --ignored --nocapture print_table`
+//! and paste the output over [`GOLDEN`].
+
+use smt::sim::net::{incast_scenario, run_scenario, FaultConfig, LinkConfig};
+use smt::transport::{scenario_endpoints_cc, CcConfig, StackKind};
+use smt_bench::scenarios::scenario_keys;
+
+/// One measured cell: `trace_hash`, `retransmissions`, `timeouts_fired`,
+/// `fabric.wire_bytes`, summed endpoint `wire_bytes_sent`.
+type Row = (u64, u64, u64, u64, u64);
+
+fn faults(lossy: bool) -> FaultConfig {
+    if lossy {
+        FaultConfig {
+            loss: 0.02,
+            reorder: 0.05,
+            duplicate: 0.01,
+            seed: 0x5eed_601d,
+            ..FaultConfig::default()
+        }
+    } else {
+        FaultConfig::none()
+    }
+}
+
+fn measure(stack: StackKind, cc_on: bool, lossy: bool) -> Row {
+    let keys = scenario_keys();
+    let cc = if cc_on {
+        CcConfig::default()
+    } else {
+        CcConfig::disabled()
+    };
+    let scenario = incast_scenario(8, 16384, 4, LinkConfig::default(), faults(lossy));
+    let mut endpoints = scenario_endpoints_cc(&scenario, stack, &keys.0, &keys.1, cc);
+    let report = run_scenario(&scenario, &mut endpoints, |_, _, _, _| None);
+    assert_eq!(
+        report.messages_delivered,
+        32,
+        "{} cc={cc_on} lossy={lossy}: every message delivered",
+        stack.label()
+    );
+    let wire_sent = endpoints
+        .iter()
+        .map(|e| e.sim_stats().wire_bytes_sent)
+        .sum();
+    (
+        report.trace_hash,
+        report.retransmissions,
+        report.timeouts_fired,
+        report.fabric.wire_bytes,
+        wire_sent,
+    )
+}
+
+/// `(stack label, cc on, lossy, row)`, in `StackKind::all()` order.  One row
+/// per line, exactly as `print_table` prints it.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, bool, bool, Row)] = &[
+    ("TCP", true, false, (0x38b0e7228d200287, 56, 7, 587512, 524672)),
+    ("TCP", true, true, (0x2f0408b0fb35343a, 279, 3, 775921, 524672)),
+    ("TCP", false, false, (0xa03a45baf9f254b0, 71, 7, 586112, 524672)),
+    ("TCP", false, true, (0xce36aaec7420fc74, 210, 11, 813436, 524672)),
+    ("TLS", true, false, (0x85f769736906008b, 57, 8, 588904, 526080)),
+    ("TLS", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
+    ("TLS", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
+    ("TLS", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
+    ("kTLS-sw", true, false, (0x85f769736906008b, 57, 8, 588904, 526080)),
+    ("kTLS-sw", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
+    ("kTLS-sw", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
+    ("kTLS-sw", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
+    ("kTLS-hw", true, false, (0x85f769736906008b, 57, 8, 588904, 526080)),
+    ("kTLS-hw", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
+    ("kTLS-hw", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
+    ("kTLS-hw", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
+    ("TCPLS", true, false, (0x85f769736906008b, 57, 8, 588904, 526080)),
+    ("TCPLS", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
+    ("TCPLS", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
+    ("TCPLS", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
+    ("Homa", true, false, (0x9255d1ab1dc350ff, 96, 16, 712528, 524288)),
+    ("Homa", true, true, (0x80f617b9ce565dd6, 172, 19, 815085, 524288)),
+    ("Homa", false, false, (0x00c2093f2057a9a7, 84, 7, 575660, 524288)),
+    ("Homa", false, true, (0x79131dc992c65e99, 252, 15, 843257, 524288)),
+    ("SMT-sw", true, false, (0xa8f99d45478c2640, 104, 16, 727046, 525952)),
+    ("SMT-sw", true, true, (0x7e85496dcb8e93ce, 172, 19, 816901, 525952)),
+    ("SMT-sw", false, false, (0x71cc39eda2c5d3b9, 96, 8, 593824, 525952)),
+    ("SMT-sw", false, true, (0xca8957ffca8510a6, 288, 15, 903910, 525952)),
+    ("SMT-hw", true, false, (0xa8f99d45478c2640, 104, 16, 727046, 525952)),
+    ("SMT-hw", true, true, (0x7e85496dcb8e93ce, 172, 19, 816901, 525952)),
+    ("SMT-hw", false, false, (0x71cc39eda2c5d3b9, 96, 8, 593824, 525952)),
+    ("SMT-hw", false, true, (0xca8957ffca8510a6, 288, 15, 903910, 525952)),
+];
+
+/// Every `(stack, cc on, lossy)` combination, in table order.
+fn cases() -> Vec<(StackKind, bool, bool)> {
+    let mut all = Vec::new();
+    for stack in StackKind::all() {
+        for (cc, lossy) in [(true, false), (true, true), (false, false), (false, true)] {
+            all.push((stack, cc, lossy));
+        }
+    }
+    all
+}
+
+#[test]
+fn traces_match_the_golden_table() {
+    assert_eq!(GOLDEN.len(), cases().len(), "one golden row per case");
+    for ((stack, cc, lossy), want) in cases().into_iter().zip(GOLDEN) {
+        assert_eq!((stack.label(), cc, lossy), (want.0, want.1, want.2));
+        assert_eq!(
+            measure(stack, cc, lossy),
+            want.3,
+            "{} cc={cc} lossy={lossy}: (trace_hash, retransmissions, timeouts_fired, \
+             fabric.wire_bytes, endpoint wire_bytes_sent)",
+            stack.label()
+        );
+    }
+}
+
+#[test]
+#[ignore = "prints the table to paste into GOLDEN after an intended behaviour change"]
+fn print_table() {
+    for (stack, cc, lossy) in cases() {
+        let (hash, retx, timeouts, fabric_wire, ep_wire) = measure(stack, cc, lossy);
+        println!(
+            "    ({:?}, {cc}, {lossy}, ({hash:#018x}, {retx}, {timeouts}, {fabric_wire}, {ep_wire})),",
+            stack.label()
+        );
+    }
+}

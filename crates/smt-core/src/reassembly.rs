@@ -189,9 +189,16 @@ impl SmtReceiver {
         self.replay.evictions()
     }
 
-    /// True if `message_id` has already been delivered (replay detection).
+    /// True if `message_id` can no longer be delivered: it already was, or
+    /// the replay guard skipped it (replay detection).
     pub fn already_delivered(&self, message_id: u64) -> bool {
         self.replay.is_replayed(message_id)
+    }
+
+    /// True if `message_id` really was delivered (see
+    /// [`ReplayGuard::was_delivered`]).
+    pub fn was_delivered(&self, message_id: u64) -> bool {
+        self.replay.was_delivered(message_id)
     }
 
     /// Processes one received DATA packet.  Returns the completed message when

@@ -29,6 +29,10 @@ pub struct ReplayGuard {
     completed: BTreeSet<u64>,
     /// Forced low-water advances taken to stay under [`MAX_TRACKED_IDS`].
     evictions: u64,
+    /// Exclusive upper bound of the highest gap a forced advance skipped
+    /// (zero until one happens): below it, "replayed" no longer implies
+    /// "delivered".
+    skipped_below: u64,
 }
 
 impl ReplayGuard {
@@ -41,6 +45,14 @@ impl ReplayGuard {
     /// it would constitute a replay).
     pub fn is_replayed(&self, id: u64) -> bool {
         id < self.low_water || self.completed.contains(&id)
+    }
+
+    /// True if `id` is known to have completed for real, not merely been
+    /// skipped by a forced low-water advance — the only IDs a transport may
+    /// acknowledge again.  Conservative after a forced advance: everything
+    /// below the skipped gap answers `false`, delivered or not.
+    pub fn was_delivered(&self, id: u64) -> bool {
+        id >= self.skipped_below && self.is_replayed(id)
     }
 
     /// Marks `id` as completed. Returns `false` if it was already completed
@@ -57,6 +69,9 @@ impl ReplayGuard {
         while self.completed.len() > MAX_TRACKED_IDS {
             if let Some(&oldest) = self.completed.iter().next() {
                 self.completed.remove(&oldest);
+                // `oldest` survived compaction, so [low_water, oldest) is a
+                // non-empty gap of IDs that never completed.
+                self.skipped_below = oldest;
                 self.low_water = oldest + 1;
                 self.evictions += 1;
                 self.compact();
@@ -145,6 +160,27 @@ mod tests {
         // Evicted gap IDs count as replayed — they can no longer complete.
         assert!(g.is_replayed(0));
         assert!(!g.mark_completed(0));
+    }
+
+    #[test]
+    fn was_delivered_excludes_ids_a_forced_advance_skipped() {
+        let mut g = ReplayGuard::new();
+        // ID 0 stays outstanding under a long run of completions above it.
+        for id in 1..=MAX_TRACKED_IDS as u64 {
+            g.mark_completed(id);
+            assert!(g.was_delivered(id));
+        }
+        assert!(!g.is_replayed(0) && !g.was_delivered(0));
+        assert_eq!(g.evictions(), 0);
+        // One more completion forces the low-water mark past the gap.
+        let newest = MAX_TRACKED_IDS as u64 + 1;
+        g.mark_completed(newest);
+        assert_eq!(g.evictions(), 1);
+        assert!(g.is_replayed(0), "the skipped ID can no longer complete");
+        assert!(!g.was_delivered(0), "but it never arrived");
+        assert!(g.is_replayed(1) && g.was_delivered(1));
+        assert!(g.was_delivered(newest));
+        assert!(!g.was_delivered(newest + 1), "not yet seen at all");
     }
 
     #[test]

@@ -258,9 +258,16 @@ impl SmtSession {
         Ok(out)
     }
 
-    /// True if `message_id` was already delivered (replay detection).
+    /// True if `message_id` can no longer be delivered: it already was, or
+    /// the replay guard skipped it (replay detection).
     pub fn already_delivered(&self, message_id: u64) -> bool {
         self.receiver.already_delivered(message_id)
+    }
+
+    /// True if `message_id` really was delivered — what a transport checks
+    /// before acknowledging a duplicate of it again.
+    pub fn was_delivered(&self, message_id: u64) -> bool {
+        self.receiver.was_delivered(message_id)
     }
 
     /// Key epoch stamped into segments currently being produced.

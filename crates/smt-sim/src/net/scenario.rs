@@ -451,6 +451,12 @@ pub fn run_scenario_app(
     // each other's sealing work (a busy core, not a busy network).
     let mut cpu_free: Vec<Nanos> = vec![0; endpoints.len()];
 
+    // Each endpoint's timer deadline.  An endpoint's deadline moves only when
+    // the runner calls into it, and every arm that does so pumps it
+    // afterwards, so `pump!` refreshing the entry keeps this exact without
+    // asking every endpoint on every event.
+    let mut deadlines: Vec<Option<Nanos>> = endpoints.iter().map(|e| e.next_timeout()).collect();
+
     // Drains transmit queues and deliveries of the endpoints in `dirty`,
     // feeding transmissions into the fabric and deliveries into the latency
     // accounting (and the reply hook, which may dirty further endpoints).
@@ -550,6 +556,7 @@ pub fn run_scenario_app(
                     }
                     fabric.send(t, ports[ep], std::mem::take(&mut scratch));
                 }
+                deadlines[ep] = endpoints[ep].next_timeout();
             }
         }};
     }
@@ -563,7 +570,7 @@ pub fn run_scenario_app(
         let t_net = fabric.next_arrival();
         let t_app = pending.keys().next().map(|(at, _)| *at);
         let t_adv = adversary.as_ref().and_then(|a| a.next_injection());
-        let t_timer = endpoints.iter().filter_map(|e| e.next_timeout()).min();
+        let t_timer = deadlines.iter().flatten().min().copied();
         // Deterministic cause priority at equal times: workload sends, then
         // packet arrivals, then deferred app sends, then adversary
         // injections, then timers.
@@ -707,7 +714,7 @@ pub fn run_scenario_app(
             Cause::Timer => {
                 let mut dirty = Vec::new();
                 for (i, ep) in endpoints.iter_mut().enumerate() {
-                    if ep.next_timeout().is_some_and(|d| d <= now) {
+                    if deadlines[i].is_some_and(|d| d <= now) {
                         trace.note(trace_tag::TIMEOUT);
                         trace.note(now);
                         trace.note(i as u64);
@@ -787,6 +794,8 @@ mod tests {
         rto: Nanos,
         deadline: Option<Nanos>,
         port: (u16, u16),
+        /// `next_timeout` calls, shared so a test can read it after the run.
+        timeout_polls: std::rc::Rc<std::cell::Cell<u64>>,
     }
 
     impl ToyEndpoint {
@@ -878,6 +887,7 @@ mod tests {
         }
 
         fn next_timeout(&self) -> Option<Nanos> {
+            self.timeout_polls.set(self.timeout_polls.get() + 1);
             self.deadline
         }
 
@@ -950,6 +960,32 @@ mod tests {
         assert!(report.retransmissions > 0);
         assert!(report.timeouts_fired > 0);
         assert!(report.fabric.dropped_faults > 0);
+    }
+
+    #[test]
+    fn idle_endpoints_are_not_asked_for_their_deadline_per_event() {
+        let mut s = toy_scenario(FaultConfig::lossy(0.3, 9));
+        let mut eps = toy_endpoints();
+        let mut idle_polls = Vec::new();
+        for _ in 0..8 {
+            s.flows.push(FlowSpec {
+                src_host: 0,
+                dst_host: 1,
+            });
+            for _ in 0..2 {
+                let ep = ToyEndpoint::new(3, 4);
+                idle_polls.push(ep.timeout_polls.clone());
+                eps.push(Box::new(ep));
+            }
+        }
+        let report = run_scenario(&s, &mut eps, |_, _, _, _| None);
+        assert_eq!(report.messages_delivered, 40);
+        assert!(report.timeouts_fired > 0 && report.events > 100);
+        // Only flow 0 carries traffic: the runner learns each idle
+        // endpoint's (absent) deadline once and never calls into it again.
+        for polls in idle_polls {
+            assert_eq!(polls.get(), 1);
+        }
     }
 
     #[test]

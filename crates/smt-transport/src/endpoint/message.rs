@@ -8,7 +8,10 @@
 //! outbox, NIC-queue spreading, batch-crypto staging of whole messages, the
 //! Karn-filtered RTT probe per message, and the timer *policy* — armed
 //! whenever sends are unacknowledged or receives incomplete, never extended
-//! by an arrival.
+//! by an arrival.  `HomaEndpoint` holds a message's state only while it is
+//! in flight, so "work outstanding" is two map lengths, and a duplicate of a
+//! finished message is re-ACKed without bringing back state that would arm
+//! the timer.
 //!
 //! The underlying session numbers its messages from zero, while a 0-RTT
 //! early-data message consumed public ID 0 without ever entering the

@@ -881,6 +881,52 @@ mod tests {
     }
 
     #[test]
+    fn replaying_a_finished_message_is_acked_but_resurrects_nothing() {
+        for stack in [StackKind::SmtSw, StackKind::Homa] {
+            let (ck, sk) = keys();
+            let (mut c, mut s) = Endpoint::builder()
+                .stack(stack)
+                .pair(&ck, &sk, 1, 2)
+                .unwrap();
+            c.send(&[7u8; 4000], 0).unwrap();
+            let mut data = Vec::new();
+            c.poll_transmit(0, &mut data);
+            assert!(data.len() > 1, "stack {}", stack.label());
+            let mut acks = Vec::new();
+            for p in &data {
+                s.handle_datagram(p, 1_000).unwrap();
+            }
+            s.poll_transmit(1_000, &mut acks);
+            for p in &acks {
+                c.handle_datagram(p, 2_000).unwrap();
+            }
+            assert_eq!(take_delivered(&mut s).len(), 1);
+            assert_eq!(s.next_timeout(), None, "stack {}", stack.label());
+            assert_eq!(c.next_timeout(), None, "stack {}", stack.label());
+
+            // The finished message's packets again: each is counted as a
+            // replay and acknowledged once more, but no receive state comes
+            // back to deliver anything or to arm the recovery timer.
+            let before = s.stats();
+            for p in &data {
+                s.handle_datagram(p, 3_000).unwrap();
+            }
+            let mut reacks = Vec::new();
+            s.poll_transmit(3_000, &mut reacks);
+            assert_eq!(reacks.len(), data.len(), "stack {}", stack.label());
+            assert!(reacks
+                .iter()
+                .all(|p| p.overlay.tcp.packet_type == smt_wire::PacketType::Ack));
+            assert_eq!(
+                s.stats().replays_rejected,
+                before.replays_rejected + data.len() as u64
+            );
+            assert!(take_delivered(&mut s).is_empty());
+            assert_eq!(s.next_timeout(), None, "stack {}", stack.label());
+        }
+    }
+
+    #[test]
     fn encrypted_stacks_require_keys() {
         for stack in StackKind::all().into_iter().filter(|s| s.is_encrypted()) {
             let err = Endpoint::builder()

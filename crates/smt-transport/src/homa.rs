@@ -9,10 +9,12 @@
 //! * **GRANTs** — the receiver paces the remainder of large messages;
 //! * **RESENDs** — the receiver requests retransmission of missing data; the
 //!   sender marks retransmitted packets with the resend packet offset (§4.3);
-//! * **ACKs** — a completed message is flagged acknowledged at the sender,
-//!   which stops retransmitting it; the send state itself (including the
-//!   sent packets) is kept, not released, as is completed receive state —
-//!   per-connection state grows with every message (ROADMAP, "Fix first");
+//! * **ACKs** — a message has send or receive state exactly while it is in
+//!   flight (§2.2, §4.4.1): the ACK releases the sender's state, retained
+//!   packets included, and delivery releases the receiver's.  All that
+//!   outlives a message is its ID in the session's bounded replay guard,
+//!   which is what lets a duplicate of a delivered message be re-ACKed
+//!   without resurrecting any state;
 //! * encryption, reassembly and replay rejection come from the SMT session.
 //!
 //! Simplifications relative to Homa/Linux, documented here and in DESIGN.md: the
@@ -72,7 +74,6 @@ struct PendingSend {
     packets: Vec<Packet>,
     granted: usize,
     sent: usize,
-    acked: bool,
     /// Network priority the receiver assigned in its last GRANT (0 =
     /// highest); stamped into the plaintext option area of every granted
     /// data packet this message emits.
@@ -86,17 +87,15 @@ struct PendingSend {
 
 #[derive(Debug, Default)]
 struct RecvProgress {
-    packets_seen: usize,
     /// Packets the session actually accepted (authenticated, well-formed,
     /// not a conflicting duplicate).  A message with zero accepted packets
     /// is never granted and never solicits RESENDs: an attacker spraying
     /// forged IDs must not be able to make this receiver transmit — that
     /// would hand an unauthenticated peer both amplification and a way to
     /// keep the recovery timer busy forever.
-    accepted: usize,
+    packets_seen: usize,
     granted: usize,
     total_estimate: usize,
-    complete: bool,
     /// RESENDs issued since data last arrived; the receiver abandons the
     /// message at [`CcConfig::max_resend_attempts`] instead of requesting
     /// forever.
@@ -132,9 +131,6 @@ pub struct HomaEndpoint {
     /// Received packets the session rejected (failed authentication or
     /// malformed) and this endpoint therefore dropped.
     recv_errors: u64,
-    /// Incomplete receives currently tracked (maintained incrementally so the
-    /// bound check never scans the map on the data path).
-    incomplete: usize,
     /// Incomplete receives abandoned: RESEND give-up plus cap evictions.
     recv_state_evictions: u64,
 }
@@ -203,7 +199,6 @@ impl HomaEndpoint {
             acked: Vec::new(),
             retransmitted_packets: 0,
             recv_errors: 0,
-            incomplete: 0,
             recv_state_evictions: 0,
         }
     }
@@ -254,12 +249,12 @@ impl HomaEndpoint {
 
     /// Number of messages with unacknowledged send state.
     pub fn pending_sends(&self) -> usize {
-        self.sends.values().filter(|s| !s.acked).count()
+        self.sends.len()
     }
 
     /// Number of messages that started arriving but have not completed.
     pub fn incomplete_recvs(&self) -> usize {
-        self.incomplete
+        self.recvs.len()
     }
 
     /// Incomplete receives abandoned to stay within bounds: RESEND give-up
@@ -318,7 +313,6 @@ impl HomaEndpoint {
                 packets,
                 granted,
                 sent: 0,
-                acked: false,
                 priority: 0,
                 resend_cursor: 0,
             },
@@ -391,58 +385,49 @@ impl HomaEndpoint {
                     self.recv_errors += 1;
                     return out;
                 }
-                let message_id = packet.overlay.options.message_id;
-                // A fresh message ID at the incomplete-receive cap evicts the
-                // tracked message with the least progress (newest ID breaks
-                // ties), so a spray of forged IDs cannibalizes its own state
-                // while transfers that are actually progressing survive.
-                // Legitimate evicted messages recover via the sender-side
-                // unscheduled-prefix retransmission.
-                if self.incomplete >= MAX_INCOMPLETE_RECVS && !self.recvs.contains_key(&message_id)
-                {
-                    let victim = self
-                        .recvs
-                        .iter()
-                        .filter(|(_, p)| !p.complete)
-                        .min_by_key(|(&id, p)| (p.accepted, p.packets_seen, std::cmp::Reverse(id)))
-                        .map(|(&id, _)| id);
-                    if let Some(id) = victim {
-                        self.recvs.remove(&id);
-                        self.incomplete -= 1;
-                        self.recv_state_evictions += 1;
+                let message_id = opts.message_id;
+                let tracked = self.recvs.contains_key(&message_id);
+                // A finished message has no entry, and its packets create
+                // none: the session below counts the replay without
+                // decrypting, and the re-ACK at the end needs only the
+                // guard's word that the message was delivered.
+                let finished = !tracked && self.session.already_delivered(message_id);
+                if !tracked && !finished {
+                    // A fresh message ID at the incomplete-receive cap evicts
+                    // the tracked message with the least progress (newest ID
+                    // breaks ties), so a spray of forged IDs cannibalizes its
+                    // own state while transfers that are actually progressing
+                    // survive.  Legitimate evicted messages recover via the
+                    // sender-side unscheduled-prefix retransmission.
+                    if self.recvs.len() >= MAX_INCOMPLETE_RECVS {
+                        let victim = self
+                            .recvs
+                            .iter()
+                            .min_by_key(|(&id, p)| (p.packets_seen, std::cmp::Reverse(id)))
+                            .map(|(&id, _)| id);
+                        if let Some(id) = victim {
+                            self.recvs.remove(&id);
+                            self.recv_state_evictions += 1;
+                        }
                     }
-                }
-                // Track receive progress for grant decisions.
-                let per_packet = smt_wire::max_payload_per_packet(self.config.mtu).max(1);
-                let unscheduled_prefix = self.unscheduled();
-                let progress = match self.recvs.entry(message_id) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        self.incomplete += 1;
-                        v.insert(RecvProgress {
-                            granted: unscheduled_prefix,
-                            total_estimate: (packet.overlay.options.message_length as usize)
+                    // Track receive progress for grant decisions.
+                    let per_packet = smt_wire::max_payload_per_packet(self.config.mtu).max(1);
+                    self.recvs.insert(
+                        message_id,
+                        RecvProgress {
+                            granted: self.unscheduled(),
+                            total_estimate: (opts.message_length as usize)
                                 .div_ceil(per_packet)
                                 .max(1),
                             ..RecvProgress::default()
-                        })
-                    }
-                };
-                // Completed (or replayed) message: the session will discard
-                // the payload; re-ACK below in case the original ACK was
-                // lost and the sender is retransmitting to get one.
-                let was_complete = progress.complete;
+                        },
+                    );
+                }
                 match self.session.receive_packet(packet) {
                     Ok(Some(message)) => {
                         let id = message.message_id;
                         self.delivered.push(message);
-                        if let Some(p) = self.recvs.get_mut(&id) {
-                            if !p.complete {
-                                p.complete = true;
-                                self.incomplete -= 1;
-                            }
-                            p.accepted += 1;
-                        }
+                        self.recvs.remove(&id);
                         out.push(self.control_packet(
                             PacketPayload::Ack(HomaAck { message_id: id }),
                             PacketType::Ack,
@@ -458,15 +443,12 @@ impl HomaEndpoint {
                     }
                     Ok(None) => {
                         if let Some(p) = self.recvs.get_mut(&message_id) {
-                            p.accepted += 1;
-                            if !p.complete {
-                                p.packets_seen += 1;
-                                // Accepted data arrived: the stall clock
-                                // restarts.  Rejected packets must not touch
-                                // it, or forged traffic keeps a bogus
-                                // message alive past the abandonment cap.
-                                p.resends = 0;
-                            }
+                            p.packets_seen += 1;
+                            // Accepted data arrived: the stall clock
+                            // restarts.  Rejected packets must not touch
+                            // it, or forged traffic keeps a bogus
+                            // message alive past the abandonment cap.
+                            p.resends = 0;
                         }
                         if self.cc.enabled {
                             out.extend(self.schedule_grants());
@@ -475,11 +457,8 @@ impl HomaEndpoint {
                             // if its sender is window-limited.
                             let grant_packets = self.config.grant_packets;
                             let unscheduled = self.config.unscheduled_packets;
-                            let new_grant = {
-                                let progress =
-                                    self.recvs.get_mut(&message_id).expect("inserted above");
-                                if !progress.complete
-                                    && progress.total_estimate > unscheduled
+                            let new_grant = self.recvs.get_mut(&message_id).and_then(|progress| {
+                                if progress.total_estimate > unscheduled
                                     && progress.packets_seen + grant_packets > progress.granted
                                 {
                                     progress.granted = (progress.granted + grant_packets)
@@ -488,7 +467,7 @@ impl HomaEndpoint {
                                 } else {
                                     None
                                 }
-                            };
+                            });
                             if let Some(granted_offset) = new_grant {
                                 out.push(self.control_packet(
                                     PacketPayload::Grant(HomaGrant {
@@ -508,7 +487,11 @@ impl HomaEndpoint {
                         self.recv_errors += 1;
                     }
                 }
-                if was_complete {
+                // Re-ACK a delivered message in case the original ACK was
+                // lost and the sender is retransmitting to get one — but
+                // never an ID the replay guard merely skipped: that would
+                // tell the sender a message arrived that never did.
+                if finished && self.session.was_delivered(message_id) {
                     out.push(self.control_packet(
                         PacketPayload::Ack(HomaAck { message_id }),
                         PacketType::Ack,
@@ -531,13 +514,10 @@ impl HomaEndpoint {
                     } else {
                         None
                     };
+                    // No send state means the message was acknowledged: such
+                    // a RESEND is stale or forged, and honoring it would
+                    // retransmit data nobody is missing.
                     if let Some(send) = self.sends.get_mut(&r.message_id) {
-                        // The receiver acknowledged this message: a RESEND
-                        // for it is stale or forged, and honoring it would
-                        // retransmit data nobody is missing.
-                        if send.acked {
-                            return out;
-                        }
                         let limit = send.sent.min(send.packets.len());
                         let indices: Vec<usize> = match window {
                             // cc: walk the sent packets in bounded windows
@@ -584,11 +564,10 @@ impl HomaEndpoint {
             }
             PacketType::Ack => {
                 if let PacketPayload::Ack(a) = &packet.payload {
-                    if let Some(send) = self.sends.get_mut(&a.message_id) {
-                        if !send.acked {
-                            send.acked = true;
-                            self.acked.push(a.message_id);
-                        }
+                    // Releases the send state, retained packets included; a
+                    // duplicate ACK finds nothing and reports nothing.
+                    if self.sends.remove(&a.message_id).is_some() {
+                        self.acked.push(a.message_id);
                     }
                 }
             }
@@ -605,7 +584,7 @@ impl HomaEndpoint {
         let views: Vec<MsgView> = self
             .recvs
             .iter()
-            .filter(|(_, p)| !p.complete && p.accepted > 0 && p.total_estimate > unscheduled)
+            .filter(|(_, p)| p.packets_seen > 0 && p.total_estimate > unscheduled)
             .map(|(&id, p)| MsgView {
                 id,
                 seen: p.packets_seen,
@@ -648,9 +627,6 @@ impl HomaEndpoint {
             self.config.unscheduled_packets
         };
         for send in self.sends.values() {
-            if send.acked {
-                continue;
-            }
             let limit = send.sent.min(limit_cap).min(send.packets.len());
             for p in &send.packets[..limit] {
                 let mut retx = p.clone();
@@ -671,19 +647,13 @@ impl HomaEndpoint {
     pub fn poll_resend(&mut self) -> Vec<Packet> {
         let mut out = Vec::new();
         let max_attempts = self.cc.max_resend_attempts;
-        let ids: Vec<u64> = self
-            .recvs
-            .iter()
-            .filter(|(_, p)| !p.complete)
-            .map(|(id, _)| *id)
-            .collect();
+        let ids: Vec<u64> = self.recvs.keys().copied().collect();
         for id in ids {
             let Some(progress) = self.recvs.get_mut(&id) else {
                 continue;
             };
             if progress.resends >= max_attempts {
                 self.recvs.remove(&id);
-                self.incomplete -= 1;
                 self.recv_state_evictions += 1;
                 continue;
             }
@@ -693,7 +663,7 @@ impl HomaEndpoint {
             // retransmission of a message only an attacker ever referenced
             // would let forged traffic farm control packets out of this
             // endpoint indefinitely.
-            if progress.accepted == 0 {
+            if progress.packets_seen == 0 {
                 continue;
             }
             let granted = progress.granted;
@@ -1007,5 +977,79 @@ mod tests {
         }
         assert!(b.take_delivered().is_empty());
         assert!(b.session().receiver_stats().packets_replayed > 0);
+    }
+
+    #[test]
+    fn finished_messages_leave_no_state_behind() {
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        let mut ab = LossyChannel::reliable();
+        let mut ba = LossyChannel::reliable();
+        for i in 0..10_000u32 {
+            let request = i.to_le_bytes().repeat(16);
+            a.send_message(&request, 0).unwrap();
+            drive(&mut a, &mut b, &mut ab, &mut ba, 16);
+            let got = b.take_delivered();
+            assert_eq!(got.len(), 1);
+            b.send_message(&got[0].data, 0).unwrap();
+            drive(&mut a, &mut b, &mut ab, &mut ba, 16);
+            assert_eq!(a.take_delivered()[0].data, request);
+        }
+        for ep in [&a, &b] {
+            assert!(ep.sends.is_empty(), "ACK released every send");
+            assert!(ep.recvs.is_empty(), "delivery released every receive");
+            let debug = format!("{ep:?}");
+            assert!(debug.contains("pending_sends: 0"), "{debug}");
+            assert!(debug.contains("pending_recvs: 0"), "{debug}");
+        }
+    }
+
+    #[test]
+    fn only_delivered_messages_are_acked_again() {
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        // Message 0 is sent but never arrives ...
+        a.send_message(&[0u8; 3000], 0).unwrap();
+        let lost = a.poll_transmit();
+        assert!(lost.len() > 1);
+        // ... while enough later ones complete above it that the receiver's
+        // replay guard gives up on the gap and skips it.
+        let mut last = Vec::new();
+        for i in 0..=smt_core::replay::MAX_TRACKED_IDS {
+            a.send_message(&[i as u8; 3000], 0).unwrap();
+            last = a.poll_transmit();
+            for p in &last {
+                for ack in b.handle_packet(p) {
+                    a.handle_packet(&ack);
+                }
+            }
+        }
+        assert_eq!(
+            b.take_delivered().len(),
+            smt_core::replay::MAX_TRACKED_IDS + 1
+        );
+        assert_eq!(
+            a.pending_sends(),
+            1,
+            "only message 0 is still unacknowledged"
+        );
+        assert!(
+            b.session().already_delivered(0),
+            "the guard skipped message 0"
+        );
+        assert_eq!(b.incomplete_recvs(), 0);
+
+        // The skipped message's packets draw no ACK — it never arrived — and
+        // mint no receive state.
+        for p in &lost {
+            assert!(b.handle_packet(p).is_empty());
+        }
+        assert_eq!(b.incomplete_recvs(), 0);
+        // A duplicate of a delivered message draws exactly one ACK per packet.
+        for p in &last {
+            let out = b.handle_packet(p);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].overlay.tcp.packet_type, PacketType::Ack);
+        }
+        assert_eq!(b.incomplete_recvs(), 0);
+        assert!(b.take_delivered().is_empty());
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::config::CryptoMode;
 use crate::{SmtError, SmtResult};
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use smt_crypto::handshake::{ratchet_secret, SessionKeys};
 use smt_crypto::key_schedule::Secret;
 use smt_crypto::record::{Padding, RecordProtector, SealRequest};
@@ -344,7 +344,7 @@ impl KtlsReceiver {
             self.bytes_delivered += (out.len() - before) as u64;
             // Drop the fully-processed run from the stream buffer, keeping any
             // partial tail for the next delivery.
-            let _ = self.buffer.split_to(len);
+            self.buffer.advance(len);
             if rekey {
                 self.secret = ratchet_secret(&self.secret);
                 self.protector = RecordProtector::from_secret(self.suite, &self.secret)?;

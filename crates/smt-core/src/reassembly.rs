@@ -16,10 +16,27 @@
 //! Replay protection (§4.4.1): packets whose message ID has already completed are
 //! discarded **without decryption**; spurious retransmissions of packets already
 //! received are ignored idempotently.
+//!
+//! A packet costs the same however many bytes are already buffered.  A segment
+//! keeps *views* of its packets' payloads plus two cursors that only move
+//! forward — how far the packets are contiguous, and how many whole records
+//! that run holds — so each payload byte is looked at once when it joins the
+//! run.  When the last record is whole, the ciphertext is gathered out of the
+//! packets straight into the protector's scratch (copy one), opened there, and
+//! the application bytes are appended to the message's buffer (copy two), which
+//! is handed to the application as is.  Only a segment that completes before
+//! an earlier one pays a third copy, when the gap before it closes.  Nothing
+//! is ever sized from a length the wire declares.
+//!
+//! A segment whose records fail to open is discarded whole: without per-packet
+//! authentication the receiver cannot tell which of its packets was forged,
+//! and a kept forgery would reject the genuine copy as a conflicting duplicate
+//! on every retransmission.
 
 use crate::config::SmtConfig;
 use crate::replay::ReplayGuard;
 use crate::{SmtError, SmtResult};
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use smt_crypto::handshake::ratchet_secret;
 use smt_crypto::key_schedule::Secret;
@@ -75,30 +92,132 @@ pub struct ReceiverStats {
     pub epoch_rejected: u64,
 }
 
+/// Forward-only scan for record boundaries over a segment's contiguous
+/// bytes, fed chunk by chunk as the run grows (a header may straddle packets).
+#[derive(Debug, Default)]
+struct RecordScan {
+    /// Whole records (header and body) the run holds so far.
+    records: u16,
+    /// Bytes of the current record's body still to come; `None` between
+    /// records, while the next header is being gathered.
+    body_left: Option<usize>,
+    /// The next record's header bytes gathered so far.
+    header: [u8; TlsRecordHeader::LEN],
+    header_len: usize,
+    /// A header in the run does not parse.  Buffered bytes never change, so
+    /// the segment can never complete; it lingers until evicted.
+    stuck: bool,
+}
+
+impl RecordScan {
+    /// Scans the next `bytes` of the run, stopping once `want` records are
+    /// whole.
+    fn feed(&mut self, mut bytes: &[u8], want: u16) {
+        while self.records < want && !self.stuck {
+            if let Some(left) = self.body_left {
+                let n = left.min(bytes.len());
+                bytes = &bytes[n..];
+                if n < left {
+                    self.body_left = Some(left - n);
+                    return;
+                }
+                self.body_left = None;
+                self.records += 1;
+                continue;
+            }
+            let n = (TlsRecordHeader::LEN - self.header_len).min(bytes.len());
+            self.header[self.header_len..self.header_len + n].copy_from_slice(&bytes[..n]);
+            self.header_len += n;
+            bytes = &bytes[n..];
+            if self.header_len < TlsRecordHeader::LEN {
+                return;
+            }
+            self.header_len = 0;
+            match TlsRecordHeader::decode(&self.header) {
+                Ok((hdr, _)) => self.body_left = Some(hdr.length as usize),
+                Err(_) => self.stuck = true,
+            }
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct SegmentBuf {
-    /// Payload chunks keyed by packet offset (IPID).
-    chunks: BTreeMap<u16, Vec<u8>>,
+    /// Packet payloads keyed by packet offset (IPID): views of the packets'
+    /// own storage, not copies.
+    chunks: BTreeMap<u16, Bytes>,
     record_count: u16,
     first_record_index: u16,
     /// Key epoch declared by this segment's packets (all must agree).
     epoch: u16,
     decoded: bool,
+    /// Contiguity cursor: packets `0..run_packets` are buffered without a
+    /// gap and hold `run_bytes` bytes.  Only ever moves forward.
+    run_packets: u32,
+    run_bytes: usize,
+    /// Record-boundary cursor over the run (encrypted modes).
+    scan: RecordScan,
 }
 
 impl SegmentBuf {
-    fn contiguous_prefix(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut next = 0u16;
-        for (&off, chunk) in &self.chunks {
-            if off != next {
-                break;
-            }
-            out.extend_from_slice(chunk);
-            next = next.wrapping_add(1);
-        }
-        out
+    /// The contiguous run, packet by packet.
+    fn run(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks
+            .values()
+            .take(self.run_packets as usize)
+            .map(|chunk| &chunk[..])
     }
+}
+
+/// A message's application bytes as they become known.  Nothing here is
+/// sized from a wire-declared length: both buffers grow only by bytes
+/// actually placed.
+#[derive(Debug, Default)]
+struct AppBuf {
+    /// Bytes `0..data.len()` of the message, at their final position: this
+    /// vector becomes [`ReceivedMessage::data`].
+    data: Vec<u8>,
+    /// Runs that start beyond `data` because an earlier segment is still
+    /// missing, keyed by the application offset of their first byte.
+    parked: BTreeMap<u32, Vec<u8>>,
+    /// Bytes held in `data` and `parked` together.
+    bytes: usize,
+}
+
+impl AppBuf {
+    /// Appends `bytes` to the run that starts at application offset `start`
+    /// and already holds `len` bytes: to `data` itself when the run extends
+    /// it, else to the run's parked buffer.
+    fn append(&mut self, start: u32, len: usize, bytes: &[u8]) {
+        self.bytes += bytes.len();
+        if start as usize + len != self.data.len() {
+            self.parked
+                .entry(start)
+                .or_default()
+                .extend_from_slice(bytes);
+            return;
+        }
+        self.data.extend_from_slice(bytes);
+        // The gap before a parked run may just have closed.
+        while let Some(run) = u32::try_from(self.data.len())
+            .ok()
+            .and_then(|end| self.parked.remove(&end))
+        {
+            self.data.extend_from_slice(&run);
+        }
+    }
+}
+
+/// The application bytes of one opened record: what the framing header
+/// delimits when the session uses one, else the whole plaintext.
+fn record_app_bytes(plaintext: &[u8], framing_header: bool) -> SmtResult<&[u8]> {
+    if !framing_header {
+        return Ok(plaintext);
+    }
+    let (framing, flen) = FramingHeader::decode(plaintext)?;
+    plaintext
+        .get(flen..flen + framing.app_data_len as usize)
+        .ok_or_else(|| SmtError::malformed("framing header exceeds record"))
 }
 
 #[derive(Debug, Default)]
@@ -106,12 +225,11 @@ struct MessageBuf {
     message_length: u32,
     src_port: u16,
     dst_port: u16,
-    /// Decrypted application bytes keyed by application offset.
-    app_chunks: BTreeMap<u32, Vec<u8>>,
-    app_bytes: usize,
+    /// Decrypted (or plaintext) application bytes.
+    app: AppBuf,
     /// Per-TSO-offset segment reassembly buffers.
     segments: HashMap<u32, SegmentBuf>,
-    /// Bytes retained by this buffer (chunks + decrypted app bytes), kept as
+    /// Bytes retained by this buffer (chunks + application bytes), kept as
     /// a running count so the eviction policy never rescans.
     buf_bytes: usize,
 }
@@ -256,8 +374,7 @@ impl SmtReceiver {
         let payload = packet
             .payload
             .as_data()
-            .ok_or_else(|| SmtError::malformed("DATA packet without data payload"))?
-            .to_vec();
+            .ok_or_else(|| SmtError::malformed("DATA packet without data payload"))?;
 
         let msg = self
             .in_progress
@@ -298,7 +415,7 @@ impl SmtReceiver {
             return Ok(None);
         }
         if let Some(existing) = seg.chunks.get(&packet_offset) {
-            if *existing == payload {
+            if existing == payload {
                 // A spurious retransmission: byte-identical, idempotent.
                 self.stats.packets_duplicate += 1;
                 return Ok(None);
@@ -311,14 +428,38 @@ impl SmtReceiver {
                 "conflicting payload for already-buffered packet offset",
             ));
         }
-        let payload_len = payload.len();
-        seg.chunks.insert(packet_offset, payload);
-        msg.buf_bytes += payload_len;
-        self.tracked_bytes += payload_len;
+        seg.chunks.insert(packet_offset, payload.clone());
+        let mut held = payload.len();
         self.stats.packets_accepted += 1;
 
-        // Try to decode the segment, then check message completion.
-        self.try_decode_segment(message_id, opt.tso_offset)?;
+        // Walk the contiguity cursor over every packet now adjacent to the
+        // run; each payload is looked at once, when it joins.  A packet that
+        // lands beyond a gap stops at the first lookup.
+        let encrypted = self.config.crypto_mode.is_encrypted();
+        while let Some(chunk) = u16::try_from(seg.run_packets)
+            .ok()
+            .and_then(|next| seg.chunks.get(&next))
+        {
+            if encrypted {
+                seg.scan.feed(chunk, seg.record_count);
+            } else {
+                // Plaintext (Homa baseline): bytes land directly at the TSO
+                // offset.  We only know a plaintext segment is complete when
+                // the whole message byte count adds up, so place the newly
+                // contiguous bytes as they come.
+                msg.app.append(opt.tso_offset, seg.run_bytes, chunk);
+                held += chunk.len();
+            }
+            seg.run_packets += 1;
+            seg.run_bytes += chunk.len();
+        }
+        let records_whole = encrypted && seg.scan.records >= seg.record_count;
+        msg.buf_bytes += held;
+        self.tracked_bytes += held;
+
+        if records_whole {
+            self.open_segment(message_id, opt.tso_offset)?;
+        }
         let delivered = self.try_complete(message_id)?;
         self.enforce_bounds();
         self.stats.peak_tracked_bytes =
@@ -352,62 +493,39 @@ impl SmtReceiver {
         }
     }
 
-    fn try_decode_segment(&mut self, message_id: u64, tso_offset: u32) -> SmtResult<()> {
-        let encrypted = self.config.crypto_mode.is_encrypted();
+    /// Removes a segment that can never be opened and un-accounts its bytes;
+    /// a message left with nothing goes too.  Whatever the sender retransmits
+    /// rebuilds it from scratch.
+    fn discard_segment(&mut self, message_id: u64, tso_offset: u32) {
+        let Some(msg) = self.in_progress.get_mut(&message_id) else {
+            return;
+        };
+        if let Some(seg) = msg.segments.remove(&tso_offset) {
+            let held: usize = seg.chunks.values().map(|c| c.len()).sum();
+            msg.buf_bytes = msg.buf_bytes.saturating_sub(held);
+            self.tracked_bytes = self.tracked_bytes.saturating_sub(held);
+        }
+        if msg.segments.is_empty() && msg.app.bytes == 0 {
+            self.in_progress.remove(&message_id);
+        }
+    }
+
+    /// Opens a segment whose every record is whole in its contiguous run.
+    fn open_segment(&mut self, message_id: u64, tso_offset: u32) -> SmtResult<()> {
         let Some(msg) = self.in_progress.get_mut(&message_id) else {
             return Ok(());
         };
         let Some(seg) = msg.segments.get_mut(&tso_offset) else {
             return Ok(());
         };
-        if seg.decoded {
-            return Ok(());
-        }
-        let prefix = seg.contiguous_prefix();
 
-        if !encrypted {
-            // Plaintext (Homa baseline): bytes land directly at the TSO offset.
-            // We only know a plaintext segment is complete when the whole message
-            // byte count adds up, so place the contiguous prefix incrementally.
-            let already: usize = msg
-                .app_chunks
-                .get(&tso_offset)
-                .map(|c| c.len())
-                .unwrap_or(0);
-            if prefix.len() > already {
-                let grown = prefix.len() - already;
-                msg.app_bytes += grown;
-                msg.buf_bytes += grown;
-                msg.app_chunks.insert(tso_offset, prefix);
-                self.tracked_bytes += grown;
-            }
-            return Ok(());
-        }
-
-        // Encrypted: parse whole records out of the contiguous prefix.
-        let mut complete_records = 0u16;
-        let mut consumed = 0usize;
-        while complete_records < seg.record_count {
-            let rest = &prefix[consumed..];
-            let Ok((hdr, hdr_len)) = TlsRecordHeader::decode(rest) else {
-                break;
-            };
-            if rest.len() < hdr_len + hdr.length as usize {
-                break;
-            }
-            consumed += hdr_len + hdr.length as usize;
-            complete_records += 1;
-        }
-        if complete_records < seg.record_count {
-            return Ok(()); // not yet complete
-        }
-
-        // All records present: open the whole contiguous run in one batched
-        // call through the shared datapath. Records of one segment carry
-        // consecutive record indices, so their composite sequence numbers are
-        // consecutive too; composing the first and last indices validates the
-        // full range. Only the application bytes are then copied out of the
-        // protector's scratch into the message assembly.
+        // The ciphertext is gathered out of the packets straight into the
+        // protector's scratch and opened there in one batched call through
+        // the shared datapath. Records of one segment carry consecutive
+        // record indices, so their composite sequence numbers are consecutive
+        // too; composing the first and last indices validates the full range.
+        // Only the application bytes are then copied out of the scratch, once,
+        // into the message's buffer.
         //
         // Key selection is by the segment's declared epoch.  A next-epoch
         // segment is opened under a *candidate* ratcheted protector; the roll
@@ -420,24 +538,14 @@ impl SmtReceiver {
             self.cipher.as_mut().ok_or_else(|| {
                 SmtError::Session("encrypted session without a receive cipher".into())
             })?
-        } else if seg_epoch == cur.wrapping_add(1) {
-            let (suite, secret) = match (self.suite, self.recv_secret.as_ref()) {
-                (Some(s), Some(sec)) => (s, sec),
-                _ => {
-                    // Rekey material was never provided; the on_packet window
-                    // should have filtered this.  Drop the segment defensively.
-                    let held: usize = seg.chunks.values().map(|c| c.len()).sum();
-                    msg.segments.remove(&tso_offset);
-                    msg.buf_bytes = msg.buf_bytes.saturating_sub(held);
-                    self.tracked_bytes = self.tracked_bytes.saturating_sub(held);
-                    self.stats.epoch_rejected += 1;
-                    return Ok(());
-                }
-            };
+        } else if let (true, Some(suite), Some(secret)) = (
+            seg_epoch == cur.wrapping_add(1),
+            self.suite,
+            self.recv_secret.as_ref(),
+        ) {
             let next = ratchet_secret(secret);
             let protector = RecordProtector::from_secret(suite, &next).map_err(SmtError::Crypto)?;
-            candidate = Some((protector, next));
-            &mut candidate.as_mut().expect("just set").0
+            &mut candidate.insert((protector, next)).0
         } else if let (true, Some(prev)) =
             (seg_epoch == cur.wrapping_sub(1), self.prev_cipher.as_mut())
         {
@@ -445,11 +553,10 @@ impl SmtReceiver {
         } else {
             // The window moved between buffering and decode (e.g. the rekey
             // committed while this old segment was still partial and its
-            // drain window has since closed).  Undecryptable: drop it.
-            let held: usize = seg.chunks.values().map(|c| c.len()).sum();
-            msg.segments.remove(&tso_offset);
-            msg.buf_bytes = msg.buf_bytes.saturating_sub(held);
-            self.tracked_bytes = self.tracked_bytes.saturating_sub(held);
+            // drain window has since closed), or rekey material was never
+            // provided and the on_packet window should have filtered this.
+            // Undecryptable: drop it.
+            self.discard_segment(message_id, tso_offset);
             self.stats.epoch_rejected += 1;
             return Ok(());
         };
@@ -467,38 +574,39 @@ impl SmtReceiver {
             seg.record_count.max(1) as u64 - 1,
             "contiguous record indices must compose to consecutive seqnos"
         );
-        let batch = cipher
-            .open_batch(first_seq.value(), seg.record_count as usize, &prefix)
-            .map_err(|e| {
+        let batch = match cipher.open_batch_chunked(
+            first_seq.value(),
+            seg.record_count as usize,
+            seg.run(),
+        ) {
+            Ok(batch) => batch,
+            Err(e) => {
+                // Without per-packet authentication the receiver cannot
+                // tell which packet of the segment was forged, and keeping
+                // any of them would reject the genuine copy as a
+                // conflicting duplicate forever.  Discard the segment so
+                // the sender's RESEND path rebuilds it (DESIGN.md §8).
                 self.stats.auth_failures += 1;
-                SmtError::Crypto(e)
-            })?;
-        let mut app_offset = tso_offset;
-        let mut delta = 0isize;
+                self.discard_segment(message_id, tso_offset);
+                return Err(SmtError::Crypto(e));
+            }
+        };
+        // Framing is checked on every record before any byte is placed, so a
+        // malformed segment leaves the message untouched.
+        let framing = self.config.framing_header;
         for plain in batch.iter() {
-            let app: &[u8] = if self.config.framing_header {
-                let (framing, flen) = FramingHeader::decode(plain.plaintext)?;
-                let end = flen + framing.app_data_len as usize;
-                if plain.plaintext.len() < end {
-                    return Err(SmtError::malformed("framing header exceeds record"));
-                }
-                &plain.plaintext[flen..end]
-            } else {
-                plain.plaintext
-            };
-            let len = app.len();
-            let replaced = msg
-                .app_chunks
-                .insert(app_offset, app.to_vec())
-                .map_or(0, |old| old.len());
-            msg.app_bytes += len;
-            delta += len as isize - replaced as isize;
-            app_offset += len as u32;
+            record_app_bytes(plain.plaintext, framing)?;
+        }
+        let mut placed = 0usize;
+        for plain in batch.iter() {
+            let app = record_app_bytes(plain.plaintext, framing)?;
+            msg.app.append(tso_offset, placed, app);
+            placed += app.len();
         }
         seg.decoded = true;
         let cleared: usize = seg.chunks.values().map(|c| c.len()).sum();
         seg.chunks.clear();
-        delta -= cleared as isize;
+        let delta = placed as isize - cleared as isize;
         msg.buf_bytes = msg.buf_bytes.saturating_add_signed(delta);
         self.tracked_bytes = self.tracked_bytes.saturating_add_signed(delta);
         if let Some((protector, next)) = candidate {
@@ -512,29 +620,22 @@ impl SmtReceiver {
     }
 
     fn try_complete(&mut self, message_id: u64) -> SmtResult<Option<ReceivedMessage>> {
-        let done = {
-            let Some(msg) = self.in_progress.get(&message_id) else {
-                return Ok(None);
-            };
-            msg.app_bytes >= msg.message_length as usize
-        };
-        if !done {
-            return Ok(None);
+        match self.in_progress.get(&message_id) {
+            Some(msg) if msg.app.bytes >= msg.message_length as usize => {}
+            _ => return Ok(None),
         }
         let Some(msg) = self.in_progress.remove(&message_id) else {
             return Ok(None);
         };
         self.tracked_bytes = self.tracked_bytes.saturating_sub(msg.buf_bytes);
-        let mut data = Vec::with_capacity(msg.message_length as usize);
-        let mut expected = 0u32;
-        for (&off, chunk) in &msg.app_chunks {
-            if off != expected {
-                return Err(SmtError::malformed(format!(
-                    "gap in reassembled message at offset {expected} (next chunk at {off})"
-                )));
-            }
-            data.extend_from_slice(chunk);
-            expected += chunk.len() as u32;
+        // Every placed byte must have joined `data`, and nothing beyond the
+        // declared length.
+        let data = msg.app.data;
+        if let Some(off) = msg.app.parked.keys().next() {
+            return Err(SmtError::malformed(format!(
+                "gap in reassembled message at offset {} (next chunk at {off})",
+                data.len()
+            )));
         }
         if data.len() != msg.message_length as usize {
             return Err(SmtError::malformed("reassembled length mismatch"));
@@ -709,6 +810,155 @@ mod tests {
         // A byte-identical retransmission is still absorbed idempotently.
         assert!(rx.on_packet(&packets[0]).unwrap().is_none());
         assert_eq!(rx.stats.packets_duplicate, 1);
+    }
+
+    /// A copy of `packet` with one payload byte flipped.
+    fn forged_copy(packet: &Packet) -> Packet {
+        let mut forged = packet.clone();
+        let mut bytes = packet.payload.as_data().unwrap().to_vec();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x55;
+        forged.payload = smt_wire::PacketPayload::Data(bytes.into());
+        forged
+    }
+
+    #[test]
+    fn forged_packet_ahead_of_the_genuine_one_does_not_poison_the_message() {
+        // An injected copy of packet 0 that wins the race is buffered; the
+        // genuine packet 0 is then a "conflicting payload" and the completed
+        // segment cannot authenticate.  The segment must go, forged packet
+        // included, or every later retransmission is rejected the same way
+        // and the message never delivers.
+        let config = SmtConfig::software();
+        let segmenter = SmtSegmenter::new(config, SeqnoLayout::default());
+        let tx = cipher();
+        let data = vec![6u8; 10_000];
+        let msg = segmenter
+            .segment_message(
+                PathInfo::loopback(1, 2),
+                0,
+                &data,
+                0,
+                Some(&tx),
+                None,
+                1 << 20,
+            )
+            .unwrap();
+        let packets = msg.segments[0].packetize(DEFAULT_MTU).unwrap();
+        let mut rx = SmtReceiver::new(config, SeqnoLayout::default(), Some(cipher()));
+        rx.on_packet(&forged_copy(&packets[0])).unwrap();
+        assert!(matches!(
+            rx.on_packet(&packets[0]),
+            Err(SmtError::MalformedPacket(_))
+        ));
+        for p in &packets[1..packets.len() - 1] {
+            assert!(rx.on_packet(p).unwrap().is_none());
+        }
+        assert!(matches!(
+            rx.on_packet(packets.last().unwrap()),
+            Err(SmtError::Crypto(
+                smt_crypto::CryptoError::AuthenticationFailed
+            ))
+        ));
+        assert_eq!(rx.stats.auth_failures, 1);
+        // Nothing of the failed segment is kept or accounted.
+        assert_eq!(rx.in_progress(), 0);
+        assert_eq!(rx.tracked_bytes(), 0);
+
+        // One retransmission round rebuilds and delivers it.
+        let mut delivered = None;
+        for p in &packets {
+            let mut retx = p.clone();
+            SmtSegmenter::mark_retransmission(&mut retx);
+            delivered = delivered.or(rx.on_packet(&retx).unwrap());
+        }
+        assert_eq!(delivered.expect("delivered after resend").data, data);
+        assert_eq!(rx.stats.auth_failures, 1);
+    }
+
+    #[test]
+    fn failed_segment_leaves_the_rest_of_the_message_in_place() {
+        // Only the segment that failed is discarded: an already decoded
+        // neighbour keeps its application bytes and stays accounted.
+        let config = SmtConfig::software();
+        let segmenter = SmtSegmenter::new(config, SeqnoLayout::default());
+        let tx = cipher();
+        let data: Vec<u8> = (0..150_000u32).map(|i| (i % 253) as u8).collect();
+        let msg = segmenter
+            .segment_message(
+                PathInfo::loopback(1, 2),
+                0,
+                &data,
+                0,
+                Some(&tx),
+                None,
+                1 << 20,
+            )
+            .unwrap();
+        assert!(msg.segments.len() >= 2);
+        let first = msg.segments[0].packetize(DEFAULT_MTU).unwrap();
+        let second = msg.segments[1].packetize(DEFAULT_MTU).unwrap();
+        let mut rx = SmtReceiver::new(config, SeqnoLayout::default(), Some(cipher()));
+        for p in &first {
+            assert!(rx.on_packet(p).unwrap().is_none());
+        }
+        let held = rx.tracked_bytes();
+        assert!(held > 0);
+        rx.on_packet(&forged_copy(&second[0])).unwrap();
+        for p in &second[1..second.len() - 1] {
+            rx.on_packet(p).unwrap();
+        }
+        assert!(rx.on_packet(second.last().unwrap()).is_err());
+        assert_eq!(rx.in_progress(), 1);
+        assert_eq!(rx.tracked_bytes(), held);
+
+        let mut delivered = None;
+        for seg in &msg.segments[1..] {
+            for p in seg.packetize(DEFAULT_MTU).unwrap() {
+                delivered = delivered.or(rx.on_packet(&p).unwrap());
+            }
+        }
+        assert_eq!(delivered.expect("delivered").data, data);
+        assert_eq!(rx.tracked_bytes(), 0);
+    }
+
+    #[test]
+    fn forged_geometry_cannot_size_an_allocation() {
+        // A first packet declaring a 4 GiB message, placed just under its
+        // end: whatever the receiver keeps for it is bounded by the bytes
+        // that actually arrived, never by the declared lengths.
+        for config in [SmtConfig::software(), SmtConfig::plaintext()] {
+            let encrypted = config.crypto_mode.is_encrypted();
+            let segmenter = SmtSegmenter::new(config, SeqnoLayout::default());
+            let tx = cipher();
+            let msg = segmenter
+                .segment_message(
+                    PathInfo::loopback(1, 2),
+                    0,
+                    &[0xee; 1000],
+                    0,
+                    encrypted.then_some(&tx),
+                    None,
+                    1 << 20,
+                )
+                .unwrap();
+            let mut forged = msg.segments[0].packetize(DEFAULT_MTU).unwrap().remove(0);
+            forged.overlay.options.message_length = u32::MAX;
+            forged.overlay.options.tso_offset = u32::MAX - 4096;
+            let payload = forged.payload.as_data().unwrap().len();
+            let mut rx = SmtReceiver::new(config, SeqnoLayout::default(), encrypted.then(cipher));
+            assert!(rx.on_packet(&forged).unwrap().is_none());
+            assert_eq!(rx.in_progress(), 1);
+            // Encrypted: the opened application bytes replace the packet.
+            // Plaintext: the packet view and the placed copy both count.
+            let bound = if encrypted { payload } else { 2 * payload };
+            assert!(
+                rx.tracked_bytes() <= bound,
+                "{} > {bound}",
+                rx.tracked_bytes()
+            );
+            assert_eq!(rx.stats.peak_tracked_bytes, rx.tracked_bytes() as u64);
+        }
     }
 
     #[test]

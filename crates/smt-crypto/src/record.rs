@@ -19,7 +19,9 @@
 //!   whole run of records into one output buffer with a single size
 //!   computation and reservation, and [`RecordProtector::open_batch`] opens a
 //!   contiguous run of wire records (consecutive sequence numbers) into the
-//!   shared scratch in one call. Nonce construction, AAD encoding and scratch
+//!   shared scratch in one call — [`RecordProtector::open_batch_chunked`]
+//!   straight from the packets that carry them, without joining the packets
+//!   first. Nonce construction, AAD encoding and scratch
 //!   management are amortized across the batch; this is what the segmenter,
 //!   the reassembler and the kTLS stream drive per message/segment.
 //! * the **single-record zero-copy path** — [`RecordProtector::seal_parts_into`]
@@ -301,6 +303,48 @@ impl RecordSealer {
     }
 }
 
+/// Forward-only reader over wire bytes held as a run of chunks.
+struct ChunkReader<'c, I> {
+    /// Unread remainder of the chunk being read.
+    head: &'c [u8],
+    rest: I,
+    /// Bytes read so far.
+    at: usize,
+}
+
+impl<'c, I: Iterator<Item = &'c [u8]>> ChunkReader<'c, I> {
+    /// Hands the next `n` bytes to `sink`, chunk piece by chunk piece.
+    /// Returns `false` when the chunks ran out first (what there was has
+    /// been handed over).
+    fn read(&mut self, mut n: usize, mut sink: impl FnMut(&[u8])) -> bool {
+        while n > 0 {
+            if self.head.is_empty() {
+                match self.rest.next() {
+                    Some(chunk) => self.head = chunk,
+                    None => return false,
+                }
+                continue;
+            }
+            let (piece, later) = self.head.split_at(n.min(self.head.len()));
+            sink(piece);
+            self.head = later;
+            self.at += piece.len();
+            n -= piece.len();
+        }
+        true
+    }
+
+    /// Fills `buf` from the next bytes; returns how many there were.
+    fn read_into(&mut self, buf: &mut [u8]) -> usize {
+        let mut got = 0;
+        self.read(buf.len(), |piece| {
+            buf[got..got + piece.len()].copy_from_slice(piece);
+            got += piece.len();
+        });
+        got
+    }
+}
+
 /// One direction of record protection: seals or opens records given an explicit
 /// 64-bit record sequence number. This is the one shared datapath driven by the
 /// SMT composite-seqno engine and the kTLS per-connection baseline alike.
@@ -438,35 +482,56 @@ impl RecordProtector {
         count: usize,
         wire: &[u8],
     ) -> CryptoResult<OpenedBatch<'_>> {
+        self.open_batch_chunked(first_seq, count, std::iter::once(wire))
+    }
+
+    /// [`Self::open_batch`] over wire bytes that arrive as a run of chunks —
+    /// the packets of one TSO segment, in order.  Records may straddle chunk
+    /// boundaries anywhere (headers and tags included); each ciphertext byte
+    /// is gathered straight into the scratch it is decrypted in, so the
+    /// caller never joins the chunks first.
+    pub fn open_batch_chunked<'c>(
+        &mut self,
+        first_seq: u64,
+        count: usize,
+        chunks: impl IntoIterator<Item = &'c [u8]>,
+    ) -> CryptoResult<OpenedBatch<'_>> {
         self.scratch.clear();
         self.batch_entries.clear();
         self.batch_entries.reserve(count);
-        let mut at = 0usize;
+        let mut wire = ChunkReader {
+            head: &[],
+            rest: chunks.into_iter(),
+            at: 0,
+        };
         for i in 0..count {
             let seq = first_seq.wrapping_add(i as u64);
-            let rest = &wire[at..];
-            let (header, hdr_len) = TlsRecordHeader::decode(rest)?;
+            let record_at = wire.at;
+            let mut hdr = [0u8; TlsRecordHeader::LEN];
+            let got = wire.read_into(&mut hdr);
+            let (header, hdr_len) = TlsRecordHeader::decode(&hdr[..got])?;
             let body_len = header.length as usize;
-            if rest.len() < hdr_len + body_len {
-                return Err(CryptoError::Wire(smt_wire::WireError::Truncated {
-                    needed: at + hdr_len + body_len,
-                    available: wire.len(),
-                }));
-            }
             if body_len < TAG_LEN + 1 {
                 return Err(CryptoError::AuthenticationFailed);
             }
-            let (ciphertext, tag) = rest[hdr_len..hdr_len + body_len].split_at(body_len - TAG_LEN);
+            let ct_start = self.scratch.len();
+            let mut tag = [0u8; TAG_LEN];
+            let whole = wire.read(body_len - TAG_LEN, |b| self.scratch.extend_from_slice(b))
+                && wire.read_into(&mut tag) == TAG_LEN;
+            if !whole {
+                // The reader ran dry: everything there was has been read.
+                return Err(CryptoError::Wire(smt_wire::WireError::Truncated {
+                    needed: record_at + hdr_len + body_len,
+                    available: wire.at,
+                }));
+            }
             let aad = header.aad();
             let nonce = self.sealer.iv.nonce_for(seq);
-
-            let ct_start = self.scratch.len();
-            self.scratch.extend_from_slice(ciphertext);
             self.sealer.key.open_in_place_detached(
                 &nonce,
                 &aad,
                 &mut self.scratch[ct_start..],
-                tag,
+                &tag,
             )?;
 
             // Strip zero padding, then the inner content type byte
@@ -486,12 +551,11 @@ impl RecordProtector {
                 start: ct_start,
                 end: end - 1,
             });
-            at += hdr_len + body_len;
         }
         Ok(OpenedBatch {
             scratch: &self.scratch,
             entries: &self.batch_entries,
-            consumed: at,
+            consumed: wire.at,
         })
     }
 
@@ -854,6 +918,38 @@ mod tests {
         let batch = rx.open_batch(0, 1, &wire).unwrap();
         assert_eq!(batch.consumed, first_len);
         assert_eq!(batch.get(0).unwrap().plaintext, b"one");
+    }
+
+    #[test]
+    fn chunked_open_equals_contiguous_open_at_every_cut() {
+        let (tx, mut rx) = cipher_pair();
+        let payloads: [&[u8]; 4] = [b"alpha", &[0x11; 300], b"", b"delta"];
+        let mut wire = BytesMut::new();
+        for (i, p) in payloads.iter().enumerate() {
+            tx.seal_into(3 + i as u64, ContentType::ApplicationData, p, &mut wire)
+                .unwrap();
+        }
+        // Fixed-size packets from one byte up: every header, body and tag
+        // gets cut at every position; empty chunks in the run are harmless.
+        for size in (1..=40).chain([wire.len() - 1, wire.len()]) {
+            let chunks = wire.chunks(size).flat_map(|c| [c, &[][..]]);
+            let batch = rx.open_batch_chunked(3, payloads.len(), chunks).unwrap();
+            assert_eq!(batch.consumed, wire.len(), "packet size {size}");
+            for (opened, expect) in batch.iter().zip(payloads.iter()) {
+                assert_eq!(opened.plaintext, *expect, "packet size {size}");
+            }
+        }
+        // A run that ends early is truncated wherever the cut falls, and
+        // bytes past the last record are left alone.
+        for cut in 0..wire.len() {
+            let err = rx
+                .open_batch_chunked(3, payloads.len(), wire[..cut].chunks(7))
+                .unwrap_err();
+            assert!(matches!(err, CryptoError::Wire(_)), "cut at {cut}: {err:?}");
+        }
+        let batch = rx.open_batch_chunked(3, 1, wire.chunks(9)).unwrap();
+        assert_eq!(batch.get(0).unwrap().plaintext, b"alpha");
+        assert!(batch.consumed < wire.len());
     }
 
     #[test]

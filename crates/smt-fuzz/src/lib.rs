@@ -1094,6 +1094,22 @@ fn fuzz_record_open_batch(iters: u64, seed: u64) -> FuzzReport {
                     assert_eq!(record.plaintext, &plaintexts[k][..], "record {k} plaintext");
                     assert_eq!(record.content_type, ContentType::ApplicationData);
                 }
+                // The same bytes cut into arbitrary packets (headers and tags
+                // may straddle the cuts) open identically.
+                let mut chunks: Vec<&[u8]> = Vec::new();
+                let mut rest = &wire[..];
+                while !rest.is_empty() {
+                    let (chunk, later) = rest.split_at(1 + m.below(rest.len().min(1500)));
+                    chunks.push(chunk);
+                    rest = later;
+                }
+                let batch = opener
+                    .open_batch_chunked(first_seq, count, chunks)
+                    .expect("valid chunked batch opens");
+                assert_eq!(batch.consumed, wire.len());
+                for (k, record) in batch.iter().enumerate() {
+                    assert_eq!(record.plaintext, &plaintexts[k][..], "chunked record {k}");
+                }
                 true
             }
             // Tamper evidence: any in-place bit flip lands in the header
@@ -1527,6 +1543,50 @@ mod tests {
         assert!(server.accepted > 0, "valid hellos accepted");
         let record = run_target("record_open_batch", 64, 3).unwrap();
         assert!(record.accepted > 0 && record.rejected > 0);
+    }
+
+    #[test]
+    fn forged_message_geometry_cannot_size_an_allocation() {
+        // A first packet declaring a 4 GiB message and a segment just under
+        // its end.  CI runs this suite under `ulimit -v`: a reassembly buffer
+        // sized from either declared length aborts here instead of hiding
+        // behind overcommit.
+        use smt_core::reassembly::SmtReceiver;
+        use smt_core::segment::{PathInfo, SmtSegmenter};
+        use smt_core::SmtConfig;
+        use smt_crypto::SeqnoLayout;
+
+        let secret = Secret::from_slice(&[0x5c; 32]).expect("32-byte secret");
+        let cipher = || RecordProtector::from_secret(CipherSuite::default(), &secret).unwrap();
+        for config in [SmtConfig::software(), SmtConfig::plaintext()] {
+            let encrypted = config.crypto_mode.is_encrypted();
+            let tx = cipher();
+            let segmenter = SmtSegmenter::new(config, SeqnoLayout::default());
+            let message = segmenter
+                .segment_message(
+                    PathInfo::loopback(1, 2),
+                    0,
+                    &[0xee; 1000],
+                    0,
+                    encrypted.then_some(&tx),
+                    None,
+                    1 << 20,
+                )
+                .unwrap();
+            let mut forged = message.segments[0].packetize(1500).unwrap().remove(0);
+            forged.overlay.options.message_length = u32::MAX;
+            forged.overlay.options.tso_offset = u32::MAX - 4096;
+            let payload = forged.payload.as_data().unwrap().len();
+            let mut rx = SmtReceiver::new(config, SeqnoLayout::default(), encrypted.then(cipher));
+            assert!(rx.on_packet(&forged).unwrap().is_none());
+            // Plaintext counts the packet view and the placed copy.
+            let bound = if encrypted { payload } else { 2 * payload };
+            assert!(
+                rx.tracked_bytes() <= bound,
+                "{} > {bound}",
+                rx.tracked_bytes()
+            );
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use super::shell::Shell;
 use super::{EndpointError, EndpointResult, EndpointStats, Event, MessageId};
 use crate::cc::{CcConfig, CongestionController, DctcpWindow};
 use crate::stack::StackKind;
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use smt_core::config::CryptoMode;
 use smt_core::ktls::{KtlsReceiver, KtlsSender, KtlsSession};
 use smt_core::segment::PathInfo;
@@ -361,8 +361,8 @@ impl StreamEngine {
             if self.frame_buf.len() < FRAME_HEADER + len {
                 break;
             }
-            let _ = self.frame_buf.split_to(FRAME_HEADER);
-            let data = self.frame_buf.split_to(len)[..].to_vec();
+            let data = self.frame_buf[FRAME_HEADER..FRAME_HEADER + len].to_vec();
+            self.frame_buf.advance(FRAME_HEADER + len);
             shell.stats.messages_delivered += 1;
             shell.stats.bytes_delivered += data.len() as u64;
             shell.events.push_back(Event::MessageDelivered {
@@ -560,7 +560,7 @@ impl StreamEngine {
         }
         // Release the acknowledged prefix of the retransmit buffer.
         let drop = (offset - self.wire_base) as usize;
-        let _ = self.wire.split_to(drop);
+        self.wire.advance(drop);
         self.wire_base = offset;
         // SACKed ranges at or below the cumulative offset are history.
         while let Some((&start, &end)) = self.sacked.iter().next() {

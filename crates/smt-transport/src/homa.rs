@@ -869,6 +869,36 @@ mod tests {
     }
 
     #[test]
+    fn injected_packet_ahead_of_the_genuine_one_costs_one_resend_round() {
+        // A forged copy of the first packet reaches the receiver before the
+        // genuine flight.  Its segment cannot authenticate and is discarded
+        // whole, so the quiet-timer RESEND rebuilds it from the sender's
+        // retransmissions instead of rejecting them against the forgery.
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        let mut ab = LossyChannel::reliable();
+        let mut ba = LossyChannel::reliable();
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 241) as u8).collect();
+        a.send_message(&data, 0).unwrap();
+        let flight = a.poll_transmit();
+        let mut forged = flight[0].clone();
+        let mut bytes = forged.payload.as_data().unwrap().to_vec();
+        bytes[40] ^= 0x01;
+        forged.payload = PacketPayload::Data(bytes.into());
+        assert!(b.handle_packet(&forged).is_empty());
+        ab.push(flight);
+        drive(&mut a, &mut b, &mut ab, &mut ba, 64);
+        let got = b.take_delivered();
+        assert_eq!(got.len(), 1, "delivered after the RESEND round");
+        assert_eq!(got[0].data, data);
+        // The conflicting genuine packet and the segment that failed to open.
+        assert_eq!(b.recv_errors(), 2);
+        assert_eq!(b.session().receiver_stats().auth_failures, 1);
+        assert!(a.retransmitted_packets() > 0);
+        assert_eq!(a.pending_sends(), 0, "ACK released sender state");
+        assert_eq!(b.incomplete_recvs(), 0);
+    }
+
+    #[test]
     fn bidirectional_and_interleaved_messages() {
         let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
         let mut ab = LossyChannel::reliable();

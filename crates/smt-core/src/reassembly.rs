@@ -319,6 +319,34 @@ impl SmtReceiver {
         self.replay.was_delivered(message_id)
     }
 
+    /// The first packet an in-progress message is still missing, by the
+    /// coordinates every DATA packet carries: its segment's TSO offset and its
+    /// packet offset within that segment.  `None` for a message with nothing
+    /// buffered.  Everything before the named packet has arrived; what lies
+    /// beyond it is not described.  This is what a RESEND should ask for.
+    pub fn first_missing(&self, message_id: u64) -> Option<(u32, u16)> {
+        let msg = self.in_progress.get(&message_id)?;
+        // Segments lie end to end in application-byte order and `app.data`
+        // is the prefix placed so far, so the first incomplete segment is the
+        // undecoded one that starts at or before its end (a plaintext run is
+        // placed packet by packet, so the frontier may sit inside it).  None
+        // buffered there: not one packet of the segment that starts at the
+        // frontier has arrived.
+        let frontier = u32::try_from(msg.app.data.len()).ok()?;
+        let holding = msg
+            .segments
+            .iter()
+            .filter(|(&tso_offset, seg)| tso_offset <= frontier && !seg.decoded)
+            .max_by_key(|(&tso_offset, _)| tso_offset);
+        Some(match holding {
+            Some((&tso_offset, seg)) => (
+                tso_offset,
+                u16::try_from(seg.run_packets).unwrap_or(u16::MAX),
+            ),
+            None => (frontier, 0),
+        })
+    }
+
     /// Processes one received DATA packet.  Returns the completed message when
     /// this packet finishes its reassembly, `None` otherwise.
     pub fn on_packet(&mut self, packet: &Packet) -> SmtResult<Option<ReceivedMessage>> {
@@ -741,6 +769,73 @@ mod tests {
         let data = vec![4u8; 20_000];
         let m = send_receive(config, &data, true);
         assert_eq!(m.data, data);
+    }
+
+    #[test]
+    fn first_missing_names_the_first_packet_not_yet_received() {
+        for config in [SmtConfig::software(), SmtConfig::plaintext()] {
+            let segmenter = SmtSegmenter::new(config, SeqnoLayout::default());
+            let tx = cipher();
+            let encrypted = config.crypto_mode.is_encrypted();
+            let data: Vec<u8> = (0..200_000u32).map(|i| (i % 239) as u8).collect();
+            let msg = segmenter
+                .segment_message(
+                    PathInfo::loopback(1, 2),
+                    9,
+                    &data,
+                    0,
+                    encrypted.then_some(&tx),
+                    None,
+                    4 << 20,
+                )
+                .unwrap();
+            assert!(msg.segments.len() > 2, "several segments");
+            // In sender order: segment by segment, packet by packet.
+            let packets: Vec<Packet> = msg
+                .segments
+                .iter()
+                .flat_map(|s| s.packetize(DEFAULT_MTU).unwrap())
+                .collect();
+            let key = |p: &Packet| (p.overlay.options.tso_offset, p.packet_offset().unwrap());
+            let mut rx = SmtReceiver::new(config, SeqnoLayout::default(), encrypted.then(cipher));
+            assert_eq!(rx.first_missing(9), None, "nothing buffered yet");
+
+            // Arrivals in a scrambled order (a stride coprime to the count).
+            let n = packets.len();
+            let stride = (1..n)
+                .rev()
+                .find(|s| gcd(*s, n) == 1 && *s < n / 2)
+                .unwrap();
+            let mut arrived = vec![false; n];
+            for step in 0..n {
+                let i = (7 + step * stride) % n;
+                arrived[i] = true;
+                let delivered = rx.on_packet(&packets[i]).unwrap();
+                let first_gap = arrived.iter().position(|a| !a);
+                match first_gap {
+                    // The sender goes back to the first retained packet at or
+                    // past the named coordinates: exactly the first gap.
+                    Some(gap) => {
+                        let named = rx.first_missing(9).expect("in progress");
+                        assert_eq!(
+                            packets.partition_point(|p| key(p) < named),
+                            gap,
+                            "after {step} arrivals, named {named:?}"
+                        );
+                    }
+                    None => assert_eq!(delivered.expect("complete").data, data),
+                }
+            }
+            assert_eq!(rx.first_missing(9), None, "delivered");
+        }
+    }
+
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
     }
 
     #[test]

@@ -258,6 +258,12 @@ impl SmtSession {
         Ok(out)
     }
 
+    /// The first packet an in-progress receive is still missing (see
+    /// [`SmtReceiver::first_missing`](crate::reassembly::SmtReceiver::first_missing)).
+    pub fn first_missing(&self, message_id: u64) -> Option<(u32, u16)> {
+        self.receiver.first_missing(message_id)
+    }
+
     /// True if `message_id` can no longer be delivered: it already was, or
     /// the replay guard skipped it (replay detection).
     pub fn already_delivered(&self, message_id: u64) -> bool {

@@ -5,13 +5,22 @@
 //! reassembly, replay rejection) over the simulated NIC and the
 //! receiver-driven Homa mechanisms (unscheduled data, GRANTs, RESENDs, ACKs).
 //! This engine owns what is specific to that transport: the control-packet
-//! outbox, NIC-queue spreading, batch-crypto staging of whole messages, the
-//! Karn-filtered RTT probe per message, and the timer *policy* — armed
-//! whenever sends are unacknowledged or receives incomplete, never extended
-//! by an arrival.  `HomaEndpoint` holds a message's state only while it is
-//! in flight, so "work outstanding" is two map lengths, and a duplicate of a
-//! finished message is re-ACKed without bringing back state that would arm
-//! the timer.
+//! outbox, NIC-queue spreading, batch-crypto staging of whole messages, and
+//! the timer *policy*.
+//!
+//! **Loss recovery is per message, and `HomaEndpoint` owns it** (its module
+//! docs and DESIGN.md §10 state the rules): a recovery clock in every
+//! in-flight message's own state, Karn's rule judged per message, the
+//! connection's backoff raised by probes and cleared only by a clean sample.
+//! This engine tells the transport the time and the RTO ([`RtoTimer::rto`]),
+//! feeds the estimator the samples it hands back, and keeps the connection
+//! timer as a wake-up for the earliest due message: an arrival never extends
+//! it (traffic for other messages must not starve the probe of a fully-lost
+//! one), a freshly started clock pulls it in, and a fire re-arms it from the
+//! earliest due time, at least a quarter of the RTO out.  `HomaEndpoint`
+//! holds a message's state only while it is in flight, so "work outstanding"
+//! is two map lengths, and a duplicate of a finished message is re-ACKed
+//! without bringing back state that would arm the timer.
 //!
 //! The underlying session numbers its messages from zero, while a 0-RTT
 //! early-data message consumed public ID 0 without ever entering the
@@ -20,7 +29,7 @@
 //! so the flushed queue and every later message keep the IDs the shell
 //! promised the application.
 
-use super::shell::Shell;
+use super::shell::{RtoTimer, Shell};
 use super::{EndpointError, EndpointResult, EndpointStats, Event, MessageId};
 use crate::cc::CcConfig;
 use crate::homa::{HomaConfig, HomaEndpoint};
@@ -30,8 +39,15 @@ use smt_core::segment::{PathInfo, StagedMessage};
 use smt_crypto::handshake::SessionKeys;
 use smt_crypto::RecordSealer;
 use smt_sim::Nanos;
-use smt_wire::{Packet, PacketType};
-use std::collections::{BTreeMap, VecDeque};
+use smt_wire::Packet;
+use std::collections::VecDeque;
+
+/// After a fire the next wake-up is the earliest due time among in-flight
+/// messages, but no sooner than the RTO over this: without a floor a
+/// connection whose messages come due back to back wakes once per message,
+/// with a whole period a message lost just after a fire waits almost two
+/// (DESIGN.md §10 has the measurements).
+const WAKE_SPACING: Nanos = 4;
 
 /// The receiver-driven message transport under the connection shell.
 pub(crate) struct MessageEngine {
@@ -49,9 +65,6 @@ pub(crate) struct MessageEngine {
     outbox: VecDeque<Packet>,
     nic_queues: usize,
     next_queue: usize,
-    /// Session-ID → (wire send time, retransmit counter at send) for RTT
-    /// sampling; entries leave on ack, bounded for abandoned sends.
-    send_times: BTreeMap<u64, (Nanos, u64)>,
     /// Messages staged with the batch engine, awaiting the next poll's
     /// fused flush.
     staged: Vec<StagedMessage>,
@@ -71,7 +84,6 @@ impl MessageEngine {
             // NIC queue count is known before the keys are.
             nic_queues: crate::homa::base_smt_config(stack).nic_queues.max(1),
             next_queue: 0,
-            send_times: BTreeMap::new(),
             staged: Vec::new(),
         };
         if !stack.is_encrypted() {
@@ -151,7 +163,7 @@ impl MessageEngine {
         let queue = self.next_queue;
         self.next_queue = (self.next_queue + 1) % self.nic_queues;
         let inner = self.inner.as_mut().expect("the shell sends once keyed");
-        let retx_at_send = inner.retransmitted_packets();
+        inner.set_clock(now, shell.rto.rto());
         let session_id = if let Some((batch, conn)) = shell.batch() {
             // Stage the record seal work with the shared batch engine; the
             // ciphertext is produced at the next poll's fused flush. The plan
@@ -168,12 +180,20 @@ impl MessageEngine {
             id,
             "send kept its public ID"
         );
-        // RTT probe for the adaptive RTO (bounded: abandoned sends must not
-        // grow the map forever).
-        if shell.rto.is_adaptive() && self.send_times.len() < 1024 {
-            self.send_times.insert(session_id, (now, retx_at_send));
-        }
+        self.sync_timer(&mut shell.rto);
         Ok(())
+    }
+
+    /// Ends every call that may have moved a message's clock.  A clock
+    /// (re)started just now is due one period out, so the wake-up must come
+    /// no later; nothing else an arrival does may move the deadline.
+    fn sync_timer(&mut self, rto: &mut RtoTimer) {
+        let wake_by = self.inner.as_mut().and_then(|i| i.take_wake_by());
+        if !self.work_outstanding() {
+            rto.disarm();
+        } else if let Some(due) = wake_by {
+            rto.arm_by(due);
+        }
     }
 
     pub(crate) fn handle_datagram(&mut self, shell: &mut Shell, datagram: &Packet, now: Nanos) {
@@ -181,75 +201,64 @@ impl MessageEngine {
             .inner
             .as_mut()
             .expect("the shell routes data once keyed");
-        let errors_before = inner.recv_errors();
+        inner.set_clock(now, shell.rto.rto());
         let responses = inner.handle_packet(datagram);
         self.outbox.extend(responses);
-        // Data the session accepted is packet-level progress: a per-flow
-        // endpoint may wait a long time for *message*-level progress (one
-        // message per flow), and recovery must keep its ~RTO cadence while
-        // the peer is demonstrably still delivering.  Rejected data (forged,
-        // garbage, conflicting duplicates) must NOT reset the clock, or an
-        // attacker feeding junk keeps the timer hot forever.
-        if datagram.overlay.tcp.packet_type == PacketType::Data
-            && inner.recv_errors() == errors_before
-        {
-            shell.rto.progress();
-        }
         // Surface deliveries and acks.
-        let mut progressed = false;
         for m in inner.take_delivered() {
-            progressed = true;
             shell.events.push_back(Event::MessageDelivered {
                 id: MessageId(m.message_id + self.rx_id_offset),
                 data: m.data,
             });
         }
-        let retx_now = inner.retransmitted_packets();
-        for session_id in inner.take_acked() {
-            progressed = true;
-            // Karn's rule, conservatively: any retransmission between this
-            // message's send and its ack disqualifies the sample.
-            if let Some((sent_at, retx_at_send)) = self.send_times.remove(&session_id) {
-                if retx_now == retx_at_send {
-                    shell.rto.sample(now.saturating_sub(sent_at));
-                }
+        // Karn's rule per message: only the ACK of a message that was never
+        // retransmitted carries a sample.
+        if let Some(rtt) = inner.take_rtt_sample() {
+            if shell.rto.is_adaptive() {
+                shell.rto.sample(rtt);
             }
+        }
+        for session_id in inner.take_acked() {
             shell.acked(session_id + self.tx_id_offset, now);
         }
-        if progressed {
-            shell.rto.progress();
-        }
-        // Arrivals never *extend* an armed deadline — on a busy session,
-        // traffic for other messages would otherwise starve the only recovery
-        // path of a fully-lost message (the sender timeout) indefinitely.
-        // They only arm a missing timer or disarm a no-longer-needed one.
-        if self.work_outstanding() {
-            shell.rto.arm_if_idle(now);
-        } else {
-            shell.rto.disarm();
-        }
+        self.sync_timer(&mut shell.rto);
     }
 
-    pub(crate) fn poll_transmit(&mut self, shell: &mut Shell, out: &mut Vec<Packet>) {
+    pub(crate) fn poll_transmit(&mut self, shell: &mut Shell, now: Nanos, out: &mut Vec<Packet>) {
+        let Some(inner) = &mut self.inner else { return };
+        inner.set_clock(now, shell.rto.rto());
         // A failed flush kills the connection; this poll still drains what
         // was already committed to the wire.
         let _ = self.flush_staged(shell);
-        if let Some(inner) = &mut self.inner {
-            out.extend(self.outbox.drain(..));
-            out.extend(inner.poll_transmit());
+        let inner = self.inner.as_mut().expect("checked above");
+        out.extend(self.outbox.drain(..));
+        out.extend(inner.poll_transmit());
+        // Transmitting (re)starts clocks; it cannot finish outstanding work.
+        if let Some(due) = inner.take_wake_by() {
+            shell.rto.arm_by(due);
         }
     }
 
     /// The timer fired with work outstanding.  Receiver side: request
-    /// RESENDs for incomplete messages.  Sender side: retransmit the
-    /// unscheduled prefix of unacknowledged sends (recovers fully-lost
-    /// messages and lost ACKs).
-    pub(crate) fn recover(&mut self) {
+    /// RESENDs for the incomplete messages that have stalled.  Sender side:
+    /// probe the unacknowledged sends that have gone quiet (recovers
+    /// fully-lost messages and lost ACKs).  Messages that are not due are
+    /// left alone, and a wake-up that finds nothing due only re-arms.
+    pub(crate) fn recover(&mut self, shell: &mut Shell, now: Nanos) {
         let Some(inner) = &mut self.inner else { return };
-        let resends = inner.poll_resend();
-        self.outbox.extend(resends);
-        let retx = inner.poll_retransmit_unacked();
-        self.outbox.extend(retx);
+        inner.set_clock(now, shell.rto.rto());
+        if inner.next_due().is_some_and(|due| due <= now) {
+            shell.stats.timeouts_fired += 1;
+            self.outbox.extend(inner.poll_resend());
+            self.outbox.extend(inner.poll_retransmit_unacked());
+        }
+        let floor = now + shell.rto.rto() / WAKE_SPACING;
+        match inner.next_due() {
+            Some(due) => shell.rto.arm_at(due.max(floor)),
+            // Only staged messages are outstanding; their clocks start at
+            // the flush.
+            None => shell.rto.arm(now),
+        }
     }
 
     /// The SMT key-update: the new epoch rides in every subsequent segment's
@@ -313,5 +322,243 @@ impl MessageEngine {
         }
         debug_assert!(sealed.is_empty(), "drained ciphertext fully consumed");
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::cc::CcConfig;
+    use crate::endpoint::tests::keys;
+    use crate::endpoint::{
+        drive_pair, take_delivered, Endpoint, EndpointBuilder, EndpointResult, EndpointStats,
+        Event, MessageId, PairFabric, SecureEndpoint,
+    };
+    use crate::stack::StackKind;
+    use smt_core::SmtConfig;
+    use smt_sim::net::{FaultConfig, LinkConfig};
+    use smt_sim::Nanos;
+    use smt_wire::{Packet, PacketType};
+
+    /// An endpoint whose egress passes a filter: `keep(now, packet)` sees
+    /// every packet as it leaves and decides whether the wire carries it.
+    /// Lets [`drive_pair`] lose exactly the packets a test names.
+    struct Tapped<F> {
+        inner: Endpoint,
+        keep: F,
+    }
+
+    impl<F: FnMut(Nanos, &Packet) -> bool> SecureEndpoint for Tapped<F> {
+        fn stack(&self) -> StackKind {
+            self.inner.stack()
+        }
+        fn send(&mut self, data: &[u8], now: Nanos) -> EndpointResult<MessageId> {
+            self.inner.send(data, now)
+        }
+        fn handle_datagram(&mut self, datagram: &Packet, now: Nanos) -> EndpointResult<()> {
+            self.inner.handle_datagram(datagram, now)
+        }
+        fn poll_transmit(&mut self, now: Nanos, out: &mut Vec<Packet>) -> usize {
+            let mut sent = Vec::new();
+            self.inner.poll_transmit(now, &mut sent);
+            let before = out.len();
+            out.extend(sent.into_iter().filter(|p| (self.keep)(now, p)));
+            out.len() - before
+        }
+        fn poll_event(&mut self) -> Option<Event> {
+            self.inner.poll_event()
+        }
+        fn next_timeout(&self) -> Option<Nanos> {
+            self.inner.next_timeout()
+        }
+        fn on_timeout(&mut self, now: Nanos) {
+            self.inner.on_timeout(now)
+        }
+        fn stats(&self) -> EndpointStats {
+            self.inner.stats()
+        }
+    }
+
+    fn smt_pair(builder: EndpointBuilder) -> (Endpoint, Endpoint) {
+        let (ck, sk) = keys();
+        builder
+            .stack(StackKind::SmtSw)
+            .pair(&ck, &sk, 4000, 5201)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_deep_pipeline_with_slow_acks_stops_retransmitting_once_it_has_a_clean_sample() {
+        let (mut client, mut server) = smt_pair(Endpoint::builder());
+        // An ACK is back some 150 µs after its message left: almost four
+        // times the opening period, on a link that loses nothing.
+        let slow = LinkConfig {
+            propagation_ns: 75_000,
+            buffer_packets: 4096,
+            ..LinkConfig::default()
+        };
+        assert!(2 * slow.propagation_ns > 3 * SmtConfig::default().rto_ns());
+        let mut link = PairFabric::with_config(slow, FaultConfig::none());
+        let request = vec![7u8; 8192];
+        let (depth, total) = (64, 64 * 8);
+        for _ in 0..depth {
+            client.send(&request, 0).unwrap();
+        }
+        let (mut sent, mut replies) = (depth, 0);
+        // Each end's retransmission count when its estimator first had a
+        // sample, and when the run ended.
+        let mut at_first_sample: [Option<u64>; 2] = [None; 2];
+        while replies < total {
+            assert!(drive_pair(&mut client, &mut server, &mut link, 1) > 0);
+            let now = link.now();
+            for (_, data) in take_delivered(&mut server) {
+                server.send(&data, now).unwrap();
+            }
+            for _ in take_delivered(&mut client) {
+                replies += 1;
+                if sent < total {
+                    client.send(&request, now).unwrap();
+                    sent += 1;
+                }
+            }
+            for (seen, ep) in at_first_sample.iter_mut().zip([&client, &server]) {
+                let stats = ep.stats();
+                if seen.is_none() && stats.srtt_ns > 0 {
+                    *seen = Some(stats.retransmissions);
+                }
+            }
+        }
+        drive_pair(&mut client, &mut server, &mut link, 100_000);
+        for (seen, ep) in at_first_sample.iter().zip([&client, &server]) {
+            let stats = ep.stats();
+            // Without the backoff surviving arrivals, the period snaps back
+            // to 40 µs with every packet, every message is probed before its
+            // ACK can arrive, and no message is ever clean enough to sample.
+            assert!(stats.srtt_ns > 100_000, "sampled: {stats:?}");
+            assert!(
+                stats.retransmissions > 0,
+                "the opening period was too short"
+            );
+            assert_eq!(
+                Some(stats.retransmissions),
+                *seen,
+                "nothing retransmitted once the round trip was known"
+            );
+        }
+    }
+
+    /// Runs `depth` echo RPCs closed-loop from `client` while its message
+    /// `victim` loses every first transmission, for `span` of simulated time
+    /// and then to quiescence.  Returns when the victim's last original
+    /// packet and its first retransmitted one left.
+    fn lose_one_of_many(builder: EndpointBuilder, span: Nanos) -> (Nanos, Nanos, EndpointStats) {
+        const VICTIM: u64 = 7;
+        let (client, mut server) = smt_pair(builder);
+        let (mut last_original, mut first_retransmission) = (0, None);
+        let mut client = Tapped {
+            inner: client,
+            keep: |now, p: &Packet| {
+                let opts = &p.overlay.options;
+                if p.overlay.tcp.packet_type != PacketType::Data || opts.message_id != VICTIM {
+                    return true;
+                }
+                if opts.is_retransmission() {
+                    first_retransmission.get_or_insert(now);
+                    return true;
+                }
+                last_original = now;
+                false
+            },
+        };
+        let mut link = PairFabric::reliable();
+        let request = vec![3u8; 2000];
+        for _ in 0..64 {
+            client.send(&request, 0).unwrap();
+        }
+        let mut victim_delivered = false;
+        let mut running = true;
+        while running {
+            running = drive_pair(&mut client, &mut server, &mut link, 1) > 0;
+            let now = link.now();
+            for (id, data) in take_delivered(&mut server) {
+                victim_delivered |= id == MessageId(VICTIM);
+                server.send(&data, now).unwrap();
+            }
+            // The other 63 keep completing and being replaced.
+            for _ in take_delivered(&mut client) {
+                if now < span {
+                    client.send(&request, now).unwrap();
+                    running = true;
+                }
+            }
+        }
+        assert!(victim_delivered, "the lost message was recovered");
+        let stats = client.stats();
+        drop(client);
+        (
+            last_original,
+            first_retransmission.expect("the victim was probed"),
+            stats,
+        )
+    }
+
+    #[test]
+    fn a_fully_lost_message_is_probed_on_time_however_busy_its_neighbours_are() {
+        let period = SmtConfig::default().rto_ns();
+        // The same per-message rule whether the RTO is estimated, pinned, or
+        // congestion control is off (where the probe is the whole prefix).
+        for (label, builder) in [
+            ("adaptive", Endpoint::builder()),
+            ("pinned", Endpoint::builder().rto_ns(period)),
+            (
+                "cc off",
+                Endpoint::builder().congestion_control(CcConfig::disabled()),
+            ),
+        ] {
+            let (last_original, probed_at, stats) = lose_one_of_many(builder, 4 * period);
+            let waited = probed_at - last_original;
+            // No earlier than one full period after its last transmission,
+            // and no later than the wake-up spacing allows past that.
+            assert!(
+                (period..=period + period / super::WAKE_SPACING).contains(&waited),
+                "{label}: probed {waited} ns after its last transmission"
+            );
+            // Its 63 neighbours and their successors were left alone.
+            assert!(
+                stats.retransmissions <= 8,
+                "{label}: {} retransmissions",
+                stats.retransmissions
+            );
+        }
+    }
+
+    #[test]
+    fn a_lost_ack_is_recovered_by_a_probe_and_the_re_ack() {
+        let (mut client, server) = smt_pair(Endpoint::builder());
+        let mut acks_lost = 0;
+        let mut server = Tapped {
+            inner: server,
+            keep: |_, p: &Packet| {
+                if p.overlay.tcp.packet_type == PacketType::Ack && acks_lost == 0 {
+                    acks_lost += 1;
+                    return false;
+                }
+                true
+            },
+        };
+        let mut link = PairFabric::reliable();
+        let id = client.send(b"acknowledge me", 0).unwrap();
+        drive_pair(&mut client, &mut server, &mut link, 10_000);
+        assert_eq!(take_delivered(&mut server).len(), 1, "delivered once");
+        let mut acked = false;
+        while let Some(event) = client.poll_event() {
+            acked |= event == Event::MessageAcked(id);
+        }
+        assert!(acked, "the re-ACK released the send");
+        assert_eq!(client.next_timeout(), None);
+        assert_eq!(client.stats().timeouts_fired, 1, "one probe");
+        assert!(client.stats().retransmissions > 0);
+        // The probe's duplicate was counted, not delivered.
+        assert_eq!(server.stats().replays_rejected, 1);
+        assert_eq!(server.stats().messages_delivered, 1);
     }
 }

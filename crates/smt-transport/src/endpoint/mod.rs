@@ -788,12 +788,12 @@ impl EndpointBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use smt_crypto::cert::CertificateAuthority;
     use smt_crypto::handshake::{establish, ClientConfig, ServerConfig};
 
-    fn keys() -> (SessionKeys, SessionKeys) {
+    pub(crate) fn keys() -> (SessionKeys, SessionKeys) {
         let ca = CertificateAuthority::new("ep-ca");
         let id = ca.issue_identity("server");
         establish(

@@ -14,11 +14,12 @@
 //!   order of `HandshakeComplete` / `TicketReceived` / `MessageAcked(0)`, and
 //!   the flush of queued sends under the IDs they were promised.  An engine
 //!   contributes only `install_keys` and `send`.
-//! * **The retransmission timer** — one [`RtoTimer`] computes the period
-//!   (pinned, or RTT-estimated with exponential backoff under a clamp).
-//!   *When* to arm, restart or disarm stays engine policy: the message engine
-//!   never extends a deadline on arrival, the stream engine restarts it on
-//!   cumulative progress.
+//! * **The retransmission timer** — one [`RtoTimer`] computes the RTO
+//!   (pinned, or RTT-estimated under a clamp) and holds the deadline.  *When*
+//!   to arm, restart or disarm stays engine policy: the stream engine
+//!   restarts it on cumulative progress and backs it off per fire; for the
+//!   message engine it is a wake-up for the earliest of its per-message
+//!   recovery clocks, which an arrival never extends.
 //! * **Statistics** — the connection's one [`EndpointStats`].  The handshake
 //!   driver and the engines increment it where the event happens; counters
 //!   kept by `SmtSession` / `HomaEndpoint` (public APIs in their own right)
@@ -59,12 +60,17 @@ pub(crate) struct RtoTimer {
     max_rto_ns: Nanos,
     /// RFC 6298 estimator; sampled under Karn's rule by the engines.
     rtt: RttEstimator,
-    /// Exponential backoff shift on the adaptive period: doubled on every
-    /// fire, cleared on progress (as Linux clears it on a cumulative
-    /// advance) — repeated fires with no progress mean the estimate is
-    /// stale, while a recovering incast round makes progress every RTO and
-    /// keeps the baseline cadence.
+    /// Exponential backoff shift on the adaptive period, stream engine only:
+    /// doubled on every fire, cleared on progress (as Linux clears it on a
+    /// cumulative advance) — repeated fires with no progress mean the
+    /// estimate is stale, while a recovering incast round makes progress
+    /// every RTO and keeps the baseline cadence.  The message engine's
+    /// backoff answers to probes and clean samples instead and lives beside
+    /// its per-message clocks, in `HomaEndpoint`.
     backoff: u32,
+    /// What [`rto`](Self::rto) returns, recomputed when an input moves: the
+    /// message engine reads it on every call, to tell its transport.
+    rto_ns: Nanos,
     deadline: Option<Nanos>,
 }
 
@@ -77,26 +83,33 @@ impl RtoTimer {
             initial_rto_ns: pinned_ns,
             ..*cc
         };
-        Self {
+        let mut timer = Self {
             pinned_ns,
             adaptive: cc.enabled && cc.adaptive_rto,
             max_rto_ns: cc.max_rto_ns.max(1),
             rtt: RttEstimator::new(&opening),
             backoff: 0,
+            rto_ns: pinned_ns,
             deadline: None,
-        }
+        };
+        timer.refresh();
+        timer
     }
 
-    /// The period the next arming uses.
-    fn rto(&self) -> Nanos {
-        if self.adaptive {
+    fn refresh(&mut self) {
+        self.rto_ns = if self.adaptive {
             self.rtt
                 .rto_ns()
                 .saturating_mul(1 << self.backoff)
                 .min(self.max_rto_ns)
         } else {
             self.pinned_ns
-        }
+        };
+    }
+
+    /// The period the next arming uses.
+    pub(crate) fn rto(&self) -> Nanos {
+        self.rto_ns
     }
 
     /// True when RTT samples steer the period (worth collecting them).
@@ -120,6 +133,19 @@ impl RtoTimer {
         }
     }
 
+    /// Sets the deadline to `at`.
+    pub(crate) fn arm_at(&mut self, at: Nanos) {
+        self.deadline = Some(at);
+    }
+
+    /// Starts the timer for `at`, or pulls a later deadline in to it; an
+    /// earlier deadline stands.
+    pub(crate) fn arm_by(&mut self, at: Nanos) {
+        if self.deadline.is_none_or(|deadline| at < deadline) {
+            self.deadline = Some(at);
+        }
+    }
+
     pub(crate) fn disarm(&mut self) {
         self.deadline = None;
     }
@@ -127,17 +153,22 @@ impl RtoTimer {
     /// The timer fired with work outstanding: back the period off.
     fn fired(&mut self) {
         self.backoff = (self.backoff + 1).min(16);
+        self.refresh();
     }
 
     /// The peer made progress: the estimate is trustworthy again.
     pub(crate) fn progress(&mut self) {
-        self.backoff = 0;
+        if self.backoff != 0 {
+            self.backoff = 0;
+            self.refresh();
+        }
     }
 
     /// Feeds one Karn-clean round-trip measurement.
     pub(crate) fn sample(&mut self, rtt_ns: Nanos) {
         self.rtt.on_sample(rtt_ns);
         self.backoff = 0;
+        self.refresh();
     }
 }
 
@@ -596,7 +627,7 @@ impl SecureEndpoint for Endpoint {
         shell.poll_handshake(now, out);
         if !shell.dead {
             match &mut self.engine {
-                Engine::Message(m) => m.poll_transmit(shell, out),
+                Engine::Message(m) => m.poll_transmit(shell, now, out),
                 Engine::Stream(s) => s.poll_transmit(shell, now, out),
             }
         }
@@ -635,14 +666,19 @@ impl SecureEndpoint for Endpoint {
             shell.rto.disarm();
             return;
         }
-        shell.stats.timeouts_fired += 1;
-        shell.rto.fired();
         match &mut self.engine {
-            Engine::Message(m) => m.recover(),
-            Engine::Stream(s) => s.recover(now),
+            // Per-message clocks: the engine decides what, if anything, was
+            // due and when to wake next.
+            Engine::Message(m) => m.recover(shell, now),
+            Engine::Stream(s) => {
+                shell.stats.timeouts_fired += 1;
+                shell.rto.fired();
+                s.recover(now);
+                // A fired timer always re-arms one full (backed-off) period
+                // out.
+                shell.rto.arm(now);
+            }
         }
-        // A fired timer always re-arms one full (backed-off) period out.
-        shell.rto.arm(now);
     }
 
     fn stats(&self) -> EndpointStats {

@@ -7,8 +7,9 @@
 //! * **unscheduled data** — the first part of every message is sent without
 //!   waiting for the receiver (first-RTT data, §2.2/§4.2);
 //! * **GRANTs** — the receiver paces the remainder of large messages;
-//! * **RESENDs** — the receiver requests retransmission of missing data; the
-//!   sender marks retransmitted packets with the resend packet offset (§4.3);
+//! * **RESENDs** — the receiver names the first packet it is missing and the
+//!   sender goes back to it, marking retransmitted packets with the resend
+//!   packet offset (§4.3);
 //! * **ACKs** — a message has send or receive state exactly while it is in
 //!   flight (§2.2, §4.4.1): the ACK releases the sender's state, retained
 //!   packets included, and delivery releases the receiver's.  All that
@@ -18,10 +19,21 @@
 //! * encryption, reassembly and replay rejection come from the SMT session.
 //!
 //! Simplifications relative to Homa/Linux, documented here and in DESIGN.md: the
-//! grant window is tracked in packets rather than bytes and RESENDs cover a
-//! whole message rather than a byte range.  None of these affect the
-//! properties the integration tests verify (reliable, encrypted, unordered
-//! message delivery over a lossy link).
+//! grant window is tracked in packets rather than bytes, and a RESEND names
+//! where the first gap starts (in the coordinates DATA packets carry: segment
+//! TSO offset, packet offset within it) rather than a byte range.  None of
+//! these affect the properties the integration tests verify (reliable,
+//! encrypted, unordered message delivery over a lossy link).
+//!
+//! **Loss recovery is per message** (DESIGN.md §10).  Every in-flight message
+//! carries its own recovery clock, which vanishes with its state on ACK /
+//! delivery: a send is probed only after one full period with none of its
+//! packets transmitted and no GRANT / RESEND naming it, a receive is RESENT
+//! only after one full period in which no packet *added bytes* to it, and
+//! each repeat doubles that message's wait.  An endpoint is told the time and
+//! the connection's RTO by its driver ([`HomaEndpoint::set_clock`]); one that
+//! never is sits at time zero with a zero period, where everything in flight
+//! is always due — the poll-when-quiet discipline of a driver with no clock.
 //!
 //! With congestion control installed ([`HomaEndpoint::set_cc`], DESIGN.md
 //! §10), grants come from the receiver-driven SRPT scheduler
@@ -39,6 +51,7 @@ use smt_core::segment::PathInfo;
 use smt_core::{SmtConfig, SmtSession};
 use smt_crypto::handshake::SessionKeys;
 use smt_sim::nic::NicModel;
+use smt_sim::Nanos;
 use smt_wire::{
     HomaAck, HomaGrant, HomaResend, OverlayTcpHeader, Packet, PacketPayload, PacketType,
     SmtOptionArea, SmtOverlayHeader,
@@ -69,6 +82,63 @@ impl Default for HomaConfig {
     }
 }
 
+/// One in-flight message's recovery clock: when it is next due for a probe
+/// (send) or a RESEND (receive), and the wait that led there.  Activity on
+/// the message restarts it one period out; acting on it doubles the wait.
+#[derive(Debug, Clone, Copy)]
+struct RecoveryClock {
+    due: Nanos,
+    wait: Nanos,
+}
+
+/// The endpoint's notion of time, and where every recovery clock starts.
+#[derive(Debug, Default)]
+struct RecoveryTime {
+    /// The time and the connection's RTO, as last told by
+    /// [`HomaEndpoint::set_clock`]; both zero until then (module docs).
+    now: Nanos,
+    rto: Nanos,
+    /// The second half of Karn's algorithm (RFC 6298 §5): the longest wait
+    /// a probe has doubled any send to.  Clocks start no shorter than this
+    /// from then on, and only an RTT sample from a message that was never
+    /// retransmitted clears it.  Arrivals do not: with 64 messages in flight
+    /// something always arrives, and a period that keeps snapping back below
+    /// the real round trip probes every message and never sees a clean
+    /// sample.  (Not a count of probing fires: those can come a quarter
+    /// period apart, and a period doubled per fire outruns the clock — 200
+    /// RPCs deep it reached the 10 ms ceiling in 100 µs.)  Stays zero unless
+    /// the RTO is adaptive.
+    backed_off: Nanos,
+    /// Earliest due time among the clocks started since
+    /// [`HomaEndpoint::take_wake_by`]: a driver holding a later wake-up must
+    /// pull it in.
+    wake_by: Option<Nanos>,
+}
+
+impl RecoveryTime {
+    /// The period a clock starts with: the RTO, backed off.
+    fn period(&self) -> Nanos {
+        self.rto.max(self.backed_off)
+    }
+
+    /// (Re)starts a message's clock one period out.
+    fn start(&mut self) -> RecoveryClock {
+        let wait = self.period();
+        let due = self.now + wait;
+        self.wake_by = Some(self.wake_by.map_or(due, |w| w.min(due)));
+        RecoveryClock { due, wait }
+    }
+
+    /// The message sat out its whole wait and was acted on: its next wait is
+    /// twice as long, up to `max_wait`.  (No `wake_by`: the fire that acts
+    /// re-arms from [`HomaEndpoint::next_due`].)
+    fn back_off(&self, clock: &mut RecoveryClock, max_wait: Nanos) {
+        let doubled = clock.wait.saturating_mul(2).min(max_wait);
+        clock.wait = clock.wait.max(doubled);
+        clock.due = self.now + clock.wait;
+    }
+}
+
 #[derive(Debug)]
 struct PendingSend {
     packets: Vec<Packet>,
@@ -78,14 +148,19 @@ struct PendingSend {
     /// highest); stamped into the plaintext option area of every granted
     /// data packet this message emits.
     priority: u8,
-    /// Where the next cc-mode RESEND response resumes: recovery walks the
-    /// sent packets in bounded windows instead of re-blasting the whole
-    /// message, so a RESEND can never re-trigger the very overflow it is
-    /// recovering from.
-    resend_cursor: usize,
+    /// When the first packet left; the ACK's RTT sample is measured from
+    /// here.
+    first_sent_at: Nanos,
+    /// Any packet of this message was sent twice (probe or RESEND response):
+    /// its ACK cannot say which copy it answers, so it yields no RTT sample
+    /// (Karn's rule, per message).
+    retransmitted: bool,
+    /// Due one period after the last transmission of any of its packets or
+    /// the last GRANT / RESEND naming it; each probe doubles the wait.
+    probe: RecoveryClock,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RecvProgress {
     /// Packets the session actually accepted (authenticated, well-formed,
     /// not a conflicting duplicate).  A message with zero accepted packets
@@ -96,10 +171,13 @@ struct RecvProgress {
     packets_seen: usize,
     granted: usize,
     total_estimate: usize,
-    /// RESENDs issued since data last arrived; the receiver abandons the
-    /// message at [`CcConfig::max_resend_attempts`] instead of requesting
-    /// forever.
+    /// RESENDs issued since a packet last added bytes; the receiver abandons
+    /// the message at [`CcConfig::max_resend_attempts`] instead of
+    /// requesting forever.
     resends: u32,
+    /// Due one period after the last packet that added bytes (or, with none
+    /// yet, after the entry appeared); each RESEND doubles the wait.
+    resend: RecoveryClock,
 }
 
 /// Incomplete receives tracked at most; beyond this the receiver evicts the
@@ -133,6 +211,10 @@ pub struct HomaEndpoint {
     recv_errors: u64,
     /// Incomplete receives abandoned: RESEND give-up plus cap evictions.
     recv_state_evictions: u64,
+    time: RecoveryTime,
+    /// Round trip of the message the last ACK released, if it was never
+    /// retransmitted.
+    rtt_sample: Option<Nanos>,
 }
 
 impl std::fmt::Debug for HomaEndpoint {
@@ -200,6 +282,8 @@ impl HomaEndpoint {
             retransmitted_packets: 0,
             recv_errors: 0,
             recv_state_evictions: 0,
+            time: RecoveryTime::default(),
+            rtt_sample: None,
         }
     }
 
@@ -275,6 +359,36 @@ impl HomaEndpoint {
         self.recv_errors
     }
 
+    /// Tells the endpoint the time and the connection's RTO (estimated or
+    /// pinned; the endpoint applies Karn's backoff itself).  A clock
+    /// (re)started from here on is due one period after `now`.
+    pub fn set_clock(&mut self, now: Nanos, rto: Nanos) {
+        self.time.now = now;
+        self.time.rto = rto;
+    }
+
+    /// The earliest due time among the recovery clocks (re)started since the
+    /// last call, which a driver holding a later wake-up must pull in.
+    /// Packets the session rejected start no clock.
+    pub fn take_wake_by(&mut self) -> Option<Nanos> {
+        self.time.wake_by.take()
+    }
+
+    /// First transmission to ACK of the message the last handled ACK
+    /// released — `None` if any of its packets was sent twice (Karn's rule,
+    /// judged per message: what happened to its neighbours is irrelevant).
+    pub fn take_rtt_sample(&mut self) -> Option<Nanos> {
+        self.rtt_sample.take()
+    }
+
+    /// The earliest time an in-flight message comes due for a probe or a
+    /// RESEND: what the driver's timer is a wake-up for.
+    pub fn next_due(&self) -> Option<Nanos> {
+        let probes = self.sends.values().map(|s| s.probe.due);
+        let resends = self.recvs.values().map(|r| r.resend.due);
+        probes.chain(resends).min()
+    }
+
     /// Queues a message for transmission; returns its message ID.
     pub fn send_message(&mut self, data: &[u8], queue: usize) -> Result<u64, smt_core::SmtError> {
         let out = self.session.send_message(data, queue)?;
@@ -314,7 +428,9 @@ impl HomaEndpoint {
                 granted,
                 sent: 0,
                 priority: 0,
-                resend_cursor: 0,
+                first_sent_at: self.time.now,
+                retransmitted: false,
+                probe: self.time.start(),
             },
         );
         out.message_id
@@ -341,12 +457,20 @@ impl HomaEndpoint {
     pub fn poll_transmit(&mut self) -> Vec<Packet> {
         let mut out = Vec::new();
         for send in self.sends.values_mut() {
-            while send.sent < send.granted.min(send.packets.len()) {
-                let mut p = send.packets[send.sent].clone();
+            let end = send.granted.min(send.packets.len());
+            if send.sent >= end {
+                continue;
+            }
+            if send.sent == 0 {
+                send.first_sent_at = self.time.now;
+            }
+            send.probe = self.time.start();
+            for p in &send.packets[send.sent..end] {
+                let mut p = p.clone();
                 p.overlay.options.priority = send.priority;
                 out.push(p);
-                send.sent += 1;
             }
+            send.sent = end;
         }
         out
     }
@@ -415,14 +539,17 @@ impl HomaEndpoint {
                     self.recvs.insert(
                         message_id,
                         RecvProgress {
+                            packets_seen: 0,
                             granted: self.unscheduled(),
                             total_estimate: (opts.message_length as usize)
                                 .div_ceil(per_packet)
                                 .max(1),
-                            ..RecvProgress::default()
+                            resends: 0,
+                            resend: self.time.start(),
                         },
                     );
                 }
+                let accepted_before = self.session.receiver_stats().packets_accepted;
                 match self.session.receive_packet(packet) {
                     Ok(Some(message)) => {
                         let id = message.message_id;
@@ -441,14 +568,21 @@ impl HomaEndpoint {
                             out.extend(self.schedule_grants());
                         }
                     }
+                    // "No error" is not progress: a replay of a finished
+                    // message, a byte-identical duplicate and a packet
+                    // outside the epoch window all return `Ok(None)` too.
+                    // Only a packet that added bytes counts, restarts the
+                    // stall clock and may earn a grant — or whoever replays
+                    // one genuine packet of a stalled message keeps it alive
+                    // past the abandonment cap and inflates the count the
+                    // scheduler ranks it by.
+                    Ok(None)
+                        if self.session.receiver_stats().packets_accepted == accepted_before => {}
                     Ok(None) => {
                         if let Some(p) = self.recvs.get_mut(&message_id) {
                             p.packets_seen += 1;
-                            // Accepted data arrived: the stall clock
-                            // restarts.  Rejected packets must not touch
-                            // it, or forged traffic keeps a bogus
-                            // message alive past the abandonment cap.
                             p.resends = 0;
+                            p.resend = self.time.start();
                         }
                         if self.cc.enabled {
                             out.extend(self.schedule_grants());
@@ -504,58 +638,47 @@ impl HomaEndpoint {
                     if let Some(send) = self.sends.get_mut(&g.message_id) {
                         send.granted = send.granted.max(g.granted_offset as usize);
                         send.priority = g.priority;
+                        // The receiver knows the message and is pacing it.
+                        send.probe = self.time.start();
                     }
                 }
             }
             PacketType::Resend => {
                 if let PacketPayload::Resend(r) = &packet.payload {
-                    let window = if self.cc.enabled {
-                        Some(self.unscheduled().max(1))
-                    } else {
-                        None
-                    };
+                    let window = self
+                        .cc
+                        .enabled
+                        .then(|| self.unscheduled().div_ceil(2).max(1));
                     // No send state means the message was acknowledged: such
                     // a RESEND is stale or forged, and honoring it would
                     // retransmit data nobody is missing.
                     if let Some(send) = self.sends.get_mut(&r.message_id) {
+                        // Go back to the packet the receiver names as its
+                        // first gap (retained packets are in segment, then
+                        // packet-offset order).  Everything before it
+                        // arrived; a gap beyond what was sent so far is the
+                        // grant's business, not a retransmission's.
                         let limit = send.sent.min(send.packets.len());
-                        let indices: Vec<usize> = match window {
-                            // cc: walk the sent packets in bounded windows
-                            // across successive RESENDs — the whole-message
-                            // re-blast is exactly the burst that re-overflows
-                            // a deep-incast receiver queue.
-                            Some(w) if limit > 0 => {
-                                let start = if send.resend_cursor >= limit {
-                                    0
-                                } else {
-                                    send.resend_cursor
-                                };
-                                let end = (start + w).min(limit);
-                                send.resend_cursor = if end >= limit { 0 } else { end };
-                                (start..end).collect()
-                            }
-                            // Baseline: whole-message go-back-N re-blast, but
-                            // lead the volley from a rotating position.  Every
-                            // incast sender shares the same timer discipline,
-                            // so their volleys reach the receiver's tail-drop
-                            // queue in lockstep: with a fixed blast order the
-                            // surviving prefix is the *same* packets each
-                            // round and the same holes drop forever.  Rotating
-                            // the lead packet shifts which chunks arrive ahead
-                            // of the queue cutoff each round, so every chunk
-                            // eventually lands.
-                            _ if limit > 0 => {
-                                let start = send.resend_cursor % limit;
-                                send.resend_cursor = (send.resend_cursor
-                                    + self.config.unscheduled_packets.max(1))
-                                    % limit;
-                                (0..limit).map(|i| (start + i) % limit).collect()
-                            }
-                            _ => Vec::new(),
-                        };
-                        self.retransmitted_packets += indices.len() as u64;
-                        for &i in &indices {
-                            let mut retx = send.packets[i].clone();
+                        let gap = (r.offset, u16::try_from(r.length).unwrap_or(u16::MAX));
+                        let start = send.packets[..limit].partition_point(|p| {
+                            (p.overlay.options.tso_offset, p.packet_offset().unwrap_or(0)) < gap
+                        });
+                        // cc: a bounded window from there, half the
+                        // unscheduled prefix.  The first packet is wanted for
+                        // sure; the rest are a guess at how far the gap runs,
+                        // and re-blasting everything behind it is exactly the
+                        // burst that re-overflows a deep-incast receiver
+                        // queue (DESIGN.md §10 has the measurements).  The
+                        // receiver asks again from its next gap.  Baseline:
+                        // go-back-N.
+                        let end = window.map_or(limit, |w| (start + w).min(limit));
+                        // The receiver knows the message and is driving its
+                        // recovery: no probe until it goes quiet again.
+                        send.probe = self.time.start();
+                        send.retransmitted |= end > start;
+                        self.retransmitted_packets += (end - start) as u64;
+                        for p in &send.packets[start..end] {
+                            let mut retx = p.clone();
                             smt_core::segment::SmtSegmenter::mark_retransmission(&mut retx);
                             out.push(retx);
                         }
@@ -566,8 +689,13 @@ impl HomaEndpoint {
                 if let PacketPayload::Ack(a) = &packet.payload {
                     // Releases the send state, retained packets included; a
                     // duplicate ACK finds nothing and reports nothing.
-                    if self.sends.remove(&a.message_id).is_some() {
+                    if let Some(send) = self.sends.remove(&a.message_id) {
                         self.acked.push(a.message_id);
+                        self.rtt_sample = (!send.retransmitted)
+                            .then(|| self.time.now.saturating_sub(send.first_sent_at));
+                        if self.rtt_sample.is_some() {
+                            self.time.backed_off = 0;
+                        }
                     }
                 }
             }
@@ -611,11 +739,14 @@ impl HomaEndpoint {
         out
     }
 
-    /// Retransmits the unscheduled prefix of every send that has not been
-    /// acknowledged (invoked by the driver when the channel goes quiet — the
-    /// sender-side timeout).  This recovers the two cases receiver-driven
-    /// RESENDs cannot: a message whose every packet was lost (the receiver
-    /// never learned it exists) and a completed message whose ACK was lost.
+    /// Probes each unacknowledged send that has gone quiet — one full wait
+    /// with none of its packets transmitted and no GRANT / RESEND naming it —
+    /// by retransmitting the head of its unscheduled prefix, and doubles that
+    /// send's wait (the sender-side timeout).  This recovers the two cases
+    /// receiver-driven RESENDs cannot: a message whose every packet was lost
+    /// (the receiver never learned it exists) and a completed message whose
+    /// ACK was lost.  Sends that are not due are left alone, whatever
+    /// happened to their neighbours.
     pub fn poll_retransmit_unacked(&mut self) -> Vec<Packet> {
         let mut out = Vec::new();
         // cc: a two-packet probe suffices — it recreates the receiver's
@@ -626,8 +757,19 @@ impl HomaEndpoint {
         } else {
             self.config.unscheduled_packets
         };
-        for send in self.sends.values() {
+        let adaptive = self.cc.enabled && self.cc.adaptive_rto;
+        for send in self.sends.values_mut() {
+            if send.probe.due > self.time.now {
+                continue;
+            }
+            self.time.back_off(&mut send.probe, self.cc.max_rto_ns);
             let limit = send.sent.min(limit_cap).min(send.packets.len());
+            if limit > 0 {
+                send.retransmitted = true;
+                if adaptive {
+                    self.time.backed_off = self.time.backed_off.max(send.probe.wait);
+                }
+            }
             for p in &send.packets[..limit] {
                 let mut retx = p.clone();
                 smt_core::segment::SmtSegmenter::mark_retransmission(&mut retx);
@@ -638,17 +780,24 @@ impl HomaEndpoint {
         out
     }
 
-    /// Issues RESEND requests for messages that have started arriving but have
-    /// not completed (invoked by the driver when the channel goes quiet,
-    /// standing in for Homa's timeout-driven RESEND).  A message that stays
-    /// stalled through [`CcConfig::max_resend_attempts`] quiet timeouts is
-    /// abandoned — a forged message ID must not keep the receiver's timer
-    /// armed forever.
+    /// Issues a RESEND for each incomplete receive that has stalled — one
+    /// full wait in which no packet added bytes to it — and doubles that
+    /// receive's wait (standing in for Homa's timeout-driven RESEND).  A
+    /// message that stays stalled through [`CcConfig::max_resend_attempts`]
+    /// of its own waits is abandoned — a forged message ID must not keep the
+    /// receiver's timer armed forever.  Receives that are not due are left
+    /// alone.
     pub fn poll_resend(&mut self) -> Vec<Packet> {
         let mut out = Vec::new();
         let max_attempts = self.cc.max_resend_attempts;
-        let ids: Vec<u64> = self.recvs.keys().copied().collect();
-        for id in ids {
+        let max_wait = self.cc.max_rto_ns;
+        let due: Vec<u64> = self
+            .recvs
+            .iter()
+            .filter(|(_, p)| p.resend.due <= self.time.now)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in due {
             let Some(progress) = self.recvs.get_mut(&id) else {
                 continue;
             };
@@ -658,6 +807,7 @@ impl HomaEndpoint {
                 continue;
             }
             progress.resends += 1;
+            self.time.back_off(&mut progress.resend, max_wait);
             // A message with no accepted packet still ages toward
             // abandonment above, but gets no RESEND on the wire: requesting
             // retransmission of a message only an attacker ever referenced
@@ -667,11 +817,15 @@ impl HomaEndpoint {
                 continue;
             }
             let granted = progress.granted;
+            // Name the first gap, so the sender goes straight to it.  The
+            // session holding nothing of the message (its one segment failed
+            // authentication and was discarded whole) asks from the start.
+            let (offset, held) = self.session.first_missing(id).unwrap_or((0, 0));
             out.push(self.control_packet(
                 PacketPayload::Resend(HomaResend {
                     message_id: id,
-                    offset: 0,
-                    length: u32::MAX,
+                    offset,
+                    length: u32::from(held),
                     priority: 0,
                 }),
                 PacketType::Resend,
@@ -1030,6 +1184,186 @@ mod tests {
             let debug = format!("{ep:?}");
             assert!(debug.contains("pending_sends: 0"), "{debug}");
             assert!(debug.contains("pending_recvs: 0"), "{debug}");
+        }
+    }
+
+    /// The period the hand-driven clock tests tell both ends.
+    const PERIOD: Nanos = 40_000;
+
+    /// Steps `ep`'s clock in quarter periods up to `periods` and returns the
+    /// times at which `poll` emitted anything.
+    fn fires(
+        ep: &mut HomaEndpoint,
+        periods: u64,
+        mut poll: impl FnMut(&mut HomaEndpoint) -> Vec<Packet>,
+    ) -> Vec<Nanos> {
+        let mut at = Vec::new();
+        for step in 1..=periods * 4 {
+            let now = step * PERIOD / 4;
+            ep.set_clock(now, PERIOD);
+            if !poll(ep).is_empty() {
+                at.push(now);
+            }
+        }
+        at
+    }
+
+    #[test]
+    fn successive_probes_and_resends_of_one_message_double_their_wait() {
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        a.set_clock(0, PERIOD);
+        b.set_clock(0, PERIOD);
+        a.send_message(&[1u8; 3000], 0).unwrap();
+        let flight = a.poll_transmit();
+        assert!(flight.len() > 1);
+        assert_eq!(a.next_due(), Some(PERIOD));
+
+        // Every packet lost: the send is probed after 1, then 2, 4, 8 periods.
+        let probes = fires(&mut a, 16, |a| a.poll_retransmit_unacked());
+        assert_eq!(probes, [PERIOD, 3 * PERIOD, 7 * PERIOD, 15 * PERIOD]);
+        assert_eq!(a.next_due(), Some(31 * PERIOD));
+
+        // Only the first packet arrives: the receive is RESENT on the same
+        // schedule, and the silence of its neighbour-less timer is no excuse.
+        b.handle_packet(&flight[0]);
+        assert_eq!(b.take_wake_by(), Some(PERIOD));
+        let resends = fires(&mut b, 16, |b| b.poll_resend());
+        assert_eq!(resends, [PERIOD, 3 * PERIOD, 7 * PERIOD, 15 * PERIOD]);
+        assert_eq!(
+            b.take_wake_by(),
+            None,
+            "a backed-off clock pulls nothing in"
+        );
+    }
+
+    #[test]
+    fn a_duplicate_is_not_progress() {
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        let id = a.send_message(&[7u8; 3000], 0).unwrap();
+        let flight = a.poll_transmit();
+        assert!(flight.len() > 1);
+        b.set_clock(0, PERIOD);
+        b.handle_packet(&flight[0]);
+        assert_eq!(b.take_wake_by(), Some(PERIOD));
+        // The message stalls with one packet delivered, and whoever replays
+        // that packet is not its sender making progress: the receive still
+        // ages through `max_resend_attempts` of its own waits and is
+        // abandoned, and the count the grant scheduler ranks it by stays put.
+        let max_attempts = CcConfig::disabled().max_resend_attempts;
+        for attempt in 0..max_attempts {
+            let due = b.next_due().expect("still tracked");
+            b.set_clock(due, PERIOD);
+            let out = b.poll_resend();
+            assert_eq!(
+                out[0].overlay.tcp.packet_type,
+                PacketType::Resend,
+                "RESEND {attempt}"
+            );
+            assert!(b.handle_packet(&flight[0]).is_empty());
+            assert_eq!(b.recvs[&id].packets_seen, 1);
+            assert_eq!(b.take_wake_by(), None, "a duplicate starts no clock");
+        }
+        let due = b.next_due().expect("still tracked");
+        b.set_clock(due, PERIOD);
+        assert!(b.poll_resend().is_empty());
+        assert_eq!(b.incomplete_recvs(), 0, "abandoned");
+        assert_eq!(b.recv_state_evictions(), 1);
+        assert_eq!(b.next_due(), None);
+        assert_eq!(
+            b.session().receiver_stats().packets_duplicate,
+            u64::from(max_attempts)
+        );
+    }
+
+    #[test]
+    fn only_a_message_that_was_never_retransmitted_yields_an_rtt_sample() {
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        a.set_clock(0, PERIOD);
+        let lost = a.send_message(&[1u8; 500], 0).unwrap();
+        let clean = a.send_message(&[2u8; 500], 0).unwrap();
+        let flight = a.poll_transmit();
+        assert_eq!(flight.len(), 2);
+        // `lost` never arrives; `clean` does and its ACK is back at 10 µs.
+        a.set_clock(10_000, PERIOD);
+        for ack in b.handle_packet(&flight[clean as usize]) {
+            a.handle_packet(&ack);
+        }
+        assert_eq!(a.take_acked(), [clean]);
+        assert_eq!(a.take_rtt_sample(), Some(10_000));
+        // One period on only `lost` is due; its neighbour's fate is not its
+        // own, in either direction.
+        a.set_clock(PERIOD, PERIOD);
+        let probe = a.poll_retransmit_unacked();
+        assert!(!probe.is_empty());
+        assert!(
+            probe
+                .iter()
+                .all(|p| p.overlay.options.message_id == lost
+                    && p.overlay.options.is_retransmission())
+        );
+        a.set_clock(PERIOD + 10_000, PERIOD);
+        for p in &probe {
+            for ack in b.handle_packet(p) {
+                a.handle_packet(&ack);
+            }
+        }
+        assert_eq!(a.take_acked(), [lost]);
+        assert_eq!(a.take_rtt_sample(), None, "a probed message is no sample");
+        assert_eq!(b.take_delivered().len(), 2);
+    }
+
+    #[test]
+    fn a_resend_names_the_first_gap_and_the_sender_goes_back_to_it() {
+        for cc_on in [false, true] {
+            let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+            if cc_on {
+                let cc = CcConfig {
+                    max_unscheduled_packets: 40,
+                    ..CcConfig::default()
+                };
+                a.set_cc(cc);
+                b.set_cc(cc);
+            }
+            let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+            a.send_message(&data, 0).unwrap();
+            let flight = a.poll_transmit();
+            assert!(flight.len() > 25, "one unscheduled flight");
+            // Packets 3 and 4 are lost.
+            for (i, p) in flight.iter().enumerate() {
+                if i != 3 && i != 4 {
+                    assert!(b
+                        .handle_packet(p)
+                        .iter()
+                        .all(|r| { r.overlay.tcp.packet_type == PacketType::Grant }));
+                }
+            }
+            let resend = b
+                .poll_resend()
+                .into_iter()
+                .find(|p| p.overlay.tcp.packet_type == PacketType::Resend)
+                .expect("stalled receive asks");
+            let PacketPayload::Resend(named) = resend.payload else {
+                unreachable!()
+            };
+            assert_eq!(
+                (named.offset, named.length),
+                (flight[3].overlay.options.tso_offset, 3),
+                "cc={cc_on}"
+            );
+            // cc answers with a bounded window from the gap, the baseline
+            // with everything it sent from there on; neither with what came
+            // before it.
+            let answer = a.handle_packet(&resend);
+            let want = if cc_on { 20 } else { flight.len() - 3 };
+            assert_eq!(answer.len(), want, "cc={cc_on}");
+            for (retx, original) in answer.iter().zip(&flight[3..]) {
+                assert!(retx.overlay.options.is_retransmission());
+                assert_eq!(retx.payload, original.payload);
+            }
+            for p in &answer {
+                b.handle_packet(p);
+            }
+            assert_eq!(b.take_delivered()[0].data, data, "cc={cc_on}");
         }
     }
 

@@ -68,15 +68,19 @@ pub struct HomaGrant {
     pub priority: u8,
 }
 
-/// RESEND control packet: the receiver asks for retransmission of
-/// `[offset, offset + length)` of a message.
+/// RESEND control packet: the receiver says where its first gap in a message
+/// starts and the sender retransmits from there.  SMT data packets do not
+/// carry a byte offset into the message, so the gap is named in the
+/// coordinates they do carry: the TSO offset of their segment and their
+/// packet offset within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HomaResend {
-    /// Message whose bytes are missing.
+    /// Message with data missing.
     pub message_id: u64,
-    /// First missing byte.
+    /// TSO offset of the first segment that has a packet missing.
     pub offset: u32,
-    /// Number of missing bytes.
+    /// Length, in packets, of the run held from that segment's start: the
+    /// packet offset of the first missing one.
     pub length: u32,
     /// Priority for the retransmitted data.
     pub priority: u8,

@@ -86,18 +86,18 @@ const GOLDEN: &[(&str, bool, bool, Row)] = &[
     ("TCPLS", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
     ("TCPLS", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
     ("TCPLS", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
-    ("Homa", true, false, (0x9255d1ab1dc350ff, 96, 16, 712528, 524288)),
-    ("Homa", true, true, (0x80f617b9ce565dd6, 172, 19, 815085, 524288)),
-    ("Homa", false, false, (0x00c2093f2057a9a7, 84, 7, 575660, 524288)),
-    ("Homa", false, true, (0x79131dc992c65e99, 252, 15, 843257, 524288)),
-    ("SMT-sw", true, false, (0xa8f99d45478c2640, 104, 16, 727046, 525952)),
-    ("SMT-sw", true, true, (0x7e85496dcb8e93ce, 172, 19, 816901, 525952)),
-    ("SMT-sw", false, false, (0x71cc39eda2c5d3b9, 96, 8, 593824, 525952)),
-    ("SMT-sw", false, true, (0xca8957ffca8510a6, 288, 15, 903910, 525952)),
-    ("SMT-hw", true, false, (0xa8f99d45478c2640, 104, 16, 727046, 525952)),
-    ("SMT-hw", true, true, (0x7e85496dcb8e93ce, 172, 19, 816901, 525952)),
-    ("SMT-hw", false, false, (0x71cc39eda2c5d3b9, 96, 8, 593824, 525952)),
-    ("SMT-hw", false, true, (0xca8957ffca8510a6, 288, 15, 903910, 525952)),
+    ("Homa", true, false, (0x74629368d82d758c, 0, 0, 559008, 524288)),
+    ("Homa", true, true, (0x145fe8bb59f32937, 37, 10, 605846, 524288)),
+    ("Homa", false, false, (0x500b534053a43264, 84, 7, 575660, 524288)),
+    ("Homa", false, true, (0xe041ab2ca0eea9f9, 161, 11, 707109, 524288)),
+    ("SMT-sw", true, false, (0x0d71dfc97e853812, 0, 0, 560672, 525952)),
+    ("SMT-sw", true, true, (0x39c8058da43bd842, 37, 10, 607666, 525952)),
+    ("SMT-sw", false, false, (0x363a2a6e6ca3d9e2, 96, 8, 593824, 525952)),
+    ("SMT-sw", false, true, (0x5fbb5b6fee9e2a1a, 185, 11, 745745, 525952)),
+    ("SMT-hw", true, false, (0x0d71dfc97e853812, 0, 0, 560672, 525952)),
+    ("SMT-hw", true, true, (0x39c8058da43bd842, 37, 10, 607666, 525952)),
+    ("SMT-hw", false, false, (0x363a2a6e6ca3d9e2, 96, 8, 593824, 525952)),
+    ("SMT-hw", false, true, (0x5fbb5b6fee9e2a1a, 185, 11, 745745, 525952)),
 ];
 
 /// Every `(stack, cc on, lossy)` combination, in table order.

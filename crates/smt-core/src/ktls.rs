@@ -149,54 +149,6 @@ impl KtlsSender {
         Ok(appended)
     }
 
-    /// Cuts `data` into records exactly like [`Self::send_into`] but *stages*
-    /// them into the shared crypto engine instead of sealing inline. Returns
-    /// the exact number of wire bytes the staged records will produce once the
-    /// engine flushes (equal to [`Self::wire_len_for`]), so the caller can do
-    /// stream-offset bookkeeping before the ciphertext exists. Software-mode
-    /// senders only — an offloaded sender's crypto belongs to the NIC.
-    pub fn stage_into(
-        &mut self,
-        data: &[u8],
-        engine: &smt_crypto::CryptoEngineHandle,
-        conn: smt_crypto::EngineConn,
-    ) -> SmtResult<usize> {
-        if self.crypto_mode != CryptoMode::Software {
-            return Err(SmtError::Session(
-                "the batch crypto engine only drives software-mode senders".into(),
-            ));
-        }
-        let chunks: Vec<&[u8]> = if data.is_empty() {
-            vec![&[]]
-        } else {
-            data.chunks(KTLS_RECORD_PAYLOAD).collect()
-        };
-        let batch: Vec<SealRequest<'_>> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, chunk)| SealRequest {
-                seq: self.seq + i as u64,
-                content_type: ContentType::ApplicationData,
-                parts: std::slice::from_ref(chunk),
-                padding: Padding::Default,
-            })
-            .collect();
-        let staged = engine
-            .stage_batch(conn, &batch)
-            .map_err(|e| SmtError::Session(format!("engine staging failed: {e}")))?;
-        debug_assert_eq!(staged, self.wire_len_for(data.len()));
-        self.seq += chunks.len() as u64;
-        self.records_sent += chunks.len() as u64;
-        self.bytes_sent += data.len() as u64;
-        Ok(staged)
-    }
-
-    /// The seal half of this sender's protector, for registering with a shared
-    /// [`CryptoEngine`](smt_crypto::CryptoEngine).
-    pub fn sealer(&self) -> smt_crypto::RecordSealer {
-        self.protector.sealer()
-    }
-
     /// Encrypts `data` into one or more records and returns the bytes to append
     /// to the TCP send stream (allocating convenience over [`Self::send_into`]).
     pub fn send(&mut self, data: &[u8]) -> SmtResult<Vec<u8>> {

@@ -26,7 +26,7 @@ use crate::flow_context::FlowContextManager;
 use crate::{SmtError, SmtResult};
 use bytes::{Bytes, BytesMut};
 use smt_crypto::record::{Padding, RecordProtector, SealRequest};
-use smt_crypto::{CryptoEngineHandle, EngineConn, SeqnoLayout};
+use smt_crypto::SeqnoLayout;
 use smt_wire::{
     ContentType, FramingHeader, PacketType, SmtOptionArea, SmtOverlayHeader, TsoSegment,
     FRAMING_HEADER_LEN, IPPROTO_SMT,
@@ -100,74 +100,8 @@ pub struct OutgoingMessage {
     pub queue: usize,
 }
 
-/// A message whose records were staged into a shared
-/// [`CryptoEngine`](smt_crypto::CryptoEngine) instead of sealed inline.
-///
-/// The plan (segment boundaries, record counts, exact wire sizes) is final —
-/// only the ciphertext is outstanding. After the engine flushes, the sealed
-/// bytes drained for this connection complete the message via
-/// [`StagedMessage::finish`], producing an [`OutgoingMessage`] byte-identical
-/// to what the inline seal path would have built.
-#[derive(Debug, Clone)]
-pub struct StagedMessage {
-    /// The message ID within the session.
-    pub message_id: u64,
-    /// Total application bytes in the message.
-    pub app_len: usize,
-    /// Total wire payload bytes across all segments (exact; known at stage
-    /// time from the record-size arithmetic).
-    pub wire_len: usize,
-    /// Number of TLS records staged.
-    pub record_count: usize,
-    /// NIC queue the message was assigned to.
-    pub queue: usize,
-    path: PathInfo,
-    segments: Vec<StagedSegment>,
-}
-
-#[derive(Debug, Clone)]
-struct StagedSegment {
-    overlay: SmtOverlayHeader,
-    seg_bytes: usize,
-}
-
-impl StagedMessage {
-    /// Completes the message from sealed engine output, consuming this
-    /// message's wire bytes from the front of `sealed` (records were staged in
-    /// order, so a connection's drained bytes finish its staged messages in
-    /// FIFO order).
-    pub fn finish(self, sealed: &mut Bytes) -> SmtResult<OutgoingMessage> {
-        let mut segments = Vec::with_capacity(self.segments.len());
-        for staged in self.segments {
-            if sealed.len() < staged.seg_bytes {
-                return Err(SmtError::Session(format!(
-                    "engine drained {} bytes but segment needs {}",
-                    sealed.len(),
-                    staged.seg_bytes
-                )));
-            }
-            let payload = sealed.split_to(staged.seg_bytes);
-            segments.push(TsoSegment::new(
-                self.path.src,
-                self.path.dst,
-                IPPROTO_SMT,
-                staged.overlay,
-                payload,
-            ));
-        }
-        Ok(OutgoingMessage {
-            message_id: self.message_id,
-            app_len: self.app_len,
-            wire_len: self.wire_len,
-            record_count: self.record_count,
-            segments,
-            queue: self.queue,
-        })
-    }
-}
-
 /// One planned segment: its records (seq + application chunk) and exact wire
-/// size, shared between the inline-seal and engine-staging paths.
+/// size.
 struct PlannedSegment<'a> {
     first_record_index: u64,
     tso_offset: usize,
@@ -349,9 +283,7 @@ impl SmtSegmenter {
 
     /// Plans the segments of a message: per segment, the (seq, app-data chunk)
     /// of every record plus the exact total wire size under the padding
-    /// policy. Records never straddle segment boundaries. The plan is shared
-    /// by the inline-seal and engine-staging paths, so both produce identical
-    /// segmentation and wire bytes.
+    /// policy. Records never straddle segment boundaries.
     fn plan_segments<'a>(
         &self,
         message_id: u64,
@@ -511,95 +443,6 @@ impl SmtSegmenter {
             record_count,
             segments,
             queue,
-        })
-    }
-
-    /// Segments `data` like [`Self::segment_message`] in `Software` mode, but
-    /// *stages* every record into the shared crypto engine instead of sealing
-    /// inline. The returned [`StagedMessage`] carries the finished plan
-    /// (segment overlays, exact wire sizes); the ciphertext arrives at the
-    /// next engine flush, and [`StagedMessage::finish`] then assembles
-    /// segments byte-identical to the inline path's.
-    #[allow(clippy::too_many_arguments)]
-    pub fn stage_message(
-        &self,
-        path: PathInfo,
-        message_id: u64,
-        data: &[u8],
-        queue: usize,
-        cipher: &RecordProtector,
-        engine: &CryptoEngineHandle,
-        conn: EngineConn,
-        max_message_size: usize,
-    ) -> SmtResult<StagedMessage> {
-        if self.config.crypto_mode != CryptoMode::Software {
-            return Err(SmtError::Session(
-                "the batch crypto engine only drives software-mode sessions".into(),
-            ));
-        }
-        if data.len() > max_message_size {
-            return Err(SmtError::MessageTooLarge {
-                size: data.len(),
-                limit: max_message_size,
-            });
-        }
-        if message_id > self.layout.max_message_id() {
-            return Err(SmtError::MessageIdExhausted);
-        }
-        let padding = self.padding();
-        let plans = self.plan_segments(message_id, data, cipher)?;
-        let mut segments = Vec::with_capacity(plans.len());
-        let mut wire_len = 0usize;
-        let mut record_count = 0usize;
-        for plan in &plans {
-            let headers = self.framing_headers(&plan.records)?;
-            let parts: Vec<[&[u8]; 2]> = plan
-                .records
-                .iter()
-                .zip(headers.iter())
-                .map(|((_, chunk), hdr)| [&hdr[..], *chunk])
-                .collect();
-            let batch: Vec<SealRequest<'_>> = plan
-                .records
-                .iter()
-                .zip(parts.iter())
-                .map(|((seq, _), p)| SealRequest {
-                    seq: *seq,
-                    content_type: ContentType::ApplicationData,
-                    parts: if self.config.framing_header {
-                        &p[..]
-                    } else {
-                        &p[1..]
-                    },
-                    padding,
-                })
-                .collect();
-            let staged = engine
-                .stage_batch(conn, &batch)
-                .map_err(|e| SmtError::Session(format!("engine staging failed: {e}")))?;
-            debug_assert_eq!(staged, plan.seg_bytes);
-            record_count += plan.records.len();
-            wire_len += plan.seg_bytes;
-            segments.push(StagedSegment {
-                overlay: self.overlay_for(
-                    path,
-                    message_id,
-                    data.len(),
-                    plan.tso_offset,
-                    plan.first_record_index as usize,
-                    plan.records.len(),
-                ),
-                seg_bytes: plan.seg_bytes,
-            });
-        }
-        Ok(StagedMessage {
-            message_id,
-            app_len: data.len(),
-            wire_len,
-            record_count,
-            queue,
-            path,
-            segments,
         })
     }
 
@@ -841,68 +684,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(short.wire_len, longer.wire_len);
-    }
-
-    #[test]
-    fn staged_message_matches_inline_seal() {
-        use smt_crypto::CryptoEngineHandle;
-        // Same secret twice: the inline path and the engine path must produce
-        // byte-identical segments (same plan, same seqs, same ciphertext).
-        let s = segmenter(SmtConfig::software());
-        let inline_cipher = cipher();
-        let staged_cipher = cipher();
-        let engine = CryptoEngineHandle::new();
-        let conn = engine.register(staged_cipher.sealer());
-
-        let data = vec![0xc4u8; 150 * 1024];
-        let path = PathInfo::loopback(1, 2);
-        let inline = s
-            .segment_message(path, 0, &data, 1, Some(&inline_cipher), None, 1 << 20)
-            .unwrap();
-        let staged = s
-            .stage_message(path, 0, &data, 1, &staged_cipher, &engine, conn, 1 << 20)
-            .unwrap();
-        assert_eq!(staged.wire_len, inline.wire_len);
-        assert_eq!(staged.record_count, inline.record_count);
-
-        assert!(engine.staged_records() > 0);
-        engine.flush();
-        let mut sealed = engine.drain(conn);
-        let finished = staged.finish(&mut sealed).unwrap();
-        assert!(sealed.is_empty(), "drained bytes fully consumed");
-
-        assert_eq!(finished.segments.len(), inline.segments.len());
-        for (a, b) in finished.segments.iter().zip(inline.segments.iter()) {
-            assert_eq!(a.payload.as_ref(), b.payload.as_ref());
-            assert_eq!(
-                a.options().first_record_index,
-                b.options().first_record_index
-            );
-            assert_eq!(a.options().record_count, b.options().record_count);
-            assert_eq!(a.options().tso_offset, b.options().tso_offset);
-        }
-    }
-
-    #[test]
-    fn stage_message_rejects_non_software_modes() {
-        use smt_crypto::CryptoEngineHandle;
-        let s = segmenter(SmtConfig::hardware_offload());
-        let c = cipher();
-        let engine = CryptoEngineHandle::new();
-        let conn = engine.register(c.sealer());
-        assert!(s
-            .stage_message(
-                PathInfo::loopback(1, 2),
-                0,
-                b"x",
-                0,
-                &c,
-                &engine,
-                conn,
-                1024
-            )
-            .is_err());
-        assert_eq!(engine.staged_records(), 0);
     }
 
     #[test]

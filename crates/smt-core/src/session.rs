@@ -5,7 +5,7 @@
 use crate::config::{CryptoMode, SmtConfig};
 use crate::flow_context::FlowContextManager;
 use crate::reassembly::{ReceivedMessage, SmtReceiver};
-use crate::segment::{OutgoingMessage, PathInfo, SmtSegmenter, StagedMessage};
+use crate::segment::{OutgoingMessage, PathInfo, SmtSegmenter};
 use crate::{SmtError, SmtResult};
 use serde::{Deserialize, Serialize};
 use smt_crypto::handshake::{ratchet_secret, SessionKeys};
@@ -23,8 +23,8 @@ pub struct SessionStats {
     pub bytes_sent: u64,
     /// Wire payload bytes produced (records + framing + tags).
     pub wire_bytes_sent: u64,
-    /// TLS records produced by the send side (sealed inline or staged with a
-    /// batch crypto engine); what the simulator's per-record CPU charge counts.
+    /// TLS records sealed by the send side; what the simulator's per-record
+    /// CPU charge counts.
     pub records_sealed: u64,
     /// Messages delivered by the receiver.
     pub messages_received: u64,
@@ -172,50 +172,6 @@ impl SmtSession {
     /// Number of message IDs already consumed.
     pub fn messages_allocated(&self) -> u64 {
         self.next_message_id
-    }
-
-    /// The seal half of this session's send cipher, for registering with a
-    /// shared [`CryptoEngine`](smt_crypto::CryptoEngine). `None` for plaintext
-    /// sessions.
-    pub fn sender_sealer(&self) -> Option<smt_crypto::RecordSealer> {
-        self.send_cipher.as_ref().map(|c| c.sealer())
-    }
-
-    /// Stages `data` as a new outgoing message whose records go through the
-    /// shared crypto engine (software mode only): the segmentation plan and
-    /// message ID are final on return, the ciphertext arrives at the next
-    /// engine flush. Statistics are updated here — the wire length is exact at
-    /// stage time.
-    pub fn stage_message(
-        &mut self,
-        data: &[u8],
-        queue: usize,
-        engine: &smt_crypto::CryptoEngineHandle,
-        conn: smt_crypto::EngineConn,
-    ) -> SmtResult<StagedMessage> {
-        if self.next_message_id > self.layout.max_message_id() {
-            return Err(SmtError::MessageIdExhausted);
-        }
-        let cipher = self
-            .send_cipher
-            .as_ref()
-            .ok_or_else(|| SmtError::Session("engine staging requires a cipher".into()))?;
-        let staged = self.segmenter.stage_message(
-            self.path,
-            self.next_message_id,
-            data,
-            queue,
-            cipher,
-            engine,
-            conn,
-            self.max_message_size,
-        )?;
-        self.next_message_id += 1;
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        self.stats.wire_bytes_sent += staged.wire_len as u64;
-        self.stats.records_sealed += staged.record_count as u64;
-        Ok(staged)
     }
 
     /// Segments `data` into a new outgoing message on NIC queue `queue`.

@@ -53,10 +53,6 @@ pub enum CryptoError {
     /// Replay detected: a message ID or record sequence number was reused.
     #[error("replay detected: {0}")]
     Replay(String),
-
-    /// Batch crypto engine misuse (unknown connection, stale handle).
-    #[error("crypto engine error: {0}")]
-    Engine(String),
 }
 
 impl CryptoError {

@@ -19,9 +19,7 @@
 //! * [`handshake`] — TLS 1.3-style handshakes: the standard 1-RTT exchange, the
 //!   pre-shared-key resumption exchange, and the paper's **SMT-ticket 0-RTT**
 //!   exchange with or without forward secrecy (§4.5.2/§4.5.3), all instrumented
-//!   with the per-operation timing breakdown of Table 2;
-//! * [`engine`] — a shared per-host batch crypto engine that collects record
-//!   seal work from many sessions between polls and runs it as one fused pass.
+//!   with the per-operation timing breakdown of Table 2.
 //!
 //! The crate is transport-agnostic: it never touches packets or sockets.  The SMT
 //! protocol engine (`smt-core`) combines these primitives with the wire formats
@@ -33,7 +31,6 @@
 pub mod aead;
 pub mod cert;
 pub mod codec;
-pub mod engine;
 pub mod error;
 pub mod handshake;
 pub mod key_schedule;
@@ -44,13 +41,9 @@ pub mod suite;
 pub use aead::{AeadAlgorithm, AeadKey, Iv, NONCE_LEN};
 pub use aes_gcm::{active_tier, CryptoTier};
 pub use cert::{Certificate, CertificateAuthority, CertificateChain, SigningKey, VerifyingKey};
-pub use engine::{CryptoEngine, CryptoEngineHandle, EngineConn, EngineStats};
 pub use error::CryptoError;
 pub use key_schedule::{KeySchedule, Secret, TrafficKeys};
-pub use record::{
-    OpenedRecord, Padding, RecordCipher, RecordCipherPair, RecordPlaintext, RecordProtector,
-    RecordProtectorPair, RecordSealer,
-};
+pub use record::{OpenedRecord, Padding, RecordPlaintext, RecordProtector, RecordProtectorPair};
 pub use seqno::{CompositeSeqno, SeqnoLayout};
 pub use suite::CipherSuite;
 

@@ -45,7 +45,6 @@ use crate::suite::CipherSuite;
 use crate::{CryptoError, CryptoResult};
 use bytes::BytesMut;
 use smt_wire::{ContentType, TlsRecordHeader, MAX_TLS_RECORD};
-use std::sync::Arc;
 
 /// A decrypted record: its inner content type and plaintext (padding removed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,33 +153,56 @@ impl<'a> OpenedBatch<'a> {
     }
 }
 
-/// The seal half of a record protector: key material, IV and padding policy,
-/// with the AEAD key behind an [`Arc`] so clones share the expanded round keys
-/// and GHASH tables (the expensive per-key state) instead of duplicating them.
-///
-/// A `RecordSealer` is what a connection hands to the shared
-/// [`CryptoEngine`](crate::engine::CryptoEngine) so the engine can seal on the
-/// connection's behalf: it is `Clone`, cheap to move across ownership
-/// boundaries, and produces bytes identical to the owning
-/// [`RecordProtector`]'s own seal methods.
-#[derive(Clone)]
-pub struct RecordSealer {
-    key: Arc<AeadKey>,
+/// One direction of record protection: seals or opens records given an explicit
+/// 64-bit record sequence number. This is the one shared datapath driven by the
+/// SMT composite-seqno engine and the kTLS per-connection baseline alike.
+pub struct RecordProtector {
+    key: AeadKey,
     iv: Iv,
     /// Optional padded size: every record is padded up to a multiple of this
     /// value (length concealment, §6.1). `None` disables padding.
     pad_to: Option<usize>,
+    /// Reusable decrypt scratch; cleared and refilled on every open call.
+    scratch: BytesMut,
+    /// Reusable per-batch record index into `scratch`.
+    batch_entries: Vec<BatchEntry>,
 }
 
-impl std::fmt::Debug for RecordSealer {
+impl std::fmt::Debug for RecordProtector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecordSealer")
+        f.debug_struct("RecordProtector")
             .field("pad_to", &self.pad_to)
             .finish_non_exhaustive()
     }
 }
 
-impl RecordSealer {
+impl RecordProtector {
+    /// Creates a record protector from derived traffic keys.
+    pub fn new(keys: TrafficKeys) -> Self {
+        Self {
+            key: keys.key,
+            iv: keys.iv,
+            pad_to: None,
+            scratch: BytesMut::new(),
+            batch_entries: Vec::new(),
+        }
+    }
+
+    /// Creates a record protector directly from a traffic secret.
+    pub fn from_secret(suite: CipherSuite, secret: &Secret) -> CryptoResult<Self> {
+        Ok(Self::new(TrafficKeys::derive(suite, secret)?))
+    }
+
+    /// Enables length-concealment padding to multiples of `granularity` bytes.
+    pub fn with_padding(mut self, granularity: usize) -> Self {
+        self.pad_to = if granularity <= 1 {
+            None
+        } else {
+            Some(granularity)
+        };
+        self
+    }
+
     fn granularity_for(&self, padding: Padding) -> Option<usize> {
         match padding {
             Padding::Default => self.pad_to,
@@ -345,114 +367,7 @@ impl<'c, I: Iterator<Item = &'c [u8]>> ChunkReader<'c, I> {
     }
 }
 
-/// One direction of record protection: seals or opens records given an explicit
-/// 64-bit record sequence number. This is the one shared datapath driven by the
-/// SMT composite-seqno engine and the kTLS per-connection baseline alike.
-pub struct RecordProtector {
-    sealer: RecordSealer,
-    /// Reusable decrypt scratch; cleared and refilled on every open call.
-    scratch: BytesMut,
-    /// Reusable per-batch record index into `scratch`.
-    batch_entries: Vec<BatchEntry>,
-}
-
-/// Backwards-compatible name from the seed tree; the type was unified into
-/// [`RecordProtector`] when the duplicated datapaths were merged.
-pub type RecordCipher = RecordProtector;
-
-impl std::fmt::Debug for RecordProtector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecordProtector")
-            .field("pad_to", &self.sealer.pad_to)
-            .finish_non_exhaustive()
-    }
-}
-
 impl RecordProtector {
-    /// Creates a record protector from derived traffic keys.
-    pub fn new(keys: TrafficKeys) -> Self {
-        Self {
-            sealer: RecordSealer {
-                key: Arc::new(keys.key),
-                iv: keys.iv,
-                pad_to: None,
-            },
-            scratch: BytesMut::new(),
-            batch_entries: Vec::new(),
-        }
-    }
-
-    /// Creates a record protector directly from a traffic secret.
-    pub fn from_secret(suite: CipherSuite, secret: &Secret) -> CryptoResult<Self> {
-        Ok(Self::new(TrafficKeys::derive(suite, secret)?))
-    }
-
-    /// Enables length-concealment padding to multiples of `granularity` bytes.
-    pub fn with_padding(mut self, granularity: usize) -> Self {
-        self.sealer.pad_to = if granularity <= 1 {
-            None
-        } else {
-            Some(granularity)
-        };
-        self
-    }
-
-    /// A cheap clone of the seal half, sharing the expanded AEAD key state.
-    /// This is what gets registered with the shared
-    /// [`CryptoEngine`](crate::engine::CryptoEngine): the engine seals with the
-    /// connection's own key/IV/padding and produces bytes identical to this
-    /// protector's seal methods.
-    pub fn sealer(&self) -> RecordSealer {
-        self.sealer.clone()
-    }
-
-    /// Size of the on-the-wire record (header + ciphertext + tag) produced for a
-    /// plaintext of `len` bytes under the configured padding policy.
-    pub fn wire_record_len(&self, len: usize) -> usize {
-        self.sealer.wire_record_len(len)
-    }
-
-    /// [`Self::wire_record_len`] under an explicit padding policy.
-    pub fn wire_record_len_with(&self, len: usize, padding: Padding) -> usize {
-        self.sealer.wire_record_len_with(len, padding)
-    }
-
-    /// Seals one record whose plaintext is the concatenation of `parts`
-    /// (see [`RecordSealer::seal_parts_into`], which this delegates to).
-    pub fn seal_parts_into(
-        &self,
-        seq: u64,
-        content_type: ContentType,
-        parts: &[&[u8]],
-        padding: Padding,
-        out: &mut BytesMut,
-    ) -> CryptoResult<usize> {
-        self.sealer
-            .seal_parts_into(seq, content_type, parts, padding, out)
-    }
-
-    /// Seals a whole batch of records, appending their wire encodings to `out`
-    /// in order (see [`RecordSealer::seal_batch_into`]).
-    pub fn seal_batch_into(
-        &self,
-        batch: &[SealRequest<'_>],
-        out: &mut BytesMut,
-    ) -> CryptoResult<usize> {
-        self.sealer.seal_batch_into(batch, out)
-    }
-
-    /// Seals one record, appending its wire encoding to `out`
-    /// (single-slice convenience over [`Self::seal_parts_into`]).
-    pub fn seal_into(
-        &self,
-        seq: u64,
-        content_type: ContentType,
-        plaintext: &[u8],
-        out: &mut BytesMut,
-    ) -> CryptoResult<usize> {
-        self.sealer.seal_into(seq, content_type, plaintext, out)
-    }
-
     /// Opens one record from its full wire encoding (header + body), decrypting
     /// into the internal scratch buffer. Returns the borrowed plaintext and the
     /// number of wire bytes consumed. No per-record heap allocation occurs once
@@ -460,9 +375,7 @@ impl RecordProtector {
     pub fn open(&mut self, seq: u64, wire: &[u8]) -> CryptoResult<(OpenedRecord<'_>, usize)> {
         let batch = self.open_batch(seq, 1, wire)?;
         let consumed = batch.consumed;
-        let record = batch
-            .get(0)
-            .ok_or_else(|| CryptoError::Engine("open_batch returned no record".into()))?;
+        let record = batch.get(0).expect("a batch of one holds one record");
         Ok((record, consumed))
     }
 
@@ -526,13 +439,9 @@ impl RecordProtector {
                 }));
             }
             let aad = header.aad();
-            let nonce = self.sealer.iv.nonce_for(seq);
-            self.sealer.key.open_in_place_detached(
-                &nonce,
-                &aad,
-                &mut self.scratch[ct_start..],
-                &tag,
-            )?;
+            let nonce = self.iv.nonce_for(seq);
+            self.key
+                .open_in_place_detached(&nonce, &aad, &mut self.scratch[ct_start..], &tag)?;
 
             // Strip zero padding, then the inner content type byte
             // (RFC 8446 §5.4). Padding remnants stay in the scratch between
@@ -599,9 +508,6 @@ pub struct RecordProtectorPair {
     /// Protector opening data we receive.
     pub receiver: RecordProtector,
 }
-
-/// Backwards-compatible name from the seed tree.
-pub type RecordCipherPair = RecordProtectorPair;
 
 impl RecordProtectorPair {
     /// Derives a symmetric pair from two traffic secrets.

@@ -1166,7 +1166,7 @@ fn fuzz_record_open_batch(iters: u64, seed: u64) -> FuzzReport {
 
 fn fuzz_cc_control_frames(iters: u64, seed: u64) -> FuzzReport {
     use smt_transport::cc::{MsgView, SrptGrantScheduler};
-    use smt_transport::{CcConfig, CongestionController, DctcpWindow};
+    use smt_transport::{CcConfig, DctcpWindow};
     use smt_wire::{SackRange, SmtSack};
 
     let mut m = Mutator::new(seed);

@@ -6,7 +6,7 @@
 //! throughput collapse of halving on every mark.  Loss events (RTO, SACK
 //! holes) still halve, as in the original.
 
-use super::{CcConfig, CcSnapshot, CongestionController};
+use super::CcConfig;
 use smt_sim::Nanos;
 
 /// Fixed-point scale for `alpha` (1.0 == `ALPHA_ONE`).
@@ -27,7 +27,6 @@ pub struct DctcpWindow {
     /// Bytes acked since the window opened; at `cwnd` the window closes.
     window_acked: u64,
     ecn_marks_seen: u64,
-    loss_events: u64,
 }
 
 impl DctcpWindow {
@@ -45,7 +44,6 @@ impl DctcpWindow {
             window_total: 0,
             window_acked: 0,
             ecn_marks_seen: 0,
-            loss_events: 0,
         }
     }
 
@@ -85,10 +83,16 @@ impl DctcpWindow {
     pub fn alpha_permille(&self) -> u64 {
         (self.alpha * 1000) / ALPHA_ONE
     }
-}
 
-impl CongestionController for DctcpWindow {
-    fn on_ack(&mut self, newly_acked: u64, marked: u64, total: u64, _now: Nanos) {
+    /// ECN CE marks observed in SACK echoes, for stats.
+    pub fn ecn_marks_seen(&self) -> u64 {
+        self.ecn_marks_seen
+    }
+
+    /// Acknowledgement progress: `newly_acked` bytes left flight, of the
+    /// `total` data packets the peer saw since its last report `marked`
+    /// carried CE.
+    pub fn on_ack(&mut self, newly_acked: u64, marked: u64, total: u64, _now: Nanos) {
         self.ecn_marks_seen += marked;
         self.window_marked += marked;
         self.window_total += total;
@@ -114,8 +118,8 @@ impl CongestionController for DctcpWindow {
         }
     }
 
-    fn on_loss(&mut self, _now: Nanos) {
-        self.loss_events += 1;
+    /// A loss event (retransmission timeout or SACK-inferred hole).
+    pub fn on_loss(&mut self, _now: Nanos) {
         self.cwnd /= 2;
         self.ssthresh = self.cwnd;
         self.clamp();
@@ -126,17 +130,9 @@ impl CongestionController for DctcpWindow {
         self.window_acked = 0;
     }
 
-    fn window(&self) -> u64 {
+    /// Bytes the controller currently permits in flight.
+    pub fn window(&self) -> u64 {
         self.cwnd
-    }
-
-    fn snapshot(&self) -> CcSnapshot {
-        CcSnapshot {
-            cwnd_bytes: self.cwnd,
-            ecn_marks_seen: self.ecn_marks_seen,
-            alpha_permille: self.alpha_permille(),
-            loss_events: self.loss_events,
-        }
     }
 }
 
@@ -177,7 +173,7 @@ mod tests {
             "first proportional cut is gentler than a halving: {after} vs {before}"
         );
         assert!(w.alpha_permille() > 0);
-        assert_eq!(w.snapshot().ecn_marks_seen, 100);
+        assert_eq!(w.ecn_marks_seen(), 100);
     }
 
     #[test]
@@ -203,7 +199,6 @@ mod tests {
             w.on_loss(0);
         }
         assert_eq!(w.window(), CcConfig::default().min_cwnd_bytes, "floor");
-        assert_eq!(w.snapshot().loss_events, 65);
     }
 
     #[test]

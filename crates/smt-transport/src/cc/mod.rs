@@ -3,7 +3,7 @@
 //! The paper's encrypted-vs-plaintext comparison (§5) only means something
 //! under realistic datacenter load, which requires the stacks to *react* to
 //! that load.  This module provides the two reaction styles the evaluation
-//! compares, behind one trait:
+//! compares:
 //!
 //! * **Receiver-driven SRPT grants** ([`SrptGrantScheduler`]) for the
 //!   message-based stacks (Homa / SMT-sw / SMT-hw): the receiver ranks
@@ -119,50 +119,6 @@ impl CcConfig {
             ..Self::default()
         }
     }
-
-    /// Derives timer defaults from the engine configuration so cc and the
-    /// RTO share the same base-RTT clock discipline.
-    pub fn timers_from(mut self, config: &smt_core::SmtConfig) -> Self {
-        self.initial_rto_ns = config.rto_ns();
-        self.min_rto_ns = config.base_rtt_ns.max(1);
-        self
-    }
-}
-
-/// A point-in-time snapshot of one controller's state, merged into
-/// `EndpointStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CcSnapshot {
-    /// Current congestion window in bytes (stream) or granted-backlog cap
-    /// in packets (message receiver).
-    pub cwnd_bytes: u64,
-    /// ECN CE marks observed (echoed to the sender / seen in SACKs).
-    pub ecn_marks_seen: u64,
-    /// DCTCP alpha in permille (0..=1000), for observability.
-    pub alpha_permille: u64,
-    /// Loss events reacted to (RTO fires, SACK-inferred holes).
-    pub loss_events: u64,
-}
-
-/// The congestion-controller contract both reaction styles implement.
-///
-/// `on_ack` feeds acknowledgement progress plus the ECN echo; `on_loss`
-/// reports a loss event (timeout or SACK-inferred hole); `window` is the
-/// instantaneous permission to have bytes outstanding.
-pub trait CongestionController {
-    /// Acknowledgement progress: `newly_acked` bytes left flight, of the
-    /// `total` data packets the peer saw since its last report `marked`
-    /// carried CE.
-    fn on_ack(&mut self, newly_acked: u64, marked: u64, total: u64, now: Nanos);
-
-    /// A loss event (retransmission timeout or SACK-inferred hole).
-    fn on_loss(&mut self, now: Nanos);
-
-    /// Bytes the controller currently permits in flight.
-    fn window(&self) -> u64;
-
-    /// Counters for stats surfacing.
-    fn snapshot(&self) -> CcSnapshot;
 }
 
 /// RFC 6298 round-trip estimator: SRTT/RTTVAR with the standard gains,
@@ -277,13 +233,5 @@ mod tests {
         let c = CcConfig::disabled();
         assert!(!c.enabled);
         assert_eq!(c.initial_rto_ns, CcConfig::default().initial_rto_ns);
-    }
-
-    #[test]
-    fn timers_from_engine_config() {
-        let smt = smt_core::SmtConfig::default().with_base_rtt_ns(25_000);
-        let c = CcConfig::default().timers_from(&smt);
-        assert_eq!(c.initial_rto_ns, smt.rto_ns());
-        assert_eq!(c.min_rto_ns, 25_000);
     }
 }

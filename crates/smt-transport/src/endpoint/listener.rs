@@ -16,9 +16,7 @@
 //!   accepted endpoint it reaches;
 //! * one [`SharedPathSecrets`] — the bounded per-peer path-secret map minted
 //!   by full handshakes and consumed by derived handshakes, plus the
-//!   derived-hello anti-replay cache;
-//! * optionally one batch [`CryptoEngine`](smt_crypto::CryptoEngine) handle,
-//!   so co-located connections seal records in one fused pass (§4.4).
+//!   derived-hello anti-replay cache.
 //!
 //! The connection table is **bounded** with the same discipline as every
 //! other attacker-influenceable buffer in the repository (DESIGN.md §8): at
@@ -67,7 +65,7 @@ pub struct Listener {
 impl Listener {
     /// A listener accepting up to `capacity` concurrent connections, each a
     /// server endpoint presenting `identity` on the stack (MTU, TSO, timers,
-    /// path, shared crypto engine) configured in `builder`.
+    /// path) configured in `builder`.
     ///
     /// `capacity` is a hard bound: the connection admitted past it evicts the
     /// oldest live connection (counted in

@@ -5,8 +5,7 @@
 //! reassembly, replay rejection) over the simulated NIC and the
 //! receiver-driven Homa mechanisms (unscheduled data, GRANTs, RESENDs, ACKs).
 //! This engine owns what is specific to that transport: the control-packet
-//! outbox, NIC-queue spreading, batch-crypto staging of whole messages, and
-//! the timer *policy*.
+//! outbox, NIC-queue spreading, and the timer *policy*.
 //!
 //! **Loss recovery is per message, and `HomaEndpoint` owns it** (its module
 //! docs and DESIGN.md §10 state the rules): a recovery clock in every
@@ -30,14 +29,12 @@
 //! promised the application.
 
 use super::shell::{RtoTimer, Shell};
-use super::{EndpointError, EndpointResult, EndpointStats, Event, MessageId};
+use super::{EndpointResult, EndpointStats, Event, MessageId};
 use crate::cc::CcConfig;
 use crate::homa::{HomaConfig, HomaEndpoint};
 use crate::stack::StackKind;
-use smt_core::config::CryptoMode;
-use smt_core::segment::{PathInfo, StagedMessage};
+use smt_core::segment::PathInfo;
 use smt_crypto::handshake::SessionKeys;
-use smt_crypto::RecordSealer;
 use smt_sim::Nanos;
 use smt_wire::Packet;
 use std::collections::VecDeque;
@@ -65,9 +62,6 @@ pub(crate) struct MessageEngine {
     outbox: VecDeque<Packet>,
     nic_queues: usize,
     next_queue: usize,
-    /// Messages staged with the batch engine, awaiting the next poll's
-    /// fused flush.
-    staged: Vec<StagedMessage>,
 }
 
 impl MessageEngine {
@@ -84,7 +78,6 @@ impl MessageEngine {
             // NIC queue count is known before the keys are.
             nic_queues: crate::homa::base_smt_config(stack).nic_queues.max(1),
             next_queue: 0,
-            staged: Vec::new(),
         };
         if !stack.is_encrypted() {
             engine.install(HomaEndpoint::plaintext(config, path));
@@ -113,16 +106,6 @@ impl MessageEngine {
         Ok(())
     }
 
-    /// The session's seal half when it seals in software (SMT-hw seals in
-    /// the NIC, so there is nothing to batch).
-    pub(crate) fn sealer(&self) -> Option<RecordSealer> {
-        let session = self.inner.as_ref()?.session();
-        if session.config().crypto_mode != CryptoMode::Software {
-            return None;
-        }
-        session.sender_sealer()
-    }
-
     /// The first public ID was delivered from 0-RTT early data.
     pub(crate) fn early_data_delivered(&mut self) {
         self.rx_id_offset = 1;
@@ -140,14 +123,11 @@ impl MessageEngine {
             .unwrap_or_default()
     }
 
-    /// True while sends are unacknowledged, receives incomplete, or messages
-    /// are staged with the batch engine awaiting the next poll's flush.
+    /// True while sends are unacknowledged or receives incomplete.
     pub(crate) fn work_outstanding(&self) -> bool {
-        !self.staged.is_empty()
-            || self
-                .inner
-                .as_ref()
-                .is_some_and(|i| i.incomplete_recvs() > 0 || i.pending_sends() > 0)
+        self.inner
+            .as_ref()
+            .is_some_and(|i| i.incomplete_recvs() > 0 || i.pending_sends() > 0)
     }
 
     /// Sends `data` through the keyed session as public message `id`.
@@ -164,17 +144,7 @@ impl MessageEngine {
         self.next_queue = (self.next_queue + 1) % self.nic_queues;
         let inner = self.inner.as_mut().expect("the shell sends once keyed");
         inner.set_clock(now, shell.rto.rto());
-        let session_id = if let Some((batch, conn)) = shell.batch() {
-            // Stage the record seal work with the shared batch engine; the
-            // ciphertext is produced at the next poll's fused flush. The plan
-            // (IDs, segment boundaries, exact wire sizes) is final now.
-            let staged = inner.stage_message(data, queue, batch, conn)?;
-            let session_id = staged.message_id;
-            self.staged.push(staged);
-            session_id
-        } else {
-            inner.send_message(data, queue)?
-        };
+        let session_id = inner.send_message(data, queue)?;
         debug_assert_eq!(
             session_id + self.tx_id_offset,
             id,
@@ -227,10 +197,6 @@ impl MessageEngine {
     pub(crate) fn poll_transmit(&mut self, shell: &mut Shell, now: Nanos, out: &mut Vec<Packet>) {
         let Some(inner) = &mut self.inner else { return };
         inner.set_clock(now, shell.rto.rto());
-        // A failed flush kills the connection; this poll still drains what
-        // was already committed to the wire.
-        let _ = self.flush_staged(shell);
-        let inner = self.inner.as_mut().expect("checked above");
         out.extend(self.outbox.drain(..));
         out.extend(inner.poll_transmit());
         // Transmitting (re)starts clocks; it cannot finish outstanding work.
@@ -255,18 +221,16 @@ impl MessageEngine {
         let floor = now + shell.rto.rto() / WAKE_SPACING;
         match inner.next_due() {
             Some(due) => shell.rto.arm_at(due.max(floor)),
-            // Only staged messages are outstanding; their clocks start at
-            // the flush.
-            None => shell.rto.arm(now),
+            // The fire abandoned the last stalled receive: nothing is in
+            // flight any more.
+            None => shell.rto.disarm(),
         }
     }
 
     /// The SMT key-update: the new epoch rides in every subsequent segment's
     /// overlay option area, and the peer keeps the old keys for a one-epoch
     /// drain window.
-    pub(crate) fn rekey(&mut self, shell: &mut Shell) -> EndpointResult<u16> {
-        // Records staged under the old key must be sealed under it.
-        self.flush_staged(shell)?;
+    pub(crate) fn rekey(&mut self) -> EndpointResult<u16> {
         let inner = self.inner.as_mut().expect("the shell rekeys once keyed");
         Ok(inner.rekey()?)
     }
@@ -293,35 +257,6 @@ impl MessageEngine {
         stats.state_evictions += receiver.state_evictions + inner.recv_state_evictions();
         stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(receiver.peak_tracked_bytes);
         stats.grants_outstanding = inner.grants_outstanding();
-    }
-
-    /// Materialises engine-staged messages: runs the shared fused flush (the
-    /// first endpoint on the host to poll seals *every* registered
-    /// connection's staged records in one pass), drains this connection's
-    /// ciphertext and hands the finished messages to the transport.  A
-    /// failure is fatal to the connection.
-    fn flush_staged(&mut self, shell: &mut Shell) -> EndpointResult<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let (batch, conn) = shell.batch().expect("staged implies registration");
-        batch.flush();
-        let mut sealed = batch.drain(conn);
-        let inner = self.inner.as_mut().expect("staged implies keyed");
-        for staged in std::mem::take(&mut self.staged) {
-            match staged.finish(&mut sealed) {
-                Ok(out) => {
-                    inner.send_prepared(out);
-                }
-                Err(e) => {
-                    let msg = format!("finishing staged message failed: {e}");
-                    shell.fail(msg.clone());
-                    return Err(EndpointError::Config(msg));
-                }
-            }
-        }
-        debug_assert!(sealed.is_empty(), "drained ciphertext fully consumed");
-        Ok(())
     }
 }
 

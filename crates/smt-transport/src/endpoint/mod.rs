@@ -41,7 +41,7 @@
 //!   ([`EndpointStats::absorb`] is the one aggregation rule);
 //! * the per-op latency clock, started at [`SecureEndpoint::send`];
 //! * the `dead` gate after a fatal error, and the queue-full refusal;
-//! * batch-crypto registration, connection-ID stamping, the event queue.
+//! * connection-ID stamping, the event queue.
 //!
 //! The driving contract is sans-IO **and clocked**: endpoints never touch a
 //! socket or a wall clock, but every driving call carries the caller's virtual
@@ -69,7 +69,6 @@ pub use shell::Endpoint;
 pub use sim::{handshake_scenario_endpoints, scenario_endpoints, scenario_endpoints_cc};
 
 use crate::cc::CcConfig;
-use crate::homa::HomaConfig;
 use crate::stack::StackKind;
 use serde::{Deserialize, Serialize};
 use shell::Keying;
@@ -168,10 +167,9 @@ pub struct EndpointStats {
     /// Received datagrams this endpoint discarded: failed authentication,
     /// malformed, or arrived after a fatal error.
     pub datagrams_dropped: u64,
-    /// TLS records sealed in software on the send side — inline or through a
-    /// shared [`crate::endpoint::EndpointBuilder::crypto_engine`].  Offloaded
-    /// stacks (NIC-sealed records) leave this at zero; the simulator uses it
-    /// to charge per-record CPU cost.
+    /// TLS records sealed in software on the send side.  Offloaded stacks
+    /// (NIC-sealed records) leave this at zero; the simulator uses it to
+    /// charge per-record CPU cost.
     pub records_sealed: u64,
     /// Received datagrams rejected as structurally malformed before any
     /// cryptographic check: bad framing, inconsistent segment geometry,
@@ -566,11 +564,9 @@ pub struct EndpointBuilder {
     stack: StackKind,
     mtu: usize,
     tso: bool,
-    homa: HomaConfig,
     path: Option<PathInfo>,
     rto_ns: Nanos,
     cc: CcConfig,
-    engine: Option<smt_crypto::CryptoEngineHandle>,
     connection_id: u32,
 }
 
@@ -580,11 +576,9 @@ impl Default for EndpointBuilder {
             stack: StackKind::SmtSw,
             mtu: smt_wire::DEFAULT_MTU,
             tso: true,
-            homa: HomaConfig::default(),
             path: None,
             rto_ns: SmtConfig::default().rto_ns(),
             cc: CcConfig::default(),
-            engine: None,
             connection_id: 0,
         }
     }
@@ -609,12 +603,6 @@ impl EndpointBuilder {
         self
     }
 
-    /// Overrides the receiver-driven transport tuning (message stacks only).
-    pub fn homa_config(mut self, config: HomaConfig) -> Self {
-        self.homa = config;
-        self
-    }
-
     /// Pins the sender retransmission timeout to a fixed period, disabling
     /// the RTT-estimated (SRTT/RTTVAR) adaptive RTO.  Without this override
     /// the timeout starts at `SmtConfig::default().rto_ns()` — an RTT
@@ -624,14 +612,6 @@ impl EndpointBuilder {
         self.rto_ns = rto_ns.max(1);
         self.cc.adaptive_rto = false;
         self
-    }
-
-    /// Derives the retransmission timeout and the congestion-control clock
-    /// discipline from an engine configuration (`config.rto_ns()`,
-    /// `config.base_rtt_ns`).  The RTO stays pinned to `config.rto_ns()`.
-    pub fn timers_from(mut self, config: &SmtConfig) -> Self {
-        self.cc = self.cc.timers_from(config);
-        self.rto_ns(config.rto_ns())
     }
 
     /// Overrides the congestion-control tuning.  [`CcConfig::disabled`]
@@ -647,21 +627,6 @@ impl EndpointBuilder {
     /// Sets this endpoint's path (source/destination addresses and ports).
     pub fn path(mut self, path: PathInfo) -> Self {
         self.path = Some(path);
-        self
-    }
-
-    /// Shares a per-host batch [`CryptoEngine`](smt_crypto::CryptoEngine)
-    /// with this endpoint.  Software-crypto senders built from this builder
-    /// register with the engine and **stage** their record seal work at
-    /// [`send`](SecureEndpoint::send) instead of sealing inline; the first
-    /// endpoint to [`poll_transmit`](SecureEndpoint::poll_transmit) runs one
-    /// fused pass over everything every registered connection staged since
-    /// the last poll (the cross-session batch of §4.4).  Give the *same*
-    /// handle to every endpoint co-located on a simulated host.  Endpoints
-    /// without an engine (the default) seal inline, and stacks whose crypto
-    /// is not software-sealed (TCP, Homa, SMT-hw, kTLS-hw) ignore the handle.
-    pub fn crypto_engine(mut self, engine: smt_crypto::CryptoEngineHandle) -> Self {
-        self.engine = Some(engine);
         self
     }
 

@@ -25,11 +25,10 @@
 //!   kept by `SmtSession` / `HomaEndpoint` (public APIs in their own right)
 //!   are read at [`SecureEndpoint::stats`] time.
 //! * **Connection plumbing** — the event queue, the per-op latency clock
-//!   (started at [`SecureEndpoint::send`] on every stack), batch-crypto
-//!   registration (and re-registration on rekey), connection-ID stamping on
-//!   egress, and the `dead` gate: after a fatal handshake or record-layer
-//!   error the endpoint drops all ingress, emits nothing, reports no timer,
-//!   and `send` / `rekey` fail with one error.
+//!   (started at [`SecureEndpoint::send`] on every stack), connection-ID
+//!   stamping on egress, and the `dead` gate: after a fatal handshake or
+//!   record-layer error the endpoint drops all ingress, emits nothing,
+//!   reports no timer, and `send` / `rekey` fail with one error.
 
 use super::handshake::{
     control_proto, DriverOutcome, HandshakeDriver, EARLY_DATA_MAX, MAX_QUEUED_BYTES,
@@ -45,7 +44,6 @@ use crate::homa::HomaConfig;
 use crate::stack::StackKind;
 use smt_core::segment::PathInfo;
 use smt_crypto::handshake::{HandshakeTimings, SessionKeys};
-use smt_crypto::{CryptoEngineHandle, EngineConn, RecordSealer};
 use smt_sim::Nanos;
 use smt_wire::{Packet, PacketType};
 use std::collections::{BTreeMap, VecDeque};
@@ -194,10 +192,6 @@ pub(crate) struct Shell {
     op_latency: OpLatencyHistogram,
     /// Timing breakdown of the completed in-band handshake (Table 2).
     hs_timings: Option<HandshakeTimings>,
-    /// Shared per-host batch crypto engine, when configured on the builder,
-    /// and this connection's registration with it (software crypto only).
-    batch: Option<CryptoEngineHandle>,
-    batch_conn: Option<EngineConn>,
     /// Set by a fatal handshake or record-layer error.
     dead: bool,
     /// Stamped into every egress packet when nonzero (listener demux).
@@ -223,20 +217,6 @@ impl Shell {
             self.op_latency.record(now.saturating_sub(sent_at));
         }
         self.events.push_back(Event::MessageAcked(MessageId(id)));
-    }
-
-    /// The shared batch engine and this connection's registration, when
-    /// sends should stage their seal work instead of sealing inline.
-    pub(crate) fn batch(&self) -> Option<(&CryptoEngineHandle, EngineConn)> {
-        self.batch.as_ref().zip(self.batch_conn)
-    }
-
-    /// (Re-)registers the engine's current send keys with the shared batch
-    /// crypto engine; `sealer` is `None` unless the stack seals in software.
-    fn register_engine(&mut self, sealer: Option<RecordSealer>) {
-        if let (Some(batch), Some(sealer)) = (&self.batch, sealer) {
-            self.batch_conn = Some(batch.register(sealer));
-        }
     }
 
     fn note_queued_bytes(&mut self) {
@@ -306,14 +286,6 @@ impl Engine {
         }
     }
 
-    /// The seal half of the installed send keys, when sealed in software.
-    fn sealer(&self) -> Option<RecordSealer> {
-        match self {
-            Engine::Message(m) => m.sealer(),
-            Engine::Stream(s) => s.sealer(),
-        }
-    }
-
     fn send(&mut self, shell: &mut Shell, id: u64, data: &[u8], now: Nanos) -> EndpointResult<()> {
         match self {
             Engine::Message(m) => m.send(shell, id, data, now),
@@ -377,7 +349,7 @@ impl Endpoint {
             let homa = HomaConfig {
                 mtu: b.mtu,
                 tso: b.tso,
-                ..b.homa
+                ..Default::default()
             };
             Engine::Message(MessageEngine::new(b.stack, homa, path, b.cc))
         } else {
@@ -396,8 +368,6 @@ impl Endpoint {
             op_sent: BTreeMap::new(),
             op_latency: OpLatencyHistogram::default(),
             hs_timings: None,
-            batch: b.engine,
-            batch_conn: None,
             dead: false,
             connection_id: b.connection_id,
         };
@@ -409,7 +379,6 @@ impl Endpoint {
                 Keying::Injected(None) => return Err(missing_keys(b.stack)),
                 Keying::Injected(Some(keys)) => {
                     engine.install_keys(&shell, keys)?;
-                    shell.register_engine(engine.sealer());
                     shell.events.push_back(Event::HandshakeComplete {
                         peer_identity: keys.peer_identity.clone(),
                         forward_secret: keys.forward_secret,
@@ -437,13 +406,10 @@ impl Endpoint {
     /// data volume or sequence space.  Message stacks stamp the new epoch in
     /// the segment overlay (the peer keeps the old keys for a one-epoch drain
     /// window); stream stacks append an in-band TLS KeyUpdate record and
-    /// reset the record sequence number.  Records staged with a shared batch
-    /// crypto engine under the old key are materialised first, and the
-    /// registration is refreshed so later records seal under the new key.
-    /// Returns the new send epoch.  Fails on the plaintext stacks (TCP,
-    /// Homa), before handshake completion and on a dead endpoint.  Each
-    /// direction rekeys independently — the peer's send keys are untouched
-    /// until it calls its own `rekey`.
+    /// reset the record sequence number.  Returns the new send epoch.  Fails
+    /// on the plaintext stacks (TCP, Homa), before handshake completion and
+    /// on a dead endpoint.  Each direction rekeys independently — the peer's
+    /// send keys are untouched until it calls its own `rekey`.
     pub fn rekey(&mut self, now: Nanos) -> EndpointResult<u16> {
         let shell = &mut self.shell;
         if shell.dead {
@@ -454,12 +420,10 @@ impl Endpoint {
                 "cannot rekey before handshake completion".into(),
             ));
         }
-        let epoch = match &mut self.engine {
-            Engine::Message(m) => m.rekey(shell)?,
-            Engine::Stream(s) => s.rekey(shell, now)?,
-        };
-        shell.register_engine(self.engine.sealer());
-        Ok(epoch)
+        match &mut self.engine {
+            Engine::Message(m) => m.rekey(),
+            Engine::Stream(s) => s.rekey(shell, now),
+        }
     }
 
     /// The per-operation timing breakdown (paper Table 2) measured by this
@@ -518,7 +482,6 @@ impl Endpoint {
             shell.fail(format!("installing negotiated keys failed: {e}"));
             return;
         }
-        shell.register_engine(self.engine.sealer());
         shell.events.push_back(Event::HandshakeComplete {
             peer_identity: result.keys.peer_identity.clone(),
             forward_secret: result.keys.forward_secret,

@@ -40,14 +40,13 @@
 
 use super::shell::Shell;
 use super::{EndpointError, EndpointResult, EndpointStats, Event, MessageId};
-use crate::cc::{CcConfig, CongestionController, DctcpWindow};
+use crate::cc::{CcConfig, DctcpWindow};
 use crate::stack::StackKind;
 use bytes::{Buf, Bytes, BytesMut};
 use smt_core::config::CryptoMode;
 use smt_core::ktls::{KtlsReceiver, KtlsSender, KtlsSession};
 use smt_core::segment::PathInfo;
 use smt_crypto::handshake::SessionKeys;
-use smt_crypto::RecordSealer;
 use smt_sim::nic::NicModel;
 use smt_sim::Nanos;
 use smt_wire::{
@@ -65,10 +64,11 @@ const FRAME_HEADER: usize = 12;
 /// segment is evicted (the sender's loss recovery resends it) — DESIGN.md §8.
 const MAX_OOO_BYTES: usize = 4 << 20;
 
-/// Largest length a stream frame header may declare.  A larger value means
-/// the stream framing is corrupted (on plain TCP, undetectably injected):
-/// without the cap the frame buffer would grow forever waiting for a
-/// 4 GiB frame that never completes.
+/// Largest length a stream frame header may declare, and so the largest
+/// message `send` accepts.  A larger value arriving means the stream framing
+/// is corrupted (on plain TCP, undetectably injected): without the cap the
+/// frame buffer would grow forever waiting for a 4 GiB frame that never
+/// completes.
 const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// The TCP-like reliable bytestream under the connection shell.
@@ -82,9 +82,6 @@ pub(crate) struct StreamEngine {
     tls_rx: Option<KtlsReceiver>,
     /// Record crypto mode of this stack (`None` for plain TCP).
     crypto_mode: Option<CryptoMode>,
-    /// Wire bytes staged with the batch engine but not yet flushed into
-    /// `wire`.
-    staged_wire: usize,
 
     // Transmit side.
     /// Unacknowledged wire bytes; `wire[0]` is stream offset `wire_base`.
@@ -165,7 +162,6 @@ impl StreamEngine {
             tls_tx: None,
             tls_rx: None,
             crypto_mode: stack_crypto_mode(stack),
-            staged_wire: 0,
             wire: BytesMut::new(),
             wire_base: 0,
             next_send: 0,
@@ -200,13 +196,6 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// The sender's seal half when the stack runs *software* record crypto
-    /// (hardware offload seals in the NIC, so there is nothing to batch).
-    pub(crate) fn sealer(&self) -> Option<RecordSealer> {
-        let tx = self.tls_tx.as_ref()?;
-        (self.crypto_mode == Some(CryptoMode::Software)).then(|| tx.sealer())
-    }
-
     /// NIC model statistics (TSO expansion of the stream).
     pub(crate) fn nic_stats(&self) -> smt_sim::nic::NicStats {
         self.nic.stats
@@ -217,9 +206,9 @@ impl StreamEngine {
         self.wire_base + self.wire.len() as u64
     }
 
-    /// True while produced (or batch-staged) stream bytes are unacknowledged.
+    /// True while produced stream bytes are unacknowledged.
     pub(crate) fn work_outstanding(&self) -> bool {
-        self.produced() + self.staged_wire as u64 > self.acked
+        self.produced() > self.acked
     }
 
     /// A fatal record-layer or framing failure: the in-order stream can
@@ -466,6 +455,14 @@ impl StreamEngine {
     /// Frames `data` as message `id` and appends it to the reliable stream
     /// (through the record layer when encrypted).
     pub(crate) fn send(&mut self, shell: &mut Shell, id: u64, data: &[u8]) -> EndpointResult<()> {
+        if data.len() > MAX_FRAME_LEN {
+            // The peer would take the frame for corrupted framing and die.
+            return Err(smt_core::SmtError::MessageTooLarge {
+                size: data.len(),
+                limit: MAX_FRAME_LEN,
+            }
+            .into());
+        }
         shell.stats.messages_sent += 1;
         shell.stats.bytes_sent += data.len() as u64;
         let mut framed = Vec::with_capacity(FRAME_HEADER + data.len());
@@ -473,62 +470,28 @@ impl StreamEngine {
         framed.extend_from_slice(&(data.len() as u32).to_be_bytes());
         framed.extend_from_slice(data);
         let appended = match &mut self.tls_tx {
-            Some(tx) => {
-                if let Some((batch, conn)) = shell.batch() {
-                    // Stage the records with the shared batch engine instead
-                    // of sealing inline; the ciphertext lands in `wire` at the
-                    // next poll's fused flush. The staged size is exact, so
-                    // stream offsets can be assigned now.
-                    let n = tx.stage_into(&framed, batch, conn)?;
-                    self.staged_wire += n;
-                    n
-                } else {
-                    tx.send_into(&framed, &mut self.wire)?
-                }
-            }
+            Some(tx) => tx.send_into(&framed, &mut self.wire)?,
             None => {
                 self.wire.extend_from_slice(&framed);
                 framed.len()
             }
         };
-        self.inflight
-            .push_back((id, self.produced() + self.staged_wire as u64));
+        self.inflight.push_back((id, self.produced()));
         shell.stats.wire_bytes_sent += appended as u64;
         Ok(())
     }
 
-    /// Lands ciphertext staged with the shared batch engine on the stream:
-    /// the first endpoint on the host to get here runs one fused pass over
-    /// every registered connection's staged records; each connection then
-    /// drains its own bytes.
-    fn flush_staged(&mut self, shell: &Shell) {
-        if self.staged_wire == 0 {
-            return;
-        }
-        let (batch, conn) = shell.batch().expect("staged bytes imply registration");
-        batch.flush();
-        let sealed = batch.drain(conn);
-        debug_assert_eq!(sealed.len(), self.staged_wire);
-        self.wire.extend_from_slice(&sealed);
-        self.staged_wire = 0;
-    }
-
     /// Ratchets the send keys one epoch forward by appending an in-band TLS
-    /// KeyUpdate record to the reliable stream (RFC 8446 §4.6.3): ciphertext
-    /// staged with the shared batch engine under the old key is materialised
-    /// first so stream ordering is preserved, the KeyUpdate is sealed under
-    /// the *current* keys, and every later record seals under the ratcheted
-    /// secret with its sequence number reset.  Fails on plain TCP.
+    /// KeyUpdate record to the reliable stream (RFC 8446 §4.6.3): the
+    /// KeyUpdate is sealed under the *current* keys, and every later record
+    /// seals under the ratcheted secret with its sequence number reset.
+    /// Fails on plain TCP.
     pub(crate) fn rekey(&mut self, shell: &mut Shell, now: Nanos) -> EndpointResult<u16> {
-        if self.tls_tx.is_none() {
+        let Some(tx) = &mut self.tls_tx else {
             return Err(EndpointError::Config(
                 "plain TCP has no record keys to rekey".into(),
             ));
-        }
-        // Old-key ciphertext staged with the engine must land on the stream
-        // before the KeyUpdate record.
-        self.flush_staged(shell);
-        let tx = self.tls_tx.as_mut().expect("checked above");
+        };
         let ku = tx.key_update()?;
         let epoch = tx.epoch();
         shell.stats.wire_bytes_sent += ku.len() as u64;
@@ -685,7 +648,6 @@ impl StreamEngine {
             let report = self.recv_report(&path);
             out.push(report);
         }
-        self.flush_staged(shell);
         // Hand the unsent stream suffix to the NIC in TSO segments (one MTU
         // payload per segment when TSO is off, like the real no-TSO path).
         let seg_max = if self.tso {
@@ -790,9 +752,8 @@ impl StreamEngine {
     /// Adds the gauges the window machine and the record layer keep.
     pub(crate) fn read_stats(&self, stats: &mut EndpointStats) {
         if let Some(w) = &self.cwnd {
-            let snap = w.snapshot();
-            stats.ecn_marks_seen = snap.ecn_marks_seen;
-            stats.cwnd_bytes = snap.cwnd_bytes;
+            stats.ecn_marks_seen = w.ecn_marks_seen();
+            stats.cwnd_bytes = w.window();
         }
         if let Some(tx) = &self.tls_tx {
             if tx.crypto_mode() == CryptoMode::Software {

@@ -392,29 +392,6 @@ impl HomaEndpoint {
     /// Queues a message for transmission; returns its message ID.
     pub fn send_message(&mut self, data: &[u8], queue: usize) -> Result<u64, smt_core::SmtError> {
         let out = self.session.send_message(data, queue)?;
-        Ok(self.send_prepared(out))
-    }
-
-    /// Stages a message's record seal work with the shared batch crypto
-    /// engine instead of sealing it inline; the returned plan turns into an
-    /// [`OutgoingMessage`](smt_core::segment::OutgoingMessage) for
-    /// [`send_prepared`](Self::send_prepared) once the
-    /// engine has flushed and the ciphertext is drained.
-    pub fn stage_message(
-        &mut self,
-        data: &[u8],
-        queue: usize,
-        engine: &smt_crypto::CryptoEngineHandle,
-        conn: smt_crypto::EngineConn,
-    ) -> Result<smt_core::segment::StagedMessage, smt_core::SmtError> {
-        self.session.stage_message(data, queue, engine, conn)
-    }
-
-    /// Runs the NIC/grant half of [`send_message`](Self::send_message) on an
-    /// already-segmented message (inline-sealed or engine-staged and
-    /// finished); returns its message ID.
-    pub fn send_prepared(&mut self, out: smt_core::segment::OutgoingMessage) -> u64 {
-        let queue = out.queue;
         let mut packets = Vec::new();
         for seg in &out.segments {
             let (pkts, _) = self.nic.transmit(queue, seg);
@@ -433,7 +410,7 @@ impl HomaEndpoint {
                 probe: self.time.start(),
             },
         );
-        out.message_id
+        Ok(out.message_id)
     }
 
     /// The effective unscheduled prefix: the configured prefix, capped by

@@ -40,7 +40,7 @@ pub mod homa;
 pub mod profile;
 pub mod stack;
 
-pub use cc::{CcConfig, CcSnapshot, CongestionController, DctcpWindow, RttEstimator};
+pub use cc::{CcConfig, DctcpWindow, RttEstimator};
 pub use endpoint::{
     drive_pair, handshake_scenario_endpoints, scenario_endpoints, scenario_endpoints_cc,
     take_delivered, AcceptConfig, ConnectConfig, Endpoint, EndpointBuilder, EndpointError,

@@ -16,11 +16,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smt::apps::{KvRequest, KvStore};
+use smt::core::SmtError;
 use smt::crypto::cert::CertificateAuthority;
 use smt::crypto::handshake::{establish, ClientConfig, ServerConfig, SessionKeys, SmtTicketIssuer};
 use smt::sim::net::{FaultConfig, FaultyLink};
 use smt::transport::endpoint::{AcceptConfig, ConnectConfig, ZeroRttAcceptor};
-use smt::transport::{take_delivered, CcConfig, Endpoint, Event, SecureEndpoint, StackKind};
+use smt::transport::{
+    take_delivered, CcConfig, Endpoint, EndpointError, Event, SecureEndpoint, StackKind,
+};
 use smt::wire::{
     IpHeader, Ipv4Header, Packet, PacketPayload, PacketType, SmtOverlayHeader, IPPROTO_SMT,
     IPV4_HEADER_LEN, SMT_OVERLAY_LEN,
@@ -524,6 +527,42 @@ fn replayed_zero_rtt_first_flight_rejected_exactly_once() {
         take_delivered(&mut server_a).is_empty(),
         "no second delivery"
     );
+}
+
+/// A message no peer could accept is refused at `send` on every stack — the
+/// stream stacks' receiver would take its frame header for corrupted framing
+/// and kill the connection — and the refusal consumes nothing: no counter
+/// moves, and the next message gets the ID and is delivered and acknowledged.
+#[test]
+fn oversize_message_refused_at_send_on_all_stacks() {
+    let oversize = vec![7u8; (16 << 20) + 1];
+    let (ck, sk) = handshake();
+    for stack in StackKind::all() {
+        let (mut client, mut server) = Endpoint::builder()
+            .stack(stack)
+            .pair(&ck, &sk, 4000, 5201)
+            .unwrap();
+        let refused = client.send(&oversize, 0);
+        assert!(
+            matches!(
+                refused,
+                Err(EndpointError::Core(SmtError::MessageTooLarge { size, .. }))
+                    if size == oversize.len()
+            ),
+            "stack {}: {refused:?}",
+            stack.label()
+        );
+        assert_eq!(client.stats().messages_sent, 0, "stack {}", stack.label());
+
+        let id = client.send(&[9u8; 64], 0).unwrap();
+        pump_faulty(&mut client, &mut server, FaultConfig::none(), 1_000);
+        assert_eq!(take_delivered(&mut server), [(id, vec![9u8; 64])]);
+        let mut acked = false;
+        while let Some(ev) = client.poll_event() {
+            acked |= ev == Event::MessageAcked(id);
+        }
+        assert!(acked, "stack {}: small message acknowledged", stack.label());
+    }
 }
 
 proptest! {

@@ -28,6 +28,14 @@
 //! an earlier one pays a third copy, when the gap before it closes.  Nothing
 //! is ever sized from a length the wire declares.
 //!
+//! A segment's first packet that by itself holds the segment's every record —
+//! a small RPC's only packet, every packet when TSO is off — is opened where it
+//! lies: no view of it is kept, the same two copies are made, and when that
+//! segment is the whole message nothing of the message is ever buffered.  It
+//! goes through the same opening routine as a buffered segment
+//! (`RecordOpener::open_into`, which takes the run of chunks to read from), so
+//! key epochs, counters and errors are those of the buffered path.
+//!
 //! A segment whose records fail to open is discarded whole: without per-packet
 //! authentication the receiver cannot tell which of its packets was forged,
 //! and a kept forgery would reject the genuine copy as a conflicting duplicate
@@ -43,7 +51,7 @@ use smt_crypto::key_schedule::Secret;
 use smt_crypto::record::RecordProtector;
 use smt_crypto::CipherSuite;
 use smt_crypto::SeqnoLayout;
-use smt_wire::{FramingHeader, Packet, PacketType, TlsRecordHeader};
+use smt_wire::{FramingHeader, Packet, PacketType, SmtOptionArea, TlsRecordHeader};
 use std::collections::{BTreeMap, HashMap};
 
 /// A fully reassembled (and, when encrypted, authenticated) message.
@@ -139,6 +147,32 @@ impl RecordScan {
             }
         }
     }
+
+    /// True when `bytes` by themselves hold `want` whole records.
+    fn holds(bytes: &[u8], want: u16) -> bool {
+        let mut scan = Self::default();
+        scan.feed(bytes, want);
+        scan.records >= want
+    }
+}
+
+/// What every packet of one segment declares about it (all must agree).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct SegmentGeometry {
+    record_count: u16,
+    first_record_index: u16,
+    /// Key epoch the segment was sealed under.
+    epoch: u16,
+}
+
+impl SegmentGeometry {
+    fn of(opt: &SmtOptionArea) -> Self {
+        Self {
+            record_count: opt.record_count,
+            first_record_index: opt.first_record_index,
+            epoch: opt.epoch,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -146,10 +180,7 @@ struct SegmentBuf {
     /// Packet payloads keyed by packet offset (IPID): views of the packets'
     /// own storage, not copies.
     chunks: BTreeMap<u16, Bytes>,
-    record_count: u16,
-    first_record_index: u16,
-    /// Key epoch declared by this segment's packets (all must agree).
-    epoch: u16,
+    geometry: SegmentGeometry,
     decoded: bool,
     /// Contiguity cursor: packets `0..run_packets` are buffered without a
     /// gap and hold `run_bytes` bytes.  Only ever moves forward.
@@ -234,21 +265,152 @@ struct MessageBuf {
     buf_bytes: usize,
 }
 
-/// The receive-side engine for one direction of an SMT session.
+/// Why a segment's records did not become application bytes.
+enum OpenError {
+    /// The segment's key epoch is outside the receive window: undecryptable.
+    OutsideWindow,
+    /// The records did not open (authentication, truncation).  Without
+    /// per-packet authentication there is no telling which of the segment's
+    /// bytes were forged, so none of them can be kept.
+    Records(smt_crypto::CryptoError),
+    /// Anything else; it says nothing about the segment's bytes.
+    Other(SmtError),
+}
+
+impl From<SmtError> for OpenError {
+    fn from(e: SmtError) -> Self {
+        OpenError::Other(e)
+    }
+}
+
+/// Turns a segment's records into application bytes: the receive keys of
+/// the current epoch and its neighbours, and the record layout they are
+/// applied under.
 #[derive(Debug)]
-pub struct SmtReceiver {
-    config: SmtConfig,
+struct RecordOpener {
     layout: SeqnoLayout,
+    /// Records start with a framing header ([`SmtConfig::framing_header`]).
+    framing: bool,
+    /// `None` only in plaintext mode.
     cipher: Option<RecordProtector>,
     /// Traffic secret behind `cipher`; required to ratchet forward on a
     /// key-update (epoch bump).  `None` disables rekey support.
     recv_secret: Option<Secret>,
     suite: Option<CipherSuite>,
     /// Current receive key epoch.
-    recv_epoch: u16,
+    epoch: u16,
     /// Previous-epoch protector kept for one epoch as a drain window, so
     /// retransmissions of packets sealed before a rekey still authenticate.
     prev_cipher: Option<RecordProtector>,
+}
+
+impl RecordOpener {
+    /// The key-epoch window: the current epoch, the next one (the sender
+    /// rekeyed; we ratchet on first successful decrypt), and the previous
+    /// one while its drain-window protector is still held.
+    fn in_window(&self, epoch: u16) -> bool {
+        epoch == self.epoch
+            || (epoch == self.epoch.wrapping_add(1) && self.recv_secret.is_some())
+            || (epoch == self.epoch.wrapping_sub(1) && self.prev_cipher.is_some())
+    }
+
+    /// Opens the records of message `message_id`'s segment at `tso_offset`
+    /// out of `chunks` — the packet payloads that hold them, in order — and
+    /// appends their application bytes to `app`.  Returns how many were
+    /// placed; on any error `app` is untouched.
+    ///
+    /// The ciphertext is gathered out of the chunks straight into the
+    /// protector's scratch and opened there in one batched call through the
+    /// shared datapath.  Records of one segment carry consecutive record
+    /// indices, so their composite sequence numbers are consecutive too;
+    /// composing the first and last indices validates the full range.  Only
+    /// the application bytes are then copied out of the scratch, once.
+    ///
+    /// Key selection is by the segment's declared epoch.  A next-epoch
+    /// segment is opened under a *candidate* ratcheted protector; the roll
+    /// is only committed once authentication succeeds, so a forged epoch
+    /// stamp cannot push the receiver's key schedule forward.
+    fn open_into<'c>(
+        &mut self,
+        message_id: u64,
+        tso_offset: u32,
+        geometry: SegmentGeometry,
+        chunks: impl IntoIterator<Item = &'c [u8]>,
+        app: &mut AppBuf,
+    ) -> Result<usize, OpenError> {
+        let cur = self.epoch;
+        let mut candidate: Option<(RecordProtector, Secret)> = None;
+        let cipher: &mut RecordProtector = if geometry.epoch == cur {
+            self.cipher.as_mut().ok_or_else(|| {
+                SmtError::Session("encrypted session without a receive cipher".into())
+            })?
+        } else if let (true, Some(suite), Some(secret)) = (
+            geometry.epoch == cur.wrapping_add(1),
+            self.suite,
+            self.recv_secret.as_ref(),
+        ) {
+            let next = ratchet_secret(secret);
+            let protector = RecordProtector::from_secret(suite, &next).map_err(SmtError::Crypto)?;
+            &mut candidate.insert((protector, next)).0
+        } else if let (true, Some(prev)) = (
+            geometry.epoch == cur.wrapping_sub(1),
+            self.prev_cipher.as_mut(),
+        ) {
+            prev
+        } else {
+            // The window moved between buffering and decode (e.g. the rekey
+            // committed while this old segment was still partial and its
+            // drain window has since closed), or rekey material was never
+            // provided and the on_packet window should have filtered this.
+            return Err(OpenError::OutsideWindow);
+        };
+        let first_index = geometry.first_record_index as u64;
+        let first_seq = self
+            .layout
+            .compose(message_id, first_index)
+            .map_err(SmtError::Crypto)?;
+        let last_seq = self
+            .layout
+            .compose(
+                message_id,
+                first_index + geometry.record_count.max(1) as u64 - 1,
+            )
+            .map_err(SmtError::Crypto)?;
+        debug_assert_eq!(
+            last_seq.value() - first_seq.value(),
+            geometry.record_count.max(1) as u64 - 1,
+            "contiguous record indices must compose to consecutive seqnos"
+        );
+        let batch = cipher
+            .open_batch_chunked(first_seq.value(), geometry.record_count as usize, chunks)
+            .map_err(OpenError::Records)?;
+        // Framing is checked on every record before any byte is placed, so a
+        // malformed segment leaves the message untouched.
+        for plain in batch.iter() {
+            record_app_bytes(plain.plaintext, self.framing)?;
+        }
+        let mut placed = 0usize;
+        for plain in batch.iter() {
+            let bytes = record_app_bytes(plain.plaintext, self.framing)?;
+            app.append(tso_offset, placed, bytes);
+            placed += bytes.len();
+        }
+        if let Some((protector, next)) = candidate {
+            // A next-epoch segment authenticated: commit the ratchet and keep
+            // the outgoing keys for the drain window.
+            self.prev_cipher = self.cipher.replace(protector);
+            self.recv_secret = Some(next);
+            self.epoch = self.epoch.wrapping_add(1);
+        }
+        Ok(placed)
+    }
+}
+
+/// The receive-side engine for one direction of an SMT session.
+#[derive(Debug)]
+pub struct SmtReceiver {
+    config: SmtConfig,
+    opener: RecordOpener,
     replay: ReplayGuard,
     in_progress: HashMap<u64, MessageBuf>,
     /// Total bytes retained across every in-progress buffer.
@@ -262,12 +424,15 @@ impl SmtReceiver {
     pub fn new(config: SmtConfig, layout: SeqnoLayout, cipher: Option<RecordProtector>) -> Self {
         Self {
             config,
-            layout,
-            cipher,
-            recv_secret: None,
-            suite: None,
-            recv_epoch: 0,
-            prev_cipher: None,
+            opener: RecordOpener {
+                layout,
+                framing: config.framing_header,
+                cipher,
+                recv_secret: None,
+                suite: None,
+                epoch: 0,
+                prev_cipher: None,
+            },
             replay: ReplayGuard::new(),
             in_progress: HashMap::new(),
             tracked_bytes: 0,
@@ -280,14 +445,14 @@ impl SmtReceiver {
     /// `epoch + 1` in the overlay (and keeps the old keys for a one-epoch
     /// drain window).  Without this, non-zero epochs are dropped.
     pub fn with_rekey(mut self, suite: CipherSuite, secret: &Secret) -> Self {
-        self.suite = Some(suite);
-        self.recv_secret = Some(secret.clone());
+        self.opener.suite = Some(suite);
+        self.opener.recv_secret = Some(secret.clone());
         self
     }
 
     /// Current receive key epoch.
     pub fn recv_epoch(&self) -> u16 {
-        self.recv_epoch
+        self.opener.epoch
     }
 
     /// Number of messages currently being reassembled.
@@ -347,6 +512,17 @@ impl SmtReceiver {
         })
     }
 
+    /// Drops everything buffered of an in-progress message, because whoever
+    /// drives this receiver has given up waiting for the rest.  The message
+    /// is *not* marked replayed: packets that do arrive later start it
+    /// afresh instead of being rejected as duplicates of bytes nobody is
+    /// waiting on.
+    pub fn forget(&mut self, message_id: u64) {
+        if let Some(msg) = self.in_progress.remove(&message_id) {
+            self.tracked_bytes = self.tracked_bytes.saturating_sub(msg.buf_bytes);
+        }
+    }
+
     /// Processes one received DATA packet.  Returns the completed message when
     /// this packet finishes its reassembly, `None` otherwise.
     pub fn on_packet(&mut self, packet: &Packet) -> SmtResult<Option<ReceivedMessage>> {
@@ -373,20 +549,12 @@ impl SmtReceiver {
             return Ok(None);
         }
 
-        // Key-epoch window: accept the current epoch, the next one (the
-        // sender rekeyed; we ratchet on first successful decrypt), and the
-        // previous one while its drain-window protector is still held.
-        // Anything else is undecryptable — drop without buffering so forged
-        // epochs cannot occupy reassembly state.
-        if self.config.crypto_mode.is_encrypted() {
-            let cur = self.recv_epoch;
-            let in_window = opt.epoch == cur
-                || (opt.epoch == cur.wrapping_add(1) && self.recv_secret.is_some())
-                || (opt.epoch == cur.wrapping_sub(1) && self.prev_cipher.is_some());
-            if !in_window {
-                self.stats.epoch_rejected += 1;
-                return Ok(None);
-            }
+        // Anything outside the key-epoch window is undecryptable — drop
+        // without buffering so forged epochs cannot occupy reassembly state.
+        let encrypted = self.config.crypto_mode.is_encrypted();
+        if encrypted && !self.opener.in_window(opt.epoch) {
+            self.stats.epoch_rejected += 1;
+            return Ok(None);
         }
 
         // Packet offset: IPID normally, the explicit resend offset for
@@ -404,34 +572,80 @@ impl SmtReceiver {
             .as_data()
             .ok_or_else(|| SmtError::malformed("DATA packet without data payload"))?;
 
-        let msg = self
-            .in_progress
-            .entry(message_id)
-            .or_insert_with(|| MessageBuf {
-                message_length: opt.message_length,
-                src_port: packet.overlay.tcp.src_port,
-                dst_port: packet.overlay.tcp.dst_port,
-                ..MessageBuf::default()
-            });
+        // A segment's first packet that by itself holds the segment's every
+        // record is opened where it lies, with no view of it kept; and when
+        // nothing of its message is buffered either, the message gets a
+        // buffer of its own only if it goes on beyond this segment.
+        let whole = encrypted && packet_offset == 0 && RecordScan::holds(payload, opt.record_count);
+        let new_message = || MessageBuf {
+            message_length: opt.message_length,
+            src_port: packet.overlay.tcp.src_port,
+            dst_port: packet.overlay.tcp.dst_port,
+            ..MessageBuf::default()
+        };
+        let mut unbuffered = None;
+        let msg = if whole && !self.in_progress.contains_key(&message_id) {
+            unbuffered.insert(new_message())
+        } else {
+            self.in_progress
+                .entry(message_id)
+                .or_insert_with(new_message)
+        };
         if msg.message_length != opt.message_length {
             return Err(SmtError::malformed(
                 "inconsistent message length across packets",
             ));
         }
 
+        // (An `unbuffered` message has no segments, so it always takes this
+        // branch and never reaches the buffering below.)
+        let geometry = SegmentGeometry::of(opt);
+        if whole && !msg.segments.contains_key(&opt.tso_offset) {
+            self.stats.packets_accepted += 1;
+            let opened = self.opener.open_into(
+                message_id,
+                opt.tso_offset,
+                geometry,
+                std::iter::once(&payload[..]),
+                &mut msg.app,
+            );
+            let complete = msg.app.bytes >= msg.message_length as usize;
+            if let Ok(placed) = opened {
+                msg.buf_bytes += placed;
+                self.tracked_bytes += placed;
+                if !complete {
+                    // What later copies of this packet are duplicates of.
+                    let decoded = SegmentBuf {
+                        geometry,
+                        decoded: true,
+                        ..SegmentBuf::default()
+                    };
+                    msg.segments.insert(opt.tso_offset, decoded);
+                }
+            }
+            if !self.settle(message_id, opt.tso_offset, opened)? {
+                return Ok(None);
+            }
+            let delivered = match unbuffered {
+                Some(msg) if complete => Some(self.finish(message_id, msg)?),
+                Some(msg) => {
+                    self.in_progress.insert(message_id, msg);
+                    None
+                }
+                None => self.try_complete(message_id)?,
+            };
+            self.within_bounds();
+            return Ok(delivered);
+        }
+
         let seg = msg
             .segments
             .entry(opt.tso_offset)
             .or_insert_with(|| SegmentBuf {
-                record_count: opt.record_count,
-                first_record_index: opt.first_record_index,
-                epoch: opt.epoch,
+                geometry,
                 ..SegmentBuf::default()
             });
-        if seg.record_count != opt.record_count
-            || seg.first_record_index != opt.first_record_index
-            || seg.epoch != opt.epoch
-        {
+        if seg.geometry != geometry {
             // Geometry disagrees with what earlier packets of this segment
             // declared: forged or corrupted metadata.
             return Err(SmtError::malformed(
@@ -463,13 +677,12 @@ impl SmtReceiver {
         // Walk the contiguity cursor over every packet now adjacent to the
         // run; each payload is looked at once, when it joins.  A packet that
         // lands beyond a gap stops at the first lookup.
-        let encrypted = self.config.crypto_mode.is_encrypted();
         while let Some(chunk) = u16::try_from(seg.run_packets)
             .ok()
             .and_then(|next| seg.chunks.get(&next))
         {
             if encrypted {
-                seg.scan.feed(chunk, seg.record_count);
+                seg.scan.feed(chunk, geometry.record_count);
             } else {
                 // Plaintext (Homa baseline): bytes land directly at the TSO
                 // offset.  We only know a plaintext segment is complete when
@@ -481,7 +694,7 @@ impl SmtReceiver {
             seg.run_packets += 1;
             seg.run_bytes += chunk.len();
         }
-        let records_whole = encrypted && seg.scan.records >= seg.record_count;
+        let records_whole = encrypted && seg.scan.records >= geometry.record_count;
         msg.buf_bytes += held;
         self.tracked_bytes += held;
 
@@ -489,10 +702,16 @@ impl SmtReceiver {
             self.open_segment(message_id, opt.tso_offset)?;
         }
         let delivered = self.try_complete(message_id)?;
+        self.within_bounds();
+        Ok(delivered)
+    }
+
+    /// Ends every call that may have grown the buffers: evicts down to the
+    /// state caps and notes the high-water mark.
+    fn within_bounds(&mut self) {
         self.enforce_bounds();
         self.stats.peak_tracked_bytes =
             self.stats.peak_tracked_bytes.max(self.tracked_bytes as u64);
-        Ok(delivered)
     }
 
     /// Evicts in-progress buffers (fewest retained bytes first, newest
@@ -514,9 +733,7 @@ impl SmtReceiver {
                 self.tracked_bytes = 0;
                 return;
             };
-            if let Some(evicted) = self.in_progress.remove(&id) {
-                self.tracked_bytes = self.tracked_bytes.saturating_sub(evicted.buf_bytes);
-            }
+            self.forget(id);
             self.stats.state_evictions += 1;
         }
     }
@@ -538,7 +755,36 @@ impl SmtReceiver {
         }
     }
 
-    /// Opens a segment whose every record is whole in its contiguous run.
+    /// Acts on what [`RecordOpener::open_into`] said about a segment, buffered
+    /// or opened in place: `true` when its application bytes joined the
+    /// message, `false` when it was dropped as undecryptable.  A segment
+    /// that did not open is discarded whole — kept, any forged packet in it
+    /// would reject the genuine copy as a conflicting duplicate forever — so
+    /// the sender's RESEND path rebuilds it (DESIGN.md §8).
+    fn settle(
+        &mut self,
+        message_id: u64,
+        tso_offset: u32,
+        opened: Result<usize, OpenError>,
+    ) -> SmtResult<bool> {
+        match opened {
+            Ok(_) => Ok(true),
+            Err(OpenError::OutsideWindow) => {
+                self.discard_segment(message_id, tso_offset);
+                self.stats.epoch_rejected += 1;
+                Ok(false)
+            }
+            Err(OpenError::Records(e)) => {
+                self.stats.auth_failures += 1;
+                self.discard_segment(message_id, tso_offset);
+                Err(SmtError::Crypto(e))
+            }
+            Err(OpenError::Other(e)) => Err(e),
+        }
+    }
+
+    /// Opens a buffered segment whose every record is whole in its
+    /// contiguous run, and lets go of the packets it was opened from.
     fn open_segment(&mut self, message_id: u64, tso_offset: u32) -> SmtResult<()> {
         let Some(msg) = self.in_progress.get_mut(&message_id) else {
             return Ok(());
@@ -546,105 +792,22 @@ impl SmtReceiver {
         let Some(seg) = msg.segments.get_mut(&tso_offset) else {
             return Ok(());
         };
-
-        // The ciphertext is gathered out of the packets straight into the
-        // protector's scratch and opened there in one batched call through
-        // the shared datapath. Records of one segment carry consecutive
-        // record indices, so their composite sequence numbers are consecutive
-        // too; composing the first and last indices validates the full range.
-        // Only the application bytes are then copied out of the scratch, once,
-        // into the message's buffer.
-        //
-        // Key selection is by the segment's declared epoch.  A next-epoch
-        // segment is opened under a *candidate* ratcheted protector; the roll
-        // is only committed once authentication succeeds, so a forged epoch
-        // stamp cannot push the receiver's key schedule forward.
-        let seg_epoch = seg.epoch;
-        let cur = self.recv_epoch;
-        let mut candidate: Option<(RecordProtector, Secret)> = None;
-        let cipher: &mut RecordProtector = if seg_epoch == cur {
-            self.cipher.as_mut().ok_or_else(|| {
-                SmtError::Session("encrypted session without a receive cipher".into())
-            })?
-        } else if let (true, Some(suite), Some(secret)) = (
-            seg_epoch == cur.wrapping_add(1),
-            self.suite,
-            self.recv_secret.as_ref(),
-        ) {
-            let next = ratchet_secret(secret);
-            let protector = RecordProtector::from_secret(suite, &next).map_err(SmtError::Crypto)?;
-            &mut candidate.insert((protector, next)).0
-        } else if let (true, Some(prev)) =
-            (seg_epoch == cur.wrapping_sub(1), self.prev_cipher.as_mut())
-        {
-            prev
-        } else {
-            // The window moved between buffering and decode (e.g. the rekey
-            // committed while this old segment was still partial and its
-            // drain window has since closed), or rekey material was never
-            // provided and the on_packet window should have filtered this.
-            // Undecryptable: drop it.
-            self.discard_segment(message_id, tso_offset);
-            self.stats.epoch_rejected += 1;
-            return Ok(());
-        };
-        let first_index = seg.first_record_index as u64;
-        let first_seq = self
-            .layout
-            .compose(message_id, first_index)
-            .map_err(SmtError::Crypto)?;
-        let last_seq = self
-            .layout
-            .compose(message_id, first_index + seg.record_count.max(1) as u64 - 1)
-            .map_err(SmtError::Crypto)?;
-        debug_assert_eq!(
-            last_seq.value() - first_seq.value(),
-            seg.record_count.max(1) as u64 - 1,
-            "contiguous record indices must compose to consecutive seqnos"
-        );
-        let batch = match cipher.open_batch_chunked(
-            first_seq.value(),
-            seg.record_count as usize,
+        let opened = self.opener.open_into(
+            message_id,
+            tso_offset,
+            seg.geometry,
             seg.run(),
-        ) {
-            Ok(batch) => batch,
-            Err(e) => {
-                // Without per-packet authentication the receiver cannot
-                // tell which packet of the segment was forged, and keeping
-                // any of them would reject the genuine copy as a
-                // conflicting duplicate forever.  Discard the segment so
-                // the sender's RESEND path rebuilds it (DESIGN.md §8).
-                self.stats.auth_failures += 1;
-                self.discard_segment(message_id, tso_offset);
-                return Err(SmtError::Crypto(e));
-            }
-        };
-        // Framing is checked on every record before any byte is placed, so a
-        // malformed segment leaves the message untouched.
-        let framing = self.config.framing_header;
-        for plain in batch.iter() {
-            record_app_bytes(plain.plaintext, framing)?;
+            &mut msg.app,
+        );
+        if let Ok(placed) = opened {
+            seg.decoded = true;
+            let cleared: usize = seg.chunks.values().map(|c| c.len()).sum();
+            seg.chunks.clear();
+            let delta = placed as isize - cleared as isize;
+            msg.buf_bytes = msg.buf_bytes.saturating_add_signed(delta);
+            self.tracked_bytes = self.tracked_bytes.saturating_add_signed(delta);
         }
-        let mut placed = 0usize;
-        for plain in batch.iter() {
-            let app = record_app_bytes(plain.plaintext, framing)?;
-            msg.app.append(tso_offset, placed, app);
-            placed += app.len();
-        }
-        seg.decoded = true;
-        let cleared: usize = seg.chunks.values().map(|c| c.len()).sum();
-        seg.chunks.clear();
-        let delta = placed as isize - cleared as isize;
-        msg.buf_bytes = msg.buf_bytes.saturating_add_signed(delta);
-        self.tracked_bytes = self.tracked_bytes.saturating_add_signed(delta);
-        if let Some((protector, next)) = candidate {
-            // A next-epoch segment authenticated: commit the ratchet and keep
-            // the outgoing keys for the drain window.
-            self.prev_cipher = self.cipher.replace(protector);
-            self.recv_secret = Some(next);
-            self.recv_epoch = self.recv_epoch.wrapping_add(1);
-        }
-        Ok(())
+        self.settle(message_id, tso_offset, opened).map(drop)
     }
 
     fn try_complete(&mut self, message_id: u64) -> SmtResult<Option<ReceivedMessage>> {
@@ -652,9 +815,15 @@ impl SmtReceiver {
             Some(msg) if msg.app.bytes >= msg.message_length as usize => {}
             _ => return Ok(None),
         }
-        let Some(msg) = self.in_progress.remove(&message_id) else {
-            return Ok(None);
-        };
+        match self.in_progress.remove(&message_id) {
+            Some(msg) => self.finish(message_id, msg).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Delivers a message whose every byte has been placed; `msg` is no
+    /// longer (or never was) in `in_progress`.
+    fn finish(&mut self, message_id: u64, msg: MessageBuf) -> SmtResult<ReceivedMessage> {
         self.tracked_bytes = self.tracked_bytes.saturating_sub(msg.buf_bytes);
         // Every placed byte must have joined `data`, and nothing beyond the
         // declared length.
@@ -672,12 +841,12 @@ impl SmtReceiver {
         self.replay.mark_completed(message_id);
         self.stats.state_evictions += self.replay.evictions() - guard_evictions_before;
         self.stats.messages_delivered += 1;
-        Ok(Some(ReceivedMessage {
+        Ok(ReceivedMessage {
             message_id,
             src_port: msg.src_port,
             dst_port: msg.dst_port,
             data,
-        }))
+        })
     }
 }
 
@@ -969,6 +1138,152 @@ mod tests {
         }
         assert_eq!(delivered.expect("delivered after resend").data, data);
         assert_eq!(rx.stats.auth_failures, 1);
+    }
+
+    /// The segments of message `message_id` under `config`, sealed by `tx`.
+    fn segments_of(
+        segmenter: &SmtSegmenter,
+        tx: &RecordProtector,
+        message_id: u64,
+        data: &[u8],
+    ) -> Vec<smt_wire::TsoSegment> {
+        segmenter
+            .segment_message(
+                PathInfo::loopback(1, 2),
+                message_id,
+                data,
+                0,
+                Some(tx),
+                None,
+                1 << 20,
+            )
+            .unwrap()
+            .segments
+    }
+
+    #[test]
+    fn forged_one_packet_message_leaves_nothing_and_the_genuine_copy_delivers() {
+        let config = SmtConfig::software();
+        let segmenter = SmtSegmenter::new(config, SeqnoLayout::default());
+        let packets = segments_of(&segmenter, &cipher(), 3, b"sixty-four bytes or so")[0]
+            .packetize(DEFAULT_MTU)
+            .unwrap();
+        assert_eq!(packets.len(), 1);
+        let forged = forged_copy(&packets[0]);
+        let mut rx = SmtReceiver::new(config, SeqnoLayout::default(), Some(cipher()));
+        assert!(matches!(
+            rx.on_packet(&forged),
+            Err(SmtError::Crypto(
+                smt_crypto::CryptoError::AuthenticationFailed
+            ))
+        ));
+        assert_eq!(rx.stats.auth_failures, 1);
+        assert_eq!(rx.stats.packets_accepted, 1);
+        assert_eq!((rx.in_progress(), rx.tracked_bytes()), (0, 0));
+        assert_eq!(rx.first_missing(3), None);
+
+        let delivered = rx.on_packet(&packets[0]).unwrap().expect("delivered");
+        assert_eq!(delivered.data, b"sixty-four bytes or so");
+        assert_eq!((delivered.src_port, delivered.dst_port), (1, 2));
+        assert_eq!(rx.stats.packets_accepted, 2);
+        assert_eq!(rx.stats.messages_delivered, 1);
+        assert_eq!((rx.in_progress(), rx.tracked_bytes()), (0, 0));
+        assert_eq!(rx.stats.peak_tracked_bytes, 0, "nothing was ever buffered");
+
+        // Replays are counted and not decrypted: the forgery would fail to
+        // authenticate if it were.
+        assert!(rx.on_packet(&packets[0]).unwrap().is_none());
+        assert!(rx.on_packet(&forged).unwrap().is_none());
+        assert_eq!(rx.stats.packets_replayed, 2);
+        assert_eq!(rx.stats.auth_failures, 1);
+        assert_eq!(rx.stats.messages_delivered, 1);
+    }
+
+    #[test]
+    fn one_packet_message_ratchets_the_receiver_and_the_old_epoch_drains() {
+        let config = SmtConfig::software();
+        let suite = CipherSuite::Aes128GcmSha256;
+        let secret = Secret::from_slice(&[7u8; 32]).unwrap();
+        let mut segmenter = SmtSegmenter::new(config, SeqnoLayout::default());
+        let old_tx = cipher();
+        let old_data = vec![0x11u8; 4000];
+        let old = segments_of(&segmenter, &old_tx, 0, &old_data)[0]
+            .packetize(DEFAULT_MTU)
+            .unwrap();
+        let old_small = segments_of(&segmenter, &old_tx, 1, b"sealed before the rekey")[0]
+            .packetize(DEFAULT_MTU)
+            .unwrap();
+        segmenter.set_send_epoch(1);
+        let new_tx = RecordProtector::from_secret(suite, &ratchet_secret(&secret)).unwrap();
+        let new = segments_of(&segmenter, &new_tx, 2, b"first after the rekey")[0]
+            .packetize(DEFAULT_MTU)
+            .unwrap();
+        assert_eq!((old.len(), old_small.len(), new.len()), (3, 1, 1));
+
+        let mut rx = SmtReceiver::new(config, SeqnoLayout::default(), Some(cipher()))
+            .with_rekey(suite, &secret);
+        assert!(rx.on_packet(&old[0]).unwrap().is_none());
+        assert!(rx.on_packet(&old[1]).unwrap().is_none());
+        // A forged next-epoch packet moves nothing.
+        assert!(rx.on_packet(&forged_copy(&new[0])).is_err());
+        assert_eq!(rx.recv_epoch(), 0);
+        // The genuine one is opened under the candidate keys and commits them.
+        let first = rx.on_packet(&new[0]).unwrap().expect("delivered");
+        assert_eq!(first.data, b"first after the rekey");
+        assert_eq!(rx.recv_epoch(), 1);
+        // Previous-epoch traffic still opens in the drain window: a late
+        // one-packet message where it lies, a buffered one on its last packet.
+        let late = rx.on_packet(&old_small[0]).unwrap().expect("delivered");
+        assert_eq!(late.data, b"sealed before the rekey");
+        let mut retx = old[2].clone();
+        SmtSegmenter::mark_retransmission(&mut retx);
+        assert_eq!(
+            rx.on_packet(&retx).unwrap().expect("delivered").data,
+            old_data
+        );
+        assert_eq!(rx.recv_epoch(), 1);
+        assert_eq!(rx.stats.auth_failures, 1);
+        assert_eq!(rx.stats.epoch_rejected, 0);
+        assert_eq!((rx.in_progress(), rx.tracked_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn without_tso_every_packet_is_opened_where_it_lies() {
+        let config = SmtConfig::software().without_tso();
+        let segmenter = SmtSegmenter::new(config, SeqnoLayout::default());
+        let data: Vec<u8> = (0..27_000u32).map(|i| (i % 249) as u8).collect();
+        let packets: Vec<Packet> = segments_of(&segmenter, &cipher(), 4, &data)
+            .iter()
+            .flat_map(|s| s.packetize(DEFAULT_MTU).unwrap())
+            .collect();
+        assert_eq!(packets.len(), 20, "one packet per segment");
+        let mut rx = SmtReceiver::new(config, SeqnoLayout::default(), Some(cipher()));
+
+        // The first segment whole, the message not: its bytes are placed,
+        // the packet is not kept, and the next segment is what is missing.
+        assert!(rx.on_packet(&packets[0]).unwrap().is_none());
+        let first_len = packets[1].overlay.options.tso_offset;
+        assert_eq!(rx.in_progress(), 1);
+        assert_eq!(rx.tracked_bytes(), first_len as usize);
+        assert_eq!(rx.first_missing(4), Some((first_len, 0)));
+
+        // The rest in a scrambled order, each packet twice.
+        let mut delivered = None;
+        for step in 0..19 {
+            let p = &packets[1 + (step * 7) % 19];
+            let first = rx.on_packet(p).unwrap();
+            let again = rx.on_packet(p).unwrap();
+            assert!(again.is_none());
+            delivered = delivered.or(first);
+        }
+        assert_eq!(delivered.expect("delivered").data, data);
+        assert_eq!(rx.stats.packets_accepted, 20);
+        // 18 duplicates of packets of the message in progress, one replay of
+        // the packet that completed it.
+        assert_eq!(rx.stats.packets_duplicate, 18);
+        assert_eq!(rx.stats.packets_replayed, 1);
+        assert_eq!((rx.in_progress(), rx.tracked_bytes()), (0, 0));
+        assert!(rx.stats.peak_tracked_bytes <= data.len() as u64);
     }
 
     #[test]

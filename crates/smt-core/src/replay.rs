@@ -61,7 +61,12 @@ impl ReplayGuard {
         if self.is_replayed(id) {
             return false;
         }
-        self.completed.insert(id);
+        if id == self.low_water {
+            // In order, the common case: the mark moves and nothing is tracked.
+            self.low_water += 1;
+        } else {
+            self.completed.insert(id);
+        }
         self.compact();
         // Bounded memory even against an adversarial ID pattern: evict the
         // oldest tracked ID (and thereby reject every gap below it) once the

@@ -12,6 +12,12 @@
 //! record count; the per-packet offset within a segment comes from the IPID
 //! assigned by the (real or software) TSO engine.
 //!
+//! Sealing is one pass per segment: the records that fit and their exact wire
+//! size are counted first, the segment's payload is reserved once, and each
+//! record is sealed straight into it with its framing header built on the
+//! stack.  A message allocates its segment payloads and the vector that holds
+//! the segments, nothing else.
+//!
 //! Depending on [`CryptoMode`]:
 //! * `Plaintext` — segments carry raw application bytes (the Homa baseline);
 //! * `Software` — records are encrypted here, on the CPU;
@@ -25,7 +31,7 @@ use crate::config::{CryptoMode, SmtConfig};
 use crate::flow_context::FlowContextManager;
 use crate::{SmtError, SmtResult};
 use bytes::{Bytes, BytesMut};
-use smt_crypto::record::{Padding, RecordProtector, SealRequest};
+use smt_crypto::record::{Padding, RecordProtector};
 use smt_crypto::SeqnoLayout;
 use smt_wire::{
     ContentType, FramingHeader, PacketType, SmtOptionArea, SmtOverlayHeader, TsoSegment,
@@ -98,15 +104,6 @@ pub struct OutgoingMessage {
     /// NIC queue the message was assigned to (all segments of one message use
     /// the same queue, §4.4.2).
     pub queue: usize,
-}
-
-/// One planned segment: its records (seq + application chunk) and exact wire
-/// size.
-struct PlannedSegment<'a> {
-    first_record_index: u64,
-    tso_offset: usize,
-    records: Vec<(u64, &'a [u8])>,
-    seg_bytes: usize,
 }
 
 /// The segmentation engine for one sending direction of a session.
@@ -281,90 +278,11 @@ impl SmtSegmenter {
         }
     }
 
-    /// Plans the segments of a message: per segment, the (seq, app-data chunk)
-    /// of every record plus the exact total wire size under the padding
-    /// policy. Records never straddle segment boundaries.
-    fn plan_segments<'a>(
-        &self,
-        message_id: u64,
-        data: &'a [u8],
-        cipher: &RecordProtector,
-    ) -> SmtResult<Vec<PlannedSegment<'a>>> {
-        let chunk_limit = self.record_chunk_limit();
-        let seg_limit = self.segment_payload_limit();
-        let padding = self.padding();
-        let framing_len = if self.config.framing_header {
-            FRAMING_HEADER_LEN
-        } else {
-            0
-        };
-
-        let mut plans = Vec::new();
-        let mut offset = 0usize;
-        let mut record_index: u64 = 0;
-        let mut done = false;
-        while !done {
-            let first_record_index = record_index;
-            let tso_offset = offset;
-            let mut records: Vec<(u64, &[u8])> = Vec::new();
-            let mut seg_bytes = 0usize;
-            loop {
-                let take = chunk_limit.min(data.len() - offset);
-                let rec_len = cipher.wire_record_len_with(framing_len + take, padding);
-                if !records.is_empty() && seg_bytes + rec_len > seg_limit {
-                    break; // this record opens the next segment
-                }
-                if records.is_empty() && rec_len > seg_limit {
-                    // A single record larger than the segment limit cannot
-                    // happen by construction (record_chunk_limit), but guard
-                    // against padding pushing one over.
-                    return Err(SmtError::Session(
-                        "record larger than TSO segment limit".into(),
-                    ));
-                }
-                let seq = self.layout.compose(message_id, record_index).map_err(|_| {
-                    SmtError::MessageTooLarge {
-                        size: data.len(),
-                        limit: self.layout.max_records_per_message() as usize * chunk_limit,
-                    }
-                })?;
-                records.push((seq.value(), &data[offset..offset + take]));
-                seg_bytes += rec_len;
-                record_index += 1;
-                offset += take;
-                if offset >= data.len() {
-                    done = true;
-                    break;
-                }
-            }
-            plans.push(PlannedSegment {
-                first_record_index,
-                tso_offset,
-                records,
-                seg_bytes,
-            });
-        }
-        Ok(plans)
-    }
-
-    /// Builds the framing headers for one planned segment (empty when framing
-    /// is disabled; they must outlive the seal requests).
-    fn framing_headers(
-        &self,
-        records: &[(u64, &[u8])],
-    ) -> SmtResult<Vec<[u8; FRAMING_HEADER_LEN]>> {
-        records
-            .iter()
-            .map(|(_, chunk)| {
-                let mut hdr = [0u8; FRAMING_HEADER_LEN];
-                if self.config.framing_header {
-                    FramingHeader::new(chunk.len() as u32).encode(&mut hdr)?;
-                }
-                Ok(hdr)
-            })
-            .collect()
-    }
-
+    /// One pass per segment: count the records that fit and their exact wire
+    /// size (known in advance via `wire_record_len_with`), reserve the
+    /// segment's payload once, then seal each record straight into it, its
+    /// framing header built on the stack.  Records never straddle segment
+    /// boundaries.
     fn segment_encrypted(
         &self,
         path: PathInfo,
@@ -375,72 +293,99 @@ impl SmtSegmenter {
         mut flow_contexts: Option<&mut FlowContextManager>,
     ) -> SmtResult<OutgoingMessage> {
         let padding = self.padding();
-        // Two-phase segmentation: first *plan* the records of every segment
-        // (sizes are known exactly in advance via `wire_record_len_with`),
-        // then seal each segment's records through the batched record API in
-        // one call — one exact-size payload reservation and one fused-AEAD
-        // drive per segment.
-        let plans = self.plan_segments(message_id, data, cipher)?;
-        let mut segments = Vec::with_capacity(plans.len());
-        let mut wire_len = 0usize;
-        let mut record_count = 0usize;
-        for plan in &plans {
-            let headers = self.framing_headers(&plan.records)?;
-            let parts: Vec<[&[u8]; 2]> = plan
-                .records
-                .iter()
-                .zip(headers.iter())
-                .map(|((_, chunk), hdr)| [&hdr[..], *chunk])
-                .collect();
-            let batch: Vec<SealRequest<'_>> = plan
-                .records
-                .iter()
-                .zip(parts.iter())
-                .map(|((seq, _), p)| SealRequest {
-                    seq: *seq,
-                    content_type: ContentType::ApplicationData,
-                    // Without framing headers the first part is empty.
-                    parts: if self.config.framing_header {
-                        &p[..]
-                    } else {
-                        &p[1..]
-                    },
-                    padding,
+        let chunk_limit = self.record_chunk_limit();
+        let seg_limit = self.segment_payload_limit();
+        let framing_len = if self.config.framing_header {
+            FRAMING_HEADER_LEN
+        } else {
+            0
+        };
+        let seq_of = |record_index: u64| {
+            self.layout
+                .compose(message_id, record_index)
+                .map_err(|_| SmtError::MessageTooLarge {
+                    size: data.len(),
+                    limit: self.layout.max_records_per_message() as usize * chunk_limit,
                 })
-                .collect();
-            let mut payload = BytesMut::with_capacity(plan.seg_bytes);
-            let sealed = cipher.seal_batch_into(&batch, &mut payload)?;
-            debug_assert_eq!(sealed, plan.seg_bytes);
+        };
 
-            record_count += plan.records.len();
+        let mut segments = Vec::with_capacity(data.len() / seg_limit + 1);
+        let mut wire_len = 0usize;
+        let mut offset = 0usize;
+        let mut record_index: u64 = 0;
+        loop {
+            let (tso_offset, first_record_index) = (offset, record_index);
+            let mut records = 0usize;
+            let mut seg_bytes = 0usize;
+            let mut end = offset;
+            loop {
+                let take = chunk_limit.min(data.len() - end);
+                let rec_len = cipher.wire_record_len_with(framing_len + take, padding);
+                if records > 0 && seg_bytes + rec_len > seg_limit {
+                    break; // this record opens the next segment
+                }
+                if rec_len > seg_limit {
+                    // A single record larger than the segment limit cannot
+                    // happen by construction (record_chunk_limit), but guard
+                    // against padding pushing one over.
+                    return Err(SmtError::Session(
+                        "record larger than TSO segment limit".into(),
+                    ));
+                }
+                records += 1;
+                seg_bytes += rec_len;
+                end += take;
+                if end >= data.len() {
+                    break;
+                }
+            }
+
+            let mut payload = BytesMut::with_capacity(seg_bytes);
+            for _ in 0..records {
+                let chunk = &data[offset..end.min(offset + chunk_limit)];
+                let mut hdr = [0u8; FRAMING_HEADER_LEN];
+                if self.config.framing_header {
+                    FramingHeader::new(chunk.len() as u32).encode(&mut hdr)?;
+                }
+                cipher.seal_parts_into(
+                    seq_of(record_index)?.value(),
+                    ContentType::ApplicationData,
+                    &[&hdr[..framing_len], chunk],
+                    padding,
+                    &mut payload,
+                )?;
+                record_index += 1;
+                offset += chunk.len();
+            }
+            debug_assert_eq!(payload.len(), seg_bytes);
+
             let overlay = self.overlay_for(
                 path,
                 message_id,
                 data.len(),
-                plan.tso_offset,
-                plan.first_record_index as usize,
-                plan.records.len(),
+                tso_offset,
+                first_record_index as usize,
+                records,
             );
-            wire_len += payload.len();
+            wire_len += seg_bytes;
             let mut seg =
                 TsoSegment::new(path.src, path.dst, IPPROTO_SMT, overlay, payload.freeze());
             if let Some(fc) = flow_contexts.as_deref_mut() {
-                let first_seq = self
-                    .layout
-                    .compose(message_id, plan.first_record_index)
-                    .expect("validated above")
-                    .value();
-                let update = fc.prepare_segment(queue, first_seq, plan.records.len() as u64);
+                let first_seq = seq_of(first_record_index)?.value();
+                let update = fc.prepare_segment(queue, first_seq, records as u64);
                 seg.offload = Some(update.descriptor);
             }
             segments.push(seg);
+            if offset >= data.len() {
+                break;
+            }
         }
 
         Ok(OutgoingMessage {
             message_id,
             app_len: data.len(),
             wire_len,
-            record_count,
+            record_count: record_index as usize,
             segments,
             queue,
         })

@@ -220,6 +220,13 @@ impl SmtSession {
         self.receiver.first_missing(message_id)
     }
 
+    /// Drops everything buffered of an in-progress receive the transport has
+    /// given up on (see
+    /// [`SmtReceiver::forget`](crate::reassembly::SmtReceiver::forget)).
+    pub fn forget(&mut self, message_id: u64) {
+        self.receiver.forget(message_id);
+    }
+
     /// True if `message_id` can no longer be delivered: it already was, or
     /// the replay guard skipped it (replay detection).
     pub fn already_delivered(&self, message_id: u64) -> bool {

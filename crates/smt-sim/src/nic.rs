@@ -18,10 +18,12 @@
 //!   per-queue state and nothing else, so cross-queue races surface naturally.
 //!
 //! The actual AEAD bytes were already produced by `smt-core` (see DESIGN.md);
-//! the NIC model validates the descriptor discipline, expands TSO segments into
-//! MTU-sized packets (replicating the overlay header and stamping IPIDs), and
-//! accounts the offloaded crypto bytes so the cost model can credit them to the
-//! NIC instead of the CPU.
+//! the NIC model validates the descriptor discipline when a segment is
+//! submitted, counts the MTU-sized packets it expands into, and accounts the
+//! offloaded crypto bytes so the cost model can credit them to the NIC instead
+//! of the CPU.  The expansion itself (overlay header replicated, IPIDs stamped)
+//! is [`TsoSegment::packet_at`]: [`NicModel::transmit`] cuts every packet on the
+//! spot, while a transport that paces a message cuts each one as it leaves.
 
 use crate::time::Nanos;
 use serde::{Deserialize, Serialize};
@@ -53,6 +55,18 @@ pub struct NicStats {
 struct FlowContextState {
     expected_seq: u64,
     valid: bool,
+}
+
+/// What [`NicModel::submit`] decided for one segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Submitted {
+    /// Packets the segment is cut into at the NIC's MTU.
+    pub packets: usize,
+    /// The offload engine encrypted under a stale sequence expectation:
+    /// every packet of the segment is undecryptable.
+    pub corrupted: bool,
+    /// NIC processing time to charge.
+    pub nic_ns: Nanos,
 }
 
 /// The transmit-side NIC model for one host.
@@ -92,13 +106,16 @@ impl NicModel {
         self.contexts.len()
     }
 
-    /// Processes one TSO segment submitted on `queue`, returning the packets
-    /// that go onto the wire and the NIC processing time to charge.
+    /// Takes one TSO segment's descriptor on `queue`: runs the flow-context
+    /// discipline, counts what will go onto the wire, and says how the
+    /// segment's packets come out.  The packets themselves are cut from the
+    /// segment by whoever lets them leave ([`TsoSegment::packet_at`]), each
+    /// flagged `corrupted` when the verdict says so.
     ///
     /// If the segment carries an offload descriptor, the flow-context discipline
     /// is enforced: out-of-sequence submissions without a resync yield packets
     /// flagged `corrupted` (undecryptable at the receiver).
-    pub fn transmit(&mut self, queue: usize, segment: &TsoSegment) -> (Vec<Packet>, Nanos) {
+    pub fn submit(&mut self, queue: usize, segment: &TsoSegment) -> Submitted {
         self.stats.segments += 1;
         let record_count = segment.options().record_count as u64;
 
@@ -132,31 +149,31 @@ impl NicModel {
             self.stats.offload_bytes += segment.len() as u64;
         }
 
-        let mut packets = segment
-            .packetize(self.effective_mtu(segment))
+        let packets = segment
+            .packet_count(self.mtu)
             .expect("segment within limits");
-        if corrupted {
-            for p in &mut packets {
-                p.corrupted = true;
-            }
-        }
-        self.stats.packets += packets.len() as u64;
+        self.stats.packets += packets as u64;
         self.stats.bytes += segment.len() as u64;
 
         // NIC processing time: DMA + per-packet emission; crypto is effectively
         // line-rate in the offload engine and hidden behind serialization.
         let per_packet_ns: Nanos = 15;
-        (packets, per_packet_ns * record_count.max(1))
+        Submitted {
+            packets,
+            corrupted,
+            nic_ns: per_packet_ns * record_count.max(1),
+        }
     }
 
-    fn effective_mtu(&self, _segment: &TsoSegment) -> usize {
-        if self.tso_enabled {
-            self.mtu
-        } else {
-            // Without TSO the stack already limited segments to one packet; the
-            // MTU still bounds the emitted packet size.
-            self.mtu
+    /// [`Self::submit`] with every packet cut at once: the packets that go
+    /// onto the wire and the NIC processing time to charge.
+    pub fn transmit(&mut self, queue: usize, segment: &TsoSegment) -> (Vec<Packet>, Nanos) {
+        let verdict = self.submit(queue, segment);
+        let mut packets = segment.packetize(self.mtu).expect("segment within limits");
+        for p in &mut packets {
+            p.corrupted = verdict.corrupted;
         }
+        (packets, verdict.nic_ns)
     }
 }
 

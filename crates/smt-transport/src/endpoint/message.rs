@@ -5,7 +5,10 @@
 //! reassembly, replay rejection) over the simulated NIC and the
 //! receiver-driven Homa mechanisms (unscheduled data, GRANTs, RESENDs, ACKs).
 //! This engine owns what is specific to that transport: the control-packet
-//! outbox, NIC-queue spreading, and the timer *policy*.
+//! outbox, NIC-queue spreading, and the timer *policy*.  Packets are built in
+//! the buffer they leave from: `HomaEndpoint` appends its responses to the
+//! outbox and cuts data packets into the caller's `out`, and its delivered /
+//! acked queues are drained where they stand.
 //!
 //! **Loss recovery is per message, and `HomaEndpoint` owns it** (its module
 //! docs and DESIGN.md §10 state the rules): a recovery clock in every
@@ -37,7 +40,6 @@ use smt_core::segment::PathInfo;
 use smt_crypto::handshake::SessionKeys;
 use smt_sim::Nanos;
 use smt_wire::Packet;
-use std::collections::VecDeque;
 
 /// After a fire the next wake-up is the earliest due time among in-flight
 /// messages, but no sooner than the RTO over this: without a floor a
@@ -59,7 +61,9 @@ pub(crate) struct MessageEngine {
     tx_id_offset: u64,
     /// Same offset on the receive side (1 after early data was accepted).
     rx_id_offset: u64,
-    outbox: VecDeque<Packet>,
+    /// Responses to handled packets and recovery traffic, until the next
+    /// `poll_transmit` moves them out.
+    outbox: Vec<Packet>,
     nic_queues: usize,
     next_queue: usize,
 }
@@ -73,7 +77,7 @@ impl MessageEngine {
             inner: None,
             tx_id_offset: 0,
             rx_id_offset: 0,
-            outbox: VecDeque::new(),
+            outbox: Vec::new(),
             // The session configuration HomaEndpoint will build with, so the
             // NIC queue count is known before the keys are.
             nic_queues: crate::homa::base_smt_config(stack).nic_queues.max(1),
@@ -172,10 +176,9 @@ impl MessageEngine {
             .as_mut()
             .expect("the shell routes data once keyed");
         inner.set_clock(now, shell.rto.rto());
-        let responses = inner.handle_packet(datagram);
-        self.outbox.extend(responses);
+        inner.handle_packet_into(datagram, &mut self.outbox);
         // Surface deliveries and acks.
-        for m in inner.take_delivered() {
+        for m in inner.drain_delivered() {
             shell.events.push_back(Event::MessageDelivered {
                 id: MessageId(m.message_id + self.rx_id_offset),
                 data: m.data,
@@ -188,7 +191,7 @@ impl MessageEngine {
                 shell.rto.sample(rtt);
             }
         }
-        for session_id in inner.take_acked() {
+        for session_id in inner.drain_acked() {
             shell.acked(session_id + self.tx_id_offset, now);
         }
         self.sync_timer(&mut shell.rto);
@@ -197,8 +200,8 @@ impl MessageEngine {
     pub(crate) fn poll_transmit(&mut self, shell: &mut Shell, now: Nanos, out: &mut Vec<Packet>) {
         let Some(inner) = &mut self.inner else { return };
         inner.set_clock(now, shell.rto.rto());
-        out.extend(self.outbox.drain(..));
-        out.extend(inner.poll_transmit());
+        out.append(&mut self.outbox);
+        inner.poll_transmit_into(out);
         // Transmitting (re)starts clocks; it cannot finish outstanding work.
         if let Some(due) = inner.take_wake_by() {
             shell.rto.arm_by(due);

@@ -46,7 +46,7 @@ use smt_core::segment::PathInfo;
 use smt_crypto::handshake::{HandshakeTimings, SessionKeys};
 use smt_sim::Nanos;
 use smt_wire::{Packet, PacketType};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The retransmission timer both engines arm: the period and the deadline.
 #[derive(Debug)]
@@ -186,9 +186,10 @@ pub(crate) struct Shell {
     pub(crate) events: VecDeque<Event>,
     pub(crate) stats: EndpointStats,
     pub(crate) rto: RtoTimer,
-    /// Message ID → time of the application's `send`, bounded for abandoned
-    /// sends; survives retransmission (it is the app-visible clock).
-    op_sent: BTreeMap<u64, Nanos>,
+    /// Message ID and time of the application's `send`, in ID order (IDs are
+    /// issued increasing); bounded for abandoned sends; survives
+    /// retransmission (it is the app-visible clock).
+    op_sent: VecDeque<(u64, Nanos)>,
     op_latency: OpLatencyHistogram,
     /// Timing breakdown of the completed in-band handshake (Table 2).
     hs_timings: Option<HandshakeTimings>,
@@ -213,8 +214,10 @@ impl Shell {
     /// Completes message `id` end to end: stops its op clock and tells the
     /// application.
     pub(crate) fn acked(&mut self, id: u64, now: Nanos) {
-        if let Some(sent_at) = self.op_sent.remove(&id) {
-            self.op_latency.record(now.saturating_sub(sent_at));
+        if let Ok(at) = self.op_sent.binary_search_by_key(&id, |&(sent, _)| sent) {
+            if let Some((_, sent_at)) = self.op_sent.remove(at) {
+                self.op_latency.record(now.saturating_sub(sent_at));
+            }
         }
         self.events.push_back(Event::MessageAcked(MessageId(id)));
     }
@@ -365,7 +368,7 @@ impl Endpoint {
             events: VecDeque::new(),
             stats: EndpointStats::default(),
             rto: RtoTimer::new(b.rto_ns, &b.cc),
-            op_sent: BTreeMap::new(),
+            op_sent: VecDeque::new(),
             op_latency: OpLatencyHistogram::default(),
             hs_timings: None,
             dead: false,
@@ -545,7 +548,7 @@ impl SecureEndpoint for Endpoint {
         }
         shell.next_id += 1;
         if shell.op_sent.len() < 1024 {
-            shell.op_sent.insert(id, now);
+            shell.op_sent.push_back((id, now));
         }
         Ok(MessageId(id))
     }

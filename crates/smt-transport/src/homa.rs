@@ -12,11 +12,20 @@
 //!   packet offset (§4.3);
 //! * **ACKs** — a message has send or receive state exactly while it is in
 //!   flight (§2.2, §4.4.1): the ACK releases the sender's state, retained
-//!   packets included, and delivery releases the receiver's.  All that
+//!   segments included, and delivery releases the receiver's.  All that
 //!   outlives a message is its ID in the session's bounded replay guard,
 //!   which is what lets a duplicate of a delivered message be re-ACKed
 //!   without resurrecting any state;
 //! * encryption, reassembly and replay rejection come from the SMT session.
+//!
+//! **A sender keeps segments, not packets.**  `send_message` seals the message
+//! into TSO segments and gives each one's descriptor to the NIC model, which
+//! runs its flow-context discipline and counters then and there.  The sealed
+//! segments are what is retained until the ACK; a packet is cut from its
+//! segment ([`TsoSegment::packet_at`]) only when the grant window, a RESEND or
+//! a probe lets it leave, straight into the caller's buffer — the way a NIC
+//! cuts a TSO segment as it drains its queue.  A RESEND's (TSO offset, packet
+//! offset) is resolved by arithmetic on the segments.
 //!
 //! Simplifications relative to Homa/Linux, documented here and in DESIGN.md: the
 //! grant window is tracked in packets rather than bytes, and a RESEND names
@@ -30,7 +39,9 @@
 //! delivery: a send is probed only after one full period with none of its
 //! packets transmitted and no GRANT / RESEND naming it, a receive is RESENT
 //! only after one full period in which no packet *added bytes* to it, and
-//! each repeat doubles that message's wait.  An endpoint is told the time and
+//! each repeat doubles that message's wait.  A receive given up on is
+//! forgotten by the session as well, so a sender that comes back starts it
+//! afresh.  An endpoint is told the time and
 //! the connection's RTO by its driver ([`HomaEndpoint::set_clock`]); one that
 //! never is sits at time zero with a zero period, where everything in flight
 //! is always due — the poll-when-quiet discipline of a driver with no clock.
@@ -54,9 +65,10 @@ use smt_sim::nic::NicModel;
 use smt_sim::Nanos;
 use smt_wire::{
     HomaAck, HomaGrant, HomaResend, OverlayTcpHeader, Packet, PacketPayload, PacketType,
-    SmtOptionArea, SmtOverlayHeader,
+    SmtOptionArea, SmtOverlayHeader, TsoSegment,
 };
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Configuration of the packet-level transport.
 #[derive(Debug, Clone, Copy)]
@@ -139,9 +151,28 @@ impl RecoveryTime {
     }
 }
 
+/// One sealed TSO segment of an in-flight message, as the NIC took it.
+#[derive(Debug)]
+struct SentSegment {
+    segment: TsoSegment,
+    /// Index, within the message, of the first packet the segment is cut
+    /// into, and how many it is cut into.
+    first_packet: usize,
+    packets: usize,
+    /// The NIC's verdict on the segment, which every packet cut from it
+    /// carries ([`Submitted::corrupted`](smt_sim::nic::Submitted)).
+    corrupted: bool,
+}
+
 #[derive(Debug)]
 struct PendingSend {
-    packets: Vec<Packet>,
+    /// The sealed segments, in transmission order, retained until the ACK.
+    /// Packets are cut from them as they leave — first transmissions, RESEND
+    /// answers and probes alike — and numbered across the message in that
+    /// order: segment by segment, packet offset by packet offset.
+    segments: Vec<SentSegment>,
+    /// Packets the segments are cut into altogether.
+    packets: usize,
     granted: usize,
     sent: usize,
     /// Network priority the receiver assigned in its last GRANT (0 =
@@ -158,6 +189,57 @@ struct PendingSend {
     /// Due one period after the last transmission of any of its packets or
     /// the last GRANT / RESEND naming it; each probe doubles the wait.
     probe: RecoveryClock,
+}
+
+impl PendingSend {
+    /// Cuts packets `range` of the message at `mtu`, in order, handing each
+    /// to `emit`.
+    fn cut(&self, range: Range<usize>, mtu: usize, mut emit: impl FnMut(Packet)) {
+        let from = self
+            .segments
+            .partition_point(|s| s.first_packet + s.packets <= range.start);
+        for seg in &self.segments[from..] {
+            if seg.first_packet >= range.end {
+                break;
+            }
+            let within =
+                range.start.max(seg.first_packet)..range.end.min(seg.first_packet + seg.packets);
+            for i in within {
+                let mut p = seg
+                    .segment
+                    .packet_at(i - seg.first_packet, mtu)
+                    .expect("the NIC counted this packet");
+                p.corrupted = seg.corrupted;
+                emit(p);
+            }
+        }
+    }
+
+    /// [`Self::cut`], each packet marked as a retransmission.
+    fn cut_again(&self, range: Range<usize>, mtu: usize, out: &mut Vec<Packet>) {
+        self.cut(range, mtu, |mut p| {
+            smt_core::segment::SmtSegmenter::mark_retransmission(&mut p);
+            out.push(p);
+        });
+    }
+
+    /// The first packet at or past the coordinates DATA packets carry
+    /// (segment TSO offset, packet offset within it): where a RESEND naming
+    /// them is answered from.  Segments lie in TSO-offset order, so this is
+    /// arithmetic on the one that starts there — or, when none does, on the
+    /// next one.
+    fn packet_index(&self, tso_offset: u32, packet_offset: u16) -> usize {
+        let at = self
+            .segments
+            .partition_point(|s| s.segment.options().tso_offset < tso_offset);
+        match self.segments.get(at) {
+            Some(seg) if seg.segment.options().tso_offset == tso_offset => {
+                seg.first_packet + usize::from(packet_offset).min(seg.packets)
+            }
+            Some(seg) => seg.first_packet,
+            None => self.packets,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -331,6 +413,17 @@ impl HomaEndpoint {
         std::mem::take(&mut self.acked)
     }
 
+    /// [`Self::take_delivered`] for a caller that consumes the messages on
+    /// the spot: the queue keeps its storage.
+    pub(crate) fn drain_delivered(&mut self) -> std::vec::Drain<'_, ReceivedMessage> {
+        self.delivered.drain(..)
+    }
+
+    /// [`Self::take_acked`], the queue keeping its storage.
+    pub(crate) fn drain_acked(&mut self) -> std::vec::Drain<'_, u64> {
+        self.acked.drain(..)
+    }
+
     /// Number of messages with unacknowledged send state.
     pub fn pending_sends(&self) -> usize {
         self.sends.len()
@@ -389,20 +482,33 @@ impl HomaEndpoint {
         probes.chain(resends).min()
     }
 
-    /// Queues a message for transmission; returns its message ID.
+    /// Queues a message for transmission; returns its message ID.  Every
+    /// segment's descriptor goes to the NIC here, in order; the packets are
+    /// cut when they leave.
     pub fn send_message(&mut self, data: &[u8], queue: usize) -> Result<u64, smt_core::SmtError> {
         let out = self.session.send_message(data, queue)?;
-        let mut packets = Vec::new();
-        for seg in &out.segments {
-            let (pkts, _) = self.nic.transmit(queue, seg);
-            packets.extend(pkts);
-        }
-        let granted = self.unscheduled().min(packets.len());
+        let mut packets = 0;
+        let segments = out
+            .segments
+            .into_iter()
+            .map(|segment| {
+                let verdict = self.nic.submit(queue, &segment);
+                let first_packet = packets;
+                packets += verdict.packets;
+                SentSegment {
+                    segment,
+                    first_packet,
+                    packets: verdict.packets,
+                    corrupted: verdict.corrupted,
+                }
+            })
+            .collect();
         self.sends.insert(
             out.message_id,
             PendingSend {
+                segments,
                 packets,
-                granted,
+                granted: self.unscheduled().min(packets),
                 sent: 0,
                 priority: 0,
                 first_sent_at: self.time.now,
@@ -426,15 +532,22 @@ impl HomaEndpoint {
         }
     }
 
-    /// Emits any packets allowed by the current grant windows.  The
-    /// receiver-assigned priority is stamped into the plaintext option area
-    /// of each emitted clone — safe post-seal because the option area is
-    /// outside the AEAD envelope (see
-    /// [`smt_core::segment::SmtSegmenter::mark_retransmission`]).
+    /// Emits any packets allowed by the current grant windows.
     pub fn poll_transmit(&mut self) -> Vec<Packet> {
         let mut out = Vec::new();
+        self.poll_transmit_into(&mut out);
+        out
+    }
+
+    /// [`Self::poll_transmit`] into the caller's buffer.  Each packet is cut
+    /// from its sealed segment here, and the receiver-assigned priority
+    /// stamped into its plaintext option area — safe post-seal because the
+    /// option area is outside the AEAD envelope (see
+    /// [`smt_core::segment::SmtSegmenter::mark_retransmission`]).
+    pub(crate) fn poll_transmit_into(&mut self, out: &mut Vec<Packet>) {
+        let mtu = self.nic.mtu();
         for send in self.sends.values_mut() {
-            let end = send.granted.min(send.packets.len());
+            let end = send.granted.min(send.packets);
             if send.sent >= end {
                 continue;
             }
@@ -442,14 +555,14 @@ impl HomaEndpoint {
                 send.first_sent_at = self.time.now;
             }
             send.probe = self.time.start();
-            for p in &send.packets[send.sent..end] {
-                let mut p = p.clone();
-                p.overlay.options.priority = send.priority;
+            let priority = send.priority;
+            out.reserve(end - send.sent);
+            send.cut(send.sent..end, mtu, |mut p| {
+                p.overlay.options.priority = priority;
                 out.push(p);
-            }
+            });
             send.sent = end;
         }
-        out
     }
 
     fn control_packet(&self, payload: PacketPayload, ptype: PacketType, message_id: u64) -> Packet {
@@ -474,6 +587,12 @@ impl HomaEndpoint {
     /// ACK) or retransmissions in response, and recording delivered messages.
     pub fn handle_packet(&mut self, packet: &Packet) -> Vec<Packet> {
         let mut out = Vec::new();
+        self.handle_packet_into(packet, &mut out);
+        out
+    }
+
+    /// [`Self::handle_packet`], the responses appended to the caller's buffer.
+    pub(crate) fn handle_packet_into(&mut self, packet: &Packet, out: &mut Vec<Packet>) {
         match packet.overlay.tcp.packet_type {
             PacketType::Data => {
                 // Geometry sanity before any state is allocated: a data
@@ -484,7 +603,7 @@ impl HomaEndpoint {
                 let opts = &packet.overlay.options;
                 if opts.tso_offset != 0 && opts.tso_offset >= opts.message_length {
                     self.recv_errors += 1;
-                    return out;
+                    return;
                 }
                 let message_id = opts.message_id;
                 let tracked = self.recvs.contains_key(&message_id);
@@ -507,8 +626,7 @@ impl HomaEndpoint {
                             .min_by_key(|(&id, p)| (p.packets_seen, std::cmp::Reverse(id)))
                             .map(|(&id, _)| id);
                         if let Some(id) = victim {
-                            self.recvs.remove(&id);
-                            self.recv_state_evictions += 1;
+                            self.abandon(id);
                         }
                     }
                     // Track receive progress for grant decisions.
@@ -542,7 +660,7 @@ impl HomaEndpoint {
                             // backlog budget: re-rank the survivors now, or
                             // a message whose granted data fully arrived
                             // would stall until a timer fires.
-                            out.extend(self.schedule_grants());
+                            self.schedule_grants(out);
                         }
                     }
                     // "No error" is not progress: a replay of a finished
@@ -562,7 +680,7 @@ impl HomaEndpoint {
                             p.resend = self.time.start();
                         }
                         if self.cc.enabled {
-                            out.extend(self.schedule_grants());
+                            self.schedule_grants(out);
                         } else {
                             // Legacy: grant more packets to this one message
                             // if its sender is window-limited.
@@ -631,15 +749,12 @@ impl HomaEndpoint {
                     // retransmit data nobody is missing.
                     if let Some(send) = self.sends.get_mut(&r.message_id) {
                         // Go back to the packet the receiver names as its
-                        // first gap (retained packets are in segment, then
-                        // packet-offset order).  Everything before it
-                        // arrived; a gap beyond what was sent so far is the
-                        // grant's business, not a retransmission's.
-                        let limit = send.sent.min(send.packets.len());
-                        let gap = (r.offset, u16::try_from(r.length).unwrap_or(u16::MAX));
-                        let start = send.packets[..limit].partition_point(|p| {
-                            (p.overlay.options.tso_offset, p.packet_offset().unwrap_or(0)) < gap
-                        });
+                        // first gap.  Everything before it arrived; a gap
+                        // beyond what was sent so far is the grant's
+                        // business, not a retransmission's.
+                        let limit = send.sent.min(send.packets);
+                        let packet_offset = u16::try_from(r.length).unwrap_or(u16::MAX);
+                        let start = send.packet_index(r.offset, packet_offset).min(limit);
                         // cc: a bounded window from there, half the
                         // unscheduled prefix.  The first packet is wanted for
                         // sure; the rest are a guess at how far the gap runs,
@@ -654,17 +769,13 @@ impl HomaEndpoint {
                         send.probe = self.time.start();
                         send.retransmitted |= end > start;
                         self.retransmitted_packets += (end - start) as u64;
-                        for p in &send.packets[start..end] {
-                            let mut retx = p.clone();
-                            smt_core::segment::SmtSegmenter::mark_retransmission(&mut retx);
-                            out.push(retx);
-                        }
+                        send.cut_again(start..end, self.nic.mtu(), out);
                     }
                 }
             }
             PacketType::Ack => {
                 if let PacketPayload::Ack(a) = &packet.payload {
-                    // Releases the send state, retained packets included; a
+                    // Releases the send state, retained segments included; a
                     // duplicate ACK finds nothing and reports nothing.
                     if let Some(send) = self.sends.remove(&a.message_id) {
                         self.acked.push(a.message_id);
@@ -678,13 +789,22 @@ impl HomaEndpoint {
             }
             PacketType::Busy | PacketType::Control | PacketType::Sack => {}
         }
-        out
+    }
+
+    /// Gives up on an incomplete receive, here and in the session: bytes the
+    /// session went on holding would turn the sender's probe into duplicates
+    /// that earn no progress and solicit no RESEND, and the message could
+    /// never be delivered however long the link stays healed.
+    fn abandon(&mut self, message_id: u64) {
+        self.recvs.remove(&message_id);
+        self.session.forget(message_id);
+        self.recv_state_evictions += 1;
     }
 
     /// One SRPT scheduling round over every incomplete, grant-eligible
     /// message (total beyond the unscheduled prefix).  Applies the decisions
-    /// to the tracked grant offsets and returns the GRANT packets to emit.
-    fn schedule_grants(&mut self) -> Vec<Packet> {
+    /// to the tracked grant offsets and appends the GRANT packets to `out`.
+    fn schedule_grants(&mut self, out: &mut Vec<Packet>) {
         let unscheduled = self.unscheduled();
         let views: Vec<MsgView> = self
             .recvs
@@ -697,9 +817,7 @@ impl HomaEndpoint {
                 total: p.total_estimate,
             })
             .collect();
-        let decisions = self.scheduler.schedule(&views);
-        let mut out = Vec::with_capacity(decisions.len());
-        for d in decisions {
+        for d in self.scheduler.schedule(&views) {
             if let Some(p) = self.recvs.get_mut(&d.message_id) {
                 p.granted = p.granted.max(d.granted_packets as usize);
             }
@@ -713,7 +831,6 @@ impl HomaEndpoint {
                 d.message_id,
             ));
         }
-        out
     }
 
     /// Probes each unacknowledged send that has gone quiet — one full wait
@@ -740,18 +857,14 @@ impl HomaEndpoint {
                 continue;
             }
             self.time.back_off(&mut send.probe, self.cc.max_rto_ns);
-            let limit = send.sent.min(limit_cap).min(send.packets.len());
+            let limit = send.sent.min(limit_cap).min(send.packets);
             if limit > 0 {
                 send.retransmitted = true;
                 if adaptive {
                     self.time.backed_off = self.time.backed_off.max(send.probe.wait);
                 }
             }
-            for p in &send.packets[..limit] {
-                let mut retx = p.clone();
-                smt_core::segment::SmtSegmenter::mark_retransmission(&mut retx);
-                out.push(retx);
-            }
+            send.cut_again(0..limit, self.nic.mtu(), &mut out);
         }
         self.retransmitted_packets += out.len() as u64;
         out
@@ -779,8 +892,7 @@ impl HomaEndpoint {
                 continue;
             };
             if progress.resends >= max_attempts {
-                self.recvs.remove(&id);
-                self.recv_state_evictions += 1;
+                self.abandon(id);
                 continue;
             }
             progress.resends += 1;
@@ -1341,6 +1453,230 @@ mod tests {
                 b.handle_packet(p);
             }
             assert_eq!(b.take_delivered()[0].data, data, "cc={cc_on}");
+        }
+    }
+
+    #[test]
+    fn an_abandoned_receive_is_forgotten_by_the_session_too() {
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        a.set_cc(CcConfig::default());
+        b.set_cc(CcConfig::default());
+        a.set_clock(0, PERIOD);
+        b.set_clock(0, PERIOD);
+        let data: Vec<u8> = (0..4000u32).map(|i| (i % 247) as u8).collect();
+        let id = a.send_message(&data, 0).unwrap();
+        let flight = a.poll_transmit();
+        assert_eq!(flight.len(), 3);
+        // Packets 0 and 1 arrive; packet 2 and every RESEND are lost until
+        // the receiver gives the message up.
+        b.handle_packet(&flight[0]);
+        b.handle_packet(&flight[1]);
+        while b.recv_state_evictions() == 0 {
+            let due = b.next_due().expect("still tracked");
+            b.set_clock(due, PERIOD);
+            b.poll_resend();
+        }
+        assert_eq!(b.recv_state_evictions(), 1);
+        assert_eq!(b.incomplete_recvs(), 0);
+        assert_eq!(b.session().receiver_stats().packets_accepted, 2);
+
+        // The link heals.  The sender's probe is its first two packets: were
+        // they still buffered in the session they would be duplicates, earn
+        // no progress, solicit no RESEND, and packet 2 would never be asked
+        // for again.
+        let mut now = b.next_due().unwrap_or(0);
+        for _ in 0..64 {
+            now = [a.next_due(), b.next_due()]
+                .into_iter()
+                .flatten()
+                .min()
+                .map_or(now, |due| due.max(now));
+            a.set_clock(now, PERIOD);
+            b.set_clock(now, PERIOD);
+            let mut to_b = a.poll_retransmit_unacked();
+            let mut to_a = b.poll_resend();
+            while !(to_a.is_empty() && to_b.is_empty()) {
+                let from_b: Vec<Packet> = to_b.iter().flat_map(|p| b.handle_packet(p)).collect();
+                to_b = to_a.iter().flat_map(|p| a.handle_packet(p)).collect();
+                to_a = from_b;
+            }
+            if a.pending_sends() == 0 {
+                break;
+            }
+        }
+        assert_eq!(a.take_acked(), [id], "delivered once the link healed");
+        assert_eq!(b.take_delivered()[0].data, data);
+        assert_eq!(b.incomplete_recvs(), 0);
+    }
+
+    /// A control packet as `to`'s peer would send it.
+    fn from_peer(to: &HomaEndpoint, payload: PacketPayload, message_id: u64) -> Packet {
+        let ptype = match payload {
+            PacketPayload::Grant(_) => PacketType::Grant,
+            PacketPayload::Resend(_) => PacketType::Resend,
+            _ => PacketType::Ack,
+        };
+        let mut p = to.control_packet(payload, ptype, message_id);
+        std::mem::swap(&mut p.overlay.tcp.src_port, &mut p.overlay.tcp.dst_port);
+        p
+    }
+
+    fn grant(to: &HomaEndpoint, message_id: u64, granted_offset: u32, priority: u8) -> Packet {
+        let grant = HomaGrant {
+            message_id,
+            granted_offset,
+            priority,
+        };
+        from_peer(to, PacketPayload::Grant(grant), message_id)
+    }
+
+    #[test]
+    fn cutting_packets_as_they_leave_equals_cutting_them_at_send() {
+        let (ck, _) = keys();
+        let (path, _) = PathInfo::pair(4000, 5201);
+        for stack in [StackKind::SmtSw, StackKind::SmtHw, StackKind::Homa] {
+            for tso in [true, false] {
+                let config = HomaConfig {
+                    tso,
+                    ..HomaConfig::default()
+                };
+                let mut a = HomaEndpoint::new(&ck, stack, config, path).unwrap();
+                // The same messages through a session and a NIC of their
+                // own, every packet cut on the spot.
+                let mut smt_config = base_smt_config(stack);
+                smt_config.mtu = config.mtu;
+                smt_config.tso_enabled = tso;
+                let mut session = if stack == StackKind::Homa {
+                    SmtSession::plaintext(smt_config, path)
+                } else {
+                    SmtSession::new(&ck, smt_config, path).unwrap()
+                };
+                let mut nic = NicModel::new(config.mtu, tso);
+
+                for (queue, size) in [0, 64, 1461, 8192, 200_000, 1 << 20]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let label = format!("{stack:?} tso={tso} {size} B");
+                    let data: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
+                    let out = session.send_message(&data, queue).unwrap();
+                    let reference: Vec<Packet> = out
+                        .segments
+                        .iter()
+                        .flat_map(|seg| nic.transmit(queue, seg).0)
+                        .collect();
+                    let id = a.send_message(&data, queue).unwrap();
+                    assert_eq!(id, out.message_id);
+
+                    // First transmissions, let out by GRANTs of uneven sizes
+                    // and changing priorities.
+                    let mut emitted = a.poll_transmit();
+                    let mut expected: Vec<Packet> = reference[..emitted.len()].to_vec();
+                    assert_eq!(
+                        emitted.len(),
+                        reference.len().min(config.unscheduled_packets)
+                    );
+                    let mut step = 0usize;
+                    while emitted.len() < reference.len() {
+                        step += 1;
+                        let priority = (step % 8) as u8;
+                        let granted = emitted.len() + [1, 7, 2, 45, 3, 90][step % 6];
+                        a.handle_packet(&grant(&a, id, granted as u32, priority));
+                        let window = a.poll_transmit();
+                        assert_eq!(
+                            window.len(),
+                            granted.min(reference.len()) - emitted.len(),
+                            "{label}"
+                        );
+                        for p in &reference[emitted.len()..emitted.len() + window.len()] {
+                            let mut p = p.clone();
+                            p.overlay.options.priority = priority;
+                            expected.push(p);
+                        }
+                        emitted.extend(window);
+                    }
+                    assert_eq!(emitted, expected, "{label}");
+                    assert!(a.poll_transmit().is_empty(), "{label}");
+
+                    // A probe is the head of the message again.
+                    let probe = a.poll_retransmit_unacked();
+                    let want: Vec<Packet> = reference.iter().take(40).map(marked).collect();
+                    assert_eq!(probe, want, "{label}");
+                    let ack = PacketPayload::Ack(HomaAck { message_id: id });
+                    a.handle_packet(&from_peer(&a, ack, id));
+                    assert_eq!(a.pending_sends(), 0, "{label}");
+                }
+                assert_eq!(a.nic_stats().packets, nic.stats.packets);
+                assert_eq!(a.nic_stats().segments, nic.stats.segments);
+                assert_eq!(a.nic_stats().offload_records, nic.stats.offload_records);
+                assert_eq!(a.nic_stats().out_of_sequence, nic.stats.out_of_sequence);
+            }
+        }
+    }
+
+    /// `packet` as it is retransmitted.
+    fn marked(packet: &Packet) -> Packet {
+        let mut p = packet.clone();
+        smt_core::segment::SmtSegmenter::mark_retransmission(&mut p);
+        p
+    }
+
+    #[test]
+    fn a_resend_is_answered_from_the_packet_a_scan_of_precut_packets_would_pick() {
+        let (ck, _) = keys();
+        let (path, _) = PathInfo::pair(4000, 5201);
+        for stack in [StackKind::SmtSw, StackKind::SmtHw, StackKind::Homa] {
+            for tso in [true, false] {
+                let config = HomaConfig {
+                    tso,
+                    unscheduled_packets: 100,
+                    ..HomaConfig::default()
+                };
+                for size in [0, 64, 1461, 8192, 200_000] {
+                    let label = format!("{stack:?} tso={tso} {size} B");
+                    let mut a = HomaEndpoint::new(&ck, stack, config, path).unwrap();
+                    let data: Vec<u8> = (0..size).map(|i| (i % 233) as u8).collect();
+                    let id = a.send_message(&data, 0).unwrap();
+                    // What was sent is the unscheduled prefix; for the largest
+                    // message that leaves a tail a RESEND must not reach.
+                    let mut reference = a.poll_transmit();
+                    let sent = reference.len();
+                    a.handle_packet(&grant(&a, id, u32::MAX, 0));
+                    reference.extend(a.poll_transmit());
+                    a.sends.get_mut(&id).unwrap().sent = sent;
+                    assert_eq!(size == 200_000, sent < reference.len(), "{label}");
+
+                    // Every coordinate a receiver can name: each packet, one
+                    // past each segment's last, a TSO offset inside a
+                    // segment, past the end of the message.
+                    let key =
+                        |p: &Packet| (p.overlay.options.tso_offset, p.packet_offset().unwrap());
+                    let mut gaps: Vec<(u32, u16)> = Vec::new();
+                    for p in &reference {
+                        let (tso_offset, packet_offset) = key(p);
+                        gaps.push((tso_offset, packet_offset));
+                        gaps.push((tso_offset, packet_offset + 1));
+                        gaps.push((tso_offset + 1, 0));
+                        gaps.push((tso_offset + 1, packet_offset));
+                    }
+                    gaps.push((size as u32, 0));
+                    gaps.push((u32::MAX, u16::MAX));
+                    gaps.push((0, u16::MAX));
+                    for gap in gaps {
+                        let start = reference[..sent].partition_point(|p| key(p) < gap);
+                        let resend = PacketPayload::Resend(HomaResend {
+                            message_id: id,
+                            offset: gap.0,
+                            length: u32::from(gap.1),
+                            priority: 0,
+                        });
+                        let resend = from_peer(&a, resend, id);
+                        let answer = a.handle_packet(&resend);
+                        let want: Vec<Packet> = reference[start..sent].iter().map(marked).collect();
+                        assert_eq!(answer, want, "{label} gap {gap:?}");
+                    }
+                }
+            }
         }
     }
 

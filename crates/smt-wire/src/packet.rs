@@ -218,6 +218,50 @@ impl TsoSegment {
         self.payload.is_empty()
     }
 
+    /// Payload bytes per generated packet at `mtu`, the network-layer MTU (IP
+    /// header + transport header + payload per packet).
+    fn per_packet(mtu: usize) -> WireResult<usize> {
+        let per_packet = crate::max_payload_per_packet(mtu);
+        if per_packet == 0 || mtu <= IPV4_HEADER_LEN + SmtOverlayHeader::LEN {
+            return Err(WireError::invalid("mtu", format!("mtu {mtu} too small")));
+        }
+        Ok(per_packet)
+    }
+
+    /// How many packets the segment splits into at `mtu`: one per MTU's worth
+    /// of payload, and one with no payload for a control-only segment.
+    pub fn packet_count(&self, mtu: usize) -> WireResult<usize> {
+        Ok(self.payload.len().div_ceil(Self::per_packet(mtu)?).max(1))
+    }
+
+    /// The `index`-th packet the segment splits into at `mtu` — the overlay
+    /// header replicated, the IPID set to `index` (the receiver reads it as
+    /// the packet offset, §4.3), the payload a view of the segment's own
+    /// storage.  `None` past the last packet or at an MTU too small to
+    /// carry any payload.  A NIC cuts packets as they leave; this is that
+    /// cut for one packet.
+    pub fn packet_at(&self, index: usize, mtu: usize) -> Option<Packet> {
+        let per_packet = Self::per_packet(mtu).ok()?;
+        let start = index.checked_mul(per_packet)?;
+        if start >= self.payload.len().max(1) {
+            return None;
+        }
+        let end = self.payload.len().min(start + per_packet);
+        let mut ip = Ipv4Header::new(
+            self.src,
+            self.dst,
+            self.protocol,
+            (IPV4_HEADER_LEN + SmtOverlayHeader::LEN + (end - start)) as u16,
+        );
+        ip.identification = index as u16;
+        Some(Packet {
+            ip: IpHeader::V4(ip),
+            overlay: self.overlay,
+            payload: PacketPayload::Data(self.payload.slice(start..end)),
+            corrupted: false,
+        })
+    }
+
     /// Splits the segment into MTU-sized packets, replicating the overlay header
     /// and incrementing the IPID per packet — the wire-format half of what a NIC
     /// TSO engine does.  `mtu` is the network-layer MTU (IP header + transport
@@ -226,51 +270,13 @@ impl TsoSegment {
     /// Encryption is *not* performed here; the NIC model in `smt-sim` runs its
     /// offload engine over the segment before calling this.
     pub fn packetize(&self, mtu: usize) -> WireResult<Vec<Packet>> {
-        let per_packet = crate::max_payload_per_packet(mtu);
-        if per_packet == 0 || mtu <= IPV4_HEADER_LEN + SmtOverlayHeader::LEN {
-            return Err(WireError::invalid("mtu", format!("mtu {mtu} too small")));
-        }
-        if self.payload.is_empty() {
-            // Control-only segment: one packet with no payload.
-            let ip = Ipv4Header::new(
-                self.src,
-                self.dst,
-                self.protocol,
-                (IPV4_HEADER_LEN + SmtOverlayHeader::LEN) as u16,
-            );
-            return Ok(vec![Packet {
-                ip: IpHeader::V4(ip),
-                overlay: self.overlay,
-                payload: PacketPayload::Data(Bytes::new()),
-                corrupted: false,
-            }]);
-        }
-
-        let mut packets = Vec::with_capacity(self.payload.len().div_ceil(per_packet));
-        let mut offset = 0usize;
-        let mut packet_index: u16 = 0;
-        while offset < self.payload.len() {
-            let take = per_packet.min(self.payload.len() - offset);
-            let chunk = self.payload.slice(offset..offset + take);
-            let mut ip = Ipv4Header::new(
-                self.src,
-                self.dst,
-                self.protocol,
-                (IPV4_HEADER_LEN + SmtOverlayHeader::LEN + take) as u16,
-            );
-            // The NIC increments the IPID for each packet it generates from the
-            // segment; the receiver uses it as the packet offset (§4.3).
-            ip.identification = packet_index;
-            packets.push(Packet {
-                ip: IpHeader::V4(ip),
-                overlay: self.overlay,
-                payload: PacketPayload::Data(chunk),
-                corrupted: false,
-            });
-            offset += take;
-            packet_index = packet_index.wrapping_add(1);
-        }
-        Ok(packets)
+        let count = self.packet_count(mtu)?;
+        Ok((0..count)
+            .map(|i| {
+                self.packet_at(i, mtu)
+                    .expect("index below the packet count")
+            })
+            .collect())
     }
 
     /// Convenience: the option area of the overlay header.
@@ -316,6 +322,28 @@ mod tests {
             whole.extend_from_slice(p.payload.as_data().unwrap());
         }
         assert_eq!(whole, seg.payload);
+    }
+
+    #[test]
+    fn cutting_one_packet_at_a_time_equals_packetize() {
+        for mtu in [DEFAULT_MTU, crate::JUMBO_MTU] {
+            let per = crate::max_payload_per_packet(mtu);
+            for len in [0, 1, per - 1, per, per + 1, 65_536] {
+                let seg = segment(len);
+                let pkts = seg.packetize(mtu).unwrap();
+                assert_eq!(seg.packet_count(mtu).unwrap(), pkts.len(), "{len} @ {mtu}");
+                for (i, p) in pkts.iter().enumerate() {
+                    assert_eq!(
+                        seg.packet_at(i, mtu).as_ref(),
+                        Some(p),
+                        "{len} @ {mtu} #{i}"
+                    );
+                }
+                assert_eq!(seg.packet_at(pkts.len(), mtu), None, "{len} @ {mtu}");
+            }
+        }
+        assert!(segment(100).packet_count(40).is_err());
+        assert_eq!(segment(100).packet_at(0, 40), None);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! request/response encoding (standing in for RESP), and per-operation compute
 //! cost estimates used by the Fig. 8 workload model.
 
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// A key-value request.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -159,10 +161,12 @@ fn take_bytes(rest: &mut &[u8]) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// The single-threaded in-memory store.
+/// The single-threaded in-memory store, ordered by key so a scan is a range
+/// walk.  Values are shared `Bytes`: the load phase's records point at one
+/// buffer per distinct fill byte.
 #[derive(Debug, Default)]
 pub struct KvStore {
-    data: HashMap<String, Vec<u8>>,
+    data: BTreeMap<String, Bytes>,
     /// Operations served.
     pub operations: u64,
 }
@@ -173,11 +177,15 @@ impl KvStore {
         Self::default()
     }
 
-    /// Pre-loads `records` keys of `value_size` bytes (the YCSB load phase).
+    /// Pre-loads `records` keys of `value_size` bytes (the YCSB load phase):
+    /// record `i` holds `value_size` copies of byte `i % 251`.
     pub fn load(&mut self, records: usize, value_size: usize) {
+        let fills: Vec<Bytes> = (0..records.min(251))
+            .map(|b| Bytes::from(vec![b as u8; value_size]))
+            .collect();
         for i in 0..records {
             self.data
-                .insert(format!("user{i:08}"), vec![(i % 251) as u8; value_size]);
+                .insert(format!("user{i:08}"), fills[i % 251].clone());
         }
     }
 
@@ -196,22 +204,19 @@ impl KvStore {
         self.operations += 1;
         match request {
             KvRequest::Get { key } => match self.data.get(key) {
-                Some(v) => KvResponse::Value(v.clone()),
+                Some(v) => KvResponse::Value(v.to_vec()),
                 None => KvResponse::NotFound,
             },
             KvRequest::Put { key, value } => {
-                self.data.insert(key.clone(), value.clone());
+                self.data.insert(key.clone(), Bytes::copy_from_slice(value));
                 KvResponse::Ok
             }
             KvRequest::Scan { start, count } => {
-                // Scans over a hash map are approximated by key order (YCSB-C
-                // does the same for hash-backed stores).
-                let mut keys: Vec<&String> = self.data.keys().filter(|k| *k >= start).collect();
-                keys.sort();
-                let values = keys
-                    .into_iter()
+                let values = self
+                    .data
+                    .range::<str, _>((Bound::Included(start.as_str()), Bound::Unbounded))
                     .take(*count as usize)
-                    .filter_map(|k| self.data.get(k).cloned())
+                    .map(|(_, v)| v.to_vec())
                     .collect();
                 KvResponse::Values(values)
             }
@@ -325,6 +330,69 @@ mod tests {
         // it: the count must not size an allocation (a 96 GB reservation
         // aborts the process on a memory-limited host).
         assert_eq!(KvResponse::decode(&[2, 0xff, 0xff, 0xff, 0xff]), None);
+    }
+
+    /// The scan as a hash-backed store answers it: every key at or after
+    /// `start`, sorted, the first `count` of them.
+    fn sorted_filter_scan(store: &KvStore, start: &str, count: usize) -> Vec<Vec<u8>> {
+        let mut keys: Vec<&String> = store.data.keys().filter(|k| k.as_str() >= start).collect();
+        keys.sort();
+        keys.into_iter()
+            .take(count)
+            .map(|k| store.data[k].to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn scan_is_the_sorted_filter_of_the_keys() {
+        let mut store = KvStore::new();
+        store.load(600, 8);
+        store.execute(&KvRequest::Put {
+            key: "user00000300x".into(),
+            value: vec![7; 3],
+        });
+        for start in [
+            "",              // before the first key
+            "a",             // before the first key
+            "user00000100",  // on a key
+            "user0000010",   // between keys: a prefix of ten of them
+            "user00000300",  // on a key that the put key extends
+            "user00000300a", // between the put key and its successor
+            "user00000599",  // on the last key
+            "user00000599a", // past the last key
+            "zzz",           // past the last key
+        ] {
+            for count in [0, 1, 5, 1000] {
+                let got = store.execute(&KvRequest::Scan {
+                    start: start.into(),
+                    count: count as u32,
+                });
+                let want = KvResponse::Values(sorted_filter_scan(&store, start, count));
+                assert_eq!(got, want, "scan from {start:?}, count {count}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_put_leaves_keys_sharing_its_fill_buffer_alone() {
+        let mut store = KvStore::new();
+        store.load(600, 16);
+        // Records 0, 251 and 502 were loaded from one shared fill buffer.
+        store.execute(&KvRequest::Put {
+            key: "user00000251".into(),
+            value: vec![9; 16],
+        });
+        for (key, fill) in [
+            ("user00000000", 0),
+            ("user00000251", 9),
+            ("user00000502", 0),
+        ] {
+            assert_eq!(
+                store.execute(&KvRequest::Get { key: key.into() }),
+                KvResponse::Value(vec![fill; 16]),
+                "{key}"
+            );
+        }
     }
 
     #[test]

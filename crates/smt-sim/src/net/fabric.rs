@@ -34,8 +34,11 @@
 //! network" means.
 //!
 //! The fabric itself never touches an endpoint: it moves [`Packet`]s between
-//! *ports* (one endpoint attachment point each) in virtual time.  The scenario
-//! runner ([`crate::net::run_scenario`]) couples ports to protocol engines.
+//! *ports* (one endpoint attachment point each) in virtual time.  A packet is
+//! moved into a slab slot once at [`Fabric::send`], marked there in place at
+//! each queue, and moved out at delivery; the event queue carries only the
+//! slot, the destination port and the next hop.  The scenario runner
+//! ([`crate::net::run_scenario`]) couples ports to protocol engines.
 
 use super::event::EventQueue;
 use crate::resource::Resource;
@@ -76,16 +79,15 @@ impl Default for LinkConfig {
     }
 }
 
+/// Serialization time of `bytes` at `gbps`, rounded to the nanosecond.
+fn serialization_ns(bytes: usize, gbps: f64) -> Nanos {
+    ((bytes as f64 * 8.0) / gbps).round() as Nanos
+}
+
 impl LinkConfig {
     /// Serialization time of `bytes` at the link rate.
     pub fn serialization_ns(&self, bytes: usize) -> Nanos {
-        ((bytes as f64 * 8.0) / self.gbps).round() as Nanos
-    }
-
-    /// The deepest backlog (in time) a link direction may hold before
-    /// tail-dropping.
-    pub fn buffer_ns(&self) -> Nanos {
-        self.serialization_ns(self.mtu) * self.buffer_packets as Nanos
+        serialization_ns(bytes, self.gbps)
     }
 }
 
@@ -384,29 +386,115 @@ struct PortInfo {
     peer: Option<PortId>,
 }
 
+/// The hop a packet takes next, with the switch coordinates it needs.
+#[derive(Debug, Clone, Copy)]
+enum Hop {
+    /// Reached its source leaf; contend for the ECMP-chosen leaf→spine
+    /// uplink (leaf–spine topology only).
+    Uplink { leaf: u32, spine: u32 },
+    /// Crossed the spine; contend for the spine→leaf downlink toward the
+    /// destination leaf (leaf–spine topology only).
+    Downlink { leaf: u32, spine: u32 },
+    /// Reached the far edge of the core; contend for the destination host's
+    /// ingress link.
+    Ingress,
+    /// Fully received at the destination port.
+    Deliver,
+}
+
+/// A scheduled step of one in-flight packet: where it is headed, which slab
+/// slot holds it, and the hop it takes next.
+#[derive(Debug, Clone, Copy)]
+struct NetEvent {
+    dst: u32,
+    slot: u32,
+    hop: Hop,
+}
+
+/// In-flight packets, each parked in one slot from `send` until it is
+/// delivered or dropped; events refer to them by slot.
+#[derive(Debug, Default)]
+struct Slab {
+    packets: Vec<Option<Packet>>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    fn insert(&mut self, packet: Packet) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.packets[slot as usize] = Some(packet);
+                slot
+            }
+            None => {
+                self.packets.push(Some(packet));
+                (self.packets.len() - 1) as u32
+            }
+        }
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut Packet {
+        self.packets[slot as usize]
+            .as_mut()
+            .expect("event refers to a live slot")
+    }
+
+    fn remove(&mut self, slot: u32) -> Packet {
+        self.free.push(slot);
+        self.packets[slot as usize]
+            .take()
+            .expect("event refers to a live slot")
+    }
+}
+
+/// One link class's timing, fixed when the fabric is built: serialization
+/// memoised per wire length, and the per-packet bounds derived from the MTU.
 #[derive(Debug)]
-enum NetEvent {
-    /// Packet reached its source leaf; contend for the ECMP-chosen
-    /// leaf→spine uplink (leaf–spine topology only).
-    UplinkArrive {
-        dst: PortId,
-        src_leaf: usize,
-        spine: usize,
-        packet: Packet,
-    },
-    /// Packet crossed the spine; contend for the spine→leaf downlink toward
-    /// the destination leaf (leaf–spine topology only).
-    DownlinkArrive {
-        dst: PortId,
-        dst_leaf: usize,
-        spine: usize,
-        packet: Packet,
-    },
-    /// Packet reached the far edge of the core; contend for the destination
-    /// host's ingress link.
-    IngressArrive { dst: PortId, packet: Packet },
-    /// Packet fully received at the destination port.
-    Deliver { dst: PortId, packet: Packet },
+struct LinkTiming {
+    gbps: f64,
+    /// Serialization time by wire length; `Nanos::MAX` marks an entry not
+    /// computed yet.
+    ser_ns: Vec<Nanos>,
+    /// The deepest backlog the link holds before tail-dropping.
+    buffer_ns: Nanos,
+    /// One MTU's serialization time, at least 1 ns.
+    per_packet_ns: Nanos,
+    /// Backlog beyond which ECN-capable packets are CE-marked (`None`
+    /// without ECN).
+    mark_ns: Option<Nanos>,
+}
+
+impl LinkTiming {
+    fn new(gbps: f64, link: &LinkConfig, ecn: Option<EcnConfig>) -> Self {
+        let mtu_ns = serialization_ns(link.mtu, gbps);
+        Self {
+            gbps,
+            ser_ns: Vec::new(),
+            buffer_ns: mtu_ns * link.buffer_packets as Nanos,
+            per_packet_ns: mtu_ns.max(1),
+            mark_ns: ecn.map(|e| mtu_ns.max(1) * e.marking_threshold_packets as Nanos),
+        }
+    }
+
+    fn serialization_ns(&mut self, bytes: usize) -> Nanos {
+        match self.ser_ns.get(bytes) {
+            Some(&ns) if ns != Nanos::MAX => return ns,
+            Some(_) => {}
+            None => self.ser_ns.resize(bytes + 1, Nanos::MAX),
+        }
+        let ns = serialization_ns(bytes, self.gbps);
+        self.ser_ns[bytes] = ns;
+        ns
+    }
+
+    /// CE-marks `packet` if it is ECN-capable and the backlog it joined is
+    /// over the marking threshold.
+    fn maybe_mark(&self, stats: &mut FabricStats, packet: &mut Packet, backlog_ns: Nanos) {
+        if self.mark_ns.is_some_and(|t| backlog_ns > t) && packet.ip.is_ecn_capable() {
+            packet.ip.mark_ce();
+            stats.ecn_marked += 1;
+        }
+    }
 }
 
 /// The multi-host fabric: per-host queued links around a big-switch core,
@@ -415,15 +503,19 @@ enum NetEvent {
 pub struct Fabric {
     link: LinkConfig,
     topology: Topology,
-    ecn: Option<EcnConfig>,
     faults: FaultyLink,
     hosts: Vec<HostLinks>,
     ports: Vec<PortInfo>,
+    /// Host egress and ingress links.
+    host_timing: LinkTiming,
+    /// Leaf↔spine links (leaf–spine topology only).
+    spine_timing: LinkTiming,
     /// Leaf→spine uplink queues, indexed `leaf * spines + spine`
     /// (leaf–spine topology only; grown on demand).
     uplinks: Vec<Resource>,
     /// Spine→leaf downlink queues, same indexing.
     downlinks: Vec<Resource>,
+    slab: Slab,
     queue: EventQueue<NetEvent>,
     /// Aggregate traffic counters.
     pub stats: FabricStats,
@@ -444,15 +536,21 @@ impl Fabric {
         topology: Topology,
         ecn: Option<EcnConfig>,
     ) -> Self {
+        let spine_gbps = match topology {
+            Topology::LeafSpine(ls) => ls.uplink_gbps(link.gbps),
+            Topology::BigSwitch => link.gbps,
+        };
         Self {
             link,
             topology,
-            ecn,
             faults: FaultyLink::new(faults),
             hosts: Vec::new(),
             ports: Vec::new(),
+            host_timing: LinkTiming::new(link.gbps, &link, ecn),
+            spine_timing: LinkTiming::new(spine_gbps, &link, ecn),
             uplinks: Vec::new(),
             downlinks: Vec::new(),
+            slab: Slab::default(),
             queue: EventQueue::new(),
             stats: FabricStats::default(),
         }
@@ -468,14 +566,9 @@ impl Fabric {
         self.topology
     }
 
-    /// Serialization time of `bytes` on one leaf↔spine link.
-    fn spine_serialization_ns(&self, ls: &LeafSpineConfig, bytes: usize) -> Nanos {
-        ((bytes as f64 * 8.0) / ls.uplink_gbps(self.link.gbps)).round() as Nanos
-    }
-
     /// Queue index of a leaf↔spine link.
-    fn spine_link_index(&mut self, ls: &LeafSpineConfig, leaf: usize, spine: usize) -> usize {
-        let idx = leaf * ls.spines + spine;
+    fn spine_link_index(&mut self, ls: &LeafSpineConfig, leaf: u32, spine: u32) -> usize {
+        let idx = leaf as usize * ls.spines + spine as usize;
         if self.uplinks.len() <= idx {
             self.uplinks.resize_with(idx + 1, Resource::new);
             self.downlinks.resize_with(idx + 1, Resource::new);
@@ -507,23 +600,6 @@ impl Fabric {
             hash = hash.wrapping_mul(0x1_0000_01b3);
         }
         (hash % ls.spines.max(1) as u64) as usize
-    }
-
-    /// CE-marks the packet if ECN marking is on, the packet is ECN-capable
-    /// and the queue it just joined was over threshold.
-    fn maybe_mark(
-        ecn: Option<EcnConfig>,
-        stats: &mut FabricStats,
-        packet: &mut Packet,
-        backlog_ns: Nanos,
-        per_packet_ns: Nanos,
-    ) {
-        let Some(ecn) = ecn else { return };
-        let threshold_ns = per_packet_ns.max(1) * ecn.marking_threshold_packets as Nanos;
-        if backlog_ns > threshold_ns && packet.ip.is_ecn_capable() {
-            packet.ip.mark_ce();
-            stats.ecn_marked += 1;
-        }
     }
 
     /// Fault-model counters.
@@ -566,64 +642,58 @@ impl Fabric {
 
     /// Injects `packets` from `src` at time `now`: egress queueing (tail-drop
     /// at a full buffer), fault injection, core propagation, then a scheduled
-    /// ingress arrival at the peer's host.
-    pub fn send(&mut self, now: Nanos, src: PortId, packets: Vec<Packet>) {
+    /// ingress arrival at the peer's host.  Each surviving packet is moved
+    /// into the fabric once and stays put until it is delivered or dropped;
+    /// pass a `Vec`, or `drain(..)` a reused buffer.
+    pub fn send(&mut self, now: Nanos, src: PortId, packets: impl IntoIterator<Item = Packet>) {
         let dst = self.ports[src]
             .peer
             .expect("port used before connect() wired its peer");
         let src_host = self.ports[src].host;
-        let buffer_ns = self.link.buffer_ns();
+        // Same-leaf traffic (and the whole big-switch topology) goes straight
+        // to the destination's ingress; cross-leaf traffic climbs to an
+        // ECMP-chosen spine first.
+        let uplink_from = match self.topology {
+            Topology::LeafSpine(ls) => {
+                let src_leaf = src_host / ls.hosts_per_leaf.max(1);
+                let dst_leaf = self.ports[dst].host / ls.hosts_per_leaf.max(1);
+                (src_leaf != dst_leaf).then_some((ls, src_leaf as u32))
+            }
+            Topology::BigSwitch => None,
+        };
         for packet in packets {
             self.stats.offered += 1;
-            let bytes = packet.wire_len();
             let egress = &mut self.hosts[src_host].egress;
-            if egress.free_at().saturating_sub(now) > buffer_ns {
+            if egress.free_at().saturating_sub(now) > self.host_timing.buffer_ns {
                 self.stats.dropped_egress += 1;
                 continue;
             }
-            let tx_done = egress.schedule(now, self.link.serialization_ns(bytes));
-            match self.faults.admit() {
-                Admission::Drop => {
-                    self.stats.dropped_faults += 1;
-                }
-                Admission::Deliver {
-                    extra_delay_ns,
-                    duplicate_delay_ns,
-                } => {
-                    let base = tx_done + self.link.propagation_ns + extra_delay_ns;
-                    // Same-leaf traffic (and the whole big-switch topology)
-                    // goes straight to the destination's ingress; cross-leaf
-                    // traffic climbs to an ECMP-chosen spine first.
-                    let first_hop = |packet: &Packet| match self.topology {
-                        Topology::LeafSpine(ls) => {
-                            let src_leaf = src_host / ls.hosts_per_leaf.max(1);
-                            let dst_leaf = self.ports[dst].host / ls.hosts_per_leaf.max(1);
-                            if src_leaf == dst_leaf {
-                                NetEvent::IngressArrive {
-                                    dst,
-                                    packet: packet.clone(),
-                                }
-                            } else {
-                                NetEvent::UplinkArrive {
-                                    dst,
-                                    src_leaf,
-                                    spine: Self::ecmp_spine(&ls, packet),
-                                    packet: packet.clone(),
-                                }
-                            }
-                        }
-                        Topology::BigSwitch => NetEvent::IngressArrive {
-                            dst,
-                            packet: packet.clone(),
-                        },
-                    };
-                    if let Some(extra) = duplicate_delay_ns {
-                        self.stats.duplicated += 1;
-                        self.queue.push(base + extra, first_hop(&packet));
-                    }
-                    self.queue.push(base, first_hop(&packet));
-                }
+            let tx_done =
+                egress.schedule(now, self.host_timing.serialization_ns(packet.wire_len()));
+            let Admission::Deliver {
+                extra_delay_ns,
+                duplicate_delay_ns,
+            } = self.faults.admit()
+            else {
+                self.stats.dropped_faults += 1;
+                continue;
+            };
+            let hop = match uplink_from {
+                Some((ls, leaf)) => Hop::Uplink {
+                    leaf,
+                    spine: Self::ecmp_spine(&ls, &packet) as u32,
+                },
+                None => Hop::Ingress,
+            };
+            let dst = dst as u32;
+            let base = tx_done + self.link.propagation_ns + extra_delay_ns;
+            if let Some(extra) = duplicate_delay_ns {
+                self.stats.duplicated += 1;
+                let slot = self.slab.insert(packet.clone());
+                self.queue.push(base + extra, NetEvent { dst, slot, hop });
             }
+            let slot = self.slab.insert(packet);
+            self.queue.push(base, NetEvent { dst, slot, hop });
         }
     }
 
@@ -645,113 +715,91 @@ impl Fabric {
     /// other scheduler causes (workload sends, timers), so processing only
     /// one event per call keeps the global event order correct.
     pub fn pop_arrival(&mut self) -> Option<(Nanos, PortId, Packet)> {
-        let buffer_ns = self.link.buffer_ns();
-        let (at, ev) = self.queue.pop()?;
-        match ev {
-            NetEvent::UplinkArrive {
-                dst,
-                src_leaf,
-                spine,
-                mut packet,
-            } => {
-                let Topology::LeafSpine(ls) = self.topology else {
-                    unreachable!("uplink event on a big-switch fabric");
+        let (at, NetEvent { dst, slot, hop }) = self.queue.pop()?;
+        let (next_at, hop) = match hop {
+            Hop::Uplink { leaf, spine } => {
+                let ls = self.leaf_spine();
+                let up_done = self.cross_spine_link(&ls, at, slot, true, leaf, spine)?;
+                let dst_leaf = self.ports[dst as usize].host / ls.hosts_per_leaf.max(1);
+                let hop = Hop::Downlink {
+                    leaf: dst_leaf as u32,
+                    spine,
                 };
-                let per_packet_ns = self.spine_serialization_ns(&ls, self.link.mtu);
-                let spine_buffer_ns = per_packet_ns * self.link.buffer_packets as Nanos;
-                let idx = self.spine_link_index(&ls, src_leaf, spine);
-                let uplink = &mut self.uplinks[idx];
-                let backlog_ns = uplink.free_at().saturating_sub(at);
-                if backlog_ns > spine_buffer_ns {
-                    self.stats.dropped_spine += 1;
-                    return None;
-                }
-                Self::maybe_mark(
-                    self.ecn,
-                    &mut self.stats,
-                    &mut packet,
-                    backlog_ns,
-                    per_packet_ns,
-                );
-                let ser = self.spine_serialization_ns(&ls, packet.wire_len());
-                let up_done = self.uplinks[idx].schedule(at, ser);
-                let dst_leaf = self.ports[dst].host / ls.hosts_per_leaf.max(1);
-                self.queue.push(
-                    up_done + self.link.propagation_ns,
-                    NetEvent::DownlinkArrive {
-                        dst,
-                        dst_leaf,
-                        spine,
-                        packet,
-                    },
-                );
-                None
+                (up_done + self.link.propagation_ns, hop)
             }
-            NetEvent::DownlinkArrive {
-                dst,
-                dst_leaf,
-                spine,
-                mut packet,
-            } => {
-                let Topology::LeafSpine(ls) = self.topology else {
-                    unreachable!("downlink event on a big-switch fabric");
-                };
-                let per_packet_ns = self.spine_serialization_ns(&ls, self.link.mtu);
-                let spine_buffer_ns = per_packet_ns * self.link.buffer_packets as Nanos;
-                let idx = self.spine_link_index(&ls, dst_leaf, spine);
-                let downlink = &mut self.downlinks[idx];
-                let backlog_ns = downlink.free_at().saturating_sub(at);
-                if backlog_ns > spine_buffer_ns {
-                    self.stats.dropped_spine += 1;
-                    return None;
-                }
-                Self::maybe_mark(
-                    self.ecn,
-                    &mut self.stats,
-                    &mut packet,
-                    backlog_ns,
-                    per_packet_ns,
-                );
-                let ser = self.spine_serialization_ns(&ls, packet.wire_len());
-                let down_done = self.downlinks[idx].schedule(at, ser);
-                self.queue.push(
-                    down_done + self.link.propagation_ns,
-                    NetEvent::IngressArrive { dst, packet },
-                );
-                None
+            Hop::Downlink { leaf, spine } => {
+                let ls = self.leaf_spine();
+                let down_done = self.cross_spine_link(&ls, at, slot, false, leaf, spine)?;
+                (down_done + self.link.propagation_ns, Hop::Ingress)
             }
-            NetEvent::IngressArrive { dst, mut packet } => {
-                let host = self.ports[dst].host;
-                let per_packet_ns = self.link.serialization_ns(self.link.mtu).max(1);
-                let ingress = &mut self.hosts[host].ingress;
+            Hop::Ingress => {
+                let timing = &mut self.host_timing;
+                let ingress = &mut self.hosts[self.ports[dst as usize].host].ingress;
                 let backlog_ns = ingress.free_at().saturating_sub(at);
-                if backlog_ns > buffer_ns {
+                if backlog_ns > timing.buffer_ns {
                     self.stats.dropped_ingress += 1;
+                    self.slab.remove(slot);
                     return None;
                 }
                 self.stats.peak_ingress_backlog_packets = self
                     .stats
                     .peak_ingress_backlog_packets
-                    .max(backlog_ns / per_packet_ns);
-                Self::maybe_mark(
-                    self.ecn,
-                    &mut self.stats,
-                    &mut packet,
-                    backlog_ns,
-                    per_packet_ns,
-                );
-                let bytes = packet.wire_len();
-                let ingress = &mut self.hosts[host].ingress;
-                let rx_done = ingress.schedule(at, self.link.serialization_ns(bytes));
-                self.queue.push(rx_done, NetEvent::Deliver { dst, packet });
-                None
+                    .max(backlog_ns / timing.per_packet_ns);
+                let packet = self.slab.get_mut(slot);
+                timing.maybe_mark(&mut self.stats, packet, backlog_ns);
+                let rx_done = ingress.schedule(at, timing.serialization_ns(packet.wire_len()));
+                (rx_done, Hop::Deliver)
             }
-            NetEvent::Deliver { dst, packet } => {
+            Hop::Deliver => {
+                let packet = self.slab.remove(slot);
                 self.stats.delivered += 1;
                 self.stats.wire_bytes += packet.wire_len() as u64;
-                Some((at, dst, packet))
+                return Some((at, dst as usize, packet));
             }
+        };
+        self.queue.push(next_at, NetEvent { dst, slot, hop });
+        None
+    }
+
+    /// The leaf–spine shape; only spine hops ask, and only a leaf–spine
+    /// fabric schedules them.
+    fn leaf_spine(&self) -> LeafSpineConfig {
+        match self.topology {
+            Topology::LeafSpine(ls) => ls,
+            Topology::BigSwitch => unreachable!("spine hop on a big-switch fabric"),
         }
+    }
+
+    /// Queues the packet in `slot` on one leaf↔spine link (the uplink when
+    /// `up`, else the downlink) at `at`.  Past the buffer it is tail-dropped
+    /// and its slot freed (`None`); otherwise it is marked if the backlog
+    /// calls for it and serialized, and the time it leaves the link is
+    /// returned.
+    fn cross_spine_link(
+        &mut self,
+        ls: &LeafSpineConfig,
+        at: Nanos,
+        slot: u32,
+        up: bool,
+        leaf: u32,
+        spine: u32,
+    ) -> Option<Nanos> {
+        let idx = self.spine_link_index(ls, leaf, spine);
+        let link = if up {
+            &mut self.uplinks[idx]
+        } else {
+            &mut self.downlinks[idx]
+        };
+        let timing = &mut self.spine_timing;
+        let backlog_ns = link.free_at().saturating_sub(at);
+        if backlog_ns > timing.buffer_ns {
+            self.stats.dropped_spine += 1;
+            self.slab.remove(slot);
+            return None;
+        }
+        let packet = self.slab.get_mut(slot);
+        timing.maybe_mark(&mut self.stats, packet, backlog_ns);
+        Some(link.schedule(at, timing.serialization_ns(packet.wire_len())))
     }
 }
 
@@ -1098,5 +1146,158 @@ mod tests {
             assert!(!pk.ip.is_ce_marked());
         }
         assert_eq!(f.stats.ecn_marked, 0, "not-ECT packets pass unmarked");
+    }
+
+    #[test]
+    fn every_drop_frees_its_slab_slot() {
+        // Leaf 0 holds hosts 0-3, leaf 1 hosts 4-7, one spine at 16:1.  The
+        // two cross-leaf flows share leaf 0's 800 ns/packet uplink (spine
+        // drops); the two same-leaf flows into host 7 share its ingress
+        // (ingress drops); every burst overruns its sender's 2-packet egress
+        // buffer.
+        let ls = LeafSpineConfig {
+            hosts_per_leaf: 4,
+            spines: 1,
+            oversubscription: 16.0,
+        };
+        let link = LinkConfig {
+            buffer_packets: 2,
+            ..LinkConfig::default()
+        };
+        let mut f = Fabric::with_topology(link, FaultConfig::none(), Topology::LeafSpine(ls), None);
+        let hosts: Vec<HostId> = (0..8).map(|_| f.add_host()).collect();
+        let mut senders = Vec::new();
+        for (from, to) in [(0, 4), (1, 5), (5, 7), (6, 7)] {
+            let (a, b) = (f.add_port(hosts[from]), f.add_port(hosts[to]));
+            f.connect(a, b);
+            senders.push(a);
+        }
+        let mut first_peak = None;
+        for round in 0..10 {
+            let now = round * 1_000_000;
+            for &p in &senders {
+                f.send(now, p, vec![packet(LEN_1250B); 16]);
+            }
+            while next_delivery(&mut f).is_some() {}
+            let peak = f.slab.packets.len();
+            assert_eq!(f.slab.free.len(), peak, "round {round}: every slot free");
+            assert!(peak <= *first_peak.get_or_insert(peak), "round {round}");
+        }
+        assert!(f.stats.dropped_egress > 0);
+        assert!(f.stats.dropped_spine > 0);
+        assert!(f.stats.dropped_ingress > 0);
+        assert_eq!(
+            f.stats.delivered + f.stats.dropped(),
+            f.stats.offered,
+            "every packet delivered or counted as dropped"
+        );
+    }
+
+    #[test]
+    fn a_duplicate_is_an_independent_copy() {
+        // The copy trails the original by at most 50 ns, so it reaches the
+        // sink's ingress while the original still occupies it: the copy is
+        // CE-marked, the original is not.
+        let faults = FaultConfig {
+            duplicate: 1.0,
+            reorder_delay_ns: 50,
+            seed: 3,
+            ..FaultConfig::default()
+        };
+        let ecn = EcnConfig {
+            marking_threshold_packets: 0,
+        };
+        let mut f = Fabric::with_topology(
+            LinkConfig::default(),
+            faults,
+            Topology::BigSwitch,
+            Some(ecn),
+        );
+        let (h0, h1) = (f.add_host(), f.add_host());
+        let (a, b) = (f.add_port(h0), f.add_port(h1));
+        f.connect(a, b);
+        let mut pk = packet(LEN_1250B);
+        pk.ip.set_ecn_capable();
+        f.send(0, a, vec![pk]);
+        let (_, _, original) = next_delivery(&mut f).unwrap();
+        let (_, _, copy) = next_delivery(&mut f).unwrap();
+        assert!(next_delivery(&mut f).is_none());
+        assert!(!original.ip.is_ce_marked());
+        assert!(copy.ip.is_ce_marked());
+        assert_eq!((f.stats.duplicated, f.stats.ecn_marked), (1, 1));
+    }
+
+    #[test]
+    fn draining_a_buffer_sends_what_a_vec_sends() {
+        let faults = FaultConfig {
+            loss: 0.1,
+            duplicate: 0.2,
+            reorder: 0.3,
+            seed: 11,
+            ..FaultConfig::default()
+        };
+        let ls = LeafSpineConfig {
+            hosts_per_leaf: 2,
+            spines: 2,
+            oversubscription: 4.0,
+        };
+        let ecn = Some(EcnConfig {
+            marking_threshold_packets: 2,
+        });
+        let build = || {
+            let mut f = Fabric::with_topology(
+                LinkConfig {
+                    buffer_packets: 8,
+                    ..LinkConfig::default()
+                },
+                faults,
+                Topology::LeafSpine(ls),
+                ecn,
+            );
+            let ports: Vec<PortId> = (0..4)
+                .map(|_| {
+                    let h = f.add_host();
+                    f.add_port(h)
+                })
+                .collect();
+            f.connect(ports[0], ports[2]);
+            f.connect(ports[1], ports[3]);
+            f
+        };
+        let flight = |i: usize| -> Vec<Packet> {
+            (0..12)
+                .map(|j| {
+                    let mut pk = packet(200 + 100 * ((i + j) % 12));
+                    if j % 2 == 0 {
+                        pk.ip.set_ecn_capable();
+                    }
+                    pk
+                })
+                .collect()
+        };
+        let run = |drain: bool| {
+            let mut f = build();
+            let mut scratch = Vec::new();
+            let mut deliveries = Vec::new();
+            for i in 0..20 {
+                let (now, src) = (i as Nanos * 500, i % 4);
+                if drain {
+                    scratch.extend(flight(i));
+                    f.send(now, src, scratch.drain(..));
+                } else {
+                    f.send(now, src, flight(i));
+                }
+                while f.next_arrival().is_some_and(|t| t <= now + 500) {
+                    deliveries.extend(f.pop_arrival());
+                }
+            }
+            while let Some(d) = next_delivery(&mut f) {
+                deliveries.push(d);
+            }
+            (deliveries, f.stats)
+        };
+        let (by_vec, by_drain) = (run(false), run(true));
+        assert!(by_vec.1.dropped() > 0 && by_vec.1.ecn_marked > 0 && by_vec.1.duplicated > 0);
+        assert_eq!(by_vec, by_drain);
     }
 }

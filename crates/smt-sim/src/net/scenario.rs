@@ -384,6 +384,74 @@ struct PendingSend {
     req_start: Option<Nanos>,
 }
 
+/// Endpoint deadlines with the earliest at hand: a tournament tree over
+/// endpoint slots.  Leaves hold each slot's deadline and every inner node the
+/// earlier of its two children, so setting a slot costs O(log n) and the
+/// earliest deadline O(1).
+struct DeadlineIndex {
+    /// Node `i`'s children are `2i` and `2i + 1`; slot `s` is leaf
+    /// `leaves + s`.
+    nodes: Vec<Option<Nanos>>,
+    leaves: usize,
+}
+
+/// The earlier of two deadlines, `None` being no deadline at all.
+fn earlier(a: Option<Nanos>, b: Option<Nanos>) -> Option<Nanos> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
+}
+
+impl DeadlineIndex {
+    fn new(slots: usize) -> Self {
+        let leaves = slots.next_power_of_two();
+        Self {
+            nodes: vec![None; 2 * leaves],
+            leaves,
+        }
+    }
+
+    fn set(&mut self, slot: usize, deadline: Option<Nanos>) {
+        let mut i = self.leaves + slot;
+        if self.nodes[i] == deadline {
+            return;
+        }
+        self.nodes[i] = deadline;
+        while i > 1 {
+            i /= 2;
+            let min = earlier(self.nodes[2 * i], self.nodes[2 * i + 1]);
+            if self.nodes[i] == min {
+                return;
+            }
+            self.nodes[i] = min;
+        }
+    }
+
+    fn earliest(&self) -> Option<Nanos> {
+        self.nodes[1]
+    }
+
+    /// Appends every slot whose deadline is at or before `now`, in slot
+    /// order, visiting only subtrees that hold one.
+    fn due(&self, now: Nanos, out: &mut Vec<usize>) {
+        self.collect_due(1, now, out);
+    }
+
+    fn collect_due(&self, node: usize, now: Nanos, out: &mut Vec<usize>) {
+        if self.nodes[node].is_none_or(|d| d > now) {
+            return;
+        }
+        if node >= self.leaves {
+            out.push(node - self.leaves);
+        } else {
+            self.collect_due(2 * node, now, out);
+            self.collect_due(2 * node + 1, now, out);
+        }
+    }
+}
+
 /// [`run_scenario`] with a full [`ScenarioApp`] host instead of the plain
 /// reply closure: clocked server replies (compute occupies the app core,
 /// device time doesn't) and closed-loop client generation.  Deferred app
@@ -451,33 +519,36 @@ pub fn run_scenario_app(
     // each other's sealing work (a busy core, not a busy network).
     let mut cpu_free: Vec<Nanos> = vec![0; endpoints.len()];
 
-    // Each endpoint's timer deadline.  An endpoint's deadline moves only when
-    // the runner calls into it, and every arm that does so pumps it
-    // afterwards, so `pump!` refreshing the entry keeps this exact without
-    // asking every endpoint on every event.
-    let mut deadlines: Vec<Option<Nanos>> = endpoints.iter().map(|e| e.next_timeout()).collect();
+    // Each endpoint's timer deadline, with the earliest at hand.  An
+    // endpoint's deadline moves only when the runner calls into it, and every
+    // arm that does so pumps it afterwards, so `pump!` refreshing the entry
+    // keeps this exact without asking every endpoint on every event.
+    let mut deadlines = DeadlineIndex::new(endpoints.len());
+    for (i, e) in endpoints.iter().enumerate() {
+        deadlines.set(i, e.next_timeout());
+    }
+    // The endpoints the next `pump!` drains, reused across events.
+    let mut work: Vec<usize> = Vec::new();
 
-    // Drains transmit queues and deliveries of the endpoints in `dirty`,
+    // Drains transmit queues and deliveries of the endpoints in `work`,
     // feeding transmissions into the fabric and deliveries into the latency
-    // accounting (and the reply hook, which may dirty further endpoints).
-    // The two-argument form stamps this pump's transmissions with a later
+    // accounting (and the reply hook, which may add further endpoints).
+    // The one-argument form stamps this pump's transmissions with a later
     // time — the Send arm uses it to hold a sealed burst until the sending
     // host's CPU charge has elapsed, without warping the shared clock (which
     // would fire every other endpoint's retransmission timers spuriously).
     macro_rules! pump {
-        ($dirty:expr) => {
-            pump!($dirty, now)
+        () => {
+            pump!(now)
         };
-        ($dirty:expr, $t:expr) => {{
+        ($t:expr) => {{
             let t: Nanos = $t;
-            let mut work: Vec<usize> = $dirty;
             while let Some(ep) = work.pop() {
-                scratch.clear();
                 if endpoints[ep].poll_transmit(t, &mut scratch) > 0 {
                     if let Some(adv) = adversary.as_mut() {
                         adv.tap(t, ports[ep], &mut scratch);
                     }
-                    fabric.send(t, ports[ep], std::mem::take(&mut scratch));
+                    fabric.send(t, ports[ep], scratch.drain(..));
                 }
                 for (id, data) in endpoints[ep].take_delivered() {
                     trace.note(trace_tag::DELIVERY);
@@ -549,14 +620,13 @@ pub fn run_scenario_app(
                 }
                 // The reply (or an ACK queued during delivery) may have left
                 // fresh transmissions behind; one more pass catches them.
-                scratch.clear();
                 if endpoints[ep].poll_transmit(t, &mut scratch) > 0 {
                     if let Some(adv) = adversary.as_mut() {
                         adv.tap(t, ports[ep], &mut scratch);
                     }
-                    fabric.send(t, ports[ep], std::mem::take(&mut scratch));
+                    fabric.send(t, ports[ep], scratch.drain(..));
                 }
-                deadlines[ep] = endpoints[ep].next_timeout();
+                deadlines.set(ep, endpoints[ep].next_timeout());
             }
         }};
     }
@@ -570,7 +640,7 @@ pub fn run_scenario_app(
         let t_net = fabric.next_arrival();
         let t_app = pending.keys().next().map(|(at, _)| *at);
         let t_adv = adversary.as_ref().and_then(|a| a.next_injection());
-        let t_timer = deadlines.iter().flatten().min().copied();
+        let t_timer = deadlines.earliest();
         // Deterministic cause priority at equal times: workload sends, then
         // packet arrivals, then deferred app sends, then adversary
         // injections, then timers.
@@ -640,7 +710,8 @@ pub fn run_scenario_app(
                         cpu_free[ep] = tx_at;
                     }
                 }
-                pump!(vec![ep], tx_at);
+                work.push(ep);
+                pump!(tx_at);
             }
             Cause::Net => {
                 let Some((at, port, packet)) = fabric.pop_arrival() else {
@@ -652,7 +723,8 @@ pub fn run_scenario_app(
                 trace.note(port as u64);
                 trace.note(packet.wire_len() as u64);
                 endpoints[port].handle_datagram(&packet, now);
-                pump!(vec![port]);
+                work.push(port);
+                pump!();
             }
             Cause::App => {
                 let Some((&key, _)) = pending.iter().next() else {
@@ -694,7 +766,8 @@ pub fn run_scenario_app(
                         cpu_free[ps.ep] = tx_at;
                     }
                 }
-                pump!(vec![ps.ep], tx_at);
+                work.push(ps.ep);
+                pump!(tx_at);
             }
             Cause::Inject => {
                 // Forged traffic enters the fabric from the recorded source
@@ -707,22 +780,19 @@ pub fn run_scenario_app(
                         trace.note(now);
                         trace.note(port as u64);
                         trace.note(packet.wire_len() as u64);
-                        fabric.send(now, port, vec![packet]);
+                        fabric.send(now, port, std::iter::once(packet));
                     }
                 }
             }
             Cause::Timer => {
-                let mut dirty = Vec::new();
-                for (i, ep) in endpoints.iter_mut().enumerate() {
-                    if deadlines[i].is_some_and(|d| d <= now) {
-                        trace.note(trace_tag::TIMEOUT);
-                        trace.note(now);
-                        trace.note(i as u64);
-                        ep.on_timeout(now);
-                        dirty.push(i);
-                    }
+                deadlines.due(now, &mut work);
+                for &i in &work {
+                    trace.note(trace_tag::TIMEOUT);
+                    trace.note(now);
+                    trace.note(i as u64);
+                    endpoints[i].on_timeout(now);
                 }
-                pump!(dirty);
+                pump!();
             }
         }
     }
@@ -1099,5 +1169,32 @@ mod tests {
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a, b);
         assert_ne!(run(5).trace_hash, run(6).trace_hash);
+    }
+
+    #[test]
+    fn deadline_index_agrees_with_a_linear_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(25);
+        for slots in [1, 2, 3, 7, 64, 65] {
+            let mut index = DeadlineIndex::new(slots);
+            let mut linear: Vec<Option<Nanos>> = vec![None; slots];
+            for _ in 0..2_000 {
+                // A narrow range makes equal deadlines common; a quarter of
+                // the updates clear the slot.
+                let slot = rng.gen_range(0..slots);
+                let deadline = rng.gen_bool(0.75).then(|| rng.gen_range(0..16));
+                index.set(slot, deadline);
+                linear[slot] = deadline;
+                assert_eq!(index.earliest(), linear.iter().flatten().min().copied());
+                let now = rng.gen_range(0..18);
+                let mut due = Vec::new();
+                index.due(now, &mut due);
+                let want: Vec<usize> = (0..slots)
+                    .filter(|&i| linear[i].is_some_and(|d| d <= now))
+                    .collect();
+                assert_eq!(due, want, "{slots} slots, now {now}");
+            }
+        }
     }
 }

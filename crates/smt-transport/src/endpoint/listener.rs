@@ -385,8 +385,7 @@ impl ListenerFabric {
                     let Some((_, cp)) = self.ports.get(cid) else {
                         continue;
                     };
-                    self.fabric
-                        .send(self.now, *cp, std::mem::take(&mut scratch));
+                    self.fabric.send(self.now, *cp, scratch.drain(..));
                 }
             }
             scratch.clear();
@@ -394,7 +393,7 @@ impl ListenerFabric {
             for packet in scratch.drain(..) {
                 let cid = packet.overlay.options.connection_id;
                 if let Some((lp, _)) = self.ports.get(&cid) {
-                    self.fabric.send(self.now, *lp, vec![packet]);
+                    self.fabric.send(self.now, *lp, std::iter::once(packet));
                 }
             }
             if events >= max_events {

@@ -435,6 +435,8 @@ pub fn take_delivered(ep: &mut (impl SecureEndpoint + ?Sized)) -> Vec<(MessageId
 pub struct PairFabric {
     fabric: Fabric,
     now: Nanos,
+    /// What an endpoint hands over in one flush, drained into the fabric.
+    scratch: Vec<Packet>,
 }
 
 impl PairFabric {
@@ -458,7 +460,11 @@ impl PairFabric {
         let b = fabric.add_port(h1);
         fabric.connect(a, b);
         debug_assert_eq!((a, b), (0, 1));
-        Self { fabric, now: 0 }
+        Self {
+            fabric,
+            now: 0,
+            scratch: Vec::new(),
+        }
     }
 
     /// The pair's current virtual time; pass this as `now` when calling
@@ -505,17 +511,14 @@ pub fn drive_pair(
     link: &mut PairFabric,
     max_events: usize,
 ) -> usize {
-    let mut scratch: Vec<Packet> = Vec::new();
     let mut events = 0usize;
     loop {
         // Flush whatever both ends want on the wire at the current instant.
-        scratch.clear();
-        if a.poll_transmit(link.now, &mut scratch) > 0 {
-            link.fabric.send(link.now, 0, std::mem::take(&mut scratch));
+        if a.poll_transmit(link.now, &mut link.scratch) > 0 {
+            link.fabric.send(link.now, 0, link.scratch.drain(..));
         }
-        scratch.clear();
-        if b.poll_transmit(link.now, &mut scratch) > 0 {
-            link.fabric.send(link.now, 1, std::mem::take(&mut scratch));
+        if b.poll_transmit(link.now, &mut link.scratch) > 0 {
+            link.fabric.send(link.now, 1, link.scratch.drain(..));
         }
         if events >= max_events {
             return events;

@@ -6,12 +6,15 @@
 //! are key-independent (packet sizes and timings do not depend on key bytes),
 //! so a refactor of the endpoint layer that only moves code leaves every row
 //! unchanged — and a row that does change names the stack, the cc mode and
-//! the counter that moved.  To re-capture after an *intended* behaviour
-//! change, run
+//! the counter that moved.  A second, smaller table pins a leaf–spine + ECN
+//! incast on SMT-sw and kTLS-sw, the only rows that cross the uplink and
+//! downlink hops.  To re-capture after an *intended* behaviour change, run
 //! `cargo test --test golden_traces -- --ignored --nocapture print_table`
-//! and paste the output over [`GOLDEN`].
+//! and paste the output over [`GOLDEN`] and [`GOLDEN_LEAF_SPINE`].
 
-use smt::sim::net::{incast_scenario, run_scenario, FaultConfig, LinkConfig};
+use smt::sim::net::{
+    incast_scenario, run_scenario, EcnConfig, FaultConfig, LeafSpineConfig, LinkConfig, Topology,
+};
 use smt::transport::{scenario_endpoints_cc, CcConfig, StackKind};
 use smt_bench::scenarios::scenario_keys;
 
@@ -126,6 +129,97 @@ fn traces_match_the_golden_table() {
     }
 }
 
+/// One leaf–spine cell: the [`Row`] fields, then `fabric.dropped_spine`,
+/// `fabric.ecn_marked`, `fabric.duplicated`, `fabric.dropped_ingress`.
+type SpineRow = (u64, u64, u64, u64, u64, u64, u64, u64, u64);
+
+/// A 12→1 incast across three sender leaves onto a fourth, through two
+/// spines at 4:1 oversubscription with shallow buffers and early ECN: every
+/// packet takes the uplink and downlink hops, and the spine queues both mark
+/// and overflow.
+fn measure_leaf_spine(stack: StackKind, lossy: bool) -> SpineRow {
+    let keys = scenario_keys();
+    let link = LinkConfig {
+        buffer_packets: 32,
+        ..LinkConfig::default()
+    };
+    let mut scenario = incast_scenario(12, 16384, 4, link, faults(lossy));
+    scenario.topology = Topology::LeafSpine(LeafSpineConfig {
+        hosts_per_leaf: 4,
+        spines: 2,
+        oversubscription: 4.0,
+    });
+    scenario.ecn = Some(EcnConfig {
+        marking_threshold_packets: 8,
+    });
+    let mut endpoints =
+        scenario_endpoints_cc(&scenario, stack, &keys.0, &keys.1, CcConfig::default());
+    let report = run_scenario(&scenario, &mut endpoints, |_, _, _, _| None);
+    assert_eq!(
+        report.messages_delivered,
+        48,
+        "{} leaf-spine lossy={lossy}: every message delivered",
+        stack.label()
+    );
+    let wire_sent = endpoints
+        .iter()
+        .map(|e| e.sim_stats().wire_bytes_sent)
+        .sum();
+    let f = report.fabric;
+    (
+        report.trace_hash,
+        report.retransmissions,
+        report.timeouts_fired,
+        f.wire_bytes,
+        wire_sent,
+        f.dropped_spine,
+        f.ecn_marked,
+        f.duplicated,
+        f.dropped_ingress,
+    )
+}
+
+/// `(stack label, lossy, row)`, cc on; captured before the fabric moved its
+/// in-flight packets into a slab.  One row per line, as `print_table` prints.
+#[rustfmt::skip]
+const GOLDEN_LEAF_SPINE: &[(&str, bool, SpineRow)] = &[
+    ("SMT-sw", false, (0x84db6c8424bb969e, 524, 123, 997360, 788928, 433, 0, 0, 0)),
+    ("SMT-sw", true, (0x2e47b0ab4cda4525, 521, 141, 1039554, 788928, 386, 0, 11, 0)),
+    ("kTLS-sw", false, (0x5de91002bb7749ad, 861, 14, 1003419, 789120, 672, 967, 0, 0)),
+    ("kTLS-sw", true, (0xfb21afdb16a38338, 922, 18, 1064879, 789120, 663, 970, 16, 0)),
+];
+
+const LEAF_SPINE_STACKS: [StackKind; 2] = [StackKind::SmtSw, StackKind::KtlsSw];
+
+#[test]
+fn leaf_spine_traces_match_the_golden_table() {
+    assert_eq!(GOLDEN_LEAF_SPINE.len(), 2 * LEAF_SPINE_STACKS.len());
+    let mut cells = GOLDEN_LEAF_SPINE.iter();
+    for stack in LEAF_SPINE_STACKS {
+        for lossy in [false, true] {
+            let want = cells.next().expect("one row per case");
+            assert_eq!((stack.label(), lossy), (want.0, want.1));
+            let got = measure_leaf_spine(stack, lossy);
+            assert_eq!(
+                got,
+                want.2,
+                "{} leaf-spine lossy={lossy}: (trace_hash, retransmissions, timeouts_fired, \
+                 fabric.wire_bytes, endpoint wire_bytes_sent, dropped_spine, ecn_marked, \
+                 duplicated, dropped_ingress)",
+                stack.label()
+            );
+        }
+    }
+    // The table exercises what it claims to: spine drops everywhere, marks
+    // on the stream stack (the message stacks send no ECN-capable packets),
+    // injected duplicates on the lossy rows.
+    for (label, lossy, row) in GOLDEN_LEAF_SPINE {
+        assert!(row.5 > 0, "{label} lossy={lossy}: spine drops");
+        assert_eq!(row.6 > 0, *label == "kTLS-sw", "{label}: ECN marks");
+        assert_eq!(row.7 > 0, *lossy, "{label}: duplicates");
+    }
+}
+
 #[test]
 #[ignore = "prints the table to paste into GOLDEN after an intended behaviour change"]
 fn print_table() {
@@ -135,5 +229,15 @@ fn print_table() {
             "    ({:?}, {cc}, {lossy}, ({hash:#018x}, {retx}, {timeouts}, {fabric_wire}, {ep_wire})),",
             stack.label()
         );
+    }
+    for stack in LEAF_SPINE_STACKS {
+        for lossy in [false, true] {
+            let (hash, retx, timeouts, fw, ew, spine, ce, dup, ingress) =
+                measure_leaf_spine(stack, lossy);
+            println!(
+                "    ({:?}, {lossy}, ({hash:#018x}, {retx}, {timeouts}, {fw}, {ew}, {spine}, {ce}, {dup}, {ingress})),",
+                stack.label()
+            );
+        }
     }
 }

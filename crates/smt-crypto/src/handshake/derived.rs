@@ -68,7 +68,8 @@ pub fn is_derived_flight(flight: &[u8]) -> bool {
 pub struct PathSecret {
     /// Wire identifier of this path secret (carried in derived hellos).
     pub id: [u8; PATH_ID_LEN],
-    /// The peer this secret is shared with (map key on the client side).
+    /// The peer this secret is shared with, or empty for a peer that
+    /// presented no identity (found only by wire id).
     pub peer: String,
     /// Cipher suite negotiated by the minting handshake.
     pub suite: CipherSuite,
@@ -206,18 +207,18 @@ impl PathSecret {
     }
 }
 
-/// A bounded per-host map of path secrets, keyed by peer name with a
-/// secondary index by wire identifier (for the server side of a derived
-/// handshake, which only sees the id).
+/// A bounded per-host map of path secrets, keyed by wire identifier (the
+/// server side of a derived handshake only sees the id) with a secondary
+/// index by peer name for named peers (the client side looks up by name).
 ///
 /// Once full, inserting evicts the *oldest* entry (insertion order) and
 /// counts it — the same bounded-state discipline as the listener's
 /// connection table and the 0-RTT [`ReplayCache`].
 #[derive(Debug, Default)]
 pub struct PathSecretMap {
-    by_peer: HashMap<String, PathSecret>,
-    by_id: HashMap<[u8; PATH_ID_LEN], String>,
-    order: VecDeque<String>,
+    by_id: HashMap<[u8; PATH_ID_LEN], PathSecret>,
+    by_peer: HashMap<String, [u8; PATH_ID_LEN]>,
+    order: VecDeque<[u8; PATH_ID_LEN]>,
     capacity: usize,
     evictions: u64,
 }
@@ -226,63 +227,67 @@ impl PathSecretMap {
     /// Creates a map bounded to `capacity` path secrets.
     pub fn new(capacity: usize) -> Self {
         Self {
-            by_peer: HashMap::new(),
-            by_id: HashMap::new(),
-            order: VecDeque::new(),
             capacity,
-            evictions: 0,
+            ..Self::default()
         }
     }
 
-    /// Inserts (or replaces) the path secret for its peer, evicting the
-    /// oldest entry if the map is at capacity.
+    /// Inserts the path secret, replacing a named peer's previous secret
+    /// (and any entry with the same id), and evicting the oldest entry if
+    /// the map is at capacity.
     pub fn insert(&mut self, secret: PathSecret) {
-        if let Some(old) = self.by_peer.remove(&secret.peer) {
-            self.by_id.remove(&old.id);
-            self.order.retain(|p| p != &secret.peer);
+        if let Some(old_id) = self.by_peer.get(&secret.peer).copied() {
+            self.unlink(&old_id);
         }
-        while self.by_peer.len() >= self.capacity.max(1) {
+        self.unlink(&secret.id);
+        while self.by_id.len() >= self.capacity.max(1) {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
-            if let Some(old) = self.by_peer.remove(&oldest) {
-                self.by_id.remove(&old.id);
+            if let Some(old) = self.by_id.remove(&oldest) {
+                self.by_peer.remove(&old.peer);
                 self.evictions += 1;
             }
         }
-        self.order.push_back(secret.peer.clone());
-        self.by_id.insert(secret.id, secret.peer.clone());
-        self.by_peer.insert(secret.peer.clone(), secret);
+        self.order.push_back(secret.id);
+        if !secret.peer.is_empty() {
+            self.by_peer.insert(secret.peer.clone(), secret.id);
+        }
+        self.by_id.insert(secret.id, secret);
+    }
+
+    /// Drops the entry with wire id `id` from every index.
+    fn unlink(&mut self, id: &[u8; PATH_ID_LEN]) -> Option<PathSecret> {
+        let old = self.by_id.remove(id)?;
+        self.order.retain(|o| o != id);
+        self.by_peer.remove(&old.peer);
+        Some(old)
     }
 
     /// Looks up the path secret shared with `peer`.
     pub fn get(&self, peer: &str) -> Option<&PathSecret> {
-        self.by_peer.get(peer)
+        self.by_peer.get(peer).and_then(|id| self.by_id.get(id))
     }
 
     /// Looks up a path secret by its wire identifier.
     pub fn lookup_id(&self, id: &[u8; PATH_ID_LEN]) -> Option<&PathSecret> {
-        self.by_id.get(id).and_then(|peer| self.by_peer.get(peer))
+        self.by_id.get(id)
     }
 
     /// Removes and returns the path secret shared with `peer`.
     pub fn remove(&mut self, peer: &str) -> Option<PathSecret> {
-        let removed = self.by_peer.remove(peer);
-        if let Some(ps) = &removed {
-            self.by_id.remove(&ps.id);
-            self.order.retain(|p| p != peer);
-        }
-        removed
+        let id = self.by_peer.get(peer).copied()?;
+        self.unlink(&id)
     }
 
     /// Number of path secrets currently held.
     pub fn len(&self) -> usize {
-        self.by_peer.len()
+        self.by_id.len()
     }
 
     /// True when no path secrets are held.
     pub fn is_empty(&self) -> bool {
-        self.by_peer.is_empty()
+        self.by_id.is_empty()
     }
 
     /// Number of entries evicted to stay within the capacity bound.
@@ -688,6 +693,56 @@ mod tests {
         assert!(map.remove("host-3").is_some());
         assert!(map.get("host-3").is_none());
         assert_eq!(map.len(), 1);
+    }
+
+    fn with_id(ps: &PathSecret, peer: &str, tag: u8) -> PathSecret {
+        let mut ps = ps.clone();
+        ps.peer = peer.to_string();
+        ps.id[0] = tag;
+        ps
+    }
+
+    #[test]
+    fn anonymous_entries_are_found_by_id_and_evicted_oldest_first() {
+        let (_, sp) = minted_pair();
+        let mut map = PathSecretMap::new(3);
+        for tag in 0..5 {
+            map.insert(with_id(&sp, "", tag));
+        }
+        assert_eq!(map.len(), 3);
+        assert_eq!(map.evictions(), 2);
+        let id = |tag| with_id(&sp, "", tag).id;
+        assert!(map.lookup_id(&id(0)).is_none());
+        assert!(map.lookup_id(&id(1)).is_none());
+        assert!((2..5).all(|t| map.lookup_id(&id(t)).is_some()));
+        // No peer name is indexed for them, so name lookups find nothing.
+        assert!(map.by_peer.is_empty());
+        assert!(map.get("").is_none() && map.remove("").is_none());
+        // A named entry joins the same oldest-first order.
+        map.insert(with_id(&sp, "client-a", 9));
+        assert_eq!(map.evictions(), 3);
+        assert!(map.lookup_id(&id(2)).is_none());
+        assert_eq!(map.get("client-a").map(|p| p.id), Some(id(9)));
+    }
+
+    #[test]
+    fn named_peer_is_replaced_not_duplicated_and_remove_clears_both_indexes() {
+        let (cp, _) = minted_pair();
+        let mut map = PathSecretMap::new(8);
+        map.insert(with_id(&cp, "server.dc.local", 1));
+        map.insert(with_id(&cp, "server.dc.local", 2));
+        assert_eq!(map.len(), 1);
+        assert_eq!(map.order.len(), 1);
+        assert_eq!(map.evictions(), 0);
+        assert!(map.lookup_id(&with_id(&cp, "", 1).id).is_none());
+        assert_eq!(
+            map.get("server.dc.local").map(|p| p.id),
+            Some(with_id(&cp, "", 2).id)
+        );
+        assert!(map.remove("server.dc.local").is_some());
+        assert!(map.is_empty());
+        assert!(map.by_peer.is_empty() && map.order.is_empty());
+        assert!(map.lookup_id(&with_id(&cp, "", 2).id).is_none());
     }
 
     #[test]

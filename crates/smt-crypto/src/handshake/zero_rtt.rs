@@ -100,6 +100,7 @@ impl SmtTicketIssuer {
 /// evicts the *oldest* tracked random (insertion order) rather than resetting
 /// the whole window, so an attacker flooding the cache can only shrink the
 /// replay window gradually and the eviction shows up in [`ReplayCache::evictions`].
+/// Storage grows with the randoms actually tracked; the bound reserves nothing.
 #[derive(Debug, Default)]
 pub struct ReplayCache {
     seen: HashSet<[u8; 32]>,
@@ -109,13 +110,11 @@ pub struct ReplayCache {
 }
 
 impl ReplayCache {
-    /// Creates a cache bounded to `capacity` entries.
+    /// Creates an empty cache bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         Self {
-            seen: HashSet::with_capacity(capacity.min(1 << 20)),
-            order: std::collections::VecDeque::with_capacity(capacity.min(1 << 20)),
             capacity,
-            evictions: 0,
+            ..Self::default()
         }
     }
 
@@ -804,6 +803,26 @@ mod tests {
         assert!(cache.check_and_insert(&[1u8; 32]));
         assert!(!cache.check_and_insert(&[3u8; 32]));
         assert_eq!(cache.evictions(), 2);
+    }
+
+    #[test]
+    fn replay_cache_reserves_nothing_up_front_and_still_evicts_at_its_bound() {
+        let bound = 1 << 16;
+        let mut cache = ReplayCache::new(bound);
+        assert_eq!((cache.seen.capacity(), cache.order.capacity()), (0, 0));
+        let random = |i: usize| {
+            let mut r = [0u8; 32];
+            r[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            r
+        };
+        for i in 0..bound + 3 {
+            assert!(cache.check_and_insert(&random(i)));
+        }
+        assert_eq!(cache.len(), bound);
+        assert_eq!(cache.evictions(), 3);
+        // The three oldest went first; the newest is still tracked.
+        assert!(cache.check_and_insert(&random(0)));
+        assert!(!cache.check_and_insert(&random(bound + 2)));
     }
 
     #[test]

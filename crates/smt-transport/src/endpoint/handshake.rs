@@ -961,12 +961,10 @@ impl HandshakeDriver {
                     Role::Server {
                         secrets: Some(s), ..
                     } => {
-                        // Lookups on this side are by wire id; the peer key
-                        // only needs uniqueness, so fall back to the id when
-                        // the client presented no mTLS identity.
-                        let mut ps = PathSecret::mint(keys, "");
-                        ps.peer = keys.peer_identity.clone().unwrap_or_else(|| hex_id(&ps.id));
-                        s.insert(ps);
+                        // Lookups on this side are by wire id; a client
+                        // without an mTLS identity is minted anonymous.
+                        let peer = keys.peer_identity.as_deref().unwrap_or_default();
+                        s.insert(PathSecret::mint(keys, peer));
                     }
                     _ => {}
                 }
@@ -1066,16 +1064,6 @@ impl HandshakeDriver {
         self.last_flight_seq = seq;
         self.outbox.extend(packets);
     }
-}
-
-/// Lowercase hex of a path-secret wire id, used as the server-side map key
-/// when the client presented no mTLS identity.
-fn hex_id(id: &[u8]) -> String {
-    let mut out = String::with_capacity(id.len() * 2);
-    for b in id {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
 }
 
 /// Computes the per-stack transport protocol number stamped on handshake

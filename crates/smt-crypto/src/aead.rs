@@ -97,10 +97,11 @@ impl std::fmt::Debug for AeadKey {
 impl AeadKey {
     /// Creates an AEAD key from raw key material.
     ///
-    /// Key install is the expensive step by design: the AES round keys are
-    /// expanded and the GHASH key tables (`H..H⁴`, 16 KB) are precomputed here
-    /// once per connection direction, so sealing and opening records runs the
-    /// fused multi-block engine with zero per-record setup.
+    /// Key install is where per-key work happens: the AES round keys are
+    /// expanded and the GHASH key material (powers `H..H¹⁶`, 256 B, on the
+    /// CLMUL tiers; Shoup tables for `H..H⁴`, 16 KB, otherwise) is
+    /// precomputed here once per connection direction, so sealing and opening
+    /// records runs the fused multi-block engine with zero per-record setup.
     pub fn new(algorithm: AeadAlgorithm, key: &[u8]) -> CryptoResult<Self> {
         if key.len() != algorithm.key_len() {
             return Err(CryptoError::InvalidLength {

@@ -4,13 +4,11 @@
 //!
 //! Every case runs on a two-tier leaf–spine topology ([`Topology::LeafSpine`])
 //! with ECN marking at the switch queues, and every `(scenario, stack)` cell
-//! is measured **twice**: once with the congestion-control subsystem
+//! is measured once, under the congestion control every stack runs
 //! (receiver-driven SRPT grants on the message stacks, DCTCP windowing plus
-//! SACK selective retransmit on the stream stacks) and once as the
-//! go-back-N / fixed-RTO baseline ([`CcConfig::disabled`]) the subsystem
-//! replaces.  The `incast` binary asserts the headline claims in-process:
-//! on the deep incast, cc keeps p99 completion at or below the baseline's
-//! and never queues deeper at the receiver's ingress buffer.
+//! SACK selective retransmit on the stream stacks).  The `incast` binary
+//! asserts what congestion control buys in-process, as absolute bounds on
+//! the deep incast ([`deep_incast_violation`]).
 //!
 //! Sender CPU is charged per sealed record from the **measured** record-layer
 //! numbers: [`measured_cost_model`] reads the committed
@@ -25,27 +23,24 @@ use smt_sim::net::{
     FaultConfig, LeafSpineConfig, LinkConfig, Scenario, ScenarioReport, SizeMix, Topology,
 };
 use smt_sim::CostModel;
-use smt_transport::{scenario_endpoints_cc, CcConfig, StackKind};
+use smt_transport::{scenario_endpoints, StackKind};
 
 use crate::scenarios::scenario_keys;
 
-/// One `(scenario, stack, cc-mode)` cell of the incast matrix.
+/// One `(scenario, stack)` cell of the incast matrix.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct IncastRow {
     /// Scenario name.
     pub scenario: String,
     /// Stack label (paper legend).
     pub stack: String,
-    /// `true` = congestion control on; `false` = go-back-N / fixed-RTO
-    /// baseline.
-    pub cc: bool,
     /// Message slowdown at the median: p50 completion over the run's best
     /// observed completion (the self-normalized unloaded reference).
     pub slowdown_p50: f64,
     /// Message slowdown at the 99th percentile.
     pub slowdown_p99: f64,
-    /// p99 completion delta vs the stack's plaintext counterpart in the same
-    /// cc mode, in percent (`None` on the plaintext stacks themselves).
+    /// p99 completion delta vs the stack's plaintext counterpart, in percent
+    /// (`None` on the plaintext stacks themselves).
     pub vs_plaintext_p99_pct: Option<f64>,
     /// Everything measured.
     pub report: ScenarioReport,
@@ -114,23 +109,27 @@ fn dress(mut s: Scenario, oversubscription: f64) -> Scenario {
     s
 }
 
+/// The deep incast: 128→1 on the full run, 32→1 in the smoke subset.
+/// Scheduled packets overflow the 256-packet ingress buffer many times over
+/// when every sender blasts unpaced, which is exactly what the grant
+/// scheduler and the DCTCP window are there to prevent.  64 KB messages:
+/// tens of packets each, so only the unscheduled prefix or the initial
+/// window goes unpaced — the regime where receiver-driven grants and the ECN
+/// window govern the queue rather than just cleaning up after the first-RTT
+/// burst.
+pub fn deep_incast(smoke: bool) -> Scenario {
+    let senders = if smoke { 32 } else { 128 };
+    let link = LinkConfig::default();
+    let mut deep = incast_scenario(senders, 64 * 1024, 1, link, FaultConfig::none());
+    deep.name = "deep-incast".into();
+    dress(deep, 1.0)
+}
+
 /// The incast suite.  `smoke` keeps the same scenario names at reduced
 /// scale, so the CI gate diffs against the committed full-scale baseline the
 /// way the churn gate does (smoke latencies sit at or below it).
 pub fn suite(smoke: bool) -> Vec<Scenario> {
     let link = LinkConfig::default();
-    // Deep incast: hundreds-to-one on the full run.  Scheduled packets
-    // overflow the 256-packet ingress buffer many times over when every
-    // sender blasts unpaced, which is exactly what the grant scheduler and
-    // the DCTCP window are there to prevent.
-    // 64 KB messages: tens of packets each, so only the unscheduled prefix
-    // (capped by cc) or the initial window goes unpaced — the regime where
-    // receiver-driven grants and the ECN window govern the queue rather than
-    // just cleaning up after the first-RTT burst.
-    let deep_senders = if smoke { 32 } else { 128 };
-    let mut deep = incast_scenario(deep_senders, 64 * 1024, 1, link, FaultConfig::none());
-    deep.name = "deep-incast".into();
-
     // Mice sharing the fabric with seeded background elephants over a 4:1
     // oversubscribed core: the mice's completion tail is what the priority
     // grants protect.
@@ -151,24 +150,19 @@ pub fn suite(smoke: bool) -> Vec<Scenario> {
     );
     loaded.name = "loaded-200k".into();
 
-    vec![dress(deep, 1.0), dress(mix, 4.0), dress(loaded, 1.0)]
+    vec![deep_incast(smoke), dress(mix, 4.0), dress(loaded, 1.0)]
 }
 
-/// Runs one scenario on one stack in one cc mode.
-pub fn run_cell(scenario: &Scenario, stack: StackKind, cc: bool) -> ScenarioReport {
+/// Runs one scenario on one stack.
+pub fn run_cell(scenario: &Scenario, stack: StackKind) -> ScenarioReport {
     let keys = scenario_keys();
-    let config = if cc {
-        CcConfig::default()
-    } else {
-        CcConfig::disabled()
-    };
-    let mut endpoints = scenario_endpoints_cc(scenario, stack, &keys.0, &keys.1, config);
+    let mut endpoints = scenario_endpoints(scenario, stack, &keys.0, &keys.1);
     run_scenario(scenario, &mut endpoints, |_, _, _, _| None)
 }
 
-/// Runs the matrix: every suite scenario on every stack, cc on and off
-/// (`smoke`: the reduced suite on SMT-sw, kTLS-sw and their plaintext
-/// counterparts, which the deltas need).
+/// Runs the matrix: every suite scenario on every stack (`smoke`: the
+/// reduced suite on SMT-sw, kTLS-sw and their plaintext counterparts, which
+/// the deltas need).
 pub fn incast_matrix(smoke: bool) -> Vec<IncastRow> {
     let stacks: Vec<StackKind> = if smoke {
         vec![
@@ -182,33 +176,23 @@ pub fn incast_matrix(smoke: bool) -> Vec<IncastRow> {
     };
     let mut rows = Vec::new();
     for scenario in suite(smoke) {
-        for &cc in &[true, false] {
-            for &stack in &stacks {
-                let report = run_cell(&scenario, stack, cc);
-                let floor = report.latency.min_us.max(1e-3);
-                rows.push(IncastRow {
-                    scenario: scenario.name.clone(),
-                    stack: stack.label().to_string(),
-                    cc,
-                    slowdown_p50: report.latency.p50_us / floor,
-                    slowdown_p99: report.latency.p99_us / floor,
-                    vs_plaintext_p99_pct: None,
-                    report,
-                });
-            }
+        for &stack in &stacks {
+            let report = run_cell(&scenario, stack);
+            let floor = report.latency.min_us.max(1e-3);
+            rows.push(IncastRow {
+                scenario: scenario.name.clone(),
+                stack: stack.label().to_string(),
+                slowdown_p50: report.latency.p50_us / floor,
+                slowdown_p99: report.latency.p99_us / floor,
+                vs_plaintext_p99_pct: None,
+                report,
+            });
         }
     }
-    // Encrypted-vs-plaintext deltas within each (scenario, cc mode).
-    let reference: Vec<(String, bool, String, f64)> = rows
+    // Encrypted-vs-plaintext deltas within each scenario.
+    let reference: Vec<(String, String, f64)> = rows
         .iter()
-        .map(|r| {
-            (
-                r.scenario.clone(),
-                r.cc,
-                r.stack.clone(),
-                r.report.latency.p99_us,
-            )
-        })
+        .map(|r| (r.scenario.clone(), r.stack.clone(), r.report.latency.p99_us))
         .collect();
     for row in &mut rows {
         let Some(base) = StackKind::all()
@@ -220,7 +204,7 @@ pub fn incast_matrix(smoke: bool) -> Vec<IncastRow> {
         };
         if let Some((.., base_p99)) = reference
             .iter()
-            .find(|(sc, cc, st, _)| *sc == row.scenario && *cc == row.cc && *st == base.label())
+            .find(|(sc, st, _)| *sc == row.scenario && *st == base.label())
         {
             if *base_p99 > 0.0 {
                 row.vs_plaintext_p99_pct =
@@ -231,49 +215,68 @@ pub fn incast_matrix(smoke: bool) -> Vec<IncastRow> {
     rows
 }
 
-/// Asserts the congestion-control acceptance criteria on the deep incast:
-/// per stack, cc-enabled runs (a) deliver everything, (b) keep p99
-/// completion at or below the go-back-N / fixed-RTO baseline and (c) never
-/// queue deeper at the receiver ingress than the baseline — bounded receiver
-/// queue occupancy under hundreds-to-one fan-in.
-pub fn assert_cc_improves(rows: &[IncastRow]) {
-    let cell = |stack: &str, cc: bool| {
-        rows.iter()
-            .find(|r| r.scenario == "deep-incast" && r.stack == stack && r.cc == cc)
-            .unwrap_or_else(|| panic!("missing deep-incast row for {stack}/cc={cc}"))
-    };
-    let stacks: Vec<&str> = rows
-        .iter()
-        .filter(|r| r.scenario == "deep-incast" && r.cc)
-        .map(|r| r.stack.as_str())
-        .collect();
-    for stack in stacks {
-        let with_cc = cell(stack, true);
-        let baseline = cell(stack, false);
-        assert_eq!(
-            with_cc.report.messages_delivered, with_cc.report.messages_sent,
-            "{stack}: cc run lost messages"
-        );
-        assert!(!with_cc.report.truncated, "{stack}: cc run never quiesced");
-        // A baseline that failed to deliver everything (go-back-N livelock
-        // under the burst — its storm can outlast the harness's event budget)
-        // is unboundedly worse, not a p99 of whatever it managed to finish.
-        let base_completed = baseline.report.messages_delivered == baseline.report.messages_sent
-            && !baseline.report.truncated;
-        assert!(
-            !base_completed || with_cc.report.latency.p99_us <= baseline.report.latency.p99_us,
-            "{stack}: cc p99 {:.1}µs above baseline p99 {:.1}µs",
-            with_cc.report.latency.p99_us,
-            baseline.report.latency.p99_us,
-        );
-        assert!(
-            with_cc.report.fabric.peak_ingress_backlog_packets
-                <= baseline.report.fabric.peak_ingress_backlog_packets,
-            "{stack}: cc peak ingress backlog {} above baseline {}",
-            with_cc.report.fabric.peak_ingress_backlog_packets,
-            baseline.report.fabric.peak_ingress_backlog_packets,
-        );
+/// Deep-incast p99 completion may reach this multiple of the burst's payload
+/// drain time at the receiver's link rate.  Congestion-controlled rows read
+/// 1.28–2.06; the go-back-N baseline on the message stacks read 2.95–10.6
+/// (EXPERIMENTS.md, "The no-cc baseline, frozen").
+pub const MAX_P99_OVER_DRAIN: f64 = 2.5;
+
+/// Deep-incast retransmissions may reach this many per data packet of the
+/// burst.  Congestion-controlled rows read 0.2–0.39 on the message stacks and
+/// 1.15–3.8 on the stream stacks; the full-scale baseline read 24–44.
+pub const MAX_RETX_PER_DATA_PACKET: u64 = 5;
+
+/// Why a deep-incast run misses congestion control's absolute bounds, or
+/// `None` when it meets them: every message delivered in a run that quiesced,
+/// p99 within [`MAX_P99_OVER_DRAIN`] × the time the receiver's link needs to
+/// drain the burst's payload, and at most [`MAX_RETX_PER_DATA_PACKET`]
+/// retransmissions per data packet of the burst.  Both bounds are computed
+/// from `scenario` and its [`LinkConfig`].
+///
+/// There is no bound on the peak receiver-ingress backlog: every deep-incast
+/// row, with or without congestion control, reads 256 — the buffer itself —
+/// so such a check could never fail.
+pub fn deep_incast_violation(scenario: &Scenario, report: &ScenarioReport) -> Option<String> {
+    if report.messages_delivered != report.messages_sent || report.truncated {
+        return Some(format!(
+            "delivered {} of {} messages (truncated: {})",
+            report.messages_delivered, report.messages_sent, report.truncated
+        ));
     }
+    let link = scenario.link;
+    let drain_ns = link.serialization_ns(scenario.offered_bytes() as usize) as f64;
+    let p99_ns = report.latency.p99_us * 1000.0;
+    if p99_ns > MAX_P99_OVER_DRAIN * drain_ns {
+        return Some(format!(
+            "p99 {p99_ns:.0} ns is {:.2} x the {drain_ns:.0} ns drain time (bound {MAX_P99_OVER_DRAIN})",
+            p99_ns / drain_ns
+        ));
+    }
+    let per_packet = smt_wire::max_payload_per_packet(link.mtu).max(1);
+    let data_packets: u64 = scenario
+        .sends
+        .iter()
+        .map(|s| s.size.div_ceil(per_packet).max(1) as u64)
+        .sum();
+    if report.retransmissions > MAX_RETX_PER_DATA_PACKET * data_packets {
+        return Some(format!(
+            "{} retransmissions for {data_packets} data packets (bound {MAX_RETX_PER_DATA_PACKET} each)",
+            report.retransmissions
+        ));
+    }
+    None
+}
+
+/// Asserts [`deep_incast_violation`] finds nothing on every row of `deep`.
+pub fn assert_deep_incast_bounds(deep: &Scenario, rows: &[IncastRow]) {
+    let mut checked = 0;
+    for row in rows.iter().filter(|r| r.scenario == deep.name) {
+        if let Some(why) = deep_incast_violation(deep, &row.report) {
+            panic!("{}/{}: {why}", row.scenario, row.stack);
+        }
+        checked += 1;
+    }
+    assert!(checked > 0, "no {} rows to check", deep.name);
 }
 
 #[cfg(test)]
@@ -291,35 +294,47 @@ mod tests {
     }
 
     #[test]
-    fn deep_incast_cc_beats_baseline_on_a_message_and_a_stream_stack() {
-        let link = LinkConfig::default();
-        // Same fan-in as the smoke suite: 32→1 is the shallowest burst where
-        // pacing reliably beats the rotating go-back-N re-blast on tail
-        // latency — at 16→1 the ingress queue absorbs enough of each volley
-        // that the blast can luck into a lower p99.
-        let mut deep = incast_scenario(32, 64 * 1024, 1, link, FaultConfig::none());
-        deep.name = "deep-incast".into();
-        let deep = dress(deep, 1.0);
-        let mut rows = Vec::new();
+    fn deep_incast_meets_absolute_bounds_on_a_message_and_a_stream_stack() {
+        // The smoke suite's 32→1 fan-in.
+        let deep = deep_incast(true);
         for stack in [StackKind::SmtSw, StackKind::KtlsSw] {
-            for cc in [true, false] {
-                let report = run_cell(&deep, stack, cc);
-                assert_eq!(
-                    report.messages_delivered, report.messages_sent,
-                    "{stack:?}/cc={cc}: lost messages"
-                );
-                rows.push(IncastRow {
-                    scenario: deep.name.clone(),
-                    stack: stack.label().to_string(),
-                    cc,
-                    slowdown_p50: 0.0,
-                    slowdown_p99: 0.0,
-                    vs_plaintext_p99_pct: None,
-                    report,
-                });
-            }
+            let report = run_cell(&deep, stack);
+            assert_eq!(deep_incast_violation(&deep, &report), None, "{stack:?}");
         }
-        assert_cc_improves(&rows);
+    }
+
+    #[test]
+    fn the_deep_incast_checker_rejects_a_row_over_each_bound() {
+        let mut deep = incast_scenario(4, 64 * 1024, 1, LinkConfig::default(), FaultConfig::none());
+        deep.name = "deep-incast".into();
+        let good = run_cell(&deep, StackKind::Homa);
+        assert_eq!(deep_incast_violation(&deep, &good), None);
+        // 4 × 64 KiB drains in 20 972 ns at 100 Gb/s, in 4 × 47 packets.
+        let drain_us = 20.972;
+        let packets = 4 * 47;
+
+        let mut inside = good.clone();
+        inside.latency.p99_us = MAX_P99_OVER_DRAIN * drain_us - 0.01;
+        inside.retransmissions = MAX_RETX_PER_DATA_PACKET * packets;
+        assert_eq!(deep_incast_violation(&deep, &inside), None);
+
+        let mut lost = good.clone();
+        lost.messages_delivered -= 1;
+        let mut truncated = good.clone();
+        truncated.truncated = true;
+        let mut slow = good.clone();
+        slow.latency.p99_us = MAX_P99_OVER_DRAIN * drain_us + 0.01;
+        let mut retransmitting = good;
+        retransmitting.retransmissions = MAX_RETX_PER_DATA_PACKET * packets + 1;
+        for (label, row, why) in [
+            ("lost", lost, "delivered 3 of 4"),
+            ("truncated", truncated, "truncated: true"),
+            ("slow", slow, "x the 20972 ns drain time"),
+            ("retx", retransmitting, "941 retransmissions for 188"),
+        ] {
+            let verdict = deep_incast_violation(&deep, &row).unwrap_or_default();
+            assert!(verdict.contains(why), "{label}: {verdict:?}");
+        }
     }
 
     #[test]
@@ -328,7 +343,7 @@ mod tests {
         let mut deep = incast_scenario(16, 64 * 1024, 1, link, FaultConfig::none());
         deep.name = "deep-incast".into();
         let deep = dress(deep, 1.0);
-        let report = run_cell(&deep, StackKind::SmtSw, true);
+        let report = run_cell(&deep, StackKind::SmtSw);
         assert!(
             report.fabric.peak_ingress_backlog_packets > 0,
             "incast queued at the receiver: {report:?}"

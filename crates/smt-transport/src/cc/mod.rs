@@ -39,10 +39,6 @@ use smt_sim::Nanos;
 /// window machinery and the timers so both run off one clock model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CcConfig {
-    /// Master switch.  Disabled, the stream backend falls back to
-    /// fixed-RTO go-back-N and the message backend to uncapped grants —
-    /// the pre-cc baseline the `incast` bench compares against.
-    pub enabled: bool,
     /// Initial congestion window in bytes (stream backend).
     pub initial_cwnd_bytes: u64,
     /// Window floor: one MSS so progress never stalls entirely.
@@ -71,13 +67,6 @@ pub struct CcConfig {
     /// RESEND attempts before the message-backend receiver abandons a
     /// stalled incomplete message (formerly a module-local constant).
     pub max_resend_attempts: u32,
-    /// Cap on the unscheduled prefix (packets sent before any GRANT) while
-    /// cc is enabled — Homa's RTT-bytes discipline.  At deep incast the
-    /// aggregate first-RTT burst is `senders × prefix`; a large blind prefix
-    /// is exactly what overflows the receiver's ingress buffer before the
-    /// grant scheduler ever gets a say.  Disabled, the full
-    /// `HomaConfig::unscheduled_packets` applies.
-    pub max_unscheduled_packets: usize,
     /// Concurrently granted messages on the message-backend receiver
     /// (Homa's "overcommitment degree").
     pub active_grants: usize,
@@ -91,7 +80,6 @@ pub struct CcConfig {
 impl Default for CcConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             initial_cwnd_bytes: 10 * 1448,
             min_cwnd_bytes: 1448,
             max_cwnd_bytes: 1 << 20,
@@ -101,22 +89,9 @@ impl Default for CcConfig {
             min_rto_ns: 40_000,
             max_rto_ns: 10_000_000,
             max_resend_attempts: 8,
-            max_unscheduled_packets: 8,
             active_grants: 4,
             max_grant_backlog_packets: 64,
             priority_levels: 8,
-        }
-    }
-}
-
-impl CcConfig {
-    /// The pre-cc baseline: fixed-RTO go-back-N streams and uncapped,
-    /// priority-less grants.  The `incast` bench runs every stack in both
-    /// modes to quantify what the subsystem buys.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
         }
     }
 }
@@ -226,12 +201,5 @@ mod tests {
         est.on_sample(10_000);
         // First sample: RTO = RTT + 4 * RTT/2 = 3 * RTT.
         assert_eq!(est.rto_ns(), 30_000);
-    }
-
-    #[test]
-    fn disabled_config_keeps_timer_fields() {
-        let c = CcConfig::disabled();
-        assert!(!c.enabled);
-        assert_eq!(c.initial_rto_ns, CcConfig::default().initial_rto_ns);
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Homa's congestion control runs at the receiver (paper §2.2): senders blast
 //! an unscheduled prefix, and the receiver paces everything beyond it with
-//! GRANTs.  This scheduler adds the two Homa behaviours the plain
-//! grant-per-message machinery lacked:
+//! GRANTs.  This scheduler decides those grants with two Homa behaviours:
 //!
 //! * **SRPT ordering** — incomplete messages are ranked by remaining
 //!   packets; only the top [`CcConfig::active_grants`] are granted (Homa's
@@ -93,7 +92,7 @@ impl SrptGrantScheduler {
         for (rank, m) in ranked.iter().enumerate().take(self.config.active_grants) {
             let priority = (rank as u8).min(self.config.priority_levels.saturating_sub(1));
             // Keep `grant_window` packets in flight beyond what arrived; the
-            // +4 slack absorbs the total-estimate round-off, as before.
+            // +4 slack absorbs the total-estimate round-off.
             let desired = (m.seen + self.grant_window).min(m.total + 4);
             if desired <= m.granted {
                 continue;

@@ -265,7 +265,6 @@ impl MessageEngine {
 
 #[cfg(test)]
 mod tests {
-    use crate::cc::CcConfig;
     use crate::endpoint::tests::keys;
     use crate::endpoint::{
         drive_pair, take_delivered, Endpoint, EndpointBuilder, EndpointResult, EndpointStats,
@@ -442,15 +441,10 @@ mod tests {
     #[test]
     fn a_fully_lost_message_is_probed_on_time_however_busy_its_neighbours_are() {
         let period = SmtConfig::default().rto_ns();
-        // The same per-message rule whether the RTO is estimated, pinned, or
-        // congestion control is off (where the probe is the whole prefix).
+        // The same per-message rule whether the RTO is estimated or pinned.
         for (label, builder) in [
             ("adaptive", Endpoint::builder()),
             ("pinned", Endpoint::builder().rto_ns(period)),
-            (
-                "cc off",
-                Endpoint::builder().congestion_control(CcConfig::disabled()),
-            ),
         ] {
             let (last_original, probed_at, stats) = lose_one_of_many(builder, 4 * period);
             let waited = probed_at - last_original;

@@ -24,11 +24,10 @@
 //! message-based stacks (Homa, SMT-sw, SMT-hw) run the receiver-driven
 //! [`crate::homa::HomaEndpoint`]; the stream-based stacks (TCP, TLS, kTLS-sw,
 //! kTLS-hw, TCPLS) run a TCP-like reliable bytestream (SACK selective
-//! retransmit inside a DCTCP window by default, go-back-N as the cc-off
-//! baseline, out-of-order segment reassembly) carrying the kTLS record layer
-//! from `smt-core`.  Both engines emit packets through the simulated NIC
-//! substrate, so every stack pays its structural costs (TSO expansion,
-//! offload descriptors) in the same place.
+//! retransmit inside a DCTCP window, out-of-order segment reassembly)
+//! carrying the kTLS record layer from `smt-core`.  Both engines emit
+//! packets through the simulated NIC substrate, so every stack pays its
+//! structural costs (TSO expansion, offload descriptors) in the same place.
 //!
 //! Decisions owned once, by the shell (`shell.rs`), for every stack:
 //!
@@ -66,7 +65,7 @@ pub use handshake::{
 };
 pub use listener::{Listener, ListenerFabric};
 pub use shell::Endpoint;
-pub use sim::{handshake_scenario_endpoints, scenario_endpoints, scenario_endpoints_cc};
+pub use sim::{handshake_scenario_endpoints, scenario_endpoints};
 
 use crate::cc::CcConfig;
 use crate::stack::StackKind;
@@ -188,10 +187,10 @@ pub struct EndpointStats {
     /// configured caps even under floods.
     pub peak_tracked_bytes: u64,
     /// ECN CE marks the congestion controller has reacted to (stream stacks:
-    /// CE counts echoed back in SACK frames).  Zero with cc disabled.
+    /// CE counts echoed back in SACK frames).  Zero on message stacks.
     #[serde(default)]
     pub ecn_marks_seen: u64,
-    /// Instantaneous congestion window in bytes (stream stacks, cc enabled).
+    /// Instantaneous congestion window in bytes (stream stacks).
     #[serde(default)]
     pub cwnd_bytes: u64,
     /// Instantaneous smoothed RTT estimate in nanoseconds (zero before the
@@ -200,7 +199,7 @@ pub struct EndpointStats {
     pub srtt_ns: u64,
     /// Granted-but-unreceived packets the message-engine receiver has
     /// invited (the SRPT scheduler's bounded backlog).  Zero on stream
-    /// stacks and with cc disabled.
+    /// stacks.
     #[serde(default)]
     pub grants_outstanding: u64,
     /// Median send→ack latency over this endpoint's completed messages, in
@@ -389,9 +388,9 @@ pub trait SecureEndpoint {
     fn next_timeout(&self) -> Option<Nanos>;
 
     /// Fires the retransmission timer at virtual time `now`: the endpoint
-    /// queues whatever recovery traffic it needs — Homa RESENDs and
-    /// unscheduled-prefix retransmissions, a stream rewind to the cumulative
-    /// ACK (selective under SACK, go-back-N with cc off) — and re-arms
+    /// queues whatever recovery traffic it needs — Homa RESENDs and probes,
+    /// a stream rewind to the cumulative offset (selective under SACK,
+    /// go-back-N once the scoreboard is distrusted) — and re-arms
     /// [`next_timeout`](Self::next_timeout).  A call before the deadline is a
     /// no-op.
     fn on_timeout(&mut self, now: Nanos);
@@ -617,9 +616,8 @@ impl EndpointBuilder {
         self
     }
 
-    /// Overrides the congestion-control tuning.  [`CcConfig::disabled`]
-    /// reproduces the pre-cc baseline: fixed-RTO go-back-N streams and
-    /// uncapped, priority-less grants.
+    /// Overrides the congestion-control tuning (DCTCP window, SRPT grants,
+    /// RTO clamps).  A pinned RTO ([`rto_ns`](Self::rto_ns)) stays pinned.
     pub fn congestion_control(mut self, cc: CcConfig) -> Self {
         let adaptive = self.cc.adaptive_rto && cc.adaptive_rto;
         self.cc = cc;
@@ -915,49 +913,91 @@ pub(crate) mod tests {
 
     #[test]
     fn lossy_channels_recover_on_every_stack() {
-        // Both congestion-control modes: cc-enabled recovery may come from
-        // dup-SACK fast retransmit (no timer), the disabled baseline must
-        // recover through a fired timer (go-back-N / unscheduled retransmit
-        // / receiver RESEND).
-        for cc in [CcConfig::default(), CcConfig::disabled()] {
-            for stack in StackKind::all() {
-                let (ck, sk) = keys();
-                let (mut c, mut s) = Endpoint::builder()
-                    .stack(stack)
-                    .congestion_control(cc)
-                    .pair(&ck, &sk, 7, 8)
-                    .unwrap();
-                let data = vec![0xabu8; 120_000];
-                c.send(&data, 0).unwrap();
-                let mut link = PairFabric::lossy(0.08, 42);
-                drive_pair(&mut c, &mut s, &mut link, 1_000_000);
-                let got = take_delivered(&mut s);
-                assert_eq!(
-                    got.len(),
-                    1,
-                    "stack {} dropped {}",
-                    stack.label(),
-                    link.dropped()
-                );
-                assert_eq!(got[0].1, data, "stack {}", stack.label());
-                assert!(link.dropped() > 0, "stack {}: loss occurred", stack.label());
-                // Recovery is visible in the counters: the sender
-                // retransmitted.
-                let stats = c.stats();
-                assert!(
-                    stats.retransmissions > 0,
-                    "stack {}: loss recovery must count retransmissions (got {stats:?})",
-                    stack.label()
-                );
-                if !cc.enabled {
-                    assert!(
-                        stats.timeouts_fired + s.stats().timeouts_fired > 0,
-                        "stack {}: baseline recovery without any timer firing",
-                        stack.label()
-                    );
-                }
-            }
+        for stack in StackKind::all() {
+            let (ck, sk) = keys();
+            let (mut c, mut s) = Endpoint::builder()
+                .stack(stack)
+                .pair(&ck, &sk, 7, 8)
+                .unwrap();
+            let data = vec![0xabu8; 120_000];
+            c.send(&data, 0).unwrap();
+            let mut link = PairFabric::lossy(0.08, 42);
+            drive_pair(&mut c, &mut s, &mut link, 1_000_000);
+            let got = take_delivered(&mut s);
+            assert_eq!(
+                got.len(),
+                1,
+                "stack {} dropped {}",
+                stack.label(),
+                link.dropped()
+            );
+            assert_eq!(got[0].1, data, "stack {}", stack.label());
+            assert!(link.dropped() > 0, "stack {}: loss occurred", stack.label());
+            // Recovery is visible in the counters: the sender retransmitted
+            // (dup-SACK fast retransmit, receiver RESENDs or a fired timer).
+            let stats = c.stats();
+            assert!(
+                stats.retransmissions > 0,
+                "stack {}: loss recovery must count retransmissions (got {stats:?})",
+                stack.label()
+            );
         }
+    }
+
+    #[test]
+    fn a_bare_ack_does_not_release_a_stream_senders_data() {
+        use smt_wire::{
+            HomaAck, IpHeader, Ipv4Header, OverlayTcpHeader, PacketPayload, PacketType,
+            SmtOptionArea, SmtOverlayHeader, IPPROTO_TCP, IPV4_HEADER_LEN, SMT_OVERLAY_LEN,
+        };
+        let (ck, sk) = keys();
+        let (mut c, mut s) = Endpoint::builder()
+            .stack(StackKind::KtlsSw)
+            .pair(&ck, &sk, 1, 2)
+            .unwrap();
+        let id = c.send(&[9u8; 9000], 0).unwrap();
+        // The first flight is lost.
+        let mut lost = Vec::new();
+        c.poll_transmit(0, &mut lost);
+        assert!(!lost.is_empty());
+        // A bare cumulative ACK claiming the whole stream: no conforming
+        // peer sends one on a stream flow, so it acknowledges nothing.
+        let path = PathInfo::pair(1, 2).1;
+        let bare_ack = Packet {
+            ip: IpHeader::V4(Ipv4Header::new(
+                path.src,
+                path.dst,
+                IPPROTO_TCP,
+                (IPV4_HEADER_LEN + SMT_OVERLAY_LEN + HomaAck::LEN) as u16,
+            )),
+            overlay: SmtOverlayHeader {
+                tcp: OverlayTcpHeader::new(path.src_port, path.dst_port, PacketType::Ack),
+                options: SmtOptionArea::new(0, 0),
+            },
+            payload: PacketPayload::Ack(HomaAck {
+                message_id: u64::MAX,
+            }),
+            corrupted: false,
+        };
+        c.handle_datagram(&bare_ack, 1_000).unwrap();
+        while let Some(event) = c.poll_event() {
+            assert!(
+                !matches!(event, Event::MessageAcked(_)),
+                "a bare ACK released {event:?}"
+            );
+        }
+        assert!(c.next_timeout().is_some(), "retransmission timer disarmed");
+        // The retransmit buffer still holds the bytes: the timer resends
+        // them and the message is delivered and acknowledged.
+        let mut link = PairFabric::reliable();
+        drive_pair(&mut c, &mut s, &mut link, 1_000_000);
+        assert_eq!(take_delivered(&mut s), [(id, vec![9u8; 9000])]);
+        assert!(c.stats().retransmissions > 0);
+        let mut acked = false;
+        while let Some(event) = c.poll_event() {
+            acked |= event == Event::MessageAcked(id);
+        }
+        assert!(acked);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use std::collections::VecDeque;
 pub(crate) struct RtoTimer {
     /// The builder's fixed period, used while the adaptive RTO is off.
     pinned_ns: Nanos,
-    /// Whether the period tracks the measured RTT (cc on, RTO not pinned).
+    /// Whether the period tracks the measured RTT (RTO not pinned).
     adaptive: bool,
     max_rto_ns: Nanos,
     /// RFC 6298 estimator; sampled under Karn's rule by the engines.
@@ -83,7 +83,7 @@ impl RtoTimer {
         };
         let mut timer = Self {
             pinned_ns,
-            adaptive: cc.enabled && cc.adaptive_rto,
+            adaptive: cc.adaptive_rto,
             max_rto_ns: cc.max_rto_ns.max(1),
             rtt: RttEstimator::new(&opening),
             backoff: 0,

@@ -10,7 +10,6 @@
 use super::{
     take_delivered, AcceptConfig, ConnectConfig, Endpoint, SecureEndpoint, ZeroRttAcceptor,
 };
-use crate::cc::CcConfig;
 use crate::stack::StackKind;
 use smt_core::segment::PathInfo;
 use smt_crypto::cert::{Identity, VerifyingKey};
@@ -82,32 +81,11 @@ pub fn scenario_endpoints(
     client_keys: &SessionKeys,
     server_keys: &SessionKeys,
 ) -> Vec<Box<dyn SimEndpoint>> {
-    scenario_endpoints_cc(
-        scenario,
-        stack,
-        client_keys,
-        server_keys,
-        CcConfig::default(),
-    )
-}
-
-/// [`scenario_endpoints`] with an explicit congestion-control configuration
-/// applied to every endpoint — how the `incast` bench runs each stack both
-/// with the cc subsystem and as the go-back-N / fixed-RTO baseline
-/// ([`CcConfig::disabled`]).
-pub fn scenario_endpoints_cc(
-    scenario: &Scenario,
-    stack: StackKind,
-    client_keys: &SessionKeys,
-    server_keys: &SessionKeys,
-    cc: CcConfig,
-) -> Vec<Box<dyn SimEndpoint>> {
     let mut endpoints: Vec<Box<dyn SimEndpoint>> = Vec::with_capacity(scenario.flows.len() * 2);
     for (flow, _) in scenario.flows.iter().enumerate() {
         let base = 10_000u16.wrapping_add((flow as u16) * 2);
         let (client, server) = Endpoint::builder()
             .stack(stack)
-            .congestion_control(cc)
             .pair(client_keys, server_keys, base, base + 1)
             .expect("valid scenario endpoint configuration");
         endpoints.push(Box::new(client));

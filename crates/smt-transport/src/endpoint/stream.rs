@@ -18,14 +18,12 @@
 //! * **Reliable delivery.**  The wire bytes are carried in TSO segments
 //!   through the simulated NIC, with the stream offset in the overlay option
 //!   area.  The receiver reassembles out-of-order segments, drops duplicates
-//!   (counting them as replays) and acknowledges.  With congestion control
-//!   on (the default) the acknowledgement is a SACK frame — cumulative
-//!   offset, reorder-buffer ranges, DCTCP ECN echo — and the sender recovers
-//!   by **selective retransmit** inside a DCTCP window: the third duplicate
-//!   SACK or the shell's retransmission timer rewinds to the cumulative
-//!   offset and resends only the holes the scoreboard shows.  Plain
-//!   go-back-N from the cumulative ACK is the fallback, not the default: it
-//!   runs with `CcConfig::disabled()` (the pre-cc baseline) and after two
+//!   (counting them as replays) and acknowledges with a SACK frame —
+//!   cumulative offset, reorder-buffer ranges, DCTCP ECN echo.  The sender
+//!   recovers by **selective retransmit** inside a DCTCP window: the third
+//!   duplicate SACK or the shell's retransmission timer rewinds to the
+//!   cumulative offset and resends only the holes the scoreboard shows.
+//!   Plain go-back-N from the cumulative offset is the fallback after two
 //!   timer fires without progress, when the scoreboard is distrusted.
 //!   Either way the defining limitation stays: bytes — and therefore
 //!   records — can only be *consumed* in order.
@@ -50,8 +48,8 @@ use smt_crypto::handshake::SessionKeys;
 use smt_sim::nic::NicModel;
 use smt_sim::Nanos;
 use smt_wire::{
-    max_payload_per_packet, HomaAck, OverlayTcpHeader, Packet, PacketPayload, PacketType,
-    SackRange, SmtOptionArea, SmtOverlayHeader, SmtSack, TsoSegment, IPPROTO_TCP, MAX_TSO_SEGMENT,
+    max_payload_per_packet, OverlayTcpHeader, Packet, PacketPayload, PacketType, SackRange,
+    SmtOptionArea, SmtOverlayHeader, SmtSack, TsoSegment, IPPROTO_TCP, MAX_TSO_SEGMENT,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -90,7 +88,7 @@ pub(crate) struct StreamEngine {
     wire_base: u64,
     /// Next stream offset to put on the wire (rewound by retransmission).
     next_send: u64,
-    /// Highest cumulative ACK received.
+    /// Highest cumulative offset the peer acknowledged.
     acked: u64,
     /// Outstanding messages: (id, wire offset at which the message ends).
     inflight: VecDeque<(u64, u64)>,
@@ -107,15 +105,12 @@ pub(crate) struct StreamEngine {
     ooo_bytes: usize,
     /// Decrypted, in-order plaintext awaiting frame delimiting.
     frame_buf: BytesMut,
-    /// A cumulative ACK should be emitted on the next poll.
+    /// A SACK should be emitted on the next poll.
     ack_pending: bool,
 
     // Congestion control (DESIGN.md §10).
-    /// `cc.enabled == false` reproduces the pre-cc fixed-RTO go-back-N
-    /// baseline.
-    cc: CcConfig,
-    /// DCTCP window machine; `None` when cc is disabled.
-    cwnd: Option<DctcpWindow>,
+    /// DCTCP window machine.
+    cwnd: DctcpWindow,
     /// Peer-SACKed byte ranges above `acked` (start → end, disjoint): data
     /// the receiver already holds, which selective retransmit skips.
     sacked: BTreeMap<u64, u64>,
@@ -173,8 +168,7 @@ impl StreamEngine {
             ooo_bytes: 0,
             frame_buf: BytesMut::new(),
             ack_pending: false,
-            cc,
-            cwnd: cc.enabled.then(|| DctcpWindow::new(cc)),
+            cwnd: DctcpWindow::new(cc),
             sacked: BTreeMap::new(),
             timed: VecDeque::new(),
             ecn_ce_pending: 0,
@@ -226,37 +220,11 @@ impl StreamEngine {
         stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(tracked);
     }
 
-    fn ack_packet(&self, path: &PathInfo) -> Packet {
-        let overlay = SmtOverlayHeader {
-            tcp: OverlayTcpHeader::new(path.src_port, path.dst_port, PacketType::Ack),
-            // The cumulative stream offset rides in the ACK body's message-id
-            // field; the option area is unused on a pure-ACK packet.
-            options: SmtOptionArea::new(0, 0),
-        };
-        Packet {
-            ip: smt_wire::IpHeader::V4(smt_wire::Ipv4Header::new(
-                path.src,
-                path.dst,
-                IPPROTO_TCP,
-                (smt_wire::IPV4_HEADER_LEN + smt_wire::SMT_OVERLAY_LEN + HomaAck::LEN) as u16,
-            )),
-            overlay,
-            payload: PacketPayload::Ack(HomaAck {
-                message_id: self.recv_next,
-            }),
-            corrupted: false,
-        }
-    }
-
-    /// The receiver's acknowledgement for the next poll: with cc enabled, a
-    /// SACK frame carrying the cumulative offset, up to
-    /// [`SmtSack::MAX_RANGES`] reorder-buffer ranges (the sender's selective
-    /// retransmit scoreboard) and the DCTCP ECN echo; with cc disabled, the
-    /// legacy bare cumulative ACK.
+    /// The receiver's acknowledgement for the next poll: a SACK frame
+    /// carrying the cumulative offset, up to [`SmtSack::MAX_RANGES`]
+    /// reorder-buffer ranges (the sender's selective retransmit scoreboard)
+    /// and the DCTCP ECN echo.
     fn recv_report(&mut self, path: &PathInfo) -> Packet {
-        if !self.cc.enabled {
-            return self.ack_packet(path);
-        }
         // Coalesce the reorder buffer into disjoint, ascending ranges.  Keys
         // are strictly above `recv_next` (the in-order prefix was drained),
         // which is exactly what the SACK codec's validator demands.
@@ -370,13 +338,11 @@ impl StreamEngine {
             return Ok(());
         }
         shell.stats.wire_bytes_received += bytes.len() as u64;
-        if self.cc.enabled {
-            // DCTCP ECN echo: count every data packet and the CE-marked
-            // subset since the last SACK went out.
-            self.ecn_total_pending += 1;
-            if datagram.ip.is_ce_marked() {
-                self.ecn_ce_pending += 1;
-            }
+        // DCTCP ECN echo: count every data packet and the CE-marked subset
+        // since the last SACK went out.
+        self.ecn_total_pending += 1;
+        if datagram.ip.is_ce_marked() {
+            self.ecn_ce_pending += 1;
         }
         // Stream offset of this packet: the segment's 64-bit base offset
         // (low word in tso_offset, high word in the reserved field) plus the
@@ -581,10 +547,8 @@ impl StreamEngine {
         let produced = self.produced();
         let prev_acked = self.acked;
         let newly = sack.ack_offset.min(produced).saturating_sub(prev_acked);
-        if let Some(w) = &mut self.cwnd {
-            let total = u64::from(sack.ecn_total).max(u64::from(sack.ecn_ce));
-            w.on_ack(newly, u64::from(sack.ecn_ce), total, now);
-        }
+        let total = u64::from(sack.ecn_total).max(u64::from(sack.ecn_ce));
+        self.cwnd.on_ack(newly, u64::from(sack.ecn_ce), total, now);
         self.handle_ack(shell, sack.ack_offset, now);
         for r in &sack.ranges {
             // Clamp to reality: a forged range cannot mark bytes that were
@@ -598,16 +562,10 @@ impl StreamEngine {
         // Duplicate SACKs with ranges mean later data keeps landing while a
         // hole stays open: on the third, infer loss and retransmit the holes
         // now instead of waiting out the RTO (fast retransmit).
-        if self.cc.enabled
-            && self.acked == prev_acked
-            && !sack.ranges.is_empty()
-            && self.acked < produced
-        {
+        if self.acked == prev_acked && !sack.ranges.is_empty() && self.acked < produced {
             self.dup_sacks += 1;
             if self.dup_sacks == 3 {
-                if let Some(w) = &mut self.cwnd {
-                    w.on_loss(now);
-                }
+                self.cwnd.on_loss(now);
                 self.timed.clear();
                 self.next_send = self.acked;
                 shell.rto.arm(now);
@@ -623,14 +581,6 @@ impl StreamEngine {
     ) -> EndpointResult<()> {
         match datagram.overlay.tcp.packet_type {
             PacketType::Data => self.handle_data(shell, datagram),
-            PacketType::Ack => {
-                if let PacketPayload::Ack(a) = &datagram.payload {
-                    self.handle_ack(shell, a.message_id, now);
-                }
-                Ok(())
-            }
-            // Processed regardless of this side's own cc switch so a
-            // cc-enabled receiver still acknowledges to a baseline sender.
             PacketType::Sack => {
                 if let PacketPayload::Sack(sack) = &datagram.payload {
                     self.handle_sack(shell, sack, now);
@@ -655,35 +605,29 @@ impl StreamEngine {
         } else {
             max_payload_per_packet(self.mtu)
         };
-        let window = self.cwnd.as_ref().map(|w| w.window());
+        let window = self.cwnd.window();
         while self.next_send < self.produced() {
-            if self.cc.enabled {
-                // Selective retransmit: hop over ranges the peer already
-                // SACKed instead of resending them.
-                loop {
-                    match self.sacked.range(..=self.next_send).next_back() {
-                        Some((_, &end)) if end > self.next_send => self.next_send = end,
-                        _ => break,
-                    }
-                }
-                if self.next_send >= self.produced() {
-                    break;
+            // Selective retransmit: hop over ranges the peer already SACKed
+            // instead of resending them.
+            loop {
+                match self.sacked.range(..=self.next_send).next_back() {
+                    Some((_, &end)) if end > self.next_send => self.next_send = end,
+                    _ => break,
                 }
             }
-            if let Some(w) = window {
-                // DCTCP window: pause once a window's worth is in flight;
-                // the next SACK reopens it.
-                if self.next_send.saturating_sub(self.acked) >= w {
-                    break;
-                }
+            if self.next_send >= self.produced() {
+                break;
+            }
+            // DCTCP window: pause once a window's worth is in flight; the
+            // next SACK reopens it.
+            if self.next_send.saturating_sub(self.acked) >= window {
+                break;
             }
             let start = (self.next_send - self.wire_base) as usize;
             let mut take = seg_max.min(self.wire.len() - start);
-            if self.cc.enabled {
-                // A chunk must stop at the next SACKed range, not overlap it.
-                if let Some((&s, _)) = self.sacked.range(self.next_send + 1..).next() {
-                    take = take.min((s - self.next_send) as usize);
-                }
+            // A chunk must stop at the next SACKed range, not overlap it.
+            if let Some((&s, _)) = self.sacked.range(self.next_send + 1..).next() {
+                take = take.min((s - self.next_send) as usize);
             }
             let chunk = Bytes::copy_from_slice(&self.wire[start..start + take]);
             let mut overlay = SmtOverlayHeader {
@@ -701,13 +645,11 @@ impl StreamEngine {
                 max_payload_per_packet(self.mtu).min(u16::MAX as usize) as u16;
             let segment = TsoSegment::new(path.src, path.dst, IPPROTO_TCP, overlay, chunk);
             let (mut packets, _nic_ns) = self.nic.transmit(0, &segment);
-            if self.cc.enabled {
-                // Egress data is ECN-capable: fabric queues past their
-                // marking threshold CE-mark it instead of dropping.
-                for p in &mut packets {
-                    p.ip.set_ecn_capable();
-                    p.overlay.options.flags |= SmtOptionArea::FLAG_ECN_CAPABLE;
-                }
+            // Egress data is ECN-capable: fabric queues past their marking
+            // threshold CE-mark it instead of dropping.
+            for p in &mut packets {
+                p.ip.set_ecn_capable();
+                p.overlay.options.flags |= SmtOptionArea::FLAG_ECN_CAPABLE;
             }
             if self.next_send < self.sent_high {
                 // The chunk's prefix below the high-water mark has been on
@@ -729,32 +671,25 @@ impl StreamEngine {
     }
 
     /// The retransmission timer fired with unacknowledged data: rewind to the
-    /// cumulative ACK.  With cc on the scoreboard makes the resend selective
-    /// (and two fires in a row without progress discard it); with cc off
-    /// this is plain go-back-N.
+    /// cumulative offset.  The scoreboard makes the resend selective; two
+    /// fires in a row without progress discard it.
     pub(crate) fn recover(&mut self, now: Nanos) {
-        if self.cc.enabled {
-            self.consecutive_timeouts += 1;
-            if let Some(w) = &mut self.cwnd {
-                w.on_loss(now);
-            }
-            self.timed.clear();
-            if self.consecutive_timeouts >= 2 {
-                // The scoreboard failed to produce progress — stale or
-                // forged SACKs.  Distrust it: plain go-back-N recovers
-                // whatever the peer actually holds.
-                self.sacked.clear();
-            }
+        self.consecutive_timeouts += 1;
+        self.cwnd.on_loss(now);
+        self.timed.clear();
+        if self.consecutive_timeouts >= 2 {
+            // The scoreboard failed to produce progress — stale or forged
+            // SACKs.  Distrust it: plain go-back-N recovers whatever the
+            // peer actually holds.
+            self.sacked.clear();
         }
         self.next_send = self.acked;
     }
 
     /// Adds the gauges the window machine and the record layer keep.
     pub(crate) fn read_stats(&self, stats: &mut EndpointStats) {
-        if let Some(w) = &self.cwnd {
-            stats.ecn_marks_seen = w.ecn_marks_seen();
-            stats.cwnd_bytes = w.window();
-        }
+        stats.ecn_marks_seen = self.cwnd.ecn_marks_seen();
+        stats.cwnd_bytes = self.cwnd.window();
         if let Some(tx) = &self.tls_tx {
             if tx.crypto_mode() == CryptoMode::Software {
                 stats.records_sealed += tx.records_sent;

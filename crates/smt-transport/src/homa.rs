@@ -46,14 +46,12 @@
 //! never is sits at time zero with a zero period, where everything in flight
 //! is always due — the poll-when-quiet discipline of a driver with no clock.
 //!
-//! With congestion control installed ([`HomaEndpoint::set_cc`], DESIGN.md
-//! §10), grants come from the receiver-driven SRPT scheduler
-//! ([`crate::cc::SrptGrantScheduler`]): incomplete messages are ranked by
-//! remaining packets, only the top few are granted, each carries a network
-//! priority the sender stamps into the overlay option area, and the summed
-//! granted-but-unreceived backlog is capped — what bounds receiver queue
-//! occupancy under deep incast.  Disabled (the default for directly
-//! constructed endpoints), the legacy per-message grant bump applies.
+//! Grants come from the receiver-driven SRPT scheduler
+//! ([`crate::cc::SrptGrantScheduler`], tuned by [`HomaEndpoint::set_cc`],
+//! DESIGN.md §10): incomplete messages are ranked by remaining packets, only
+//! the top few are granted, each carries a network priority the sender stamps
+//! into the overlay option area, and the summed granted-but-unreceived backlog
+//! is capped — what bounds receiver queue occupancy under deep incast.
 
 use crate::cc::{CcConfig, MsgView, SrptGrantScheduler};
 use crate::stack::StackKind;
@@ -73,7 +71,10 @@ use std::ops::Range;
 /// Configuration of the packet-level transport.
 #[derive(Debug, Clone, Copy)]
 pub struct HomaConfig {
-    /// Packets of a message sent unscheduled (before any GRANT).
+    /// Packets of a message sent unscheduled (before any GRANT) — Homa's
+    /// RTT-bytes.  At deep incast the aggregate first-RTT burst is
+    /// `senders × prefix`; a large blind prefix is exactly what overflows the
+    /// receiver's ingress buffer before the grant scheduler ever gets a say.
     pub unscheduled_packets: usize,
     /// Packets granted per GRANT packet.
     pub grant_packets: usize,
@@ -86,7 +87,7 @@ pub struct HomaConfig {
 impl Default for HomaConfig {
     fn default() -> Self {
         Self {
-            unscheduled_packets: 40,
+            unscheduled_packets: 8,
             grant_packets: 16,
             mtu: smt_wire::DEFAULT_MTU,
             tso: true,
@@ -272,11 +273,10 @@ pub struct HomaEndpoint {
     session: SmtSession,
     nic: NicModel,
     config: HomaConfig,
-    /// Congestion-control tuning; [`CcConfig::disabled`] (the construction
-    /// default) keeps the legacy grant bump and fixed resend budget.
+    /// Congestion-control tuning; [`CcConfig::default`] until
+    /// [`Self::set_cc`].
     cc: CcConfig,
-    /// The SRPT grant machine, consulted on every data arrival while
-    /// `cc.enabled`.
+    /// The SRPT grant machine, consulted on every accepted data arrival.
     scheduler: SrptGrantScheduler,
     path: PathInfo,
     // BTreeMaps, not HashMaps: poll_transmit/poll_resend iterate these, and
@@ -349,7 +349,7 @@ impl HomaEndpoint {
     }
 
     fn from_session(session: SmtSession, config: HomaConfig, path: PathInfo) -> Self {
-        let cc = CcConfig::disabled();
+        let cc = CcConfig::default();
         Self {
             session,
             nic: NicModel::new(config.mtu, config.tso),
@@ -374,17 +374,16 @@ impl HomaEndpoint {
         &self.session
     }
 
-    /// Installs the congestion-control tuning.  Enabled, grants flow through
-    /// the SRPT scheduler (priorities, backlog cap) and the resend budget
-    /// follows [`CcConfig::max_resend_attempts`]; disabled restores the
-    /// legacy per-message grant bump.
+    /// Installs the congestion-control tuning: the SRPT scheduler's grant
+    /// slots, backlog cap and priorities, the resend budget and the RTO
+    /// ceiling.
     pub fn set_cc(&mut self, cc: CcConfig) {
         self.cc = cc;
         self.scheduler = SrptGrantScheduler::new(cc, self.config.grant_packets);
     }
 
     /// Granted-but-unreceived packets after the scheduler's last round — the
-    /// invited backlog (zero while cc is disabled).
+    /// invited backlog.
     pub fn grants_outstanding(&self) -> u64 {
         self.scheduler.outstanding()
     }
@@ -519,17 +518,10 @@ impl HomaEndpoint {
         Ok(out.message_id)
     }
 
-    /// The effective unscheduled prefix: the configured prefix, capped by
-    /// [`CcConfig::max_unscheduled_packets`] while cc is enabled (Homa's
-    /// RTT-bytes discipline — the receiver paces everything beyond it).
+    /// The unscheduled prefix, at least one packet; the receiver paces
+    /// everything beyond it.
     fn unscheduled(&self) -> usize {
-        if self.cc.enabled {
-            self.config
-                .unscheduled_packets
-                .min(self.cc.max_unscheduled_packets.max(1))
-        } else {
-            self.config.unscheduled_packets
-        }
+        self.config.unscheduled_packets.max(1)
     }
 
     /// Emits any packets allowed by the current grant windows.
@@ -655,13 +647,11 @@ impl HomaEndpoint {
                             PacketType::Ack,
                             id,
                         ));
-                        if self.cc.enabled {
-                            // The finished message freed grant slots and
-                            // backlog budget: re-rank the survivors now, or
-                            // a message whose granted data fully arrived
-                            // would stall until a timer fires.
-                            self.schedule_grants(out);
-                        }
+                        // The finished message freed grant slots and backlog
+                        // budget: re-rank the survivors now, or a message
+                        // whose granted data fully arrived would stall until
+                        // a timer fires.
+                        self.schedule_grants(out);
                     }
                     // "No error" is not progress: a replay of a finished
                     // message, a byte-identical duplicate and a packet
@@ -679,36 +669,7 @@ impl HomaEndpoint {
                             p.resends = 0;
                             p.resend = self.time.start();
                         }
-                        if self.cc.enabled {
-                            self.schedule_grants(out);
-                        } else {
-                            // Legacy: grant more packets to this one message
-                            // if its sender is window-limited.
-                            let grant_packets = self.config.grant_packets;
-                            let unscheduled = self.config.unscheduled_packets;
-                            let new_grant = self.recvs.get_mut(&message_id).and_then(|progress| {
-                                if progress.total_estimate > unscheduled
-                                    && progress.packets_seen + grant_packets > progress.granted
-                                {
-                                    progress.granted = (progress.granted + grant_packets)
-                                        .min(progress.total_estimate + 4);
-                                    Some(progress.granted as u32)
-                                } else {
-                                    None
-                                }
-                            });
-                            if let Some(granted_offset) = new_grant {
-                                out.push(self.control_packet(
-                                    PacketPayload::Grant(HomaGrant {
-                                        message_id,
-                                        granted_offset,
-                                        priority: 0,
-                                    }),
-                                    PacketType::Grant,
-                                    message_id,
-                                ));
-                            }
-                        }
+                        self.schedule_grants(out);
                     }
                     Err(_) => {
                         // Authentication failure or malformed packet: drop. A
@@ -740,10 +701,7 @@ impl HomaEndpoint {
             }
             PacketType::Resend => {
                 if let PacketPayload::Resend(r) = &packet.payload {
-                    let window = self
-                        .cc
-                        .enabled
-                        .then(|| self.unscheduled().div_ceil(2).max(1));
+                    let window = self.unscheduled().div_ceil(2);
                     // No send state means the message was acknowledged: such
                     // a RESEND is stale or forged, and honoring it would
                     // retransmit data nobody is missing.
@@ -755,15 +713,14 @@ impl HomaEndpoint {
                         let limit = send.sent.min(send.packets);
                         let packet_offset = u16::try_from(r.length).unwrap_or(u16::MAX);
                         let start = send.packet_index(r.offset, packet_offset).min(limit);
-                        // cc: a bounded window from there, half the
-                        // unscheduled prefix.  The first packet is wanted for
-                        // sure; the rest are a guess at how far the gap runs,
-                        // and re-blasting everything behind it is exactly the
+                        // A bounded window from there, half the unscheduled
+                        // prefix.  The first packet is wanted for sure; the
+                        // rest are a guess at how far the gap runs, and
+                        // re-blasting everything behind it is exactly the
                         // burst that re-overflows a deep-incast receiver
                         // queue (DESIGN.md §10 has the measurements).  The
-                        // receiver asks again from its next gap.  Baseline:
-                        // go-back-N.
-                        let end = window.map_or(limit, |w| (start + w).min(limit));
+                        // receiver asks again from its next gap.
+                        let end = (start + window).min(limit);
                         // The receiver knows the message and is driving its
                         // recovery: no probe until it goes quiet again.
                         send.probe = self.time.start();
@@ -835,32 +792,26 @@ impl HomaEndpoint {
 
     /// Probes each unacknowledged send that has gone quiet — one full wait
     /// with none of its packets transmitted and no GRANT / RESEND naming it —
-    /// by retransmitting the head of its unscheduled prefix, and doubles that
-    /// send's wait (the sender-side timeout).  This recovers the two cases
+    /// by retransmitting its first two packets, and doubles that send's wait
+    /// (the sender-side timeout).  This recovers the two cases
     /// receiver-driven RESENDs cannot: a message whose every packet was lost
     /// (the receiver never learned it exists) and a completed message whose
-    /// ACK was lost.  Sends that are not due are left alone, whatever
-    /// happened to their neighbours.
+    /// ACK was lost.  Two packets suffice: they recreate the receiver's
+    /// progress state, whose RESENDs then drive recovery, and re-elicit a
+    /// lost ACK.  Sends that are not due are left alone, whatever happened to
+    /// their neighbours.
     pub fn poll_retransmit_unacked(&mut self) -> Vec<Packet> {
+        const PROBE_PACKETS: usize = 2;
         let mut out = Vec::new();
-        // cc: a two-packet probe suffices — it recreates the receiver's
-        // progress state (whose RESENDs then drive recovery) and re-elicits a
-        // lost ACK.  The baseline re-blasts the whole unscheduled prefix.
-        let limit_cap = if self.cc.enabled {
-            2
-        } else {
-            self.config.unscheduled_packets
-        };
-        let adaptive = self.cc.enabled && self.cc.adaptive_rto;
         for send in self.sends.values_mut() {
             if send.probe.due > self.time.now {
                 continue;
             }
             self.time.back_off(&mut send.probe, self.cc.max_rto_ns);
-            let limit = send.sent.min(limit_cap).min(send.packets);
+            let limit = send.sent.min(PROBE_PACKETS).min(send.packets);
             if limit > 0 {
                 send.retransmitted = true;
-                if adaptive {
+                if self.cc.adaptive_rto {
                     self.time.backed_off = self.time.backed_off.max(send.probe.wait);
                 }
             }
@@ -923,13 +874,12 @@ impl HomaEndpoint {
             // Re-advertise the current grant alongside the RESEND.  Grants
             // are receiver state: if the GRANT packet itself was lost, the
             // receiver's ledger says `granted` but the sender never advanced,
-            // and neither grant path re-issues an offset it already recorded
-            // (the SRPT scheduler only grants when desired > granted, the
-            // legacy path stops at total + 4) — the transfer would deadlock
-            // with the sender's re-blasts forever capped at the stale sent
-            // window.  The grant is idempotent (the sender takes the max),
-            // so repeating it on the stall timer costs one packet and
-            // repairs the loss.
+            // and the SRPT scheduler never re-issues an offset it already
+            // recorded (it only grants when desired > granted) — the
+            // transfer would deadlock with the sender's retransmissions
+            // forever capped at the stale sent window.  The grant is
+            // idempotent (the sender takes the max), so repeating it on the
+            // stall timer costs one packet and repairs the loss.
             if granted > self.unscheduled() {
                 out.push(self.control_packet(
                     PacketPayload::Grant(HomaGrant {
@@ -1338,7 +1288,7 @@ mod tests {
         // that packet is not its sender making progress: the receive still
         // ages through `max_resend_attempts` of its own waits and is
         // abandoned, and the count the grant scheduler ranks it by stays put.
-        let max_attempts = CcConfig::disabled().max_resend_attempts;
+        let max_attempts = CcConfig::default().max_resend_attempts;
         for attempt in 0..max_attempts {
             let due = b.next_due().expect("still tracked");
             b.set_clock(due, PERIOD);
@@ -1403,64 +1353,53 @@ mod tests {
 
     #[test]
     fn a_resend_names_the_first_gap_and_the_sender_goes_back_to_it() {
-        for cc_on in [false, true] {
-            let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
-            if cc_on {
-                let cc = CcConfig {
-                    max_unscheduled_packets: 40,
-                    ..CcConfig::default()
-                };
-                a.set_cc(cc);
-                b.set_cc(cc);
+        let config = HomaConfig {
+            unscheduled_packets: 40,
+            ..HomaConfig::default()
+        };
+        let (mut a, mut b) = pair(StackKind::SmtSw, config);
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+        a.send_message(&data, 0).unwrap();
+        let flight = a.poll_transmit();
+        assert!(flight.len() > 25, "one unscheduled flight");
+        // Packets 3 and 4 are lost.
+        for (i, p) in flight.iter().enumerate() {
+            if i != 3 && i != 4 {
+                assert!(b
+                    .handle_packet(p)
+                    .iter()
+                    .all(|r| { r.overlay.tcp.packet_type == PacketType::Grant }));
             }
-            let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
-            a.send_message(&data, 0).unwrap();
-            let flight = a.poll_transmit();
-            assert!(flight.len() > 25, "one unscheduled flight");
-            // Packets 3 and 4 are lost.
-            for (i, p) in flight.iter().enumerate() {
-                if i != 3 && i != 4 {
-                    assert!(b
-                        .handle_packet(p)
-                        .iter()
-                        .all(|r| { r.overlay.tcp.packet_type == PacketType::Grant }));
-                }
-            }
-            let resend = b
-                .poll_resend()
-                .into_iter()
-                .find(|p| p.overlay.tcp.packet_type == PacketType::Resend)
-                .expect("stalled receive asks");
-            let PacketPayload::Resend(named) = resend.payload else {
-                unreachable!()
-            };
-            assert_eq!(
-                (named.offset, named.length),
-                (flight[3].overlay.options.tso_offset, 3),
-                "cc={cc_on}"
-            );
-            // cc answers with a bounded window from the gap, the baseline
-            // with everything it sent from there on; neither with what came
-            // before it.
-            let answer = a.handle_packet(&resend);
-            let want = if cc_on { 20 } else { flight.len() - 3 };
-            assert_eq!(answer.len(), want, "cc={cc_on}");
-            for (retx, original) in answer.iter().zip(&flight[3..]) {
-                assert!(retx.overlay.options.is_retransmission());
-                assert_eq!(retx.payload, original.payload);
-            }
-            for p in &answer {
-                b.handle_packet(p);
-            }
-            assert_eq!(b.take_delivered()[0].data, data, "cc={cc_on}");
         }
+        let resend = b
+            .poll_resend()
+            .into_iter()
+            .find(|p| p.overlay.tcp.packet_type == PacketType::Resend)
+            .expect("stalled receive asks");
+        let PacketPayload::Resend(named) = resend.payload else {
+            unreachable!()
+        };
+        assert_eq!(
+            (named.offset, named.length),
+            (flight[3].overlay.options.tso_offset, 3)
+        );
+        // The answer is a window of half the unscheduled prefix from the gap,
+        // never what came before it.
+        let answer = a.handle_packet(&resend);
+        assert_eq!(answer.len(), 20);
+        for (retx, original) in answer.iter().zip(&flight[3..]) {
+            assert!(retx.overlay.options.is_retransmission());
+            assert_eq!(retx.payload, original.payload);
+        }
+        for p in &answer {
+            b.handle_packet(p);
+        }
+        assert_eq!(b.take_delivered()[0].data, data);
     }
 
     #[test]
     fn an_abandoned_receive_is_forgotten_by_the_session_too() {
         let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
-        a.set_cc(CcConfig::default());
-        b.set_cc(CcConfig::default());
         a.set_clock(0, PERIOD);
         b.set_clock(0, PERIOD);
         let data: Vec<u8> = (0..4000u32).map(|i| (i % 247) as u8).collect();
@@ -1598,9 +1537,10 @@ mod tests {
                     assert_eq!(emitted, expected, "{label}");
                     assert!(a.poll_transmit().is_empty(), "{label}");
 
-                    // A probe is the head of the message again.
+                    // A probe is the head of the message again: its first
+                    // two packets.
                     let probe = a.poll_retransmit_unacked();
-                    let want: Vec<Packet> = reference.iter().take(40).map(marked).collect();
+                    let want: Vec<Packet> = reference.iter().take(2).map(marked).collect();
                     assert_eq!(probe, want, "{label}");
                     let ack = PacketPayload::Ack(HomaAck { message_id: id });
                     a.handle_packet(&from_peer(&a, ack, id));
@@ -1662,8 +1602,12 @@ mod tests {
                     gaps.push((size as u32, 0));
                     gaps.push((u32::MAX, u16::MAX));
                     gaps.push((0, u16::MAX));
+                    // The answer is a window of half the unscheduled prefix
+                    // from there, cut short where the sent prefix ends.
+                    let window = config.unscheduled_packets / 2;
                     for gap in gaps {
                         let start = reference[..sent].partition_point(|p| key(p) < gap);
+                        let end = (start + window).min(sent);
                         let resend = PacketPayload::Resend(HomaResend {
                             message_id: id,
                             offset: gap.0,
@@ -1672,7 +1616,7 @@ mod tests {
                         });
                         let resend = from_peer(&a, resend, id);
                         let answer = a.handle_packet(&resend);
-                        let want: Vec<Packet> = reference[start..sent].iter().map(marked).collect();
+                        let want: Vec<Packet> = reference[start..end].iter().map(marked).collect();
                         assert_eq!(answer, want, "{label} gap {gap:?}");
                     }
                 }

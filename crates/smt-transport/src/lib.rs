@@ -42,10 +42,10 @@ pub mod stack;
 
 pub use cc::{CcConfig, DctcpWindow, RttEstimator};
 pub use endpoint::{
-    drive_pair, handshake_scenario_endpoints, scenario_endpoints, scenario_endpoints_cc,
-    take_delivered, AcceptConfig, ConnectConfig, Endpoint, EndpointBuilder, EndpointError,
-    EndpointResult, EndpointStats, Event, Listener, ListenerFabric, MessageId, PairFabric,
-    SecureEndpoint, SharedPathSecrets, ZeroRttAcceptor,
+    drive_pair, handshake_scenario_endpoints, scenario_endpoints, take_delivered, AcceptConfig,
+    ConnectConfig, Endpoint, EndpointBuilder, EndpointError, EndpointResult, EndpointStats, Event,
+    Listener, ListenerFabric, MessageId, PairFabric, SecureEndpoint, SharedPathSecrets,
+    ZeroRttAcceptor,
 };
 pub use homa::{HomaConfig, HomaEndpoint};
 pub use profile::{RpcWorkload, StackProfile};

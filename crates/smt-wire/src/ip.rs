@@ -266,7 +266,7 @@ impl IpHeader {
         }
     }
 
-    /// Declares the packet ECN-capable (ECT(0)); what a cc-enabled sender
+    /// Declares the packet ECN-capable (ECT(0)); what a stream sender
     /// stamps on egress data.
     pub fn set_ecn_capable(&mut self) {
         if let IpHeader::V4(h) = self {

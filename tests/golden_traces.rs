@@ -1,12 +1,12 @@
-//! Golden determinism table: every evaluated stack, with congestion control
-//! on and off, over one lossless and one faulty incast, pinned to the exact
-//! event trace and recovery counters of the commit that captured the table.
+//! Golden determinism table: every evaluated stack over one lossless and one
+//! faulty incast, pinned to the exact event trace and recovery counters of
+//! the commit that captured the table.
 //!
 //! The scenario harness is bit-deterministic per seed and key-injected traces
 //! are key-independent (packet sizes and timings do not depend on key bytes),
 //! so a refactor of the endpoint layer that only moves code leaves every row
-//! unchanged — and a row that does change names the stack, the cc mode and
-//! the counter that moved.  A second, smaller table pins a leaf–spine + ECN
+//! unchanged — and a row that does change names the stack, the fault profile
+//! and the counter that moved.  A second, smaller table pins a leaf–spine + ECN
 //! incast on SMT-sw and kTLS-sw, the only rows that cross the uplink and
 //! downlink hops.  To re-capture after an *intended* behaviour change, run
 //! `cargo test --test golden_traces -- --ignored --nocapture print_table`
@@ -15,7 +15,7 @@
 use smt::sim::net::{
     incast_scenario, run_scenario, EcnConfig, FaultConfig, LeafSpineConfig, LinkConfig, Topology,
 };
-use smt::transport::{scenario_endpoints_cc, CcConfig, StackKind};
+use smt::transport::{scenario_endpoints, StackKind};
 use smt_bench::scenarios::scenario_keys;
 
 /// One measured cell: `trace_hash`, `retransmissions`, `timeouts_fired`,
@@ -36,20 +36,15 @@ fn faults(lossy: bool) -> FaultConfig {
     }
 }
 
-fn measure(stack: StackKind, cc_on: bool, lossy: bool) -> Row {
+fn measure(stack: StackKind, lossy: bool) -> Row {
     let keys = scenario_keys();
-    let cc = if cc_on {
-        CcConfig::default()
-    } else {
-        CcConfig::disabled()
-    };
     let scenario = incast_scenario(8, 16384, 4, LinkConfig::default(), faults(lossy));
-    let mut endpoints = scenario_endpoints_cc(&scenario, stack, &keys.0, &keys.1, cc);
+    let mut endpoints = scenario_endpoints(&scenario, stack, &keys.0, &keys.1);
     let report = run_scenario(&scenario, &mut endpoints, |_, _, _, _| None);
     assert_eq!(
         report.messages_delivered,
         32,
-        "{} cc={cc_on} lossy={lossy}: every message delivered",
+        "{} lossy={lossy}: every message delivered",
         stack.label()
     );
     let wire_sent = endpoints
@@ -65,50 +60,34 @@ fn measure(stack: StackKind, cc_on: bool, lossy: bool) -> Row {
     )
 }
 
-/// `(stack label, cc on, lossy, row)`, in `StackKind::all()` order.  One row
-/// per line, exactly as `print_table` prints it.
+/// `(stack label, lossy, row)`, in `StackKind::all()` order.  One row per
+/// line, exactly as `print_table` prints it.
 #[rustfmt::skip]
-const GOLDEN: &[(&str, bool, bool, Row)] = &[
-    ("TCP", true, false, (0x38b0e7228d200287, 56, 7, 587512, 524672)),
-    ("TCP", true, true, (0x2f0408b0fb35343a, 279, 3, 775921, 524672)),
-    ("TCP", false, false, (0xa03a45baf9f254b0, 71, 7, 586112, 524672)),
-    ("TCP", false, true, (0xce36aaec7420fc74, 210, 11, 813436, 524672)),
-    ("TLS", true, false, (0x85f769736906008b, 57, 8, 588904, 526080)),
-    ("TLS", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
-    ("TLS", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
-    ("TLS", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
-    ("kTLS-sw", true, false, (0x85f769736906008b, 57, 8, 588904, 526080)),
-    ("kTLS-sw", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
-    ("kTLS-sw", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
-    ("kTLS-sw", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
-    ("kTLS-hw", true, false, (0x85f769736906008b, 57, 8, 588904, 526080)),
-    ("kTLS-hw", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
-    ("kTLS-hw", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
-    ("kTLS-hw", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
-    ("TCPLS", true, false, (0x85f769736906008b, 57, 8, 588904, 526080)),
-    ("TCPLS", true, true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
-    ("TCPLS", false, false, (0x9736e8f460bd9681, 72, 8, 587520, 526080)),
-    ("TCPLS", false, true, (0x3f06451d37da0905, 208, 11, 811400, 526080)),
-    ("Homa", true, false, (0x74629368d82d758c, 0, 0, 559008, 524288)),
-    ("Homa", true, true, (0x145fe8bb59f32937, 37, 10, 605846, 524288)),
-    ("Homa", false, false, (0x500b534053a43264, 84, 7, 575660, 524288)),
-    ("Homa", false, true, (0xe041ab2ca0eea9f9, 161, 11, 707109, 524288)),
-    ("SMT-sw", true, false, (0x0d71dfc97e853812, 0, 0, 560672, 525952)),
-    ("SMT-sw", true, true, (0x39c8058da43bd842, 37, 10, 607666, 525952)),
-    ("SMT-sw", false, false, (0x363a2a6e6ca3d9e2, 96, 8, 593824, 525952)),
-    ("SMT-sw", false, true, (0x5fbb5b6fee9e2a1a, 185, 11, 745745, 525952)),
-    ("SMT-hw", true, false, (0x0d71dfc97e853812, 0, 0, 560672, 525952)),
-    ("SMT-hw", true, true, (0x39c8058da43bd842, 37, 10, 607666, 525952)),
-    ("SMT-hw", false, false, (0x363a2a6e6ca3d9e2, 96, 8, 593824, 525952)),
-    ("SMT-hw", false, true, (0x5fbb5b6fee9e2a1a, 185, 11, 745745, 525952)),
+const GOLDEN: &[(&str, bool, Row)] = &[
+    ("TCP", false, (0x38b0e7228d200287, 56, 7, 587512, 524672)),
+    ("TCP", true, (0x2f0408b0fb35343a, 279, 3, 775921, 524672)),
+    ("TLS", false, (0x85f769736906008b, 57, 8, 588904, 526080)),
+    ("TLS", true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
+    ("kTLS-sw", false, (0x85f769736906008b, 57, 8, 588904, 526080)),
+    ("kTLS-sw", true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
+    ("kTLS-hw", false, (0x85f769736906008b, 57, 8, 588904, 526080)),
+    ("kTLS-hw", true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
+    ("TCPLS", false, (0x85f769736906008b, 57, 8, 588904, 526080)),
+    ("TCPLS", true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
+    ("Homa", false, (0x74629368d82d758c, 0, 0, 559008, 524288)),
+    ("Homa", true, (0x145fe8bb59f32937, 37, 10, 605846, 524288)),
+    ("SMT-sw", false, (0x0d71dfc97e853812, 0, 0, 560672, 525952)),
+    ("SMT-sw", true, (0x39c8058da43bd842, 37, 10, 607666, 525952)),
+    ("SMT-hw", false, (0x0d71dfc97e853812, 0, 0, 560672, 525952)),
+    ("SMT-hw", true, (0x39c8058da43bd842, 37, 10, 607666, 525952)),
 ];
 
-/// Every `(stack, cc on, lossy)` combination, in table order.
-fn cases() -> Vec<(StackKind, bool, bool)> {
+/// Every `(stack, lossy)` combination, in table order.
+fn cases() -> Vec<(StackKind, bool)> {
     let mut all = Vec::new();
     for stack in StackKind::all() {
-        for (cc, lossy) in [(true, false), (true, true), (false, false), (false, true)] {
-            all.push((stack, cc, lossy));
+        for lossy in [false, true] {
+            all.push((stack, lossy));
         }
     }
     all
@@ -117,12 +96,12 @@ fn cases() -> Vec<(StackKind, bool, bool)> {
 #[test]
 fn traces_match_the_golden_table() {
     assert_eq!(GOLDEN.len(), cases().len(), "one golden row per case");
-    for ((stack, cc, lossy), want) in cases().into_iter().zip(GOLDEN) {
-        assert_eq!((stack.label(), cc, lossy), (want.0, want.1, want.2));
+    for ((stack, lossy), want) in cases().into_iter().zip(GOLDEN) {
+        assert_eq!((stack.label(), lossy), (want.0, want.1));
         assert_eq!(
-            measure(stack, cc, lossy),
-            want.3,
-            "{} cc={cc} lossy={lossy}: (trace_hash, retransmissions, timeouts_fired, \
+            measure(stack, lossy),
+            want.2,
+            "{} lossy={lossy}: (trace_hash, retransmissions, timeouts_fired, \
              fabric.wire_bytes, endpoint wire_bytes_sent)",
             stack.label()
         );
@@ -152,8 +131,7 @@ fn measure_leaf_spine(stack: StackKind, lossy: bool) -> SpineRow {
     scenario.ecn = Some(EcnConfig {
         marking_threshold_packets: 8,
     });
-    let mut endpoints =
-        scenario_endpoints_cc(&scenario, stack, &keys.0, &keys.1, CcConfig::default());
+    let mut endpoints = scenario_endpoints(&scenario, stack, &keys.0, &keys.1);
     let report = run_scenario(&scenario, &mut endpoints, |_, _, _, _| None);
     assert_eq!(
         report.messages_delivered,
@@ -179,7 +157,7 @@ fn measure_leaf_spine(stack: StackKind, lossy: bool) -> SpineRow {
     )
 }
 
-/// `(stack label, lossy, row)`, cc on; captured before the fabric moved its
+/// `(stack label, lossy, row)`; captured before the fabric moved its
 /// in-flight packets into a slab.  One row per line, as `print_table` prints.
 #[rustfmt::skip]
 const GOLDEN_LEAF_SPINE: &[(&str, bool, SpineRow)] = &[
@@ -223,10 +201,10 @@ fn leaf_spine_traces_match_the_golden_table() {
 #[test]
 #[ignore = "prints the table to paste into GOLDEN after an intended behaviour change"]
 fn print_table() {
-    for (stack, cc, lossy) in cases() {
-        let (hash, retx, timeouts, fabric_wire, ep_wire) = measure(stack, cc, lossy);
+    for (stack, lossy) in cases() {
+        let (hash, retx, timeouts, fabric_wire, ep_wire) = measure(stack, lossy);
         println!(
-            "    ({:?}, {cc}, {lossy}, ({hash:#018x}, {retx}, {timeouts}, {fabric_wire}, {ep_wire})),",
+            "    ({:?}, {lossy}, ({hash:#018x}, {retx}, {timeouts}, {fabric_wire}, {ep_wire})),",
             stack.label()
         );
     }

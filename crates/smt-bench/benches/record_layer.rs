@@ -18,9 +18,9 @@ use smt_wire::ContentType;
 const BATCH: usize = 16;
 
 fn bench_record_protection(c: &mut Criterion) {
-    // Which of the three dispatch tiers (clmul-wide / aesni-shoup /
-    // portable) these numbers were produced on; CI runs the bench under
-    // both the native tier and SMT_CRYPTO_TIER=portable.
+    // Which of the four dispatch tiers (vaes-avx512 / clmul-wide /
+    // aesni-shoup / portable) these numbers were produced on; CI runs the
+    // bench capped at SMT_CRYPTO_TIER=clmul and at SMT_CRYPTO_TIER=portable.
     println!("crypto tier: {}", smt_crypto::active_tier().name());
     let secret = Secret::from_slice(&[7u8; 32]).unwrap();
     let tx = RecordProtector::from_secret(CipherSuite::Aes128GcmSha256, &secret).unwrap();

@@ -1,7 +1,6 @@
 //! Measures the record layer on the machine running the benches and prints
 //! `CostModel`-ready numbers: the per-record intercept and per-byte slope of
-//! software sealing/opening, and the per-record cost of the offload-mode
-//! segmenter (the software proxy for populating NIC offload metadata).
+//! software sealing/opening.
 //!
 //! The defaults baked into `smt_sim::cost::CostModel::calibrated()` were
 //! produced by this binary (see the comments there); rerun it after record-
@@ -12,8 +11,6 @@
 //! ```
 
 use bytes::BytesMut;
-use smt_core::segment::{PathInfo, SmtSegmenter};
-use smt_core::SmtConfig;
 use smt_crypto::key_schedule::Secret;
 use smt_crypto::record::RecordProtector;
 use smt_crypto::{active_tier, CipherSuite, SeqnoLayout};
@@ -100,60 +97,6 @@ fn open_mean_ns(
     })
 }
 
-/// `(framing_ns, metadata_ns)` per record: plaintext segmentation cost (the
-/// framing/copy floor, charged by the CostModel through its copy and
-/// per-segment terms) and the flow-context overhead offload mode adds over
-/// software mode, both over a 64 KB message divided by its record count.
-fn offload_per_record_ns(cipher: &RecordProtector) -> (f64, f64) {
-    use smt_core::flow_context::FlowContextManager;
-    let data = vec![1u8; 64 * 1024];
-    let path = PathInfo::loopback(1, 2);
-
-    let plaintext = SmtSegmenter::new(SmtConfig::plaintext(), SeqnoLayout::default());
-    let software = SmtSegmenter::new(SmtConfig::software(), SeqnoLayout::default());
-    let offload = SmtSegmenter::new(SmtConfig::hardware_offload(), SeqnoLayout::default());
-    // Plaintext mode frames no records, so the record count (identical in
-    // software and offload modes) comes from a software-mode pass.
-    let records = software
-        .segment_message(path, 1, &data, 0, Some(cipher), None, 4 << 20)
-        .unwrap()
-        .record_count
-        .max(1) as f64;
-
-    let mut id = 0u64;
-    let pt_total = time_ns(|| {
-        id += 1;
-        let out = plaintext
-            .segment_message(path, id, &data, 0, None, None, 4 << 20)
-            .unwrap();
-        std::hint::black_box(out.record_count);
-    });
-    let sw_total = time_ns(|| {
-        id += 1;
-        let out = software
-            .segment_message(path, id, &data, 0, Some(cipher), None, 4 << 20)
-            .unwrap();
-        std::hint::black_box(out.record_count);
-    });
-    let mut fc = FlowContextManager::new(8, 64);
-    let off_total = time_ns(|| {
-        id += 1;
-        let out = offload
-            .segment_message(path, id, &data, 0, Some(cipher), Some(&mut fc), 4 << 20)
-            .unwrap();
-        std::hint::black_box(out.record_count);
-    });
-    // Offload-mode segmentation still seals in software here (the simulator
-    // has no NIC), so the software-mode run cancels the crypto and framing;
-    // what remains is the flow-context / metadata bookkeeping the host keeps
-    // paying with a crypto NIC.  The per-byte copy floor (the plaintext run)
-    // is charged separately by the CostModel, so it is deliberately *not*
-    // folded in.  Sub-noise deltas clamp to a small positive floor:
-    // descriptor writes are never free.
-    let metadata = ((off_total - sw_total).max(0.0) / records).max(10.0);
-    (pt_total / records, metadata)
-}
-
 fn main() {
     let secret = Secret::from_slice(&[7u8; 32]).unwrap();
     let tx = RecordProtector::from_secret(CipherSuite::Aes128GcmSha256, &secret).unwrap();
@@ -168,14 +111,11 @@ fn main() {
     let open_large = open_mean_ns(&tx, &mut rx, &layout, LARGE);
     let (seal_rec, seal_byte) = two_point_fit(seal_small, seal_large);
     let (open_rec, open_byte) = two_point_fit(open_small, open_large);
-    let (framing_rec, offload_rec) = offload_per_record_ns(&tx);
 
     println!("seal_into: {SMALL} B = {seal_small:.1} ns, {LARGE} B = {seal_large:.1} ns");
     println!("open:      {SMALL} B = {open_small:.1} ns, {LARGE} B = {open_large:.1} ns");
     println!("fit seal:  {seal_rec:.1} ns/record + {seal_byte:.4} ns/byte");
     println!("fit open:  {open_rec:.1} ns/record + {open_byte:.4} ns/byte");
-    println!("plaintext framing: {framing_rec:.1} ns/record (copy floor, charged elsewhere)");
-    println!("offload metadata:  {offload_rec:.1} ns/record");
     println!();
 
     // The CostModel keeps one sw-crypto line; receive crypto is always
@@ -189,7 +129,6 @@ fn main() {
     );
     println!("    crypto_sw_ns_per_byte: {byte:.2},");
     println!("    crypto_sw_per_record_ns: {:.0},", rec.ceil());
-    println!("    offload_per_record_ns: {:.0},", offload_rec.ceil());
 }
 
 #[cfg(test)]

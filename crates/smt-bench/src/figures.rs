@@ -1,7 +1,11 @@
-//! One function per table/figure of the paper's evaluation.
+//! The figures that are not virtual-time measurements: Fig. 5 is a static
+//! bit-allocation table, and Table 2 and Fig. 12 time real handshake crypto
+//! on the host's wall clock.  The `figures` binary prints them beside the
+//! functional rows ([`crate::functional`]), but they stay out of
+//! `BENCH_figures.json`, which holds only deterministic virtual-time rows.
 
+use crate::functional::Predictor;
 use serde::{Deserialize, Serialize};
-use smt_apps::{BlockStoreConfig, KvStore, YcsbConfig, YcsbGenerator, YcsbWorkload};
 use smt_crypto::cert::CertificateAuthority;
 use smt_crypto::handshake::zero_rtt::establish_zero_rtt;
 use smt_crypto::handshake::{
@@ -9,7 +13,8 @@ use smt_crypto::handshake::{
 };
 use smt_crypto::seqno::SeqnoLayout;
 use smt_crypto::CipherSuite;
-use smt_transport::{RpcWorkload, StackKind, StackProfile};
+use smt_sim::net::LinkConfig;
+use smt_transport::StackKind;
 
 /// One row of a figure: a labelled series point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -75,211 +80,16 @@ pub fn fig5_seqno_tradeoff() -> Vec<(u32, u32, u128, u128)> {
         .collect()
 }
 
-/// The RPC sizes plotted in Fig. 6.
-pub fn fig6_sizes() -> Vec<usize> {
-    vec![
-        64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
-    ]
-}
-
-/// Fig. 6: unloaded RTT (µs) for every stack and RPC size.
-pub fn fig6_unloaded_rtt(mtu: usize) -> Vec<SeriesPoint> {
-    let mut out = Vec::new();
-    for stack in StackKind::figure6_set() {
-        let profile = StackProfile::new(stack).with_mtu(mtu);
-        for size in fig6_sizes() {
-            out.push(point(
-                stack.label(),
-                size,
-                profile.unloaded_rtt_us(size),
-                "us",
-            ));
-        }
-    }
-    out
-}
-
-/// Fig. 7: concurrent RPC throughput (RPC/s) for 64 B / 1 KB / 8 KB RPCs over
-/// 50–200 concurrent RPCs.
-pub fn fig7_throughput(mtu: usize) -> Vec<SeriesPoint> {
-    let mut out = Vec::new();
-    for &size in &[64usize, 1024, 8192] {
-        for stack in StackKind::figure6_set() {
-            let profile = StackProfile::new(stack).with_mtu(mtu);
-            for concurrency in [50usize, 100, 150, 200] {
-                out.push(SeriesPoint {
-                    series: format!("{}-{}B", stack.label(), size),
-                    x: concurrency.to_string(),
-                    y: profile.throughput_rps(size, concurrency),
-                    unit: "rpc/s".into(),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// §5.2 "CPU usage": utilisation of each resource pool at a fixed offered
-/// concurrency for 1 KB RPCs.
-pub fn cpu_usage_at_load() -> Vec<SeriesPoint> {
-    let mut out = Vec::new();
-    for stack in [
-        StackKind::KtlsSw,
-        StackKind::KtlsHw,
-        StackKind::SmtSw,
-        StackKind::SmtHw,
-    ] {
-        let profile = StackProfile::new(stack);
-        let costs = profile.rpc_costs(&RpcWorkload::echo(1024));
-        let report = smt_sim::RpcPipelineSim::new(profile.pipeline_config(100), costs).run();
-        out.push(point(
-            stack.label(),
-            "client app",
-            report.client_app_util * 100.0,
-            "%",
-        ));
-        out.push(point(
-            stack.label(),
-            "client softirq",
-            report.client_softirq_util * 100.0,
-            "%",
-        ));
-        out.push(point(
-            stack.label(),
-            "server softirq",
-            report.server_softirq_util * 100.0,
-            "%",
-        ));
-        out.push(point(
-            stack.label(),
-            "server app",
-            report.server_app_util * 100.0,
-            "%",
-        ));
-        out.push(point(
-            stack.label(),
-            "stack thread",
-            report.server_pacer_util * 100.0,
-            "%",
-        ));
-    }
-    out
-}
-
-/// Fig. 8: KV-store throughput (ops/s) under YCSB A–E for several value sizes.
-pub fn fig8_kv_ycsb(value_sizes: &[usize]) -> Vec<SeriesPoint> {
-    let mut out = Vec::new();
-    for &value_size in value_sizes {
-        for workload in YcsbWorkload::all() {
-            let mut gen = YcsbGenerator::new(
-                workload,
-                YcsbConfig {
-                    value_size,
-                    record_count: 10_000,
-                    ..YcsbConfig::default()
-                },
-            );
-            let (req, resp) = gen.mean_sizes(2000);
-            for stack in StackKind::figure8_set() {
-                let profile = StackProfile::new(stack);
-                let workload_model = RpcWorkload {
-                    request_bytes: req,
-                    response_bytes: resp,
-                    server_compute_ns: KvStore::compute_cost_ns(value_size),
-                    server_fixed_latency_ns: 0,
-                };
-                let costs = profile.rpc_costs(&workload_model);
-                // Redis is single threaded: one server application thread.
-                let mut config = profile.pipeline_config(64);
-                config.server_app_threads = 1;
-                let report = smt_sim::RpcPipelineSim::new(config, costs).run();
-                out.push(SeriesPoint {
-                    series: format!("{}-{}B", stack.label(), value_size),
-                    x: workload.label().to_string(),
-                    y: report.throughput_rps,
-                    unit: "ops/s".into(),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Fig. 9: remote block storage P50/P99 read latency (µs) over iodepth 1–8.
-pub fn fig9_blockstore() -> Vec<SeriesPoint> {
-    let mut out = Vec::new();
-    let store_cfg = BlockStoreConfig::default();
-    for stack in StackKind::figure6_set() {
-        let profile = StackProfile::new(stack);
-        for iodepth in [1usize, 2, 4, 6, 8] {
-            let workload = RpcWorkload {
-                request_bytes: 64,
-                response_bytes: store_cfg.block_size + 16,
-                server_compute_ns: 2_500,
-                server_fixed_latency_ns: store_cfg.read_latency_ns,
-            };
-            let costs = profile.rpc_costs(&workload);
-            let mut config = profile.pipeline_config(iodepth);
-            // FIO with one job: a single submitting thread; NVMe-oF target uses
-            // a single queue in the paper's prototype.
-            config.client_app_threads = 1;
-            config.server_app_threads = 1;
-            let report = smt_sim::RpcPipelineSim::new(config, costs).run();
-            out.push(SeriesPoint {
-                series: format!("{}-p50", stack.label()),
-                x: iodepth.to_string(),
-                y: report.latency.p50_us,
-                unit: "us".into(),
-            });
-            out.push(SeriesPoint {
-                series: format!("{}-p99", stack.label()),
-                x: iodepth.to_string(),
-                y: report.latency.p99_us,
-                unit: "us".into(),
-            });
-        }
-    }
-    out
-}
-
-/// Fig. 10: unloaded RTT of TCPLS vs SMT-sw vs SMT-hw.
-pub fn fig10_tcpls() -> Vec<SeriesPoint> {
-    let mut out = Vec::new();
-    for stack in [StackKind::Tcpls, StackKind::SmtSw, StackKind::SmtHw] {
-        let profile = StackProfile::new(stack);
-        for size in [64usize, 256, 1024, 4096, 16384] {
-            out.push(point(
-                stack.label(),
-                size,
-                profile.unloaded_rtt_us(size),
-                "us",
-            ));
-        }
-    }
-    out
-}
-
-/// Fig. 11: effect of TSO on SMT-hw unloaded RTT.
-pub fn fig11_tso() -> Vec<SeriesPoint> {
-    let mut out = Vec::new();
-    for size in [512usize, 1024, 2048, 4096, 8192] {
-        let with = StackProfile::new(StackKind::SmtHw).unloaded_rtt_us(size);
-        let without = StackProfile::new(StackKind::SmtHw)
-            .without_tso()
-            .unloaded_rtt_us(size);
-        out.push(point("SMT-HW-TSO", size, with, "us"));
-        out.push(point("SMT-HW-w/o-TSO", size, without, "us"));
-    }
-    out
-}
-
 /// Fig. 12: key-exchange latency (µs of crypto compute + simulated RTTs) for the
-/// five handshake variants over different first-flight RPC sizes.
+/// five handshake variants over different first-flight RPC sizes.  The RTT
+/// term is the functional Fig. 6 prediction for a 256 B SMT-sw echo on the
+/// default link.
 pub fn fig12_key_exchange(iterations: usize) -> Vec<SeriesPoint> {
     let ca = CertificateAuthority::new("dc-internal-ca");
     let id = ca.issue_identity("server.dc.local");
     let suite = CipherSuite::Aes128GcmSha256;
-    let rtt_us = StackProfile::new(StackKind::SmtSw).unloaded_rtt_us(256);
+    let rtt_us =
+        Predictor::new(LinkConfig::default()).rtt_ns(StackKind::SmtSw, 256, 256, 0, 0) / 1e3;
     let mut out = Vec::new();
 
     let sizes = [64usize, 128, 256, 1024, 4096, 8192];
@@ -390,21 +200,6 @@ mod tests {
         let rows = fig5_seqno_tradeoff();
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[0].0, 8);
-    }
-
-    #[test]
-    fn fig6_has_all_series() {
-        let rows = fig6_unloaded_rtt(1500);
-        assert_eq!(rows.len(), 6 * fig6_sizes().len());
-        assert!(rows.iter().all(|p| p.y > 0.0));
-    }
-
-    #[test]
-    fn fig11_and_fig10_shapes() {
-        let f11 = fig11_tso();
-        assert_eq!(f11.len(), 10);
-        let f10 = fig10_tcpls();
-        assert_eq!(f10.len(), 15);
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! The functional figure pipeline: Figs. 6–9 and Table 2 measured on the
-//! **real datapath**, not the analytic pipeline model.
+//! The functional figure pipeline: Figs. 6–11, the §5.2 CPU usage and
+//! Table 2 measured on the **real datapath**.
 //!
 //! Each figure drives the actual applications (`smt-apps` echo RPC, KV/YCSB,
 //! blockstore) through the endpoint API over the `smt-sim` discrete-event
 //! fabric: real record sealing, real acks and retransmit machinery, closed-loop
 //! clients keeping a fixed number of operations in flight.  Every measured row
-//! is cross-checked **in process** against an analytic prediction assembled
+//! is cross-checked **in process** against a [`Predictor`] band assembled
 //! from the exact quantities the simulator charges — `StackProfile::counts`
 //! wire bytes, `LinkConfig` serialization/propagation, and the calibrated
 //! `CpuCharge` seal cost — and asserted to land inside a tolerance band, the
 //! same validation discipline `profile.rs` applies to its wire accounting.
+//!
+//! The simulated host charges only record sealing, so the virtual-time rows
+//! show what sealing, serialization and propagation cost and nothing else:
+//! a stack's per-packet and per-message software overhead is not in them.
 //!
 //! Table 2 is measured from the in-band machinery: per-op handshake timings
 //! captured by the real crypto (`Endpoint::handshake_timings`), plus setup
@@ -34,16 +38,16 @@ use smt_sim::net::{
 };
 use smt_sim::{CostModel, Nanos};
 use smt_transport::{
-    drive_pair, scenario_endpoints, AcceptConfig, ConnectConfig, Endpoint, Event, Listener,
-    ListenerFabric, PairFabric, SecureEndpoint, SharedPathSecrets, StackKind, StackProfile,
-    ZeroRttAcceptor,
+    drive_pair, AcceptConfig, ConnectConfig, Endpoint, Event, Listener, ListenerFabric, PairFabric,
+    SecureEndpoint, SharedPathSecrets, StackKind, StackProfile, ZeroRttAcceptor,
 };
 
-/// One functional figure row: the measured value, its analytic prediction and
-/// the tolerance band the measurement must land in.
+/// One functional figure row: the measured value, its [`Predictor`] value
+/// and the tolerance band the measurement must land in.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct FigRow {
-    /// Which figure the row belongs to (`"fig6"` … `"fig9"`).
+    /// Which figure the row belongs to (`"fig6"` … `"fig11"`, `"cpu"`,
+    /// `"fanin"`).
     pub figure: String,
     /// Series (legend) label, e.g. `"SMT-hw-1024B"`.
     pub series: String,
@@ -51,7 +55,7 @@ pub struct FigRow {
     pub x: String,
     /// Measured value from the functional run.
     pub measured: f64,
-    /// Analytic prediction from the profile/link/CPU model.
+    /// Prediction from the profile/link/CPU model.
     pub predicted: f64,
     /// Relative tolerance (fraction of `predicted`).
     pub tol_rel: f64,
@@ -78,7 +82,7 @@ impl FigRow {
     pub fn check(&self) {
         assert!(
             self.within_band(),
-            "{}/{}/x={}: measured {:.2} {} outside analytic band {:.2} ± {:.2}",
+            "{}/{}/x={}: measured {:.2} {} outside Predictor band {:.2} ± {:.2}",
             self.figure,
             self.series,
             self.x,
@@ -99,7 +103,7 @@ pub fn assert_rows(rows: &[FigRow]) {
         .filter(|r| !r.within_band())
         .map(|r| {
             format!(
-                "{}/{}/x={}: measured {:.2} {} outside analytic band {:.2} ± {:.2}",
+                "{}/{}/x={}: measured {:.2} {} outside Predictor band {:.2} ± {:.2}",
                 r.figure,
                 r.series,
                 r.x,
@@ -112,7 +116,7 @@ pub fn assert_rows(rows: &[FigRow]) {
         .collect();
     assert!(
         violations.is_empty(),
-        "{} of {} rows outside their analytic bands:\n{}",
+        "{} of {} rows outside their Predictor bands:\n{}",
         violations.len(),
         rows.len(),
         violations.join("\n"),
@@ -154,9 +158,9 @@ pub const FIG_TABLE_HEADER: [&str; 8] = [
 /// Workload scale for the functional runs.
 #[derive(Debug, Clone)]
 pub struct FigScale {
-    /// RPC sizes swept in Fig. 6.
+    /// RPC sizes swept in Figs. 6, 10 and 11.
     pub fig6_sizes: Vec<usize>,
-    /// Operations per Fig. 6 point (unloaded, one in flight).
+    /// Operations per unloaded-RTT point (Figs. 6, 10 and 11; one in flight).
     pub fig6_ops: u64,
     /// RPC sizes swept in Fig. 7.
     pub fig7_sizes: Vec<usize>,
@@ -225,7 +229,7 @@ impl FigScale {
 }
 
 // ---------------------------------------------------------------------------
-// Analytic predictions
+// Predictions
 // ---------------------------------------------------------------------------
 
 /// Assembles predictions from the same quantities the simulator charges:
@@ -334,6 +338,13 @@ impl Predictor {
             .max(1.0);
         (concurrency as f64 * 1e9 / rtt).min(1e9 / service)
     }
+
+    /// Predicted busy fraction of one host's seal core in a closed-loop echo
+    /// of `size`-byte RPCs at `concurrency` in flight: each host seals one
+    /// message per RPC, at the predicted throughput.
+    pub fn seal_core_busy(&self, stack: StackKind, size: usize, concurrency: usize) -> f64 {
+        self.seal_ns(stack, size) * self.throughput_rps(stack, size, size, 0, concurrency) / 1e9
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -369,13 +380,29 @@ fn one_flow_scenario(name: &str, concurrency: usize, request_bytes: usize) -> Sc
     scenario
 }
 
+/// The client/server pair of a one-flow figure scenario, on the ports
+/// `scenario_endpoints` gives flow 0.  `tso: false` is Fig. 11's ablation:
+/// the stack hands the NIC one segment per packet.
+pub fn figure_endpoints(
+    stack: StackKind,
+    tso: bool,
+    keys: &(SessionKeys, SessionKeys),
+) -> (Endpoint, Endpoint) {
+    Endpoint::builder()
+        .stack(stack)
+        .tso(tso)
+        .pair(&keys.0, &keys.1, 10_000, 10_001)
+        .expect("valid figure endpoint configuration")
+}
+
 fn run_app(
     scenario: &Scenario,
-    stack: StackKind,
-    keys: &(SessionKeys, SessionKeys),
+    (client, server): (Endpoint, Endpoint),
     app: &mut dyn ScenarioApp,
 ) -> ScenarioReport {
-    let mut endpoints = scenario_endpoints(scenario, stack, &keys.0, &keys.1);
+    let stack = client.stack();
+    let mut endpoints: Vec<Box<dyn smt_sim::SimEndpoint>> =
+        vec![Box::new(client), Box::new(server)];
     let report = run_scenario_app(scenario, &mut endpoints, app);
     assert!(
         !report.truncated,
@@ -391,44 +418,76 @@ fn ops_per_sec(report: &ScenarioReport) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Figures 6–9 on the real datapath
+// Figures 6–11 and CPU usage on the real datapath
 // ---------------------------------------------------------------------------
 
-/// Fig. 6 (functional): unloaded RTT — one echo RPC in flight, p50 of the
-/// measured request→reply round trips.
-pub fn fig6_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> Vec<FigRow> {
+/// Unloaded RTT — one echo RPC in flight, p50 of the measured
+/// request→reply round trips — for one series over the Fig. 6 sizes.
+fn unloaded_rtt_rows(
+    figure: &str,
+    series: &str,
+    stack: StackKind,
+    tso: bool,
+    scale: &FigScale,
+    keys: &(SessionKeys, SessionKeys),
+) -> Vec<FigRow> {
     let mut rows = Vec::new();
-    for stack in StackKind::figure6_set() {
-        for &size in &scale.fig6_sizes {
-            let scenario = one_flow_scenario("fig6", 1, size);
-            let predictor = Predictor::new(scenario.link);
-            let mut app = RpcApp::new(1, size, size, scale.fig6_ops - 1);
-            let report = run_app(&scenario, stack, keys, &mut app);
-            assert_eq!(
-                report.replies_delivered,
-                scale.fig6_ops,
-                "{}",
-                stack.label()
-            );
-            rows.push(FigRow {
-                figure: "fig6".into(),
-                series: stack.label().into(),
-                x: size.to_string(),
-                measured: report.rpc_latency.p50_us,
-                predicted: predictor.rtt_ns(stack, size, size, 0, 0) / 1e3,
-                tol_rel: 0.35,
-                tol_abs: 6.0,
-                unit: "us".into(),
-                ops: report.replies_delivered,
-            });
-        }
+    for &size in &scale.fig6_sizes {
+        let scenario = one_flow_scenario(figure, 1, size);
+        let predictor = Predictor::new(scenario.link);
+        let mut app = RpcApp::new(1, size, size, scale.fig6_ops - 1);
+        let report = run_app(&scenario, figure_endpoints(stack, tso, keys), &mut app);
+        assert_eq!(report.replies_delivered, scale.fig6_ops, "{series}");
+        rows.push(FigRow {
+            figure: figure.into(),
+            series: series.into(),
+            x: size.to_string(),
+            measured: report.rpc_latency.p50_us,
+            predicted: predictor.rtt_ns(stack, size, size, 0, 0) / 1e3,
+            tol_rel: 0.35,
+            tol_abs: 6.0,
+            unit: "us".into(),
+            ops: report.replies_delivered,
+        });
     }
     rows
 }
 
-/// Fig. 7 (functional): closed-loop echo throughput over a concurrency sweep.
+/// Fig. 6 (functional): unloaded RTT of every Fig. 6 stack.
+pub fn fig6_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> Vec<FigRow> {
+    StackKind::figure6_set()
+        .into_iter()
+        .flat_map(|stack| unloaded_rtt_rows("fig6", stack.label(), stack, true, scale, keys))
+        .collect()
+}
+
+/// Fig. 10 (functional): TCPLS unloaded RTT.  Its SMT-sw and SMT-hw series
+/// are the Fig. 6 rows.
+pub fn fig10_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> Vec<FigRow> {
+    let stack = StackKind::Tcpls;
+    unloaded_rtt_rows("fig10", stack.label(), stack, true, scale, keys)
+}
+
+/// Fig. 11 (functional): SMT-hw unloaded RTT with TSO off.  Its TSO series
+/// is the Fig. 6 SMT-hw row.
+pub fn fig11_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> Vec<FigRow> {
+    unloaded_rtt_rows(
+        "fig11",
+        "SMT-hw-noTSO",
+        StackKind::SmtHw,
+        false,
+        scale,
+        keys,
+    )
+}
+
+/// Fig. 7 (functional): closed-loop echo throughput over a concurrency
+/// sweep, followed by the §5.2 CPU usage read from the same runs: the busy
+/// fraction of one host's seal core (%) on every stack that seals on the
+/// host.  Offloaded and plaintext stacks seal nothing and get no row.
 pub fn fig7_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> Vec<FigRow> {
     let mut rows = Vec::new();
+    let mut cpu_rows = Vec::new();
     for &size in &scale.fig7_sizes {
         for stack in StackKind::figure6_set() {
             for &concurrency in &scale.fig7_concurrency {
@@ -436,7 +495,7 @@ pub fn fig7_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> V
                 let predictor = Predictor::new(scenario.link);
                 let budget = scale.fig7_ops.saturating_sub(concurrency as u64);
                 let mut app = RpcApp::new(1, size, size, budget);
-                let report = run_app(&scenario, stack, keys, &mut app);
+                let report = run_app(&scenario, figure_endpoints(stack, true, keys), &mut app);
                 assert_eq!(
                     report.replies_delivered,
                     scale.fig7_ops,
@@ -454,9 +513,27 @@ pub fn fig7_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> V
                     unit: "rpc/s".into(),
                     ops: report.replies_delivered,
                 });
+                if stack.is_encrypted() && !stack.offloads_tx_crypto() {
+                    // An echo is symmetric: each host sealed half the records
+                    // and half the delivered bytes.
+                    let cpu = scenario.cpu.expect("figure scenarios charge sealing");
+                    let busy_ns = cpu.seal_ns(report.bytes_delivered, report.records_sealed);
+                    cpu_rows.push(FigRow {
+                        figure: "cpu".into(),
+                        series: format!("{}-{}B", stack.label(), size),
+                        x: concurrency.to_string(),
+                        measured: busy_ns as f64 / 2.0 / report.duration_ns as f64 * 100.0,
+                        predicted: predictor.seal_core_busy(stack, size, concurrency) * 100.0,
+                        tol_rel: 0.45,
+                        tol_abs: 0.0,
+                        unit: "%".into(),
+                        ops: report.replies_delivered,
+                    });
+                }
             }
         }
     }
+    rows.extend(cpu_rows);
     rows
 }
 
@@ -470,11 +547,11 @@ pub fn fig8_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> V
                 value_size,
                 record_count: scale.fig8_records,
                 // Bounded scans keep workload E's replies inside one message
-                // flight; the analytic model uses the same cap.
+                // flight; the prediction uses the same cap.
                 max_scan_len: 16,
                 ..YcsbConfig::default()
             };
-            // The analytic prediction uses the mean request/response sizes of
+            // The prediction uses the mean request/response sizes of
             // the same generator stream the functional run will draw.
             let (req_mean, resp_mean) = YcsbGenerator::new(workload, config).mean_sizes(2_000);
             let compute = KvStore::compute_cost_ns(resp_mean);
@@ -483,7 +560,7 @@ pub fn fig8_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> V
                 let predictor = Predictor::new(scenario.link);
                 let budget = scale.fig8_ops.saturating_sub(scale.fig8_concurrency as u64);
                 let mut app = KvHost::new(workload, config, 1, budget);
-                let report = run_app(&scenario, stack, keys, &mut app);
+                let report = run_app(&scenario, figure_endpoints(stack, true, keys), &mut app);
                 assert_eq!(
                     report.replies_delivered,
                     scale.fig8_ops,
@@ -530,7 +607,7 @@ pub fn fig9_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> V
             let predictor = Predictor::new(scenario.link);
             let budget = scale.fig9_ops.saturating_sub(iodepth as u64);
             let mut app = BlockHost::new(store_cfg, 1, budget, 0xF19);
-            let report = run_app(&scenario, stack, keys, &mut app);
+            let report = run_app(&scenario, figure_endpoints(stack, true, keys), &mut app);
             assert_eq!(
                 report.replies_delivered,
                 scale.fig9_ops,
@@ -668,7 +745,7 @@ pub fn fanin_functional(scale: &FigScale, stacks: &[StackKind]) -> Vec<FigRow> {
         assert_eq!(completed, total, "{}", stack.label());
         let (req_mean, resp_mean) = YcsbGenerator::new(YcsbWorkload::C, config).mean_sizes(1_000);
         // The listener fabric drives endpoints directly: no seal charge, no
-        // app-core compute delay — the analytic model must match.
+        // app-core compute delay — the prediction must match.
         let predictor = Predictor::without_cpu(LinkConfig::default());
         let measured = completed as f64 * 1e9 / fabric.now().max(1) as f64;
         rows.push(FigRow {
@@ -928,10 +1005,10 @@ pub fn table2_functional() -> Table2Functional {
 // ---------------------------------------------------------------------------
 
 /// Everything the functional pipeline produced, every row already asserted
-/// against its analytic band.
+/// against its Predictor band.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct FunctionalFigures {
-    /// Fig. 6–9 + fan-in rows.
+    /// Fig. 6–11, CPU-usage and fan-in rows.
     pub rows: Vec<FigRow>,
     /// Table 2 breakdown and setup comparison.
     pub table2: Table2Functional,
@@ -975,8 +1052,14 @@ pub fn run_figures(smoke: bool) -> FunctionalFigures {
     let fig6 = fig6_functional(&scale, &keys);
     stage("fig6", &fig6);
     rows.extend(fig6);
+    let fig10 = fig10_functional(&scale, &keys);
+    stage("fig10", &fig10);
+    rows.extend(fig10);
+    let fig11 = fig11_functional(&scale, &keys);
+    stage("fig11", &fig11);
+    rows.extend(fig11);
     let fig7 = fig7_functional(&scale, &keys);
-    stage("fig7", &fig7);
+    stage("fig7 + cpu", &fig7);
     rows.extend(fig7);
     let fig8 = fig8_functional(&scale, &keys);
     stage("fig8", &fig8);
@@ -999,15 +1082,16 @@ pub fn run_figures(smoke: bool) -> FunctionalFigures {
 
 /// Serializes the pipeline as a bench-diff-compatible report.  Latency rows
 /// gate on p50 ns; throughput rows gate on ns/op (so a regression always
-/// reads as a larger number); Table 2 setup rows gate on ttfb ns.
+/// reads as a larger number); CPU-usage rows on seal-core busy ns per second;
+/// Table 2 setup rows gate on ttfb ns.
 pub fn bench_json(figs: &FunctionalFigures) -> String {
+    let as_ns = |unit: &str, value: f64| match unit {
+        "us" => value * 1e3,
+        "%" => value * 1e7,
+        _ => 1e9 / value.max(1e-9),
+    };
     let mut entries: Vec<String> = Vec::new();
     for row in &figs.rows {
-        let mean_ns = if row.unit == "us" {
-            row.measured * 1e3
-        } else {
-            1e9 / row.measured.max(1e-9)
-        };
         entries.push(format!(
             concat!(
                 "    {{\"name\": \"{figure}/{series}/{x}\", \"mean_ns\": {mean:.1}, ",
@@ -1016,12 +1100,8 @@ pub fn bench_json(figs: &FunctionalFigures) -> String {
             figure = row.figure,
             series = row.series,
             x = row.x,
-            mean = mean_ns,
-            pred = if row.unit == "us" {
-                row.predicted * 1e3
-            } else {
-                1e9 / row.predicted.max(1e-9)
-            },
+            mean = as_ns(&row.unit, row.measured),
+            pred = as_ns(&row.unit, row.predicted),
             ops = row.ops,
         ));
     }

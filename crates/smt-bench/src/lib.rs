@@ -1,10 +1,15 @@
 //! # smt-bench — experiment harness for every table and figure
 //!
-//! Each `figures::*` function regenerates one table or figure of the paper's
-//! evaluation and returns structured rows; the binaries in `src/bin/` print them
-//! as text tables (or JSON with `--json`), and `EXPERIMENTS.md` records the
-//! measured values next to the paper's.  The criterion benches in `benches/`
-//! micro-benchmark the real crypto and record-layer hot paths.
+//! Every figure has one producing path.  [`functional`] measures Figs. 6–11,
+//! the §5.2 CPU usage and Table 2's setup comparison by running the real
+//! applications through the endpoint API over the simulated fabric, and
+//! checks each row against its `Predictor` band; [`figures`] holds the
+//! static Fig. 5 table and the wall-clock Table 2 / Fig. 12 handshake
+//! timings.  The `figures` binary prints all of them (text or `--json`) and
+//! writes the virtual-time rows to `BENCH_figures.json`; the other binaries
+//! in `src/bin/` run the scenario, incast, churn, chaos and setup-latency
+//! suites.  The criterion benches in `benches/` micro-benchmark the real
+//! crypto and record-layer hot paths.
 
 #![forbid(unsafe_code)]
 

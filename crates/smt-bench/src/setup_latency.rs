@@ -20,8 +20,8 @@
 //! handshake flights must survive through the endpoints' RTO/retransmit
 //! machinery.  Virtual time only advances with network propagation and
 //! serialization, so the handshake's *compute* cost is excluded here by
-//! construction — that is what the `fig12_key_exchange` /
-//! `table2_handshake_breakdown` binaries measure.
+//! construction — that is what the `figures` binary's wall-clock Fig. 12 and
+//! Table 2 tables measure.
 //!
 //! The `setup_latency` binary prints the matrix and emits
 //! `BENCH_setup_latency.json` in the bench-diff-compatible shape, gated in CI

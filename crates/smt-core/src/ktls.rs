@@ -158,7 +158,7 @@ impl KtlsSender {
     }
 
     /// Number of wire bytes `send` would produce for `len` application bytes
-    /// (used by the cost model without materialising the ciphertext).
+    /// (sizes a buffer without materialising the ciphertext).
     pub fn wire_len_for(&self, len: usize) -> usize {
         if len == 0 {
             return self.protector.wire_record_len(0);

@@ -1,70 +1,18 @@
-//! The calibrated host-stack cost model.
+//! The measured host cost of software record sealing.
 //!
 //! Absolute numbers from the paper's testbed (two Xeon Silver 4314 hosts, CX-7
-//! NICs, Linux 6.2) cannot be reproduced without the hardware, so the model
-//! captures the *structure* of the costs — what is per packet, per byte, per
-//! record, per message, and which CPU core pays it — with default magnitudes
-//! chosen so the relative results of §5 hold (see DESIGN.md §7 and
-//! EXPERIMENTS.md).  Every parameter is public so the benches can sweep them.
-//!
-//! The key structural choices, mirroring the paper's analysis:
-//!
-//! * TCP-based stacks serialize all per-connection work (stack traversal, TLS
-//!   record handling and software crypto under the socket lock) on the
-//!   connection's softirq core — the "HoLB at a CPU core" of §2; the kTLS
-//!   record-layer cost per record is substantial and is *not* removed by NIC
-//!   crypto offload (only the AES itself is).
-//! * Homa/SMT steer per-packet receive work through a single per-host stack
-//!   (softirq/pacer) thread — all messages of a host pair share one flow
-//!   5-tuple — which is what caps small-RPC throughput at ≈0.7 M RPC/s (§5.2),
-//!   while message-level work (copies, decryption) is dispatched to the
-//!   application threads.
-//! * Receive-side crypto is always software (§5: no receive offload is used).
+//! NICs, Linux 6.2) cannot be reproduced without the hardware.  What the
+//! simulated host charges instead is the one cost this repository measures on
+//! its own silicon: sealing a record in software, as a per-record intercept
+//! plus a per-byte slope.  The scenario runner applies it to every record an
+//! endpoint seals ([`CostModel::cpu_charge`]); offloaded and plaintext stacks
+//! seal nothing and pay nothing.
 
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
-/// Cost-model parameters (all times in nanoseconds unless noted).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// Software-crypto cost parameters (nanoseconds).
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
-    // --- application / syscall boundary ---------------------------------
-    /// Cost of a send or receive syscall (sendmsg/recvmsg).
-    pub syscall_ns: Nanos,
-    /// Per-byte cost of copying data between user and kernel space.
-    pub copy_ns_per_byte: f64,
-    /// Fixed per-RPC application bookkeeping (epoll wakeup, socket lookup).
-    pub app_wakeup_ns: Nanos,
-
-    // --- transport / stack traversal -------------------------------------
-    /// Per-TSO-segment cost of building headers and queueing to the NIC.
-    pub per_segment_tx_ns: Nanos,
-    /// Per-packet transmit cost when TSO is unavailable.
-    pub per_packet_tx_ns: Nanos,
-    /// Extra per-packet cost of software segmentation (GSO) when TSO is off.
-    pub gso_extra_ns_per_packet: Nanos,
-    /// Per-packet receive cost (driver + IP + transport demux).
-    pub per_packet_rx_ns: Nanos,
-    /// Per-message transport bookkeeping on the sender (RPC state, timers).
-    pub per_message_tx_ns: Nanos,
-    /// Per-message transport bookkeeping on the receiver (reassembly state).
-    pub per_message_rx_ns: Nanos,
-    /// Per-message cost of the Homa/SMT SRPT scheduler (pacer) bookkeeping.
-    pub homa_pacer_per_message_ns: Nanos,
-    /// Extra per-packet cost TCP pays for in-order processing and ACK clocking.
-    pub tcp_per_packet_extra_ns: Nanos,
-    /// Per-record cost of the kernel-TLS record layer on a TCP socket (skb and
-    /// record bookkeeping under the socket lock); paid with or without NIC
-    /// crypto offload.
-    pub ktls_record_ns: Nanos,
-    /// Per-record cost of SMT's message/record bookkeeping on the application
-    /// path (lower than kTLS thanks to transport-level integration, §5.3).
-    pub smt_record_ns: Nanos,
-    /// Fraction of SMT's software transmit crypto performed in softirq/pacer
-    /// context (granted data is pushed by the scheduler, §3.2); the rest runs
-    /// in the sending syscall context.
-    pub smt_pacer_crypto_fraction: f64,
-
-    // --- cryptography -----------------------------------------------------
     /// Per-byte cost of software AES-128-GCM.  Not a guess: measured by the
     /// `calibrate` binary (`cargo run --release -p smt-bench --bin
     /// calibrate`) against this repository's fused record engine — see
@@ -74,76 +22,27 @@ pub struct CostModel {
     /// intercept of the `calibrate` binary's two-point fit over `seal_into`
     /// and `open`.
     pub crypto_sw_per_record_ns: Nanos,
-    /// Per-record cost of populating NIC offload metadata (SMT-hw /
-    /// kTLS-hw); measured by `calibrate` as the flow-context overhead the
-    /// offload-mode segmenter adds over software mode.
-    pub offload_per_record_ns: Nanos,
-    /// Cost of a resync descriptor (flow-context retarget) on the send path.
-    pub offload_resync_ns: Nanos,
-    /// Cost of allocating and programming a fresh NIC flow context.
-    pub offload_context_alloc_ns: Nanos,
-
-    // --- NIC / wire -------------------------------------------------------
-    /// Fixed NIC + PCIe traversal latency per packet, each direction.
-    pub nic_latency_ns: Nanos,
-    /// Link propagation delay (back-to-back cable).
-    pub propagation_ns: Nanos,
-    /// Link bandwidth in gigabits per second.
-    pub link_gbps: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::calibrated()
-    }
 }
 
 impl CostModel {
     /// The calibrated defaults used throughout the evaluation harness.
     ///
-    /// The three crypto parameters are **measured**, not chosen: the
-    /// `calibrate` binary in `smt-bench` times this repository's record
-    /// engine (best-of-7 samples, two-point linear fit over 64 B and
-    /// 16128 B records) and prints a drop-in replacement for the block
-    /// below.  Values here are from a CLMUL-tier (`clmul-wide`) run —
-    /// seal 155–179 ns/record + 0.28–0.30 ns/B across runs, offload
-    /// metadata ≈ 50 ns/record — rounded to mid-range.  Rerun `calibrate`
-    /// and paste when the record layer changes; the remaining parameters
-    /// keep the structural magnitudes of DESIGN.md §7.
+    /// Both parameters are **measured**, not chosen: the `calibrate` binary
+    /// in `smt-bench` times this repository's record engine (best-of-7
+    /// samples, two-point linear fit over 64 B and 16128 B records) and
+    /// prints a drop-in replacement for the block below.  Values here are
+    /// from a CLMUL-tier (`clmul-wide`) run — seal 155–179 ns/record +
+    /// 0.28–0.30 ns/B across runs — rounded to mid-range.  Rerun `calibrate`
+    /// and paste when the record layer changes.
     pub fn calibrated() -> Self {
         Self {
-            syscall_ns: 550,
-            copy_ns_per_byte: 0.055,
-            app_wakeup_ns: 900,
-            per_segment_tx_ns: 420,
-            per_packet_tx_ns: 420,
-            gso_extra_ns_per_packet: 180,
-            per_packet_rx_ns: 320,
-            per_message_tx_ns: 300,
-            per_message_rx_ns: 350,
-            homa_pacer_per_message_ns: 150,
-            tcp_per_packet_extra_ns: 400,
-            // Re-balanced alongside the measured crypto intercept (320 → 170
-            // ns/record): part of this term models seal/open bookkeeping that
-            // the fused record engine sped up too.  2400 here puts the modeled
-            // SMT-sw advantage at 64 B just past the paper's 10–35 % band.
-            ktls_record_ns: 2100,
-            smt_record_ns: 500,
-            smt_pacer_crypto_fraction: 0.55,
             crypto_sw_ns_per_byte: 0.29,
             crypto_sw_per_record_ns: 170,
-            offload_per_record_ns: 50,
-            offload_resync_ns: 60,
-            offload_context_alloc_ns: 900,
-            nic_latency_ns: 650,
-            propagation_ns: 250,
-            link_gbps: 100.0,
         }
     }
 
     /// Replaces the software-crypto terms with freshly measured values (what
-    /// the `calibrate` binary prints), leaving the structural parameters
-    /// untouched.
+    /// the `calibrate` binary prints).
     pub fn with_sw_crypto(mut self, per_record_ns: Nanos, ns_per_byte: f64) -> Self {
         self.crypto_sw_per_record_ns = per_record_ns;
         self.crypto_sw_ns_per_byte = ns_per_byte;
@@ -158,55 +57,6 @@ impl CostModel {
             sw_ns_per_byte: self.crypto_sw_ns_per_byte,
         }
     }
-
-    /// Per-byte copy cost for `bytes` bytes.
-    pub fn copy_ns(&self, bytes: usize) -> Nanos {
-        (self.copy_ns_per_byte * bytes as f64).round() as Nanos
-    }
-
-    /// Software AEAD cost for `bytes` bytes split over `records` records.
-    pub fn crypto_sw_ns(&self, bytes: usize, records: usize) -> Nanos {
-        (self.crypto_sw_ns_per_byte * bytes as f64).round() as Nanos
-            + self.crypto_sw_per_record_ns * records as Nanos
-    }
-
-    /// Send-path cost of offload metadata for `records` records, `resyncs` of
-    /// which required a resync descriptor and `allocs` a fresh flow context.
-    pub fn offload_tx_ns(&self, records: usize, resyncs: usize, allocs: usize) -> Nanos {
-        self.offload_per_record_ns * records as Nanos
-            + self.offload_resync_ns * resyncs as Nanos
-            + self.offload_context_alloc_ns * allocs as Nanos
-    }
-
-    /// Transmit-side stack cost for a message of `segments` TSO segments that
-    /// the NIC will expand to `packets` packets (TSO available), or that the
-    /// stack itself must emit as `packets` packets (TSO unavailable).
-    pub fn tx_stack_ns(&self, segments: usize, packets: usize, tso: bool) -> Nanos {
-        if tso {
-            self.per_message_tx_ns + self.per_segment_tx_ns * segments as Nanos
-        } else {
-            self.per_message_tx_ns
-                + (self.per_packet_tx_ns + self.gso_extra_ns_per_packet) * packets as Nanos
-        }
-    }
-
-    /// Receive-side stack cost for a message of `packets` packets.
-    pub fn rx_stack_ns(&self, packets: usize) -> Nanos {
-        self.per_message_rx_ns + self.per_packet_rx_ns * packets as Nanos
-    }
-
-    /// Serialization time of `bytes` bytes on the link.
-    pub fn serialization_ns(&self, bytes: usize) -> Nanos {
-        let bits = bytes as f64 * 8.0;
-        (bits / self.link_gbps).round() as Nanos
-    }
-
-    /// One-way wire latency for a message of `bytes` bytes in `packets` packets:
-    /// serialization + NIC traversal at both ends + propagation.  Pipelining of
-    /// packets is accounted for by serializing the full byte count only once.
-    pub fn wire_one_way_ns(&self, bytes: usize, _packets: usize) -> Nanos {
-        self.serialization_ns(bytes) + 2 * self.nic_latency_ns + self.propagation_ns
-    }
 }
 
 #[cfg(test)]
@@ -214,48 +64,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serialization_scales_with_bandwidth() {
-        let m = CostModel::calibrated();
-        // 1500 bytes at 100 Gb/s = 120 ns.
-        assert_eq!(m.serialization_ns(1500), 120);
-        let mut slow = m;
-        slow.link_gbps = 10.0;
-        assert_eq!(slow.serialization_ns(1500), 1200);
-    }
-
-    #[test]
     fn crypto_cost_grows_with_bytes_and_records() {
-        let m = CostModel::calibrated();
-        assert!(m.crypto_sw_ns(16384, 1) > m.crypto_sw_ns(64, 1));
-        assert!(m.crypto_sw_ns(64, 2) > m.crypto_sw_ns(64, 1));
-        // Offload metadata is much cheaper than software crypto for big records.
-        assert!(m.offload_tx_ns(1, 0, 0) < m.crypto_sw_ns(16384, 1));
-    }
-
-    #[test]
-    fn tso_amortises_per_packet_cost() {
-        let m = CostModel::calibrated();
-        let with_tso = m.tx_stack_ns(1, 44, true);
-        let without = m.tx_stack_ns(44, 44, false);
-        assert!(with_tso < without);
-        // Single-packet messages cost the same either way (plus GSO overhead).
-        assert!(m.tx_stack_ns(1, 1, true) <= m.tx_stack_ns(1, 1, false));
-    }
-
-    #[test]
-    fn wire_latency_includes_fixed_costs() {
-        let m = CostModel::calibrated();
-        let w = m.wire_one_way_ns(64, 1);
-        assert!(w >= 2 * m.nic_latency_ns + m.propagation_ns);
-        assert!(m.wire_one_way_ns(65536, 44) > w);
-    }
-
-    #[test]
-    fn ktls_record_cost_dominates_smt_record_cost() {
-        // Transport-level integration gives SMT better processing locality than
-        // the kTLS record layer bolted onto a TCP socket (§5.3).
-        let m = CostModel::calibrated();
-        assert!(m.ktls_record_ns > 2 * m.smt_record_ns);
+        let charge = CostModel::calibrated().cpu_charge();
+        assert!(charge.seal_ns(16384, 1) > charge.seal_ns(64, 1));
+        assert!(charge.seal_ns(64, 2) > charge.seal_ns(64, 1));
     }
 
     #[test]
@@ -264,22 +76,11 @@ mod tests {
         let charge = m.cpu_charge();
         assert_eq!(charge.sw_per_record_ns, 200);
         assert_eq!(charge.sw_ns_per_byte, 0.5);
-        // The charge and the model agree on the cost of a sealed message.
-        assert_eq!(charge.seal_ns(4096, 3), m.crypto_sw_ns(4096, 3));
-    }
-
-    #[test]
-    fn single_stack_thread_caps_small_rpc_rate_near_paper_value() {
-        // Per-RPC work on the Homa/SMT stack thread for a 64 B echo RPC:
-        // rx of the request + tx of the response, one packet / segment each.
-        let m = CostModel::calibrated();
-        let rx = m.rx_stack_ns(1) + m.homa_pacer_per_message_ns;
-        let tx = m.tx_stack_ns(1, 1, true) + m.homa_pacer_per_message_ns;
-        let per_rpc = rx + tx;
-        let cap = 1e9 / per_rpc as f64;
-        assert!(
-            cap > 550_000.0 && cap < 950_000.0,
-            "cap {cap:.0} should be near the paper's ~0.7 M RPC/s"
-        );
+        // Three records of 4096 B: 3 × 200 ns + 4096 × 0.5 ns.
+        assert_eq!(charge.seal_ns(4096, 3), 600 + 2048);
+        // The calibrated terms are the ones `bench/` and the figures charge.
+        let calibrated = CostModel::calibrated().cpu_charge();
+        assert_eq!(calibrated.sw_per_record_ns, 170);
+        assert_eq!(calibrated.sw_ns_per_byte, 0.29);
     }
 }

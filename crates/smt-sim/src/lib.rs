@@ -5,22 +5,14 @@
 //! available to this reproduction, so this crate provides the substitute
 //! substrate (see DESIGN.md §1):
 //!
-//! * [`cost`] — a calibrated **cost model** for host-stack operations: per-packet
-//!   stack traversal, per-byte copies, per-byte software AES-GCM, per-record NIC
-//!   offload descriptor handling, syscalls and interrupts;
+//! * [`cost`] — the **measured software-crypto cost** a host pays to seal a
+//!   record (per record and per byte), from which the scenario runner's
+//!   [`net::CpuCharge`] is built;
 //! * [`nic`] — a packet-level **NIC model** implementing TSO (header replication +
 //!   IPID increment) and **TLS autonomous offload** semantics: per-queue flow
 //!   contexts with self-incrementing record sequence numbers and resync
 //!   descriptors; out-of-sequence segments without a resync produce corrupted
 //!   records exactly as in paper Fig. 2;
-//! * [`link`] — a full-duplex link with configurable bandwidth, propagation delay
-//!   and MTU;
-//! * [`resource`] — serial resources (CPU cores, NIC queues, links) with
-//!   earliest-available-time semantics used by the queueing simulation;
-//! * [`pipeline`] — a discrete-event, closed-loop **RPC pipeline simulator** that
-//!   models application threads, softirq cores, the Homa-style single pacer
-//!   thread, NIC queues and the wire on both hosts; the transport crates supply
-//!   per-RPC stage costs derived from the real protocol engines;
 //! * [`net`] — the **discrete-event network harness**: a virtual clock and
 //!   deterministic event queue, a multi-host fabric of queued links with
 //!   finite tail-drop buffers and seeded loss/reorder/duplication injection,
@@ -35,23 +27,15 @@
 #![forbid(unsafe_code)]
 
 pub mod cost;
-pub mod link;
 pub mod net;
 pub mod nic;
-pub mod pipeline;
-pub mod resource;
 pub mod time;
 
 pub use cost::CostModel;
-pub use link::Link;
 pub use net::{
     run_scenario, run_scenario_app, AppReply, EcnConfig, Fabric, FabricStats, FaultConfig,
-    FaultyLink, LeafSpineConfig, LinkConfig, Scenario, ScenarioApp, ScenarioReport, SimEndpoint,
-    SimEndpointStats, Topology,
+    FaultyLink, LatencySummary, LeafSpineConfig, LinkConfig, Scenario, ScenarioApp, ScenarioReport,
+    SimEndpoint, SimEndpointStats, Topology,
 };
 pub use nic::{NicModel, NicStats};
-pub use pipeline::{
-    LatencySummary, PipelineConfig, RpcCosts, RpcPipelineSim, SimReport, SoftirqSteering,
-};
-pub use resource::{Resource, ResourcePool};
 pub use time::Nanos;

@@ -41,7 +41,6 @@
 //! ([`crate::net::run_scenario`]) couples ports to protocol engines.
 
 use super::event::EventQueue;
-use crate::resource::Resource;
 use crate::time::Nanos;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -371,6 +370,30 @@ impl FabricStats {
     /// Every packet lost inside the fabric, for any reason.
     pub fn dropped(&self) -> u64 {
         self.dropped_faults + self.dropped_egress + self.dropped_ingress + self.dropped_spine
+    }
+}
+
+/// A serial link queue: a packet arriving at `t` with serialization time `s`
+/// starts at `max(t, free_at)` and finishes `s` later.
+#[derive(Debug, Default, Clone, Copy)]
+struct Resource {
+    free_at: Nanos,
+}
+
+impl Resource {
+    fn new() -> Self {
+        Self::default()
+    }
+
+    /// Queues work ready at `ready` taking `service`; returns its completion.
+    fn schedule(&mut self, ready: Nanos, service: Nanos) -> Nanos {
+        self.free_at = ready.max(self.free_at) + service;
+        self.free_at
+    }
+
+    /// When the queue next drains.
+    fn free_at(&self) -> Nanos {
+        self.free_at
     }
 }
 
@@ -827,6 +850,17 @@ mod tests {
             payload: PacketPayload::Data(vec![0xaa; len].into()),
             corrupted: false,
         }
+    }
+
+    #[test]
+    fn serial_resource_queues_work() {
+        let mut r = Resource::new();
+        assert_eq!(r.schedule(0, 10), 10);
+        // Arrives while busy: waits.
+        assert_eq!(r.schedule(5, 10), 20);
+        // Arrives after an idle period: starts immediately.
+        assert_eq!(r.schedule(100, 5), 105);
+        assert_eq!(r.free_at(), 105);
     }
 
     /// Drains fabric bookkeeping until the next delivery (test convenience

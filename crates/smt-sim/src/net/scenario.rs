@@ -21,8 +21,7 @@ use super::event::TraceHash;
 use super::fabric::{
     EcnConfig, Fabric, FabricStats, FaultConfig, HostId, LinkConfig, PortId, Topology,
 };
-use crate::pipeline::LatencySummary;
-use crate::time::{Nanos, SECOND};
+use crate::time::{to_micros, Nanos, SECOND};
 use serde::{Deserialize, Serialize};
 use smt_wire::Packet;
 use std::collections::BTreeMap;
@@ -277,6 +276,43 @@ impl Scenario {
     /// sends, and generators call this before returning.
     pub fn sort_sends(&mut self) {
         self.sends.sort_by_key(|s| (s.at, s.flow, s.size));
+    }
+}
+
+/// Latency percentiles in microseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct LatencySummary {
+    /// Mean latency.
+    pub mean_us: f64,
+    /// Median latency.
+    pub p50_us: f64,
+    /// 99th-percentile latency.
+    pub p99_us: f64,
+    /// Minimum latency.
+    pub min_us: f64,
+    /// Maximum latency.
+    pub max_us: f64,
+}
+
+impl LatencySummary {
+    /// Summarises a set of latencies given in nanoseconds.
+    pub fn from_nanos(mut samples: Vec<Nanos>) -> Self {
+        if samples.is_empty() {
+            return Self::default();
+        }
+        samples.sort_unstable();
+        let pick = |q: f64| {
+            let idx = ((samples.len() - 1) as f64 * q).round() as usize;
+            to_micros(samples[idx])
+        };
+        let sum: u128 = samples.iter().map(|&s| s as u128).sum();
+        Self {
+            mean_us: to_micros((sum / samples.len() as u128) as Nanos),
+            p50_us: pick(0.50),
+            p99_us: pick(0.99),
+            min_us: to_micros(samples[0]),
+            max_us: to_micros(*samples.last().unwrap()),
+        }
     }
 }
 
@@ -1006,6 +1042,16 @@ mod tests {
             Box::new(ToyEndpoint::new(1, 2)),
             Box::new(ToyEndpoint::new(2, 1)),
         ]
+    }
+
+    #[test]
+    fn latency_summary_percentiles() {
+        let s = LatencySummary::from_nanos(vec![1000, 2000, 3000, 4000, 100_000]);
+        assert!(s.p50_us <= s.p99_us);
+        assert_eq!(s.min_us, 1.0);
+        assert_eq!(s.max_us, 100.0);
+        let empty = LatencySummary::from_nanos(vec![]);
+        assert_eq!(empty.mean_us, 0.0);
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! The actual AEAD bytes were already produced by `smt-core` (see DESIGN.md);
 //! the NIC model validates the descriptor discipline when a segment is
 //! submitted, counts the MTU-sized packets it expands into, and accounts the
-//! offloaded crypto bytes so the cost model can credit them to the NIC instead
-//! of the CPU.  The expansion itself (overlay header replicated, IPIDs stamped)
-//! is [`TsoSegment::packet_at`]: [`NicModel::transmit`] cuts every packet on the
-//! spot, while a transport that paces a message cuts each one as it leaves.
+//! offloaded crypto bytes.  The expansion itself (overlay header replicated,
+//! IPIDs stamped) is [`TsoSegment::packet_at`]: [`NicModel::transmit`] cuts
+//! every packet on the spot, while a transport that paces a message cuts each
+//! one as it leaves.
 
 use crate::time::Nanos;
 use serde::{Deserialize, Serialize};

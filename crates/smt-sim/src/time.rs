@@ -1,7 +1,7 @@
 //! Simulated time.
 //!
-//! All simulation time is expressed in nanoseconds as a plain `u64`; helpers
-//! convert to/from microseconds and seconds for reporting.
+//! All simulation time is expressed in nanoseconds as a plain `u64`; a helper
+//! converts to microseconds for reporting.
 
 /// Simulated time / duration in nanoseconds.
 pub type Nanos = u64;
@@ -20,25 +20,14 @@ pub fn to_micros(ns: Nanos) -> f64 {
     ns as f64 / MICROSECOND as f64
 }
 
-/// Converts (floating point) microseconds to nanoseconds.
-pub fn from_micros(us: f64) -> Nanos {
-    (us * MICROSECOND as f64).round() as Nanos
-}
-
-/// Converts nanoseconds to seconds.
-pub fn to_secs(ns: Nanos) -> f64 {
-    ns as f64 / SECOND as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn conversions() {
-        assert_eq!(from_micros(1.5), 1500);
         assert!((to_micros(2500) - 2.5).abs() < 1e-9);
-        assert!((to_secs(SECOND) - 1.0).abs() < 1e-12);
         assert_eq!(MILLISECOND, 1000 * MICROSECOND);
+        assert_eq!(SECOND, 1000 * MILLISECOND);
     }
 }

@@ -11,14 +11,10 @@
 //!   only surface applications, examples, benches and integration tests
 //!   drive stacks through.
 //!
-//! * [`stack`] / [`profile`] — the **stack profiles** used by the evaluation
-//!   harness: for each transport the paper compares (TCP, kTLS-sw, kTLS-hw,
-//!   Homa, SMT-sw, SMT-hw, TCPLS), a profile derives the per-RPC byte / packet /
-//!   record / segment counts from the real protocol engines (`smt-core`) and
-//!   converts them into the per-stage costs the pipeline simulator consumes.
-//!   This is where the structural differences live: which stack pays software
-//!   AEAD and where, which can use TSO and TLS offload, which suffers 5-tuple
-//!   core affinity, and which is throttled by the single Homa pacer thread.
+//! * [`stack`] / [`profile`] — the **stacks** the paper compares (TCP,
+//!   TLS, kTLS-sw, kTLS-hw, TCPLS, Homa, SMT-sw, SMT-hw) and, per stack, the
+//!   closed-form record / segment / packet / wire-byte counts of one message
+//!   that the functional figures' cross-check bands are built from.
 //!
 //! * [`homa`] — a packet-level, receiver-driven message transport (unscheduled
 //!   data + GRANTs + RESENDs, paper §2.2) running the real SMT engine over the
@@ -48,5 +44,5 @@ pub use endpoint::{
     ZeroRttAcceptor,
 };
 pub use homa::{HomaConfig, HomaEndpoint};
-pub use profile::{RpcWorkload, StackProfile};
+pub use profile::StackProfile;
 pub use stack::StackKind;

@@ -1,32 +1,13 @@
-//! Stack profiles: per-RPC cost derivation for each evaluated transport.
+//! Stack profiles: closed-form wire accounting for each evaluated transport.
 //!
-//! A [`StackProfile`] turns (stack, message size) into the wire/packet/record
-//! accounting and the per-stage CPU costs that the pipeline simulator consumes.
-//! The mapping captures the structural differences the paper's evaluation turns
-//! on:
-//!
-//! * **Where crypto runs.**  Software stacks (kTLS-sw, SMT-sw, TCPLS, user-space
-//!   TLS) pay AES-GCM on the sending application core; offload stacks (kTLS-hw,
-//!   SMT-hw) pay only per-record descriptor costs on the transmit path.  Nobody
-//!   offloads receive-side crypto (§5 "we don't use receive-side offload"), so
-//!   every encrypted stack pays software decryption at the receiver.
-//! * **Message vs stream delivery.**  TCP-based stacks overlap packet reception
-//!   with delivery of the bytestream to the application, while Homa/SMT deliver
-//!   a message only after it is complete (§5.1) — at 64 KB this erodes most of
-//!   Homa's latency advantage.
-//! * **Core steering.**  TCP-based stacks pin a connection's stack work to one
-//!   softirq core (5-tuple affinity, HoLB at a core); Homa/SMT steer per message.
-//! * **The Homa pacer.**  Message-based stacks pay a per-message cost on a
-//!   single pacer thread per host, which is what caps small-RPC throughput at
-//!   ≈0.7 M RPC/s in Homa/Linux (§5.2).
-//! * **TSO.**  All stacks use TSO by default; disabling it (Fig. 11) makes the
-//!   transmit path pay per-packet instead of per-segment costs.
+//! A [`StackProfile`] turns (stack, message size) into the records, TSO
+//! segments, packets and wire bytes that stack emits for one message.  The
+//! functional figure pipeline's `Predictor` (in `smt-bench`) builds every
+//! figure's cross-check band from these counts plus the fabric's link
+//! parameters and the measured seal cost; the tests below pin the counts to
+//! what the real segmenter and the real endpoints put on the wire.
 
 use crate::stack::StackKind;
-use serde::{Deserialize, Serialize};
-use smt_sim::cost::CostModel;
-use smt_sim::pipeline::{PipelineConfig, RpcCosts, SoftirqSteering};
-use smt_sim::time::Nanos;
 use smt_wire::{
     FRAMING_HEADER_LEN, IPV4_HEADER_LEN, MAX_TLS_RECORD, MAX_TSO_SEGMENT, RECORD_EXPANSION,
     SMT_OVERLAY_HEADER_LEN,
@@ -40,49 +21,16 @@ const SMT_HEADERS: usize = IPV4_HEADER_LEN + SMT_OVERLAY_HEADER_LEN;
 const KTLS_RECORD_PAYLOAD: usize = MAX_TLS_RECORD - 256;
 /// Application payload per SMT record (matches `SmtConfig::default`).
 const SMT_RECORD_PAYLOAD: usize = MAX_TLS_RECORD - FRAMING_HEADER_LEN - 64;
-/// Packets aggregated per GRO batch on the TCP receive path (Homa/SMT cannot
-/// use GRO because they carry a non-TCP protocol number, §7).
-const GRO_BATCH_PACKETS: usize = 8;
 /// Application payload per TCPLS record (TCPLS frames streams in 4 KB records).
 const TCPLS_RECORD_PAYLOAD: usize = 4096;
-/// Cost of generating/processing TCP acknowledgements per GRO batch, charged to
-/// the data sender (ACK receive) and data receiver (ACK transmit).
-const TCP_ACK_TX_NS: u64 = 200;
-/// See [`TCP_ACK_TX_NS`].
-const TCP_ACK_RX_NS: u64 = 400;
-
-/// One RPC's workload parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RpcWorkload {
-    /// Request size in bytes.
-    pub request_bytes: usize,
-    /// Response size in bytes.
-    pub response_bytes: usize,
-    /// Server-side application compute per request (0 for the echo server,
-    /// request parsing + store access for the KV store).
-    pub server_compute_ns: Nanos,
-    /// Server-side fixed latency that does not occupy a CPU (e.g. NVMe read).
-    pub server_fixed_latency_ns: Nanos,
-}
-
-impl RpcWorkload {
-    /// A symmetric echo RPC of `bytes` in each direction (Figs. 6, 7, 10, 11).
-    pub fn echo(bytes: usize) -> Self {
-        Self {
-            request_bytes: bytes,
-            response_bytes: bytes,
-            server_compute_ns: 0,
-            server_fixed_latency_ns: 0,
-        }
-    }
-}
 
 /// Wire accounting for a message of a given size on a given stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireCounts {
     /// TLS records (0 for unencrypted stacks).
     pub records: usize,
-    /// TSO segments handed to the NIC.
+    /// TSO segments handed to the NIC (with TSO on; without it the stack
+    /// hands over one segment per packet).
     pub segments: usize,
     /// MTU-sized packets on the wire.
     pub packets: usize,
@@ -90,39 +38,21 @@ pub struct WireCounts {
     pub wire_bytes: usize,
 }
 
-/// Per-direction stage costs (internal helper).
-#[derive(Debug, Clone, Copy, Default)]
-struct DirCosts {
-    app_send_ns: Nanos,
-    pacer_tx_ns: Nanos,
-    tx_softirq_ns: Nanos,
-    wire_bytes: usize,
-    rx_softirq_ns: Nanos,
-    pacer_rx_ns: Nanos,
-    app_recv_ns: Nanos,
-}
-
-/// A per-stack cost/accounting profile.
+/// A per-stack wire-accounting profile.
 #[derive(Debug, Clone, Copy)]
 pub struct StackProfile {
     /// Which stack this profile models.
     pub stack: StackKind,
-    /// The host cost model.
-    pub cost: CostModel,
     /// Network MTU.
     pub mtu: usize,
-    /// Whether TSO is enabled (Fig. 11 ablation).
-    pub tso: bool,
 }
 
 impl StackProfile {
-    /// Creates a profile with the calibrated cost model and default MTU.
+    /// Creates a profile at the default MTU.
     pub fn new(stack: StackKind) -> Self {
         Self {
             stack,
-            cost: CostModel::calibrated(),
             mtu: smt_wire::DEFAULT_MTU,
-            tso: true,
         }
     }
 
@@ -132,42 +62,17 @@ impl StackProfile {
         self
     }
 
-    /// Disables TSO (Fig. 11).
-    pub fn without_tso(mut self) -> Self {
-        self.tso = false;
-        self
-    }
-
-    /// Overrides the cost model (sensitivity sweeps).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// The softirq steering policy for this stack.
-    pub fn steering(&self) -> SoftirqSteering {
-        if self.stack.is_message_based() {
-            SoftirqSteering::PerMessage
-        } else {
-            SoftirqSteering::PerConnection
-        }
-    }
-
     /// Wire accounting for a message of `size` application bytes.
     pub fn counts(&self, size: usize) -> WireCounts {
         let size = size.max(1);
         let message_based = self.stack.is_message_based();
         let encrypted = self.stack.is_encrypted();
-        let per_packet_payload = if message_based {
-            self.mtu - SMT_HEADERS
-        } else {
-            self.mtu - TCP_HEADERS
-        };
         let headers = if message_based {
             SMT_HEADERS
         } else {
             TCP_HEADERS
         };
+        let per_packet_payload = self.mtu - headers;
 
         let (records, payload_bytes) = if !encrypted {
             (0, size)
@@ -190,209 +95,18 @@ impl StackProfile {
         };
 
         let packets = payload_bytes.div_ceil(per_packet_payload).max(1);
-        let segments = if self.tso {
-            payload_bytes.div_ceil(MAX_TSO_SEGMENT).max(1)
-        } else {
-            packets
-        };
         WireCounts {
             records,
-            segments,
+            segments: payload_bytes.div_ceil(MAX_TSO_SEGMENT).max(1),
             packets,
             wire_bytes: payload_bytes + packets * headers,
         }
-    }
-
-    fn direction(&self, size: usize) -> DirCosts {
-        let m = &self.cost;
-        let c = self.counts(size);
-        let stack = self.stack;
-        let message_based = stack.is_message_based();
-        let encrypted = stack.is_encrypted();
-        let sw_tx_crypto = encrypted && !stack.offloads_tx_crypto();
-        let userspace_tls = matches!(stack, StackKind::UserTls | StackKind::Tcpls);
-        let records = c.records as Nanos;
-
-        let mut app_send;
-        let mut pacer_tx = 0;
-        let mut pacer_rx = 0;
-        let mut tx_softirq = 0;
-        let mut rx_softirq;
-        let mut app_recv = m.app_wakeup_ns + m.copy_ns(size);
-
-        if message_based {
-            // --- Homa / SMT -----------------------------------------------------
-            // Send: syscall + copy (+ SMT record bookkeeping and most of the
-            // software crypto) in the application's syscall context.
-            app_send = m.syscall_ns + m.copy_ns(size);
-            if encrypted {
-                app_send += m.smt_record_ns * records;
-                if sw_tx_crypto {
-                    let crypto = m.crypto_sw_ns(size, c.records);
-                    let pacer_share =
-                        (crypto as f64 * m.smt_pacer_crypto_fraction).round() as Nanos;
-                    app_send += crypto - pacer_share;
-                    pacer_tx += pacer_share;
-                }
-            }
-            // All messages of the host pair share one flow 5-tuple, so the
-            // per-packet stack work funnels through the single stack (softirq /
-            // pacer) thread — the ~0.7 M RPC/s ceiling of §5.2.
-            pacer_tx +=
-                m.tx_stack_ns(c.segments, c.packets, self.tso) + m.homa_pacer_per_message_ns;
-            if stack.offloads_tx_crypto() {
-                pacer_tx += m.offload_tx_ns(c.records, 1, 0);
-            }
-            // Per-packet receive demux on the stack thread is cheap (no in-order
-            // queueing, no ACK generation): roughly half the TCP per-packet cost.
-            pacer_rx += (m.per_packet_rx_ns / 2) * c.packets as Nanos + m.homa_pacer_per_message_ns;
-            // Message-level receive work (SRPT dispatch, reassembly bookkeeping)
-            // is spread across the other cores.
-            rx_softirq = m.per_message_rx_ns;
-            // Receive-side crypto is always software and runs where the data is
-            // delivered to the application.
-            if encrypted {
-                app_recv += m.crypto_sw_ns(size, c.records) + m.smt_record_ns * records;
-            }
-        } else {
-            // --- TCP-based stacks -------------------------------------------------
-            app_send = m.syscall_ns + m.copy_ns(size);
-            if userspace_tls {
-                // User-space TLS / TCPLS: crypto, record handling and an extra
-                // copy all happen in the application before the plain-TCP socket.
-                app_send += m.copy_ns(size)
-                    + m.crypto_sw_ns(size, c.records)
-                    + 2 * m.crypto_sw_per_record_ns * records;
-                if stack == StackKind::Tcpls {
-                    app_send += m.crypto_sw_per_record_ns * records + 1500;
-                }
-                app_recv += m.copy_ns(size)
-                    + m.crypto_sw_ns(size, c.records)
-                    + m.crypto_sw_per_record_ns * records;
-            }
-
-            // Everything under the socket lock serializes on the connection's
-            // core: stack traversal, TCP bookkeeping, and (for kTLS) the record
-            // layer plus software crypto.  TCP benefits from GRO on receive and
-            // TSO on transmit, so its per-packet costs are paid per aggregate;
-            // Homa/SMT cannot use GRO (non-TCP protocol number) and pay per
-            // packet on their single stack thread instead.
-            let gro_batches = c.packets.div_ceil(GRO_BATCH_PACKETS).max(1) as Nanos;
-            let tx_units = if self.tso {
-                c.segments as Nanos
-            } else {
-                c.packets as Nanos
-            };
-            tx_softirq += m.tx_stack_ns(c.segments, c.packets, self.tso)
-                + m.tcp_per_packet_extra_ns * tx_units
-                + TCP_ACK_RX_NS * gro_batches;
-            rx_softirq = m.per_message_rx_ns
-                + (m.per_packet_rx_ns + m.tcp_per_packet_extra_ns) * gro_batches
-                + TCP_ACK_TX_NS * gro_batches;
-            if encrypted && !userspace_tls {
-                // kTLS: record-layer cost on both paths; AES only where software.
-                tx_softirq += m.ktls_record_ns * records;
-                rx_softirq += m.ktls_record_ns * records + m.crypto_sw_ns(size, c.records);
-                if sw_tx_crypto {
-                    tx_softirq += m.crypto_sw_ns(size, c.records);
-                } else {
-                    tx_softirq += m.offload_tx_ns(c.records, 1, 0);
-                }
-            }
-
-            // Stream transports overlap reception with delivery: the copy of
-            // earlier bytes proceeds while later packets are still arriving
-            // (§5.1 explains why Homa's margin shrinks at 64 KB).  The first
-            // GRO batch cannot be overlapped (nothing has been delivered yet).
-            if c.packets > 1 {
-                let batches = c.packets.div_ceil(GRO_BATCH_PACKETS).max(1) as u64;
-                let overlappable = m.serialization_ns(c.wire_bytes) * (batches - 1) / batches;
-                let overlap = overlappable.min(app_recv.saturating_sub(m.app_wakeup_ns));
-                app_recv -= overlap;
-            }
-        }
-
-        DirCosts {
-            app_send_ns: app_send,
-            pacer_tx_ns: pacer_tx,
-            tx_softirq_ns: tx_softirq,
-            wire_bytes: c.wire_bytes,
-            rx_softirq_ns: rx_softirq,
-            pacer_rx_ns: pacer_rx,
-            app_recv_ns: app_recv,
-        }
-    }
-
-    /// Full per-RPC stage costs for a request/response workload.
-    pub fn rpc_costs(&self, workload: &RpcWorkload) -> RpcCosts {
-        let req = self.direction(workload.request_bytes);
-        let resp = self.direction(workload.response_bytes);
-        let m = &self.cost;
-        RpcCosts {
-            client_app_send_ns: req.app_send_ns,
-            client_pacer_tx_ns: req.pacer_tx_ns,
-            client_tx_softirq_ns: req.tx_softirq_ns,
-            request_wire_bytes: req.wire_bytes,
-            wire_fixed_ns: 2 * m.nic_latency_ns + m.propagation_ns,
-            server_rx_softirq_ns: req.rx_softirq_ns,
-            server_pacer_rx_ns: req.pacer_rx_ns,
-            server_app_ns: req.app_recv_ns + workload.server_compute_ns + resp.app_send_ns,
-            server_app_fixed_ns: workload.server_fixed_latency_ns,
-            server_pacer_tx_ns: resp.pacer_tx_ns,
-            server_tx_softirq_ns: resp.tx_softirq_ns,
-            response_wire_bytes: resp.wire_bytes,
-            client_rx_softirq_ns: resp.rx_softirq_ns,
-            client_pacer_rx_ns: resp.pacer_rx_ns,
-            client_app_recv_ns: resp.app_recv_ns,
-        }
-    }
-
-    /// The paper's throughput-experiment pipeline configuration (§5.2: 12
-    /// application threads and 4 stack/softirq threads per host).
-    pub fn pipeline_config(&self, concurrency: usize) -> PipelineConfig {
-        PipelineConfig {
-            client_app_threads: 12,
-            server_app_threads: 12,
-            client_softirq_cores: 4,
-            server_softirq_cores: 4,
-            concurrency,
-            steering: self.steering(),
-            link_gbps: self.cost.link_gbps,
-            duration: 20 * smt_sim::time::MILLISECOND,
-            warmup: 2 * smt_sim::time::MILLISECOND,
-        }
-    }
-
-    /// The unloaded RTT (single outstanding RPC) in microseconds, for Figs. 6,
-    /// 10 and 11.
-    pub fn unloaded_rtt_us(&self, bytes: usize) -> f64 {
-        let costs = self.rpc_costs(&RpcWorkload::echo(bytes));
-        let mut config = self.pipeline_config(1);
-        config.duration = 5 * smt_sim::time::MILLISECOND;
-        config.warmup = smt_sim::time::MILLISECOND / 2;
-        smt_sim::RpcPipelineSim::new(config, costs)
-            .run()
-            .latency
-            .mean_us
-    }
-
-    /// Throughput (RPCs/s) at the given concurrency for a symmetric echo
-    /// workload (Fig. 7).
-    pub fn throughput_rps(&self, bytes: usize, concurrency: usize) -> f64 {
-        let costs = self.rpc_costs(&RpcWorkload::echo(bytes));
-        smt_sim::RpcPipelineSim::new(self.pipeline_config(concurrency), costs)
-            .run()
-            .throughput_rps
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rtt(stack: StackKind, bytes: usize) -> f64 {
-        StackProfile::new(stack).unloaded_rtt_us(bytes)
-    }
 
     #[test]
     fn accounting_roughly_matches_real_segmenter() {
@@ -432,141 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn fig6_orderings_hold() {
-        for bytes in [64usize, 1024, 4096, 16384] {
-            let tcp = rtt(StackKind::Tcp, bytes);
-            let homa = rtt(StackKind::Homa, bytes);
-            let ktls_sw = rtt(StackKind::KtlsSw, bytes);
-            let ktls_hw = rtt(StackKind::KtlsHw, bytes);
-            let smt_sw = rtt(StackKind::SmtSw, bytes);
-            let smt_hw = rtt(StackKind::SmtHw, bytes);
-            // Homa is faster than TCP; encryption costs something on both.
-            assert!(homa < tcp, "homa {homa} vs tcp {tcp} at {bytes}");
-            assert!(ktls_sw > tcp, "ktls {ktls_sw} vs tcp {tcp} at {bytes}");
-            assert!(smt_sw > homa);
-            // SMT beats kTLS, with and without offload (13–32 % in the paper).
-            assert!(
-                smt_sw < ktls_sw,
-                "smt {smt_sw} vs ktls {ktls_sw} at {bytes}"
-            );
-            assert!(smt_hw < ktls_hw);
-            // Offload never hurts.
-            assert!(smt_hw <= smt_sw + 0.01);
-            assert!(ktls_hw <= ktls_sw + 0.01);
-        }
-    }
-
-    #[test]
-    fn fig6_smt_advantage_within_paper_band() {
-        // Paper §5.1: SMT outperforms kTLS by 13–32 % with offload and
-        // 10–35 % without, over 64 B – 64 KB RPCs.
-        for bytes in [64usize, 512, 1024, 4096, 16384] {
-            let ktls_sw = rtt(StackKind::KtlsSw, bytes);
-            let smt_sw = rtt(StackKind::SmtSw, bytes);
-            let gain = (ktls_sw - smt_sw) / ktls_sw;
-            assert!(
-                gain > 0.05 && gain < 0.45,
-                "sw gain {gain:.2} at {bytes} bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn fig6_margin_smallest_at_64kb() {
-        // §5.1: the Homa/SMT margin over TCP/kTLS is smallest for 64 KB RPCs
-        // because the receiver waits for the whole message before delivery.
-        let gain_small = {
-            let k = rtt(StackKind::KtlsSw, 1024);
-            let s = rtt(StackKind::SmtSw, 1024);
-            (k - s) / k
-        };
-        let gain_large = {
-            let k = rtt(StackKind::KtlsSw, 65536);
-            let s = rtt(StackKind::SmtSw, 65536);
-            (k - s) / k
-        };
-        assert!(
-            gain_large < gain_small,
-            "gain at 64KB {gain_large:.2} should be below gain at 1KB {gain_small:.2}"
-        );
-    }
-
-    #[test]
-    fn fig7_small_rpc_throughput_shape() {
-        // 64 B RPCs at 100 concurrent: SMT beats kTLS (16–40 % in the paper);
-        // Homa/SMT are capped by the pacer around 0.6–0.8 M RPC/s.
-        let smt = StackProfile::new(StackKind::SmtSw).throughput_rps(64, 100);
-        let ktls = StackProfile::new(StackKind::KtlsSw).throughput_rps(64, 100);
-        let homa = StackProfile::new(StackKind::Homa).throughput_rps(64, 100);
-        assert!(smt > ktls * 1.10, "smt {smt} vs ktls {ktls}");
-        assert!(homa > 500_000.0 && homa < 900_000.0, "homa {homa}");
-    }
-
-    #[test]
-    fn fig7_large_rpc_throughput_flips() {
-        // 8 KB RPCs: kTLS/TCP outperform SMT/Homa (by 3–15 % in the paper)
-        // because Homa is unoptimised for large messages.
-        let smt = StackProfile::new(StackKind::SmtSw).throughput_rps(8192, 100);
-        let ktls = StackProfile::new(StackKind::KtlsSw).throughput_rps(8192, 100);
-        assert!(
-            ktls > smt,
-            "ktls {ktls} should exceed smt {smt} for 8 KB RPCs"
-        );
-        let ratio = (ktls - smt) / ktls;
-        assert!(ratio < 0.35, "gap {ratio:.2} too large");
-    }
-
-    #[test]
-    fn offload_benefit_larger_under_load_than_unloaded() {
-        // §5.1/§5.2: hardware offload helps little for unloaded RTT but more
-        // under concurrency (CPU cycles freed).
-        let p_sw = StackProfile::new(StackKind::SmtSw);
-        let p_hw = StackProfile::new(StackKind::SmtHw);
-        let rtt_gain =
-            (p_sw.unloaded_rtt_us(1024) - p_hw.unloaded_rtt_us(1024)) / p_sw.unloaded_rtt_us(1024);
-        let thr_gain = (p_hw.throughput_rps(1024, 150) - p_sw.throughput_rps(1024, 150))
-            / p_sw.throughput_rps(1024, 150);
-        assert!(rtt_gain < 0.10, "unloaded RTT gain {rtt_gain:.2}");
-        assert!(thr_gain >= 0.0, "throughput gain {thr_gain:.2}");
-    }
-
-    #[test]
-    fn fig10_tcpls_slower_than_smt() {
-        for bytes in [64usize, 1024, 4096, 16384] {
-            let tcpls = rtt(StackKind::Tcpls, bytes);
-            let smt_sw = rtt(StackKind::SmtSw, bytes);
-            let smt_hw = rtt(StackKind::SmtHw, bytes);
-            assert!(
-                smt_sw < tcpls,
-                "smt-sw {smt_sw} vs tcpls {tcpls} at {bytes}"
-            );
-            assert!(smt_hw < tcpls);
-        }
-    }
-
-    #[test]
-    fn fig11_tso_helps() {
-        for bytes in [512usize, 2048, 8192] {
-            let with = StackProfile::new(StackKind::SmtHw).unloaded_rtt_us(bytes);
-            let without = StackProfile::new(StackKind::SmtHw)
-                .without_tso()
-                .unloaded_rtt_us(bytes);
-            assert!(without >= with, "no-TSO {without} vs TSO {with} at {bytes}");
-        }
-    }
-
-    #[test]
-    fn jumbo_mtu_improves_throughput() {
-        // §5.2: with a 9 KB MTU, 8 KB RPC throughput improves by 13–31 %.
-        let std = StackProfile::new(StackKind::SmtSw).throughput_rps(8192, 100);
-        let jumbo = StackProfile::new(StackKind::SmtSw)
-            .with_mtu(smt_wire::JUMBO_MTU)
-            .throughput_rps(8192, 100);
-        let gain = (jumbo - std) / std;
-        assert!(gain > 0.05, "jumbo gain {gain:.2}");
-    }
-
-    #[test]
     fn counts_monotone_in_size() {
         let p = StackProfile::new(StackKind::SmtSw);
         let small = p.counts(64);
@@ -579,11 +158,11 @@ mod tests {
 
     #[test]
     fn analytic_wire_accounting_matches_functional_endpoints() {
-        // The profiles feed the pipeline simulator from closed-form wire
+        // The profiles feed the figure bands from closed-form wire
         // accounting; the endpoint API runs the same stacks functionally.
         // The two must agree on payload wire bytes (records + tags + framing,
         // excluding per-packet headers) to within a few percent, or the
-        // simulated figures drift away from what the datapath actually emits.
+        // predictions drift away from what the datapath actually emits.
         use crate::endpoint::{drive_pair, Endpoint, PairFabric, SecureEndpoint};
         use smt_crypto::cert::CertificateAuthority;
         use smt_crypto::handshake::{establish, ClientConfig, ServerConfig};

@@ -7,13 +7,11 @@ use smt::apps::blockstore::BlockRequest;
 use smt::apps::{BlockStore, BlockStoreConfig, FioGenerator};
 use smt::crypto::cert::CertificateAuthority;
 use smt::crypto::handshake::{establish, ClientConfig, ServerConfig};
-use smt::transport::{
-    drive_pair, take_delivered, Endpoint, PairFabric, RpcWorkload, SecureEndpoint, StackKind,
-    StackProfile,
-};
+use smt::transport::{drive_pair, take_delivered, Endpoint, PairFabric, SecureEndpoint, StackKind};
 
 fn main() {
-    // Functional path: read blocks over a real SMT-hw endpoint pair.
+    // Read blocks over a real SMT-hw endpoint pair.  Fig. 9's latency sweep
+    // over iodepth is the `figures` binary's fig9 rows.
     let ca = CertificateAuthority::new("dc-internal-ca");
     let id = ca.issue_identity("nvme.dc.local");
     let (ck, sk) = establish(
@@ -49,29 +47,4 @@ fn main() {
         "served {} block reads over SMT-hw ({offload} records NIC-encrypted on the response path)",
         store.reads,
     );
-
-    // Evaluation path: P50/P99 latency vs iodepth (the Fig. 9 model).
-    println!("\niodepth  stack     p50(us)  p99(us)");
-    for iodepth in [1usize, 4, 8] {
-        for stack in [StackKind::KtlsSw, StackKind::SmtSw, StackKind::SmtHw] {
-            let profile = StackProfile::new(stack);
-            let costs = profile.rpc_costs(&RpcWorkload {
-                request_bytes: 64,
-                response_bytes: 4096 + 16,
-                server_compute_ns: 2_500,
-                server_fixed_latency_ns: 80_000,
-            });
-            let mut config = profile.pipeline_config(iodepth);
-            config.client_app_threads = 1;
-            config.server_app_threads = 1;
-            let report = smt::sim::RpcPipelineSim::new(config, costs).run();
-            println!(
-                "{:7}  {:8}  {:7.1}  {:7.1}",
-                iodepth,
-                stack.label(),
-                report.latency.p50_us,
-                report.latency.p99_us
-            );
-        }
-    }
 }

@@ -171,15 +171,3 @@ fn acks_release_sender_state_on_both_backends() {
         assert_eq!(acked, vec![id], "stack {}", stack.label());
     }
 }
-
-#[test]
-fn evaluation_profiles_reproduce_headline_claims() {
-    use smt::transport::StackProfile;
-    // The headline result: SMT improves RPC performance over kTLS/TCP.
-    let smt_rtt = StackProfile::new(StackKind::SmtSw).unloaded_rtt_us(1024);
-    let ktls_rtt = StackProfile::new(StackKind::KtlsSw).unloaded_rtt_us(1024);
-    assert!(smt_rtt < ktls_rtt);
-    let smt_tput = StackProfile::new(StackKind::SmtHw).throughput_rps(1024, 150);
-    let ktls_tput = StackProfile::new(StackKind::KtlsHw).throughput_rps(1024, 150);
-    assert!(smt_tput > ktls_tput);
-}

@@ -1,9 +1,9 @@
-//! Figure-parity tier: the functional Fig. 6–9 pipeline (real apps over the
-//! real datapath on the simulated fabric) must land inside the analytic
-//! cross-check bands at smoke scale, every one of the eight stacks must obey
-//! the same unloaded-RTT prediction, and a scenario's `trace_hash` must be
-//! bit-identical for a given fault seed — the property the bench-diff CI gate
-//! stands on.
+//! Figure-parity tier: the functional Fig. 6–11 and CPU-usage pipeline (real
+//! apps over the real datapath on the simulated fabric) must land inside the
+//! `Predictor` cross-check bands at smoke scale, every one of the eight
+//! stacks must obey the same unloaded-RTT prediction, and a scenario's
+//! `trace_hash` must be bit-identical for a given fault seed — the property
+//! the bench-diff CI gate stands on.
 
 use proptest::prelude::*;
 use smt::apps::RpcApp;
@@ -11,9 +11,10 @@ use smt::crypto::cert::CertificateAuthority;
 use smt::crypto::handshake::{establish, ClientConfig, ServerConfig, SessionKeys};
 use smt::sim::net::{run_scenario_app, FaultConfig, FlowSpec, Scenario, ScheduledSend};
 use smt::sim::{CostModel, Nanos};
-use smt::transport::{scenario_endpoints, StackKind};
+use smt::transport::{drive_pair, scenario_endpoints, PairFabric, SecureEndpoint, StackKind};
 use smt_bench::functional::{
-    fig6_functional, fig7_functional, fig8_functional, fig9_functional, FigRow, FigScale, Predictor,
+    fig10_functional, fig11_functional, fig6_functional, fig7_functional, fig8_functional,
+    fig9_functional, figure_endpoints, FigRow, FigScale, Predictor,
 };
 
 fn handshake() -> (SessionKeys, SessionKeys) {
@@ -49,22 +50,56 @@ fn echo_scenario(concurrency: usize, size: usize, faults: FaultConfig) -> Scenar
     scenario
 }
 
-/// Figs. 6 and 9 at smoke scale: every functional row inside its analytic
-/// band (the row's `check()` panics with the offending figure otherwise).
+/// Figs. 6, 9, 10 and 11 at smoke scale: every functional row inside its
+/// Predictor band (the row's `check()` panics with the offending figure
+/// otherwise).
 #[test]
 fn fig6_and_fig9_rows_land_in_analytic_bands() {
     let keys = handshake();
     let scale = FigScale::smoke();
-    for row in fig6_functional(&scale, &keys) {
-        row.check();
+    let rows: Vec<FigRow> = [
+        fig6_functional(&scale, &keys),
+        fig9_functional(&scale, &keys),
+        fig10_functional(&scale, &keys),
+        fig11_functional(&scale, &keys),
+    ]
+    .concat();
+    for figure in ["fig10", "fig11"] {
+        assert_eq!(
+            rows.iter().filter(|r| r.figure == figure).count(),
+            scale.fig6_sizes.len(),
+            "{figure}"
+        );
     }
-    for row in fig9_functional(&scale, &keys) {
+    for row in rows {
         row.check();
     }
 }
 
-/// Figs. 7 and 8 at a reduced smoke scale (these are the loaded sweeps, so
-/// the test tier trims the op counts the CI `figures --smoke` run uses).
+/// Fig. 11's ablation really is one: with `.tso(false)` the SMT-hw sender
+/// hands the NIC one segment per packet, so the row cannot silently measure
+/// TSO twice.
+#[test]
+fn tso_off_hands_the_nic_one_segment_per_packet() {
+    let keys = handshake();
+    for tso in [true, false] {
+        let (mut client, mut server) = figure_endpoints(StackKind::SmtHw, tso, &keys);
+        client.send(&[7u8; 8192], 0).unwrap();
+        drive_pair(
+            &mut client,
+            &mut server,
+            &mut PairFabric::reliable(),
+            1_000_000,
+        );
+        let nic = client.nic_stats();
+        assert!(nic.packets > 1, "tso={tso}: {nic:?}");
+        assert_eq!(nic.segments == nic.packets, !tso, "tso={tso}: {nic:?}");
+    }
+}
+
+/// Figs. 7 and 8 and the CPU-usage rows read from Fig. 7's runs, at a
+/// reduced smoke scale (these are the loaded sweeps, so the test tier trims
+/// the op counts the CI `figures --smoke` run uses).
 #[test]
 fn fig7_and_fig8_rows_land_in_analytic_bands() {
     let keys = handshake();
@@ -74,7 +109,10 @@ fn fig7_and_fig8_rows_land_in_analytic_bands() {
         fig8_records: 1_000,
         ..FigScale::smoke()
     };
-    for row in fig7_functional(&scale, &keys) {
+    let fig7 = fig7_functional(&scale, &keys);
+    // One busy-fraction row per host-sealing stack (kTLS-sw, SMT-sw).
+    assert_eq!(fig7.iter().filter(|r| r.figure == "cpu").count(), 2);
+    for row in fig7 {
         row.check();
     }
     for row in fig8_functional(&scale, &keys) {
@@ -86,7 +124,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// All eight stacks (the figure sets cover six or seven) obey the same
-    /// analytic unloaded-RTT prediction on the real datapath: one echo RPC
+    /// unloaded-RTT prediction on the real datapath: one echo RPC
     /// in flight, measured p50 within the Fig. 6 tolerance band.
     #[test]
     fn all_eight_stacks_match_unloaded_rtt_prediction(
@@ -114,7 +152,7 @@ proptest! {
             };
             prop_assert!(
                 row.within_band(),
-                "{}: measured {:.2}us outside analytic band {:.2} ± {:.2}us",
+                "{}: measured {:.2}us outside Predictor band {:.2} ± {:.2}us",
                 stack.label(), row.measured, row.predicted, row.band()
             );
         }

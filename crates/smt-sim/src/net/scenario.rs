@@ -94,6 +94,13 @@ pub trait SimEndpoint {
 
     /// Aggregate counters.
     fn sim_stats(&self) -> SimEndpointStats;
+
+    /// `sim_stats().records_sealed`, which the runner reads around every
+    /// charged send; override it where one counter is cheaper than the whole
+    /// snapshot.
+    fn records_sealed(&self) -> u64 {
+        self.sim_stats().records_sealed
+    }
 }
 
 /// One bidirectional flow between two hosts; the scenario allocates a port
@@ -569,6 +576,7 @@ pub fn run_scenario_app(
     // Drains transmit queues and deliveries of the endpoints in `work`,
     // feeding transmissions into the fabric and deliveries into the latency
     // accounting (and the reply hook, which may add further endpoints).
+    // Only the endpoints an event reached are polled, once per pop.
     // The one-argument form stamps this pump's transmissions with a later
     // time — the Send arm uses it to hold a sealed burst until the sending
     // host's CPU charge has elapsed, without warping the shared clock (which
@@ -654,14 +662,9 @@ pub fn run_scenario_app(
                         }
                     }
                 }
-                // The reply (or an ACK queued during delivery) may have left
-                // fresh transmissions behind; one more pass catches them.
-                if endpoints[ep].poll_transmit(t, &mut scratch) > 0 {
-                    if let Some(adv) = adversary.as_mut() {
-                        adv.tap(t, ports[ep], &mut scratch);
-                    }
-                    fabric.send(t, ports[ep], scratch.drain(..));
-                }
+                // A reply sent above pushed `ep` back onto `work`, so its
+                // packets go out on the next pop, at this `t`; taking the
+                // deliveries queues nothing else to send.
                 deadlines.set(ep, endpoints[ep].next_timeout());
             }
         }};
@@ -722,9 +725,7 @@ pub fn run_scenario_app(
                 trace.note(now);
                 trace.note(ep as u64);
                 trace.note(data.len() as u64);
-                let sealed_before = scenario
-                    .cpu
-                    .map(|_| endpoints[ep].sim_stats().records_sealed);
+                let sealed_before = scenario.cpu.map(|_| endpoints[ep].records_sealed());
                 if let Some(id) = endpoints[ep].send(&data, now) {
                     messages_sent += 1;
                     in_flight.insert((ep, id), now);
@@ -736,10 +737,7 @@ pub fn run_scenario_app(
                 // queue behind each other's sealing work.
                 let mut tx_at = now;
                 if let (Some(cpu), Some(before)) = (scenario.cpu, sealed_before) {
-                    let records = endpoints[ep]
-                        .sim_stats()
-                        .records_sealed
-                        .saturating_sub(before);
+                    let records = endpoints[ep].records_sealed().saturating_sub(before);
                     if records > 0 {
                         tx_at =
                             cpu_free[ep].max(now) + cpu.seal_ns(s.size as u64, records).min(SECOND);
@@ -772,9 +770,7 @@ pub fn run_scenario_app(
                 trace.note(ps.ep as u64);
                 trace.note(ps.data.len() as u64);
                 let is_client_end = ps.ep.is_multiple_of(2);
-                let sealed_before = scenario
-                    .cpu
-                    .map(|_| endpoints[ps.ep].sim_stats().records_sealed);
+                let sealed_before = scenario.cpu.map(|_| endpoints[ps.ep].records_sealed());
                 if let Some(id) = endpoints[ps.ep].send(&ps.data, now) {
                     if is_client_end {
                         // A closed-loop request: accounted exactly like a
@@ -792,10 +788,7 @@ pub fn run_scenario_app(
                 // sends — the server's reply crypto is host CPU too.
                 let mut tx_at = now;
                 if let (Some(cpu), Some(before)) = (scenario.cpu, sealed_before) {
-                    let records = endpoints[ps.ep]
-                        .sim_stats()
-                        .records_sealed
-                        .saturating_sub(before);
+                    let records = endpoints[ps.ep].records_sealed().saturating_sub(before);
                     if records > 0 {
                         tx_at = cpu_free[ps.ep].max(now)
                             + cpu.seal_ns(ps.data.len() as u64, records).min(SECOND);

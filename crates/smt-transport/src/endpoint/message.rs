@@ -238,6 +238,13 @@ impl MessageEngine {
         Ok(inner.rekey()?)
     }
 
+    /// Records the session sealed; none before the keys are installed.
+    pub(crate) fn records_sealed(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.session().stats().records_sealed)
+    }
+
     /// Adds the counters the session and the transport keep themselves.
     pub(crate) fn read_stats(&self, stats: &mut EndpointStats) {
         let Some(inner) = &self.inner else { return };
@@ -252,7 +259,7 @@ impl MessageEngine {
         stats.replays_rejected += receiver.packets_replayed + receiver.packets_duplicate;
         stats.retransmissions += inner.retransmitted_packets();
         stats.datagrams_dropped += inner.recv_errors() + receiver.epoch_rejected;
-        stats.records_sealed += session.records_sealed;
+        stats.records_sealed += self.records_sealed();
         stats.auth_failures += receiver.auth_failures;
         // Typed-error rejections that were not authentication failures
         // were malformed wire input.

@@ -74,7 +74,7 @@ use shell::Keying;
 use smt_core::segment::PathInfo;
 use smt_core::SmtConfig;
 use smt_crypto::handshake::{SessionKeys, SmtTicket};
-use smt_sim::net::{Fabric, FabricStats, FaultConfig, LinkConfig};
+use smt_sim::net::{Fabric, FabricStats, FaultConfig, LinkConfig, PortId};
 use smt_sim::Nanos;
 use smt_wire::Packet;
 use thiserror::Error;
@@ -486,6 +486,13 @@ impl PairFabric {
     pub fn stats(&self) -> FabricStats {
         self.fabric.stats
     }
+
+    /// Puts whatever `ep`, on `port`, wants on the wire now into the fabric.
+    fn flush(&mut self, ep: &mut (impl SecureEndpoint + ?Sized), port: PortId) {
+        if ep.poll_transmit(self.now, &mut self.scratch) > 0 {
+            self.fabric.send(self.now, port, self.scratch.drain(..));
+        }
+    }
 }
 
 impl Default for PairFabric {
@@ -499,6 +506,15 @@ impl Default for PairFabric {
 /// traffic) or `max_events` events have been processed.  Returns the number
 /// of events processed.
 ///
+/// Both ends are flushed once on entry, since callers `send` between calls.
+/// After that an endpoint is polled only when an event reached it: the
+/// destination of each delivered packet, right after it handles it, and each
+/// end whose timer fired, right after it fires, `a` before `b`.  A fabric
+/// pop that only moves a packet between hops polls nothing.  An endpoint no
+/// event reached has nothing new to send, so this emits exactly what polling
+/// both ends after every event would, at the same instants and in the same
+/// order.
+///
 /// This is the one pairwise drive loop in the repository: every example,
 /// bench and test that moves packets between two stacks goes through here
 /// (or through a thin wrapper), for any [`StackKind`].  Multi-host workloads
@@ -510,18 +526,10 @@ pub fn drive_pair(
     link: &mut PairFabric,
     max_events: usize,
 ) -> usize {
+    link.flush(a, 0);
+    link.flush(b, 1);
     let mut events = 0usize;
-    loop {
-        // Flush whatever both ends want on the wire at the current instant.
-        if a.poll_transmit(link.now, &mut link.scratch) > 0 {
-            link.fabric.send(link.now, 0, link.scratch.drain(..));
-        }
-        if b.poll_transmit(link.now, &mut link.scratch) > 0 {
-            link.fabric.send(link.now, 1, link.scratch.drain(..));
-        }
-        if events >= max_events {
-            return events;
-        }
+    while events < max_events {
         // Advance to the next cause: packet arrival or retransmission timer
         // (arrivals win ties so timers see the freshest state).
         let t_net = link.fabric.next_arrival();
@@ -530,26 +538,31 @@ pub fn drive_pair(
             .flatten()
             .min();
         match (t_net, t_timer) {
-            (None, None) => return events,
+            (None, None) => break,
             (Some(tn), tt) if tt.is_none_or(|tt| tn <= tt) => {
                 let Some((at, port, packet)) = link.fabric.pop_arrival() else {
                     continue;
                 };
                 link.now = link.now.max(at);
                 events += 1;
-                let _ = match port {
-                    0 => a.handle_datagram(&packet, link.now),
-                    _ => b.handle_datagram(&packet, link.now),
-                };
+                if port == 0 {
+                    let _ = a.handle_datagram(&packet, link.now);
+                    link.flush(a, 0);
+                } else {
+                    let _ = b.handle_datagram(&packet, link.now);
+                    link.flush(b, 1);
+                }
             }
             (_, Some(tt)) => {
                 link.now = link.now.max(tt);
                 events += 1;
                 if a.next_timeout().is_some_and(|d| d <= link.now) {
                     a.on_timeout(link.now);
+                    link.flush(a, 0);
                 }
                 if b.next_timeout().is_some_and(|d| d <= link.now) {
                     b.on_timeout(link.now);
+                    link.flush(b, 1);
                 }
             }
             // (Some, None) with a failed guard cannot happen: the guard is
@@ -557,6 +570,7 @@ pub fn drive_pair(
             (Some(_), None) => unreachable!(),
         }
     }
+    events
 }
 
 /// Builds [`Endpoint`]s: picks the backing machinery for a [`StackKind`] and
@@ -1386,6 +1400,236 @@ pub(crate) mod tests {
             errors.push(err.to_string());
         }
         assert_eq!(errors[0], errors[1], "one error for a full queue");
+    }
+
+    /// An endpoint that logs every packet it puts on the wire: when, and
+    /// where in the order both ends of its pair emitted theirs.
+    struct Logged {
+        inner: Endpoint,
+        order: std::rc::Rc<std::cell::Cell<u64>>,
+        sent: Vec<(u64, Nanos, Packet)>,
+    }
+
+    impl Logged {
+        fn pair((a, b): (Endpoint, Endpoint)) -> (Self, Self) {
+            let order = std::rc::Rc::default();
+            let logged = |inner| Logged {
+                inner,
+                order: std::rc::Rc::clone(&order),
+                sent: Vec::new(),
+            };
+            (logged(a), logged(b))
+        }
+    }
+
+    impl SecureEndpoint for Logged {
+        fn stack(&self) -> StackKind {
+            self.inner.stack()
+        }
+        fn send(&mut self, data: &[u8], now: Nanos) -> EndpointResult<MessageId> {
+            self.inner.send(data, now)
+        }
+        fn handle_datagram(&mut self, datagram: &Packet, now: Nanos) -> EndpointResult<()> {
+            self.inner.handle_datagram(datagram, now)
+        }
+        fn poll_transmit(&mut self, now: Nanos, out: &mut Vec<Packet>) -> usize {
+            let before = out.len();
+            let n = self.inner.poll_transmit(now, out);
+            for p in &out[before..] {
+                self.sent.push((self.order.get(), now, p.clone()));
+                self.order.set(self.order.get() + 1);
+            }
+            n
+        }
+        fn poll_event(&mut self) -> Option<Event> {
+            self.inner.poll_event()
+        }
+        fn next_timeout(&self) -> Option<Nanos> {
+            self.inner.next_timeout()
+        }
+        fn on_timeout(&mut self, now: Nanos) {
+            self.inner.on_timeout(now)
+        }
+        fn stats(&self) -> EndpointStats {
+            self.inner.stats()
+        }
+    }
+
+    /// The pair loop that polls both ends after every event and every
+    /// fabric pop: what [`drive_pair`] must emit the same packets as.
+    fn drive_pair_polling_both(
+        a: &mut Logged,
+        b: &mut Logged,
+        link: &mut PairFabric,
+        max_events: usize,
+    ) -> usize {
+        let mut events = 0usize;
+        loop {
+            if a.poll_transmit(link.now, &mut link.scratch) > 0 {
+                link.fabric.send(link.now, 0, link.scratch.drain(..));
+            }
+            if b.poll_transmit(link.now, &mut link.scratch) > 0 {
+                link.fabric.send(link.now, 1, link.scratch.drain(..));
+            }
+            if events >= max_events {
+                return events;
+            }
+            let t_net = link.fabric.next_arrival();
+            let t_timer = [a.next_timeout(), b.next_timeout()]
+                .into_iter()
+                .flatten()
+                .min();
+            match (t_net, t_timer) {
+                (None, None) => return events,
+                (Some(tn), tt) if tt.is_none_or(|tt| tn <= tt) => {
+                    let Some((at, port, packet)) = link.fabric.pop_arrival() else {
+                        continue;
+                    };
+                    link.now = link.now.max(at);
+                    events += 1;
+                    let _ = match port {
+                        0 => a.handle_datagram(&packet, link.now),
+                        _ => b.handle_datagram(&packet, link.now),
+                    };
+                }
+                (_, Some(tt)) => {
+                    link.now = link.now.max(tt);
+                    events += 1;
+                    if a.next_timeout().is_some_and(|d| d <= link.now) {
+                        a.on_timeout(link.now);
+                    }
+                    if b.next_timeout().is_some_and(|d| d <= link.now) {
+                        b.on_timeout(link.now);
+                    }
+                }
+                (Some(_), None) => unreachable!(),
+            }
+        }
+    }
+
+    /// What one echo workload leaves behind: each end's packets with their
+    /// send times and its events, the fabric's counters and the clock.
+    type EchoTrace = (
+        Vec<(u64, Nanos, Packet)>,
+        Vec<(u64, Nanos, Packet)>,
+        Vec<Event>,
+        Vec<Event>,
+        FabricStats,
+        Nanos,
+    );
+
+    /// Two rounds of `depth` requests echoed back, driven in slices of a few
+    /// dozen events so that calls return, and re-enter, mid-exchange.
+    fn echo_trace(
+        drive: fn(&mut Logged, &mut Logged, &mut PairFabric, usize) -> usize,
+        stack: StackKind,
+        keys: &(SessionKeys, SessionKeys),
+        faults: FaultConfig,
+        depth: usize,
+    ) -> EchoTrace {
+        const SLICE: usize = 37;
+        let (mut c, mut s) = Logged::pair(
+            Endpoint::builder()
+                .stack(stack)
+                .pair(&keys.0, &keys.1, 4000, 5201)
+                .unwrap(),
+        );
+        let mut link = PairFabric::with_config(LinkConfig::default(), faults);
+        let (mut c_events, mut s_events) = (Vec::new(), Vec::new());
+        let settle = |c: &mut Logged, s: &mut Logged, link: &mut PairFabric| {
+            for _ in 0..100_000 {
+                if drive(c, s, link, SLICE) < SLICE {
+                    return;
+                }
+            }
+            panic!("{stack:?} did not quiesce");
+        };
+        for round in 0..2 {
+            for i in 0..depth {
+                let size = [64, 1_000, 3_000, 9_000][(i + round) % 4];
+                c.send(&vec![(i + round) as u8; size], link.now()).unwrap();
+            }
+            settle(&mut c, &mut s, &mut link);
+            while let Some(event) = s.poll_event() {
+                if let Event::MessageDelivered { data, .. } = &event {
+                    s.send(data, link.now()).unwrap();
+                }
+                s_events.push(event);
+            }
+            settle(&mut c, &mut s, &mut link);
+            c_events.extend(std::iter::from_fn(|| c.poll_event()));
+        }
+        (c.sent, s.sent, c_events, s_events, link.stats(), link.now())
+    }
+
+    #[test]
+    fn polling_only_what_an_event_reached_emits_what_polling_both_ends_did() {
+        let keys = keys();
+        let hostile = FaultConfig {
+            loss: 0.03,
+            duplicate: 0.05,
+            reorder: 0.1,
+            reorder_delay_ns: 5_000,
+            seed: 9,
+        };
+        for stack in StackKind::all() {
+            for (fabric, faults) in [("reliable", FaultConfig::none()), ("hostile", hostile)] {
+                for depth in [1, 64] {
+                    let label = format!("{} {fabric} depth {depth}", stack.label());
+                    let got = echo_trace(drive_pair, stack, &keys, faults, depth);
+                    let want = echo_trace(drive_pair_polling_both, stack, &keys, faults, depth);
+                    let delivered = |events: &[Event]| {
+                        events
+                            .iter()
+                            .filter(|e| matches!(e, Event::MessageDelivered { .. }))
+                            .count()
+                    };
+                    assert_eq!(delivered(&got.3), 2 * depth, "{label}: requests arrived");
+                    assert_eq!(delivered(&got.2), 2 * depth, "{label}: echoes arrived");
+                    if fabric == "hostile" {
+                        assert!(got.4.dropped() > 0, "{label}: the fabric dropped");
+                    }
+                    for (end, got, want) in
+                        [("client", &got.0, &want.0), ("server", &got.1, &want.1)]
+                    {
+                        let first =
+                            (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i));
+                        assert_eq!(first, None, "{label}: the {end}'s packets diverge here");
+                    }
+                    assert!(got.2 == want.2, "{label}: the client's events diverge");
+                    assert!(got.3 == want.3, "{label}: the server's events diverge");
+                    assert_eq!((got.4, got.5), (want.4, want.5), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timers_firing_at_once_flush_a_before_b() {
+        let keys = keys();
+        let blackhole = FaultConfig::lossy(1.0, 1);
+        let run = |drive: fn(&mut Logged, &mut Logged, &mut PairFabric, usize) -> usize| {
+            let (mut a, mut b) = Logged::pair(
+                Endpoint::builder()
+                    .stack(StackKind::SmtSw)
+                    .rto_ns(10_000)
+                    .pair(&keys.0, &keys.1, 4000, 5201)
+                    .unwrap(),
+            );
+            a.send(b"from a", 0).unwrap();
+            b.send(b"from b", 0).unwrap();
+            let mut link = PairFabric::with_config(LinkConfig::default(), blackhole);
+            assert_eq!(drive(&mut a, &mut b, &mut link, 6), 6);
+            (a.sent, b.sent)
+        };
+        let (a, b) = run(drive_pair);
+        // Every fire probes both ends at one instant, `a` first.
+        assert!(a.len() > 2 && a.len() == b.len());
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!(a.1, b.1);
+            assert!(a.0 < b.0);
+        }
+        assert!((a, b) == run(drive_pair_polling_both));
     }
 
     #[test]

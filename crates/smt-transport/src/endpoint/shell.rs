@@ -341,6 +341,17 @@ impl Endpoint {
         EndpointBuilder::default()
     }
 
+    /// `stats().records_sealed`, without the rest of the snapshot (whose
+    /// op-latency quantiles walk a histogram): the scenario runner reads it
+    /// around every send it charges sealing time for.
+    pub(crate) fn records_sealed(&self) -> u64 {
+        self.shell.stats.records_sealed
+            + match &self.engine {
+                Engine::Message(m) => m.records_sealed(),
+                Engine::Stream(s) => s.records_sealed(),
+            }
+    }
+
     /// The one construction path behind [`EndpointBuilder::build`],
     /// [`connect`](EndpointBuilder::connect) and
     /// [`accept`](EndpointBuilder::accept).

@@ -65,6 +65,10 @@ impl SimEndpoint for Endpoint {
             op_latency_p99_ns: s.op_latency_p99_ns,
         }
     }
+
+    fn records_sealed(&self) -> u64 {
+        Endpoint::records_sealed(self)
+    }
 }
 
 /// Builds the endpoint set for `scenario` on `stack`: one client/server pair
@@ -209,6 +213,33 @@ mod tests {
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a, b);
         assert_ne!(run(5).trace_hash, run(6).trace_hash);
+    }
+
+    #[test]
+    fn records_sealed_reads_the_counter_the_full_snapshot_carries() {
+        let (ck, sk) = keys();
+        let scenario = incast_scenario(2, 20_000, 2, LinkConfig::default(), FaultConfig::none());
+        for stack in StackKind::all() {
+            let mut eps = scenario_endpoints(&scenario, stack, &ck, &sk);
+            let report = run_scenario(&scenario, &mut eps, |_, _, data, _| Some(data.to_vec()));
+            assert_eq!(report.messages_delivered, 4, "{stack:?}");
+            for ep in &eps {
+                assert_eq!(
+                    ep.records_sealed(),
+                    ep.sim_stats().records_sealed,
+                    "{stack:?}"
+                );
+            }
+            // A software record layer seals at least one record per message,
+            // 4 requests and 4 echoes; offload and plaintext seal none.
+            let sealed: u64 = eps.iter().map(|ep| ep.records_sealed()).sum();
+            let software = matches!(
+                stack,
+                StackKind::UserTls | StackKind::KtlsSw | StackKind::Tcpls | StackKind::SmtSw
+            );
+            assert_eq!(sealed >= 8, software, "{stack:?} sealed {sealed}");
+            assert!(software || sealed == 0, "{stack:?} sealed {sealed}");
+        }
     }
 
     #[test]

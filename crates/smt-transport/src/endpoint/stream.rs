@@ -686,14 +686,19 @@ impl StreamEngine {
         self.next_send = self.acked;
     }
 
+    /// Records the host sealed: those of a software record layer (an
+    /// offloading NIC seals its own, and the plaintext stacks seal none).
+    pub(crate) fn records_sealed(&self) -> u64 {
+        self.tls_tx
+            .as_ref()
+            .filter(|tx| tx.crypto_mode() == CryptoMode::Software)
+            .map_or(0, |tx| tx.records_sent)
+    }
+
     /// Adds the gauges the window machine and the record layer keep.
     pub(crate) fn read_stats(&self, stats: &mut EndpointStats) {
         stats.ecn_marks_seen = self.cwnd.ecn_marks_seen();
         stats.cwnd_bytes = self.cwnd.window();
-        if let Some(tx) = &self.tls_tx {
-            if tx.crypto_mode() == CryptoMode::Software {
-                stats.records_sealed += tx.records_sent;
-            }
-        }
+        stats.records_sealed += self.records_sealed();
     }
 }

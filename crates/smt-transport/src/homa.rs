@@ -27,6 +27,14 @@
 //! cuts a TSO segment as it drains its queue.  A RESEND's (TSO offset, packet
 //! offset) is resolved by arithmetic on the segments.
 //!
+//! **A poll costs what changed, not what is in flight.**  Only two things let
+//! first transmissions out: `send_message` (the unscheduled prefix) and a
+//! GRANT that raises a window past what was sent.  Each puts the message in
+//! an ordered ready set beside the send state; `poll_transmit` drains exactly
+//! that set, in ascending message ID, and an ACK takes a message out of it
+//! with its state.  With 64 RPCs outstanding a poll therefore walks the one
+//! or two messages a packet just granted, not all 64.
+//!
 //! Simplifications relative to Homa/Linux, documented here and in DESIGN.md: the
 //! grant window is tracked in packets rather than bytes, and a RESEND names
 //! where the first gap starts (in the coordinates DATA packets carry: segment
@@ -279,11 +287,15 @@ pub struct HomaEndpoint {
     /// The SRPT grant machine, consulted on every accepted data arrival.
     scheduler: SrptGrantScheduler,
     path: PathInfo,
-    // BTreeMaps, not HashMaps: poll_transmit/poll_resend iterate these, and
-    // the discrete-event harness needs iteration order (hence packet emission
-    // order) to be deterministic across runs.
+    // BTreeMaps, not HashMaps: the probe and RESEND timers iterate these,
+    // and the discrete-event harness needs iteration order (hence packet
+    // emission order) to be deterministic across runs.
     sends: BTreeMap<u64, PendingSend>,
     recvs: BTreeMap<u64, RecvProgress>,
+    /// The sends with granted-but-unsent packets, in ascending ID order
+    /// (module docs).  A sorted `Vec`, not a `BTreeSet`: it is emptied on
+    /// every poll, and a set would allocate a node each time it refills.
+    ready: Vec<u64>,
     delivered: Vec<ReceivedMessage>,
     acked: Vec<u64>,
     /// Data packets retransmitted (RESEND-triggered plus sender-timeout).
@@ -359,6 +371,7 @@ impl HomaEndpoint {
             path,
             sends: BTreeMap::new(),
             recvs: BTreeMap::new(),
+            ready: Vec::new(),
             delivered: Vec::new(),
             acked: Vec::new(),
             retransmitted_packets: 0,
@@ -502,12 +515,13 @@ impl HomaEndpoint {
                 }
             })
             .collect();
+        let granted = self.unscheduled().min(packets);
         self.sends.insert(
             out.message_id,
             PendingSend {
                 segments,
                 packets,
-                granted: self.unscheduled().min(packets),
+                granted,
                 sent: 0,
                 priority: 0,
                 first_sent_at: self.time.now,
@@ -515,6 +529,9 @@ impl HomaEndpoint {
                 probe: self.time.start(),
             },
         );
+        if granted > 0 {
+            mark_ready(&mut self.ready, out.message_id);
+        }
         Ok(out.message_id)
     }
 
@@ -536,13 +553,22 @@ impl HomaEndpoint {
     /// stamped into its plaintext option area — safe post-seal because the
     /// option area is outside the AEAD envelope (see
     /// [`smt_core::segment::SmtSegmenter::mark_retransmission`]).
+    ///
+    /// Walks only the ready sends, in ascending ID order — the order a scan
+    /// of every send would emit them in, since only these have anything to
+    /// emit — and leaves none ready.
     pub(crate) fn poll_transmit_into(&mut self, out: &mut Vec<Packet>) {
+        debug_assert!(
+            self.sends.iter().all(|(id, send)| {
+                send.sent >= send.granted.min(send.packets) || self.ready.binary_search(id).is_ok()
+            }),
+            "a send with granted-but-unsent packets is missing from the ready set"
+        );
         let mtu = self.nic.mtu();
-        for send in self.sends.values_mut() {
+        for id in &self.ready {
+            let send = self.sends.get_mut(id).expect("a ready send is in flight");
             let end = send.granted.min(send.packets);
-            if send.sent >= end {
-                continue;
-            }
+            debug_assert!(send.sent < end, "a ready send has packets to emit");
             if send.sent == 0 {
                 send.first_sent_at = self.time.now;
             }
@@ -555,6 +581,7 @@ impl HomaEndpoint {
             });
             send.sent = end;
         }
+        self.ready.clear();
     }
 
     fn control_packet(&self, payload: PacketPayload, ptype: PacketType, message_id: u64) -> Packet {
@@ -696,6 +723,9 @@ impl HomaEndpoint {
                         send.priority = g.priority;
                         // The receiver knows the message and is pacing it.
                         send.probe = self.time.start();
+                        if send.granted.min(send.packets) > send.sent {
+                            mark_ready(&mut self.ready, g.message_id);
+                        }
                     }
                 }
             }
@@ -735,6 +765,9 @@ impl HomaEndpoint {
                     // Releases the send state, retained segments included; a
                     // duplicate ACK finds nothing and reports nothing.
                     if let Some(send) = self.sends.remove(&a.message_id) {
+                        if let Ok(at) = self.ready.binary_search(&a.message_id) {
+                            self.ready.remove(at);
+                        }
                         self.acked.push(a.message_id);
                         self.rtt_sample = (!send.retransmitted)
                             .then(|| self.time.now.saturating_sub(send.first_sent_at));
@@ -893,6 +926,14 @@ impl HomaEndpoint {
             }
         }
         out
+    }
+}
+
+/// Adds `id` to the sorted ready set unless it is there already.  Message
+/// IDs are issued increasing, so a new send lands at the end.
+fn mark_ready(ready: &mut Vec<u64>, id: u64) {
+    if let Err(at) = ready.binary_search(&id) {
+        ready.insert(at, id);
     }
 }
 
@@ -1621,6 +1662,134 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `poll_transmit` as a scan of every send, in ID order: the reference
+    /// the ready set must emit exactly the same packets as.
+    fn poll_transmit_by_scan(ep: &mut HomaEndpoint) -> Vec<Packet> {
+        let mut out = Vec::new();
+        let mtu = ep.nic.mtu();
+        for send in ep.sends.values_mut() {
+            let end = send.granted.min(send.packets);
+            if send.sent >= end {
+                continue;
+            }
+            if send.sent == 0 {
+                send.first_sent_at = ep.time.now;
+            }
+            send.probe = ep.time.start();
+            let priority = send.priority;
+            send.cut(send.sent..end, mtu, |mut p| {
+                p.overlay.options.priority = priority;
+                out.push(p);
+            });
+            send.sent = end;
+        }
+        out
+    }
+
+    #[test]
+    fn the_ready_set_emits_what_a_scan_of_every_send_would() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const RTO: Nanos = 20_000;
+        const SIZES: [usize; 8] = [0, 64, 1461, 2922, 8192, 11_680, 20_000, 60_000];
+        let (ck, _) = keys();
+        let (path, _) = PathInfo::pair(4000, 5201);
+        for (seed, stack, depth) in [
+            (1, StackKind::Homa, 1),
+            (2, StackKind::SmtSw, 8),
+            (3, StackKind::Homa, 64),
+            (4, StackKind::SmtSw, 64),
+            (5, StackKind::Homa, 200),
+            (6, StackKind::SmtHw, 200),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config = HomaConfig::default();
+            let mut fast = HomaEndpoint::new(&ck, stack, config, path).unwrap();
+            let mut scan = HomaEndpoint::new(&ck, stack, config, path).unwrap();
+            let mut live: Vec<u64> = Vec::new();
+            let (mut now, mut peak, mut emitted) = (0, 0, 0);
+            for step in 0..1_500 {
+                let label = format!("{stack:?} seed {seed} depth {depth} step {step}");
+                now += rng.gen_range(0..2_000u64);
+                let pick = if live.is_empty() {
+                    0
+                } else {
+                    live[rng.gen_range(0..live.len())]
+                };
+                let (got, want) = match rng.gen_range(0..7u32) {
+                    0 | 1 if live.len() < depth => {
+                        let data = vec![step as u8; SIZES[rng.gen_range(0..SIZES.len())]];
+                        fast.set_clock(now, RTO);
+                        scan.set_clock(now, RTO);
+                        let id = fast.send_message(&data, step % 4).unwrap();
+                        assert_eq!(scan.send_message(&data, step % 4).unwrap(), id);
+                        live.push(id);
+                        peak = peak.max(live.len());
+                        (Vec::new(), Vec::new())
+                    }
+                    2 if !live.is_empty() => {
+                        // Anything from a stale offset to past the end.
+                        let packets = fast.sends[&pick].packets as u32;
+                        let offset = rng.gen_range(0..packets + 4);
+                        let g = grant(&fast, pick, offset, rng.gen_range(0..8u8));
+                        fast.set_clock(now, RTO);
+                        scan.set_clock(now, RTO);
+                        (fast.handle_packet(&g), scan.handle_packet(&g))
+                    }
+                    3 if !live.is_empty() => {
+                        let segments = &fast.sends[&pick].segments;
+                        let seg = &segments[rng.gen_range(0..segments.len())];
+                        let resend = PacketPayload::Resend(HomaResend {
+                            message_id: pick,
+                            offset: seg.segment.options().tso_offset + rng.gen_range(0..2u32),
+                            length: rng.gen_range(0..48u32),
+                            priority: 0,
+                        });
+                        let resend = from_peer(&fast, resend, pick);
+                        fast.set_clock(now, RTO);
+                        scan.set_clock(now, RTO);
+                        (fast.handle_packet(&resend), scan.handle_packet(&resend))
+                    }
+                    4 => {
+                        // Sometimes long enough for every clock to be due.
+                        now += rng.gen_range(0..4 * RTO);
+                        fast.set_clock(now, RTO);
+                        scan.set_clock(now, RTO);
+                        (
+                            fast.poll_retransmit_unacked(),
+                            scan.poll_retransmit_unacked(),
+                        )
+                    }
+                    5 if !live.is_empty() => {
+                        let ack = from_peer(
+                            &fast,
+                            PacketPayload::Ack(HomaAck { message_id: pick }),
+                            pick,
+                        );
+                        fast.set_clock(now, RTO);
+                        scan.set_clock(now, RTO);
+                        live.retain(|&id| id != pick);
+                        (fast.handle_packet(&ack), scan.handle_packet(&ack))
+                    }
+                    _ => {
+                        fast.set_clock(now, RTO);
+                        scan.set_clock(now, RTO);
+                        let got = fast.poll_transmit();
+                        emitted += got.len();
+                        (got, poll_transmit_by_scan(&mut scan))
+                    }
+                };
+                assert_eq!(got, want, "{label}");
+                assert_eq!(fast.next_due(), scan.next_due(), "{label}");
+                assert_eq!(fast.take_wake_by(), scan.take_wake_by(), "{label}");
+                assert_eq!(fast.take_rtt_sample(), scan.take_rtt_sample(), "{label}");
+                assert_eq!(fast.take_acked(), scan.take_acked(), "{label}");
+            }
+            assert_eq!(peak, depth, "{stack:?} seed {seed}: reached its depth");
+            assert!(emitted > 0, "{stack:?} seed {seed}");
         }
     }
 

@@ -1,7 +1,12 @@
 //! Protocol-engine configuration.
 
 use serde::{Deserialize, Serialize};
-use smt_wire::{DEFAULT_MTU, FRAMING_HEADER_LEN, MAX_TLS_RECORD, MAX_TSO_SEGMENT};
+use smt_wire::{DEFAULT_MTU, FRAMING_HEADER_LEN, MAX_TLS_RECORD};
+
+/// Application bytes per TLS record behind a framing header (a record
+/// without one carries the header's bytes more); the record stays under
+/// 16 KB.
+pub const MAX_RECORD_PAYLOAD: usize = MAX_TLS_RECORD - FRAMING_HEADER_LEN - 64;
 
 /// Where encryption happens for a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -28,15 +33,17 @@ impl CryptoMode {
     }
 }
 
-/// Configuration of the SMT protocol engine for one endpoint.
+/// Configuration of the SMT protocol engine for one endpoint: what a figure
+/// varies (MTU, TSO, where encryption happens) and the wire format (framing
+/// header, padding).  Sizes the engine never varies are constants: the
+/// record payload [`MAX_RECORD_PAYLOAD`], the TSO segment
+/// [`smt_wire::MAX_TSO_SEGMENT`], and the NIC geometry
+/// [`NIC_QUEUES`](crate::session::NIC_QUEUES) ×
+/// [`FLOW_CONTEXTS_PER_QUEUE`](crate::session::FLOW_CONTEXTS_PER_QUEUE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SmtConfig {
     /// Network MTU in bytes.
     pub mtu: usize,
-    /// Maximum TSO segment payload handed to the NIC.
-    pub max_tso_segment: usize,
-    /// Maximum plaintext bytes per TLS record (≤ 16 KB).
-    pub max_record_payload: usize,
     /// Whether TSO is available (Fig. 11 evaluates the no-TSO fallback; without
     /// TSO each packet is sent as its own segment of at most one MTU).
     pub tso_enabled: bool,
@@ -47,34 +54,16 @@ pub struct SmtConfig {
     pub crypto_mode: CryptoMode,
     /// Length-concealment padding granularity in bytes (0 disables padding).
     pub padding_granularity: usize,
-    /// Maximum number of NIC flow contexts per TX queue for this session
-    /// (§4.4.2; the paper's implementation uses one per queue).
-    pub flow_contexts_per_queue: usize,
-    /// Number of NIC TX queues (one per sending core in the evaluation setup).
-    pub nic_queues: usize,
-    /// Baseline network round-trip time in nanoseconds, used to derive the
-    /// sender retransmission timeout (the paper's testbed RTT is a few µs).
-    pub base_rtt_ns: u64,
-    /// Sender retransmission timeout as a multiple of `base_rtt_ns` (the
-    /// message engine's unscheduled-prefix retransmit and the stream engine's
-    /// rewind to the cumulative ACK both fire after [`SmtConfig::rto_ns`]).
-    pub rto_rtt_multiple: u32,
 }
 
 impl Default for SmtConfig {
     fn default() -> Self {
         Self {
             mtu: DEFAULT_MTU,
-            max_tso_segment: MAX_TSO_SEGMENT,
-            max_record_payload: MAX_TLS_RECORD - FRAMING_HEADER_LEN - 64,
             tso_enabled: true,
             framing_header: true,
             crypto_mode: CryptoMode::Software,
             padding_granularity: 0,
-            flow_contexts_per_queue: 1,
-            nic_queues: 4,
-            base_rtt_ns: 10_000,
-            rto_rtt_multiple: 4,
         }
     }
 }
@@ -113,25 +102,13 @@ impl SmtConfig {
         self
     }
 
-    /// Sets the baseline RTT the retransmission timeout is derived from.
-    pub fn with_base_rtt_ns(mut self, rtt_ns: u64) -> Self {
-        self.base_rtt_ns = rtt_ns;
-        self
-    }
-
-    /// The sender retransmission timeout: `base_rtt_ns * rto_rtt_multiple`,
-    /// never zero.
-    pub fn rto_ns(&self) -> u64 {
-        (self.base_rtt_ns * u64::from(self.rto_rtt_multiple)).max(1)
-    }
-
     /// Largest application payload a single record may carry under this
     /// configuration (accounts for the framing header when enabled).
     pub fn record_app_capacity(&self) -> usize {
         if self.framing_header {
-            self.max_record_payload
+            MAX_RECORD_PAYLOAD
         } else {
-            self.max_record_payload + FRAMING_HEADER_LEN
+            MAX_RECORD_PAYLOAD + FRAMING_HEADER_LEN
         }
     }
 }
@@ -160,21 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn rto_is_an_rtt_multiple_and_never_zero() {
-        let c = SmtConfig::default();
-        assert_eq!(c.rto_ns(), c.base_rtt_ns * u64::from(c.rto_rtt_multiple));
-        let z = SmtConfig {
-            base_rtt_ns: 0,
-            ..SmtConfig::default()
-        };
-        assert_eq!(z.rto_ns(), 1);
-        assert_eq!(
-            SmtConfig::default().with_base_rtt_ns(25_000).rto_ns(),
-            100_000
-        );
-    }
-
-    #[test]
     fn record_capacity_respects_framing() {
         let with = SmtConfig::default();
         let without = SmtConfig {
@@ -185,6 +147,6 @@ mod tests {
             without.record_app_capacity(),
             with.record_app_capacity() + FRAMING_HEADER_LEN
         );
-        assert!(with.max_record_payload + FRAMING_HEADER_LEN <= MAX_TLS_RECORD);
+        const { assert!(MAX_RECORD_PAYLOAD + FRAMING_HEADER_LEN <= MAX_TLS_RECORD) };
     }
 }

@@ -44,7 +44,7 @@ pub use ktls::{KtlsReceiver, KtlsSender, KtlsSession};
 pub use reassembly::{ReceivedMessage, SmtReceiver};
 pub use replay::ReplayGuard;
 pub use segment::{OutgoingMessage, SmtSegmenter};
-pub use session::{SessionStats, SmtSession};
+pub use session::{SessionStats, SmtSession, NIC_QUEUES};
 
 /// Result alias for the protocol engine.
 pub type SmtResult<T> = std::result::Result<T, SmtError>;

@@ -145,7 +145,7 @@ impl SmtSegmenter {
     /// Maximum payload bytes a segment may carry under the current configuration.
     fn segment_payload_limit(&self) -> usize {
         if self.config.tso_enabled {
-            self.config.max_tso_segment
+            smt_wire::MAX_TSO_SEGMENT
         } else {
             // Without TSO every segment must fit into a single packet (§7).
             smt_wire::max_payload_per_packet(self.config.mtu)

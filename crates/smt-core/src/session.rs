@@ -14,6 +14,14 @@ use smt_crypto::record::RecordProtector;
 use smt_crypto::{CipherSuite, SeqnoLayout};
 use smt_wire::Packet;
 
+/// NIC TX queues a session spreads its messages over (one per sending core
+/// in the evaluation setup).
+pub const NIC_QUEUES: usize = 4;
+
+/// NIC flow contexts per TX queue (§4.4.2; the paper's implementation uses
+/// one per queue).
+pub const FLOW_CONTEXTS_PER_QUEUE: usize = 1;
+
 /// Aggregate counters for a session.
 #[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
 pub struct SessionStats {
@@ -96,10 +104,7 @@ impl SmtSession {
             suite: Some(keys.suite),
             send_secret: Some(keys.send_secret.clone()),
             offload_key,
-            flow_contexts: FlowContextManager::new(
-                config.nic_queues,
-                config.flow_contexts_per_queue,
-            ),
+            flow_contexts: FlowContextManager::new(NIC_QUEUES, FLOW_CONTEXTS_PER_QUEUE),
             next_message_id: 0,
             max_message_size: keys.max_message_size as usize,
             stats: SessionStats::default(),
@@ -123,10 +128,7 @@ impl SmtSession {
             suite: None,
             send_secret: None,
             offload_key: None,
-            flow_contexts: FlowContextManager::new(
-                config.nic_queues,
-                config.flow_contexts_per_queue,
-            ),
+            flow_contexts: FlowContextManager::new(NIC_QUEUES, FLOW_CONTEXTS_PER_QUEUE),
             next_message_id: 0,
             max_message_size: smt_wire::DEFAULT_MAX_MESSAGE_SIZE,
             stats: SessionStats::default(),

@@ -40,7 +40,7 @@ use smt_crypto::handshake::{
 use smt_crypto::record::{Padding, RecordProtector, SealRequest};
 use smt_crypto::{CipherSuite, Secret};
 use smt_wire::{
-    ContentType, FramingHeader, HomaAck, HomaBusy, HomaGrant, HomaResend, IpHeader, Ipv4Header,
+    ContentType, FramingHeader, HomaAck, HomaGrant, HomaResend, IpHeader, Ipv4Header,
     MessageHeader, Packet, PacketPayload, PacketType, SmtOptionArea, SmtOverlayHeader,
     TlsRecordHeader, TsoSegment, MAX_RECORD_BODY, MESSAGE_HEADER_LEN,
 };
@@ -265,10 +265,6 @@ fn fuzz_wire_packet(iters: u64, seed: u64) -> FuzzReport {
         PacketType::Ack,
         PacketPayload::Ack(HomaAck { message_id: 7 }),
     ));
-    corpus_packets.push(control(
-        PacketType::Busy,
-        PacketPayload::Busy(HomaBusy { message_id: 7 }),
-    ));
     let corpus: Vec<Vec<u8>> = corpus_packets
         .iter()
         .map(|p| {
@@ -328,10 +324,9 @@ fn fuzz_wire_overlay(iters: u64, seed: u64) -> FuzzReport {
                             PacketType::Grant,
                             PacketType::Resend,
                             PacketType::Ack,
-                            PacketType::Busy,
                             PacketType::Control,
                             PacketType::Sack,
-                        ][m.below(7)],
+                        ][m.below(6)],
                     ),
                     options: SmtOptionArea {
                         message_id: m.rng.gen(),
@@ -461,7 +456,6 @@ fn fuzz_wire_framing(iters: u64, seed: u64) -> FuzzReport {
                 any |= HomaGrant::decode(&soup).is_ok();
                 any |= HomaResend::decode(&soup).is_ok();
                 any |= HomaAck::decode(&soup).is_ok();
-                any |= HomaBusy::decode(&soup).is_ok();
                 any |= IpHeader::decode(&soup).is_ok();
                 any
             }
@@ -1023,7 +1017,6 @@ fn fuzz_transport_listener_demux(iters: u64, seed: u64) -> FuzzReport {
                         PacketType::Grant,
                         PacketType::Resend,
                         PacketType::Ack,
-                        PacketType::Busy,
                         PacketType::Control,
                     ];
                     packet.overlay.tcp.packet_type = types[m.below(types.len())];
@@ -1165,16 +1158,18 @@ fn fuzz_record_open_batch(iters: u64, seed: u64) -> FuzzReport {
 }
 
 fn fuzz_cc_control_frames(iters: u64, seed: u64) -> FuzzReport {
-    use smt_transport::cc::{MsgView, SrptGrantScheduler};
-    use smt_transport::{CcConfig, DctcpWindow};
+    use smt_transport::cc::{
+        MsgView, SrptGrantScheduler, MAX_CWND_BYTES, MAX_GRANT_BACKLOG_PACKETS, MIN_CWND_BYTES,
+        PRIORITY_LEVELS,
+    };
+    use smt_transport::DctcpWindow;
     use smt_wire::{SackRange, SmtSack};
 
     let mut m = Mutator::new(seed);
-    let cc = CcConfig::default();
     // Long-lived consumers: state accumulated across iterations reaches
     // deeper than a fresh machine per input would.
-    let mut window = DctcpWindow::new(cc);
-    let mut scheduler = SrptGrantScheduler::new(cc, 16);
+    let mut window = DctcpWindow::new();
+    let mut scheduler = SrptGrantScheduler::new();
     let mut acked = 0u64;
     let (mut accepted, mut rejected) = (0u64, 0u64);
     for i in 0..iters {
@@ -1262,7 +1257,7 @@ fn fuzz_cc_control_frames(iters: u64, seed: u64) -> FuzzReport {
             }
             // Feed the DCTCP window exactly as the stream endpoint would: an
             // adversarial echo must never push the window outside its
-            // configured bounds.
+            // bounds.
             let newly = sack.ack_offset.saturating_sub(acked);
             acked = acked.max(sack.ack_offset);
             window.on_ack(
@@ -1275,18 +1270,18 @@ fn fuzz_cc_control_frames(iters: u64, seed: u64) -> FuzzReport {
                 window.on_loss(i.wrapping_mul(7) + 1);
             }
             assert!(
-                window.window() <= cc.max_cwnd_bytes,
+                window.window() <= MAX_CWND_BYTES,
                 "SACK echo inflated cwnd past the ceiling (iteration {i}, seed {seed})"
             );
             assert!(
-                window.window() >= cc.min_cwnd_bytes,
+                window.window() >= MIN_CWND_BYTES,
                 "SACK echo collapsed cwnd below one MSS (iteration {i}, seed {seed})"
             );
         }
         if let Ok((grant, _)) = HomaGrant::decode(&input) {
             any = true;
             // A forged grant feeds the SRPT scheduler as a message view; the
-            // decisions must stay inside every configured bound.
+            // decisions must stay inside every bound.
             let total = (grant.granted_offset as usize) % 512;
             let seen = m.below(total + 1);
             let views = [MsgView {
@@ -1303,12 +1298,12 @@ fn fuzz_cc_control_frames(iters: u64, seed: u64) -> FuzzReport {
                 );
                 assert!(
                     (d.granted_packets as usize).saturating_sub(backlog_before)
-                        <= cc.max_grant_backlog_packets,
+                        <= MAX_GRANT_BACKLOG_PACKETS,
                     "grant decision exceeds the backlog cap (iteration {i}, seed {seed})"
                 );
                 assert!(
-                    d.priority < cc.priority_levels,
-                    "grant priority outside the configured levels (iteration {i}, seed {seed})"
+                    d.priority < PRIORITY_LEVELS,
+                    "grant priority outside the priority levels (iteration {i}, seed {seed})"
                 );
             }
         }

@@ -6,16 +6,28 @@
 //! throughput collapse of halving on every mark.  Loss events (RTO, SACK
 //! holes) still halve, as in the original.
 
-use super::CcConfig;
 use smt_sim::Nanos;
 
 /// Fixed-point scale for `alpha` (1.0 == `ALPHA_ONE`).
 const ALPHA_ONE: u64 = 1024;
 
+/// Window floor: one MSS, so progress never stalls entirely.
+pub const MIN_CWND_BYTES: u64 = 1448;
+
+/// Congestion window a connection opens with: ten MSS.
+pub const INITIAL_CWND_BYTES: u64 = 10 * MIN_CWND_BYTES;
+
+/// Window ceiling; also the bound a mutated SACK/GRANT can never push the
+/// window past (fuzzed in `smt-fuzz::cc_control_frames`).
+pub const MAX_CWND_BYTES: u64 = 1 << 20;
+
+/// DCTCP EWMA gain as a shift: `alpha += (frac - alpha) >> GAIN_SHIFT`
+/// (the canonical g = 1/16).
+const GAIN_SHIFT: u32 = 4;
+
 /// The DCTCP window machine driven by SACK ECN echoes.
 #[derive(Debug, Clone, Copy)]
 pub struct DctcpWindow {
-    config: CcConfig,
     cwnd: u64,
     ssthresh: u64,
     /// Smoothed CE fraction, fixed-point over [`ALPHA_ONE`].
@@ -29,16 +41,18 @@ pub struct DctcpWindow {
     ecn_marks_seen: u64,
 }
 
+impl Default for DctcpWindow {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DctcpWindow {
-    /// Creates a window at the configured initial cwnd.
-    pub fn new(config: CcConfig) -> Self {
-        let cwnd = config
-            .initial_cwnd_bytes
-            .clamp(config.min_cwnd_bytes.max(1), config.max_cwnd_bytes);
+    /// Creates a window at [`INITIAL_CWND_BYTES`].
+    pub fn new() -> Self {
         Self {
-            config,
-            cwnd,
-            ssthresh: config.max_cwnd_bytes,
+            cwnd: INITIAL_CWND_BYTES,
+            ssthresh: MAX_CWND_BYTES,
             alpha: 0,
             window_marked: 0,
             window_total: 0,
@@ -48,10 +62,7 @@ impl DctcpWindow {
     }
 
     fn clamp(&mut self) {
-        self.cwnd = self.cwnd.clamp(
-            self.config.min_cwnd_bytes.max(1),
-            self.config.max_cwnd_bytes,
-        );
+        self.cwnd = self.cwnd.clamp(MIN_CWND_BYTES, MAX_CWND_BYTES);
     }
 
     /// Closes the current observation window: folds the mark fraction into
@@ -63,8 +74,8 @@ impl DctcpWindow {
             let frac = ((u128::from(self.window_marked) * u128::from(ALPHA_ONE))
                 / u128::from(self.window_total))
             .min(u128::from(ALPHA_ONE)) as u64;
-            // alpha += (frac - alpha) >> gain_shift, in signed arithmetic.
-            let shifted = (frac as i64 - self.alpha as i64) >> self.config.gain_shift;
+            // alpha += (frac - alpha) >> GAIN_SHIFT, in signed arithmetic.
+            let shifted = (frac as i64 - self.alpha as i64) >> GAIN_SHIFT;
             self.alpha = (self.alpha as i64 + shifted).max(0) as u64;
             if self.window_marked > 0 {
                 // cwnd *= 1 - alpha/2.
@@ -102,10 +113,7 @@ impl DctcpWindow {
         if self.cwnd < self.ssthresh {
             self.cwnd = self.cwnd.saturating_add(newly_acked);
         } else {
-            let gain = self
-                .config
-                .min_cwnd_bytes
-                .max(1)
+            let gain = MIN_CWND_BYTES
                 .saturating_mul(newly_acked)
                 .checked_div(self.cwnd)
                 .unwrap_or(0);
@@ -141,7 +149,7 @@ mod tests {
     use super::*;
 
     fn window() -> DctcpWindow {
-        DctcpWindow::new(CcConfig::default())
+        DctcpWindow::new()
     }
 
     #[test]
@@ -153,7 +161,7 @@ mod tests {
             w.on_ack(acked, 0, 10, 0);
         }
         assert!(w.window() > start);
-        assert_eq!(w.window(), CcConfig::default().max_cwnd_bytes, "ceiling");
+        assert_eq!(w.window(), MAX_CWND_BYTES, "ceiling");
     }
 
     #[test]
@@ -194,11 +202,11 @@ mod tests {
         let mut w = window();
         w.on_loss(0);
         let half = w.window();
-        assert!(half < CcConfig::default().initial_cwnd_bytes);
+        assert!(half < INITIAL_CWND_BYTES);
         for _ in 0..64 {
             w.on_loss(0);
         }
-        assert_eq!(w.window(), CcConfig::default().min_cwnd_bytes, "floor");
+        assert_eq!(w.window(), MIN_CWND_BYTES, "floor");
     }
 
     #[test]
@@ -206,8 +214,8 @@ mod tests {
         let mut w = window();
         // An attacker-controlled SACK claiming absurd progress and totals.
         w.on_ack(u64::MAX / 2, 0, u64::MAX / 2, 0);
-        assert!(w.window() <= CcConfig::default().max_cwnd_bytes);
+        assert!(w.window() <= MAX_CWND_BYTES);
         w.on_ack(u64::MAX / 2, u64::MAX / 2, u64::MAX / 2, 0);
-        assert!(w.window() >= CcConfig::default().min_cwnd_bytes);
+        assert!(w.window() >= MIN_CWND_BYTES);
     }
 }

@@ -21,6 +21,13 @@
 //! (SRTT/RTTVAR) that derives the retransmission timeout the endpoints arm,
 //! replacing the fixed RTO multiple previously hard-coded in the backends.
 //!
+//! The tuning is the paper's testbed discipline, fixed as the network's and
+//! not any one connection's (Homa's overcommitment degree and RTTbytes are
+//! protocol constants too): each value is a `const` beside the code that
+//! reads it — the DCTCP window bounds and gain on [`DctcpWindow`], the SRPT
+//! grant slots, backlog cap and priority levels on [`SrptGrantScheduler`],
+//! and the RTO bounds and the resend budget here.
+//!
 //! Everything here is deterministic and allocation-light; the endpoints in
 //! [`crate::endpoint`] own the instances and surface their counters through
 //! `EndpointStats`.
@@ -28,99 +35,47 @@
 mod dctcp;
 mod srpt;
 
-pub use dctcp::DctcpWindow;
-pub use srpt::{GrantDecision, MsgView, SrptGrantScheduler};
+pub use dctcp::{DctcpWindow, INITIAL_CWND_BYTES, MAX_CWND_BYTES, MIN_CWND_BYTES};
+pub use srpt::{
+    GrantDecision, MsgView, SrptGrantScheduler, ACTIVE_GRANTS, GRANT_WINDOW_PACKETS,
+    MAX_GRANT_BACKLOG_PACKETS, PRIORITY_LEVELS,
+};
 
 use smt_sim::Nanos;
 
-/// Tuning for the congestion-control subsystem of one endpoint, carried by
-/// `EndpointBuilder`.  The defaults reproduce the paper's testbed discipline
-/// (base RTT a few µs, RTO a small RTT multiple) and are shared by the
-/// window machinery and the timers so both run off one clock model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CcConfig {
-    /// Initial congestion window in bytes (stream backend).
-    pub initial_cwnd_bytes: u64,
-    /// Window floor: one MSS so progress never stalls entirely.
-    pub min_cwnd_bytes: u64,
-    /// Window ceiling; also the bound a mutated SACK/GRANT can never push
-    /// the window past (fuzzed in `smt-fuzz::cc_control_frames`).
-    pub max_cwnd_bytes: u64,
-    /// DCTCP EWMA gain as a shift: `alpha += (frac - alpha) >> gain_shift`
-    /// (the canonical g = 1/16 is `gain_shift = 4`).
-    pub gain_shift: u32,
-    /// Whether the RTO follows the [`RttEstimator`] (SRTT + 4·RTTVAR).
-    /// `EndpointBuilder::rto_ns` clears this so an explicit override pins a
-    /// fixed, exactly-predictable deadline.
-    pub adaptive_rto: bool,
-    /// Initial retransmission timeout before any RTT sample exists.
-    pub initial_rto_ns: Nanos,
-    /// Lower clamp of the estimated RTO.  Defaults to the initial RTO: on a
-    /// datacenter fabric the estimator's job is to *raise* the timer above
-    /// the unloaded baseline when queueing delay appears (loss recovery
-    /// speed comes from SACK fast retransmit and receiver RESENDs, not from
-    /// shaving the timer), and a floor near the true RTT fires spuriously
-    /// whenever a tail ack queues behind a burst.
-    pub min_rto_ns: Nanos,
-    /// Upper clamp of the estimated RTO.
-    pub max_rto_ns: Nanos,
-    /// RESEND attempts before the message-backend receiver abandons a
-    /// stalled incomplete message (formerly a module-local constant).
-    pub max_resend_attempts: u32,
-    /// Concurrently granted messages on the message-backend receiver
-    /// (Homa's "overcommitment degree").
-    pub active_grants: usize,
-    /// Cap on granted-but-unreceived packets across all messages — what
-    /// bounds receiver queue occupancy under deep incast.
-    pub max_grant_backlog_packets: usize,
-    /// Number of network priority levels for granted data (0 = highest).
-    pub priority_levels: u8,
-}
+/// The retransmission timeout every endpoint opens with, before any RTT
+/// sample exists, and the floor of the estimated RTO afterwards: a few base
+/// RTTs of the paper's testbed.  The handshake driver's flight timer runs on
+/// it too.  A floor equal to the
+/// opening keeps the estimator's job on a datacenter fabric to *raise* the
+/// timer when queueing delay appears: loss recovery speed comes from SACK
+/// fast retransmit and receiver RESENDs, not from shaving the timer, and a
+/// floor near the true RTT fires spuriously whenever a tail ack queues
+/// behind a burst.
+pub const INITIAL_RTO_NS: Nanos = 40_000;
 
-impl Default for CcConfig {
-    fn default() -> Self {
-        Self {
-            initial_cwnd_bytes: 10 * 1448,
-            min_cwnd_bytes: 1448,
-            max_cwnd_bytes: 1 << 20,
-            gain_shift: 4,
-            adaptive_rto: true,
-            initial_rto_ns: 40_000,
-            min_rto_ns: 40_000,
-            max_rto_ns: 10_000_000,
-            max_resend_attempts: 8,
-            active_grants: 4,
-            max_grant_backlog_packets: 64,
-            priority_levels: 8,
-        }
-    }
-}
+/// Ceiling of the estimated RTO, its backoff, and every per-message
+/// recovery wait.
+pub const MAX_RTO_NS: Nanos = 10_000_000;
+
+/// RESEND attempts before the message-backend receiver abandons a stalled
+/// incomplete message.
+pub const MAX_RESEND_ATTEMPTS: u32 = 8;
 
 /// RFC 6298 round-trip estimator: SRTT/RTTVAR with the standard gains,
 /// clamped RTO.  Retransmitted ranges must not be sampled (Karn's rule) —
 /// that filtering is the caller's job.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RttEstimator {
     srtt_ns: u64,
     rttvar_ns: u64,
-    /// RTO before the first sample arrives.
-    initial_rto_ns: Nanos,
-    min_rto_ns: Nanos,
-    max_rto_ns: Nanos,
     samples: u64,
 }
 
 impl RttEstimator {
-    /// Creates an estimator with the configured initial/clamp timeouts.
-    pub fn new(config: &CcConfig) -> Self {
-        Self {
-            srtt_ns: 0,
-            rttvar_ns: 0,
-            initial_rto_ns: config.initial_rto_ns.max(1),
-            min_rto_ns: config.min_rto_ns.max(1),
-            max_rto_ns: config.max_rto_ns.max(1),
-            samples: 0,
-        }
+    /// Creates an estimator with no samples yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feeds one RTT measurement (send of an un-retransmitted range to the
@@ -150,13 +105,14 @@ impl RttEstimator {
         self.samples
     }
 
-    /// The retransmission timeout: `SRTT + 4·RTTVAR`, clamped, or the
-    /// configured initial RTO before any sample exists.
+    /// The retransmission timeout: `SRTT + 4·RTTVAR`, clamped to
+    /// [`INITIAL_RTO_NS`]..=[`MAX_RTO_NS`], or [`INITIAL_RTO_NS`] before any
+    /// sample exists.
     pub fn rto_ns(&self) -> Nanos {
         if self.samples == 0 {
-            return self.initial_rto_ns;
+            return INITIAL_RTO_NS;
         }
-        (self.srtt_ns + 4 * self.rttvar_ns).clamp(self.min_rto_ns, self.max_rto_ns)
+        (self.srtt_ns + 4 * self.rttvar_ns).clamp(INITIAL_RTO_NS, MAX_RTO_NS)
     }
 }
 
@@ -166,40 +122,37 @@ mod tests {
 
     #[test]
     fn estimator_starts_at_initial_rto() {
-        let est = RttEstimator::new(&CcConfig::default());
-        assert_eq!(est.rto_ns(), CcConfig::default().initial_rto_ns);
+        let est = RttEstimator::new();
+        assert_eq!(est.rto_ns(), INITIAL_RTO_NS);
         assert_eq!(est.srtt_ns(), 0);
     }
 
     #[test]
     fn estimator_converges_and_clamps() {
-        let config = CcConfig {
-            min_rto_ns: 20_000,
-            max_rto_ns: 100_000,
-            ..CcConfig::default()
-        };
-        let mut est = RttEstimator::new(&config);
+        let mut est = RttEstimator::new();
         for _ in 0..64 {
             est.on_sample(10_000);
         }
         // A steady 10 µs RTT collapses RTTVAR; the RTO hits the floor.
-        assert_eq!(est.rto_ns(), 20_000);
+        assert_eq!(est.rto_ns(), INITIAL_RTO_NS);
         assert!((9_000..=11_000).contains(&est.srtt_ns()));
         for _ in 0..64 {
-            est.on_sample(10_000_000);
+            est.on_sample(100_000_000);
         }
-        assert_eq!(est.rto_ns(), 100_000, "ceiling clamp");
+        assert_eq!(est.rto_ns(), MAX_RTO_NS, "ceiling clamp");
     }
 
     #[test]
     fn estimator_tracks_variance() {
-        let config = CcConfig {
-            min_rto_ns: 1_000,
-            ..CcConfig::default()
-        };
-        let mut est = RttEstimator::new(&config);
-        est.on_sample(10_000);
-        // First sample: RTO = RTT + 4 * RTT/2 = 3 * RTT.
-        assert_eq!(est.rto_ns(), 30_000);
+        let mut est = RttEstimator::new();
+        est.on_sample(20_000);
+        // First sample: RTO = RTT + 4 * RTT/2 = 3 * RTT, above the floor.
+        assert_eq!(est.rto_ns(), 60_000);
+        // A steady RTT pulls RTTVAR, and so the RTO, back down.
+        for _ in 0..8 {
+            est.on_sample(20_000);
+        }
+        let settled = est.rto_ns();
+        assert!((INITIAL_RTO_NS..60_000).contains(&settled), "{settled}");
     }
 }

@@ -5,16 +5,25 @@
 //! GRANTs.  This scheduler decides those grants with two Homa behaviours:
 //!
 //! * **SRPT ordering** — incomplete messages are ranked by remaining
-//!   packets; only the top [`CcConfig::active_grants`] are granted (Homa's
+//!   packets; only the top [`ACTIVE_GRANTS`] are granted (Homa's
 //!   overcommitment degree), each stamped with a network priority equal to
 //!   its rank (0 = shortest remaining = highest priority).
 //! * **A granted-backlog cap** — the sum of granted-but-unreceived packets
-//!   across all messages never exceeds
-//!   [`CcConfig::max_grant_backlog_packets`], which is what bounds the
-//!   receiver's queue occupancy under deep incast: the receiver never
-//!   invites more traffic than its downlink can absorb.
+//!   across all messages never exceeds [`MAX_GRANT_BACKLOG_PACKETS`], which
+//!   is what bounds the receiver's queue occupancy under deep incast: the
+//!   receiver never invites more traffic than its downlink can absorb.
 
-use super::CcConfig;
+/// Concurrently granted messages (Homa's "overcommitment degree").
+pub const ACTIVE_GRANTS: usize = 4;
+
+/// Cap on granted-but-unreceived packets across all messages.
+pub const MAX_GRANT_BACKLOG_PACKETS: usize = 64;
+
+/// Network priority levels for granted data (0 = highest).
+pub const PRIORITY_LEVELS: u8 = 8;
+
+/// Packets granted ahead of what arrived, per message and scheduling round.
+pub const GRANT_WINDOW_PACKETS: usize = 16;
 
 /// The receiver's view of one incomplete message, fed to
 /// [`SrptGrantScheduler::schedule`].
@@ -43,24 +52,16 @@ pub struct GrantDecision {
 
 /// The SRPT grant machine.  Pure policy: the caller owns the per-message
 /// receive state and feeds a view of it on every arrival.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SrptGrantScheduler {
-    config: CcConfig,
-    /// Packets granted ahead of `seen` per scheduling round.
-    grant_window: usize,
     grants_issued: u64,
     outstanding: u64,
 }
 
 impl SrptGrantScheduler {
-    /// Creates a scheduler granting `grant_window` packets ahead per round.
-    pub fn new(config: CcConfig, grant_window: usize) -> Self {
-        Self {
-            config,
-            grant_window: grant_window.max(1),
-            grants_issued: 0,
-            outstanding: 0,
-        }
+    /// Creates a scheduler that has granted nothing yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// GRANTs issued over the scheduler's lifetime.
@@ -79,7 +80,7 @@ impl SrptGrantScheduler {
     /// messages (total beyond the unscheduled prefix); order does not
     /// matter.  Decisions never lower an existing grant, never exceed the
     /// message's estimated total by more than the round-off slack, and keep
-    /// the summed backlog under the configured cap.
+    /// the summed backlog under [`MAX_GRANT_BACKLOG_PACKETS`].
     pub fn schedule(&mut self, views: &[MsgView]) -> Vec<GrantDecision> {
         let mut ranked: Vec<&MsgView> = views.iter().collect();
         // Shortest remaining processing time; message ID breaks ties so the
@@ -89,18 +90,15 @@ impl SrptGrantScheduler {
         // Backlog already invited across every message, granted or not.
         let mut backlog: usize = views.iter().map(|m| m.granted.saturating_sub(m.seen)).sum();
         let mut out = Vec::new();
-        for (rank, m) in ranked.iter().enumerate().take(self.config.active_grants) {
-            let priority = (rank as u8).min(self.config.priority_levels.saturating_sub(1));
-            // Keep `grant_window` packets in flight beyond what arrived; the
+        for (rank, m) in ranked.iter().enumerate().take(ACTIVE_GRANTS) {
+            let priority = (rank as u8).min(PRIORITY_LEVELS - 1);
+            // Keep `GRANT_WINDOW_PACKETS` in flight beyond what arrived; the
             // +4 slack absorbs the total-estimate round-off.
-            let desired = (m.seen + self.grant_window).min(m.total + 4);
+            let desired = (m.seen + GRANT_WINDOW_PACKETS).min(m.total + 4);
             if desired <= m.granted {
                 continue;
             }
-            let room = self
-                .config
-                .max_grant_backlog_packets
-                .saturating_sub(backlog);
+            let room = MAX_GRANT_BACKLOG_PACKETS.saturating_sub(backlog);
             let add = (desired - m.granted).min(room);
             if add == 0 {
                 continue;
@@ -123,7 +121,7 @@ mod tests {
     use super::*;
 
     fn scheduler() -> SrptGrantScheduler {
-        SrptGrantScheduler::new(CcConfig::default(), 16)
+        SrptGrantScheduler::new()
     }
 
     #[test]
@@ -152,12 +150,9 @@ mod tests {
 
     #[test]
     fn only_top_k_messages_granted() {
-        let config = CcConfig {
-            active_grants: 2,
-            max_grant_backlog_packets: 1024,
-            ..CcConfig::default()
-        };
-        let mut s = SrptGrantScheduler::new(config, 8);
+        let mut s = scheduler();
+        // Ten messages whose grant windows all fit under the backlog cap:
+        // only the overcommitment degree can stop the round.
         let views: Vec<MsgView> = (0..10)
             .map(|i| MsgView {
                 id: i,
@@ -166,32 +161,37 @@ mod tests {
                 total: 50 + i as usize,
             })
             .collect();
+        const { assert!(ACTIVE_GRANTS * GRANT_WINDOW_PACKETS <= MAX_GRANT_BACKLOG_PACKETS) };
         let grants = s.schedule(&views);
-        assert_eq!(grants.len(), 2, "overcommitment degree respected");
-        assert_eq!(grants[0].message_id, 0);
-        assert_eq!(grants[1].message_id, 1);
+        assert_eq!(
+            grants.len(),
+            ACTIVE_GRANTS,
+            "overcommitment degree respected"
+        );
+        for (rank, g) in grants.iter().enumerate() {
+            assert_eq!(g.message_id, rank as u64);
+        }
     }
 
     #[test]
     fn backlog_cap_bounds_invited_traffic() {
-        let config = CcConfig {
-            active_grants: 8,
-            max_grant_backlog_packets: 20,
-            ..CcConfig::default()
-        };
-        let mut s = SrptGrantScheduler::new(config, 16);
+        let mut s = scheduler();
+        // Eight messages with their 4-packet prefixes still in flight: 32
+        // packets are invited before the round starts, so the cap runs out
+        // on the third grant, before the grant slots do.
         let views: Vec<MsgView> = (0..8)
             .map(|i| MsgView {
                 id: i,
                 seen: 0,
-                granted: 0,
+                granted: 4,
                 total: 100,
             })
             .collect();
         let grants = s.schedule(&views);
-        let invited: u32 = grants.iter().map(|g| g.granted_packets).sum();
-        assert!(invited <= 20, "invited {invited} packets past the cap");
-        assert_eq!(s.outstanding(), u64::from(invited));
+        assert_eq!(grants.len(), 3, "the cap, not the slots, ended the round");
+        let invited: usize = grants.iter().map(|g| g.granted_packets as usize - 4).sum();
+        assert_eq!(32 + invited, MAX_GRANT_BACKLOG_PACKETS, "filled to the cap");
+        assert_eq!(s.outstanding(), MAX_GRANT_BACKLOG_PACKETS as u64);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   flight 1 server→client (ServerHello + optional in-band SMT-ticket +
 //!   encrypted messages).
 //! * **Loss recovery.** The sender of a flight retransmits it when its RTO
-//!   (the same `rto_ns` the data path uses) expires without the next flight
-//!   arriving, and either side answers a *duplicate* of the previous flight
+//!   (the data path's opening RTO, [`INITIAL_RTO_NS`]) expires without the
+//!   next flight arriving, and either side answers a *duplicate* of the previous flight
 //!   by resending its own — the receiver-driven half of recovery.  Duplicate
 //!   final flights are absorbed without response, so duplication faults
 //!   cannot create retransmission storms.
@@ -41,6 +41,7 @@
 //! back to the full handshake on the same connection.
 
 use super::EndpointStats;
+use crate::cc::INITIAL_RTO_NS;
 use crate::stack::StackKind;
 use bytes::Bytes;
 use smt_core::segment::PathInfo;
@@ -462,7 +463,6 @@ pub(crate) struct HandshakeDriver {
     path: PathInfo,
     mtu: usize,
     proto: u8,
-    rto_ns: Nanos,
     deadline: Option<Nanos>,
     started_at: Option<Nanos>,
     outbox: VecDeque<Packet>,
@@ -489,13 +489,7 @@ impl HandshakeDriver {
     /// A client driver; the first flight is built lazily at the first
     /// `poll_transmit` so queued application data can piggyback as 0-RTT
     /// early data.
-    pub fn client(
-        config: ConnectConfig,
-        path: PathInfo,
-        mtu: usize,
-        proto: u8,
-        rto_ns: Nanos,
-    ) -> Self {
+    pub fn client(config: ConnectConfig, path: PathInfo, mtu: usize, proto: u8) -> Self {
         let server_name = config.crypto.server_name.clone();
         Self::new(
             Role::Client {
@@ -514,18 +508,11 @@ impl HandshakeDriver {
             path,
             mtu,
             proto,
-            rto_ns,
         )
     }
 
     /// A server driver awaiting a ClientHello flight.
-    pub fn server(
-        config: AcceptConfig,
-        path: PathInfo,
-        mtu: usize,
-        proto: u8,
-        rto_ns: Nanos,
-    ) -> Self {
+    pub fn server(config: AcceptConfig, path: PathInfo, mtu: usize, proto: u8) -> Self {
         let ticket = config
             .acceptor
             .as_ref()
@@ -540,24 +527,15 @@ impl HandshakeDriver {
             path,
             mtu,
             proto,
-            rto_ns,
         )
     }
 
-    fn new(
-        role: Role,
-        rx_expected: u64,
-        path: PathInfo,
-        mtu: usize,
-        proto: u8,
-        rto_ns: Nanos,
-    ) -> Self {
+    fn new(role: Role, rx_expected: u64, path: PathInfo, mtu: usize, proto: u8) -> Self {
         Self {
             role,
             path,
             mtu,
             proto,
-            rto_ns: rto_ns.max(1),
             deadline: None,
             started_at: None,
             outbox: VecDeque::new(),
@@ -665,7 +643,7 @@ impl HandshakeDriver {
             }
             self.started_at = Some(now);
             self.set_flight(0, &flight);
-            self.deadline = Some(now + self.rto_ns);
+            self.deadline = Some(now + INITIAL_RTO_NS);
             return Ok(());
         }
         let Role::Client {
@@ -693,7 +671,7 @@ impl HandshakeDriver {
                 *machine = Some(Box::new(m));
                 self.started_at = Some(now);
                 self.set_flight(0, &flight);
-                self.deadline = Some(now + self.rto_ns);
+                self.deadline = Some(now + INITIAL_RTO_NS);
                 Ok(())
             }
             Err(e) => {
@@ -973,7 +951,7 @@ impl HandshakeDriver {
         if let Some((seq, bytes)) = reply {
             self.set_flight(seq, &bytes);
             if !self.complete {
-                self.deadline = Some(now + self.rto_ns);
+                self.deadline = Some(now + INITIAL_RTO_NS);
             }
         }
         if let Some((keys, resumed, ticket)) = completion {
@@ -1024,7 +1002,7 @@ impl HandshakeDriver {
         stats.timeouts_fired += 1;
         stats.retransmissions += self.last_flight.len() as u64;
         self.outbox.extend(self.last_flight.iter().cloned());
-        self.deadline = Some(now + self.rto_ns);
+        self.deadline = Some(now + INITIAL_RTO_NS);
     }
 
     /// Fragments `bytes` into CONTROL packets, records them as the current

@@ -33,10 +33,10 @@
 
 use super::shell::{RtoTimer, Shell};
 use super::{EndpointResult, EndpointStats, Event, MessageId};
-use crate::cc::CcConfig;
 use crate::homa::{HomaConfig, HomaEndpoint};
 use crate::stack::StackKind;
 use smt_core::segment::PathInfo;
+use smt_core::NIC_QUEUES;
 use smt_crypto::handshake::SessionKeys;
 use smt_sim::Nanos;
 use smt_wire::Packet;
@@ -51,9 +51,6 @@ const WAKE_SPACING: Nanos = 4;
 /// The receiver-driven message transport under the connection shell.
 pub(crate) struct MessageEngine {
     config: HomaConfig,
-    /// Congestion-control tuning pushed into the keyed transport (SRPT
-    /// grants, DESIGN.md §10).
-    cc: CcConfig,
     /// The keyed transport; `None` until the in-band handshake installs keys.
     inner: Option<HomaEndpoint>,
     /// Public ID = session ID + offset, on the send side (1 after 0-RTT
@@ -64,36 +61,20 @@ pub(crate) struct MessageEngine {
     /// Responses to handled packets and recovery traffic, until the next
     /// `poll_transmit` moves them out.
     outbox: Vec<Packet>,
-    nic_queues: usize,
     next_queue: usize,
 }
 
 impl MessageEngine {
-    pub(crate) fn new(stack: StackKind, config: HomaConfig, path: PathInfo, cc: CcConfig) -> Self {
+    pub(crate) fn new(stack: StackKind, config: HomaConfig, path: PathInfo) -> Self {
         debug_assert!(stack.is_message_based());
-        let mut engine = Self {
+        Self {
             config,
-            cc,
-            inner: None,
+            inner: (!stack.is_encrypted()).then(|| HomaEndpoint::plaintext(config, path)),
             tx_id_offset: 0,
             rx_id_offset: 0,
             outbox: Vec::new(),
-            // The session configuration HomaEndpoint will build with, so the
-            // NIC queue count is known before the keys are.
-            nic_queues: crate::homa::base_smt_config(stack).nic_queues.max(1),
             next_queue: 0,
-        };
-        if !stack.is_encrypted() {
-            engine.install(HomaEndpoint::plaintext(config, path));
         }
-        engine
-    }
-
-    /// Installs a keyed transport, pushing the congestion-control tuning
-    /// down so its grant machinery matches the builder's configuration.
-    fn install(&mut self, mut inner: HomaEndpoint) {
-        inner.set_cc(self.cc);
-        self.inner = Some(inner);
     }
 
     pub(crate) fn install_keys(
@@ -101,7 +82,7 @@ impl MessageEngine {
         shell: &Shell,
         keys: &SessionKeys,
     ) -> Result<(), smt_core::SmtError> {
-        self.install(HomaEndpoint::new(
+        self.inner = Some(HomaEndpoint::new(
             keys,
             shell.stack,
             self.config,
@@ -145,7 +126,7 @@ impl MessageEngine {
         // Spread messages across the NIC TX queues round-robin, one queue per
         // message (§4.4.2: all segments of a message share a queue).
         let queue = self.next_queue;
-        self.next_queue = (self.next_queue + 1) % self.nic_queues;
+        self.next_queue = (self.next_queue + 1) % NIC_QUEUES;
         let inner = self.inner.as_mut().expect("the shell sends once keyed");
         inner.set_clock(now, shell.rto.rto());
         let session_id = inner.send_message(data, queue)?;
@@ -187,9 +168,7 @@ impl MessageEngine {
         // Karn's rule per message: only the ACK of a message that was never
         // retransmitted carries a sample.
         if let Some(rtt) = inner.take_rtt_sample() {
-            if shell.rto.is_adaptive() {
-                shell.rto.sample(rtt);
-            }
+            shell.rto.sample(rtt);
         }
         for session_id in inner.drain_acked() {
             shell.acked(session_id + self.tx_id_offset, now);
@@ -272,13 +251,13 @@ impl MessageEngine {
 
 #[cfg(test)]
 mod tests {
+    use crate::cc::INITIAL_RTO_NS;
     use crate::endpoint::tests::keys;
     use crate::endpoint::{
-        drive_pair, take_delivered, Endpoint, EndpointBuilder, EndpointResult, EndpointStats,
-        Event, MessageId, PairFabric, SecureEndpoint,
+        drive_pair, take_delivered, Endpoint, EndpointResult, EndpointStats, Event, MessageId,
+        PairFabric, SecureEndpoint,
     };
     use crate::stack::StackKind;
-    use smt_core::SmtConfig;
     use smt_sim::net::{FaultConfig, LinkConfig};
     use smt_sim::Nanos;
     use smt_wire::{Packet, PacketType};
@@ -322,9 +301,9 @@ mod tests {
         }
     }
 
-    fn smt_pair(builder: EndpointBuilder) -> (Endpoint, Endpoint) {
+    fn smt_pair() -> (Endpoint, Endpoint) {
         let (ck, sk) = keys();
-        builder
+        Endpoint::builder()
             .stack(StackKind::SmtSw)
             .pair(&ck, &sk, 4000, 5201)
             .unwrap()
@@ -332,7 +311,7 @@ mod tests {
 
     #[test]
     fn a_deep_pipeline_with_slow_acks_stops_retransmitting_once_it_has_a_clean_sample() {
-        let (mut client, mut server) = smt_pair(Endpoint::builder());
+        let (mut client, mut server) = smt_pair();
         // An ACK is back some 150 µs after its message left: almost four
         // times the opening period, on a link that loses nothing.
         let slow = LinkConfig {
@@ -340,7 +319,7 @@ mod tests {
             buffer_packets: 4096,
             ..LinkConfig::default()
         };
-        assert!(2 * slow.propagation_ns > 3 * SmtConfig::default().rto_ns());
+        assert!(2 * slow.propagation_ns > 3 * INITIAL_RTO_NS);
         let mut link = PairFabric::with_config(slow, FaultConfig::none());
         let request = vec![7u8; 8192];
         let (depth, total) = (64, 64 * 8);
@@ -394,9 +373,9 @@ mod tests {
     /// `victim` loses every first transmission, for `span` of simulated time
     /// and then to quiescence.  Returns when the victim's last original
     /// packet and its first retransmitted one left.
-    fn lose_one_of_many(builder: EndpointBuilder, span: Nanos) -> (Nanos, Nanos, EndpointStats) {
+    fn lose_one_of_many(span: Nanos) -> (Nanos, Nanos, EndpointStats) {
         const VICTIM: u64 = 7;
-        let (client, mut server) = smt_pair(builder);
+        let (client, mut server) = smt_pair();
         let (mut last_original, mut first_retransmission) = (0, None);
         let mut client = Tapped {
             inner: client,
@@ -447,32 +426,26 @@ mod tests {
 
     #[test]
     fn a_fully_lost_message_is_probed_on_time_however_busy_its_neighbours_are() {
-        let period = SmtConfig::default().rto_ns();
-        // The same per-message rule whether the RTO is estimated or pinned.
-        for (label, builder) in [
-            ("adaptive", Endpoint::builder()),
-            ("pinned", Endpoint::builder().rto_ns(period)),
-        ] {
-            let (last_original, probed_at, stats) = lose_one_of_many(builder, 4 * period);
-            let waited = probed_at - last_original;
-            // No earlier than one full period after its last transmission,
-            // and no later than the wake-up spacing allows past that.
-            assert!(
-                (period..=period + period / super::WAKE_SPACING).contains(&waited),
-                "{label}: probed {waited} ns after its last transmission"
-            );
-            // Its 63 neighbours and their successors were left alone.
-            assert!(
-                stats.retransmissions <= 8,
-                "{label}: {} retransmissions",
-                stats.retransmissions
-            );
-        }
+        let period = INITIAL_RTO_NS;
+        let (last_original, probed_at, stats) = lose_one_of_many(4 * period);
+        let waited = probed_at - last_original;
+        // No earlier than one full period after its last transmission, and no
+        // later than the wake-up spacing allows past that.
+        assert!(
+            (period..=period + period / super::WAKE_SPACING).contains(&waited),
+            "probed {waited} ns after its last transmission"
+        );
+        // Its 63 neighbours and their successors were left alone.
+        assert!(
+            stats.retransmissions <= 8,
+            "{} retransmissions",
+            stats.retransmissions
+        );
     }
 
     #[test]
     fn a_lost_ack_is_recovered_by_a_probe_and_the_re_ack() {
-        let (mut client, server) = smt_pair(Endpoint::builder());
+        let (mut client, server) = smt_pair();
         let mut acks_lost = 0;
         let mut server = Tapped {
             inner: server,

@@ -34,8 +34,8 @@
 //! * the handshake-to-data transition — in-band handshake driver, the bounded
 //!   pre-handshake send queue, 0-RTT early-data selection and re-queue, event
 //!   order at completion, flush of queued sends under their promised IDs;
-//! * the retransmission-timer *period* (pinned or RTT-estimated, backoff,
-//!   clamp) and deadline — when to arm stays engine policy;
+//! * the retransmission-timer *period* (RTT-estimated, backoff, clamp) and
+//!   deadline — when to arm stays engine policy;
 //! * the connection's [`EndpointStats`], incremented where events happen
 //!   ([`EndpointStats::absorb`] is the one aggregation rule);
 //! * the per-op latency clock, started at [`SecureEndpoint::send`];
@@ -45,8 +45,9 @@
 //! The driving contract is sans-IO **and clocked**: endpoints never touch a
 //! socket or a wall clock, but every driving call carries the caller's virtual
 //! time (`now: Nanos`), and [`SecureEndpoint::next_timeout`] exposes the
-//! endpoint's retransmission deadline (an RTT multiple from
-//! `smt_core::SmtConfig::rto_ns`) so a discrete-event driver can schedule it.
+//! endpoint's retransmission deadline (opening at
+//! [`crate::cc::INITIAL_RTO_NS`], then RTT-estimated) so a discrete-event
+//! driver can schedule it.
 //! [`drive_pair`] is the canonical loop — a thin wrapper over a two-host
 //! [`smt_sim::net::Fabric`] that moves packets between two endpoints in
 //! simulated time until traffic quiesces; the multi-host scenario harness
@@ -67,12 +68,10 @@ pub use listener::{Listener, ListenerFabric};
 pub use shell::Endpoint;
 pub use sim::{handshake_scenario_endpoints, scenario_endpoints};
 
-use crate::cc::CcConfig;
 use crate::stack::StackKind;
 use serde::{Deserialize, Serialize};
 use shell::Keying;
 use smt_core::segment::PathInfo;
-use smt_core::SmtConfig;
 use smt_crypto::handshake::{SessionKeys, SmtTicket};
 use smt_sim::net::{Fabric, FabricStats, FaultConfig, LinkConfig, PortId};
 use smt_sim::Nanos;
@@ -574,15 +573,16 @@ pub fn drive_pair(
 }
 
 /// Builds [`Endpoint`]s: picks the backing machinery for a [`StackKind`] and
-/// carries the transport knobs shared by all stacks.
+/// carries what a figure or a fabric varies per connection — the MTU, TSO,
+/// the path and the connection ID.  The transport's tuning (RTO bounds,
+/// DCTCP window, SRPT grants, the unscheduled prefix) is the network's, not a
+/// connection's: constants in [`crate::cc`] and [`crate::homa`].
 #[derive(Debug, Clone)]
 pub struct EndpointBuilder {
     stack: StackKind,
     mtu: usize,
     tso: bool,
     path: Option<PathInfo>,
-    rto_ns: Nanos,
-    cc: CcConfig,
     connection_id: u32,
 }
 
@@ -593,8 +593,6 @@ impl Default for EndpointBuilder {
             mtu: smt_wire::DEFAULT_MTU,
             tso: true,
             path: None,
-            rto_ns: SmtConfig::default().rto_ns(),
-            cc: CcConfig::default(),
             connection_id: 0,
         }
     }
@@ -616,26 +614,6 @@ impl EndpointBuilder {
     /// Enables or disables TSO (Fig. 11 ablation).
     pub fn tso(mut self, tso: bool) -> Self {
         self.tso = tso;
-        self
-    }
-
-    /// Pins the sender retransmission timeout to a fixed period, disabling
-    /// the RTT-estimated (SRTT/RTTVAR) adaptive RTO.  Without this override
-    /// the timeout starts at `SmtConfig::default().rto_ns()` — an RTT
-    /// multiple from `smt-core::config` (`base_rtt_ns * rto_rtt_multiple`) —
-    /// and then tracks the measured RTT.
-    pub fn rto_ns(mut self, rto_ns: Nanos) -> Self {
-        self.rto_ns = rto_ns.max(1);
-        self.cc.adaptive_rto = false;
-        self
-    }
-
-    /// Overrides the congestion-control tuning (DCTCP window, SRPT grants,
-    /// RTO clamps).  A pinned RTO ([`rto_ns`](Self::rto_ns)) stays pinned.
-    pub fn congestion_control(mut self, cc: CcConfig) -> Self {
-        let adaptive = self.cc.adaptive_rto && cc.adaptive_rto;
-        self.cc = cc;
-        self.cc.adaptive_rto = adaptive;
         self
     }
 
@@ -1612,7 +1590,6 @@ pub(crate) mod tests {
             let (mut a, mut b) = Logged::pair(
                 Endpoint::builder()
                     .stack(StackKind::SmtSw)
-                    .rto_ns(10_000)
                     .pair(&keys.0, &keys.1, 4000, 5201)
                     .unwrap(),
             );
@@ -1633,14 +1610,21 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn rto_override_controls_recovery_deadline() {
+    fn the_first_deadline_after_a_send_is_one_opening_rto_out() {
         let (ck, sk) = keys();
-        let (mut c, _s) = Endpoint::builder()
-            .stack(StackKind::SmtSw)
-            .rto_ns(123_456)
-            .pair(&ck, &sk, 1, 2)
-            .unwrap();
-        c.send(b"timer me", 1_000).unwrap();
-        assert_eq!(c.next_timeout(), Some(1_000 + 123_456));
+        for stack in StackKind::all() {
+            let (mut c, _s) = Endpoint::builder()
+                .stack(stack)
+                .pair(&ck, &sk, 1, 2)
+                .unwrap();
+            assert_eq!(c.next_timeout(), None, "{}", stack.label());
+            c.send(b"timer me", 1_000).unwrap();
+            assert_eq!(
+                c.next_timeout(),
+                Some(1_000 + crate::cc::INITIAL_RTO_NS),
+                "{}",
+                stack.label()
+            );
+        }
     }
 }

@@ -14,8 +14,9 @@
 //!   order of `HandshakeComplete` / `TicketReceived` / `MessageAcked(0)`, and
 //!   the flush of queued sends under the IDs they were promised.  An engine
 //!   contributes only `install_keys` and `send`.
-//! * **The retransmission timer** — one [`RtoTimer`] computes the RTO
-//!   (pinned, or RTT-estimated under a clamp) and holds the deadline.  *When*
+//! * **The retransmission timer** — one [`RtoTimer`] computes the RTO (RTT
+//!   estimated, opening at [`INITIAL_RTO_NS`] and clamped to
+//!   [`MAX_RTO_NS`]) and holds the deadline.  *When*
 //!   to arm, restart or disarm stays engine policy: the stream engine
 //!   restarts it on cumulative progress and backs it off per fire; for the
 //!   message engine it is a wake-up for the earliest of its per-message
@@ -39,7 +40,7 @@ use super::{
     missing_keys, AcceptConfig, ConnectConfig, EndpointBuilder, EndpointError, EndpointResult,
     EndpointStats, Event, MessageId, OpLatencyHistogram, SecureEndpoint,
 };
-use crate::cc::{CcConfig, RttEstimator};
+use crate::cc::{RttEstimator, INITIAL_RTO_NS, MAX_RTO_NS};
 use crate::homa::HomaConfig;
 use crate::stack::StackKind;
 use smt_core::segment::PathInfo;
@@ -51,14 +52,9 @@ use std::collections::VecDeque;
 /// The retransmission timer both engines arm: the period and the deadline.
 #[derive(Debug)]
 pub(crate) struct RtoTimer {
-    /// The builder's fixed period, used while the adaptive RTO is off.
-    pinned_ns: Nanos,
-    /// Whether the period tracks the measured RTT (RTO not pinned).
-    adaptive: bool,
-    max_rto_ns: Nanos,
     /// RFC 6298 estimator; sampled under Karn's rule by the engines.
     rtt: RttEstimator,
-    /// Exponential backoff shift on the adaptive period, stream engine only:
+    /// Exponential backoff shift on the estimated period, stream engine only:
     /// doubled on every fire, cleared on progress (as Linux clears it on a
     /// cumulative advance) — repeated fires with no progress mean the
     /// estimate is stale, while a recovering incast round makes progress
@@ -73,46 +69,26 @@ pub(crate) struct RtoTimer {
 }
 
 impl RtoTimer {
-    fn new(rto_ns: Nanos, cc: &CcConfig) -> Self {
-        let pinned_ns = rto_ns.max(1);
-        // The estimator opens at the builder's RTO so the first deadline is
-        // identical whether the adaptive path is on or pinned.
-        let opening = CcConfig {
-            initial_rto_ns: pinned_ns,
-            ..*cc
-        };
-        let mut timer = Self {
-            pinned_ns,
-            adaptive: cc.adaptive_rto,
-            max_rto_ns: cc.max_rto_ns.max(1),
-            rtt: RttEstimator::new(&opening),
+    fn new() -> Self {
+        Self {
+            rtt: RttEstimator::new(),
             backoff: 0,
-            rto_ns: pinned_ns,
+            rto_ns: INITIAL_RTO_NS,
             deadline: None,
-        };
-        timer.refresh();
-        timer
+        }
     }
 
     fn refresh(&mut self) {
-        self.rto_ns = if self.adaptive {
-            self.rtt
-                .rto_ns()
-                .saturating_mul(1 << self.backoff)
-                .min(self.max_rto_ns)
-        } else {
-            self.pinned_ns
-        };
+        self.rto_ns = self
+            .rtt
+            .rto_ns()
+            .saturating_mul(1 << self.backoff)
+            .min(MAX_RTO_NS);
     }
 
     /// The period the next arming uses.
     pub(crate) fn rto(&self) -> Nanos {
         self.rto_ns
-    }
-
-    /// True when RTT samples steer the period (worth collecting them).
-    pub(crate) fn is_adaptive(&self) -> bool {
-        self.adaptive
     }
 
     pub(crate) fn deadline(&self) -> Option<Nanos> {
@@ -363,11 +339,10 @@ impl Endpoint {
             let homa = HomaConfig {
                 mtu: b.mtu,
                 tso: b.tso,
-                ..Default::default()
             };
-            Engine::Message(MessageEngine::new(b.stack, homa, path, b.cc))
+            Engine::Message(MessageEngine::new(b.stack, homa, path))
         } else {
-            Engine::Stream(StreamEngine::new(b.stack, b.mtu, b.tso, b.cc))
+            Engine::Stream(StreamEngine::new(b.stack, b.mtu, b.tso))
         };
         let mut shell = Shell {
             stack: b.stack,
@@ -378,7 +353,7 @@ impl Endpoint {
             next_id: 0,
             events: VecDeque::new(),
             stats: EndpointStats::default(),
-            rto: RtoTimer::new(b.rto_ns, &b.cc),
+            rto: RtoTimer::new(),
             op_sent: VecDeque::new(),
             op_latency: OpLatencyHistogram::default(),
             hs_timings: None,
@@ -401,14 +376,10 @@ impl Endpoint {
                     });
                 }
                 Keying::Connect(config) => {
-                    shell.hs = Some(HandshakeDriver::client(
-                        config, path, b.mtu, proto, b.rto_ns,
-                    ));
+                    shell.hs = Some(HandshakeDriver::client(config, path, b.mtu, proto));
                 }
                 Keying::Accept(config) => {
-                    shell.hs = Some(HandshakeDriver::server(
-                        config, path, b.mtu, proto, b.rto_ns,
-                    ));
+                    shell.hs = Some(HandshakeDriver::server(config, path, b.mtu, proto));
                 }
             }
         }

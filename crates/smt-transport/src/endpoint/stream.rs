@@ -38,7 +38,7 @@
 
 use super::shell::Shell;
 use super::{EndpointError, EndpointResult, EndpointStats, Event, MessageId};
-use crate::cc::{CcConfig, DctcpWindow};
+use crate::cc::DctcpWindow;
 use crate::stack::StackKind;
 use bytes::{Buf, Bytes, BytesMut};
 use smt_core::config::CryptoMode;
@@ -148,7 +148,7 @@ impl StreamEngine {
     /// sender state without bound.
     const MAX_SACK_SCOREBOARD: usize = 64;
 
-    pub(crate) fn new(stack: StackKind, mtu: usize, tso: bool, cc: CcConfig) -> Self {
+    pub(crate) fn new(stack: StackKind, mtu: usize, tso: bool) -> Self {
         debug_assert!(!stack.is_message_based());
         Self {
             mtu,
@@ -168,7 +168,7 @@ impl StreamEngine {
             ooo_bytes: 0,
             frame_buf: BytesMut::new(),
             ack_pending: false,
-            cwnd: DctcpWindow::new(cc),
+            cwnd: DctcpWindow::new(),
             sacked: BTreeMap::new(),
             timed: VecDeque::new(),
             ecn_ce_pending: 0,

@@ -55,13 +55,12 @@
 //! is always due — the poll-when-quiet discipline of a driver with no clock.
 //!
 //! Grants come from the receiver-driven SRPT scheduler
-//! ([`crate::cc::SrptGrantScheduler`], tuned by [`HomaEndpoint::set_cc`],
-//! DESIGN.md §10): incomplete messages are ranked by remaining packets, only
+//! ([`crate::cc::SrptGrantScheduler`], DESIGN.md §10): incomplete messages are ranked by remaining packets, only
 //! the top few are granted, each carries a network priority the sender stamps
 //! into the overlay option area, and the summed granted-but-unreceived backlog
 //! is capped — what bounds receiver queue occupancy under deep incast.
 
-use crate::cc::{CcConfig, MsgView, SrptGrantScheduler};
+use crate::cc::{MsgView, SrptGrantScheduler, MAX_RESEND_ATTEMPTS, MAX_RTO_NS};
 use crate::stack::StackKind;
 use smt_core::reassembly::ReceivedMessage;
 use smt_core::segment::PathInfo;
@@ -76,16 +75,16 @@ use smt_wire::{
 use std::collections::BTreeMap;
 use std::ops::Range;
 
+/// Packets of a message sent unscheduled (before any GRANT) — Homa's
+/// RTT-bytes.  At deep incast the aggregate first-RTT burst is `senders ×
+/// prefix`; a large blind prefix is exactly what overflows the receiver's
+/// ingress buffer before the grant scheduler ever gets a say.  The receiver
+/// paces everything beyond it, and a RESEND is answered with half of it.
+pub const UNSCHEDULED_PACKETS: usize = 8;
+
 /// Configuration of the packet-level transport.
 #[derive(Debug, Clone, Copy)]
 pub struct HomaConfig {
-    /// Packets of a message sent unscheduled (before any GRANT) — Homa's
-    /// RTT-bytes.  At deep incast the aggregate first-RTT burst is
-    /// `senders × prefix`; a large blind prefix is exactly what overflows the
-    /// receiver's ingress buffer before the grant scheduler ever gets a say.
-    pub unscheduled_packets: usize,
-    /// Packets granted per GRANT packet.
-    pub grant_packets: usize,
     /// Network MTU.
     pub mtu: usize,
     /// Whether the NIC performs TSO.
@@ -95,8 +94,6 @@ pub struct HomaConfig {
 impl Default for HomaConfig {
     fn default() -> Self {
         Self {
-            unscheduled_packets: 8,
-            grant_packets: 16,
             mtu: smt_wire::DEFAULT_MTU,
             tso: true,
         }
@@ -127,8 +124,7 @@ struct RecoveryTime {
     /// the real round trip probes every message and never sees a clean
     /// sample.  (Not a count of probing fires: those can come a quarter
     /// period apart, and a period doubled per fire outruns the clock — 200
-    /// RPCs deep it reached the 10 ms ceiling in 100 µs.)  Stays zero unless
-    /// the RTO is adaptive.
+    /// RPCs deep it reached the 10 ms ceiling in 100 µs.)
     backed_off: Nanos,
     /// Earliest due time among the clocks started since
     /// [`HomaEndpoint::take_wake_by`]: a driver holding a later wake-up must
@@ -151,10 +147,10 @@ impl RecoveryTime {
     }
 
     /// The message sat out its whole wait and was acted on: its next wait is
-    /// twice as long, up to `max_wait`.  (No `wake_by`: the fire that acts
-    /// re-arms from [`HomaEndpoint::next_due`].)
-    fn back_off(&self, clock: &mut RecoveryClock, max_wait: Nanos) {
-        let doubled = clock.wait.saturating_mul(2).min(max_wait);
+    /// twice as long, up to [`MAX_RTO_NS`].  (No `wake_by`: the fire that
+    /// acts re-arms from [`HomaEndpoint::next_due`].)
+    fn back_off(&self, clock: &mut RecoveryClock) {
+        let doubled = clock.wait.saturating_mul(2).min(MAX_RTO_NS);
         clock.wait = clock.wait.max(doubled);
         clock.due = self.now + clock.wait;
     }
@@ -263,8 +259,7 @@ struct RecvProgress {
     granted: usize,
     total_estimate: usize,
     /// RESENDs issued since a packet last added bytes; the receiver abandons
-    /// the message at [`CcConfig::max_resend_attempts`] instead of
-    /// requesting forever.
+    /// the message at [`MAX_RESEND_ATTEMPTS`] instead of requesting forever.
     resends: u32,
     /// Due one period after the last packet that added bytes (or, with none
     /// yet, after the entry appeared); each RESEND doubles the wait.
@@ -281,9 +276,6 @@ pub struct HomaEndpoint {
     session: SmtSession,
     nic: NicModel,
     config: HomaConfig,
-    /// Congestion-control tuning; [`CcConfig::default`] until
-    /// [`Self::set_cc`].
-    cc: CcConfig,
     /// The SRPT grant machine, consulted on every accepted data arrival.
     scheduler: SrptGrantScheduler,
     path: PathInfo,
@@ -320,10 +312,9 @@ impl std::fmt::Debug for HomaEndpoint {
     }
 }
 
-/// The engine configuration a message-based stack runs with (crypto mode,
-/// NIC queues) — shared with the endpoint layer, which needs it before the
-/// session itself exists (the in-band handshake builds the session late).
-pub(crate) fn base_smt_config(stack: StackKind) -> SmtConfig {
+/// The engine configuration a message-based stack runs with: where its
+/// records are sealed, if anywhere.
+fn base_smt_config(stack: StackKind) -> SmtConfig {
     match stack {
         StackKind::SmtHw => SmtConfig::hardware_offload(),
         StackKind::Homa => SmtConfig::plaintext(),
@@ -361,13 +352,11 @@ impl HomaEndpoint {
     }
 
     fn from_session(session: SmtSession, config: HomaConfig, path: PathInfo) -> Self {
-        let cc = CcConfig::default();
         Self {
             session,
             nic: NicModel::new(config.mtu, config.tso),
             config,
-            cc,
-            scheduler: SrptGrantScheduler::new(cc, config.grant_packets),
+            scheduler: SrptGrantScheduler::new(),
             path,
             sends: BTreeMap::new(),
             recvs: BTreeMap::new(),
@@ -385,14 +374,6 @@ impl HomaEndpoint {
     /// Access to the underlying SMT session (statistics, replay checks).
     pub fn session(&self) -> &SmtSession {
         &self.session
-    }
-
-    /// Installs the congestion-control tuning: the SRPT scheduler's grant
-    /// slots, backlog cap and priorities, the resend budget and the RTO
-    /// ceiling.
-    pub fn set_cc(&mut self, cc: CcConfig) {
-        self.cc = cc;
-        self.scheduler = SrptGrantScheduler::new(cc, self.config.grant_packets);
     }
 
     /// Granted-but-unreceived packets after the scheduler's last round — the
@@ -447,7 +428,7 @@ impl HomaEndpoint {
     }
 
     /// Incomplete receives abandoned to stay within bounds: RESEND give-up
-    /// after `MAX_RESEND_ATTEMPTS` quiet timeouts, plus evictions at the
+    /// after [`MAX_RESEND_ATTEMPTS`] quiet timeouts, plus evictions at the
     /// `MAX_INCOMPLETE_RECVS` cap.
     pub fn recv_state_evictions(&self) -> u64 {
         self.recv_state_evictions
@@ -464,8 +445,8 @@ impl HomaEndpoint {
         self.recv_errors
     }
 
-    /// Tells the endpoint the time and the connection's RTO (estimated or
-    /// pinned; the endpoint applies Karn's backoff itself).  A clock
+    /// Tells the endpoint the time and the connection's RTO (as estimated;
+    /// the endpoint applies Karn's backoff itself).  A clock
     /// (re)started from here on is due one period after `now`.
     pub fn set_clock(&mut self, now: Nanos, rto: Nanos) {
         self.time.now = now;
@@ -515,7 +496,7 @@ impl HomaEndpoint {
                 }
             })
             .collect();
-        let granted = self.unscheduled().min(packets);
+        let granted = UNSCHEDULED_PACKETS.min(packets);
         self.sends.insert(
             out.message_id,
             PendingSend {
@@ -533,12 +514,6 @@ impl HomaEndpoint {
             mark_ready(&mut self.ready, out.message_id);
         }
         Ok(out.message_id)
-    }
-
-    /// The unscheduled prefix, at least one packet; the receiver paces
-    /// everything beyond it.
-    fn unscheduled(&self) -> usize {
-        self.config.unscheduled_packets.max(1)
     }
 
     /// Emits any packets allowed by the current grant windows.
@@ -654,7 +629,7 @@ impl HomaEndpoint {
                         message_id,
                         RecvProgress {
                             packets_seen: 0,
-                            granted: self.unscheduled(),
+                            granted: UNSCHEDULED_PACKETS,
                             total_estimate: (opts.message_length as usize)
                                 .div_ceil(per_packet)
                                 .max(1),
@@ -731,7 +706,7 @@ impl HomaEndpoint {
             }
             PacketType::Resend => {
                 if let PacketPayload::Resend(r) = &packet.payload {
-                    let window = self.unscheduled().div_ceil(2);
+                    let window = UNSCHEDULED_PACKETS.div_ceil(2);
                     // No send state means the message was acknowledged: such
                     // a RESEND is stale or forged, and honoring it would
                     // retransmit data nobody is missing.
@@ -777,7 +752,7 @@ impl HomaEndpoint {
                     }
                 }
             }
-            PacketType::Busy | PacketType::Control | PacketType::Sack => {}
+            PacketType::Control | PacketType::Sack => {}
         }
     }
 
@@ -795,11 +770,10 @@ impl HomaEndpoint {
     /// message (total beyond the unscheduled prefix).  Applies the decisions
     /// to the tracked grant offsets and appends the GRANT packets to `out`.
     fn schedule_grants(&mut self, out: &mut Vec<Packet>) {
-        let unscheduled = self.unscheduled();
         let views: Vec<MsgView> = self
             .recvs
             .iter()
-            .filter(|(_, p)| p.packets_seen > 0 && p.total_estimate > unscheduled)
+            .filter(|(_, p)| p.packets_seen > 0 && p.total_estimate > UNSCHEDULED_PACKETS)
             .map(|(&id, p)| MsgView {
                 id,
                 seen: p.packets_seen,
@@ -840,13 +814,11 @@ impl HomaEndpoint {
             if send.probe.due > self.time.now {
                 continue;
             }
-            self.time.back_off(&mut send.probe, self.cc.max_rto_ns);
+            self.time.back_off(&mut send.probe);
             let limit = send.sent.min(PROBE_PACKETS).min(send.packets);
             if limit > 0 {
                 send.retransmitted = true;
-                if self.cc.adaptive_rto {
-                    self.time.backed_off = self.time.backed_off.max(send.probe.wait);
-                }
+                self.time.backed_off = self.time.backed_off.max(send.probe.wait);
             }
             send.cut_again(0..limit, self.nic.mtu(), &mut out);
         }
@@ -857,14 +829,12 @@ impl HomaEndpoint {
     /// Issues a RESEND for each incomplete receive that has stalled — one
     /// full wait in which no packet added bytes to it — and doubles that
     /// receive's wait (standing in for Homa's timeout-driven RESEND).  A
-    /// message that stays stalled through [`CcConfig::max_resend_attempts`]
-    /// of its own waits is abandoned — a forged message ID must not keep the
+    /// message that stays stalled through [`MAX_RESEND_ATTEMPTS`] of its own
+    /// waits is abandoned — a forged message ID must not keep the
     /// receiver's timer armed forever.  Receives that are not due are left
     /// alone.
     pub fn poll_resend(&mut self) -> Vec<Packet> {
         let mut out = Vec::new();
-        let max_attempts = self.cc.max_resend_attempts;
-        let max_wait = self.cc.max_rto_ns;
         let due: Vec<u64> = self
             .recvs
             .iter()
@@ -875,12 +845,12 @@ impl HomaEndpoint {
             let Some(progress) = self.recvs.get_mut(&id) else {
                 continue;
             };
-            if progress.resends >= max_attempts {
+            if progress.resends >= MAX_RESEND_ATTEMPTS {
                 self.abandon(id);
                 continue;
             }
             progress.resends += 1;
-            self.time.back_off(&mut progress.resend, max_wait);
+            self.time.back_off(&mut progress.resend);
             // A message with no accepted packet still ages toward
             // abandonment above, but gets no RESEND on the wire: requesting
             // retransmission of a message only an attacker ever referenced
@@ -913,7 +883,7 @@ impl HomaEndpoint {
             // forever capped at the stale sent window.  The grant is
             // idempotent (the sender takes the max), so repeating it on the
             // stall timer costs one packet and repairs the loss.
-            if granted > self.unscheduled() {
+            if granted > UNSCHEDULED_PACKETS {
                 out.push(self.control_packet(
                     PacketPayload::Grant(HomaGrant {
                         message_id: id,
@@ -940,6 +910,9 @@ fn mark_ready(ready: &mut Vec<u64>, id: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::{
+        ACTIVE_GRANTS, GRANT_WINDOW_PACKETS, MAX_GRANT_BACKLOG_PACKETS, PRIORITY_LEVELS,
+    };
     use smt_crypto::cert::CertificateAuthority;
     use smt_crypto::handshake::{establish, ClientConfig, ServerConfig};
     use smt_sim::net::{Admission, FaultConfig, FaultyLink};
@@ -1072,20 +1045,18 @@ mod tests {
 
     #[test]
     fn large_message_requires_grants() {
-        let config = HomaConfig {
-            unscheduled_packets: 8,
-            grant_packets: 8,
-            ..HomaConfig::default()
-        };
-        let (mut a, mut b) = pair(StackKind::SmtSw, config);
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
         let mut ab = LossyChannel::reliable();
         let mut ba = LossyChannel::reliable();
         let data: Vec<u8> = (0..300_000u32).map(|i| (i % 255) as u8).collect();
-        a.send_message(&data, 0).unwrap();
+        let id = a.send_message(&data, 0).unwrap();
+        assert!(a.sends[&id].packets > UNSCHEDULED_PACKETS + GRANT_WINDOW_PACKETS);
+        assert_eq!(a.sends[&id].granted, UNSCHEDULED_PACKETS, "the rest waits");
         drive(&mut a, &mut b, &mut ab, &mut ba, 200);
         let got = b.take_delivered();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].data, data);
+        assert!(b.scheduler.grants_issued() > 1, "paced by GRANTs");
     }
 
     #[test]
@@ -1176,49 +1147,52 @@ mod tests {
 
     #[test]
     fn srpt_scheduler_grants_priorities_and_bounds_backlog() {
-        let config = HomaConfig {
-            unscheduled_packets: 4,
-            grant_packets: 4,
-            ..HomaConfig::default()
-        };
-        let (mut a, mut b) = pair(StackKind::SmtSw, config);
-        let cc = CcConfig {
-            active_grants: 2,
-            max_grant_backlog_packets: 16,
-            ..CcConfig::default()
-        };
-        a.set_cc(cc);
-        b.set_cc(cc);
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
         let mut ab = LossyChannel::reliable();
         let mut ba = LossyChannel::reliable();
-        // Three concurrent messages, sizes chosen so SRPT must rank them.
-        let sizes = [200_000usize, 60_000, 20_000];
+        // More concurrent messages than grant slots, sizes chosen so SRPT
+        // must rank them.
+        let sizes = [200_000usize, 150_000, 100_000, 60_000, 40_000, 20_000];
+        assert!(sizes.len() > ACTIVE_GRANTS);
         for (i, len) in sizes.iter().enumerate() {
             a.send_message(&vec![i as u8; *len], i).unwrap();
         }
         // Drive manually so we can watch the invited backlog every round.
+        let (mut peak, mut priorities) = (0, [false; PRIORITY_LEVELS as usize]);
         for _ in 0..4000 {
             ab.push(a.poll_transmit());
             let mut responses = Vec::new();
             for p in ab.drain() {
                 responses.extend(b.handle_packet(&p));
             }
-            assert!(
-                b.grants_outstanding() <= 16,
-                "invited backlog {} exceeds the cap",
-                b.grants_outstanding()
-            );
+            peak = peak.max(b.grants_outstanding());
+            for p in &responses {
+                if let PacketPayload::Grant(g) = &p.payload {
+                    priorities[usize::from(g.priority)] = true;
+                }
+            }
             ba.push(responses);
             for p in ba.drain() {
                 ab.push(a.handle_packet(&p));
             }
-            if b.session().stats().messages_received >= 3 && a.pending_sends() == 0 {
+            if b.session().stats().messages_received >= sizes.len() as u64 && a.pending_sends() == 0
+            {
                 break;
             }
         }
         assert_eq!(
+            peak, MAX_GRANT_BACKLOG_PACKETS as u64,
+            "the invited backlog reaches its cap and never exceeds it"
+        );
+        assert_eq!(
+            priorities[..ACTIVE_GRANTS],
+            [true; ACTIVE_GRANTS],
+            "one priority per grant slot"
+        );
+        assert!(!priorities[ACTIVE_GRANTS..].contains(&true));
+        assert_eq!(
             b.session().stats().messages_received,
-            3,
+            sizes.len() as u64,
             "all messages delivered under scheduled grants"
         );
         assert_eq!(a.pending_sends(), 0, "ACKs released sender state");
@@ -1329,7 +1303,7 @@ mod tests {
         // that packet is not its sender making progress: the receive still
         // ages through `max_resend_attempts` of its own waits and is
         // abandoned, and the count the grant scheduler ranks it by stays put.
-        let max_attempts = CcConfig::default().max_resend_attempts;
+        let max_attempts = MAX_RESEND_ATTEMPTS;
         for attempt in 0..max_attempts {
             let due = b.next_due().expect("still tracked");
             b.set_clock(due, PERIOD);
@@ -1394,15 +1368,14 @@ mod tests {
 
     #[test]
     fn a_resend_names_the_first_gap_and_the_sender_goes_back_to_it() {
-        let config = HomaConfig {
-            unscheduled_packets: 40,
-            ..HomaConfig::default()
-        };
-        let (mut a, mut b) = pair(StackKind::SmtSw, config);
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
         let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
-        a.send_message(&data, 0).unwrap();
-        let flight = a.poll_transmit();
-        assert!(flight.len() > 25, "one unscheduled flight");
+        let id = a.send_message(&data, 0).unwrap();
+        // The unscheduled prefix, then the rest on one GRANT.
+        let mut flight = a.poll_transmit();
+        a.handle_packet(&grant(&a, id, u32::MAX, 0));
+        flight.extend(a.poll_transmit());
+        assert!(flight.len() > 25, "the whole message in one flight");
         // Packets 3 and 4 are lost.
         for (i, p) in flight.iter().enumerate() {
             if i != 3 && i != 4 {
@@ -1427,7 +1400,7 @@ mod tests {
         // The answer is a window of half the unscheduled prefix from the gap,
         // never what came before it.
         let answer = a.handle_packet(&resend);
-        assert_eq!(answer.len(), 20);
+        assert_eq!(answer.len(), UNSCHEDULED_PACKETS / 2);
         for (retx, original) in answer.iter().zip(&flight[3..]) {
             assert!(retx.overlay.options.is_retransmission());
             assert_eq!(retx.payload, original.payload);
@@ -1552,10 +1525,7 @@ mod tests {
                     // and changing priorities.
                     let mut emitted = a.poll_transmit();
                     let mut expected: Vec<Packet> = reference[..emitted.len()].to_vec();
-                    assert_eq!(
-                        emitted.len(),
-                        reference.len().min(config.unscheduled_packets)
-                    );
+                    assert_eq!(emitted.len(), reference.len().min(UNSCHEDULED_PACKETS));
                     let mut step = 0usize;
                     while emitted.len() < reference.len() {
                         step += 1;
@@ -1610,7 +1580,6 @@ mod tests {
             for tso in [true, false] {
                 let config = HomaConfig {
                     tso,
-                    unscheduled_packets: 100,
                     ..HomaConfig::default()
                 };
                 for size in [0, 64, 1461, 8192, 200_000] {
@@ -1618,9 +1587,12 @@ mod tests {
                     let mut a = HomaEndpoint::new(&ck, stack, config, path).unwrap();
                     let data: Vec<u8> = (0..size).map(|i| (i % 233) as u8).collect();
                     let id = a.send_message(&data, 0).unwrap();
-                    // What was sent is the unscheduled prefix; for the largest
-                    // message that leaves a tail a RESEND must not reach.
+                    // What was sent is the first 100 packets, past several
+                    // segments; for the largest message that leaves a tail a
+                    // RESEND must not reach.
                     let mut reference = a.poll_transmit();
+                    a.handle_packet(&grant(&a, id, 100, 0));
+                    reference.extend(a.poll_transmit());
                     let sent = reference.len();
                     a.handle_packet(&grant(&a, id, u32::MAX, 0));
                     reference.extend(a.poll_transmit());
@@ -1645,7 +1617,7 @@ mod tests {
                     gaps.push((0, u16::MAX));
                     // The answer is a window of half the unscheduled prefix
                     // from there, cut short where the sent prefix ends.
-                    let window = config.unscheduled_packets / 2;
+                    let window = UNSCHEDULED_PACKETS / 2;
                     for gap in gaps {
                         let start = reference[..sent].partition_point(|p| key(p) < gap);
                         let end = (start + window).min(sent);

@@ -36,7 +36,7 @@ pub mod homa;
 pub mod profile;
 pub mod stack;
 
-pub use cc::{CcConfig, DctcpWindow, RttEstimator};
+pub use cc::{DctcpWindow, RttEstimator};
 pub use endpoint::{
     drive_pair, handshake_scenario_endpoints, scenario_endpoints, take_delivered, AcceptConfig,
     ConnectConfig, Endpoint, EndpointBuilder, EndpointError, EndpointResult, EndpointStats, Event,

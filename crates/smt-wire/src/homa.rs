@@ -3,9 +3,9 @@
 //! SMT reuses Homa's packet taxonomy (paper §2.2): DATA packets carry message
 //! payload, GRANT packets implement the receiver-driven congestion control (the
 //! receiver grants the sender permission to transmit more bytes of a message),
-//! RESEND packets request retransmission of a byte range, ACK packets confirm
-//! complete message delivery so the sender can release state, and BUSY packets
-//! tell the receiver that a granted message is still queued at the sender.
+//! RESEND packets request retransmission of a byte range, and ACK packets
+//! confirm complete message delivery so the sender can release state.  Homa's
+//! BUSY is left out: nothing here would send it.
 //!
 //! NDP maps naturally onto these types (NACK ↔ RESEND, PULL ↔ GRANT), which is
 //! why the paper argues the Homa stack generalizes to other message-based
@@ -26,8 +26,6 @@ pub enum PacketType {
     Resend = 0x12,
     /// Receiver acknowledges complete receipt of a message.
     Ack = 0x13,
-    /// Sender signals it is still working on a granted message.
-    Busy = 0x14,
     /// Handshake / session-control payload (TLS handshake flights ride on these).
     Control = 0x15,
     /// Stream selective acknowledgement: cumulative ack, received ranges above
@@ -43,7 +41,6 @@ impl PacketType {
             0x11 => Ok(PacketType::Grant),
             0x12 => Ok(PacketType::Resend),
             0x13 => Ok(PacketType::Ack),
-            0x14 => Ok(PacketType::Busy),
             0x15 => Ok(PacketType::Control),
             0x16 => Ok(PacketType::Sack),
             other => Err(WireError::UnknownPacketType(other)),
@@ -94,14 +91,6 @@ pub struct HomaAck {
     pub message_id: u64,
 }
 
-/// BUSY control packet: response to a RESEND when the sender has not finished
-/// transmitting the requested range yet (prevents spurious timeouts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HomaBusy {
-    /// The message the sender is still working on.
-    pub message_id: u64,
-}
-
 /// One received byte range above the cumulative ack in a [`SmtSack`]:
 /// `[start, end)` in stream-offset space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,7 +127,6 @@ pub struct SmtSack {
 const GRANT_LEN: usize = 8 + 4 + 1;
 const RESEND_LEN: usize = 8 + 4 + 4 + 1;
 const ACK_LEN: usize = 8;
-const BUSY_LEN: usize = 8;
 
 macro_rules! check_space {
     ($out:expr, $need:expr) => {
@@ -341,29 +329,6 @@ impl HomaAck {
     }
 }
 
-impl HomaBusy {
-    /// Encoded length in bytes.
-    pub const LEN: usize = BUSY_LEN;
-
-    /// Encodes into `out`, returning the bytes written.
-    pub fn encode(&self, out: &mut [u8]) -> WireResult<usize> {
-        check_space!(out, BUSY_LEN);
-        out[0..8].copy_from_slice(&self.message_id.to_be_bytes());
-        Ok(BUSY_LEN)
-    }
-
-    /// Decodes from `buf`, returning the value and bytes consumed.
-    pub fn decode(buf: &[u8]) -> WireResult<(Self, usize)> {
-        check_len!(buf, BUSY_LEN);
-        Ok((
-            Self {
-                message_id: u64::from_be_bytes(buf[0..8].try_into().unwrap()),
-            },
-            BUSY_LEN,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,16 +340,19 @@ mod tests {
             PacketType::Grant,
             PacketType::Resend,
             PacketType::Ack,
-            PacketType::Busy,
             PacketType::Control,
             PacketType::Sack,
         ] {
             assert_eq!(PacketType::from_u8(t as u8).unwrap(), t);
         }
-        assert!(matches!(
-            PacketType::from_u8(0xff),
-            Err(WireError::UnknownPacketType(0xff))
-        ));
+        // 0x14 is Homa's BUSY, which nothing here sends: unknown like any
+        // other unassigned byte.
+        for unknown in [0x14, 0xff] {
+            assert!(matches!(
+                PacketType::from_u8(unknown),
+                Err(WireError::UnknownPacketType(t)) if t == unknown
+            ));
+        }
     }
 
     #[test]
@@ -423,14 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn ack_busy_roundtrip() {
+    fn ack_roundtrip() {
         let a = HomaAck { message_id: 1 };
-        let b = HomaBusy { message_id: 2 };
         let mut buf = [0u8; 16];
         let n = a.encode(&mut buf).unwrap();
         assert_eq!(HomaAck::decode(&buf).unwrap(), (a, n));
-        let n = b.encode(&mut buf).unwrap();
-        assert_eq!(HomaBusy::decode(&buf).unwrap(), (b, n));
     }
 
     #[test]

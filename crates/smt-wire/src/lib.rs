@@ -12,7 +12,7 @@
 //!   framing header(s), application data, authentication tag);
 //! * the **TLS record header** (5 bytes) and AEAD tag accounting;
 //! * the **framing header** that prefixes application data inside a record;
-//! * **Homa control packets** (GRANT, RESEND, ACK, BUSY) reused by SMT;
+//! * **Homa control packets** (GRANT, RESEND, ACK) reused by SMT;
 //! * minimal **IPv4/IPv6 headers** — enough for the simulator substrate and for the
 //!   IPID-based packet-offset mechanism SMT uses to reassemble TSO segments.
 //!
@@ -40,7 +40,7 @@ pub mod tls_record;
 pub use constants::*;
 pub use error::WireError;
 pub use framing::FramingHeader;
-pub use homa::{HomaAck, HomaBusy, HomaGrant, HomaResend, PacketType, SackRange, SmtSack};
+pub use homa::{HomaAck, HomaGrant, HomaResend, PacketType, SackRange, SmtSack};
 pub use ip::{IpHeader, Ipv4Header, Ipv6Header};
 pub use message::{MessageHeader, MESSAGE_HEADER_LEN};
 pub use overlay::{OverlayTcpHeader, SmtOptionArea, SmtOverlayHeader, SMT_OVERLAY_LEN};

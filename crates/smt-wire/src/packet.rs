@@ -7,7 +7,7 @@
 //! packets, replicating the overlay header and incrementing the IPID on each
 //! generated packet (paper §2.2, §4.3).
 
-use crate::homa::{HomaAck, HomaBusy, HomaGrant, HomaResend, SmtSack};
+use crate::homa::{HomaAck, HomaGrant, HomaResend, SmtSack};
 use crate::ip::{IpHeader, Ipv4Header};
 use crate::overlay::{SmtOptionArea, SmtOverlayHeader};
 use crate::{PacketType, WireError, WireResult, IPV4_HEADER_LEN};
@@ -26,8 +26,6 @@ pub enum PacketPayload {
     Resend(HomaResend),
     /// ACK control packet.
     Ack(HomaAck),
-    /// BUSY control packet.
-    Busy(HomaBusy),
     /// SACK control packet (stream transports: selective ack + ECN echo).
     Sack(SmtSack),
 }
@@ -40,7 +38,6 @@ impl PacketPayload {
             PacketPayload::Grant(_) => HomaGrant::LEN,
             PacketPayload::Resend(_) => HomaResend::LEN,
             PacketPayload::Ack(_) => HomaAck::LEN,
-            PacketPayload::Busy(_) => HomaBusy::LEN,
             PacketPayload::Sack(s) => s.wire_len(),
         }
     }
@@ -100,7 +97,6 @@ impl Packet {
             PacketPayload::Grant(g) => at += g.encode(&mut out[at..])?,
             PacketPayload::Resend(r) => at += r.encode(&mut out[at..])?,
             PacketPayload::Ack(a) => at += a.encode(&mut out[at..])?,
-            PacketPayload::Busy(b) => at += b.encode(&mut out[at..])?,
             PacketPayload::Sack(s) => at += s.encode(&mut out[at..])?,
         }
         Ok(at)
@@ -129,10 +125,6 @@ impl Packet {
             PacketType::Ack => {
                 let (a, n) = HomaAck::decode(rest)?;
                 (PacketPayload::Ack(a), n)
-            }
-            PacketType::Busy => {
-                let (b, n) = HomaBusy::decode(rest)?;
-                (PacketPayload::Busy(b), n)
             }
             PacketType::Sack => {
                 let (s, n) = SmtSack::decode(rest)?;

@@ -171,3 +171,92 @@ fn acks_release_sender_state_on_both_backends() {
         assert_eq!(acked, vec![id], "stack {}", stack.label());
     }
 }
+
+#[test]
+fn an_on_path_observer_sees_only_the_overlay_fields() {
+    use smt::wire::{OverlayTcpHeader, Packet, PacketType, SmtOptionArea, SmtOverlayHeader};
+    const CONNECTION_ID: u32 = 0x5eed_c1d0;
+    let (ck, sk, _) = handshake();
+    let (mut c, mut s) = Endpoint::builder()
+        .stack(StackKind::SmtSw)
+        .connection_id(CONNECTION_ID)
+        .pair(&ck, &sk, 30, 40)
+        .unwrap();
+    let epoch = c.rekey(0).unwrap();
+    // One TLS record's worth of distinctive bytes: no 16-byte window repeats,
+    // and more packets than the unscheduled prefix, so the receiver GRANTs.
+    let secret: Vec<u8> = (0..3_400u32)
+        .flat_map(|i| (i.wrapping_mul(0x9e37_79b9) ^ 0x5a5a_0f0f).to_le_bytes())
+        .chain(*b"on-path secret")
+        .collect();
+    let id = c.send(&secret, 0).unwrap();
+
+    // Everything both ends put on the wire, encoded as an observer sees it.
+    let mut wire: Vec<Packet> = Vec::new();
+    let mut to_server = Vec::new();
+    c.poll_transmit(0, &mut to_server);
+    while !to_server.is_empty() {
+        let mut to_client = Vec::new();
+        for p in to_server.drain(..) {
+            s.handle_datagram(&p, 0).unwrap();
+            s.poll_transmit(0, &mut to_client);
+            wire.push(p);
+        }
+        for p in to_client {
+            c.handle_datagram(&p, 0).unwrap();
+            c.poll_transmit(0, &mut to_server);
+            wire.push(p);
+        }
+    }
+    let windows: std::collections::HashSet<&[u8]> = secret.windows(16).collect();
+    for p in &wire {
+        let mut bytes = vec![0u8; p.wire_len()];
+        let n = p.encode(&mut bytes).unwrap();
+        bytes.truncate(n);
+        // Not one 16-byte window of the application's bytes is on the wire ...
+        assert!(
+            !bytes.windows(16).any(|w| windows.contains(w)),
+            "{:?} packet exposes payload bytes",
+            p.overlay.tcp.packet_type
+        );
+        let (seen, _) = Packet::decode(&bytes).unwrap();
+        // ... and the overlay carries exactly the type, message ID and length,
+        // offsets, connection ID, epoch and priority; every other option
+        // field holds its fixed value.
+        let o = seen.overlay.options;
+        let mut only = SmtOptionArea::new(o.message_id, o.message_length);
+        only.tso_offset = o.tso_offset;
+        only.resend_packet_offset = o.resend_packet_offset;
+        only.connection_id = o.connection_id;
+        only.epoch = o.epoch;
+        only.priority = o.priority;
+        let (src_port, dst_port) = (seen.overlay.tcp.src_port, seen.overlay.tcp.dst_port);
+        let header = SmtOverlayHeader {
+            tcp: OverlayTcpHeader::new(src_port, dst_port, seen.overlay.tcp.packet_type),
+            options: only,
+        };
+        assert_eq!(seen.overlay, header, "{:?}", p.overlay.tcp.packet_type);
+        assert_eq!(o.message_id, id.0);
+        assert_eq!(o.connection_id, CONNECTION_ID);
+        if o.message_length > 0 {
+            assert_eq!(seen.overlay.tcp.packet_type, PacketType::Data);
+            assert_eq!(o.message_length as usize, secret.len());
+            assert_eq!(o.epoch, epoch);
+        }
+    }
+    let kinds = |t: PacketType| {
+        wire.iter()
+            .filter(|p| p.overlay.tcp.packet_type == t)
+            .count()
+    };
+    assert!(
+        kinds(PacketType::Data) > 8,
+        "DATA beyond the unscheduled prefix"
+    );
+    assert!(kinds(PacketType::Grant) > 0 && kinds(PacketType::Ack) == 1);
+    assert_eq!(
+        wire.len(),
+        kinds(PacketType::Data) + kinds(PacketType::Grant) + 1
+    );
+    assert_eq!(take_delivered(&mut s), vec![(id, secret)]);
+}

@@ -152,7 +152,6 @@ fn forge(rng: &mut StdRng, template: &Packet) -> Packet {
                 PacketType::Grant,
                 PacketType::Resend,
                 PacketType::Ack,
-                PacketType::Busy,
                 PacketType::Control,
             ];
             p.overlay.tcp.packet_type = types[rng.gen_range(0..types.len())];

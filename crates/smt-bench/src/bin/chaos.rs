@@ -44,10 +44,10 @@ fn bench_json(rows: &[ChaosRow]) -> String {
             p99 = r.latency.p99_us * 1_000.0,
             delivered = r.messages_delivered,
             injected = r.adversary.injected(),
-            malformed = r.malformed_rejected,
-            auth = r.auth_failures,
-            evictions = r.state_evictions,
-            peak = r.peak_tracked_bytes,
+            malformed = r.endpoints.malformed_rejected,
+            auth = r.endpoints.auth_failures,
+            evictions = r.endpoints.state_evictions,
+            peak = r.endpoints.peak_tracked_bytes,
             comma = if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -79,10 +79,10 @@ fn main() {
                     row.stack.clone(),
                     r.messages_delivered.to_string(),
                     r.adversary.injected().to_string(),
-                    r.malformed_rejected.to_string(),
-                    r.auth_failures.to_string(),
-                    r.state_evictions.to_string(),
-                    r.peak_tracked_bytes.to_string(),
+                    r.endpoints.malformed_rejected.to_string(),
+                    r.endpoints.auth_failures.to_string(),
+                    r.endpoints.state_evictions.to_string(),
+                    r.endpoints.peak_tracked_bytes.to_string(),
                     format!("{:.1}", r.latency.p50_us),
                     format!("{:.1}", r.latency.p99_us),
                 ]

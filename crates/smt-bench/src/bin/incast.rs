@@ -51,7 +51,7 @@ fn bench_json(rows: &[IncastRow]) -> String {
             s99 = row.slowdown_p99,
             peak = row.report.fabric.peak_ingress_backlog_packets,
             ecn = row.report.fabric.ecn_marked,
-            retx = row.report.retransmissions,
+            retx = row.report.endpoints.retransmissions,
             delta = delta,
             comma = if i + 1 == rows.len() { "" } else { "," },
         ));
@@ -84,7 +84,7 @@ fn main() {
                     format!("{:.1}", row.slowdown_p99),
                     row.report.fabric.peak_ingress_backlog_packets.to_string(),
                     row.report.fabric.ecn_marked.to_string(),
-                    row.report.retransmissions.to_string(),
+                    row.report.endpoints.retransmissions.to_string(),
                     row.vs_plaintext_p99_pct
                         .map(|d| format!("{d:+.1}%"))
                         .unwrap_or_else(|| "-".into()),

@@ -40,8 +40,8 @@ fn bench_json(rows: &[ScenarioRow]) -> String {
             mib = r.goodput_gbps * 1e9 / 8.0 / (1024.0 * 1024.0),
             sent = r.messages_sent,
             delivered = r.messages_delivered,
-            retx = r.retransmissions,
-            timeouts = r.timeouts_fired,
+            retx = r.endpoints.retransmissions,
+            timeouts = r.endpoints.timeouts_fired,
             dropped = r.fabric.dropped(),
             comma = if i + 1 == rows.len() { "" } else { "," },
         ));
@@ -75,8 +75,8 @@ fn main() {
                     format!("{:.1}", r.latency.p50_us),
                     format!("{:.1}", r.latency.p99_us),
                     format!("{:.2}", r.goodput_gbps),
-                    r.retransmissions.to_string(),
-                    r.timeouts_fired.to_string(),
+                    r.endpoints.retransmissions.to_string(),
+                    r.endpoints.timeouts_fired.to_string(),
                     r.fabric.dropped().to_string(),
                 ]
             })

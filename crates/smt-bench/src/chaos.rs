@@ -226,10 +226,10 @@ mod tests {
         let repelled: u64 = rows
             .iter()
             .map(|r| {
-                r.report.state_evictions
-                    + r.report.malformed_rejected
-                    + r.report.auth_failures
-                    + r.report.endpoint_datagrams_dropped
+                r.report.endpoints.state_evictions
+                    + r.report.endpoints.malformed_rejected
+                    + r.report.endpoints.auth_failures
+                    + r.report.endpoints.datagrams_dropped
             })
             .sum();
         assert!(repelled > 0, "no bounded-state defense engaged: {rows:?}");
@@ -237,11 +237,11 @@ mod tests {
         // garbage datagrams aimed at fresh bogus message IDs.
         for row in &rows {
             assert!(
-                row.report.peak_tracked_bytes < 1 << 20,
+                row.report.endpoints.peak_tracked_bytes < 1 << 20,
                 "{}/{}: tracking state grew unbounded: {}",
                 row.case,
                 row.stack,
-                row.report.peak_tracked_bytes
+                row.report.endpoints.peak_tracked_bytes
             );
         }
     }

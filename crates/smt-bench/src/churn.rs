@@ -183,7 +183,8 @@ fn run_stack(stack: StackKind, waves: usize, wave_size: usize) -> Vec<ChurnRow> 
 /// Launches one wave of concurrent connects per `plan` (`(mode, ticket)` per
 /// client), drives the storm to quiescence, records per-connection setup
 /// latencies into `samples` (the `"mint"` mode is not measured), harvests
-/// freshly minted tickets, and closes the wave's connections.
+/// freshly minted tickets, and closes the wave's connections, handing their
+/// ports back to the fabric for the next wave.
 #[allow(clippy::too_many_arguments)]
 fn run_wave(
     stack: StackKind,
@@ -283,6 +284,7 @@ fn run_wave(
             stack.label()
         );
         listener.close(*cid);
+        fabric.detach(*cid);
     }
 }
 

@@ -517,7 +517,8 @@ pub fn fig7_functional(scale: &FigScale, keys: &(SessionKeys, SessionKeys)) -> V
                     // An echo is symmetric: each host sealed half the records
                     // and half the delivered bytes.
                     let cpu = scenario.cpu.expect("figure scenarios charge sealing");
-                    let busy_ns = cpu.seal_ns(report.bytes_delivered, report.records_sealed);
+                    let busy_ns =
+                        cpu.seal_ns(report.bytes_delivered, report.endpoints.records_sealed);
                     cpu_rows.push(FigRow {
                         figure: "cpu".into(),
                         series: format!("{}-{}B", stack.label(), size),

@@ -258,10 +258,10 @@ pub fn deep_incast_violation(scenario: &Scenario, report: &ScenarioReport) -> Op
         .iter()
         .map(|s| s.size.div_ceil(per_packet).max(1) as u64)
         .sum();
-    if report.retransmissions > MAX_RETX_PER_DATA_PACKET * data_packets {
+    if report.endpoints.retransmissions > MAX_RETX_PER_DATA_PACKET * data_packets {
         return Some(format!(
             "{} retransmissions for {data_packets} data packets (bound {MAX_RETX_PER_DATA_PACKET} each)",
-            report.retransmissions
+            report.endpoints.retransmissions
         ));
     }
     None
@@ -315,7 +315,7 @@ mod tests {
 
         let mut inside = good.clone();
         inside.latency.p99_us = MAX_P99_OVER_DRAIN * drain_us - 0.01;
-        inside.retransmissions = MAX_RETX_PER_DATA_PACKET * packets;
+        inside.endpoints.retransmissions = MAX_RETX_PER_DATA_PACKET * packets;
         assert_eq!(deep_incast_violation(&deep, &inside), None);
 
         let mut lost = good.clone();
@@ -325,7 +325,7 @@ mod tests {
         let mut slow = good.clone();
         slow.latency.p99_us = MAX_P99_OVER_DRAIN * drain_us + 0.01;
         let mut retransmitting = good;
-        retransmitting.retransmissions = MAX_RETX_PER_DATA_PACKET * packets + 1;
+        retransmitting.endpoints.retransmissions = MAX_RETX_PER_DATA_PACKET * packets + 1;
         for (label, row, why) in [
             ("lost", lost, "delivered 3 of 4"),
             ("truncated", truncated, "truncated: true"),

@@ -33,9 +33,9 @@ pub mod time;
 
 pub use cost::CostModel;
 pub use net::{
-    run_scenario, run_scenario_app, AppReply, EcnConfig, Fabric, FabricStats, FaultConfig,
-    FaultyLink, LatencySummary, LeafSpineConfig, LinkConfig, Scenario, ScenarioApp, ScenarioReport,
-    SimEndpoint, SimEndpointStats, Topology,
+    run_scenario, run_scenario_app, AppReply, EcnConfig, EndpointStats, Fabric, FabricStats,
+    FaultConfig, FaultyLink, LatencySummary, LeafSpineConfig, LinkConfig, Scenario, ScenarioApp,
+    ScenarioReport, SimEndpoint, Topology,
 };
 pub use nic::{NicModel, NicStats};
 pub use time::Nanos;

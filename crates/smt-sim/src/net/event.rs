@@ -102,6 +102,11 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|s| (s.at, s.event))
     }
 
+    /// Every pending event, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.heap.iter().map(|s| &s.event)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -336,7 +336,7 @@ impl FaultyLink {
 }
 
 /// Aggregate counters for one fabric.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FabricStats {
     /// Packets offered by endpoints.
     pub offered: u64,
@@ -354,15 +354,12 @@ pub struct FabricStats {
     pub wire_bytes: u64,
     /// Packets tail-dropped at a full leaf–spine uplink or downlink buffer
     /// (zero on the big-switch topology).
-    #[serde(default)]
     pub dropped_spine: u64,
     /// Packets CE-marked by an over-threshold queue (zero without
     /// [`EcnConfig`]).
-    #[serde(default)]
     pub ecn_marked: u64,
     /// High-water mark of any single host-ingress queue, in MTU-sized
     /// packets — the receiver-queue-occupancy gauge the incast bench bounds.
-    #[serde(default)]
     pub peak_ingress_backlog_packets: u64,
 }
 
@@ -658,9 +655,19 @@ impl Fabric {
         self.ports[port].host
     }
 
+    /// Number of hosts.
+    pub fn host_count(&self) -> usize {
+        self.hosts.len()
+    }
+
     /// Number of ports.
     pub fn port_count(&self) -> usize {
         self.ports.len()
+    }
+
+    /// True while a packet headed for `port` is still inside the fabric.
+    pub fn in_flight_to(&self, port: PortId) -> bool {
+        self.queue.iter().any(|e| e.dst as usize == port)
     }
 
     /// Injects `packets` from `src` at time `now`: egress queueing (tail-drop

@@ -20,8 +20,8 @@
 //!   message-size mixes, N→1 incast, all-to-all mesh;
 //! * [`scenario`] — the [`SimEndpoint`] hosting contract, the [`Scenario`]
 //!   description and the [`run_scenario`] event loop producing a
-//!   [`ScenarioReport`] ([`LatencySummary`] percentiles, goodput, retransmit
-//!   counts, trace hash).
+//!   [`ScenarioReport`] ([`LatencySummary`] percentiles, goodput, the
+//!   endpoints' [`EndpointStats`] folded into one, trace hash).
 //!
 //! The protocol engines are *hosted*, not simulated: `smt-transport`
 //! implements [`SimEndpoint`] for its unified `Endpoint`, so every evaluated
@@ -41,8 +41,8 @@ pub use fabric::{
     LeafSpineConfig, LinkConfig, PortId, Topology,
 };
 pub use scenario::{
-    run_scenario, run_scenario_app, AppReply, CpuCharge, FlowSpec, LatencySummary, Scenario,
-    ScenarioApp, ScenarioReport, ScheduledSend, SimEndpoint, SimEndpointStats,
+    run_scenario, run_scenario_app, AppReply, CpuCharge, EndpointStats, FlowSpec, LatencySummary,
+    Scenario, ScenarioApp, ScenarioReport, ScheduledSend, SimEndpoint, SimEndpointStats,
 };
 pub use workload::{
     all_to_all_scenario, background_elephants, incast_scenario, poisson_flow,

@@ -10,9 +10,11 @@
 //! quiesces or the event budget runs out.
 //!
 //! Everything observable lands in a [`ScenarioReport`]: per-message latency
-//! percentiles, goodput, retransmission/timeout/drop counters from both the
-//! endpoints and the fabric, and an order-sensitive [`trace_hash`] digest of
-//! the full event sequence that the determinism tests compare across runs.
+//! percentiles and goodput measured by the runner, the endpoints'
+//! [`EndpointStats`] folded into one, the fabric's counters, and an
+//! order-sensitive [`trace_hash`] digest of the full event sequence that the
+//! determinism tests compare across runs.  [`EndpointStats`] is defined here,
+//! beside the [`SimEndpoint`] contract that returns it.
 //!
 //! [`trace_hash`]: ScenarioReport::trace_hash
 
@@ -26,42 +28,102 @@ use serde::{Deserialize, Serialize};
 use smt_wire::Packet;
 use std::collections::BTreeMap;
 
-/// Counters a simulated endpoint exposes to the scenario layer, uniform
-/// across protocol stacks.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimEndpointStats {
-    /// Data packets retransmitted by the send side.
-    pub retransmissions: u64,
-    /// Retransmission timers that fired.
-    pub timeouts_fired: u64,
-    /// Received datagrams the endpoint discarded (failed authentication,
-    /// malformed, or arrived after a fatal error).
-    pub datagrams_dropped: u64,
+/// Aggregate counters for one endpoint, uniform across protocol stacks: the
+/// engines increment it, `smt-transport` re-exports it as its endpoints'
+/// `stats()` type, and [`ScenarioReport::endpoints`] folds every endpoint's
+/// with [`absorb`](Self::absorb).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct EndpointStats {
+    /// Messages accepted by the endpoint's `send`.
+    pub messages_sent: u64,
+    /// Application bytes accepted for transmission.
+    pub bytes_sent: u64,
+    /// Wire payload bytes produced (records + framing + tags).
+    pub wire_bytes_sent: u64,
     /// Messages delivered to the application.
     pub messages_delivered: u64,
-    /// Wire payload bytes produced by the send side.
-    pub wire_bytes_sent: u64,
-    /// TLS records sealed in software by the send side (zero for plaintext
-    /// and NIC-offloaded stacks).  [`run_scenario`] charges
-    /// [`Scenario::cpu`] per record counted here.
+    /// Application bytes delivered.
+    pub bytes_delivered: u64,
+    /// Wire payload bytes received (mirror of `wire_bytes_sent`, counted
+    /// before authentication — replays and corrupt packets still arrived).
+    pub wire_bytes_received: u64,
+    /// Replayed or duplicate data packets rejected by the receive side.
+    pub replays_rejected: u64,
+    /// Data packets retransmitted by the send side (RESEND-triggered,
+    /// go-back-N, or sender-timeout).
+    pub retransmissions: u64,
+    /// Retransmission timers that fired (timeout calls that found expired
+    /// work).
+    pub timeouts_fired: u64,
+    /// Received datagrams this endpoint discarded: failed authentication,
+    /// malformed, or arrived after a fatal error.
+    pub datagrams_dropped: u64,
+    /// TLS records sealed in software on the send side.  Offloaded stacks
+    /// (NIC-sealed records) and plaintext stacks leave this at zero;
+    /// [`run_scenario`] charges [`Scenario::cpu`] per record counted here.
     pub records_sealed: u64,
     /// Received datagrams rejected as structurally malformed before any
-    /// cryptographic check.
+    /// cryptographic check: bad framing, inconsistent segment geometry,
+    /// oversized declared lengths, handshake fragments outside their flight.
     pub malformed_rejected: u64,
-    /// Received records/packets whose authentication failed (forged or
-    /// corrupted ciphertext).
+    /// Received records or packets whose AEAD tag (or stream-cipher state)
+    /// failed authentication — forged or corrupted ciphertext.
     pub auth_failures: u64,
-    /// Times a bounded per-peer buffer hit its cap and evicted state.
+    /// Times a bounded per-peer buffer (reassembly, out-of-order stream
+    /// segments, replay guard, handshake queue) hit its cap and evicted state
+    /// to stay within it.  Legitimate traffic recovers via retransmission.
     pub state_evictions: u64,
     /// High-water mark of attacker-influenceable buffered bytes across the
-    /// endpoint's bounded buffers.
+    /// endpoint's bounded buffers (reassembly + out-of-order + queued sends +
+    /// handshake fragments).  Chaos scenarios assert this stays under the
+    /// configured caps even under floods.
     pub peak_tracked_bytes: u64,
-    /// Median send→ack latency over this endpoint's completed messages, in
-    /// nanoseconds (zero when the endpoint records no samples).
-    pub op_latency_p50_ns: u64,
-    /// 99th-percentile send→ack latency, in nanoseconds.
-    pub op_latency_p99_ns: u64,
+    /// ECN CE marks the congestion controller has reacted to (stream stacks:
+    /// CE counts echoed back in SACK frames).  Zero on message stacks.
+    pub ecn_marks_seen: u64,
+    /// Instantaneous congestion window in bytes (stream stacks).
+    pub cwnd_bytes: u64,
+    /// Instantaneous smoothed RTT estimate in nanoseconds (zero before the
+    /// first Karn-clean sample).
+    pub srtt_ns: u64,
+    /// Granted-but-unreceived packets the message-engine receiver has
+    /// invited (the SRPT scheduler's bounded backlog).  Zero on stream
+    /// stacks.
+    pub grants_outstanding: u64,
 }
+
+impl EndpointStats {
+    /// Folds another endpoint's statistics into this aggregate: event
+    /// counters (and the instantaneous grant backlog, which adds across
+    /// connections) are summed; per-connection gauges — the high-water mark,
+    /// the window and the RTT estimate — keep the largest value seen.
+    pub fn absorb(&mut self, other: &EndpointStats) {
+        self.messages_sent += other.messages_sent;
+        self.bytes_sent += other.bytes_sent;
+        self.wire_bytes_sent += other.wire_bytes_sent;
+        self.messages_delivered += other.messages_delivered;
+        self.bytes_delivered += other.bytes_delivered;
+        self.wire_bytes_received += other.wire_bytes_received;
+        self.replays_rejected += other.replays_rejected;
+        self.retransmissions += other.retransmissions;
+        self.timeouts_fired += other.timeouts_fired;
+        self.datagrams_dropped += other.datagrams_dropped;
+        self.records_sealed += other.records_sealed;
+        self.malformed_rejected += other.malformed_rejected;
+        self.auth_failures += other.auth_failures;
+        self.state_evictions += other.state_evictions;
+        self.ecn_marks_seen += other.ecn_marks_seen;
+        self.grants_outstanding += other.grants_outstanding;
+        self.peak_tracked_bytes = self.peak_tracked_bytes.max(other.peak_tracked_bytes);
+        self.cwnd_bytes = self.cwnd_bytes.max(other.cwnd_bytes);
+        self.srtt_ns = self.srtt_ns.max(other.srtt_ns);
+    }
+}
+
+/// The former name of [`EndpointStats`], kept only because the repository
+/// benchmark (`bench/`) still names it; the next change to that benchmark
+/// drops the name and this alias with it.
+pub type SimEndpointStats = EndpointStats;
 
 /// The contract a protocol engine implements to live on the fabric.
 ///
@@ -92,8 +154,9 @@ pub trait SimEndpoint {
     /// Drains completed deliveries as `(message_id, payload)` pairs.
     fn take_delivered(&mut self) -> Vec<(u64, Vec<u8>)>;
 
-    /// Aggregate counters.
-    fn sim_stats(&self) -> SimEndpointStats;
+    /// The endpoint's counters; [`run_scenario`] folds every endpoint's
+    /// into [`ScenarioReport::endpoints`] with [`EndpointStats::absorb`].
+    fn sim_stats(&self) -> EndpointStats;
 
     /// `sim_stats().records_sealed`, which the runner reads around every
     /// charged send; override it where one counter is cheaper than the whole
@@ -220,7 +283,7 @@ impl CpuCharge {
 }
 
 /// A complete scenario description: topology, workload, network conditions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Scenario {
     /// Human-readable scenario name (lands in the report and bench JSON).
     pub name: String,
@@ -237,22 +300,16 @@ pub struct Scenario {
     /// Hard cap on processed events (a runaway-protocol backstop).
     pub max_events: u64,
     /// Sender CPU cost charged per workload send, scaled by the records the
-    /// endpoint sealed for it.  `None` (the default, and what older scenario
-    /// JSON deserializes to) runs the pre-existing zero-CPU-cost model.
-    #[serde(default)]
+    /// endpoint sealed for it.  `None` (the default) charges no CPU time.
     pub cpu: Option<CpuCharge>,
     /// Hostile-network model composed on top of [`Self::faults`]: forged
     /// replays, corrupted/truncated/spliced copies, garbage floods and an
-    /// in-path stall window.  `None` (the default, and what older scenario
-    /// JSON deserializes to) runs without an adversary.
-    #[serde(default)]
+    /// in-path stall window.  `None` (the default) runs without an
+    /// adversary.
     pub adversary: Option<AdversaryConfig>,
-    /// Switching topology.  Defaults to the single big switch, which is also
-    /// what older scenario JSON deserializes to.
-    #[serde(default)]
+    /// Switching topology.  Defaults to the single big switch.
     pub topology: Topology,
     /// ECN marking at fabric queues.  `None` (the default) never marks.
-    #[serde(default)]
     pub ecn: Option<EcnConfig>,
 }
 
@@ -324,7 +381,7 @@ impl LatencySummary {
 }
 
 /// Everything measured over one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioReport {
     /// Scenario name.
     pub name: String,
@@ -344,40 +401,18 @@ pub struct ScenarioReport {
     /// Per-op application latency: full request-send → reply-delivery round
     /// trips, one sample per completed RPC (empty for reply-less scenarios).
     /// Figure bins read p50/p99 from here instead of re-deriving them.
-    #[serde(default)]
     pub rpc_latency: LatencySummary,
-    /// Worst per-endpoint p99 of send→ack message latency, as measured by the
-    /// endpoints themselves ([`SimEndpointStats::op_latency_p99_ns`]).
-    #[serde(default)]
-    pub endpoint_op_p99_ns: u64,
     /// Delivered application bytes over the run duration, in Gb/s.
     pub goodput_gbps: f64,
-    /// Data packets retransmitted, summed over all endpoints.
-    pub retransmissions: u64,
-    /// Retransmission timers fired, summed over all endpoints.
-    pub timeouts_fired: u64,
-    /// Datagrams discarded by endpoints (auth failures, malformed).
-    pub endpoint_datagrams_dropped: u64,
-    /// TLS records sealed in software, summed over all endpoints (zero for
-    /// plaintext and offloaded stacks).
-    pub records_sealed: u64,
-    /// Structurally malformed datagrams rejected, summed over all endpoints.
-    #[serde(default)]
-    pub malformed_rejected: u64,
-    /// Authentication failures (forged/corrupted ciphertext), summed over all
-    /// endpoints.
-    #[serde(default)]
-    pub auth_failures: u64,
-    /// Bounded-buffer cap evictions, summed over all endpoints.
-    #[serde(default)]
-    pub state_evictions: u64,
-    /// Maximum over endpoints of the attacker-influenceable buffered-byte
-    /// high-water mark — the chaos suite's boundedness gauge.
-    #[serde(default)]
-    pub peak_tracked_bytes: u64,
+    /// Every endpoint's [`SimEndpoint::sim_stats`] at the end of the run,
+    /// folded with [`EndpointStats::absorb`]: counters (retransmissions,
+    /// timeouts, records sealed, malformed and forged datagrams rejected,
+    /// evictions, ...) are summed over all endpoints, and
+    /// `peak_tracked_bytes` — the chaos suite's boundedness gauge — is the
+    /// largest of any endpoint.
+    pub endpoints: EndpointStats,
     /// What the adversary did (all zeros when [`Scenario::adversary`] is
     /// `None`).
-    #[serde(default)]
     pub adversary: AdversaryStats,
     /// Fabric counters (offered/delivered/dropped/duplicated).
     pub fabric: FabricStats,
@@ -826,26 +861,9 @@ pub fn run_scenario_app(
         }
     }
 
-    let mut retransmissions = 0;
-    let mut timeouts_fired = 0;
-    let mut endpoint_datagrams_dropped = 0;
-    let mut records_sealed = 0;
-    let mut malformed_rejected = 0;
-    let mut auth_failures = 0;
-    let mut state_evictions = 0;
-    let mut peak_tracked_bytes = 0u64;
-    let mut endpoint_op_p99_ns = 0u64;
+    let mut totals = EndpointStats::default();
     for ep in endpoints.iter() {
-        let s = ep.sim_stats();
-        retransmissions += s.retransmissions;
-        timeouts_fired += s.timeouts_fired;
-        endpoint_datagrams_dropped += s.datagrams_dropped;
-        records_sealed += s.records_sealed;
-        malformed_rejected += s.malformed_rejected;
-        auth_failures += s.auth_failures;
-        state_evictions += s.state_evictions;
-        peak_tracked_bytes = peak_tracked_bytes.max(s.peak_tracked_bytes);
-        endpoint_op_p99_ns = endpoint_op_p99_ns.max(s.op_latency_p99_ns);
+        totals.absorb(&ep.sim_stats());
     }
     let duration_ns = now.max(1);
     ScenarioReport {
@@ -857,16 +875,8 @@ pub fn run_scenario_app(
         duration_ns,
         latency: LatencySummary::from_nanos(latencies),
         rpc_latency: LatencySummary::from_nanos(rpc_latencies),
-        endpoint_op_p99_ns,
         goodput_gbps: (bytes_delivered as f64 * 8.0) / (duration_ns as f64 / SECOND as f64) / 1e9,
-        retransmissions,
-        timeouts_fired,
-        endpoint_datagrams_dropped,
-        records_sealed,
-        malformed_rejected,
-        auth_failures,
-        state_evictions,
-        peak_tracked_bytes,
+        endpoints: totals,
         adversary: adversary.map(|a| a.stats).unwrap_or_default(),
         fabric: fabric.stats,
         trace_hash: trace.digest(),
@@ -889,7 +899,7 @@ mod tests {
         next_id: u64,
         delivered: Vec<(u64, Vec<u8>)>,
         seen: std::collections::BTreeSet<u64>,
-        stats: SimEndpointStats,
+        stats: EndpointStats,
         rto: Nanos,
         deadline: Option<Nanos>,
         port: (u16, u16),
@@ -1007,7 +1017,7 @@ mod tests {
             std::mem::take(&mut self.delivered)
         }
 
-        fn sim_stats(&self) -> SimEndpointStats {
+        fn sim_stats(&self) -> EndpointStats {
             self.stats
         }
     }
@@ -1038,6 +1048,81 @@ mod tests {
     }
 
     #[test]
+    fn absorb_sums_counters_and_keeps_the_largest_gauge() {
+        let a = EndpointStats {
+            messages_sent: 1,
+            bytes_sent: 2,
+            wire_bytes_sent: 3,
+            messages_delivered: 4,
+            bytes_delivered: 5,
+            wire_bytes_received: 6,
+            replays_rejected: 7,
+            retransmissions: 8,
+            timeouts_fired: 9,
+            datagrams_dropped: 10,
+            records_sealed: 11,
+            malformed_rejected: 12,
+            auth_failures: 13,
+            state_evictions: 14,
+            peak_tracked_bytes: 9_000,
+            ecn_marks_seen: 16,
+            cwnd_bytes: 17,
+            srtt_ns: 18_000,
+            grants_outstanding: 19,
+        };
+        let b = EndpointStats {
+            messages_sent: 100,
+            bytes_sent: 200,
+            wire_bytes_sent: 300,
+            messages_delivered: 400,
+            bytes_delivered: 500,
+            wire_bytes_received: 600,
+            replays_rejected: 700,
+            retransmissions: 800,
+            timeouts_fired: 900,
+            datagrams_dropped: 1_000,
+            records_sealed: 1_100,
+            malformed_rejected: 1_200,
+            auth_failures: 1_300,
+            state_evictions: 1_400,
+            peak_tracked_bytes: 15,
+            ecn_marks_seen: 1_600,
+            cwnd_bytes: 64_000,
+            srtt_ns: 18,
+            grants_outstanding: 1_900,
+        };
+        let expected = EndpointStats {
+            messages_sent: 101,
+            bytes_sent: 202,
+            wire_bytes_sent: 303,
+            messages_delivered: 404,
+            bytes_delivered: 505,
+            wire_bytes_received: 606,
+            replays_rejected: 707,
+            retransmissions: 808,
+            timeouts_fired: 909,
+            datagrams_dropped: 1_010,
+            records_sealed: 1_111,
+            malformed_rejected: 1_212,
+            auth_failures: 1_313,
+            state_evictions: 1_414,
+            peak_tracked_bytes: 9_000,
+            ecn_marks_seen: 1_616,
+            cwnd_bytes: 64_000,
+            srtt_ns: 18_000,
+            grants_outstanding: 1_919,
+        };
+        // Folding in either order gives the same totals, so a gauge that kept
+        // the first or the last operand instead of the larger fails one order.
+        let mut ab = a;
+        ab.absorb(&b);
+        let mut ba = b;
+        ba.absorb(&a);
+        assert_eq!(ab, expected);
+        assert_eq!(ba, expected);
+    }
+
+    #[test]
     fn latency_summary_percentiles() {
         let s = LatencySummary::from_nanos(vec![1000, 2000, 3000, 4000, 100_000]);
         assert!(s.p50_us <= s.p99_us);
@@ -1054,7 +1139,7 @@ mod tests {
         let report = run_scenario(&s, &mut eps, |_, _, _, _| None);
         assert_eq!(report.messages_sent, 40);
         assert_eq!(report.messages_delivered, 40);
-        assert_eq!(report.retransmissions, 0);
+        assert_eq!(report.endpoints.retransmissions, 0);
         assert!(!report.truncated);
         assert!(report.latency.p50_us > 0.0);
         assert!(report.goodput_gbps > 0.0);
@@ -1066,8 +1151,8 @@ mod tests {
         let mut eps = toy_endpoints();
         let report = run_scenario(&s, &mut eps, |_, _, _, _| None);
         assert_eq!(report.messages_delivered, 40, "all messages recovered");
-        assert!(report.retransmissions > 0);
-        assert!(report.timeouts_fired > 0);
+        assert!(report.endpoints.retransmissions > 0);
+        assert!(report.endpoints.timeouts_fired > 0);
         assert!(report.fabric.dropped_faults > 0);
     }
 
@@ -1089,7 +1174,7 @@ mod tests {
         }
         let report = run_scenario(&s, &mut eps, |_, _, _, _| None);
         assert_eq!(report.messages_delivered, 40);
-        assert!(report.timeouts_fired > 0 && report.events > 100);
+        assert!(report.endpoints.timeouts_fired > 0 && report.events > 100);
         // Only flow 0 carries traffic: the runner learns each idle
         // endpoint's (absent) deadline once and never calls into it again.
         for polls in idle_polls {
@@ -1125,7 +1210,7 @@ mod tests {
         };
         assert_eq!(free.messages_delivered, 40);
         assert_eq!(charged.messages_delivered, 40);
-        assert_eq!(charged.records_sealed, 40);
+        assert_eq!(charged.endpoints.records_sealed, 40);
         // Every send sealed one record: 5 µs + 600 B × 1 ns/B = 5.6 µs of
         // sender CPU now sits in front of each message's wire time.
         let added_us = charged.latency.p50_us - free.latency.p50_us;

@@ -314,6 +314,9 @@ pub struct ListenerFabric {
     ports: HashMap<u32, (PortId, PortId)>,
     /// Reverse map: port → (is_listener_side, connection ID).
     owner: HashMap<PortId, (bool, u32)>,
+    /// Port pairs of detached connections, reused by the next
+    /// [`attach`](Self::attach).
+    free: Vec<(PortId, PortId)>,
     now: Nanos,
 }
 
@@ -328,6 +331,7 @@ impl ListenerFabric {
             listener_host,
             ports: HashMap::new(),
             owner: HashMap::new(),
+            free: Vec::new(),
             now: 0,
         }
     }
@@ -337,21 +341,45 @@ impl ListenerFabric {
         Self::new(LinkConfig::default(), FaultConfig::none())
     }
 
-    /// Wires a new client host for connection `cid` to the listener.  Call
-    /// once per connection ID before driving that client.
+    /// Wires a client host for connection `cid` to the listener, reusing a
+    /// [`detach`](Self::detach)ed connection's ports and host when there is
+    /// one.  Call once per connection ID before driving that client.
     pub fn attach(&mut self, cid: u32) {
         assert!(cid != 0, "connection ID zero means unmultiplexed");
         assert!(
             !self.ports.contains_key(&cid),
             "connection {cid} already attached"
         );
-        let lp = self.fabric.add_port(self.listener_host);
-        let ch = self.fabric.add_host();
-        let cp = self.fabric.add_port(ch);
-        self.fabric.connect(lp, cp);
+        let (lp, cp) = match self.free.pop() {
+            Some((lp, cp)) => {
+                debug_assert!(
+                    !self.fabric.in_flight_to(lp) && !self.fabric.in_flight_to(cp),
+                    "reused ports still have packets in flight"
+                );
+                (lp, cp)
+            }
+            None => {
+                let lp = self.fabric.add_port(self.listener_host);
+                let ch = self.fabric.add_host();
+                let cp = self.fabric.add_port(ch);
+                self.fabric.connect(lp, cp);
+                (lp, cp)
+            }
+        };
         self.ports.insert(cid, (lp, cp));
         self.owner.insert(lp, (true, cid));
         self.owner.insert(cp, (false, cid));
+    }
+
+    /// Unwires connection `cid` and keeps its ports and client host for the
+    /// next [`attach`](Self::attach); call it once the connection is closed
+    /// and its traffic has quiesced.  Unknown IDs are ignored.
+    pub fn detach(&mut self, cid: u32) {
+        if let Some((lp, cp)) = self.ports.remove(&cid) {
+            self.owner.remove(&lp);
+            self.owner.remove(&cp);
+            self.free.push((lp, cp));
+        }
     }
 
     /// The fabric's current virtual time.
@@ -607,6 +635,57 @@ mod tests {
             1,
             "derived completion re-mints nothing"
         );
+    }
+
+    /// Runs `cycles` connect → drive → close cycles through one SMT-sw
+    /// listener, each on a fresh connection ID: the first runs the full
+    /// handshake and mints the path secret, the rest derive from it (the
+    /// cheapest in-band connect).  With `detach`, each closed connection's
+    /// ports go back to the fabric.  Returns the fabric's size after every
+    /// cycle's close: ports, hosts, attached IDs and owned ports.
+    fn connect_close_cycles(cycles: u32, detach: bool) -> Vec<[usize; 4]> {
+        let ca = CertificateAuthority::new("soak-ca");
+        let client_secrets = SharedPathSecrets::new(4, 64);
+        let mut lst =
+            listener(StackKind::SmtSw, &ca, 4).path_secrets(SharedPathSecrets::new(4, 64));
+        let mut fabric = ListenerFabric::reliable();
+        let mut sizes = Vec::new();
+        for cid in 1..=cycles {
+            fabric.attach(cid);
+            let client = dial(StackKind::SmtSw, cid, &ca, Some(&client_secrets));
+            let mut clients = vec![(cid, client)];
+            fabric.drive(&mut clients, &mut lst, 1_000);
+            assert!(
+                matches!(lst.poll_event(), Some((c, Event::HandshakeComplete { .. })) if c == cid),
+                "connection {cid}"
+            );
+            assert!(lst.close(cid).is_some(), "connection {cid}");
+            if detach {
+                fabric.detach(cid);
+            }
+            sizes.push([
+                fabric.fabric.port_count(),
+                fabric.fabric.host_count(),
+                fabric.ports.len(),
+                fabric.owner.len(),
+            ]);
+        }
+        sizes
+    }
+
+    #[test]
+    fn detach_keeps_a_connect_close_soak_at_one_connection_of_fabric() {
+        // Listener port + client port, listener host + client host, and
+        // empty maps: the same after every one of 10 000 cycles.
+        let soak = connect_close_cycles(10_000, true);
+        assert!(soak.iter().all(|&s| s == [2, 2, 0, 0]), "{:?}", soak.last());
+        // Without detach every connect keeps two ports, a host and both
+        // map entries for good: the leak the soak guards against.
+        let leak = connect_close_cycles(200, false);
+        for (i, &s) in leak.iter().enumerate() {
+            let n = i + 1;
+            assert_eq!(s, [2 * n, 1 + n, n, 2 * n], "after {n} connects");
+        }
     }
 
     fn resumed_flag(client: &mut Endpoint) -> Option<bool> {

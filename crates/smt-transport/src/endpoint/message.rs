@@ -171,7 +171,7 @@ impl MessageEngine {
             shell.rto.sample(rtt);
         }
         for session_id in inner.drain_acked() {
-            shell.acked(session_id + self.tx_id_offset, now);
+            shell.acked(session_id + self.tx_id_offset);
         }
         self.sync_timer(&mut shell.rto);
     }

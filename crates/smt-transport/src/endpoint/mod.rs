@@ -36,9 +36,9 @@
 //!   order at completion, flush of queued sends under their promised IDs;
 //! * the retransmission-timer *period* (RTT-estimated, backoff, clamp) and
 //!   deadline — when to arm stays engine policy;
-//! * the connection's [`EndpointStats`], incremented where events happen
-//!   ([`EndpointStats::absorb`] is the one aggregation rule);
-//! * the per-op latency clock, started at [`SecureEndpoint::send`];
+//! * the connection's [`EndpointStats`] (defined beside the simulator's
+//!   `SimEndpoint` contract and re-exported here), incremented where events
+//!   happen ([`EndpointStats::absorb`] is the one aggregation rule);
 //! * the `dead` gate after a fatal error, and the queue-full refusal;
 //! * connection-ID stamping, the event queue.
 //!
@@ -67,6 +67,7 @@ pub use handshake::{
 pub use listener::{Listener, ListenerFabric};
 pub use shell::Endpoint;
 pub use sim::{handshake_scenario_endpoints, scenario_endpoints};
+pub use smt_sim::net::EndpointStats;
 
 use crate::stack::StackKind;
 use serde::{Deserialize, Serialize};
@@ -136,175 +137,6 @@ pub enum Event {
     /// failure on the in-order stream).  The endpoint drops all traffic after
     /// emitting this.
     Error(String),
-}
-
-/// Aggregate counters for one endpoint, uniform across stacks.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
-pub struct EndpointStats {
-    /// Messages accepted by [`SecureEndpoint::send`].
-    pub messages_sent: u64,
-    /// Application bytes accepted for transmission.
-    pub bytes_sent: u64,
-    /// Wire payload bytes produced (records + framing + tags).
-    pub wire_bytes_sent: u64,
-    /// Messages delivered to the application.
-    pub messages_delivered: u64,
-    /// Application bytes delivered.
-    pub bytes_delivered: u64,
-    /// Wire payload bytes received (mirror of `wire_bytes_sent`, counted
-    /// before authentication — replays and corrupt packets still arrived).
-    pub wire_bytes_received: u64,
-    /// Replayed or duplicate data packets rejected by the receive side.
-    pub replays_rejected: u64,
-    /// Data packets retransmitted by the send side (RESEND-triggered,
-    /// go-back-N, or sender-timeout).
-    pub retransmissions: u64,
-    /// Retransmission timers that fired ([`SecureEndpoint::on_timeout`] calls
-    /// that found expired work).
-    pub timeouts_fired: u64,
-    /// Received datagrams this endpoint discarded: failed authentication,
-    /// malformed, or arrived after a fatal error.
-    pub datagrams_dropped: u64,
-    /// TLS records sealed in software on the send side.  Offloaded stacks
-    /// (NIC-sealed records) leave this at zero; the simulator uses it to
-    /// charge per-record CPU cost.
-    pub records_sealed: u64,
-    /// Received datagrams rejected as structurally malformed before any
-    /// cryptographic check: bad framing, inconsistent segment geometry,
-    /// oversized declared lengths, handshake fragments outside their flight.
-    pub malformed_rejected: u64,
-    /// Received records or packets whose AEAD tag (or stream-cipher state)
-    /// failed authentication — forged or corrupted ciphertext.
-    pub auth_failures: u64,
-    /// Times a bounded per-peer buffer (reassembly, out-of-order stream
-    /// segments, replay guard, handshake queue) hit its cap and evicted state
-    /// to stay within it.  Legitimate traffic recovers via retransmission.
-    pub state_evictions: u64,
-    /// High-water mark of attacker-influenceable buffered bytes across the
-    /// endpoint's bounded buffers (reassembly + out-of-order + queued sends +
-    /// handshake fragments).  Chaos scenarios assert this stays under the
-    /// configured caps even under floods.
-    pub peak_tracked_bytes: u64,
-    /// ECN CE marks the congestion controller has reacted to (stream stacks:
-    /// CE counts echoed back in SACK frames).  Zero on message stacks.
-    #[serde(default)]
-    pub ecn_marks_seen: u64,
-    /// Instantaneous congestion window in bytes (stream stacks).
-    #[serde(default)]
-    pub cwnd_bytes: u64,
-    /// Instantaneous smoothed RTT estimate in nanoseconds (zero before the
-    /// first Karn-clean sample).
-    #[serde(default)]
-    pub srtt_ns: u64,
-    /// Granted-but-unreceived packets the message-engine receiver has
-    /// invited (the SRPT scheduler's bounded backlog).  Zero on stream
-    /// stacks.
-    #[serde(default)]
-    pub grants_outstanding: u64,
-    /// Median send→ack latency over this endpoint's completed messages, in
-    /// nanoseconds (log-scale histogram estimate, ≤ ~9% bucket error; zero
-    /// before the first completed message).
-    #[serde(default)]
-    pub op_latency_p50_ns: u64,
-    /// 99th-percentile send→ack latency in nanoseconds (same histogram).
-    #[serde(default)]
-    pub op_latency_p99_ns: u64,
-}
-
-impl EndpointStats {
-    /// Folds another connection's statistics into this aggregate: event
-    /// counters (and the instantaneous grant backlog, which adds across
-    /// connections) are summed; per-connection gauges — the high-water mark,
-    /// the window, the RTT estimate and the latency percentiles — keep the
-    /// largest value seen.
-    pub fn absorb(&mut self, other: &EndpointStats) {
-        self.messages_sent += other.messages_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.wire_bytes_sent += other.wire_bytes_sent;
-        self.messages_delivered += other.messages_delivered;
-        self.bytes_delivered += other.bytes_delivered;
-        self.wire_bytes_received += other.wire_bytes_received;
-        self.replays_rejected += other.replays_rejected;
-        self.retransmissions += other.retransmissions;
-        self.timeouts_fired += other.timeouts_fired;
-        self.datagrams_dropped += other.datagrams_dropped;
-        self.records_sealed += other.records_sealed;
-        self.malformed_rejected += other.malformed_rejected;
-        self.auth_failures += other.auth_failures;
-        self.state_evictions += other.state_evictions;
-        self.ecn_marks_seen += other.ecn_marks_seen;
-        self.grants_outstanding += other.grants_outstanding;
-        self.peak_tracked_bytes = self.peak_tracked_bytes.max(other.peak_tracked_bytes);
-        self.cwnd_bytes = self.cwnd_bytes.max(other.cwnd_bytes);
-        self.srtt_ns = self.srtt_ns.max(other.srtt_ns);
-        self.op_latency_p50_ns = self.op_latency_p50_ns.max(other.op_latency_p50_ns);
-        self.op_latency_p99_ns = self.op_latency_p99_ns.max(other.op_latency_p99_ns);
-    }
-}
-
-/// Constant-space log-scale latency histogram backing the per-op latency
-/// stats: recording is O(1) and quantile queries walk ≤ 496 buckets, so
-/// `stats()` stays cheap enough to call per event in the scenario runner.
-/// Buckets are exact below 16 ns, then 8 sub-buckets per octave (≤ ~9%
-/// relative error) — plenty for figure-grade percentiles.
-#[derive(Debug, Clone)]
-pub(crate) struct OpLatencyHistogram {
-    counts: Box<[u32; Self::BUCKETS]>,
-    total: u64,
-}
-
-impl Default for OpLatencyHistogram {
-    fn default() -> Self {
-        Self {
-            counts: Box::new([0; Self::BUCKETS]),
-            total: 0,
-        }
-    }
-}
-
-impl OpLatencyHistogram {
-    const BUCKETS: usize = 16 + 60 * 8;
-
-    fn bucket(ns: u64) -> usize {
-        if ns < 16 {
-            return ns as usize;
-        }
-        let e = 63 - ns.leading_zeros() as u64;
-        let sub = (ns >> (e - 3)) & 0x7;
-        (16 + (e - 4) * 8 + sub) as usize
-    }
-
-    fn bucket_value(idx: usize) -> u64 {
-        if idx < 16 {
-            return idx as u64;
-        }
-        let e = 4 + ((idx - 16) / 8) as u64;
-        let sub = ((idx - 16) % 8) as u64;
-        (1u64 << e) + sub * (1u64 << (e - 3)) + (1u64 << (e - 3)) / 2
-    }
-
-    /// Records one completed-message latency sample.
-    pub(crate) fn record(&mut self, ns: Nanos) {
-        self.counts[Self::bucket(ns.max(1))] += 1;
-        self.total += 1;
-    }
-
-    /// The `q`-quantile (0..=1) as a representative bucket value, or zero
-    /// with no samples.
-    pub(crate) fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((self.total as f64 * q).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c as u64;
-            if seen >= rank {
-                return Self::bucket_value(idx);
-            }
-        }
-        0
-    }
 }
 
 /// Errors from endpoint construction and driving.
@@ -1246,47 +1078,6 @@ pub(crate) mod tests {
             derived_ttfb < full_ttfb,
             "derived ttfb {derived_ttfb} must beat full ttfb {full_ttfb}"
         );
-    }
-
-    #[test]
-    fn op_latency_of_a_queued_send_is_clocked_from_send_on_every_stack() {
-        // A 1 Gb/s link makes the certificate-bearing handshake flights the
-        // slow part, so a clock started only at the post-handshake flush
-        // would report far less than the handshake itself took.
-        let slow = LinkConfig {
-            gbps: 1.0,
-            ..LinkConfig::default()
-        };
-        for stack in StackKind::all().into_iter().filter(|s| s.is_encrypted()) {
-            let ca = CertificateAuthority::new("op-clock-ca");
-            let id = ca.issue_identity("server.dc.local");
-            let (mut c, mut s) = Endpoint::builder()
-                .stack(stack)
-                .handshake_pair(
-                    ConnectConfig::new(ca.verifying_key(), "server.dc.local"),
-                    AcceptConfig::new(id, ca.verifying_key()),
-                    4000,
-                    5201,
-                )
-                .unwrap();
-            c.send(b"queued behind the handshake", 0).unwrap();
-            let mut link = PairFabric::with_config(slow, FaultConfig::none());
-            drive_pair(&mut c, &mut s, &mut link, 1_000_000);
-            let mut hs_rtt = None;
-            while let Some(ev) = c.poll_event() {
-                if let Event::HandshakeComplete { rtt_ns, .. } = ev {
-                    hs_rtt = Some(rtt_ns);
-                }
-            }
-            let hs_rtt = hs_rtt.unwrap_or_else(|| panic!("stack {}: no handshake", stack.label()));
-            let stats = c.stats();
-            assert!(
-                stats.op_latency_p50_ns >= hs_rtt,
-                "stack {}: op latency {} ns must include the {hs_rtt} ns handshake it waited for",
-                stack.label(),
-                stats.op_latency_p50_ns
-            );
-        }
     }
 
     #[test]

@@ -25,11 +25,10 @@
 //!   driver and the engines increment it where the event happens; counters
 //!   kept by `SmtSession` / `HomaEndpoint` (public APIs in their own right)
 //!   are read at [`SecureEndpoint::stats`] time.
-//! * **Connection plumbing** — the event queue, the per-op latency clock
-//!   (started at [`SecureEndpoint::send`] on every stack), connection-ID
-//!   stamping on egress, and the `dead` gate: after a fatal handshake or
-//!   record-layer error the endpoint drops all ingress, emits nothing,
-//!   reports no timer, and `send` / `rekey` fail with one error.
+//! * **Connection plumbing** — the event queue, connection-ID stamping on
+//!   egress, and the `dead` gate: after a fatal handshake or record-layer
+//!   error the endpoint drops all ingress, emits nothing, reports no timer,
+//!   and `send` / `rekey` fail with one error.
 
 use super::handshake::{
     control_proto, DriverOutcome, HandshakeDriver, EARLY_DATA_MAX, MAX_QUEUED_BYTES,
@@ -38,7 +37,7 @@ use super::message::MessageEngine;
 use super::stream::StreamEngine;
 use super::{
     missing_keys, AcceptConfig, ConnectConfig, EndpointBuilder, EndpointError, EndpointResult,
-    EndpointStats, Event, MessageId, OpLatencyHistogram, SecureEndpoint,
+    EndpointStats, Event, MessageId, SecureEndpoint,
 };
 use crate::cc::{RttEstimator, INITIAL_RTO_NS, MAX_RTO_NS};
 use crate::homa::HomaConfig;
@@ -162,11 +161,6 @@ pub(crate) struct Shell {
     pub(crate) events: VecDeque<Event>,
     pub(crate) stats: EndpointStats,
     pub(crate) rto: RtoTimer,
-    /// Message ID and time of the application's `send`, in ID order (IDs are
-    /// issued increasing); bounded for abandoned sends; survives
-    /// retransmission (it is the app-visible clock).
-    op_sent: VecDeque<(u64, Nanos)>,
-    op_latency: OpLatencyHistogram,
     /// Timing breakdown of the completed in-band handshake (Table 2).
     hs_timings: Option<HandshakeTimings>,
     /// Set by a fatal handshake or record-layer error.
@@ -187,14 +181,8 @@ impl Shell {
         self.events.push_back(Event::Error(msg));
     }
 
-    /// Completes message `id` end to end: stops its op clock and tells the
-    /// application.
-    pub(crate) fn acked(&mut self, id: u64, now: Nanos) {
-        if let Ok(at) = self.op_sent.binary_search_by_key(&id, |&(sent, _)| sent) {
-            if let Some((_, sent_at)) = self.op_sent.remove(at) {
-                self.op_latency.record(now.saturating_sub(sent_at));
-            }
-        }
+    /// Completes message `id` end to end: tells the application.
+    pub(crate) fn acked(&mut self, id: u64) {
         self.events.push_back(Event::MessageAcked(MessageId(id)));
     }
 
@@ -354,8 +342,6 @@ impl Endpoint {
             events: VecDeque::new(),
             stats: EndpointStats::default(),
             rto: RtoTimer::new(),
-            op_sent: VecDeque::new(),
-            op_latency: OpLatencyHistogram::default(),
             hs_timings: None,
             dead: false,
             connection_id: b.connection_id,
@@ -484,7 +470,7 @@ impl Endpoint {
             if let Engine::Message(m) = &mut self.engine {
                 m.early_data_acked();
             }
-            shell.acked(0, now);
+            shell.acked(0);
         }
         // Flush the sends that queued during the handshake.
         shell.queued_bytes = 0;
@@ -529,9 +515,6 @@ impl SecureEndpoint for Endpoint {
             shell.rto.arm_if_idle(now);
         }
         shell.next_id += 1;
-        if shell.op_sent.len() < 1024 {
-            shell.op_sent.push_back((id, now));
-        }
         Ok(MessageId(id))
     }
 
@@ -632,8 +615,6 @@ impl SecureEndpoint for Endpoint {
     fn stats(&self) -> EndpointStats {
         let mut stats = self.shell.stats;
         stats.srtt_ns = self.shell.rto.rtt.srtt_ns();
-        stats.op_latency_p50_ns = self.shell.op_latency.quantile(0.50);
-        stats.op_latency_p99_ns = self.shell.op_latency.quantile(0.99);
         match &self.engine {
             Engine::Message(m) => m.read_stats(&mut stats),
             Engine::Stream(s) => s.read_stats(&mut stats),

@@ -8,13 +8,14 @@
 //! keys.
 
 use super::{
-    take_delivered, AcceptConfig, ConnectConfig, Endpoint, SecureEndpoint, ZeroRttAcceptor,
+    take_delivered, AcceptConfig, ConnectConfig, Endpoint, EndpointStats, SecureEndpoint,
+    ZeroRttAcceptor,
 };
 use crate::stack::StackKind;
 use smt_core::segment::PathInfo;
 use smt_crypto::cert::{Identity, VerifyingKey};
 use smt_crypto::handshake::{SessionKeys, SmtTicket};
-use smt_sim::net::{Scenario, SimEndpoint, SimEndpointStats};
+use smt_sim::net::{Scenario, SimEndpoint};
 use smt_sim::Nanos;
 use smt_wire::Packet;
 
@@ -48,22 +49,8 @@ impl SimEndpoint for Endpoint {
             .collect()
     }
 
-    fn sim_stats(&self) -> SimEndpointStats {
-        let s = self.stats();
-        SimEndpointStats {
-            retransmissions: s.retransmissions,
-            timeouts_fired: s.timeouts_fired,
-            datagrams_dropped: s.datagrams_dropped,
-            messages_delivered: s.messages_delivered,
-            wire_bytes_sent: s.wire_bytes_sent,
-            records_sealed: s.records_sealed,
-            malformed_rejected: s.malformed_rejected,
-            auth_failures: s.auth_failures,
-            state_evictions: s.state_evictions,
-            peak_tracked_bytes: s.peak_tracked_bytes,
-            op_latency_p50_ns: s.op_latency_p50_ns,
-            op_latency_p99_ns: s.op_latency_p99_ns,
-        }
+    fn sim_stats(&self) -> EndpointStats {
+        self.stats()
     }
 
     fn records_sealed(&self) -> u64 {
@@ -256,7 +243,7 @@ mod tests {
         let report = run_scenario(&scenario, &mut eps, |_, _, _, _| None);
         assert_eq!(report.messages_delivered, 12, "loss recovered: {report:?}");
         assert!(report.fabric.dropped_faults > 0);
-        assert!(report.retransmissions > 0);
-        assert!(report.timeouts_fired > 0);
+        assert!(report.endpoints.retransmissions > 0);
+        assert!(report.endpoints.timeouts_fired > 0);
     }
 }

@@ -516,7 +516,7 @@ impl StreamEngine {
                 break;
             }
             self.inflight.pop_front();
-            shell.acked(id, now);
+            shell.acked(id);
         }
     }
 

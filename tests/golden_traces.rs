@@ -47,16 +47,12 @@ fn measure(stack: StackKind, lossy: bool) -> Row {
         "{} lossy={lossy}: every message delivered",
         stack.label()
     );
-    let wire_sent = endpoints
-        .iter()
-        .map(|e| e.sim_stats().wire_bytes_sent)
-        .sum();
     (
         report.trace_hash,
-        report.retransmissions,
-        report.timeouts_fired,
+        report.endpoints.retransmissions,
+        report.endpoints.timeouts_fired,
         report.fabric.wire_bytes,
-        wire_sent,
+        report.endpoints.wire_bytes_sent,
     )
 }
 
@@ -139,17 +135,13 @@ fn measure_leaf_spine(stack: StackKind, lossy: bool) -> SpineRow {
         "{} leaf-spine lossy={lossy}: every message delivered",
         stack.label()
     );
-    let wire_sent = endpoints
-        .iter()
-        .map(|e| e.sim_stats().wire_bytes_sent)
-        .sum();
     let f = report.fabric;
     (
         report.trace_hash,
-        report.retransmissions,
-        report.timeouts_fired,
+        report.endpoints.retransmissions,
+        report.endpoints.timeouts_fired,
         f.wire_bytes,
-        wire_sent,
+        report.endpoints.wire_bytes_sent,
         f.dropped_spine,
         f.ecn_marked,
         f.duplicated,

@@ -72,7 +72,12 @@ fn poisson_load_point_is_sane_on_every_stack() {
             stack.label()
         );
         assert!(report.goodput_gbps > 0.0);
-        assert_eq!(report.retransmissions, 0, "lossless: {}", stack.label());
+        assert_eq!(
+            report.endpoints.retransmissions,
+            0,
+            "lossless: {}",
+            stack.label()
+        );
     }
 }
 

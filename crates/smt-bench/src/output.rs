@@ -47,8 +47,3 @@ pub fn maybe_json<T: Serialize>(rows: &T) -> bool {
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
-
-/// Formats a rate in thousands.
-pub fn krate(v: f64) -> String {
-    format!("{:.1}", v / 1000.0)
-}

@@ -3,9 +3,8 @@
 use serde::{Deserialize, Serialize};
 use smt_wire::{DEFAULT_MTU, FRAMING_HEADER_LEN, MAX_TLS_RECORD};
 
-/// Application bytes per TLS record behind a framing header (a record
-/// without one carries the header's bytes more); the record stays under
-/// 16 KB.
+/// Application bytes per TLS record behind its framing header; the record
+/// stays under 16 KB.
 pub const MAX_RECORD_PAYLOAD: usize = MAX_TLS_RECORD - FRAMING_HEADER_LEN - 64;
 
 /// Where encryption happens for a session.
@@ -34,8 +33,9 @@ impl CryptoMode {
 }
 
 /// Configuration of the SMT protocol engine for one endpoint: what a figure
-/// varies (MTU, TSO, where encryption happens) and the wire format (framing
-/// header, padding).  Sizes the engine never varies are constants: the
+/// varies (MTU, TSO, where encryption happens).  Every record carries the
+/// framing header and the protector's padding policy.  Sizes the engine never
+/// varies are constants: the
 /// record payload [`MAX_RECORD_PAYLOAD`], the TSO segment
 /// [`smt_wire::MAX_TSO_SEGMENT`], and the NIC geometry
 /// [`NIC_QUEUES`](crate::session::NIC_QUEUES) ×
@@ -47,13 +47,8 @@ pub struct SmtConfig {
     /// Whether TSO is available (Fig. 11 evaluates the no-TSO fallback; without
     /// TSO each packet is sent as its own segment of at most one MTU).
     pub tso_enabled: bool,
-    /// Whether the per-record framing header is emitted (§4.3 notes it could be
-    /// removed; the ablation bench flips this).
-    pub framing_header: bool,
     /// Where encryption happens.
     pub crypto_mode: CryptoMode,
-    /// Length-concealment padding granularity in bytes (0 disables padding).
-    pub padding_granularity: usize,
 }
 
 impl Default for SmtConfig {
@@ -61,9 +56,7 @@ impl Default for SmtConfig {
         Self {
             mtu: DEFAULT_MTU,
             tso_enabled: true,
-            framing_header: true,
             crypto_mode: CryptoMode::Software,
-            padding_granularity: 0,
         }
     }
 }
@@ -102,14 +95,9 @@ impl SmtConfig {
         self
     }
 
-    /// Largest application payload a single record may carry under this
-    /// configuration (accounts for the framing header when enabled).
+    /// Largest application payload a single record may carry.
     pub fn record_app_capacity(&self) -> usize {
-        if self.framing_header {
-            MAX_RECORD_PAYLOAD
-        } else {
-            MAX_RECORD_PAYLOAD + FRAMING_HEADER_LEN
-        }
+        MAX_RECORD_PAYLOAD
     }
 }
 
@@ -134,19 +122,5 @@ mod tests {
         let c = SmtConfig::software().without_tso().with_mtu(9000);
         assert!(!c.tso_enabled);
         assert_eq!(c.mtu, 9000);
-    }
-
-    #[test]
-    fn record_capacity_respects_framing() {
-        let with = SmtConfig::default();
-        let without = SmtConfig {
-            framing_header: false,
-            ..SmtConfig::default()
-        };
-        assert_eq!(
-            without.record_app_capacity(),
-            with.record_app_capacity() + FRAMING_HEADER_LEN
-        );
-        const { assert!(MAX_RECORD_PAYLOAD + FRAMING_HEADER_LEN <= MAX_TLS_RECORD) };
     }
 }

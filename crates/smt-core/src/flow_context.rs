@@ -68,11 +68,6 @@ impl FlowContextManager {
         }
     }
 
-    /// Number of NIC queues managed.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Total contexts currently allocated (across queues).
     pub fn allocated_contexts(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()

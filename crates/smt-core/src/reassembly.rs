@@ -239,12 +239,9 @@ impl AppBuf {
     }
 }
 
-/// The application bytes of one opened record: what the framing header
-/// delimits when the session uses one, else the whole plaintext.
-fn record_app_bytes(plaintext: &[u8], framing_header: bool) -> SmtResult<&[u8]> {
-    if !framing_header {
-        return Ok(plaintext);
-    }
+/// The application bytes of one opened record: what its framing header
+/// delimits.
+fn record_app_bytes(plaintext: &[u8]) -> SmtResult<&[u8]> {
     let (framing, flen) = FramingHeader::decode(plaintext)?;
     plaintext
         .get(flen..flen + framing.app_data_len as usize)
@@ -289,8 +286,6 @@ impl From<SmtError> for OpenError {
 #[derive(Debug)]
 struct RecordOpener {
     layout: SeqnoLayout,
-    /// Records start with a framing header ([`SmtConfig::framing_header`]).
-    framing: bool,
     /// `None` only in plaintext mode.
     cipher: Option<RecordProtector>,
     /// Traffic secret behind `cipher`; required to ratchet forward on a
@@ -387,11 +382,11 @@ impl RecordOpener {
         // Framing is checked on every record before any byte is placed, so a
         // malformed segment leaves the message untouched.
         for plain in batch.iter() {
-            record_app_bytes(plain.plaintext, self.framing)?;
+            record_app_bytes(plain.plaintext)?;
         }
         let mut placed = 0usize;
         for plain in batch.iter() {
-            let bytes = record_app_bytes(plain.plaintext, self.framing)?;
+            let bytes = record_app_bytes(plain.plaintext)?;
             app.append(tso_offset, placed, bytes);
             placed += bytes.len();
         }
@@ -426,7 +421,6 @@ impl SmtReceiver {
             config,
             opener: RecordOpener {
                 layout,
-                framing: config.framing_header,
                 cipher,
                 recv_secret: None,
                 suite: None,
@@ -464,12 +458,6 @@ impl SmtReceiver {
     /// [`MAX_TRACKED_BYTES`]).
     pub fn tracked_bytes(&self) -> usize {
         self.tracked_bytes
-    }
-
-    /// Forced low-water advances taken by the message-ID replay guard to
-    /// stay under its cap.
-    pub fn replay_guard_evictions(&self) -> u64 {
-        self.replay.evictions()
     }
 
     /// True if `message_id` can no longer be delivered: it already was, or
@@ -920,15 +908,6 @@ mod tests {
     fn roundtrip_plaintext() {
         let data = vec![3u8; 50_000];
         let m = send_receive(SmtConfig::plaintext(), &data, false);
-        assert_eq!(m.data, data);
-    }
-
-    #[test]
-    fn roundtrip_without_framing_header() {
-        let mut config = SmtConfig::software();
-        config.framing_header = false;
-        let data = vec![9u8; 40_000];
-        let m = send_receive(config, &data, false);
         assert_eq!(m.data, data);
     }
 

@@ -158,11 +158,7 @@ impl SmtSegmenter {
         let seg_limit = self.segment_payload_limit();
         let overhead = smt_wire::RECORD_EXPANSION
             + 1 // inner content type byte
-            + if self.config.framing_header {
-                FRAMING_HEADER_LEN
-            } else {
-                0
-            };
+            + FRAMING_HEADER_LEN;
         let fit_segment = seg_limit.saturating_sub(overhead);
         self.config.record_app_capacity().min(fit_segment).max(1)
     }
@@ -267,17 +263,6 @@ impl SmtSegmenter {
         })
     }
 
-    /// The record padding policy: the configured granularity overrides the
-    /// protector's own policy so all code paths agree on record sizes
-    /// (length concealment, §6.1).
-    fn padding(&self) -> Padding {
-        if self.config.padding_granularity > 1 {
-            Padding::Granularity(self.config.padding_granularity)
-        } else {
-            Padding::Default
-        }
-    }
-
     /// One pass per segment: count the records that fit and their exact wire
     /// size (known in advance via `wire_record_len_with`), reserve the
     /// segment's payload once, then seal each record straight into it, its
@@ -292,14 +277,8 @@ impl SmtSegmenter {
         cipher: &RecordProtector,
         mut flow_contexts: Option<&mut FlowContextManager>,
     ) -> SmtResult<OutgoingMessage> {
-        let padding = self.padding();
         let chunk_limit = self.record_chunk_limit();
         let seg_limit = self.segment_payload_limit();
-        let framing_len = if self.config.framing_header {
-            FRAMING_HEADER_LEN
-        } else {
-            0
-        };
         let seq_of = |record_index: u64| {
             self.layout
                 .compose(message_id, record_index)
@@ -320,7 +299,8 @@ impl SmtSegmenter {
             let mut end = offset;
             loop {
                 let take = chunk_limit.min(data.len() - end);
-                let rec_len = cipher.wire_record_len_with(framing_len + take, padding);
+                let rec_len =
+                    cipher.wire_record_len_with(FRAMING_HEADER_LEN + take, Padding::Default);
                 if records > 0 && seg_bytes + rec_len > seg_limit {
                     break; // this record opens the next segment
                 }
@@ -344,14 +324,12 @@ impl SmtSegmenter {
             for _ in 0..records {
                 let chunk = &data[offset..end.min(offset + chunk_limit)];
                 let mut hdr = [0u8; FRAMING_HEADER_LEN];
-                if self.config.framing_header {
-                    FramingHeader::new(chunk.len() as u32).encode(&mut hdr)?;
-                }
+                FramingHeader::new(chunk.len() as u32).encode(&mut hdr)?;
                 cipher.seal_parts_into(
                     seq_of(record_index)?.value(),
                     ContentType::ApplicationData,
-                    &[&hdr[..framing_len], chunk],
-                    padding,
+                    &[&hdr, chunk],
+                    Padding::Default,
                     &mut payload,
                 )?;
                 record_index += 1;
@@ -598,37 +576,6 @@ mod tests {
         assert_eq!(msg.record_count, 1);
         assert_eq!(msg.app_len, 0);
         assert_eq!(msg.segments.len(), 1);
-    }
-
-    #[test]
-    fn padding_hides_size_classes() {
-        let mut config = SmtConfig::software();
-        config.padding_granularity = 512;
-        let s = segmenter(config);
-        let c = cipher();
-        let short = s
-            .segment_message(
-                PathInfo::loopback(1, 2),
-                0,
-                b"a",
-                0,
-                Some(&c),
-                None,
-                1 << 20,
-            )
-            .unwrap();
-        let longer = s
-            .segment_message(
-                PathInfo::loopback(1, 2),
-                1,
-                &[b'b'; 400],
-                0,
-                Some(&c),
-                None,
-                1 << 20,
-            )
-            .unwrap();
-        assert_eq!(short.wire_len, longer.wire_len);
     }
 
     #[test]

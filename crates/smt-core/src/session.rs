@@ -84,10 +84,7 @@ impl SmtSession {
             ));
         }
         let layout = keys.seqno_layout;
-        let mut send_cipher = RecordProtector::from_secret(keys.suite, &keys.send_secret)?;
-        if config.padding_granularity > 1 {
-            send_cipher = send_cipher.with_padding(config.padding_granularity);
-        }
+        let send_cipher = RecordProtector::from_secret(keys.suite, &keys.send_secret)?;
         let recv_cipher = RecordProtector::from_secret(keys.suite, &keys.recv_secret)?;
         let offload_key = config
             .crypto_mode
@@ -271,10 +268,7 @@ impl SmtSession {
             }
         };
         let next = ratchet_secret(secret);
-        let mut cipher = RecordProtector::from_secret(suite, &next)?;
-        if self.config.padding_granularity > 1 {
-            cipher = cipher.with_padding(self.config.padding_granularity);
-        }
+        let cipher = RecordProtector::from_secret(suite, &next)?;
         if self.offload_key.is_some() {
             // Re-program the NIC key registration (the kTLS-style
             // `setsockopt(SOL_TLS)` the paper reuses) with the new secret.

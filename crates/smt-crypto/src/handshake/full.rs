@@ -1,11 +1,19 @@
-//! The standard 1-RTT handshake ("Init-1RTT" in Fig. 12) and PSK session
-//! resumption ("Rsmp" / "Rsmp-FS"), with the Table 2 timing breakdown.
+//! The TLS 1.3 handshake state machine, with the Table 2 timing breakdown.
+//!
+//! One exchange covers every Fig. 12 configuration: the standard 1-RTT
+//! handshake ("Init-1RTT"), PSK session resumption ("Rsmp" / "Rsmp-FS"), and
+//! the SMT-ticket 0-RTT exchange ("Init" / "Init-FS", §4.5.2).  The last is
+//! the PSK handshake with early data; only the PSK's origin differs: the
+//! *SMT-key*, the ECDH of a fresh client share with the server's long-term
+//! share from the ticket (see [`super::zero_rtt`]), instead of a resumption
+//! ticket.
 //!
 //! Message flow (certificates omitted when a PSK is accepted):
 //!
 //! ```text
 //! Client                                                 Server
-//! ClientHello (+key share, +psk identity/binder)  ----->
+//! ClientHello (+key share, +psk identity/binder
+//!              or SMT-ticket id) [+0-RTT data]    ----->
 //!                                      ServerHello (+key share)
 //!                       {EncryptedExtensions, Certificate,
 //!                        CertificateVerify, Finished}  <-----
@@ -13,14 +21,17 @@
 //! ```
 //!
 //! `{...}` flights are protected with the handshake traffic keys, as in TLS 1.3.
+//! A PSK exchange runs ECDHE only for forward secrecy (Rsmp-FS, Init-FS).
 //! Mutual authentication (mTLS, §4.2) is supported via `require_client_auth` /
-//! `offer_client_auth`.
+//! `offer_client_auth`; the SMT-ticket exchange authenticates only the server.
 
 use super::keys::EcdhKeyPair;
 use super::messages::*;
 use super::timing::{HandshakeTimings, OpId};
+use super::zero_rtt::{smt_key_from_shared, ReplayCache, SmtTicketIssuer};
 use super::{layout_from_extension, SessionKeys};
 use crate::cert::{random_bytes, validate_chain, Identity, VerifyingKey};
+use crate::codec::Reader;
 use crate::key_schedule::{transcript_hash, KeySchedule, Secret};
 use crate::record::RecordProtector;
 use crate::suite::CipherSuite;
@@ -72,6 +83,28 @@ impl ClientConfig {
     }
 }
 
+/// How the client establishes the session.
+#[derive(Debug)]
+pub enum ClientMode {
+    /// The standard 1-RTT exchange ("Init-1RTT"), or PSK resumption
+    /// ("Rsmp"/"Rsmp-FS") when the [`ClientConfig`] carries resumption state.
+    Full,
+    /// The SMT-ticket 0-RTT exchange ("Init"/"Init-FS", §4.5.2): ClientHello
+    /// and encrypted early data in the very first flight.  It offers neither
+    /// the config's resumption state nor its client identity.
+    ZeroRtt {
+        /// The DNS- or in-band-distributed SMT-ticket for the server.
+        ticket: SmtTicket,
+        /// Application data to piggyback on the first flight (may be empty).
+        early_data: Vec<u8>,
+        /// Whether to run the ephemeral exchange on top ("Init-FS").  Must
+        /// match the server's `resumption_forward_secrecy` configuration.
+        forward_secrecy: bool,
+        /// The client's clock for ticket expiry (same epoch as the ticket).
+        now: u64,
+    },
+}
+
 /// Server handshake configuration.
 pub struct ServerConfig {
     /// Cipher suites the server accepts.
@@ -80,7 +113,8 @@ pub struct ServerConfig {
     pub identity: Identity,
     /// The internal CA key, used to validate client certificates under mTLS.
     pub ca_key: VerifyingKey,
-    /// Whether to require a client certificate (mTLS).
+    /// Whether to require a client certificate (mTLS).  The SMT-ticket
+    /// exchange never requests one.
     pub require_client_auth: bool,
     /// Server-side SMT extension limits.
     pub extensions: SmtExtensions,
@@ -88,9 +122,11 @@ pub struct ServerConfig {
     pub pregenerated_key: Option<EcdhKeyPair>,
     /// Resumption PSKs by ticket id.
     pub resumption_psks: HashMap<u64, Secret>,
-    /// Whether a resumed session performs a fresh ECDHE exchange (Rsmp-FS).
+    /// Whether a PSK exchange (resumed or SMT-ticket) performs a fresh ECDHE
+    /// exchange (Rsmp-FS, Init-FS).
     pub resumption_forward_secrecy: bool,
-    /// Whether to issue a NewSessionTicket at the end of the handshake.
+    /// Whether to issue a NewSessionTicket at the end of a handshake that did
+    /// not use an SMT-ticket.
     pub issue_session_ticket: bool,
 }
 
@@ -109,6 +145,17 @@ impl ServerConfig {
             issue_session_ticket: true,
         }
     }
+}
+
+/// Shared server-side 0-RTT state, borrowed per ClientHello: the long-term
+/// ticket issuer and the ClientHello-random anti-replay cache (§4.5.3).  Both
+/// live across connections — the transport layer typically shares them
+/// between every accepted endpoint of one listener.
+pub struct ZeroRttContext<'a> {
+    /// The issuer holding the long-term ECDH key the tickets point at.
+    pub issuer: &'a SmtTicketIssuer,
+    /// Rejects replayed 0-RTT first flights (each exactly once per random).
+    pub replay: &'a mut ReplayCache,
 }
 
 fn certverify_signed_data(is_server: bool, transcript: &[u8; 32]) -> Vec<u8> {
@@ -134,14 +181,53 @@ pub struct ClientHandshake {
     config: ClientConfig,
     ephemeral: EcdhKeyPair,
     transcript: Vec<u8>,
+    /// The offered PSK: the resumption PSK or the SMT-key.
+    psk: Option<Secret>,
+    /// Whether a PSK exchange must still run ECDHE (Rsmp-FS, Init-FS).
+    forward_secrecy: bool,
+    /// Whether the PSK is the SMT-key (the 0-RTT exchange).
+    smt_ticket: bool,
     timings: HandshakeTimings,
 }
 
 impl ClientHandshake {
-    /// Builds the ClientHello flight. Returns the state plus the flight bytes to
-    /// hand to the transport (the paper carries them in CONTROL packets).
-    pub fn start(mut config: ClientConfig) -> CryptoResult<(Self, Vec<u8>)> {
+    /// Builds the first flight: the ClientHello, followed in
+    /// [`ClientMode::ZeroRtt`] by the early data encrypted under the client
+    /// early traffic secret.  Returns the state plus the flight bytes to hand
+    /// to the transport (the paper carries them in CONTROL packets).
+    ///
+    /// An SMT-ticket is verified here (expiry, chain, signature), outside the
+    /// timed rows: deployments verify it when fetching it from DNS, which is
+    /// why C3.1/C3.2 do not appear in the 0-RTT breakdown (§5.6).
+    pub fn start(mut config: ClientConfig, mode: ClientMode) -> CryptoResult<(Self, Vec<u8>)> {
         let mut timings = HandshakeTimings::new();
+        let (ticket, early_data, forward_secrecy) = match mode {
+            ClientMode::Full => {
+                let fs = config
+                    .resumption
+                    .as_ref()
+                    .is_some_and(|r| r.forward_secrecy);
+                (None, Vec::new(), fs)
+            }
+            ClientMode::ZeroRtt {
+                ticket,
+                early_data,
+                forward_secrecy,
+                now,
+            } => {
+                if ticket.expired(now) {
+                    return Err(CryptoError::Certificate("SMT-ticket expired".into()));
+                }
+                let leaf_key =
+                    validate_chain(&ticket.chain, &config.ca_key, Some(&config.server_name))?;
+                leaf_key
+                    .verify(&ticket.to_be_signed(), &ticket.signature)
+                    .map_err(|_| CryptoError::Certificate("SMT-ticket signature invalid".into()))?;
+                config.identity = None;
+                config.resumption = None;
+                (Some(ticket), early_data, forward_secrecy)
+            }
+        };
 
         // C1.1 — ephemeral key generation (free if pre-generated, §4.5.1).
         let pregen = config.pregenerated_key.take();
@@ -149,8 +235,19 @@ impl ClientHandshake {
             pregen.unwrap_or_else(EcdhKeyPair::generate)
         });
 
+        // The PSK: the SMT-key from C2.2, ECDH against the ticket's long-term
+        // share (the 0-RTT exchange), or the resumption PSK.
+        let psk = match &ticket {
+            Some(ticket) => Some(smt_key_from_shared(
+                &timings.time(OpId::C2_2EcdhExchange, || {
+                    ephemeral.diffie_hellman(&ticket.server_dh_public)
+                })?,
+            )),
+            None => config.resumption.as_ref().map(|r| r.psk.clone()),
+        };
+
         // C1.2 — everything else in the ClientHello.
-        let (hello, transcript) = timings.time(OpId::C1_2OthersGen, || {
+        let transcript = timings.time(OpId::C1_2OthersGen, || {
             let random: [u8; 32] = random_bytes(32).try_into().expect("32 bytes");
             let mut hello = ClientHello {
                 random,
@@ -159,8 +256,8 @@ impl ClientHandshake {
                 extensions: config.extensions,
                 psk_identity: config.resumption.as_ref().map(|r| r.ticket_id),
                 psk_binder: None,
-                smt_ticket_id: None,
-                early_data: false,
+                smt_ticket_id: ticket.as_ref().map(|t| t.ticket_id),
+                early_data: !early_data.is_empty(),
                 offer_client_auth: config.identity.is_some(),
             };
             if let Some(res) = &config.resumption {
@@ -168,19 +265,37 @@ impl ClientHandshake {
                 let without = HandshakeMessage::ClientHello(hello.clone()).encode();
                 hello.psk_binder = Some(binder_for(&res.psk, config.suite, &without));
             }
-            let encoded = HandshakeMessage::ClientHello(hello.clone()).encode();
-            (hello, encoded)
+            HandshakeMessage::ClientHello(hello).encode()
         });
-        let flight = encode_flight(&[HandshakeMessage::ClientHello(hello)]);
+
+        // C2.3 — early data only ever comes with the SMT-key: protect it under
+        // the client early traffic secret.
+        let mut flight = transcript.clone();
+        if let Some(smt_key) = psk.as_ref().filter(|_| !early_data.is_empty()) {
+            let early_secret = timings.time(OpId::C2_3SecretDerive, || {
+                KeySchedule::new(config.suite, Some(smt_key))
+                    .early_traffic_secret(&transcript_hash(&transcript))
+            })?;
+            let cipher = RecordProtector::from_secret(config.suite, &early_secret)?;
+            flight.extend(cipher.encrypt_record(0, ContentType::ApplicationData, &early_data)?);
+        }
         Ok((
             Self {
                 config,
                 ephemeral,
                 transcript,
+                psk,
+                forward_secrecy,
+                smt_ticket: ticket.is_some(),
                 timings,
             },
             flight,
         ))
+    }
+
+    /// Whether the ClientHello offers a PSK (resumption or SMT-ticket).
+    pub fn resumed(&self) -> bool {
+        self.psk.is_some()
     }
 
     /// Processes the server's flight and produces the client's final flight plus
@@ -190,7 +305,7 @@ impl ClientHandshake {
 
         // C2.1 — parse the ServerHello (the only plaintext message in the flight).
         let (sh, encrypted_rest) = timings.time(OpId::C2_1ProcessShlo, || {
-            let mut r = crate::codec::Reader::new(flight);
+            let mut r = Reader::new(flight);
             let msg = HandshakeMessage::decode_from(&mut r)?;
             let HandshakeMessage::ServerHello(sh) = msg else {
                 return Err(CryptoError::handshake("expected ServerHello"));
@@ -205,8 +320,11 @@ impl ClientHandshake {
                 "server chose unoffered cipher suite",
             ));
         }
+        if self.smt_ticket && !sh.early_data_accepted {
+            return Err(CryptoError::handshake("server rejected 0-RTT data"));
+        }
         let resuming = sh.psk_accepted;
-        if resuming && self.config.resumption.is_none() {
+        if resuming && self.psk.is_none() {
             return Err(CryptoError::handshake(
                 "server accepted a PSK we never offered",
             ));
@@ -215,21 +333,15 @@ impl ClientHandshake {
         self.transcript
             .extend_from_slice(&HandshakeMessage::ServerHello(sh.clone()).encode());
 
-        // C2.2 — ECDHE shared secret (empty in pure-PSK resumption).
+        // C2.2 — ECDHE shared secret (empty for a PSK without forward secrecy).
         let dhe = timings.time(OpId::C2_2EcdhExchange, || match &sh.key_share {
             Some(share) => self.ephemeral.diffie_hellman(share),
-            None => {
-                if resuming {
-                    Ok(Vec::new())
-                } else {
-                    Err(CryptoError::handshake("server omitted key share"))
-                }
-            }
+            None if resuming && !self.forward_secrecy => Ok(Vec::new()),
+            None => Err(CryptoError::handshake("server omitted key share")),
         })?;
 
         // C2.3 — handshake secret derivation.
-        let psk = self.config.resumption.as_ref().map(|r| r.psk.clone());
-        let mut ks = KeySchedule::new(suite, psk.as_ref());
+        let mut ks = KeySchedule::new(suite, self.psk.as_ref());
         let hs_secrets = timings.time(OpId::C2_3SecretDerive, || {
             ks.into_handshake(&dhe, &transcript_hash(&self.transcript))
         })?;
@@ -252,8 +364,9 @@ impl ClientHandshake {
         self.transcript
             .extend_from_slice(&HandshakeMessage::EncryptedExtensions(ee).encode());
 
-        // Certificate + CertificateVerify (full handshake only).
-        let mut peer_identity = None;
+        // Certificate + CertificateVerify (full handshake only).  The SMT-ticket
+        // chain was validated against `server_name` in `start`.
+        let mut peer_identity = self.smt_ticket.then(|| self.config.server_name.clone());
         if !resuming {
             let Some(HandshakeMessage::Certificate(cert_msg)) = iter.next() else {
                 return Err(CryptoError::handshake("expected Certificate"));
@@ -353,7 +466,7 @@ impl ClientHandshake {
             seqno_layout: layout_from_extension(ee_ext.msg_id_bits)?,
             max_message_size: ee_ext.max_message_size,
             peer_identity,
-            early_data_accepted: false,
+            early_data_accepted: self.smt_ticket,
             resumed: resuming,
             forward_secret: sh.key_share.is_some(),
             timings,
@@ -375,21 +488,32 @@ pub struct ServerHandshake {
     negotiated: SmtExtensions,
     resumed: bool,
     forward_secret: bool,
+    /// Whether the client must send a certificate (mTLS).
+    client_auth: bool,
+    /// Whether the PSK is the SMT-key (the 0-RTT exchange).
+    smt_ticket: bool,
     timings: HandshakeTimings,
 }
 
 impl ServerHandshake {
-    /// Processes a ClientHello flight and produces the server's response flight.
-    pub fn respond(mut config: ServerConfig, flight: &[u8]) -> CryptoResult<(Self, Vec<u8>)> {
+    /// Processes a first flight and produces the server's response flight,
+    /// plus the decrypted 0-RTT early data, delivered to the application at
+    /// once (the point of the exchange, §4.5.2).  SMT-ticket ClientHellos are
+    /// accepted only when `zero_rtt` is supplied.
+    pub fn respond(
+        mut config: ServerConfig,
+        flight: &[u8],
+        zero_rtt: Option<ZeroRttContext<'_>>,
+    ) -> CryptoResult<(Self, Vec<u8>, Option<Vec<u8>>)> {
         let mut timings = HandshakeTimings::new();
 
-        // S1 — parse and validate the ClientHello.
-        let ch = timings.time(OpId::S1ProcessChlo, || {
-            let msgs = decode_flight(flight)?;
-            match msgs.into_iter().next() {
-                Some(HandshakeMessage::ClientHello(ch)) => Ok(ch),
-                _ => Err(CryptoError::handshake("expected ClientHello")),
-            }
+        // S1 — parse the ClientHello (and locate any trailing 0-RTT record).
+        let (ch, early_record) = timings.time(OpId::S1ProcessChlo, || {
+            let mut r = Reader::new(flight);
+            let HandshakeMessage::ClientHello(ch) = HandshakeMessage::decode_from(&mut r)? else {
+                return Err(CryptoError::handshake("expected ClientHello"));
+            };
+            Ok::<_, CryptoError>((ch, &flight[flight.len() - r.remaining()..]))
         })?;
         let suite = ch
             .cipher_suites
@@ -398,27 +522,60 @@ impl ServerHandshake {
             .find(|c| config.suites.contains(c))
             .ok_or_else(|| CryptoError::handshake("no mutually supported cipher suite"))?;
 
-        // PSK resumption?
-        let mut psk: Option<Secret> = None;
-        let mut resumed = false;
-        if let (Some(id), Some(binder)) = (ch.psk_identity, ch.psk_binder) {
-            if let Some(candidate) = config.resumption_psks.get(&id) {
-                let mut ch_no_binder = ch.clone();
-                ch_no_binder.psk_binder = None;
-                let without = HandshakeMessage::ClientHello(ch_no_binder).encode();
-                if binder_for(candidate, suite, &without) == binder {
-                    psk = Some(candidate.clone());
-                    resumed = true;
-                } else {
-                    return Err(CryptoError::handshake("PSK binder verification failed"));
-                }
-            }
-        }
-
         let mut transcript = HandshakeMessage::ClientHello(ch.clone()).encode();
 
-        // Decide whether to do ECDHE: always for full handshakes, and for resumed
-        // sessions only when forward secrecy is requested (Rsmp-FS).
+        // The PSK: the SMT-key of a fresh SMT-ticket hello, or a resumption
+        // PSK whose binder verifies.
+        let mut early_data = None;
+        let psk = if let Some(ticket_id) = ch.smt_ticket_id {
+            let Some(ZeroRttContext { issuer, replay }) = zero_rtt else {
+                return Err(CryptoError::handshake(
+                    "0-RTT ClientHello but this endpoint has no ticket issuer",
+                ));
+            };
+            if ticket_id != issuer.ticket_id() {
+                return Err(CryptoError::handshake("unknown or rotated SMT-ticket id"));
+            }
+            // §4.5.3: reject replayed ClientHello randoms.
+            if !replay.check_and_insert(&ch.random) {
+                return Err(CryptoError::Replay("repeated ClientHello random".into()));
+            }
+            // S2.2 — ECDH between the long-term key and the client's share.
+            let shared =
+                timings.time(OpId::S2_2EcdhExchange, || issuer.shared_with(&ch.key_share))?;
+            let smt_key = smt_key_from_shared(&shared);
+            // Decrypt 0-RTT data under the client early traffic secret.
+            if ch.early_data && !early_record.is_empty() {
+                let early_secret = KeySchedule::new(suite, Some(&smt_key))
+                    .early_traffic_secret(&transcript_hash(&transcript))?;
+                let (plain, _) = RecordProtector::from_secret(suite, &early_secret)?
+                    .decrypt_record(0, early_record)?;
+                early_data = Some(plain.plaintext);
+            }
+            Some(smt_key)
+        } else if let Some((candidate, binder)) = ch
+            .psk_identity
+            .zip(ch.psk_binder)
+            .and_then(|(id, binder)| Some((config.resumption_psks.get(&id)?, binder)))
+        {
+            let mut ch_no_binder = ch.clone();
+            ch_no_binder.psk_binder = None;
+            let without = HandshakeMessage::ClientHello(ch_no_binder).encode();
+            if binder_for(candidate, suite, &without) != binder {
+                return Err(CryptoError::handshake("PSK binder verification failed"));
+            }
+            Some(candidate.clone())
+        } else {
+            None
+        };
+        if early_data.is_none() && !early_record.is_empty() {
+            return Err(CryptoError::handshake("unexpected data after ClientHello"));
+        }
+        let resumed = psk.is_some();
+        let smt_ticket = ch.smt_ticket_id.is_some();
+
+        // Decide whether to do ECDHE: always for full handshakes, and for PSK
+        // exchanges only when forward secrecy is requested (Rsmp-FS, Init-FS).
         let do_ecdhe = !resumed || config.resumption_forward_secrecy;
 
         // S2.1 — server ephemeral key generation (free with pre-generation).
@@ -443,7 +600,7 @@ impl ServerHandshake {
             key_share: ephemeral.as_ref().map(|e| e.public_bytes()),
             cipher_suite: suite.code(),
             psk_accepted: resumed,
-            early_data_accepted: false,
+            early_data_accepted: smt_ticket && (early_data.is_some() || !ch.early_data),
         });
         let sh_encoded = HandshakeMessage::ServerHello(sh.clone()).encode();
         transcript.extend_from_slice(&sh_encoded);
@@ -462,13 +619,14 @@ impl ServerHandshake {
                 .max_message_size
                 .min(config.extensions.max_message_size),
         };
-        let request_client_auth = config.require_client_auth;
+        // The SMT-ticket exchange authenticates only the server.
+        let client_auth = config.require_client_auth && !smt_ticket;
 
         // S2.4 — EncryptedExtensions and Certificate encoding.
         let (ee_msg, cert_msg) = timings.time(OpId::S2_4EeCertEncode, || {
             let ee = HandshakeMessage::EncryptedExtensions(EncryptedExtensions {
                 extensions: negotiated,
-                request_client_auth,
+                request_client_auth: client_auth,
             });
             let cert = if resumed {
                 None
@@ -533,9 +691,12 @@ impl ServerHandshake {
                 negotiated,
                 resumed,
                 forward_secret: do_ecdhe,
+                client_auth,
+                smt_ticket,
                 timings,
             },
             flight_out,
+            early_data,
         ))
     }
 
@@ -555,7 +716,7 @@ impl ServerHandshake {
 
         // Optional client certificate (mTLS).
         let mut peer_identity = None;
-        if self.config.require_client_auth {
+        if self.client_auth {
             let Some(HandshakeMessage::Certificate(cert_msg)) = iter.next() else {
                 return Err(CryptoError::handshake("client certificate required (mTLS)"));
             };
@@ -591,8 +752,8 @@ impl ServerHandshake {
         })?;
 
         // Mint a resumption ticket (sent to the client as a post-handshake
-        // message by the caller).
-        let issued_ticket = if self.config.issue_session_ticket {
+        // message by the caller); SMT-ticket clients resume with their ticket.
+        let issued_ticket = if self.config.issue_session_ticket && !self.smt_ticket {
             Some(NewSessionTicket {
                 ticket_id: u64::from_be_bytes(random_bytes(8).try_into().expect("8 bytes")),
                 nonce: random_bytes(16),
@@ -611,7 +772,7 @@ impl ServerHandshake {
             seqno_layout: layout_from_extension(self.negotiated.msg_id_bits)?,
             max_message_size: self.negotiated.max_message_size,
             peer_identity,
-            early_data_accepted: false,
+            early_data_accepted: self.smt_ticket,
             resumed: self.resumed,
             forward_secret: self.forward_secret,
             timings,
@@ -619,7 +780,8 @@ impl ServerHandshake {
         })
     }
 
-    /// Whether the handshake resumed a previous session via PSK.
+    /// Whether the handshake resumed a previous session via PSK (resumption
+    /// or SMT-ticket).
     pub fn resumed(&self) -> bool {
         self.resumed
     }
@@ -634,8 +796,8 @@ pub fn establish(
     client: ClientConfig,
     server: ServerConfig,
 ) -> CryptoResult<(SessionKeys, SessionKeys)> {
-    let (client_hs, ch_flight) = ClientHandshake::start(client)?;
-    let (server_hs, server_flight) = ServerHandshake::respond(server, &ch_flight)?;
+    let (client_hs, ch_flight) = ClientHandshake::start(client, ClientMode::Full)?;
+    let (server_hs, server_flight, _) = ServerHandshake::respond(server, &ch_flight, None)?;
     let (client_fin_flight, client_keys) = client_hs.process_server_flight(&server_flight)?;
     let server_keys = server_hs.finish(&client_fin_flight)?;
     Ok((client_keys, server_keys))
@@ -742,8 +904,8 @@ mod tests {
         let (ca, server_id, _) = setup();
         let client_cfg = ClientConfig::new(ca.verifying_key(), "server.dc.local");
         let server_cfg = ServerConfig::new(server_id, ca.verifying_key());
-        let (client_hs, ch) = ClientHandshake::start(client_cfg).unwrap();
-        let (_, mut server_flight) = ServerHandshake::respond(server_cfg, &ch).unwrap();
+        let (client_hs, ch) = ClientHandshake::start(client_cfg, ClientMode::Full).unwrap();
+        let (_, mut server_flight, _) = ServerHandshake::respond(server_cfg, &ch, None).unwrap();
         let last = server_flight.len() - 1;
         server_flight[last] ^= 1;
         assert!(client_hs.process_server_flight(&server_flight).is_err());

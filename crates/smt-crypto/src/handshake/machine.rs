@@ -1,10 +1,10 @@
-//! Resumable client/server handshake state machines over wire flights.
+//! Resumable client/server handshake machines over wire flights.
 //!
-//! The one-shot exchanges in [`super::full`] and [`super::zero_rtt`] consume
-//! themselves flight by flight, which is the right shape for in-memory key
-//! derivation but not for a transport that loses, reorders and duplicates
-//! packets.  This module wraps them in **resumable machines** that a transport
-//! endpoint can drive with raw flight bytes received from the wire:
+//! The TLS 1.3 state machine in [`super::full`] consumes itself flight by
+//! flight, which is the right shape for in-memory key derivation but not for
+//! a transport that loses, reorders and duplicates packets.  This module wraps
+//! it in **resumable machines** that a transport endpoint can drive with raw
+//! flight bytes received from the wire:
 //!
 //! * [`ClientMachine`] — built from a [`ClientConfig`] and a [`ClientMode`]
 //!   (full 1-RTT, PSK resumption via `config.resumption`, or SMT-ticket 0-RTT
@@ -15,14 +15,14 @@
 //! * [`ServerMachine`] — built from a [`ServerConfig`]; 0-RTT ClientHellos are
 //!   accepted when the caller supplies a [`ZeroRttContext`] (the long-term
 //!   ticket issuer and the anti-replay cache, both shared across connections).
-//!   The machine detects the handshake variant from the ClientHello itself.
+//!   The state machine detects the handshake variant from the ClientHello.
 //!
 //! Both machines are **duplicate-tolerant**: feeding a flight to a machine
 //! that already consumed it returns the response it produced the first time
 //! (client) or an explicit no-op (server), so the transport's retransmission
 //! machinery can replay flights freely without corrupting the transcript.
 //! Transcript-level state never rewinds — a tampered or out-of-order flight
-//! fails the handshake exactly as the one-shot exchanges would.
+//! fails the handshake exactly as the one-shot exchange would.
 //!
 //! The machines also carry the paper's in-band ticket distribution: a server
 //! given a fresh [`SmtTicket`] splices it (plaintext — the ticket is public,
@@ -31,14 +31,12 @@
 //! client machine strips and surfaces it so the *next* connection can do
 //! 0-RTT without any out-of-band distribution channel.
 
-use super::full::{ClientConfig, ClientHandshake, ServerConfig, ServerHandshake};
-use super::messages::{HandshakeMessage, SmtTicket};
-use super::zero_rtt::{
-    ReplayCache, SmtTicketIssuer, ZeroRttClientHandshake, ZeroRttServerHandshake,
+use super::full::{
+    ClientConfig, ClientHandshake, ClientMode, ServerConfig, ServerHandshake, ZeroRttContext,
 };
+use super::messages::{HandshakeMessage, SmtTicket};
 use super::SessionKeys;
 use crate::codec::Reader;
-use crate::suite::CipherSuite;
 use crate::{CryptoError, CryptoResult};
 
 /// Wire type byte of a ClientHello message (first byte of a first flight).
@@ -47,27 +45,6 @@ const TYPE_CLIENT_HELLO: u8 = 1;
 const TYPE_SERVER_HELLO: u8 = 2;
 /// Wire type byte of the SMT-ticket message.
 const TYPE_SMT_TICKET: u8 = 0xF0;
-
-/// How the client establishes the session.
-#[derive(Debug)]
-pub enum ClientMode {
-    /// The standard 1-RTT exchange ("Init-1RTT"), or PSK resumption
-    /// ("Rsmp"/"Rsmp-FS") when the [`ClientConfig`] carries resumption state.
-    Full,
-    /// The SMT-ticket 0-RTT exchange ("Init"/"Init-FS", §4.5.2): ClientHello
-    /// and encrypted early data in the very first flight.
-    ZeroRtt {
-        /// The DNS- or in-band-distributed SMT-ticket for the server.
-        ticket: SmtTicket,
-        /// Application data to piggyback on the first flight (may be empty).
-        early_data: Vec<u8>,
-        /// Whether to run the ephemeral exchange on top ("Init-FS").  Must
-        /// match the server's `resumption_forward_secrecy` configuration.
-        forward_secrecy: bool,
-        /// The client's clock for ticket expiry (same epoch as the ticket).
-        now: u64,
-    },
-}
 
 /// What one consumed flight produced on the client side.
 #[derive(Debug, Default)]
@@ -82,14 +59,9 @@ pub struct ClientFlightOutcome {
 }
 
 enum ClientState {
-    AwaitServer(ClientInFlight),
+    AwaitServer(Box<ClientHandshake>),
     Complete,
     Failed,
-}
-
-enum ClientInFlight {
-    Full(Box<ClientHandshake>),
-    ZeroRtt(Box<ZeroRttClientHandshake>),
 }
 
 /// The resumable client side of the handshake.
@@ -113,45 +85,12 @@ impl std::fmt::Debug for ClientMachine {
 impl ClientMachine {
     /// Builds the machine and the first flight to put on the wire.
     pub fn start(config: ClientConfig, mode: ClientMode) -> CryptoResult<(Self, Vec<u8>)> {
-        let (state, flight, resumed) = match mode {
-            ClientMode::Full => {
-                let resumed = config.resumption.is_some();
-                let (hs, flight) = ClientHandshake::start(config)?;
-                (
-                    ClientState::AwaitServer(ClientInFlight::Full(Box::new(hs))),
-                    flight,
-                    resumed,
-                )
-            }
-            ClientMode::ZeroRtt {
-                ticket,
-                early_data,
-                forward_secrecy,
-                now,
-            } => {
-                let (hs, flight) = ZeroRttClientHandshake::start(
-                    config.suite,
-                    &config.ca_key,
-                    &config.server_name,
-                    &ticket,
-                    config.extensions,
-                    &early_data,
-                    forward_secrecy,
-                    config.pregenerated_key,
-                    now,
-                )?;
-                (
-                    ClientState::AwaitServer(ClientInFlight::ZeroRtt(Box::new(hs))),
-                    flight,
-                    true,
-                )
-            }
-        };
+        let (hs, flight) = ClientHandshake::start(config, mode)?;
         Ok((
             Self {
-                state,
+                resumed: hs.resumed(),
+                state: ClientState::AwaitServer(Box::new(hs)),
                 finished_flight: Vec::new(),
-                resumed,
             },
             flight,
         ))
@@ -163,13 +102,9 @@ impl ClientMachine {
     /// lost final flight.
     pub fn on_server_flight(&mut self, flight: &[u8]) -> CryptoResult<ClientFlightOutcome> {
         match std::mem::replace(&mut self.state, ClientState::Failed) {
-            ClientState::AwaitServer(inflight) => {
+            ClientState::AwaitServer(hs) => {
                 let (stripped, ticket) = strip_inband_ticket(flight)?;
-                let result = match inflight {
-                    ClientInFlight::Full(hs) => hs.process_server_flight(&stripped),
-                    ClientInFlight::ZeroRtt(hs) => hs.process_server_flight(&stripped),
-                };
-                let (reply, keys) = result?;
+                let (reply, keys) = hs.process_server_flight(&stripped)?;
                 self.finished_flight = reply.clone();
                 self.state = ClientState::Complete;
                 Ok(ClientFlightOutcome {
@@ -200,17 +135,6 @@ impl ClientMachine {
     }
 }
 
-/// Shared server-side 0-RTT state, borrowed per flight: the long-term ticket
-/// issuer and the ClientHello-random anti-replay cache (§4.5.3).  Both live
-/// across connections — the transport layer typically shares them between
-/// every accepted endpoint of one listener.
-pub struct ZeroRttContext<'a> {
-    /// The issuer holding the long-term ECDH key the tickets point at.
-    pub issuer: &'a SmtTicketIssuer,
-    /// Rejects replayed 0-RTT first flights (each exactly once per random).
-    pub replay: &'a mut ReplayCache,
-}
-
 /// What one consumed flight produced on the server side.
 #[derive(Debug, Default)]
 pub struct ServerFlightOutcome {
@@ -226,14 +150,9 @@ pub struct ServerFlightOutcome {
 
 enum ServerState {
     AwaitHello(Box<ServerConfig>),
-    AwaitFinished(ServerInFlight),
+    AwaitFinished(Box<ServerHandshake>),
     Complete,
     Failed,
-}
-
-enum ServerInFlight {
-    Full(Box<ServerHandshake>),
-    ZeroRtt(Box<ZeroRttServerHandshake>),
 }
 
 /// The resumable server side of the handshake.
@@ -326,69 +245,25 @@ impl ServerMachine {
             return Err(CryptoError::handshake("server handshake already failed"));
         };
 
-        let outcome = if let Some(ticket_id) = ch.smt_ticket_id {
-            let Some(ZeroRttContext { issuer, replay }) = zero_rtt else {
-                return Err(CryptoError::handshake(
-                    "0-RTT ClientHello but this endpoint has no ticket issuer",
-                ));
-            };
-            if ticket_id != issuer.ticket_id() {
-                return Err(CryptoError::handshake("unknown or rotated SMT-ticket id"));
-            }
-            let suite = ch
-                .cipher_suites
-                .iter()
-                .filter_map(|c| CipherSuite::from_code(*c))
-                .find(|c| config.suites.contains(c))
-                .ok_or_else(|| CryptoError::handshake("no mutually supported cipher suite"))?;
-            let resp = ZeroRttServerHandshake::respond(
-                suite,
-                issuer,
-                config.extensions,
-                config.resumption_forward_secrecy,
-                replay,
-                flight,
-                config.pregenerated_key,
-            )?;
-            self.resumed = true;
-            self.state = ServerState::AwaitFinished(ServerInFlight::ZeroRtt(Box::new(resp.state)));
-            ServerFlightOutcome {
-                reply: Some(resp.flight),
-                keys: None,
-                early_data: resp.early_data,
-            }
-        } else {
-            let (hs, reply) = ServerHandshake::respond(*config, flight)?;
-            self.resumed = hs.resumed();
-            self.state = ServerState::AwaitFinished(ServerInFlight::Full(Box::new(hs)));
-            ServerFlightOutcome {
-                reply: Some(reply),
-                ..ServerFlightOutcome::default()
-            }
-        };
-
+        let (hs, mut reply, early_data) = ServerHandshake::respond(*config, flight, zero_rtt)?;
+        self.resumed = hs.resumed();
+        self.state = ServerState::AwaitFinished(Box::new(hs));
         self.accepted_random = Some(ch.random);
-        let mut outcome = outcome;
-        let Some(mut reply) = outcome.reply.take() else {
-            return Err(CryptoError::handshake("hello produced no reply flight"));
-        };
         if let Some(ticket) = &self.issue_ticket {
             reply = splice_inband_ticket(&reply, ticket)?;
         }
         self.server_flight = reply.clone();
         Ok(ServerFlightOutcome {
             reply: Some(reply),
-            ..outcome
+            keys: None,
+            early_data,
         })
     }
 
     fn on_finished(&mut self, flight: &[u8]) -> CryptoResult<ServerFlightOutcome> {
         match std::mem::replace(&mut self.state, ServerState::Failed) {
-            ServerState::AwaitFinished(inflight) => {
-                let keys = match inflight {
-                    ServerInFlight::Full(hs) => hs.finish(flight)?,
-                    ServerInFlight::ZeroRtt(hs) => hs.finish(flight)?,
-                };
+            ServerState::AwaitFinished(hs) => {
+                let keys = hs.finish(flight)?;
                 self.state = ServerState::Complete;
                 Ok(ServerFlightOutcome {
                     keys: Some(Box::new(keys)),
@@ -466,6 +341,7 @@ fn strip_inband_ticket(flight: &[u8]) -> CryptoResult<(Vec<u8>, Option<SmtTicket
 
 #[cfg(test)]
 mod tests {
+    use super::super::zero_rtt::{ReplayCache, SmtTicketIssuer};
     use super::*;
     use crate::cert::CertificateAuthority;
     use crate::cert::Identity;
@@ -678,8 +554,9 @@ mod tests {
         let issuer = SmtTicketIssuer::new(id.clone(), 3600);
         let ticket = issuer.ticket(7);
         let (_, flight0) = ClientMachine::start(client_config(&ca), ClientMode::Full).unwrap();
-        let (_, plain_reply) =
-            ServerHandshake::respond(ServerConfig::new(id, ca.verifying_key()), &flight0).unwrap();
+        let (_, plain_reply, _) =
+            ServerHandshake::respond(ServerConfig::new(id, ca.verifying_key()), &flight0, None)
+                .unwrap();
         let spliced = splice_inband_ticket(&plain_reply, &ticket).unwrap();
         assert_ne!(spliced, plain_reply);
         let (stripped, got) = strip_inband_ticket(&spliced).unwrap();

@@ -1,4 +1,4 @@
-//! The SMT-ticket 0-RTT handshake (paper §4.5.2/§4.5.3; "Init" and "Init-FS" in
+//! The SMT-ticket 0-RTT exchange (paper §4.5.2/§4.5.3; "Init" and "Init-FS" in
 //! Fig. 12).
 //!
 //! Datacenter transports such as Homa and NDP send an RPC in the very first RTT
@@ -13,22 +13,29 @@
 //!    ephemeral share, and
 //! 3. send its ClientHello **and encrypted application data** in the first flight.
 //!
+//! The exchange itself is the PSK-with-early-data path of the one TLS 1.3
+//! state machine in [`super::full`] ([`ClientMode::ZeroRtt`] on the client, a
+//! [`ZeroRttContext`] on the server), with the SMT-key as its PSK.  This
+//! module holds the server's long-term key ([`SmtTicketIssuer`]), its
+//! anti-replay cache ([`ReplayCache`]) and an in-memory driver
+//! ([`establish_zero_rtt`]).
+//!
 //! Without forward secrecy ("Init"), the SMT-key protects the whole session.
 //! With forward secrecy enabled ("Init-FS"), the server replies with an ephemeral
 //! share; both sides then derive an *fs-key* and switch to it for subsequent data.
 //! 0-RTT data itself is never forward secret (§4.5.3); the mitigations are a short
 //! ticket lifetime (≤ 1 hour) and server-side tracking of ClientHello randoms.
 
+use super::full::{
+    ClientConfig, ClientHandshake, ClientMode, ServerConfig, ServerHandshake, ZeroRttContext,
+};
 use super::keys::EcdhKeyPair;
-use super::messages::*;
-use super::timing::{HandshakeTimings, OpId};
-use super::{layout_from_extension, SessionKeys};
-use crate::cert::{random_bytes, validate_chain, Identity, VerifyingKey};
-use crate::key_schedule::{hkdf_extract, transcript_hash, KeySchedule, Secret};
-use crate::record::RecordProtector;
+use super::messages::SmtTicket;
+use super::SessionKeys;
+use crate::cert::{random_bytes, Identity, VerifyingKey};
+use crate::key_schedule::{hkdf_extract, Secret};
 use crate::suite::CipherSuite;
-use crate::{CryptoError, CryptoResult};
-use smt_wire::ContentType;
+use crate::CryptoResult;
 use std::collections::HashSet;
 
 /// Server-side manager of the long-term SMT-ticket key.
@@ -88,7 +95,7 @@ impl SmtTicketIssuer {
         self.ticket_id = u64::from_be_bytes(random_bytes(8).try_into().expect("8 bytes"));
     }
 
-    fn shared_with(&self, client_share: &[u8]) -> CryptoResult<Vec<u8>> {
+    pub(super) fn shared_with(&self, client_share: &[u8]) -> CryptoResult<Vec<u8>> {
         self.long_term.diffie_hellman(client_share)
     }
 }
@@ -154,398 +161,9 @@ impl ReplayCache {
     }
 }
 
-fn smt_key_from_shared(shared: &[u8]) -> Secret {
+pub(super) fn smt_key_from_shared(shared: &[u8]) -> Secret {
     // SMT-key = HKDF-Extract(0, ECDH(long-term server share, client ephemeral)).
     hkdf_extract(&Secret::zero(), shared)
-}
-
-/// Client side of the 0-RTT handshake.
-pub struct ZeroRttClientHandshake {
-    suite: CipherSuite,
-    forward_secrecy: bool,
-    ephemeral: EcdhKeyPair,
-    smt_key: Secret,
-    transcript: Vec<u8>,
-    extensions: SmtExtensions,
-    server_name: String,
-    timings: HandshakeTimings,
-}
-
-impl ZeroRttClientHandshake {
-    /// Verifies `ticket`, derives the SMT-key and builds the first flight:
-    /// ClientHello plus `early_data` already encrypted under the client early
-    /// traffic secret.  `now` is the client's clock for ticket expiry.
-    ///
-    /// `pregenerated_key` removes C1.1 from the critical path (§4.5.1); the
-    /// ticket's certificate chain is assumed to have been verified when the ticket
-    /// was fetched from DNS, which is why C3.1/C3.2 do not appear here (§5.6).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        suite: CipherSuite,
-        ca_key: &VerifyingKey,
-        server_name: &str,
-        ticket: &SmtTicket,
-        extensions: SmtExtensions,
-        early_data: &[u8],
-        forward_secrecy: bool,
-        pregenerated_key: Option<EcdhKeyPair>,
-        now: u64,
-    ) -> CryptoResult<(Self, Vec<u8>)> {
-        let mut timings = HandshakeTimings::new();
-
-        // Ticket verification happens ahead of time in deployment; validate here
-        // anyway (outside the timed C-rows) so misuse is caught.
-        if ticket.expired(now) {
-            return Err(CryptoError::Certificate("SMT-ticket expired".into()));
-        }
-        let leaf_key = validate_chain(&ticket.chain, ca_key, Some(server_name))?;
-        leaf_key
-            .verify(&ticket.to_be_signed(), &ticket.signature)
-            .map_err(|_| CryptoError::Certificate("SMT-ticket signature invalid".into()))?;
-
-        // C1.1 — ephemeral key (pre-generated in the common case).
-        let ephemeral = timings.time(OpId::C1_1KeyGen, || {
-            pregenerated_key.unwrap_or_else(EcdhKeyPair::generate)
-        });
-
-        // C2.2 — ECDH against the server's long-term share (the 0-RTT exchange).
-        let shared = timings.time(OpId::C2_2EcdhExchange, || {
-            ephemeral.diffie_hellman(&ticket.server_dh_public)
-        })?;
-        let smt_key = smt_key_from_shared(&shared);
-
-        // C1.2 — ClientHello.
-        let hello = timings.time(OpId::C1_2OthersGen, || ClientHello {
-            random: random_bytes(32).try_into().expect("32 bytes"),
-            key_share: ephemeral.public_bytes(),
-            cipher_suites: vec![suite.code()],
-            extensions,
-            psk_identity: None,
-            psk_binder: None,
-            smt_ticket_id: Some(ticket.ticket_id),
-            early_data: !early_data.is_empty(),
-            offer_client_auth: false,
-        });
-        let ch_encoded = HandshakeMessage::ClientHello(hello).encode();
-        let transcript = ch_encoded.clone();
-
-        // C2.3 — derive the early traffic secret and protect the 0-RTT data.
-        let mut flight = ch_encoded;
-        if !early_data.is_empty() {
-            let early_secret = timings.time(OpId::C2_3SecretDerive, || {
-                KeySchedule::new(suite, Some(&smt_key))
-                    .early_traffic_secret(&transcript_hash(&transcript))
-            })?;
-            let cipher = RecordProtector::from_secret(suite, &early_secret)?;
-            let record = cipher.encrypt_record(0, ContentType::ApplicationData, early_data)?;
-            flight.extend_from_slice(&record);
-        }
-
-        Ok((
-            Self {
-                suite,
-                forward_secrecy,
-                ephemeral,
-                smt_key,
-                transcript,
-                extensions,
-                server_name: server_name.to_string(),
-                timings,
-            },
-            flight,
-        ))
-    }
-
-    /// Processes the server flight and completes the handshake, returning the
-    /// client's Finished flight and the session keys.
-    pub fn process_server_flight(mut self, flight: &[u8]) -> CryptoResult<(Vec<u8>, SessionKeys)> {
-        let mut timings = std::mem::take(&mut self.timings);
-
-        // C2.1 — ServerHello.
-        let (sh, encrypted_rest) = timings.time(OpId::C2_1ProcessShlo, || {
-            let mut r = crate::codec::Reader::new(flight);
-            let msg = HandshakeMessage::decode_from(&mut r)?;
-            let HandshakeMessage::ServerHello(sh) = msg else {
-                return Err(CryptoError::handshake("expected ServerHello"));
-            };
-            Ok::<_, CryptoError>((sh, flight[flight.len() - r.remaining()..].to_vec()))
-        })?;
-        if !sh.early_data_accepted {
-            return Err(CryptoError::handshake("server rejected 0-RTT data"));
-        }
-        self.transcript
-            .extend_from_slice(&HandshakeMessage::ServerHello(sh.clone()).encode());
-
-        // C2.2 — optional forward-secrecy ECDHE with the server's ephemeral share.
-        let dhe = timings.time(OpId::C2_2EcdhExchange, || {
-            match (&sh.key_share, self.forward_secrecy) {
-                (Some(share), true) => self.ephemeral.diffie_hellman(share),
-                (None, false) => Ok(Vec::new()),
-                (Some(_), false) => Ok(Vec::new()),
-                (None, true) => Err(CryptoError::handshake(
-                    "forward secrecy requested but server omitted its key share",
-                )),
-            }
-        })?;
-
-        // C2.3 — derive handshake and application secrets from the SMT-key ladder.
-        let mut ks = KeySchedule::new(self.suite, Some(&self.smt_key));
-        let hs_secrets = timings.time(OpId::C2_3SecretDerive, || {
-            ks.into_handshake(&dhe, &transcript_hash(&self.transcript))
-        })?;
-
-        // Decrypt EncryptedExtensions + Finished.
-        let mut server_hs_cipher = RecordProtector::from_secret(self.suite, &hs_secrets.server)?;
-        let (inner, _) = server_hs_cipher.decrypt_record(0, &encrypted_rest)?;
-        let msgs = decode_flight(&inner.plaintext)?;
-        let mut iter = msgs.into_iter();
-        let Some(HandshakeMessage::EncryptedExtensions(ee)) = iter.next() else {
-            return Err(CryptoError::handshake("expected EncryptedExtensions"));
-        };
-        self.transcript
-            .extend_from_slice(&HandshakeMessage::EncryptedExtensions(ee).encode());
-        let Some(HandshakeMessage::Finished(server_fin)) = iter.next() else {
-            return Err(CryptoError::handshake("expected server Finished"));
-        };
-
-        // C5 — verify the server Finished (possession of the long-term key),
-        // derive the application secrets, emit the client Finished.
-        let (client_flight, app) = timings.time(OpId::C5ProcessFinished, || {
-            let expected =
-                KeySchedule::finished_mac(&hs_secrets.server, &transcript_hash(&self.transcript));
-            if expected != server_fin.verify_data {
-                return Err(CryptoError::handshake(
-                    "server Finished verification failed",
-                ));
-            }
-            self.transcript
-                .extend_from_slice(&HandshakeMessage::Finished(server_fin).encode());
-            let app = ks.into_application(&transcript_hash(&self.transcript))?;
-            let fin = Finished {
-                verify_data: KeySchedule::finished_mac(
-                    &hs_secrets.client,
-                    &transcript_hash(&self.transcript),
-                ),
-            };
-            let inner_flight = encode_flight(&[HandshakeMessage::Finished(fin)]);
-            let cipher = RecordProtector::from_secret(self.suite, &hs_secrets.client)?;
-            let protected = cipher.encrypt_record(0, ContentType::Handshake, &inner_flight)?;
-            Ok::<_, CryptoError>((protected, app))
-        })?;
-
-        let keys = SessionKeys {
-            suite: self.suite,
-            is_client: true,
-            send_secret: app.client,
-            recv_secret: app.server,
-            resumption_master: app.resumption,
-            seqno_layout: layout_from_extension(self.extensions.msg_id_bits)?,
-            max_message_size: self.extensions.max_message_size,
-            peer_identity: Some(self.server_name),
-            early_data_accepted: true,
-            resumed: true,
-            forward_secret: self.forward_secrecy,
-            timings,
-            issued_ticket: None,
-        };
-        Ok((client_flight, keys))
-    }
-}
-
-/// Server side of the 0-RTT handshake.
-pub struct ZeroRttServerHandshake {
-    suite: CipherSuite,
-    transcript: Vec<u8>,
-    client_hs_secret: Secret,
-    app_client: Secret,
-    app_server: Secret,
-    resumption_master: Secret,
-    extensions: SmtExtensions,
-    forward_secret: bool,
-    timings: HandshakeTimings,
-}
-
-/// Output of the server's first processing step: its response flight and the
-/// decrypted 0-RTT application data (delivered to the application immediately,
-/// which is the whole point of the exchange).
-pub struct ZeroRttServerResponse {
-    /// The in-flight server state (complete with [`ZeroRttServerHandshake::finish`]).
-    pub state: ZeroRttServerHandshake,
-    /// The server's flight to send back.
-    pub flight: Vec<u8>,
-    /// Decrypted 0-RTT application data, if any was attached.
-    pub early_data: Option<Vec<u8>>,
-}
-
-impl ZeroRttServerHandshake {
-    /// Processes a 0-RTT ClientHello flight.
-    pub fn respond(
-        suite: CipherSuite,
-        issuer: &SmtTicketIssuer,
-        extensions: SmtExtensions,
-        forward_secrecy: bool,
-        replay: &mut ReplayCache,
-        flight: &[u8],
-        pregenerated_key: Option<EcdhKeyPair>,
-    ) -> CryptoResult<ZeroRttServerResponse> {
-        let mut timings = HandshakeTimings::new();
-
-        // S1 — parse the ClientHello (and locate any trailing early-data record).
-        let (ch, early_record) = timings.time(OpId::S1ProcessChlo, || {
-            let mut r = crate::codec::Reader::new(flight);
-            let msg = HandshakeMessage::decode_from(&mut r)?;
-            let HandshakeMessage::ClientHello(ch) = msg else {
-                return Err(CryptoError::handshake("expected ClientHello"));
-            };
-            let rest = flight[flight.len() - r.remaining()..].to_vec();
-            Ok::<_, CryptoError>((ch, rest))
-        })?;
-        if ch.smt_ticket_id != Some(issuer.ticket_id()) {
-            return Err(CryptoError::handshake("unknown or rotated SMT-ticket id"));
-        }
-        // §4.5.3: reject replayed ClientHello randoms.
-        if !replay.check_and_insert(&ch.random) {
-            return Err(CryptoError::Replay("repeated ClientHello random".into()));
-        }
-
-        // S2.2 — ECDH between the long-term key and the client's ephemeral share.
-        let shared = timings.time(OpId::S2_2EcdhExchange, || issuer.shared_with(&ch.key_share))?;
-        let smt_key = smt_key_from_shared(&shared);
-
-        let mut transcript = HandshakeMessage::ClientHello(ch.clone()).encode();
-
-        // Decrypt 0-RTT data under the client early traffic secret.
-        let early_data = if ch.early_data && !early_record.is_empty() {
-            let early_secret = KeySchedule::new(suite, Some(&smt_key))
-                .early_traffic_secret(&transcript_hash(&transcript))?;
-            let mut cipher = RecordProtector::from_secret(suite, &early_secret)?;
-            let (plain, _) = cipher.decrypt_record(0, &early_record)?;
-            Some(plain.plaintext)
-        } else {
-            None
-        };
-
-        // S2.1 — ephemeral key generation (only for forward secrecy).
-        let ephemeral = timings.time(OpId::S2_1KeyGen, || {
-            if forward_secrecy {
-                Some(pregenerated_key.unwrap_or_else(EcdhKeyPair::generate))
-            } else {
-                None
-            }
-        });
-        // S2.2 (continued) — forward-secrecy ECDHE.
-        let dhe = timings.time(OpId::S2_2EcdhExchange, || match &ephemeral {
-            Some(e) => e.diffie_hellman(&ch.key_share),
-            None => Ok(Vec::new()),
-        })?;
-
-        // S2.3 — ServerHello.
-        let sh = timings.time(OpId::S2_3ShloGen, || ServerHello {
-            random: random_bytes(32).try_into().expect("32 bytes"),
-            key_share: ephemeral.as_ref().map(|e| e.public_bytes()),
-            cipher_suite: suite.code(),
-            psk_accepted: true,
-            early_data_accepted: early_data.is_some() || !ch.early_data,
-        });
-        let sh_encoded = HandshakeMessage::ServerHello(sh).encode();
-        transcript.extend_from_slice(&sh_encoded);
-
-        // S2.6 — secrets.
-        let mut ks = KeySchedule::new(suite, Some(&smt_key));
-        let hs_secrets = timings.time(OpId::S2_6SecretDerive, || {
-            ks.into_handshake(&dhe, &transcript_hash(&transcript))
-        })?;
-
-        // S2.4 — EncryptedExtensions (no certificate: the ticket authenticated us).
-        let negotiated = SmtExtensions {
-            msg_id_bits: ch.extensions.msg_id_bits.min(extensions.msg_id_bits),
-            max_message_size: ch
-                .extensions
-                .max_message_size
-                .min(extensions.max_message_size),
-        };
-        let ee = timings.time(OpId::S2_4EeCertEncode, || {
-            HandshakeMessage::EncryptedExtensions(EncryptedExtensions {
-                extensions: negotiated,
-                request_client_auth: false,
-            })
-        });
-        transcript.extend_from_slice(&ee.encode());
-
-        // Finished + application secrets (S2.6 continued).
-        let (fin, app) = timings.time(OpId::S2_6SecretDerive, || {
-            let fin = Finished {
-                verify_data: KeySchedule::finished_mac(
-                    &hs_secrets.server,
-                    &transcript_hash(&transcript),
-                ),
-            };
-            transcript.extend_from_slice(&HandshakeMessage::Finished(fin).encode());
-            let app = ks.into_application(&transcript_hash(&transcript))?;
-            Ok::<_, CryptoError>((fin, app))
-        })?;
-
-        let inner_flight = encode_flight(&[ee, HandshakeMessage::Finished(fin)]);
-        let server_hs_cipher = RecordProtector::from_secret(suite, &hs_secrets.server)?;
-        let protected =
-            server_hs_cipher.encrypt_record(0, ContentType::Handshake, &inner_flight)?;
-        let mut flight_out = sh_encoded;
-        flight_out.extend_from_slice(&protected);
-
-        Ok(ZeroRttServerResponse {
-            state: Self {
-                suite,
-                transcript,
-                client_hs_secret: hs_secrets.client,
-                app_client: app.client,
-                app_server: app.server,
-                resumption_master: app.resumption,
-                extensions: negotiated,
-                forward_secret: forward_secrecy,
-                timings,
-            },
-            flight: flight_out,
-            early_data,
-        })
-    }
-
-    /// Verifies the client Finished and returns the server's session keys.
-    pub fn finish(mut self, client_flight: &[u8]) -> CryptoResult<SessionKeys> {
-        let mut timings = std::mem::take(&mut self.timings);
-        let mut cipher = RecordProtector::from_secret(self.suite, &self.client_hs_secret)?;
-        let (inner, _) = cipher.decrypt_record(0, client_flight)?;
-        let msgs = decode_flight(&inner.plaintext)?;
-        let Some(HandshakeMessage::Finished(fin)) = msgs.into_iter().next() else {
-            return Err(CryptoError::handshake("expected client Finished"));
-        };
-        timings.time(OpId::S3ProcessFinished, || {
-            let expected = KeySchedule::finished_mac(
-                &self.client_hs_secret,
-                &transcript_hash(&self.transcript),
-            );
-            if expected != fin.verify_data {
-                return Err(CryptoError::handshake(
-                    "client Finished verification failed",
-                ));
-            }
-            Ok(())
-        })?;
-        Ok(SessionKeys {
-            suite: self.suite,
-            is_client: false,
-            send_secret: self.app_server,
-            recv_secret: self.app_client,
-            resumption_master: self.resumption_master,
-            seqno_layout: layout_from_extension(self.extensions.msg_id_bits)?,
-            max_message_size: self.extensions.max_message_size,
-            peer_identity: None,
-            early_data_accepted: true,
-            resumed: true,
-            forward_secret: self.forward_secret,
-            timings,
-            issued_ticket: None,
-        })
-    }
 }
 
 /// Drives a complete in-memory 0-RTT exchange, returning
@@ -561,37 +179,32 @@ pub fn establish_zero_rtt(
     forward_secrecy: bool,
     now: u64,
 ) -> CryptoResult<(SessionKeys, SessionKeys, Option<Vec<u8>>)> {
-    let ticket = issuer.ticket(now);
-    let (client, flight) = ZeroRttClientHandshake::start(
-        suite,
-        ca_key,
-        server_name,
-        &ticket,
-        SmtExtensions::default(),
-        early_data,
+    let mut client = ClientConfig::new(ca_key.clone(), server_name);
+    client.suite = suite;
+    let mode = ClientMode::ZeroRtt {
+        ticket: issuer.ticket(now),
+        early_data: early_data.to_vec(),
         forward_secrecy,
-        None,
         now,
-    )?;
-    let resp = ZeroRttServerHandshake::respond(
-        suite,
-        issuer,
-        SmtExtensions::default(),
-        forward_secrecy,
-        replay,
-        &flight,
-        None,
-    )?;
-    let (client_fin, client_keys) = client.process_server_flight(&resp.flight)?;
-    let server_keys = resp.state.finish(&client_fin)?;
-    Ok((client_keys, server_keys, resp.early_data))
+    };
+    let (client_hs, flight) = ClientHandshake::start(client, mode)?;
+    let mut server = ServerConfig::new(issuer.identity.clone(), ca_key.clone());
+    server.suites = vec![suite];
+    server.resumption_forward_secrecy = forward_secrecy;
+    let (server_hs, server_flight, early) =
+        ServerHandshake::respond(server, &flight, Some(ZeroRttContext { issuer, replay }))?;
+    let (client_fin, client_keys) = client_hs.process_server_flight(&server_flight)?;
+    Ok((client_keys, server_hs.finish(&client_fin)?, early))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::timing::OpId;
     use super::*;
     use crate::cert::CertificateAuthority;
     use crate::record::RecordProtectorPair;
+    use crate::CryptoError;
+    use smt_wire::ContentType;
 
     fn setup() -> (CertificateAuthority, SmtTicketIssuer) {
         let ca = CertificateAuthority::new("dc-ca");
@@ -638,66 +251,47 @@ mod tests {
         }
     }
 
+    /// The 0-RTT first flight of a client that trusts `ca_key` and holds `ticket`.
+    fn first_flight(ca_key: VerifyingKey, ticket: SmtTicket, now: u64) -> CryptoResult<Vec<u8>> {
+        let mode = ClientMode::ZeroRtt {
+            ticket,
+            early_data: b"withdraw $100".to_vec(),
+            forward_secrecy: false,
+            now,
+        };
+        let config = ClientConfig::new(ca_key, "server.dc.local");
+        ClientHandshake::start(config, mode).map(|(_, flight)| flight)
+    }
+
+    /// The early data the server accepts from `flight`, or its error.
+    fn respond(
+        ca: &CertificateAuthority,
+        issuer: &SmtTicketIssuer,
+        replay: &mut ReplayCache,
+        flight: &[u8],
+    ) -> CryptoResult<Option<Vec<u8>>> {
+        let config = ServerConfig::new(issuer.identity.clone(), ca.verifying_key());
+        let zero_rtt = Some(ZeroRttContext { issuer, replay });
+        ServerHandshake::respond(config, flight, zero_rtt).map(|(_, _, early)| early)
+    }
+
     #[test]
     fn replayed_client_hello_rejected() {
         let (ca, issuer) = setup();
         let mut replay = ReplayCache::new(1024);
-        let ticket = issuer.ticket(0);
-        let (_, flight) = ZeroRttClientHandshake::start(
-            CipherSuite::Aes128GcmSha256,
-            &ca.verifying_key(),
-            "server.dc.local",
-            &ticket,
-            SmtExtensions::default(),
-            b"withdraw $100",
-            false,
-            None,
-            0,
-        )
-        .unwrap();
+        let flight = first_flight(ca.verifying_key(), issuer.ticket(0), 0).unwrap();
         // First delivery is accepted ...
-        ZeroRttServerHandshake::respond(
-            CipherSuite::Aes128GcmSha256,
-            &issuer,
-            SmtExtensions::default(),
-            false,
-            &mut replay,
-            &flight,
-            None,
-        )
-        .unwrap();
+        respond(&ca, &issuer, &mut replay, &flight).unwrap();
         // ... a byte-for-byte replay is rejected.
-        let err = ZeroRttServerHandshake::respond(
-            CipherSuite::Aes128GcmSha256,
-            &issuer,
-            SmtExtensions::default(),
-            false,
-            &mut replay,
-            &flight,
-            None,
-        )
-        .err()
-        .expect("replay must be rejected");
+        let err = respond(&ca, &issuer, &mut replay, &flight).expect_err("replay must be rejected");
         assert!(matches!(err, CryptoError::Replay(_)));
     }
 
     #[test]
     fn expired_ticket_rejected() {
         let (ca, issuer) = setup();
-        let ticket = issuer.ticket(1000);
-        let err = ZeroRttClientHandshake::start(
-            CipherSuite::Aes128GcmSha256,
-            &ca.verifying_key(),
-            "server.dc.local",
-            &ticket,
-            SmtExtensions::default(),
-            b"x",
-            false,
-            None,
-            1000 + 3601,
-        )
-        .err()
-        .expect("expired ticket must be rejected");
+        let err = first_flight(ca.verifying_key(), issuer.ticket(1000), 1000 + 3601)
+            .expect_err("expired ticket must be rejected");
         assert!(matches!(err, CryptoError::Certificate(_)));
     }
 
@@ -707,67 +301,23 @@ mod tests {
         let mut ticket = issuer.ticket(0);
         // Swap in an attacker-controlled DH share without a valid signature.
         ticket.server_dh_public = EcdhKeyPair::generate().public_bytes();
-        assert!(ZeroRttClientHandshake::start(
-            CipherSuite::Aes128GcmSha256,
-            &ca.verifying_key(),
-            "server.dc.local",
-            &ticket,
-            SmtExtensions::default(),
-            b"x",
-            false,
-            None,
-            0,
-        )
-        .is_err());
+        assert!(first_flight(ca.verifying_key(), ticket, 0).is_err());
     }
 
     #[test]
     fn rotated_ticket_id_rejected_by_server() {
         let (ca, mut issuer) = setup();
-        let old_ticket = issuer.ticket(0);
-        let (_, flight) = ZeroRttClientHandshake::start(
-            CipherSuite::Aes128GcmSha256,
-            &ca.verifying_key(),
-            "server.dc.local",
-            &old_ticket,
-            SmtExtensions::default(),
-            b"x",
-            false,
-            None,
-            0,
-        )
-        .unwrap();
+        let flight = first_flight(ca.verifying_key(), issuer.ticket(0), 0).unwrap();
         issuer.rotate();
         let mut replay = ReplayCache::new(16);
-        assert!(ZeroRttServerHandshake::respond(
-            CipherSuite::Aes128GcmSha256,
-            &issuer,
-            SmtExtensions::default(),
-            false,
-            &mut replay,
-            &flight,
-            None,
-        )
-        .is_err());
+        assert!(respond(&ca, &issuer, &mut replay, &flight).is_err());
     }
 
     #[test]
     fn wrong_ca_rejected() {
         let (_, issuer) = setup();
         let other_ca = CertificateAuthority::new("other");
-        let ticket = issuer.ticket(0);
-        assert!(ZeroRttClientHandshake::start(
-            CipherSuite::Aes128GcmSha256,
-            &other_ca.verifying_key(),
-            "server.dc.local",
-            &ticket,
-            SmtExtensions::default(),
-            b"x",
-            false,
-            None,
-            0,
-        )
-        .is_err());
+        assert!(first_flight(other_ca.verifying_key(), issuer.ticket(0), 0).is_err());
     }
 
     #[test]

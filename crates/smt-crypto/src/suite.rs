@@ -33,11 +33,6 @@ impl CipherSuite {
         self.aead().key_len()
     }
 
-    /// Hash output length used by the key schedule (SHA-256 for both suites).
-    pub fn hash_len(self) -> usize {
-        32
-    }
-
     /// IANA-style code point (used in handshake negotiation).
     pub fn code(self) -> u16 {
         match self {

@@ -650,11 +650,6 @@ impl Fabric {
         self.ports[b].peer = Some(a);
     }
 
-    /// The host a port is attached to.
-    pub fn port_host(&self, port: PortId) -> HostId {
-        self.ports[port].host
-    }
-
     /// Number of hosts.
     pub fn host_count(&self) -> usize {
         self.hosts.len()

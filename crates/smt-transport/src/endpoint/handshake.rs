@@ -114,17 +114,6 @@ impl ConnectConfig {
         }
     }
 
-    /// Full control over the handshake (mTLS identity, cipher suite, PSK
-    /// resumption state, pre-generated keys, extensions).
-    pub fn from_crypto(crypto: CryptoClientConfig) -> Self {
-        Self {
-            crypto,
-            resume: None,
-            forward_secrecy: false,
-            secrets: None,
-        }
-    }
-
     /// Resumes with an SMT-ticket: the 0-RTT handshake that sends the first
     /// queued message as early data in the very first flight.  `now` is the
     /// client's clock for ticket expiry (same epoch as the ticket).
@@ -139,11 +128,6 @@ impl ConnectConfig {
     pub fn forward_secrecy(mut self, on: bool) -> Self {
         self.forward_secrecy = on;
         self
-    }
-
-    /// True when this configuration resumes with an SMT-ticket (0-RTT).
-    pub fn is_resumption(&self) -> bool {
-        self.resume.is_some()
     }
 
     /// Attaches the host's shared path-secret state.  When the map already
@@ -268,14 +252,6 @@ impl SharedPathSecrets {
     pub fn evictions(&self) -> u64 {
         self.lock_map().evictions()
     }
-
-    /// Derived-hello client randoms evicted from the replay cache.
-    pub fn replay_evictions(&self) -> u64 {
-        self.replay
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .evictions()
-    }
 }
 
 /// Server-side configuration for [`super::EndpointBuilder::accept`].
@@ -300,17 +276,6 @@ impl AcceptConfig {
     pub fn new(identity: Identity, ca_key: VerifyingKey) -> Self {
         Self {
             crypto: CryptoServerConfig::new(identity, ca_key),
-            acceptor: None,
-            ticket_now: 0,
-            secrets: None,
-        }
-    }
-
-    /// Full control over the handshake (mTLS requirement, suites, PSKs,
-    /// extension limits).
-    pub fn from_crypto(crypto: CryptoServerConfig) -> Self {
-        Self {
-            crypto,
             acceptor: None,
             ticket_now: 0,
             secrets: None,

@@ -240,12 +240,6 @@ impl Listener {
         self.conns.get(&cid)
     }
 
-    /// Mutable access to the live connection for `cid` (rekeying, direct
-    /// event drains).
-    pub fn connection_mut(&mut self, cid: u32) -> Option<&mut Endpoint> {
-        self.conns.get_mut(&cid)
-    }
-
     /// Closes connection `cid`, returning its endpoint (does not count as an
     /// eviction — this is the orderly release churn workloads use).
     pub fn close(&mut self, cid: u32) -> Option<Endpoint> {

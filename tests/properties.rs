@@ -289,18 +289,13 @@ proptest! {
     }
 }
 
-/// The four receive configurations the reassembly properties run under:
-/// SMT-sw, plaintext Homa, one packet per segment, and no framing header.
+/// The three receive configurations the reassembly properties run under:
+/// SMT-sw, plaintext Homa, and one packet per segment.
 fn receiver_config(mode: usize) -> SmtConfig {
     match mode {
         0 => SmtConfig::software(),
         1 => SmtConfig::plaintext(),
-        2 => SmtConfig::software().without_tso(),
-        _ => {
-            let mut config = SmtConfig::software();
-            config.framing_header = false;
-            config
-        }
+        _ => SmtConfig::software().without_tso(),
     }
 }
 
@@ -340,7 +335,7 @@ proptest! {
     /// holding nothing.
     #[test]
     fn receiver_is_order_and_duplicate_independent(
-        mode in 0usize..4,
+        mode in 0usize..3,
         // From one packet up to three TSO segments each.
         len_a in 0usize..190_000,
         len_b in 0usize..190_000,
@@ -407,11 +402,10 @@ proptest! {
 fn peak_tracked_bytes_of_in_order_delivery_is_pinned() {
     // (mode, [peak for 64 B, 8 KiB, 256 KiB]) as measured before the
     // receiver kept views and cursors instead of copies.
-    const PINNED: [[u64; 3]; 4] = [
+    const PINNED: [[u64; 3]; 3] = [
         [0, 7_120, 261_056],
         [0, 14_240, 524_224],
         [0, 6_990, 261_426],
-        [0, 7_120, 261_120],
     ];
     for (mode, pinned) in PINNED.iter().enumerate() {
         for (len, want) in [64usize, 8 << 10, 256 << 10].into_iter().zip(pinned) {

@@ -23,7 +23,10 @@
 //! `{...}` flights are protected with the handshake traffic keys, as in TLS 1.3.
 //! A PSK exchange runs ECDHE only for forward secrecy (Rsmp-FS, Init-FS).
 //! Mutual authentication (mTLS, §4.2) is supported via `require_client_auth` /
-//! `offer_client_auth`; the SMT-ticket exchange authenticates only the server.
+//! `offer_client_auth`; the SMT-ticket exchange authenticates only the server,
+//! so a server that requires a client certificate refuses it.  A client whose
+//! resumption PSK the server does not accept completes the full handshake the
+//! server falls back to.
 
 use super::keys::EcdhKeyPair;
 use super::messages::*;
@@ -114,7 +117,7 @@ pub struct ServerConfig {
     /// The internal CA key, used to validate client certificates under mTLS.
     pub ca_key: VerifyingKey,
     /// Whether to require a client certificate (mTLS).  The SMT-ticket
-    /// exchange never requests one.
+    /// exchange cannot carry one, so such a server rejects SMT-ticket hellos.
     pub require_client_auth: bool,
     /// Server-side SMT extension limits.
     pub extensions: SmtExtensions,
@@ -340,8 +343,9 @@ impl ClientHandshake {
             None => Err(CryptoError::handshake("server omitted key share")),
         })?;
 
-        // C2.3 — handshake secret derivation.
-        let mut ks = KeySchedule::new(suite, self.psk.as_ref());
+        // C2.3 — handshake secret derivation.  A PSK the server did not
+        // accept keys nothing: the server fell back to the full handshake.
+        let mut ks = KeySchedule::new(suite, self.psk.as_ref().filter(|_| resuming));
         let hs_secrets = timings.time(OpId::C2_3SecretDerive, || {
             ks.into_handshake(&dhe, &transcript_hash(&self.transcript))
         })?;
@@ -528,6 +532,13 @@ impl ServerHandshake {
         // PSK whose binder verifies.
         let mut early_data = None;
         let psk = if let Some(ticket_id) = ch.smt_ticket_id {
+            // The SMT-ticket exchange authenticates only the server: a server
+            // that requires a client certificate cannot complete it.
+            if config.require_client_auth {
+                return Err(CryptoError::handshake(
+                    "0-RTT ClientHello but this server requires a client certificate (mTLS)",
+                ));
+            }
             let Some(ZeroRttContext { issuer, replay }) = zero_rtt else {
                 return Err(CryptoError::handshake(
                     "0-RTT ClientHello but this endpoint has no ticket issuer",
@@ -619,8 +630,8 @@ impl ServerHandshake {
                 .max_message_size
                 .min(config.extensions.max_message_size),
         };
-        // The SMT-ticket exchange authenticates only the server.
-        let client_auth = config.require_client_auth && !smt_ticket;
+        // An SMT-ticket hello never gets here with mTLS required (above).
+        let client_auth = config.require_client_auth;
 
         // S2.4 — EncryptedExtensions and Certificate encoding.
         let (ee_msg, cert_msg) = timings.time(OpId::S2_4EeCertEncode, || {
@@ -961,6 +972,24 @@ mod tests {
             .resumption_psks
             .insert(7, Secret::from_slice(&[2u8; 32]).unwrap());
         assert!(establish(client_cfg, server_cfg).is_err());
+    }
+
+    #[test]
+    fn a_psk_the_server_does_not_know_falls_back_to_the_full_handshake() {
+        let (ca, server_id, _) = setup();
+        let mut client_cfg = ClientConfig::new(ca.verifying_key(), "server.dc.local");
+        client_cfg.resumption = Some(ClientResumption {
+            ticket_id: 99,
+            psk: Secret::from_slice(&[1u8; 32]).unwrap(),
+            forward_secrecy: false,
+        });
+        let server_cfg = ServerConfig::new(server_id, ca.verifying_key());
+        let (ck, sk) = establish(client_cfg, server_cfg).expect("full handshake");
+        assert!(!ck.resumed && !sk.resumed);
+        assert!(ck.forward_secret && sk.forward_secret);
+        assert_eq!(ck.peer_identity.as_deref(), Some("server.dc.local"));
+        assert!(ck.timings.get(OpId::C3_2VerifyCert).is_some());
+        check_keys_work(&ck, &sk);
     }
 
     #[test]

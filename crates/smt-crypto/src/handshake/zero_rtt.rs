@@ -276,6 +276,25 @@ mod tests {
     }
 
     #[test]
+    fn a_server_requiring_client_certificates_rejects_a_zero_rtt_hello() {
+        let (ca, issuer) = setup();
+        let mut replay = ReplayCache::new(16);
+        let flight = first_flight(ca.verifying_key(), issuer.ticket(0), 0).unwrap();
+        let mut config = ServerConfig::new(issuer.identity.clone(), ca.verifying_key());
+        config.require_client_auth = true;
+        let zero_rtt = Some(ZeroRttContext {
+            issuer: &issuer,
+            replay: &mut replay,
+        });
+        let Err(err) = ServerHandshake::respond(config, &flight, zero_rtt) else {
+            panic!("a 0-RTT hello carries no client certificate");
+        };
+        assert!(matches!(err, CryptoError::Handshake(_)), "{err}");
+        // Rejected before any key was derived or the replay cache consulted.
+        assert!(replay.is_empty());
+    }
+
+    #[test]
     fn replayed_client_hello_rejected() {
         let (ca, issuer) = setup();
         let mut replay = ReplayCache::new(1024);

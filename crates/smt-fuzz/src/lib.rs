@@ -219,8 +219,8 @@ fn check_packet_decode(buf: &[u8]) -> bool {
 
 fn fuzz_wire_packet(iters: u64, seed: u64) -> FuzzReport {
     let mut m = Mutator::new(seed);
-    // Valid corpus: MTU-split data packets, a control packet for each Homa
-    // control type, and an empty data packet.
+    // Valid corpus: MTU-split data packets, one of them again carrying an
+    // ACK, and a control packet for each Homa control type.
     let overlay = SmtOverlayHeader::data(40_001, 40_002, 7, 4000);
     let seg = TsoSegment::new(
         [10, 0, 0, 1],
@@ -230,6 +230,10 @@ fn fuzz_wire_packet(iters: u64, seed: u64) -> FuzzReport {
         bytes::Bytes::from(vec![0x5a; 4000]),
     );
     let mut corpus_packets = seg.packetize(smt_wire::DEFAULT_MTU).expect("packetize");
+    // A DATA packet carrying the ACK of a message its sender delivered.
+    let mut carrier = corpus_packets[0].clone();
+    carrier.overlay.options.ack = Some(0x8000_0007u32.to_be_bytes());
+    corpus_packets.push(carrier);
     let control = |ptype, payload| Packet {
         ip: IpHeader::V4(Ipv4Header::new(
             [10, 0, 0, 1],
@@ -340,6 +344,10 @@ fn fuzz_wire_overlay(iters: u64, seed: u64) -> FuzzReport {
                         connection_id: m.rng.gen(),
                         epoch: m.rng.gen(),
                         priority: m.rng.gen(),
+                        ack: m
+                            .rng
+                            .gen::<bool>()
+                            .then(|| m.rng.gen::<u32>().to_be_bytes()),
                     },
                 };
                 let mut buf = vec![0u8; SmtOverlayHeader::LEN];

@@ -774,8 +774,8 @@ pub fn run_scenario_app(
                 if let (Some(cpu), Some(before)) = (scenario.cpu, sealed_before) {
                     let records = endpoints[ep].records_sealed().saturating_sub(before);
                     if records > 0 {
-                        tx_at =
-                            cpu_free[ep].max(now) + cpu.seal_ns(s.size as u64, records).min(SECOND);
+                        tx_at = cpu_free[ep].max(now)
+                            + cpu.seal_ns(data.len() as u64, records).min(SECOND);
                         cpu_free[ep] = tx_at;
                     }
                 }

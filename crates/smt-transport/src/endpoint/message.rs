@@ -24,6 +24,25 @@
 //! is two map lengths, and a duplicate of a finished message is re-ACKed
 //! without bringing back state that would arm the timer.
 //!
+//! **ACKs ride on DATA.**  The ACK a handled packet earns (for a delivered
+//! message, or again for a duplicate of one) is held here, not sent: the next
+//! DATA packets this connection emits — first transmissions, RESEND answers
+//! and probes alike — carry the held ACKs, one per packet, in the overlay's
+//! acknowledgement word.  An ACK still held 1 ns after the instant it was
+//! earned leaves as an ACK packet.  So a reply or next request sent in the
+//! instant of delivery makes an RPC two packets, not four, and no ACK leaves
+//! more than 1 ns later than an immediate one would.  Held ACKs have a
+//! deadline of their own beside the recovery wake-up
+//! ([`RtoTimer::ack_deadline`]; the connection's timer fires at the earlier of
+//! the two), which an ACK that leaves on DATA takes with it, and a fire that
+//! only flushes ACKs is no recovery timeout.
+//! Holding pays only where replies leave in the instant of delivery; where
+//! they do not (a deferred reply, a burst the CPU charge stamps later,
+//! one-way traffic) it costs the driver a wake-up per message and saves no
+//! packet.  So a held ACK that had to leave on its own makes the connection
+//! send the ACKs after it at once, until DATA leaves in the instant an ACK
+//! was earned again.
+//!
 //! The underlying session numbers its messages from zero, while a 0-RTT
 //! early-data message consumed public ID 0 without ever entering the
 //! session.  The engine therefore keeps a send/receive ID offset (1 after
@@ -39,7 +58,7 @@ use smt_core::segment::PathInfo;
 use smt_core::NIC_QUEUES;
 use smt_crypto::handshake::SessionKeys;
 use smt_sim::Nanos;
-use smt_wire::Packet;
+use smt_wire::{Packet, PacketType};
 
 /// After a fire the next wake-up is the earliest due time among in-flight
 /// messages, but no sooner than the RTO over this: without a floor a
@@ -61,6 +80,14 @@ pub(crate) struct MessageEngine {
     /// Responses to handled packets and recovery traffic, until the next
     /// `poll_transmit` moves them out.
     outbox: Vec<Packet>,
+    /// Session IDs of the ACKs waiting for DATA to ride on, oldest first.
+    held_acks: Vec<u64>,
+    /// Whether ACKs wait for DATA (module docs): cleared when a held ACK had
+    /// to leave on its own, set again when DATA leaves in the instant an ACK
+    /// was earned.
+    hold_acks: bool,
+    /// The instant the last ACK was earned.
+    acked_at: Nanos,
     next_queue: usize,
 }
 
@@ -73,6 +100,9 @@ impl MessageEngine {
             tx_id_offset: 0,
             rx_id_offset: 0,
             outbox: Vec::new(),
+            held_acks: Vec::new(),
+            hold_acks: true,
+            acked_at: 0,
             next_queue: 0,
         }
     }
@@ -157,7 +187,16 @@ impl MessageEngine {
             .as_mut()
             .expect("the shell routes data once keyed");
         inner.set_clock(now, shell.rto.rto());
-        inner.handle_packet_into(datagram, &mut self.outbox);
+        inner.handle_packet_into(datagram, &mut self.outbox, Some(&mut self.held_acks));
+        if !self.held_acks.is_empty() {
+            self.acked_at = now;
+            if self.hold_acks {
+                shell.rto.ack_deadline.get_or_insert(now + 1);
+            } else {
+                let acks = self.held_acks.drain(..).map(|id| inner.ack_packet(id));
+                self.outbox.extend(acks);
+            }
+        }
         // Surface deliveries and acks.
         for m in inner.drain_delivered() {
             shell.events.push_back(Event::MessageDelivered {
@@ -179,12 +218,45 @@ impl MessageEngine {
     pub(crate) fn poll_transmit(&mut self, shell: &mut Shell, now: Nanos, out: &mut Vec<Packet>) {
         let Some(inner) = &mut self.inner else { return };
         inner.set_clock(now, shell.rto.rto());
+        let before = out.len();
         out.append(&mut self.outbox);
         inner.poll_transmit_into(out);
         // Transmitting (re)starts clocks; it cannot finish outstanding work.
         if let Some(due) = inner.take_wake_by() {
             shell.rto.arm_by(due);
         }
+        let is_data = |p: &Packet| p.overlay.tcp.packet_type == PacketType::Data;
+        // Held ACKs ride on the DATA leaving now, unless their instant is
+        // over: then the fire at their deadline sends them as they are.
+        if shell.rto.ack_deadline.is_some_and(|due| now <= due) {
+            let data = out[before..].iter_mut().filter(|p| is_data(p));
+            let mut carried = 0;
+            for (p, &id) in data.zip(&self.held_acks) {
+                p.overlay.options.ack = Some((id as u32).to_be_bytes());
+                carried += 1;
+            }
+            self.held_acks.drain(..carried);
+            if self.held_acks.is_empty() {
+                shell.rto.ack_deadline = None;
+            }
+        } else if !self.hold_acks && now == self.acked_at && out[before..].iter().any(is_data) {
+            // DATA follows a delivery in its instant again: the next ACK
+            // can wait for it.
+            self.hold_acks = true;
+        }
+    }
+
+    /// The held ACKs' deadline came: each leaves as an ACK packet, and the
+    /// ones earned after them leave at once.
+    pub(crate) fn flush_acks(&mut self, shell: &mut Shell, now: Nanos) {
+        if shell.rto.ack_deadline.is_none_or(|due| now < due) {
+            return;
+        }
+        let inner = self.inner.as_ref().expect("only a keyed engine holds ACKs");
+        self.outbox
+            .extend(self.held_acks.drain(..).map(|id| inner.ack_packet(id)));
+        shell.rto.ack_deadline = None;
+        self.hold_acks = false;
     }
 
     /// The timer fired with work outstanding.  Receiver side: request
@@ -301,12 +373,210 @@ mod tests {
         }
     }
 
-    fn smt_pair() -> (Endpoint, Endpoint) {
+    fn pair(stack: StackKind) -> (Endpoint, Endpoint) {
         let (ck, sk) = keys();
         Endpoint::builder()
-            .stack(StackKind::SmtSw)
+            .stack(stack)
             .pair(&ck, &sk, 4000, 5201)
             .unwrap()
+    }
+
+    fn smt_pair() -> (Endpoint, Endpoint) {
+        pair(StackKind::SmtSw)
+    }
+
+    const MESSAGE_STACKS: [StackKind; 3] = [StackKind::SmtSw, StackKind::SmtHw, StackKind::Homa];
+
+    /// `requests` echo RPCs at depth 1, each reply and each next request sent
+    /// in the instant the message before it was delivered, then the pair
+    /// driven to quiescence.  Returns the replies delivered and the requests
+    /// acknowledged.
+    fn echo(
+        client: &mut impl SecureEndpoint,
+        server: &mut impl SecureEndpoint,
+        link: &mut PairFabric,
+        requests: usize,
+    ) -> (usize, usize) {
+        let request = [5u8; 64];
+        client.send(&request, link.now()).unwrap();
+        let (mut sent, mut replies, mut acked) = (1, 0, 0);
+        while drive_pair(client, server, link, 1) > 0 {
+            let now = link.now();
+            for (_, data) in take_delivered(server) {
+                server.send(&data, now).unwrap();
+            }
+            while let Some(event) = client.poll_event() {
+                match event {
+                    Event::MessageDelivered { .. } => {
+                        replies += 1;
+                        if sent < requests {
+                            client.send(&request, now).unwrap();
+                            sent += 1;
+                        }
+                    }
+                    Event::MessageAcked(_) => acked += 1,
+                    _ => {}
+                }
+            }
+        }
+        (replies, acked)
+    }
+
+    fn is_ack(p: &Packet) -> bool {
+        p.overlay.tcp.packet_type == PacketType::Ack
+    }
+
+    #[test]
+    fn a_steady_echo_carries_every_ack_on_data() {
+        for stack in MESSAGE_STACKS {
+            let (client, server) = pair(stack);
+            let (mut client_acks, mut server_acks, mut carried) = (0, 0, 0);
+            let mut client = Tapped {
+                inner: client,
+                keep: |_, p: &Packet| {
+                    client_acks += usize::from(is_ack(p));
+                    carried += usize::from(p.overlay.options.ack.is_some());
+                    true
+                },
+            };
+            let mut server = Tapped {
+                inner: server,
+                keep: |_, p: &Packet| {
+                    server_acks += usize::from(is_ack(p));
+                    true
+                },
+            };
+            let mut link = PairFabric::reliable();
+            assert_eq!(echo(&mut client, &mut server, &mut link, 100), (100, 100));
+            // Two packets per RPC, plus the one ACK no request was left to
+            // carry: the last reply's.
+            assert_eq!(link.delivered(), 2 * 100 + 1, "{stack:?}");
+            assert_eq!(client.next_timeout(), None, "{stack:?}");
+            assert_eq!(server.next_timeout(), None, "{stack:?}");
+            let (client_stats, server_stats) = (client.stats(), server.stats());
+            assert_eq!(client_stats.timeouts_fired, 0, "{stack:?}");
+            assert_eq!(server_stats.timeouts_fired, 0, "{stack:?}");
+            assert_eq!(client_stats.retransmissions, 0, "{stack:?}");
+            drop((client, server));
+            assert_eq!((client_acks, server_acks), (1, 0), "{stack:?}");
+            assert_eq!(carried, 99, "{stack:?}: every later request carried one");
+        }
+    }
+
+    #[test]
+    fn a_one_way_message_is_acked_one_nanosecond_after_delivery() {
+        for stack in MESSAGE_STACKS {
+            for size in [64, 40_000] {
+                let (mut client, server) = pair(stack);
+                let mut acks_at = Vec::new();
+                let mut server = Tapped {
+                    inner: server,
+                    keep: |now, p: &Packet| {
+                        if is_ack(p) {
+                            acks_at.push(now);
+                        }
+                        true
+                    },
+                };
+                let mut link = PairFabric::reliable();
+                let id = client.send(&vec![9u8; size], 0).unwrap();
+                let mut delivered_at = None;
+                while drive_pair(&mut client, &mut server, &mut link, 1) > 0 {
+                    if !take_delivered(&mut server).is_empty() {
+                        delivered_at = Some(link.now());
+                    }
+                }
+                let acked = std::iter::from_fn(|| client.poll_event())
+                    .any(|e| e == Event::MessageAcked(id));
+                assert!(acked, "{stack:?} {size} B: the ACK released the send");
+                assert_eq!(client.next_timeout(), None, "{stack:?} {size} B");
+                assert_eq!(server.next_timeout(), None, "{stack:?} {size} B");
+                assert_eq!(client.stats().timeouts_fired, 0, "{stack:?} {size} B");
+                assert_eq!(server.stats().timeouts_fired, 0, "{stack:?} {size} B");
+                drop(server);
+                let delivered_at = delivered_at.expect("delivered");
+                assert_eq!(acks_at, [delivered_at + 1], "{stack:?} {size} B");
+            }
+        }
+    }
+
+    #[test]
+    fn an_ack_that_had_to_leave_alone_sends_the_next_at_once_until_an_echo() {
+        for stack in MESSAGE_STACKS {
+            let (mut client, server) = pair(stack);
+            let mut acks_at = Vec::new();
+            let mut server = Tapped {
+                inner: server,
+                keep: |now, p: &Packet| {
+                    if is_ack(p) {
+                        acks_at.push(now);
+                    }
+                    true
+                },
+            };
+            let mut link = PairFabric::reliable();
+            // Two one-way messages, then three echoes.
+            let mut delivered_at = Vec::new();
+            for _ in 0..2 {
+                client.send(&[1u8; 64], link.now()).unwrap();
+                while drive_pair(&mut client, &mut server, &mut link, 1) > 0 {
+                    if !take_delivered(&mut server).is_empty() {
+                        delivered_at.push(link.now());
+                    }
+                }
+            }
+            let acked = std::iter::from_fn(|| client.poll_event())
+                .filter(|e| matches!(e, Event::MessageAcked(_)))
+                .count();
+            assert_eq!(acked, 2, "{stack:?}");
+            assert_eq!(echo(&mut client, &mut server, &mut link, 3), (3, 3));
+            assert_eq!(server.stats().timeouts_fired, 0, "{stack:?}");
+            drop(server);
+            // The first ACK waited its 1 ns in vain, so the second left at
+            // once, and so did the first echo's; its reply left in that
+            // instant, and the other two requests' ACKs rode on replies.
+            assert_eq!(acks_at.len(), 3, "{stack:?}: {acks_at:?}");
+            assert_eq!(
+                acks_at[..2],
+                [delivered_at[0] + 1, delivered_at[1]],
+                "{stack:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lost_data_packet_carrying_an_ack_is_recovered_by_a_probe_and_the_re_ack() {
+        for stack in MESSAGE_STACKS {
+            let (client, server) = pair(stack);
+            let mut lost = 0;
+            let mut server = Tapped {
+                inner: server,
+                keep: |_, p: &Packet| {
+                    if p.overlay.options.ack.is_some() && lost == 0 {
+                        lost += 1;
+                        return false;
+                    }
+                    true
+                },
+            };
+            let mut client = client;
+            let mut link = PairFabric::reliable();
+            // The reply, and the request's ACK riding on it, are lost; the
+            // re-ACK releases the request all the same.
+            assert_eq!(echo(&mut client, &mut server, &mut link, 1), (1, 1));
+            assert_eq!(client.next_timeout(), None, "{stack:?}");
+            assert_eq!(server.next_timeout(), None, "{stack:?}");
+            // Each end probed once: the client its request, whose duplicate
+            // drew the re-ACK, and the server its reply.
+            let (client_stats, server_stats) = (client.stats(), server.stats());
+            assert_eq!(client_stats.timeouts_fired, 1, "{stack:?}");
+            assert_eq!(server_stats.timeouts_fired, 1, "{stack:?}");
+            assert_eq!(server_stats.replays_rejected, 1, "{stack:?}");
+            assert_eq!(server_stats.messages_delivered, 1, "{stack:?}");
+            assert_eq!(client_stats.messages_delivered, 1, "{stack:?}");
+            drop(server);
+            assert_eq!(lost, 1, "{stack:?}");
+        }
     }
 
     #[test]

@@ -198,7 +198,10 @@ pub trait SecureEndpoint {
 
     /// Processes one packet received from the wire at virtual time `now`.
     /// Responses (ACKs, GRANTs, retransmissions) are queued internally and
-    /// surface on the next [`poll_transmit`](Self::poll_transmit); deliveries
+    /// surface on the next [`poll_transmit`](Self::poll_transmit) — except a
+    /// message stack's ACK, which rides on the next DATA the endpoint sends
+    /// in that instant, or else leaves at the deadline
+    /// [`next_timeout`](Self::next_timeout) reports 1 ns later; deliveries
     /// surface as [`Event`]s.  Recoverable conditions (loss-damaged, replayed
     /// or unauthenticated packets on message stacks) are absorbed; a fatal
     /// error (stream cipher desync) is returned *and* emitted as
@@ -215,7 +218,8 @@ pub trait SecureEndpoint {
 
     /// The absolute virtual time of the endpoint's retransmission deadline,
     /// if it has outstanding work (unacknowledged sends, incomplete
-    /// receives).  `None` means the endpoint is quiescent and needs no timer.
+    /// receives, ACKs held for DATA to carry).  `None` means the endpoint is
+    /// quiescent and needs no timer.
     fn next_timeout(&self) -> Option<Nanos>;
 
     /// Fires the retransmission timer at virtual time `now`: the endpoint
@@ -686,7 +690,10 @@ pub(crate) mod tests {
             for p in &data {
                 s.handle_datagram(p, 1_000).unwrap();
             }
-            s.poll_transmit(1_000, &mut acks);
+            // With no DATA to carry it, the ACK leaves at its deadline.
+            let due = s.next_timeout().expect("the held ACK");
+            s.on_timeout(due);
+            s.poll_transmit(due, &mut acks);
             for p in &acks {
                 c.handle_datagram(p, 2_000).unwrap();
             }

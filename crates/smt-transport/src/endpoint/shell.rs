@@ -20,7 +20,9 @@
 //!   to arm, restart or disarm stays engine policy: the stream engine
 //!   restarts it on cumulative progress and backs it off per fire; for the
 //!   message engine it is a wake-up for the earliest of its per-message
-//!   recovery clocks, which an arrival never extends.
+//!   recovery clocks, which an arrival never extends.  The message engine's
+//!   held ACKs carry a deadline of their own beside it, and the connection's
+//!   timer fires at the earlier of the two.
 //! * **Statistics** — the connection's one [`EndpointStats`].  The handshake
 //!   driver and the engines increment it where the event happens; counters
 //!   kept by `SmtSession` / `HomaEndpoint` (public APIs in their own right)
@@ -65,6 +67,10 @@ pub(crate) struct RtoTimer {
     /// message engine reads it on every call, to tell its transport.
     rto_ns: Nanos,
     deadline: Option<Nanos>,
+    /// When the message engine's held ACKs leave as ACK packets, if no DATA
+    /// carries them first: a second deadline beside the recovery one, which
+    /// the connection's timer also fires at.
+    pub(crate) ack_deadline: Option<Nanos>,
 }
 
 impl RtoTimer {
@@ -74,6 +80,7 @@ impl RtoTimer {
             backoff: 0,
             rto_ns: INITIAL_RTO_NS,
             deadline: None,
+            ack_deadline: None,
         }
     }
 
@@ -92,6 +99,15 @@ impl RtoTimer {
 
     pub(crate) fn deadline(&self) -> Option<Nanos> {
         self.deadline
+    }
+
+    /// The earlier of the recovery and the held-ACK deadlines: when the
+    /// connection's timer fires.
+    fn next(&self) -> Option<Nanos> {
+        match (self.deadline, self.ack_deadline) {
+            (Some(recovery), Some(acks)) => Some(recovery.min(acks)),
+            (recovery, acks) => recovery.or(acks),
+        }
     }
 
     /// (Re)starts the timer one full period from `now`.
@@ -579,7 +595,7 @@ impl SecureEndpoint for Endpoint {
             return None;
         }
         let hs = self.shell.hs.as_ref().and_then(|h| h.next_timeout());
-        [hs, self.shell.rto.deadline()].into_iter().flatten().min()
+        [hs, self.shell.rto.next()].into_iter().flatten().min()
     }
 
     fn on_timeout(&mut self, now: Nanos) {
@@ -589,6 +605,9 @@ impl SecureEndpoint for Endpoint {
         }
         if let Some(hs) = &mut shell.hs {
             hs.on_timeout(now, &mut shell.stats);
+        }
+        if let Engine::Message(m) = &mut self.engine {
+            m.flush_acks(shell, now);
         }
         if shell.rto.deadline().is_none_or(|deadline| now < deadline) {
             return; // Not armed, or an early tick.

@@ -15,7 +15,13 @@
 //!   segments included, and delivery releases the receiver's.  All that
 //!   outlives a message is its ID in the session's bounded replay guard,
 //!   which is what lets a duplicate of a delivered message be re-ACKed
-//!   without resurrecting any state;
+//!   without resurrecting any state.  This endpoint answers a delivery with
+//!   an ACK packet at once; a caller may instead take the ACKed IDs and carry
+//!   each on a later DATA packet to the same peer, in the overlay's
+//!   acknowledgement word ([`SmtOptionArea::ack`]), as Homa/Linux does.
+//!   A carried ACK is applied before its packet's payload, through the same
+//!   release as an ACK packet.  An ACK for a message whose packets have not
+//!   all been sent once cannot be genuine and is dropped as malformed;
 //! * encryption, reassembly and replay rejection come from the SMT session.
 //!
 //! **A sender keeps segments, not packets.**  `send_message` seals the message
@@ -31,8 +37,8 @@
 //! first transmissions out: `send_message` (the unscheduled prefix) and a
 //! GRANT that raises a window past what was sent.  Each puts the message in
 //! an ordered ready set beside the send state; `poll_transmit` drains exactly
-//! that set, in ascending message ID, and an ACK takes a message out of it
-//! with its state.  With 64 RPCs outstanding a poll therefore walks the one
+//! that set, in ascending message ID; a message is out of it before its ACK
+//! can be genuine.  With 64 RPCs outstanding a poll therefore walks the one
 //! or two messages a packet just granted, not all 64.
 //!
 //! Simplifications relative to Homa/Linux, documented here and in DESIGN.md: the
@@ -72,6 +78,7 @@ use smt_wire::{
     HomaAck, HomaGrant, HomaResend, OverlayTcpHeader, Packet, PacketPayload, PacketType,
     SmtOptionArea, SmtOverlayHeader, TsoSegment,
 };
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -293,7 +300,8 @@ pub struct HomaEndpoint {
     /// Data packets retransmitted (RESEND-triggered plus sender-timeout).
     retransmitted_packets: u64,
     /// Received packets the session rejected (failed authentication or
-    /// malformed) and this endpoint therefore dropped.
+    /// malformed) and this endpoint therefore dropped, plus ACKs, standalone
+    /// or carried, that could not be genuine.
     recv_errors: u64,
     /// Incomplete receives abandoned: RESEND give-up plus cap evictions.
     recv_state_evictions: u64,
@@ -440,7 +448,8 @@ impl HomaEndpoint {
         self.retransmitted_packets
     }
 
-    /// Received packets the session rejected and this endpoint dropped.
+    /// Received packets the session rejected and this endpoint dropped, plus
+    /// ACKs for messages not yet sent in full.
     pub fn recv_errors(&self) -> u64 {
         self.recv_errors
     }
@@ -577,18 +586,48 @@ impl HomaEndpoint {
         }
     }
 
+    /// An ACK packet for message `message_id`.
+    pub(crate) fn ack_packet(&self, message_id: u64) -> Packet {
+        self.control_packet(
+            PacketPayload::Ack(HomaAck { message_id }),
+            PacketType::Ack,
+            message_id,
+        )
+    }
+
+    /// Acknowledges message `id`: an ACK packet into `out`, or, for a caller
+    /// that carries ACKs on its DATA, the ID into `held`.
+    fn acknowledge(&self, id: u64, out: &mut Vec<Packet>, held: Option<&mut Vec<u64>>) {
+        match held {
+            Some(held) => held.push(id),
+            None => out.push(self.ack_packet(id)),
+        }
+    }
+
     /// Handles one received packet, possibly emitting control packets (GRANT /
     /// ACK) or retransmissions in response, and recording delivered messages.
     pub fn handle_packet(&mut self, packet: &Packet) -> Vec<Packet> {
         let mut out = Vec::new();
-        self.handle_packet_into(packet, &mut out);
+        self.handle_packet_into(packet, &mut out, None);
         out
     }
 
     /// [`Self::handle_packet`], the responses appended to the caller's buffer.
-    pub(crate) fn handle_packet_into(&mut self, packet: &Packet, out: &mut Vec<Packet>) {
+    /// With `held`, the ACKs the packet earns are not built: their message
+    /// IDs go there, one per ACK, for the caller to carry on later DATA.
+    pub(crate) fn handle_packet_into(
+        &mut self,
+        packet: &Packet,
+        out: &mut Vec<Packet>,
+        mut held: Option<&mut Vec<u64>>,
+    ) {
         match packet.overlay.tcp.packet_type {
             PacketType::Data => {
+                // The ACK the peer carried first: it is independent of the
+                // payload, which may yet fail to authenticate.
+                if let Some(low) = packet.overlay.options.ack {
+                    self.apply_carried_ack(u32::from_be_bytes(low));
+                }
                 // Geometry sanity before any state is allocated: a data
                 // packet whose segment offset lies outside the message it
                 // claims to belong to is forged or corrupt, and tracking it
@@ -644,11 +683,7 @@ impl HomaEndpoint {
                         let id = message.message_id;
                         self.delivered.push(message);
                         self.recvs.remove(&id);
-                        out.push(self.control_packet(
-                            PacketPayload::Ack(HomaAck { message_id: id }),
-                            PacketType::Ack,
-                            id,
-                        ));
+                        self.acknowledge(id, out, held.as_deref_mut());
                         // The finished message freed grant slots and backlog
                         // budget: re-rank the survivors now, or a message
                         // whose granted data fully arrived would stall until
@@ -684,11 +719,7 @@ impl HomaEndpoint {
                 // never an ID the replay guard merely skipped: that would
                 // tell the sender a message arrived that never did.
                 if finished && self.session.was_delivered(message_id) {
-                    out.push(self.control_packet(
-                        PacketPayload::Ack(HomaAck { message_id }),
-                        PacketType::Ack,
-                        message_id,
-                    ));
+                    self.acknowledge(message_id, out, held);
                 }
             }
             PacketType::Grant => {
@@ -737,22 +768,45 @@ impl HomaEndpoint {
             }
             PacketType::Ack => {
                 if let PacketPayload::Ack(a) = &packet.payload {
-                    // Releases the send state, retained segments included; a
-                    // duplicate ACK finds nothing and reports nothing.
-                    if let Some(send) = self.sends.remove(&a.message_id) {
-                        if let Ok(at) = self.ready.binary_search(&a.message_id) {
-                            self.ready.remove(at);
-                        }
-                        self.acked.push(a.message_id);
-                        self.rtt_sample = (!send.retransmitted)
-                            .then(|| self.time.now.saturating_sub(send.first_sent_at));
-                        if self.rtt_sample.is_some() {
-                            self.time.backed_off = 0;
-                        }
-                    }
+                    self.release(a.message_id);
                 }
             }
             PacketType::Control | PacketType::Sack => {}
+        }
+    }
+
+    /// Applies an ACK carried on DATA.  `low` is the acknowledged ID's low 32
+    /// bits; the rest come from the in-flight window, every unacknowledged ID
+    /// lying less than 2^32 above the oldest.  Nothing in flight, or no send
+    /// at the resolved ID, makes it a duplicate.
+    fn apply_carried_ack(&mut self, low: u32) {
+        if let Some(&oldest) = self.sends.keys().next() {
+            self.release(oldest + u64::from(low.wrapping_sub(oldest as u32)));
+        }
+    }
+
+    /// What an ACK naming `message_id` does, standalone or carried: releases
+    /// the send state, retained segments included; a duplicate ACK finds
+    /// nothing and reports nothing.  An ACK for a message whose packets have
+    /// not all been sent once cannot be genuine — the receiver cannot have
+    /// delivered it — and is dropped as malformed: honoring it would lose the
+    /// message mid-transfer, its RESENDs finding no send state.
+    fn release(&mut self, message_id: u64) {
+        let Entry::Occupied(entry) = self.sends.entry(message_id) else {
+            return;
+        };
+        if entry.get().sent < entry.get().packets {
+            self.recv_errors += 1;
+            return;
+        }
+        // Sent in full, so not in the ready set either.
+        let send = entry.remove();
+        debug_assert!(self.ready.binary_search(&message_id).is_err());
+        self.acked.push(message_id);
+        self.rtt_sample =
+            (!send.retransmitted).then(|| self.time.now.saturating_sub(send.first_sent_at));
+        if self.rtt_sample.is_some() {
+            self.time.backed_off = 0;
         }
     }
 
@@ -1658,6 +1712,7 @@ mod tests {
             });
             send.sent = end;
         }
+        ep.ready.clear();
         out
     }
 
@@ -1763,6 +1818,70 @@ mod tests {
             assert_eq!(peak, depth, "{stack:?} seed {seed}: reached its depth");
             assert!(emitted > 0, "{stack:?} seed {seed}");
         }
+    }
+
+    #[test]
+    fn an_ack_for_a_message_not_yet_sent_in_full_is_ignored_as_malformed() {
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i % 229) as u8).collect();
+        let id = a.send_message(&data, 0).unwrap();
+        let forged = from_peer(&a, PacketPayload::Ack(HomaAck { message_id: id }), id);
+        // Nothing sent yet, then only the unscheduled prefix: a forged ACK
+        // packet releases nothing ...
+        assert!(a.handle_packet(&forged).is_empty());
+        let prefix = a.poll_transmit();
+        assert_eq!(prefix.len(), UNSCHEDULED_PACKETS);
+        assert!(a.handle_packet(&forged).is_empty());
+        // ... nor does one carried on the peer's DATA, whose payload is still
+        // delivered.
+        b.send_message(b"carrier", 0).unwrap();
+        let mut carrier = b.poll_transmit();
+        carrier[0].overlay.options.ack = Some((id as u32).to_be_bytes());
+        a.handle_packet(&carrier[0]);
+        assert_eq!(a.take_delivered()[0].data, b"carrier");
+        assert_eq!(a.pending_sends(), 1);
+        assert!(a.take_acked().is_empty());
+        assert_eq!(a.recv_errors(), 3, "each counted as malformed");
+        assert_eq!(a.session().receiver_stats().auth_failures, 0);
+        // The transfer goes on and the genuine ACK releases it.
+        let mut ab = LossyChannel::reliable();
+        let mut ba = LossyChannel::reliable();
+        ab.push(prefix);
+        drive(&mut a, &mut b, &mut ab, &mut ba, 200);
+        assert_eq!(b.take_delivered()[0].data, data);
+        assert_eq!(a.take_acked(), [id]);
+        assert_eq!(a.pending_sends(), 0);
+    }
+
+    #[test]
+    fn a_carried_ack_releases_what_an_ack_packet_would() {
+        let (mut a, mut b) = pair(StackKind::SmtSw, HomaConfig::default());
+        a.set_clock(0, PERIOD);
+        let ids: Vec<u64> = (0..3)
+            .map(|i| a.send_message(&[i; 100], 0).unwrap())
+            .collect();
+        for p in a.poll_transmit() {
+            b.handle_packet(&p);
+        }
+        assert_eq!(b.take_delivered().len(), 3);
+        // The peer carries the ACK of the middle one, alone, on its DATA.
+        b.send_message(b"reply", 0).unwrap();
+        let mut reply = b.poll_transmit();
+        reply[0].overlay.options.ack = Some((ids[1] as u32).to_be_bytes());
+        a.set_clock(7_000, PERIOD);
+        a.handle_packet(&reply[0]);
+        assert_eq!(a.take_acked(), [ids[1]]);
+        assert_eq!(a.take_rtt_sample(), Some(7_000));
+        assert_eq!(a.pending_sends(), 2);
+        // Again, as a duplicate: nothing in flight answers to it.
+        a.handle_packet(&reply[0]);
+        assert!(a.take_acked().is_empty());
+        assert_eq!(a.recv_errors(), 0);
+        assert_eq!(
+            a.take_delivered().len(),
+            1,
+            "the duplicate was not delivered"
+        );
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! or the host stack can perform message-granularity operations (multi-path load
 //! balancing, per-message CPU-core steering, in-network compute) without touching
 //! the encrypted payload.
+//!
+//! One per-*packet* field rides in the TCP common header: a DATA packet may carry
+//! the acknowledgement of a message its sender delivered, in the
+//! acknowledgement-number word Fig. 3 leaves unused ([`SmtOptionArea::ack`]).  TSO
+//! replicates that word verbatim too, so the transport sets it on the packet it
+//! cuts from a segment, never on the segment.
 
 use crate::homa::PacketType;
 use crate::{WireError, WireResult, SMT_OPTION_AREA_LEN, TCP_COMMON_HEADER_LEN};
@@ -19,9 +25,11 @@ use serde::{Deserialize, Serialize};
 
 /// The 20-byte TCP common header that SMT overlays.
 ///
-/// Only the fields SMT actually uses are modelled; the sequence/acknowledgement
-/// number words are "unused" on the wire (Fig. 3) and are left zero, except that
-/// the data-offset field must cover the option area so that TSO replicates it.
+/// Only the fields SMT actually uses are modelled.  The sequence-number word is
+/// unused on the wire (Fig. 3) and left zero; the data-offset field must cover
+/// the option area so that TSO replicates it.  The acknowledgement-number word
+/// carries [`SmtOptionArea::ack`], valid (like TCP's) only when a flag bit says
+/// so: bit 0 of the data-offset byte's low nibble, which TCP leaves reserved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OverlayTcpHeader {
     /// Source port (part of the session's 5-tuple).
@@ -35,7 +43,8 @@ pub struct OverlayTcpHeader {
 /// The SMT option area carried in the TCP options space (36 bytes).
 ///
 /// TSO copies this area verbatim onto every generated packet, so it may only
-/// contain per-*segment* (not per-packet) information.
+/// contain per-*segment* (not per-packet) information — but for
+/// [`ack`](Self::ack), which the wire carries in the TCP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SmtOptionArea {
     /// Message identifier, unique within the secure session (§4.4.1).
@@ -70,6 +79,16 @@ pub struct SmtOptionArea {
     /// unscheduled data and control).  Carried in the first former-padding
     /// byte of the option area so TSO replicates it per segment.
     pub priority: u8,
+    /// The ACK a DATA packet carries, if any: the low 32 bits of a message ID
+    /// its sender delivered, big-endian, which the receiver applies exactly as
+    /// an ACK packet naming that ID, taking the high bits from its own
+    /// in-flight window.  Plaintext, as the ACK packet it replaces is.  Per
+    /// packet, not per segment, and not part of the 36-byte area on the wire:
+    /// it is the TCP header's acknowledgement-number word.  It is held here, as
+    /// bytes, because this struct's spare room is the only place it costs a
+    /// [`crate::Packet`] nothing — every packet move on both engines' paths
+    /// pays for a larger one.
+    pub ack: Option<[u8; 4]>,
 }
 
 impl SmtOptionArea {
@@ -96,6 +115,7 @@ impl SmtOptionArea {
             connection_id: 0,
             epoch: 0,
             priority: 0,
+            ack: None,
         }
     }
 
@@ -113,6 +133,9 @@ pub struct SmtOverlayHeader {
     /// The SMT option area in the TCP options space.
     pub options: SmtOptionArea,
 }
+
+/// Bit of the data-offset byte saying the acknowledgement word is valid.
+const ACK_VALID: u8 = 0x01;
 
 /// Total encoded length of [`SmtOverlayHeader`].
 pub const SMT_OVERLAY_LEN: usize = TCP_COMMON_HEADER_LEN + SMT_OPTION_AREA_LEN;
@@ -164,11 +187,19 @@ impl SmtOverlayHeader {
         // --- TCP common header (20 bytes) -----------------------------------
         out[0..2].copy_from_slice(&self.tcp.src_port.to_be_bytes());
         out[2..4].copy_from_slice(&self.tcp.dst_port.to_be_bytes());
-        // Sequence (4 B) and acknowledgement (4 B) words are unused: zero.
-        out[4..12].fill(0);
-        // Data offset: (20 + options) / 4 words, in the upper nibble.
+        // Sequence word (4 B) unused: zero.
+        out[4..8].fill(0);
+        // Acknowledgement word (4 B): the carried ACK, zero without one.
+        out[8..12].copy_from_slice(&self.options.ack.unwrap_or_default());
+        // Data offset: (20 + options) / 4 words, in the upper nibble; the
+        // lower nibble's bit 0 says the acknowledgement word is valid.
         let data_offset_words = (SMT_OVERLAY_LEN / 4) as u8;
-        out[12] = data_offset_words << 4;
+        let ack_valid = if self.options.ack.is_some() {
+            ACK_VALID
+        } else {
+            0
+        };
+        out[12] = (data_offset_words << 4) | ack_valid;
         // Packet type rides where TCP keeps flags.
         out[13] = self.tcp.packet_type as u8;
         // Window (2 B) unused.
@@ -227,6 +258,7 @@ impl SmtOverlayHeader {
             connection_id: u32::from_be_bytes(o[28..32].try_into().unwrap()),
             epoch: u16::from_be_bytes(o[32..34].try_into().unwrap()),
             priority: o[34],
+            ack: (buf[12] & ACK_VALID != 0).then(|| buf[8..12].try_into().unwrap()),
         };
         let hdr = Self {
             tcp: OverlayTcpHeader {
@@ -267,6 +299,32 @@ mod tests {
         assert_eq!(consumed, n);
         assert_eq!(d, h);
         assert!(d.options.is_retransmission());
+    }
+
+    #[test]
+    fn a_carried_ack_round_trips_in_the_acknowledgement_word() {
+        for ack in [None, Some(0), Some(1), Some(0x8000_0001), Some(u32::MAX)] {
+            let mut h = sample();
+            h.options.ack = ack.map(u32::to_be_bytes);
+            let mut buf = [0u8; 64];
+            h.encode(&mut buf).unwrap();
+            assert_eq!(buf[8..12], ack.unwrap_or(0).to_be_bytes(), "{ack:?}");
+            assert_eq!((buf[12] >> 4) as usize * 4, SMT_OVERLAY_LEN, "{ack:?}");
+            // Nothing of the 36-byte option area moved.
+            let mut without = [0u8; 64];
+            sample().encode(&mut without).unwrap();
+            assert_eq!(
+                buf[TCP_COMMON_HEADER_LEN..],
+                without[TCP_COMMON_HEADER_LEN..]
+            );
+            assert_eq!(SmtOverlayHeader::decode(&buf).unwrap().0, h, "{ack:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_packet_stays_two_cache_lines() {
+        assert_eq!(std::mem::size_of::<crate::Packet>(), 128);
     }
 
     #[test]

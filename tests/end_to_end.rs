@@ -208,6 +208,10 @@ fn an_on_path_observer_sees_only_the_overlay_fields() {
             wire.push(p);
         }
     }
+    // No DATA carried the server's ACK: it leaves at its deadline.
+    let due = s.next_timeout().expect("the held ACK");
+    s.on_timeout(due);
+    s.poll_transmit(due, &mut wire);
     let windows: std::collections::HashSet<&[u8]> = secret.windows(16).collect();
     for p in &wire {
         let mut bytes = vec![0u8; p.wire_len()];
@@ -220,9 +224,9 @@ fn an_on_path_observer_sees_only_the_overlay_fields() {
             p.overlay.tcp.packet_type
         );
         let (seen, _) = Packet::decode(&bytes).unwrap();
-        // ... and the overlay carries exactly the type, message ID and length,
-        // offsets, connection ID, epoch and priority; every other option
-        // field holds its fixed value.
+        // ... and the overlay carries exactly the type, a carried ACK, message
+        // ID and length, offsets, connection ID, epoch and priority; every
+        // other option field holds its fixed value.
         let o = seen.overlay.options;
         let mut only = SmtOptionArea::new(o.message_id, o.message_length);
         only.tso_offset = o.tso_offset;
@@ -231,6 +235,7 @@ fn an_on_path_observer_sees_only_the_overlay_fields() {
         only.epoch = o.epoch;
         only.priority = o.priority;
         let (src_port, dst_port) = (seen.overlay.tcp.src_port, seen.overlay.tcp.dst_port);
+        only.ack = o.ack;
         let header = SmtOverlayHeader {
             tcp: OverlayTcpHeader::new(src_port, dst_port, seen.overlay.tcp.packet_type),
             options: only,

@@ -70,12 +70,12 @@ const GOLDEN: &[(&str, bool, Row)] = &[
     ("kTLS-hw", true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
     ("TCPLS", false, (0x85f769736906008b, 57, 8, 588904, 526080)),
     ("TCPLS", true, (0xc1347fbc74e50266, 279, 4, 776112, 526080)),
-    ("Homa", false, (0x74629368d82d758c, 0, 0, 559008, 524288)),
-    ("Homa", true, (0x145fe8bb59f32937, 37, 10, 605846, 524288)),
-    ("SMT-sw", false, (0x0d71dfc97e853812, 0, 0, 560672, 525952)),
-    ("SMT-sw", true, (0x39c8058da43bd842, 37, 10, 607666, 525952)),
-    ("SMT-hw", false, (0x0d71dfc97e853812, 0, 0, 560672, 525952)),
-    ("SMT-hw", true, (0x39c8058da43bd842, 37, 10, 607666, 525952)),
+    ("Homa", false, (0xc5e5f56392d35a2a, 0, 0, 559008, 524288)),
+    ("Homa", true, (0x76a02891fb1f7dce, 37, 10, 605846, 524288)),
+    ("SMT-sw", false, (0x19697af1ea17179c, 0, 0, 560672, 525952)),
+    ("SMT-sw", true, (0x3582926377811903, 37, 10, 607666, 525952)),
+    ("SMT-hw", false, (0x19697af1ea17179c, 0, 0, 560672, 525952)),
+    ("SMT-hw", true, (0x3582926377811903, 37, 10, 607666, 525952)),
 ];
 
 /// Every `(stack, lossy)` combination, in table order.
@@ -153,8 +153,8 @@ fn measure_leaf_spine(stack: StackKind, lossy: bool) -> SpineRow {
 /// in-flight packets into a slab.  One row per line, as `print_table` prints.
 #[rustfmt::skip]
 const GOLDEN_LEAF_SPINE: &[(&str, bool, SpineRow)] = &[
-    ("SMT-sw", false, (0x84db6c8424bb969e, 524, 123, 997360, 788928, 433, 0, 0, 0)),
-    ("SMT-sw", true, (0x2e47b0ab4cda4525, 521, 141, 1039554, 788928, 386, 0, 11, 0)),
+    ("SMT-sw", false, (0x28c762ebfe3af92b, 524, 123, 997360, 788928, 433, 0, 0, 0)),
+    ("SMT-sw", true, (0xbb1251f53da80553, 521, 141, 1039554, 788928, 386, 0, 11, 0)),
     ("kTLS-sw", false, (0x5de91002bb7749ad, 861, 14, 1003419, 789120, 672, 967, 0, 0)),
     ("kTLS-sw", true, (0xfb21afdb16a38338, 922, 18, 1064879, 789120, 663, 970, 16, 0)),
 ];

@@ -214,11 +214,6 @@ impl Adversary {
         }
     }
 
-    /// The configuration this adversary was built from.
-    pub fn config(&self) -> AdversaryConfig {
-        self.config
-    }
-
     /// Observes one outgoing flight from `src` at time `now`, scheduling
     /// forged injections.  Inside the stall window the flight is withheld
     /// (drained from `packets`) and re-scheduled verbatim for the window's

@@ -1,4 +1,4 @@
-//! The discrete-event core: a virtual clock and a deterministic event queue.
+//! The discrete-event core: a deterministic event queue and the trace digest.
 //!
 //! Everything in `smt_sim::net` advances on simulated time only.  The queue is
 //! a binary heap ordered by `(time, sequence)` — the sequence number breaks
@@ -8,33 +8,6 @@
 use crate::time::Nanos;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// A monotonic virtual clock.
-///
-/// The clock only moves forward: [`advance_to`](Self::advance_to) with a time
-/// in the past is a no-op, so event handlers can pass the timestamp of the
-/// event they are processing without worrying about reordering.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Clock {
-    now: Nanos,
-}
-
-impl Clock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Moves the clock forward to `t` (never backward).
-    pub fn advance_to(&mut self, t: Nanos) {
-        self.now = self.now.max(t);
-    }
-}
 
 #[derive(Debug)]
 struct Scheduled<T> {
@@ -106,16 +79,6 @@ impl<T> EventQueue<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.heap.iter().map(|s| &s.event)
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// An order-sensitive FNV-1a trace hasher.
@@ -172,15 +135,7 @@ mod tests {
         assert_eq!(q.next_at(), Some(5));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![(5, "z"), (10, "a"), (50, "b"), (50, "c")]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut c = Clock::new();
-        c.advance_to(100);
-        c.advance_to(40);
-        assert_eq!(c.now(), 100);
+        assert_eq!(q.next_at(), None);
     }
 
     #[test]

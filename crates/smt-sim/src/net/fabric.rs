@@ -266,11 +266,6 @@ impl FaultyLink {
         Self::new(FaultConfig::none())
     }
 
-    /// The configuration this link was built from.
-    pub fn config(&self) -> FaultConfig {
-        self.config
-    }
-
     /// Decides the fate of one packet.
     pub fn admit(&mut self) -> Admission {
         let c = self.config;
@@ -574,16 +569,6 @@ impl Fabric {
             queue: EventQueue::new(),
             stats: FabricStats::default(),
         }
-    }
-
-    /// The link parameters all hosts share.
-    pub fn link(&self) -> LinkConfig {
-        self.link
-    }
-
-    /// The fabric's switching topology.
-    pub fn topology(&self) -> Topology {
-        self.topology
     }
 
     /// Queue index of a leaf↔spine link.

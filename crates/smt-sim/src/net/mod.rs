@@ -5,9 +5,9 @@
 //! drive loop cannot express.  This module family is the scenario machine
 //! (DESIGN.md §4):
 //!
-//! * [`event`] — the deterministic core: a virtual [`Clock`], a binary-heap
-//!   [`EventQueue`] ordered by `(time, sequence)`, and the [`TraceHash`]
-//!   digest the determinism tests compare;
+//! * [`event`] — the deterministic core: a binary-heap [`EventQueue`]
+//!   ordered by `(time, sequence)` and the [`TraceHash`] digest the
+//!   determinism tests compare;
 //! * [`fabric`] — a multi-host big-switch fabric of queued links (bandwidth,
 //!   propagation, finite tail-drop buffers) with one seeded [`FaultyLink`]
 //!   fault model (loss / reordering / duplication) shared with the
@@ -18,8 +18,11 @@
 //!   stall window (the chaos suite's substrate);
 //! * [`workload`] — open-loop generators: Poisson arrivals over the paper's
 //!   message-size mixes, N→1 incast, all-to-all mesh;
+//! * [`driver`] — the one event loop: a resumable [`Driver`] stepping the
+//!   endpoints a harness hosts ([`Hosts`]) over the fabric, with one rule for
+//!   what an event is and when the clock moves;
 //! * [`scenario`] — the [`SimEndpoint`] hosting contract, the [`Scenario`]
-//!   description and the [`run_scenario`] event loop producing a
+//!   description and the [`run_scenario`] runner producing a
 //!   [`ScenarioReport`] ([`LatencySummary`] percentiles, goodput, the
 //!   endpoints' [`EndpointStats`] folded into one, trace hash).
 //!
@@ -29,13 +32,15 @@
 //! virtual.
 
 pub mod adversary;
+pub mod driver;
 pub mod event;
 pub mod fabric;
 pub mod scenario;
 pub mod workload;
 
 pub use adversary::{Adversary, AdversaryConfig, AdversaryStats};
-pub use event::{Clock, EventQueue, TraceHash};
+pub use driver::{Driver, Hosts};
+pub use event::{EventQueue, TraceHash};
 pub use fabric::{
     Admission, EcnConfig, Fabric, FabricStats, FaultConfig, FaultStats, FaultyLink, HostId,
     LeafSpineConfig, LinkConfig, PortId, Topology,

@@ -5,9 +5,10 @@
 //! time-sorted list of [`ScheduledSend`]s) and the network conditions
 //! ([`LinkConfig`] + [`FaultConfig`]).  [`run_scenario`] couples it to a set
 //! of [`SimEndpoint`]s — two per flow, the real `smt-transport` engines in
-//! production use — and runs the discrete-event loop: workload sends, packet
-//! arrivals and retransmission timers, all on the virtual clock, until traffic
-//! quiesces or the event budget runs out.
+//! production use — and steps them on the one [`Driver`] every harness
+//! shares, bringing in the workload sends, deferred app sends and adversary
+//! injections as the driver's caller-counted causes, until traffic quiesces
+//! or the event budget runs out.
 //!
 //! Everything observable lands in a [`ScenarioReport`]: per-message latency
 //! percentiles and goodput measured by the runner, the endpoints'
@@ -19,6 +20,7 @@
 //! [`trace_hash`]: ScenarioReport::trace_hash
 
 use super::adversary::{Adversary, AdversaryConfig, AdversaryStats};
+use super::driver::{Driver, Hosts};
 use super::event::TraceHash;
 use super::fabric::{
     EcnConfig, Fabric, FabricStats, FaultConfig, HostId, LinkConfig, PortId, Topology,
@@ -381,7 +383,7 @@ impl LatencySummary {
 }
 
 /// Everything measured over one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Default, Clone, PartialEq, Serialize)]
 pub struct ScenarioReport {
     /// Scenario name.
     pub name: String,
@@ -452,81 +454,174 @@ pub fn run_scenario(
     run_scenario_app(scenario, endpoints, &mut FnApp(on_deliver))
 }
 
-/// One application send queued for a later virtual time: a server reply held
-/// for its compute/device delay, or a closed-loop client request.
-struct PendingSend {
-    ep: usize,
-    data: Vec<u8>,
-    /// `Some(request send time)` marks this as a reply, keyed back to its
-    /// originating request for round-trip latency accounting.
-    req_start: Option<Nanos>,
+/// An app send queued for a later virtual time, as (endpoint, payload,
+/// request send time): a server reply held for its compute/device delay,
+/// keyed back to its request, or a closed-loop client request (`None`).
+type PendingSend = (usize, Vec<u8>, Option<Nanos>);
+
+/// What [`run_scenario_app`] keeps beside its [`Driver`]: the hosted
+/// endpoints (endpoint `i` in slot `i`, on port `i`), the app, the
+/// adversary, and the accounting the report is built from.
+struct Run<'a, 'e> {
+    endpoints: &'a mut [Box<dyn SimEndpoint + 'e>],
+    app: &'a mut dyn ScenarioApp,
+    adversary: Option<Adversary>,
+    cpu: Option<CpuCharge>,
+    trace: TraceHash,
+    /// The message counters, filled in as the run goes.
+    report: ScenarioReport,
+    /// (endpoint index, message id) -> send time, for latency measurement.
+    in_flight: BTreeMap<(usize, u64), Nanos>,
+    latencies: Vec<Nanos>,
+    /// (server endpoint, reply id) -> originating request's send time, for
+    /// round-trip per-op latency.
+    reply_origin: BTreeMap<(usize, u64), Nanos>,
+    rpc_latencies: Vec<Nanos>,
+    /// App sends queued for a later virtual time, ordered (time, sequence).
+    pending: BTreeMap<(Nanos, u64), PendingSend>,
+    pending_seq: u64,
+    /// The virtual time each server endpoint's application core frees up:
+    /// requests with compute cost queue behind each other (one app thread).
+    app_free: Vec<Nanos>,
+    /// The virtual time each endpoint's CPU frees up under the CPU charge,
+    /// so back-to-back sends on one host serialize behind each other's
+    /// sealing work (a busy core, not a busy network).
+    cpu_free: Vec<Nanos>,
 }
 
-/// Endpoint deadlines with the earliest at hand: a tournament tree over
-/// endpoint slots.  Leaves hold each slot's deadline and every inner node the
-/// earlier of its two children, so setting a slot costs O(log n) and the
-/// earliest deadline O(1).
-struct DeadlineIndex {
-    /// Node `i`'s children are `2i` and `2i + 1`; slot `s` is leaf
-    /// `leaves + s`.
-    nodes: Vec<Option<Nanos>>,
-    leaves: usize,
-}
-
-/// The earlier of two deadlines, `None` being no deadline at all.
-fn earlier(a: Option<Nanos>, b: Option<Nanos>) -> Option<Nanos> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
-}
-
-impl DeadlineIndex {
-    fn new(slots: usize) -> Self {
-        let leaves = slots.next_power_of_two();
-        Self {
-            nodes: vec![None; 2 * leaves],
-            leaves,
+impl Run<'_, '_> {
+    fn note(&mut self, words: &[u64]) {
+        for &word in words {
+            self.trace.note(word);
         }
     }
 
-    fn set(&mut self, slot: usize, deadline: Option<Nanos>) {
-        let mut i = self.leaves + slot;
-        if self.nodes[i] == deadline {
-            return;
+    /// The one charged send, for workload sends (`tag` SEND) and deferred app
+    /// sends (`tag` APP): sends `data` on `ep` now, records it for the
+    /// latency accounting, and flushes `ep` once its packets may leave.  That
+    /// is now, or later by the [`Scenario::cpu`] charge for the records the
+    /// send sealed (counted by the endpoint, so offloaded and plaintext
+    /// stacks pay nothing): consecutive sends on one endpoint queue behind
+    /// each other's sealing work, without warping the shared clock.
+    fn send(&mut self, driver: &mut Driver, tag: u64, ep: usize, data: &[u8], req: Option<Nanos>) {
+        let now = driver.now();
+        self.note(&[tag, now, ep as u64, data.len() as u64]);
+        let sealed_before = self.cpu.map(|_| self.endpoints[ep].records_sealed());
+        self.start(ep, data, now, req);
+        let mut tx_at = now;
+        if let (Some(cpu), Some(before)) = (self.cpu, sealed_before) {
+            let records = self.endpoints[ep].records_sealed().saturating_sub(before);
+            if records > 0 {
+                let seal_ns = cpu.seal_ns(data.len() as u64, records).min(SECOND);
+                tx_at = self.cpu_free[ep].max(now) + seal_ns;
+                self.cpu_free[ep] = tx_at;
+            }
         }
-        self.nodes[i] = deadline;
-        while i > 1 {
-            i /= 2;
-            let min = earlier(self.nodes[2 * i], self.nodes[2 * i + 1]);
-            if self.nodes[i] == min {
+        driver.flush(self, ep, tx_at);
+    }
+
+    /// Sends `data` on `ep` at `now` and records it for the latency
+    /// accounting (`req`: a reply's request send time); false when the
+    /// endpoint refused it.
+    fn start(&mut self, ep: usize, data: &[u8], now: Nanos, req: Option<Nanos>) -> bool {
+        let Some(id) = self.endpoints[ep].send(data, now) else {
+            return false;
+        };
+        // A client end's send is a request; a server end's, a reply.
+        self.report.messages_sent += u64::from(ep.is_multiple_of(2));
+        self.in_flight.insert((ep, id), now);
+        if let Some(start) = req {
+            self.reply_origin.insert((ep, id), start);
+        }
+        true
+    }
+
+    fn defer(&mut self, at: Nanos, ep: usize, data: Vec<u8>, req_start: Option<Nanos>) {
+        self.pending
+            .insert((at, self.pending_seq), (ep, data, req_start));
+        self.pending_seq += 1;
+    }
+
+    /// Accounts one message delivered at `ep` at `t` and hands it to the app;
+    /// true when `ep` replied at once.
+    fn delivered(&mut self, ep: usize, id: u64, data: &[u8], t: Nanos) -> bool {
+        let len = data.len() as u64;
+        self.note(&[trace_tag::DELIVERY, t, ep as u64, id, len]);
+        self.report.bytes_delivered += len;
+        let flow = ep / 2;
+        if ep.is_multiple_of(2) {
+            self.report.replies_delivered += 1;
+            if let Some(start) = self.in_flight.remove(&(ep + 1, id)) {
+                self.latencies.push(t.saturating_sub(start));
+            }
+            if let Some(start) = self.reply_origin.remove(&(ep + 1, id)) {
+                self.rpc_latencies.push(t.saturating_sub(start));
+            }
+            if let Some(next) = self.app.on_reply(flow, id, data, t) {
+                self.defer(t, ep, next, None);
+            }
+            return false;
+        }
+        self.report.messages_delivered += 1;
+        let req_start = self.in_flight.remove(&(ep - 1, id));
+        if let Some(start) = req_start {
+            self.latencies.push(t.saturating_sub(start));
+        }
+        let Some(reply) = self.app.on_request(flow, id, data, t) else {
+            return false;
+        };
+        // Compute occupies the app core (requests queue behind each other);
+        // device time adds latency on top without holding the core.
+        let ready = self.app_free[ep].max(t) + reply.compute_ns.min(SECOND);
+        if reply.compute_ns > 0 {
+            self.app_free[ep] = ready;
+        }
+        let send_at = ready + reply.fixed_ns.min(SECOND);
+        if send_at > t {
+            self.defer(send_at, ep, reply.data, req_start);
+            return false;
+        }
+        // An immediate reply: uncharged, and sent on by the flush under way.
+        self.start(ep, &reply.data, t, req_start)
+    }
+}
+
+impl Hosts for Run<'_, '_> {
+    fn deliver(&mut self, port: PortId, packet: &Packet, now: Nanos) -> Option<usize> {
+        let len = packet.wire_len() as u64;
+        self.note(&[trace_tag::ARRIVAL, now, port as u64, len]);
+        self.endpoints[port].handle_datagram(packet, now);
+        Some(port)
+    }
+
+    fn fire(&mut self, slot: usize, now: Nanos) {
+        self.note(&[trace_tag::TIMEOUT, now, slot as u64]);
+        self.endpoints[slot].on_timeout(now);
+    }
+
+    /// Hands `ep`'s packets to the fabric, through the adversary's tap, and
+    /// its deliveries to the accounting and the app; polls `ep` once more
+    /// when it replied at once.
+    fn flush(&mut self, ep: usize, t: Nanos, fabric: &mut Fabric, buf: &mut Vec<Packet>) {
+        loop {
+            if self.endpoints[ep].poll_transmit(t, buf) > 0 {
+                if let Some(adv) = self.adversary.as_mut() {
+                    adv.tap(t, ep, buf);
+                }
+                fabric.send(t, ep, buf.drain(..));
+            }
+            let mut replied = false;
+            for (id, data) in self.endpoints[ep].take_delivered() {
+                replied |= self.delivered(ep, id, &data, t);
+            }
+            if !replied {
                 return;
             }
-            self.nodes[i] = min;
         }
     }
 
-    fn earliest(&self) -> Option<Nanos> {
-        self.nodes[1]
-    }
-
-    /// Appends every slot whose deadline is at or before `now`, in slot
-    /// order, visiting only subtrees that hold one.
-    fn due(&self, now: Nanos, out: &mut Vec<usize>) {
-        self.collect_due(1, now, out);
-    }
-
-    fn collect_due(&self, node: usize, now: Nanos, out: &mut Vec<usize>) {
-        if self.nodes[node].is_none_or(|d| d > now) {
-            return;
-        }
-        if node >= self.leaves {
-            out.push(node - self.leaves);
-        } else {
-            self.collect_due(2 * node, now, out);
-            self.collect_due(2 * node + 1, now, out);
-        }
+    fn deadline(&self, slot: usize) -> Option<Nanos> {
+        self.endpoints[slot].next_timeout()
     }
 }
 
@@ -541,348 +636,114 @@ pub fn run_scenario_app(
     endpoints: &mut [Box<dyn SimEndpoint + '_>],
     app: &mut dyn ScenarioApp,
 ) -> ScenarioReport {
-    assert_eq!(
-        endpoints.len(),
-        scenario.flows.len() * 2,
-        "one endpoint per flow end"
-    );
-    let mut adversary = scenario.adversary.map(Adversary::new);
-    let mut fabric = Fabric::with_topology(
-        scenario.link,
-        scenario.faults,
-        scenario.topology,
-        scenario.ecn,
-    );
+    let n = endpoints.len();
+    assert_eq!(n, scenario.flows.len() * 2, "one endpoint per flow end");
+    let (link, faults, ecn) = (scenario.link, scenario.faults, scenario.ecn);
+    let mut driver = Driver::new(Fabric::with_topology(link, faults, scenario.topology, ecn));
     for _ in 0..scenario.n_hosts {
-        fabric.add_host();
+        driver.fabric.add_host();
     }
-    let mut ports: Vec<PortId> = Vec::with_capacity(endpoints.len());
-    for flow in &scenario.flows {
-        let a = fabric.add_port(flow.src_host);
-        let b = fabric.add_port(flow.dst_host);
-        fabric.connect(a, b);
-        ports.push(a);
-        ports.push(b);
+    for (flow, spec) in scenario.flows.iter().enumerate() {
+        let a = driver.fabric.add_port(spec.src_host);
+        let b = driver.fabric.add_port(spec.dst_host);
+        driver.fabric.connect(a, b);
+        // Ports are allocated densely in endpoint order, so an endpoint's
+        // port is its slot.
+        debug_assert_eq!((a, b), (2 * flow, 2 * flow + 1));
     }
-    // Ports are allocated densely in endpoint order, so PortId == endpoint
-    // index; keep the assertion in case the fabric ever changes.
-    debug_assert!(ports.iter().enumerate().all(|(i, &p)| i == p));
-
-    let mut trace = TraceHash::new();
-    let mut now: Nanos = 0;
-    let mut events: u64 = 0;
-    let mut truncated = false;
-    let mut send_idx = 0usize;
-    // (endpoint index, message id) -> send time, for latency measurement.
-    let mut in_flight: BTreeMap<(usize, u64), Nanos> = BTreeMap::new();
-    let mut latencies: Vec<Nanos> = Vec::new();
-    // (server endpoint, reply id) -> originating request's send time, for
-    // round-trip per-op latency.
-    let mut reply_origin: BTreeMap<(usize, u64), Nanos> = BTreeMap::new();
-    let mut rpc_latencies: Vec<Nanos> = Vec::new();
-    // App sends queued for a later virtual time, ordered (time, sequence).
-    let mut pending: BTreeMap<(Nanos, u64), PendingSend> = BTreeMap::new();
-    let mut pending_seq: u64 = 0;
-    // The virtual time each server endpoint's application core frees up:
-    // requests with compute cost queue behind each other (one app thread).
-    let mut app_free: Vec<Nanos> = vec![0; endpoints.len()];
-    let mut messages_sent: u64 = 0;
-    let mut messages_delivered: u64 = 0;
-    let mut replies_delivered: u64 = 0;
-    let mut bytes_delivered: u64 = 0;
-    let mut scratch: Vec<Packet> = Vec::new();
-
-    // When the CPU charge is enabled: the virtual time each endpoint's CPU
-    // becomes free again, so back-to-back sends on one host serialize behind
-    // each other's sealing work (a busy core, not a busy network).
-    let mut cpu_free: Vec<Nanos> = vec![0; endpoints.len()];
-
-    // Each endpoint's timer deadline, with the earliest at hand.  An
-    // endpoint's deadline moves only when the runner calls into it, and every
-    // arm that does so pumps it afterwards, so `pump!` refreshing the entry
-    // keeps this exact without asking every endpoint on every event.
-    let mut deadlines = DeadlineIndex::new(endpoints.len());
-    for (i, e) in endpoints.iter().enumerate() {
-        deadlines.set(i, e.next_timeout());
-    }
-    // The endpoints the next `pump!` drains, reused across events.
-    let mut work: Vec<usize> = Vec::new();
-
-    // Drains transmit queues and deliveries of the endpoints in `work`,
-    // feeding transmissions into the fabric and deliveries into the latency
-    // accounting (and the reply hook, which may add further endpoints).
-    // Only the endpoints an event reached are polled, once per pop.
-    // The one-argument form stamps this pump's transmissions with a later
-    // time — the Send arm uses it to hold a sealed burst until the sending
-    // host's CPU charge has elapsed, without warping the shared clock (which
-    // would fire every other endpoint's retransmission timers spuriously).
-    macro_rules! pump {
-        () => {
-            pump!(now)
-        };
-        ($t:expr) => {{
-            let t: Nanos = $t;
-            while let Some(ep) = work.pop() {
-                if endpoints[ep].poll_transmit(t, &mut scratch) > 0 {
-                    if let Some(adv) = adversary.as_mut() {
-                        adv.tap(t, ports[ep], &mut scratch);
-                    }
-                    fabric.send(t, ports[ep], scratch.drain(..));
-                }
-                for (id, data) in endpoints[ep].take_delivered() {
-                    trace.note(trace_tag::DELIVERY);
-                    trace.note(t);
-                    trace.note(ep as u64);
-                    trace.note(id);
-                    trace.note(data.len() as u64);
-                    bytes_delivered += data.len() as u64;
-                    let is_server_end = ep % 2 == 1;
-                    if is_server_end {
-                        messages_delivered += 1;
-                        let flow = ep / 2;
-                        let req_start = in_flight.remove(&(flow * 2, id));
-                        if let Some(start) = req_start {
-                            latencies.push(t.saturating_sub(start));
-                        }
-                        if let Some(reply) = app.on_request(flow, id, &data, t) {
-                            // Compute occupies the app core (requests queue
-                            // behind each other); device time adds latency on
-                            // top without holding the core.
-                            let ready = app_free[ep].max(t) + reply.compute_ns.min(SECOND);
-                            if reply.compute_ns > 0 {
-                                app_free[ep] = ready;
-                            }
-                            let send_at = ready + reply.fixed_ns.min(SECOND);
-                            if send_at <= t {
-                                if let Some(rid) = endpoints[ep].send(&reply.data, t) {
-                                    in_flight.insert((ep, rid), t);
-                                    if let Some(start) = req_start {
-                                        reply_origin.insert((ep, rid), start);
-                                    }
-                                    if !work.contains(&ep) {
-                                        work.push(ep);
-                                    }
-                                }
-                            } else {
-                                pending.insert(
-                                    (send_at, pending_seq),
-                                    PendingSend {
-                                        ep,
-                                        data: reply.data,
-                                        req_start,
-                                    },
-                                );
-                                pending_seq += 1;
-                            }
-                        }
-                    } else {
-                        replies_delivered += 1;
-                        let flow = ep / 2;
-                        if let Some(start) = in_flight.remove(&(flow * 2 + 1, id)) {
-                            latencies.push(t.saturating_sub(start));
-                        }
-                        if let Some(start) = reply_origin.remove(&(flow * 2 + 1, id)) {
-                            rpc_latencies.push(t.saturating_sub(start));
-                        }
-                        if let Some(next) = app.on_reply(flow, id, &data, t) {
-                            pending.insert(
-                                (t, pending_seq),
-                                PendingSend {
-                                    ep,
-                                    data: next,
-                                    req_start: None,
-                                },
-                            );
-                            pending_seq += 1;
-                        }
-                    }
-                }
-                // A reply sent above pushed `ep` back onto `work`, so its
-                // packets go out on the next pop, at this `t`; taking the
-                // deliveries queues nothing else to send.
-                deadlines.set(ep, endpoints[ep].next_timeout());
-            }
-        }};
-    }
-
-    loop {
-        if events >= scenario.max_events {
-            truncated = true;
-            break;
-        }
-        let t_send = scenario.sends.get(send_idx).map(|s| s.at);
-        let t_net = fabric.next_arrival();
-        let t_app = pending.keys().next().map(|(at, _)| *at);
-        let t_adv = adversary.as_ref().and_then(|a| a.next_injection());
-        let t_timer = deadlines.earliest();
+    let mut run = Run {
+        endpoints,
+        app,
+        adversary: scenario.adversary.map(Adversary::new),
+        cpu: scenario.cpu,
+        trace: TraceHash::new(),
+        report: ScenarioReport::default(),
+        in_flight: BTreeMap::new(),
+        latencies: Vec::new(),
+        reply_origin: BTreeMap::new(),
+        rpc_latencies: Vec::new(),
+        pending: BTreeMap::new(),
+        pending_seq: 0,
+        app_free: vec![0; n],
+        cpu_free: vec![0; n],
+    };
+    driver.watch(&run, n);
+    let mut sends = scenario.sends.iter().peekable();
+    while driver.events() < scenario.max_events {
         // Deterministic cause priority at equal times: workload sends, then
-        // packet arrivals, then deferred app sends, then adversary
-        // injections, then timers.
-        enum Cause {
-            Send,
-            Net,
-            App,
-            Inject,
-            Timer,
-        }
+        // the fabric, then deferred app sends, then adversary injections,
+        // then timers.
         let next = [
-            t_send.map(|t| (t, 0u8)),
-            t_net.map(|t| (t, 1u8)),
-            t_app.map(|t| (t, 2u8)),
-            t_adv.map(|t| (t, 3u8)),
-            t_timer.map(|t| (t, 4u8)),
+            sends.peek().map(|s| (s.at, 0u8)),
+            driver.fabric.next_arrival().map(|t| (t, 1)),
+            run.pending.keys().next().map(|&(at, _)| (at, 2)),
+            run.adversary
+                .as_ref()
+                .and_then(Adversary::next_injection)
+                .map(|t| (t, 3)),
+            driver.next_deadline().map(|t| (t, 4)),
         ]
         .into_iter()
         .flatten()
         .min();
-        let Some((t, tag)) = next else { break };
-        let cause = match tag {
-            0 => Cause::Send,
-            1 => Cause::Net,
-            2 => Cause::App,
-            3 => Cause::Inject,
-            _ => Cause::Timer,
+        let Some((t, cause)) = next else {
+            break;
         };
-        now = now.max(t);
-        events += 1;
+        if cause == 1 || cause == 4 {
+            // A fabric step or a timer instant: the driver's own rule picks
+            // the one this order picked.
+            driver.step(&mut run);
+            continue;
+        }
+        driver.event(t);
+        let now = driver.now();
         match cause {
-            Cause::Send => {
-                let s = scenario.sends[send_idx];
-                send_idx += 1;
-                let ep = s.flow * 2;
+            0 => {
+                let s = sends.next().expect("a workload send is due");
                 // Deterministic filler payload; contents don't matter to the
                 // engines beyond their length.
                 let fill = (s.flow as u8).wrapping_mul(31).wrapping_add(s.size as u8);
-                let data = app
+                let data = run
+                    .app
                     .initial_request(s.flow, s.size, now)
                     .unwrap_or_else(|| vec![fill; s.size]);
-                trace.note(trace_tag::SEND);
-                trace.note(now);
-                trace.note(ep as u64);
-                trace.note(data.len() as u64);
-                let sealed_before = scenario.cpu.map(|_| endpoints[ep].records_sealed());
-                if let Some(id) = endpoints[ep].send(&data, now) {
-                    messages_sent += 1;
-                    in_flight.insert((ep, id), now);
-                }
-                // Charge the sender's CPU for the records this send sealed
-                // (counted by the endpoint, so offloaded and plaintext
-                // stacks pay nothing): the sealed burst leaves the host only
-                // once its core is free — consecutive sends on one endpoint
-                // queue behind each other's sealing work.
-                let mut tx_at = now;
-                if let (Some(cpu), Some(before)) = (scenario.cpu, sealed_before) {
-                    let records = endpoints[ep].records_sealed().saturating_sub(before);
-                    if records > 0 {
-                        tx_at = cpu_free[ep].max(now)
-                            + cpu.seal_ns(data.len() as u64, records).min(SECOND);
-                        cpu_free[ep] = tx_at;
-                    }
-                }
-                work.push(ep);
-                pump!(tx_at);
+                run.send(&mut driver, trace_tag::SEND, s.flow * 2, &data, None);
             }
-            Cause::Net => {
-                let Some((at, port, packet)) = fabric.pop_arrival() else {
-                    continue;
-                };
-                now = now.max(at);
-                trace.note(trace_tag::ARRIVAL);
-                trace.note(now);
-                trace.note(port as u64);
-                trace.note(packet.wire_len() as u64);
-                endpoints[port].handle_datagram(&packet, now);
-                work.push(port);
-                pump!();
+            2 => {
+                let (_, (ep, data, req)) = run.pending.pop_first().expect("a deferred send is due");
+                run.send(&mut driver, trace_tag::APP, ep, &data, req);
             }
-            Cause::App => {
-                let Some((&key, _)) = pending.iter().next() else {
-                    continue;
-                };
-                let ps = pending.remove(&key).expect("key just observed");
-                trace.note(trace_tag::APP);
-                trace.note(now);
-                trace.note(ps.ep as u64);
-                trace.note(ps.data.len() as u64);
-                let is_client_end = ps.ep.is_multiple_of(2);
-                let sealed_before = scenario.cpu.map(|_| endpoints[ps.ep].records_sealed());
-                if let Some(id) = endpoints[ps.ep].send(&ps.data, now) {
-                    if is_client_end {
-                        // A closed-loop request: accounted exactly like a
-                        // scheduled workload send.
-                        messages_sent += 1;
-                        in_flight.insert((ps.ep, id), now);
-                    } else {
-                        in_flight.insert((ps.ep, id), now);
-                        if let Some(start) = ps.req_start {
-                            reply_origin.insert((ps.ep, id), start);
-                        }
-                    }
-                }
-                // Deferred app sends pay the sealing charge like workload
-                // sends — the server's reply crypto is host CPU too.
-                let mut tx_at = now;
-                if let (Some(cpu), Some(before)) = (scenario.cpu, sealed_before) {
-                    let records = endpoints[ps.ep].records_sealed().saturating_sub(before);
-                    if records > 0 {
-                        tx_at = cpu_free[ps.ep].max(now)
-                            + cpu.seal_ns(ps.data.len() as u64, records).min(SECOND);
-                        cpu_free[ps.ep] = tx_at;
-                    }
-                }
-                work.push(ps.ep);
-                pump!(tx_at);
-            }
-            Cause::Inject => {
+            _ => {
                 // Forged traffic enters the fabric from the recorded source
                 // port — the adversary spoofing the victim's peer.  Injections
                 // bypass the tap (the adversary does not forge its own
                 // forgeries).
-                if let Some(adv) = adversary.as_mut() {
-                    for (port, packet) in adv.pop_due(now) {
-                        trace.note(trace_tag::INJECT);
-                        trace.note(now);
-                        trace.note(port as u64);
-                        trace.note(packet.wire_len() as u64);
-                        fabric.send(now, port, std::iter::once(packet));
-                    }
+                let forged = run.adversary.as_mut().map(|a| a.pop_due(now));
+                for (port, packet) in forged.unwrap_or_default() {
+                    let len = packet.wire_len() as u64;
+                    run.note(&[trace_tag::INJECT, now, port as u64, len]);
+                    driver.fabric.send(now, port, std::iter::once(packet));
                 }
-            }
-            Cause::Timer => {
-                deadlines.due(now, &mut work);
-                for &i in &work {
-                    trace.note(trace_tag::TIMEOUT);
-                    trace.note(now);
-                    trace.note(i as u64);
-                    endpoints[i].on_timeout(now);
-                }
-                pump!();
             }
         }
     }
 
-    let mut totals = EndpointStats::default();
-    for ep in endpoints.iter() {
-        totals.absorb(&ep.sim_stats());
+    let mut report = run.report;
+    for ep in run.endpoints.iter() {
+        report.endpoints.absorb(&ep.sim_stats());
     }
-    let duration_ns = now.max(1);
-    ScenarioReport {
-        name: scenario.name.clone(),
-        messages_sent,
-        messages_delivered,
-        replies_delivered,
-        bytes_delivered,
-        duration_ns,
-        latency: LatencySummary::from_nanos(latencies),
-        rpc_latency: LatencySummary::from_nanos(rpc_latencies),
-        goodput_gbps: (bytes_delivered as f64 * 8.0) / (duration_ns as f64 / SECOND as f64) / 1e9,
-        endpoints: totals,
-        adversary: adversary.map(|a| a.stats).unwrap_or_default(),
-        fabric: fabric.stats,
-        trace_hash: trace.digest(),
-        events,
-        truncated,
-    }
+    report.name = scenario.name.clone();
+    report.duration_ns = driver.now().max(1);
+    report.latency = LatencySummary::from_nanos(run.latencies);
+    report.rpc_latency = LatencySummary::from_nanos(run.rpc_latencies);
+    let seconds = report.duration_ns as f64 / SECOND as f64;
+    report.goodput_gbps = report.bytes_delivered as f64 * 8.0 / seconds / 1e9;
+    report.adversary = run.adversary.map(|a| a.stats).unwrap_or_default();
+    report.fabric = driver.fabric.stats;
+    report.trace_hash = run.trace.digest();
+    report.events = driver.events();
+    report.truncated = driver.events() >= scenario.max_events;
+    report
 }
 
 #[cfg(test)]
@@ -1293,32 +1154,5 @@ mod tests {
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a, b);
         assert_ne!(run(5).trace_hash, run(6).trace_hash);
-    }
-
-    #[test]
-    fn deadline_index_agrees_with_a_linear_scan() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(25);
-        for slots in [1, 2, 3, 7, 64, 65] {
-            let mut index = DeadlineIndex::new(slots);
-            let mut linear: Vec<Option<Nanos>> = vec![None; slots];
-            for _ in 0..2_000 {
-                // A narrow range makes equal deadlines common; a quarter of
-                // the updates clear the slot.
-                let slot = rng.gen_range(0..slots);
-                let deadline = rng.gen_bool(0.75).then(|| rng.gen_range(0..16));
-                index.set(slot, deadline);
-                linear[slot] = deadline;
-                assert_eq!(index.earliest(), linear.iter().flatten().min().copied());
-                let now = rng.gen_range(0..18);
-                let mut due = Vec::new();
-                index.due(now, &mut due);
-                let want: Vec<usize> = (0..slots)
-                    .filter(|&i| linear[i].is_some_and(|d| d <= now))
-                    .collect();
-                assert_eq!(due, want, "{slots} slots, now {now}");
-            }
-        }
     }
 }

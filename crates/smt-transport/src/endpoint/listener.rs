@@ -30,7 +30,7 @@ use super::handshake::{AcceptConfig, SharedPathSecrets, ZeroRttAcceptor};
 use super::{take_delivered, Endpoint, EndpointBuilder, EndpointResult, EndpointStats, Event};
 use crate::SecureEndpoint;
 use smt_crypto::cert::{Identity, VerifyingKey};
-use smt_sim::net::{Fabric, FabricStats, FaultConfig, LinkConfig, PortId};
+use smt_sim::net::{Driver, Fabric, FabricStats, FaultConfig, Hosts, LinkConfig, PortId};
 use smt_sim::Nanos;
 use smt_wire::{Packet, PacketType};
 use std::collections::{HashMap, VecDeque};
@@ -235,11 +235,6 @@ impl Listener {
         }
     }
 
-    /// The live connection for `cid`.
-    pub fn connection(&self, cid: u32) -> Option<&Endpoint> {
-        self.conns.get(&cid)
-    }
-
     /// Closes connection `cid`, returning its endpoint (does not count as an
     /// eviction — this is the orderly release churn workloads use).
     pub fn close(&mut self, cid: u32) -> Option<Endpoint> {
@@ -302,7 +297,7 @@ impl Listener {
 /// benchmarks.
 #[derive(Debug)]
 pub struct ListenerFabric {
-    fabric: Fabric,
+    driver: Driver,
     listener_host: usize,
     /// Connection ID → (listener-side port, client-side port).
     ports: HashMap<u32, (PortId, PortId)>,
@@ -311,7 +306,9 @@ pub struct ListenerFabric {
     /// Port pairs of detached connections, reused by the next
     /// [`attach`](Self::attach).
     free: Vec<(PortId, PortId)>,
-    now: Nanos,
+    /// `(connection ID, slot)` of every client of a [`drive`](Self::drive)
+    /// call, sorted; rebuilt by each call.
+    slots: Vec<(u32, usize)>,
 }
 
 impl ListenerFabric {
@@ -321,12 +318,12 @@ impl ListenerFabric {
         let mut fabric = Fabric::new(link, faults);
         let listener_host = fabric.add_host();
         Self {
-            fabric,
+            driver: Driver::new(fabric),
             listener_host,
             ports: HashMap::new(),
             owner: HashMap::new(),
             free: Vec::new(),
-            now: 0,
+            slots: Vec::new(),
         }
     }
 
@@ -344,19 +341,20 @@ impl ListenerFabric {
             !self.ports.contains_key(&cid),
             "connection {cid} already attached"
         );
+        let fabric = &mut self.driver.fabric;
         let (lp, cp) = match self.free.pop() {
             Some((lp, cp)) => {
                 debug_assert!(
-                    !self.fabric.in_flight_to(lp) && !self.fabric.in_flight_to(cp),
+                    !fabric.in_flight_to(lp) && !fabric.in_flight_to(cp),
                     "reused ports still have packets in flight"
                 );
                 (lp, cp)
             }
             None => {
-                let lp = self.fabric.add_port(self.listener_host);
-                let ch = self.fabric.add_host();
-                let cp = self.fabric.add_port(ch);
-                self.fabric.connect(lp, cp);
+                let lp = fabric.add_port(self.listener_host);
+                let ch = fabric.add_host();
+                let cp = fabric.add_port(ch);
+                fabric.connect(lp, cp);
                 (lp, cp)
             }
         };
@@ -378,89 +376,116 @@ impl ListenerFabric {
 
     /// The fabric's current virtual time.
     pub fn now(&self) -> Nanos {
-        self.now
+        self.driver.now()
     }
 
     /// Full fabric counters.
     pub fn stats(&self) -> FabricStats {
-        self.fabric.stats
+        self.driver.fabric.stats
     }
 
     /// Drives `clients` (each dialing with its attached connection ID)
     /// against `listener` until traffic quiesces or `max_events` fabric
     /// events have been processed; returns the number processed.
     ///
-    /// Listener egress is routed per packet by its stamped connection ID;
-    /// packets for unattached IDs are discarded.
+    /// One call into the fabric's [`Driver`], under
+    /// [`drive_pair`](super::drive_pair)'s rules: every client, then the
+    /// listener, is flushed on entry, and after that only the endpoints an
+    /// event reached are polled.  A packet for a connection goes to the
+    /// first client dialing with its ID; listener egress is routed per packet
+    /// by its stamped connection ID, and packets for unattached IDs are
+    /// discarded.
     pub fn drive(
         &mut self,
         clients: &mut [(u32, Endpoint)],
         listener: &mut Listener,
         max_events: usize,
     ) -> usize {
-        let mut scratch: Vec<Packet> = Vec::new();
-        let mut events = 0usize;
-        loop {
-            for (cid, client) in clients.iter_mut() {
-                scratch.clear();
-                if client.poll_transmit(self.now, &mut scratch) > 0 {
-                    let Some((_, cp)) = self.ports.get(cid) else {
-                        continue;
-                    };
-                    self.fabric.send(self.now, *cp, scratch.drain(..));
-                }
+        let slots = clients.len() + 1;
+        let (driver, mut conns) = self.split(clients, listener);
+        driver.drive(&mut conns, slots, max_events as u64) as usize
+    }
+
+    /// The driver, and the endpoints of one [`drive`](Self::drive) call.
+    fn split<'a>(
+        &'a mut self,
+        clients: &'a mut [(u32, Endpoint)],
+        listener: &'a mut Listener,
+    ) -> (&'a mut Driver, Conns<'a>) {
+        self.slots.clear();
+        for (slot, (cid, _)) in clients.iter().enumerate() {
+            self.slots.push((*cid, slot));
+        }
+        self.slots.sort_unstable();
+        let conns = Conns {
+            clients,
+            listener,
+            ports: &self.ports,
+            owner: &self.owner,
+            slots: &self.slots,
+        };
+        (&mut self.driver, conns)
+    }
+}
+
+/// The endpoints of one [`ListenerFabric::drive`] call: client `i` in slot
+/// `i`, the listener in the slot after the last client.
+struct Conns<'a> {
+    clients: &'a mut [(u32, Endpoint)],
+    listener: &'a mut Listener,
+    ports: &'a HashMap<u32, (PortId, PortId)>,
+    owner: &'a HashMap<PortId, (bool, u32)>,
+    slots: &'a [(u32, usize)],
+}
+
+impl Hosts for Conns<'_> {
+    fn deliver(&mut self, port: PortId, packet: &Packet, now: Nanos) -> Option<usize> {
+        match *self.owner.get(&port)? {
+            (true, _) => {
+                let _ = self.listener.handle_datagram(packet, now);
+                Some(self.clients.len())
             }
-            scratch.clear();
-            listener.poll_transmit(self.now, &mut scratch);
-            for packet in scratch.drain(..) {
+            (false, cid) => {
+                let first = self.slots.partition_point(|&(c, _)| c < cid);
+                let &(c, slot) = self.slots.get(first)?;
+                (c == cid).then(|| {
+                    let _ = self.clients[slot].1.handle_datagram(packet, now);
+                    slot
+                })
+            }
+        }
+    }
+
+    fn fire(&mut self, slot: usize, now: Nanos) {
+        match self.clients.get_mut(slot) {
+            Some((_, client)) => client.on_timeout(now),
+            None => self.listener.on_timeout(now),
+        }
+    }
+
+    fn flush(&mut self, slot: usize, t: Nanos, fabric: &mut Fabric, buf: &mut Vec<Packet>) {
+        let Some((cid, client)) = self.clients.get_mut(slot) else {
+            self.listener.poll_transmit(t, buf);
+            for packet in buf.drain(..) {
                 let cid = packet.overlay.options.connection_id;
-                if let Some((lp, _)) = self.ports.get(&cid) {
-                    self.fabric.send(self.now, *lp, std::iter::once(packet));
+                if let Some(&(lp, _)) = self.ports.get(&cid) {
+                    fabric.send(t, lp, std::iter::once(packet));
                 }
             }
-            if events >= max_events {
-                return events;
+            return;
+        };
+        if client.poll_transmit(t, buf) > 0 {
+            match self.ports.get(cid) {
+                Some(&(_, cp)) => fabric.send(t, cp, buf.drain(..)),
+                None => buf.clear(),
             }
-            let t_net = self.fabric.next_arrival();
-            let t_timer = clients
-                .iter()
-                .filter_map(|(_, c)| c.next_timeout())
-                .chain(listener.next_timeout())
-                .min();
-            match (t_net, t_timer) {
-                (None, None) => return events,
-                (Some(tn), tt) if tt.is_none_or(|tt| tn <= tt) => {
-                    let Some((at, port, packet)) = self.fabric.pop_arrival() else {
-                        continue;
-                    };
-                    self.now = self.now.max(at);
-                    events += 1;
-                    match self.owner.get(&port) {
-                        Some((true, _)) => {
-                            let _ = listener.handle_datagram(&packet, self.now);
-                        }
-                        Some((false, cid)) => {
-                            if let Some((_, client)) = clients.iter_mut().find(|(c, _)| c == cid) {
-                                let _ = client.handle_datagram(&packet, self.now);
-                            }
-                        }
-                        None => {}
-                    }
-                }
-                (_, Some(tt)) => {
-                    self.now = self.now.max(tt);
-                    events += 1;
-                    for (_, client) in clients.iter_mut() {
-                        if client.next_timeout().is_some_and(|d| d <= self.now) {
-                            client.on_timeout(self.now);
-                        }
-                    }
-                    if listener.next_timeout().is_some_and(|d| d <= self.now) {
-                        listener.on_timeout(self.now);
-                    }
-                }
-                (Some(_), None) => unreachable!(),
-            }
+        }
+    }
+
+    fn deadline(&self, slot: usize) -> Option<Nanos> {
+        match self.clients.get(slot) {
+            Some((_, client)) => client.next_timeout(),
+            None => self.listener.next_timeout(),
         }
     }
 }
@@ -658,8 +683,8 @@ mod tests {
                 fabric.detach(cid);
             }
             sizes.push([
-                fabric.fabric.port_count(),
-                fabric.fabric.host_count(),
+                fabric.driver.fabric.port_count(),
+                fabric.driver.fabric.host_count(),
                 fabric.ports.len(),
                 fabric.owner.len(),
             ]);
@@ -679,6 +704,311 @@ mod tests {
         for (i, &s) in leak.iter().enumerate() {
             let n = i + 1;
             assert_eq!(s, [2 * n, 1 + n, n, 2 * n], "after {n} connects");
+        }
+    }
+
+    /// What reached each port, in order: `(time, packet type, wire length)`.
+    type PortLog = std::collections::BTreeMap<PortId, Vec<(Nanos, PacketType, usize)>>;
+
+    /// The listener loop that polls every client and the listener after
+    /// every event and every fabric pop, and asks all of them for their
+    /// deadlines: what [`ListenerFabric::drive`] must emit the same packets
+    /// as.  Logs every delivery into `log`.
+    fn drive_polling_all(
+        fabric: &mut ListenerFabric,
+        clients: &mut [(u32, Endpoint)],
+        listener: &mut Listener,
+        max_events: usize,
+        log: &mut PortLog,
+    ) -> usize {
+        let driver = &mut fabric.driver;
+        let mut scratch: Vec<Packet> = Vec::new();
+        let mut events = 0usize;
+        loop {
+            let now = driver.now();
+            for (cid, client) in clients.iter_mut() {
+                scratch.clear();
+                if client.poll_transmit(now, &mut scratch) > 0 {
+                    let Some((_, cp)) = fabric.ports.get(cid) else {
+                        continue;
+                    };
+                    driver.fabric.send(now, *cp, scratch.drain(..));
+                }
+            }
+            scratch.clear();
+            listener.poll_transmit(now, &mut scratch);
+            for packet in scratch.drain(..) {
+                let cid = packet.overlay.options.connection_id;
+                if let Some((lp, _)) = fabric.ports.get(&cid) {
+                    driver.fabric.send(now, *lp, std::iter::once(packet));
+                }
+            }
+            if events >= max_events {
+                return events;
+            }
+            let t_net = driver.fabric.next_arrival();
+            let t_timer = clients
+                .iter()
+                .filter_map(|(_, c)| c.next_timeout())
+                .chain(listener.next_timeout())
+                .min();
+            match (t_net, t_timer) {
+                (None, None) => return events,
+                (Some(tn), tt) if tt.is_none_or(|tt| tn <= tt) => {
+                    let Some((at, port, packet)) = driver.fabric.pop_arrival() else {
+                        continue;
+                    };
+                    driver.event(at);
+                    events += 1;
+                    let now = driver.now();
+                    log.entry(port).or_default().push((
+                        now,
+                        packet.overlay.tcp.packet_type,
+                        packet.wire_len(),
+                    ));
+                    match fabric.owner.get(&port) {
+                        Some((true, _)) => {
+                            let _ = listener.handle_datagram(&packet, now);
+                        }
+                        Some((false, cid)) => {
+                            if let Some((_, client)) = clients.iter_mut().find(|(c, _)| c == cid) {
+                                let _ = client.handle_datagram(&packet, now);
+                            }
+                        }
+                        None => {}
+                    }
+                }
+                (_, Some(tt)) => {
+                    driver.event(tt);
+                    events += 1;
+                    let now = driver.now();
+                    for (_, client) in clients.iter_mut() {
+                        if client.next_timeout().is_some_and(|d| d <= now) {
+                            client.on_timeout(now);
+                        }
+                    }
+                    if listener.next_timeout().is_some_and(|d| d <= now) {
+                        listener.on_timeout(now);
+                    }
+                }
+                (Some(_), None) => unreachable!(),
+            }
+        }
+    }
+
+    /// [`Conns`] with every delivery logged before it is handed on.
+    struct LoggedConns<'a> {
+        conns: Conns<'a>,
+        log: &'a mut PortLog,
+    }
+
+    impl Hosts for LoggedConns<'_> {
+        fn deliver(&mut self, port: PortId, packet: &Packet, now: Nanos) -> Option<usize> {
+            let entry = (now, packet.overlay.tcp.packet_type, packet.wire_len());
+            self.log.entry(port).or_default().push(entry);
+            self.conns.deliver(port, packet, now)
+        }
+        fn fire(&mut self, slot: usize, now: Nanos) {
+            self.conns.fire(slot, now)
+        }
+        fn flush(&mut self, slot: usize, t: Nanos, fabric: &mut Fabric, buf: &mut Vec<Packet>) {
+            self.conns.flush(slot, t, fabric, buf)
+        }
+        fn deadline(&self, slot: usize) -> Option<Nanos> {
+            self.conns.deadline(slot)
+        }
+    }
+
+    /// The body of [`ListenerFabric::drive`], with every delivery logged.
+    fn drive_logged(
+        fabric: &mut ListenerFabric,
+        clients: &mut [(u32, Endpoint)],
+        listener: &mut Listener,
+        max_events: usize,
+        log: &mut PortLog,
+    ) -> usize {
+        let slots = clients.len() + 1;
+        let (driver, conns) = fabric.split(clients, listener);
+        driver.drive(&mut LoggedConns { conns, log }, slots, max_events as u64) as usize
+    }
+
+    type DriveFn = fn(
+        &mut ListenerFabric,
+        &mut [(u32, Endpoint)],
+        &mut Listener,
+        usize,
+        &mut PortLog,
+    ) -> usize;
+
+    /// One event of a churn run, up to signature length: the endpoint (0 for
+    /// the listener, else the client's connection ID), the connection, the
+    /// event's kind and flags, and its time (a handshake's `rtt_ns`, or the
+    /// delivery's instant).
+    type Seen = (u32, u32, String, Nanos);
+
+    /// A mint wave (one cold connect, which mints the path secret and the
+    /// first ticket), then three waves of six connects, cold, ticket-resumed
+    /// and path-secret derived in turn, each sending one request, driven in
+    /// slices of `slice` events (the churn bench drives one-event slices),
+    /// and closed once the wave quiesces.  Returns every port's delivery log,
+    /// every event, the events each slice counted, the fabric's counters and
+    /// the clock.
+    fn churn_run(
+        drive: DriveFn,
+        ca: &CertificateAuthority,
+        identity: &Identity,
+        faults: FaultConfig,
+        slice: usize,
+    ) -> (PortLog, Vec<Seen>, Vec<usize>, FabricStats, Nanos) {
+        use smt_crypto::handshake::{SmtTicket, SmtTicketIssuer};
+        let acceptor = ZeroRttAcceptor::new(SmtTicketIssuer::new(identity.clone(), 3600), 1 << 10);
+        let mut lst = Listener::new(
+            Endpoint::builder().stack(StackKind::SmtSw),
+            identity.clone(),
+            ca.verifying_key(),
+            64,
+        )
+        .zero_rtt(acceptor)
+        .ticket_time(100)
+        .path_secrets(SharedPathSecrets::new(64, 1024));
+        let client_secrets = SharedPathSecrets::new(64, 1024);
+        let mut fabric = ListenerFabric::new(LinkConfig::default(), faults);
+        let (mut log, mut seen, mut slices) = (PortLog::new(), Vec::new(), Vec::new());
+        let mut tickets: Vec<SmtTicket> = Vec::new();
+        let mut next_cid = 1u32;
+        for wave in 0..4 {
+            let start = fabric.now();
+            let connects = if wave == 0 { 1 } else { 6 };
+            let mut clients: Vec<(u32, Endpoint)> = (0..connects)
+                .map(|i| {
+                    let cid = next_cid;
+                    next_cid += 1;
+                    fabric.attach(cid);
+                    let mut config = ConnectConfig::new(ca.verifying_key(), "server.dc.local");
+                    match (wave, i % 3) {
+                        (0, _) => config = config.path_secrets(client_secrets.clone()),
+                        (_, 1) => {
+                            let t = tickets[i % tickets.len()].clone();
+                            let at = t.issued_at;
+                            config = config.resume(t, at);
+                        }
+                        (_, 2) => config = config.path_secrets(client_secrets.clone()),
+                        _ => {}
+                    }
+                    let mut client = Endpoint::builder()
+                        .stack(StackKind::SmtSw)
+                        .connection_id(cid)
+                        .path(smt_core::segment::PathInfo::pair(4000, 5201).0)
+                        .connect(config)
+                        .unwrap();
+                    client.send(&[cid as u8; 256], start).unwrap();
+                    (cid, client)
+                })
+                .collect();
+            for _ in 0..100_000 {
+                let n = drive(&mut fabric, &mut clients, &mut lst, slice, &mut log);
+                slices.push(n);
+                while let Some((cid, event)) = lst.poll_event() {
+                    seen.push(seen_event(0, cid, event, fabric.now()));
+                }
+                if n == 0 {
+                    break;
+                }
+            }
+            for (cid, client) in &mut clients {
+                while let Some(event) = client.poll_event() {
+                    if let Event::TicketReceived(t) = &event {
+                        tickets.push((**t).clone());
+                    }
+                    seen.push(seen_event(*cid, *cid, event, fabric.now()));
+                }
+                assert!(lst.close(*cid).is_some(), "connection {cid}");
+            }
+        }
+        (log, seen, slices, fabric.stats(), fabric.now())
+    }
+
+    fn seen_event(end: u32, cid: u32, event: Event, now: Nanos) -> Seen {
+        let (kind, at) = match event {
+            Event::HandshakeComplete {
+                forward_secret,
+                resumed,
+                rtt_ns,
+                ..
+            } => (
+                format!("complete fs={forward_secret} resumed={resumed}"),
+                rtt_ns,
+            ),
+            Event::TicketReceived(_) => ("ticket".into(), now),
+            Event::MessageDelivered { id, data } => (
+                format!("delivered {id}: {} x {:?}", data.len(), data.first()),
+                now,
+            ),
+            Event::MessageAcked(id) => (format!("acked {id}"), now),
+            Event::Error(e) => (format!("error {e}"), now),
+        };
+        (end, cid, kind, at)
+    }
+
+    /// `a` and `b` apart by at most `slack`.
+    fn near(a: u64, b: u64, slack: u64) -> bool {
+        a.abs_diff(b) <= slack
+    }
+
+    #[test]
+    fn polling_only_what_an_event_reached_emits_what_polling_every_connection_did() {
+        // Every cold handshake signs with a fresh ECDSA signature whose DER
+        // length varies by a few bytes between runs, so wire lengths and the
+        // times downstream of them agree up to that; the order of packets
+        // and events, their types and their counts agree exactly.
+        const LEN_SLACK: usize = 8;
+        const TIME_SLACK: Nanos = 64;
+        let ca = CertificateAuthority::new("reference-ca");
+        let identity = ca.issue_identity("server.dc.local");
+        // One-event slices re-enter after every event, as the churn bench
+        // does; long slices rely on the polls after each event.
+        for (profile, faults, slice) in [
+            ("lossless, one-event slices", FaultConfig::none(), 1),
+            ("lossy, one-event slices", FaultConfig::lossy(0.05, 3), 1),
+            ("lossy, long slices", FaultConfig::lossy(0.05, 3), 1_000),
+        ] {
+            let got = churn_run(drive_logged, &ca, &identity, faults, slice);
+            let want = churn_run(drive_polling_all, &ca, &identity, faults, slice);
+            let delivered = got.1.iter().filter(|e| e.2.starts_with("delivered"));
+            assert_eq!(delivered.count(), 19, "{profile}: one request per connect");
+            if faults.loss > 0.0 {
+                assert!(got.3.dropped() > 0, "{profile}: the fabric dropped");
+            }
+            assert_eq!(
+                got.0.keys().collect::<Vec<_>>(),
+                want.0.keys().collect::<Vec<_>>()
+            );
+            for (port, got_log) in &got.0 {
+                let want_log = &want.0[port];
+                assert_eq!(got_log.len(), want_log.len(), "{profile}: port {port}");
+                for (i, (g, w)) in got_log.iter().zip(want_log).enumerate() {
+                    assert!(
+                        g.1 == w.1 && near(g.0, w.0, TIME_SLACK) && g.2.abs_diff(w.2) <= LEN_SLACK,
+                        "{profile}: port {port}, delivery {i}: {g:?} vs {w:?}"
+                    );
+                }
+            }
+            assert_eq!(got.1.len(), want.1.len(), "{profile}: events");
+            for (g, w) in got.1.iter().zip(&want.1) {
+                assert!(
+                    (g.0, g.1, &g.2) == (w.0, w.1, &w.2) && near(g.3, w.3, TIME_SLACK),
+                    "{profile}: {g:?} vs {w:?}"
+                );
+            }
+            assert_eq!(got.2, want.2, "{profile}: events per slice");
+            assert_eq!(got.3.delivered, want.3.delivered, "{profile}");
+            assert_eq!(got.3.dropped(), want.3.dropped(), "{profile}");
+            assert!(
+                near(got.4, want.4, TIME_SLACK),
+                "{profile}: {} vs {}",
+                got.4,
+                want.4
+            );
         }
     }
 

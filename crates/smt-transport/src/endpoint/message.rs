@@ -450,7 +450,7 @@ mod tests {
             assert_eq!(echo(&mut client, &mut server, &mut link, 100), (100, 100));
             // Two packets per RPC, plus the one ACK no request was left to
             // carry: the last reply's.
-            assert_eq!(link.delivered(), 2 * 100 + 1, "{stack:?}");
+            assert_eq!(link.stats().delivered, 2 * 100 + 1, "{stack:?}");
             assert_eq!(client.next_timeout(), None, "{stack:?}");
             assert_eq!(server.next_timeout(), None, "{stack:?}");
             let (client_stats, server_stats) = (client.stats(), server.stats());

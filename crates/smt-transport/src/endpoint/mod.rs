@@ -47,12 +47,10 @@
 //! time (`now: Nanos`), and [`SecureEndpoint::next_timeout`] exposes the
 //! endpoint's retransmission deadline (opening at
 //! [`crate::cc::INITIAL_RTO_NS`], then RTT-estimated) so a discrete-event
-//! driver can schedule it.
-//! [`drive_pair`] is the canonical loop — a thin wrapper over a two-host
-//! [`smt_sim::net::Fabric`] that moves packets between two endpoints in
-//! simulated time until traffic quiesces; the multi-host scenario harness
-//! (`smt_sim::net::run_scenario`) drives the same trait over arbitrary
-//! topologies and workloads.
+//! driver can schedule it.  One driver steps every harness
+//! ([`smt_sim::net::Driver`]): [`drive_pair`] over a two-host fabric,
+//! [`ListenerFabric::drive`] over one listener and its clients, and
+//! `smt_sim::net::run_scenario` over arbitrary topologies and workloads.
 
 mod handshake;
 mod listener;
@@ -74,7 +72,7 @@ use serde::{Deserialize, Serialize};
 use shell::Keying;
 use smt_core::segment::PathInfo;
 use smt_crypto::handshake::{SessionKeys, SmtTicket};
-use smt_sim::net::{Fabric, FabricStats, FaultConfig, LinkConfig, PortId};
+use smt_sim::net::{Driver, Fabric, FabricStats, FaultConfig, Hosts, LinkConfig, PortId};
 use smt_sim::Nanos;
 use smt_wire::Packet;
 use thiserror::Error;
@@ -185,9 +183,8 @@ pub(crate) fn missing_keys(stack: StackKind) -> EndpointError {
 ///    [`on_timeout`](Self::on_timeout) and go to 2 (loss recovery).
 ///
 /// Time is the caller's virtual clock in nanoseconds; endpoints never read a
-/// wall clock.  [`drive_pair`] packages this loop for two endpoints over a
-/// two-host fabric; `smt_sim::net::run_scenario` drives it over arbitrary
-/// topologies.
+/// wall clock.  [`drive_pair`] runs this loop for two endpoints, on the
+/// driver every harness shares (`smt_sim::net::Driver`).
 pub trait SecureEndpoint {
     /// Which evaluated stack this endpoint implements.
     fn stack(&self) -> StackKind;
@@ -260,17 +257,15 @@ pub fn take_delivered(ep: &mut (impl SecureEndpoint + ?Sized)) -> Vec<(MessageId
 
 /// A two-host fabric for [`drive_pair`]: endpoint A on host 0 / port 0,
 /// endpoint B on host 1 / port 1, queued links and the shared seeded fault
-/// model between them, plus the pair's virtual clock.
+/// model between them, and the [`Driver`] that owns them and the pair's
+/// virtual clock.
 ///
 /// This is the substrate every example, bench and test drives stack pairs
 /// over; loss, reordering and duplication come from the same
 /// `smt_sim::net::FaultyLink` model the multi-host scenarios use.
 #[derive(Debug)]
 pub struct PairFabric {
-    fabric: Fabric,
-    now: Nanos,
-    /// What an endpoint hands over in one flush, drained into the fabric.
-    scratch: Vec<Packet>,
+    driver: Driver,
 }
 
 impl PairFabric {
@@ -295,38 +290,19 @@ impl PairFabric {
         fabric.connect(a, b);
         debug_assert_eq!((a, b), (0, 1));
         Self {
-            fabric,
-            now: 0,
-            scratch: Vec::new(),
+            driver: Driver::new(fabric),
         }
     }
 
     /// The pair's current virtual time; pass this as `now` when calling
     /// endpoint methods between [`drive_pair`] invocations.
     pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Packets lost inside the fabric so far (faults plus tail drops).
-    pub fn dropped(&self) -> u64 {
-        self.fabric.stats.dropped()
-    }
-
-    /// Packet arrivals delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.fabric.stats.delivered
+        self.driver.now()
     }
 
     /// Full fabric counters.
     pub fn stats(&self) -> FabricStats {
-        self.fabric.stats
-    }
-
-    /// Puts whatever `ep`, on `port`, wants on the wire now into the fabric.
-    fn flush(&mut self, ep: &mut (impl SecureEndpoint + ?Sized), port: PortId) {
-        if ep.poll_transmit(self.now, &mut self.scratch) > 0 {
-            self.fabric.send(self.now, port, self.scratch.drain(..));
-        }
+        self.driver.fabric.stats
     }
 }
 
@@ -336,76 +312,65 @@ impl Default for PairFabric {
     }
 }
 
+/// The two ends of a [`drive_pair`] call: `a` in slot 0 on port 0, `b` in
+/// slot 1 on port 1.
+struct Ends<'a, A: ?Sized, B: ?Sized>(&'a mut A, &'a mut B);
+
+impl<A, B> Hosts for Ends<'_, A, B>
+where
+    A: SecureEndpoint + ?Sized,
+    B: SecureEndpoint + ?Sized,
+{
+    fn deliver(&mut self, port: PortId, packet: &Packet, now: Nanos) -> Option<usize> {
+        let _ = match port {
+            0 => self.0.handle_datagram(packet, now),
+            _ => self.1.handle_datagram(packet, now),
+        };
+        Some(port)
+    }
+
+    fn fire(&mut self, slot: usize, now: Nanos) {
+        match slot {
+            0 => self.0.on_timeout(now),
+            _ => self.1.on_timeout(now),
+        }
+    }
+
+    fn flush(&mut self, slot: usize, t: Nanos, fabric: &mut Fabric, buf: &mut Vec<Packet>) {
+        let n = match slot {
+            0 => self.0.poll_transmit(t, buf),
+            _ => self.1.poll_transmit(t, buf),
+        };
+        if n > 0 {
+            fabric.send(t, slot, buf.drain(..));
+        }
+    }
+
+    fn deadline(&self, slot: usize) -> Option<Nanos> {
+        match slot {
+            0 => self.0.next_timeout(),
+            _ => self.1.next_timeout(),
+        }
+    }
+}
+
 /// Drives two endpoints over a two-host fabric in simulated time until
 /// traffic quiesces (no packets in flight, no armed timers producing new
 /// traffic) or `max_events` events have been processed.  Returns the number
 /// of events processed.
 ///
-/// Both ends are flushed once on entry, since callers `send` between calls.
-/// After that an endpoint is polled only when an event reached it: the
-/// destination of each delivered packet, right after it handles it, and each
-/// end whose timer fired, right after it fires, `a` before `b`.  A fabric
-/// pop that only moves a packet between hops polls nothing.  An endpoint no
-/// event reached has nothing new to send, so this emits exactly what polling
-/// both ends after every event would, at the same instants and in the same
-/// order.
-///
-/// This is the one pairwise drive loop in the repository: every example,
-/// bench and test that moves packets between two stacks goes through here
-/// (or through a thin wrapper), for any [`StackKind`].  Multi-host workloads
-/// use `smt_sim::net::run_scenario`, which hosts the same trait on the same
-/// fabric.
+/// One call into the pair's [`Driver`], under its event and clock rules:
+/// both ends are flushed, `a` first, and their deadlines re-read on entry,
+/// since callers `send` between calls; after that an end is polled only when
+/// an event reached it (a delivery, or its timer firing, `a` before `b`).
+/// That emits exactly what polling both ends after every event would.
 pub fn drive_pair(
     a: &mut (impl SecureEndpoint + ?Sized),
     b: &mut (impl SecureEndpoint + ?Sized),
     link: &mut PairFabric,
     max_events: usize,
 ) -> usize {
-    link.flush(a, 0);
-    link.flush(b, 1);
-    let mut events = 0usize;
-    while events < max_events {
-        // Advance to the next cause: packet arrival or retransmission timer
-        // (arrivals win ties so timers see the freshest state).
-        let t_net = link.fabric.next_arrival();
-        let t_timer = [a.next_timeout(), b.next_timeout()]
-            .into_iter()
-            .flatten()
-            .min();
-        match (t_net, t_timer) {
-            (None, None) => break,
-            (Some(tn), tt) if tt.is_none_or(|tt| tn <= tt) => {
-                let Some((at, port, packet)) = link.fabric.pop_arrival() else {
-                    continue;
-                };
-                link.now = link.now.max(at);
-                events += 1;
-                if port == 0 {
-                    let _ = a.handle_datagram(&packet, link.now);
-                    link.flush(a, 0);
-                } else {
-                    let _ = b.handle_datagram(&packet, link.now);
-                    link.flush(b, 1);
-                }
-            }
-            (_, Some(tt)) => {
-                link.now = link.now.max(tt);
-                events += 1;
-                if a.next_timeout().is_some_and(|d| d <= link.now) {
-                    a.on_timeout(link.now);
-                    link.flush(a, 0);
-                }
-                if b.next_timeout().is_some_and(|d| d <= link.now) {
-                    b.on_timeout(link.now);
-                    link.flush(b, 1);
-                }
-            }
-            // (Some, None) with a failed guard cannot happen: the guard is
-            // always true when the timer side is None.
-            (Some(_), None) => unreachable!(),
-        }
-    }
-    events
+    link.driver.drive(&mut Ends(a, b), 2, max_events as u64) as usize
 }
 
 /// Builds [`Endpoint`]s: picks the backing machinery for a [`StackKind`] and
@@ -760,10 +725,14 @@ pub(crate) mod tests {
                 1,
                 "stack {} dropped {}",
                 stack.label(),
-                link.dropped()
+                link.stats().dropped()
             );
             assert_eq!(got[0].1, data, "stack {}", stack.label());
-            assert!(link.dropped() > 0, "stack {}: loss occurred", stack.label());
+            assert!(
+                link.stats().dropped() > 0,
+                "stack {}: loss occurred",
+                stack.label()
+            );
             // Recovery is visible in the counters: the sender retransmitted
             // (dup-SACK fast retransmit, receiver RESENDs or a fired timer).
             let stats = c.stats();
@@ -1239,18 +1208,21 @@ pub(crate) mod tests {
         link: &mut PairFabric,
         max_events: usize,
     ) -> usize {
+        let driver = &mut link.driver;
+        let mut scratch = Vec::new();
         let mut events = 0usize;
         loop {
-            if a.poll_transmit(link.now, &mut link.scratch) > 0 {
-                link.fabric.send(link.now, 0, link.scratch.drain(..));
+            let now = driver.now();
+            if a.poll_transmit(now, &mut scratch) > 0 {
+                driver.fabric.send(now, 0, scratch.drain(..));
             }
-            if b.poll_transmit(link.now, &mut link.scratch) > 0 {
-                link.fabric.send(link.now, 1, link.scratch.drain(..));
+            if b.poll_transmit(now, &mut scratch) > 0 {
+                driver.fabric.send(now, 1, scratch.drain(..));
             }
             if events >= max_events {
                 return events;
             }
-            let t_net = link.fabric.next_arrival();
+            let t_net = driver.fabric.next_arrival();
             let t_timer = [a.next_timeout(), b.next_timeout()]
                 .into_iter()
                 .flatten()
@@ -1258,24 +1230,25 @@ pub(crate) mod tests {
             match (t_net, t_timer) {
                 (None, None) => return events,
                 (Some(tn), tt) if tt.is_none_or(|tt| tn <= tt) => {
-                    let Some((at, port, packet)) = link.fabric.pop_arrival() else {
+                    let Some((at, port, packet)) = driver.fabric.pop_arrival() else {
                         continue;
                     };
-                    link.now = link.now.max(at);
+                    driver.event(at);
                     events += 1;
                     let _ = match port {
-                        0 => a.handle_datagram(&packet, link.now),
-                        _ => b.handle_datagram(&packet, link.now),
+                        0 => a.handle_datagram(&packet, driver.now()),
+                        _ => b.handle_datagram(&packet, driver.now()),
                     };
                 }
                 (_, Some(tt)) => {
-                    link.now = link.now.max(tt);
+                    driver.event(tt);
                     events += 1;
-                    if a.next_timeout().is_some_and(|d| d <= link.now) {
-                        a.on_timeout(link.now);
+                    let now = driver.now();
+                    if a.next_timeout().is_some_and(|d| d <= now) {
+                        a.on_timeout(now);
                     }
-                    if b.next_timeout().is_some_and(|d| d <= link.now) {
-                        b.on_timeout(link.now);
+                    if b.next_timeout().is_some_and(|d| d <= now) {
+                        b.on_timeout(now);
                     }
                 }
                 (Some(_), None) => unreachable!(),

@@ -12,7 +12,6 @@ use super::{
     ZeroRttAcceptor,
 };
 use crate::stack::StackKind;
-use smt_core::segment::PathInfo;
 use smt_crypto::cert::{Identity, VerifyingKey};
 use smt_crypto::handshake::{SessionKeys, SmtTicket};
 use smt_sim::net::{Scenario, SimEndpoint};
@@ -105,7 +104,6 @@ pub fn handshake_scenario_endpoints(
     let mut endpoints: Vec<Box<dyn SimEndpoint>> = Vec::with_capacity(scenario.flows.len() * 2);
     for (flow, _) in scenario.flows.iter().enumerate() {
         let base = 10_000u16.wrapping_add((flow as u16) * 2);
-        let (client_path, server_path) = PathInfo::pair(base, base + 1);
         let mut connect = ConnectConfig::new(ca_key.clone(), server_name);
         if let Some(ticket) = resume_ticket {
             connect = connect.resume(ticket.clone(), ticket.issued_at);
@@ -113,16 +111,10 @@ pub fn handshake_scenario_endpoints(
         let accept = AcceptConfig::new(identity.clone(), ca_key.clone())
             .zero_rtt(acceptor.clone())
             .ticket_time(resume_ticket.map_or(0, |t| t.issued_at));
-        let client = Endpoint::builder()
+        let (client, server) = Endpoint::builder()
             .stack(stack)
-            .path(client_path)
-            .connect(connect)
-            .expect("valid scenario connect configuration");
-        let server = Endpoint::builder()
-            .stack(stack)
-            .path(server_path)
-            .accept(accept)
-            .expect("valid scenario accept configuration");
+            .handshake_pair(connect, accept, base, base + 1)
+            .expect("valid scenario handshake configuration");
         endpoints.push(Box::new(client));
         endpoints.push(Box::new(server));
     }
@@ -227,6 +219,35 @@ mod tests {
             assert_eq!(sealed >= 8, software, "{stack:?} sealed {sealed}");
             assert!(software || sealed == 0, "{stack:?} sealed {sealed}");
         }
+    }
+
+    #[test]
+    fn a_64b_echo_is_five_events_a_send_three_deliveries_and_a_timer() {
+        use smt_sim::net::{FlowSpec, ScheduledSend};
+        let (ck, sk) = keys();
+        let mut scenario = Scenario::new("echo", 2);
+        scenario.flows.push(FlowSpec {
+            src_host: 0,
+            dst_host: 1,
+        });
+        scenario.sends.push(ScheduledSend {
+            at: 0,
+            flow: 0,
+            size: 64,
+        });
+        let mut eps = scenario_endpoints(&scenario, StackKind::SmtSw, &ck, &sk);
+        let report = run_scenario(&scenario, &mut eps, |_, _, data, _| Some(data.to_vec()));
+        assert_eq!(
+            (report.messages_delivered, report.replies_delivered),
+            (1, 1)
+        );
+        // The request, the echo carrying the request's ACK, and the echo's
+        // ACK, which leaves on its own when the client's 1 ns hold expires.
+        assert_eq!(report.fabric.delivered, 3);
+        // The workload send, the three deliveries and that timer instant;
+        // the fabric steps that only queue each packet at its destination's
+        // ingress link are not events.
+        assert_eq!(report.events, 5);
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn main() {
     println!(
         "backend received {} RPCs over a lossy link ({} packets dropped, {} replays rejected)",
         received,
-        link.dropped(),
+        link.stats().dropped(),
         backend.stats().replays_rejected,
     );
     assert_eq!(received, 20);
